@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .core import (
     Camera,
     FeatureStream,
-    FrameFeature,
     LabelSpace,
     StateSequence,
     Task,
@@ -20,7 +19,6 @@ from .core import (
 __all__ = [
     "Camera",
     "FeatureStream",
-    "FrameFeature",
     "LabelSpace",
     "StateSequence",
     "Task",

@@ -13,15 +13,13 @@ frame of the new state.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
+from .classify import LinearModel, TrainConfig, train_binary
 from .core import FeatureStream, StateSequence
-
-if TYPE_CHECKING:
-    from .classify import LinearModel, TrainConfig
 
 
 @dataclass(frozen=True)
@@ -147,11 +145,18 @@ def suppress_non_maxima(
 
 
 def detect_candidates(
-    stream: FeatureStream, change_model: "LinearModel", params: ChangeParams
+    stream: FeatureStream, change_model: LinearModel, params: ChangeParams
 ) -> CandidateSet:
-    """Score all in-band frames with the change model and run greedy NMS."""
+    """Score all in-band frames with the change model and run greedy NMS.
+
+    A model that records its training d must be run with that d.
+    """
     if not change_model.is_binary:
         raise ValueError("detect_candidates requires a binary change model")
+    if change_model.d is not None and change_model.d != params.d:
+        raise ValueError(
+            f"d={params.d} differs from the d={change_model.d} the change model was trained with"
+        )
     if change_model.dim != stream.dim:
         raise ValueError(
             f"change model dim {change_model.dim} does not match stream dim {stream.dim}"
@@ -193,9 +198,8 @@ def train_change_model(
     streams: Sequence[FeatureStream],
     truths: Sequence[StateSequence],
     d: int,
-    config: "TrainConfig | None" = None,
-) -> "LinearModel":
-    from .classify import TrainConfig, train_binary
-
+    config: TrainConfig = TrainConfig(),
+) -> LinearModel:
+    """Train the binary change scorer at half-width d; the model records d."""
     x, y = change_training_set(streams, truths, d)
-    return train_binary(x, y, config if config is not None else TrainConfig())
+    return replace(train_binary(x, y, config), d=d)

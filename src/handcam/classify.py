@@ -16,22 +16,18 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureStream, FrameFeature, LabelSpace, StateSequence, Task
-from . import change as change_mod
-from . import inference as inference_mod
+from .core import FeatureStream, LabelSpace, StateSequence, Task
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     c_reg: float = 1.0
     epochs: int = 200
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.c_reg <= 0:
@@ -44,15 +40,17 @@ class TrainConfig:
 class LinearModel:
     """Linear scorer: one weight row and bias per state.
 
-    The binary change model has a single row and no label space. Multiclass
-    models may also run detached from a label space (synthetic benchmarks);
-    production models carry one so predictions can be named.
+    The binary change model has a single row and no label space; it records
+    the change-feature half-width d it was trained with (None when unknown).
+    Multiclass models may also run detached from a label space (synthetic
+    benchmarks); production models carry one so predictions can be named.
     """
 
     weights: np.ndarray  # (K, D)
     bias: np.ndarray  # (K,)
     label_space: LabelSpace | None
     config: TrainConfig
+    d: int | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
@@ -63,6 +61,9 @@ class LinearModel:
             raise ValueError("model parameters must be finite")
         if self.label_space is not None and w.shape[0] != self.label_space.num_labels:
             raise ValueError("weight rows must match the label count")
+        binary = self.label_space is None and w.shape[0] == 1
+        if self.d is not None and not (binary and self.d >= 1):
+            raise ValueError("only binary change models carry a d, and it must be >= 1")
         for name, arr in (("weights", w), ("bias", b)):
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
@@ -185,14 +186,6 @@ def training_objective(model: LinearModel, x: np.ndarray, y_signs: np.ndarray) -
     return reg + np.maximum(0.0, 1.0 - margins).mean(axis=0)
 
 
-def score(model: LinearModel, f: FrameFeature | np.ndarray) -> np.ndarray:
-    """Raw per-class margins for one frame."""
-    v = f.values if isinstance(f, FrameFeature) else np.asarray(f, dtype=np.float64)
-    if v.shape != (model.dim,):
-        raise ValueError(f"feature dim {v.shape} does not match model dim {model.dim}")
-    return model.weights @ v + model.bias
-
-
 def score_stream(model: LinearModel, stream: FeatureStream) -> np.ndarray:
     """(N, K) margins for every frame of a stream."""
     if stream.dim != model.dim:
@@ -214,7 +207,7 @@ def predict_frames(model: LinearModel, stream: FeatureStream) -> StateSequence:
 # serialization
 
 _MODEL_MAGIC = b"HCLM"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2  # v2 stores a change model's d in the u64 slot v1 left unused
 
 
 class ModelFileError(ValueError):
@@ -234,8 +227,8 @@ def model_bytes(model: LinearModel) -> bytes:
         kind = 1 if model.num_classes == 1 else 2
     out = [_MODEL_MAGIC, struct.pack("<IB", _MODEL_VERSION, kind)]
     cfg = model.config
-    out.append(struct.pack("<dIQ", cfg.c_reg, cfg.epochs, cfg.seed))
-    if not model.is_binary:
+    out.append(struct.pack("<dIQ", cfg.c_reg, cfg.epochs, model.d or 0))
+    if model.label_space is not None:
         space = model.label_space
         out.append(_pack_str(space.task.value))
         out.append(struct.pack("<H", space.num_labels))
@@ -260,10 +253,13 @@ def load_model(path: str | Path) -> LinearModel:
     try:
         version, kind = struct.unpack_from("<IB", data, pos)
         pos += 5
-        c_reg, epochs, seed = struct.unpack_from("<dIQ", data, pos)
+        c_reg, epochs, slot = struct.unpack_from("<dIQ", data, pos)
         pos += struct.calcsize("<dIQ")
-        if version != _MODEL_VERSION:
+        if version not in (1, _MODEL_VERSION):
             raise ModelFileError(f"unsupported version {version}")
+        if kind not in (0, 1, 2):
+            raise ModelFileError(f"unknown model kind {kind}")
+        change_d = slot if version == _MODEL_VERSION and kind == 1 and slot > 0 else None
         space = None
         if kind == 0:
             (tlen,) = struct.unpack_from("<H", data, pos)
@@ -291,109 +287,4 @@ def load_model(path: str | Path) -> LinearModel:
         raise ModelFileError(f"truncated model file: {e}") from None
     if pos != len(data):
         raise ModelFileError("trailing bytes in model file")
-    return LinearModel(w.copy(), b.copy(), space, TrainConfig(c_reg, epochs, seed))
-
-
-# ---------------------------------------------------------------------------
-# cross-validation
-
-@dataclass(frozen=True)
-class CrossValPlan:
-    folds: int = 5
-    c_grid: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0)
-    d_grid: tuple[int, ...] = (3, 6, 9, 12)
-    lambda_grid: tuple[float, ...] = (0.1, 0.3, 1.0, 3.0, 10.0)
-
-    def __post_init__(self) -> None:
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if not (self.c_grid and self.d_grid and self.lambda_grid):
-            raise ValueError("grids must be non-empty")
-        # sorted grids make the tie-break numeric: smaller C, then d, then lambda
-        object.__setattr__(self, "c_grid", tuple(sorted(set(self.c_grid))))
-        object.__setattr__(self, "d_grid", tuple(sorted(set(self.d_grid))))
-        object.__setattr__(self, "lambda_grid", tuple(sorted(set(self.lambda_grid))))
-
-
-@dataclass(frozen=True)
-class CVCell:
-    c_reg: float
-    d: int
-    lam: float
-    mean_accuracy: float
-    fold_accuracies: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class CVResult:
-    c_reg: float
-    d: int
-    lam: float
-    table: tuple[CVCell, ...]
-
-
-def cross_validate(
-    videos: Sequence[tuple[FeatureStream, StateSequence]],
-    plan: CrossValPlan = CrossValPlan(),
-    base_config: TrainConfig = TrainConfig(),
-) -> CVResult:
-    """Grid-search (C, d, lambda) by mean cross-validated full-model accuracy.
-
-    Videos are assigned to folds whole (split by video, never by frame) in
-    sorted id order. Every grid cell trains the state and change models on
-    the training folds, decodes the held-out videos, and scores per-frame
-    accuracy pooled within each fold. Ties go to the smaller C, then d,
-    then lambda.
-    """
-    if len(videos) < plan.folds:
-        raise ValueError(
-            f"cross-validation needs at least {plan.folds} training videos; "
-            "pass explicit hyperparameters (C, d, lambda) instead"
-        )
-    videos = sorted(videos, key=lambda pair: pair[0].video_id)
-    folds = [videos[i :: plan.folds] for i in range(plan.folds)]
-
-    # accumulate per-(c, d, lam) fold accuracies; state models are shared
-    # across d and lam, change models across lam
-    cells: dict[tuple[float, int, float], list[float]] = {
-        key: [] for key in product(plan.c_grid, plan.d_grid, plan.lambda_grid)
-    }
-    for fold in folds:
-        val_ids = {s.video_id for s, _ in fold}
-        train_pairs = [p for p in videos if p[0].video_id not in val_ids]
-        for c in plan.c_grid:
-            cfg = TrainConfig(c_reg=c, epochs=base_config.epochs, seed=base_config.seed)
-            state_model = train([s for s, _ in train_pairs], [t for _, t in train_pairs], cfg)
-            unaries = [score_stream(state_model, s) for s, _ in fold]
-            for d in plan.d_grid:
-                change_model = change_mod.train_change_model(
-                    [s for s, _ in train_pairs], [t for _, t in train_pairs], d, cfg
-                )
-                params = change_mod.ChangeParams(d)
-                prepared = []
-                for stream, _ in fold:
-                    cands = change_mod.detect_candidates(stream, change_model, params)
-                    prepared.append((cands, inference_mod.segment_features(stream, cands)))
-                for lam in plan.lambda_grid:
-                    correct = 0
-                    total = 0
-                    for (stream, truth), unary, (cands, segf) in zip(fold, unaries, prepared):
-                        problem = inference_mod.InferenceProblem(
-                            unary, cands, segf, lam, label_space=truth.label_space
-                        )
-                        decoded = inference_mod.decode(problem)
-                        correct += int(np.sum(decoded.states == truth.states))
-                        total += len(truth)
-                    cells[(c, d, lam)].append(correct / total)
-
-    table = []
-    best_key = None
-    best_acc = -1.0
-    for key in product(plan.c_grid, plan.d_grid, plan.lambda_grid):
-        accs = cells[key]
-        mean_acc = float(np.mean(accs))
-        table.append(CVCell(key[0], key[1], key[2], mean_acc, tuple(accs)))
-        if mean_acc > best_acc:
-            best_acc = mean_acc
-            best_key = key
-    return CVResult(best_key[0], best_key[1], best_key[2], tuple(table))
+    return LinearModel(w.copy(), b.copy(), space, TrainConfig(c_reg, epochs), change_d)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, alignment, change, classify, discovery, evaluation
+from . import __version__, alignment, change, classify, crossval, discovery, evaluation
 from . import features as features_mod
 from . import inference, media, synth
 from .core import (
@@ -76,6 +76,26 @@ def write_labels(seq: StateSequence, path: Path) -> None:
     path.write_text("\n".join(seq.label_names()) + "\n")
 
 
+def write_labeled_stream(stream: FeatureStream, truth: StateSequence, out_dir: Path) -> list[Path]:
+    """Write `<video_id>.feat` and `<video_id>.truth.txt` (label names)."""
+    fpath = out_dir / f"{stream.video_id}.feat"
+    tpath = out_dir / f"{stream.video_id}.truth.txt"
+    features_mod.write_features(stream, fpath)
+    write_labels(truth, tpath)
+    return [fpath, tpath]
+
+
+def write_cv_result(result: crossval.CVResult, out_dir: Path) -> list[Path]:
+    """Write chosen.json and the full grid as table.csv."""
+    chosen, table = out_dir / "chosen.json", out_dir / "table.csv"
+    _write_json({"C": result.c_reg, "d": result.d, "lambda": result.lam}, chosen)
+    lines = ["C,d,lambda,mean_accuracy"]
+    for cell in result.table:
+        lines.append(f"{cell.c_reg},{cell.d},{cell.lam},{cell.mean_accuracy!r}")
+    table.write_text("\n".join(lines) + "\n")
+    return [chosen, table]
+
+
 def write_candidates(cands: change.CandidateSet, path: Path) -> None:
     lines = ["frame_index\tconfidence"]
     for i, c in zip(cands.frame_indices, cands.confidences):
@@ -93,24 +113,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.kind == "features":
         _check_keys(cfg, {"seed", "states", "dim", "frames", "min_dwell",
                           "noise_sigma", "transition_ramp", "videos"}, "synth config")
-        centers = synth.random_centers(cfg["states"], cfg["dim"], cfg["seed"])
-        for i in range(cfg["videos"]):
-            sc = synth.SynthConfig(
-                seed=cfg["seed"] * 1000 + i,
-                num_states=cfg["states"],
-                dim=cfg["dim"],
-                n_frames=cfg["frames"],
-                min_dwell=cfg["min_dwell"],
-                centers=centers,
-                noise_sigma=cfg["noise_sigma"],
-                transition_ramp=cfg.get("transition_ramp", 0),
-            )
-            vid = f"video_{i:02d}"
-            stream, truth = synth.gen_feature_stream(sc, video_id=vid)
-            features_mod.write_features(stream, out / f"{vid}.feat")
-            (out / f"{vid}.truth.txt").write_text(
-                "\n".join(str(s) for s in truth.states) + "\n"
-            )
+        pairs = synth.gen_feature_set(
+            cfg["seed"], cfg["states"], cfg["dim"], cfg["frames"], cfg["min_dwell"],
+            cfg["noise_sigma"], [f"video_{i:02d}" for i in range(cfg["videos"])],
+            transition_ramp=cfg.get("transition_ramp", 0),
+            label_space=load_label_space(args.label_space),
+        )
+        for stream, truth in pairs:
+            write_labeled_stream(stream, truth, out)
     else:
         _check_keys(cfg, {"seed", "frames", "frame_width", "frame_height",
                           "hand_width", "hand_height", "noise_sigma", "jitter",
@@ -207,7 +217,7 @@ def _load_pairs(
 def _cmd_train_state(args: argparse.Namespace) -> int:
     space = load_label_space(args.label_space)
     streams, truths = _load_pairs(args.features, args.truth, space)
-    cfg = classify.TrainConfig(c_reg=args.c_reg, epochs=args.epochs, seed=args.seed)
+    cfg = classify.TrainConfig(c_reg=args.c_reg, epochs=args.epochs)
     model = classify.train(streams, truths, cfg)
     classify.save_model(model, args.out)
     print(f"state model: K={model.num_classes} D={model.dim} -> {args.out}")
@@ -217,7 +227,7 @@ def _cmd_train_state(args: argparse.Namespace) -> int:
 def _cmd_train_change(args: argparse.Namespace) -> int:
     space = load_label_space(args.label_space)
     streams, truths = _load_pairs(args.features, args.truth, space)
-    cfg = classify.TrainConfig(c_reg=args.c_reg, epochs=args.epochs, seed=args.seed)
+    cfg = classify.TrainConfig(c_reg=args.c_reg, epochs=args.epochs)
     model = change.train_change_model(streams, truths, args.d, cfg)
     classify.save_model(model, args.out)
     print(f"change model: d={args.d} D={model.dim} -> {args.out}")
@@ -235,20 +245,13 @@ def _cmd_cv(args: argparse.Namespace) -> int:
         pairs.append(
             (features_mod.read_features(feat_path), read_truth(Path(truth_path), space))
         )
-    plan = classify.CrossValPlan(
+    plan = crossval.CrossValPlan(
         c_grid=tuple(args.c_grid), d_grid=tuple(args.d_grid), lambda_grid=tuple(args.lambda_grid)
     )
-    cfg = classify.TrainConfig(epochs=args.epochs, seed=args.seed)
-    result = classify.cross_validate(pairs, plan, cfg)
+    result = crossval.cross_validate(pairs, plan, classify.TrainConfig(epochs=args.epochs))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        {"C": result.c_reg, "d": result.d, "lambda": result.lam}, out / "chosen.json"
-    )
-    lines = ["C,d,lambda,mean_accuracy"]
-    for cell in result.table:
-        lines.append(f"{cell.c_reg},{cell.d},{cell.lam},{cell.mean_accuracy!r}")
-    (out / "table.csv").write_text("\n".join(lines) + "\n")
+    write_cv_result(result, out)
     print(f"chosen: C={result.c_reg} d={result.d} lambda={result.lam}")
     return 0
 
@@ -281,12 +284,8 @@ def _infer_sequence(
     if change_model is None or d is None or lam is None:
         raise ValueError("full mode needs --change-model, --d and --lambda")
     cands = change.detect_candidates(stream, change_model, change.ChangeParams(d, radius))
-    segf = inference.segment_features(stream, cands)
     unary = classify.score_stream(state_model, stream)
-    problem = inference.InferenceProblem(
-        unary, cands, segf, lam, label_space=state_model.label_space
-    )
-    return inference.decode(problem)
+    return inference.decode_stream(stream, unary, cands, [lam], state_model.label_space)[0]
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
@@ -356,9 +355,10 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         ks = [k for k in range(lo, hi + 1) if 1 <= k <= len(segments)]
     else:
         ks = [args.k]
+    sim = discovery.segment_similarity_matrix(segments)
     rows = ["k,purity"]
     for k in ks:
-        clustering = discovery.hac_cluster(segments, k)
+        clustering = discovery.average_linkage(sim, k)
         lines = ["segment,video_id,start,end,cluster"]
         for i, seg in enumerate(segments):
             lines.append(
@@ -383,7 +383,7 @@ _PIPELINE_KEYS = {"seed", "label_space", "fps", "synth", "hyperparameters", "tra
 _SYNTH_KEYS = {"train_videos", "test_videos", "frames", "states", "dim", "min_dwell",
                "noise_sigma", "transition_ramp"}
 _HYPER_KEYS = {"C", "d", "lambda"}
-_TRAIN_KEYS = {"epochs", "seed"}
+_TRAIN_KEYS = {"epochs"}
 _CV_KEYS = {"c_grid", "d_grid", "lambda_grid"}
 
 
@@ -436,7 +436,7 @@ class _Stage:
             self.marker.unlink()
 
 
-def run_pipeline(config_path: str | Path, out_dir: str | Path, threads: int = 1) -> dict:
+def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
     """Chain synth -> train -> infer -> eval; rerun-identical artifacts."""
     config_path = Path(config_path)
     out_dir = Path(out_dir)
@@ -447,41 +447,28 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path, threads: int = 1)
         raise ValueError("synth states exceed the label-space size")
     fps = cfg.get("fps", 6.0)
     epochs = cfg.get("training", {}).get("epochs", 200)
-    train_seed = cfg.get("training", {}).get("seed", cfg["seed"])
 
     stage = "synth"
     try:
         streams: dict[str, FeatureStream] = {}
         truths: dict[str, StateSequence] = {}
-        train_ids, test_ids = [], []
         with _Stage(out_dir, "00_synth") as sdir:
-            centers = synth.random_centers(scfg["states"], scfg["dim"], cfg["seed"])
-            n_total = scfg["train_videos"] + scfg["test_videos"]
+            n_train = scfg["train_videos"]
+            vids = [
+                f"{'train' if i < n_train else 'test'}_{i:02d}"
+                for i in range(n_train + scfg["test_videos"])
+            ]
+            train_ids, test_ids = vids[:n_train], vids[n_train:]
+            pairs = synth.gen_feature_set(
+                cfg["seed"], scfg["states"], scfg["dim"], scfg["frames"], scfg["min_dwell"],
+                scfg["noise_sigma"], vids, transition_ramp=scfg.get("transition_ramp", 0),
+                fps=fps, label_space=space,
+            )
             outputs = []
-            for i in range(n_total):
-                role = "train" if i < scfg["train_videos"] else "test"
-                vid = f"{role}_{i:02d}"
-                sc = synth.SynthConfig(
-                    seed=cfg["seed"] * 1000 + i,
-                    num_states=scfg["states"],
-                    dim=scfg["dim"],
-                    n_frames=scfg["frames"],
-                    min_dwell=scfg["min_dwell"],
-                    centers=centers,
-                    noise_sigma=scfg["noise_sigma"],
-                    transition_ramp=scfg.get("transition_ramp", 0),
-                )
-                stream, truth = synth.gen_feature_stream(
-                    sc, video_id=vid, fps=fps, label_space=space
-                )
-                streams[vid] = stream
-                truths[vid] = truth
-                (train_ids if role == "train" else test_ids).append(vid)
-                fpath = sdir / f"{vid}.feat"
-                tpath = sdir / f"{vid}.truth.txt"
-                features_mod.write_features(stream, fpath)
-                write_labels(truth, tpath)
-                outputs += [fpath, tpath]
+            for stream, truth in pairs:
+                streams[stream.video_id] = stream
+                truths[stream.video_id] = truth
+                outputs += write_labeled_stream(stream, truth, sdir)
             write_manifest(
                 sdir, "synth", {"seed": cfg["seed"], **scfg},
                 {"config": config_path, "label_space": cfg["_label_path"]}, outputs,
@@ -491,33 +478,27 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path, threads: int = 1)
         hyper = cfg["hyperparameters"]
         if any(hyper[k] == "auto" for k in ("C", "d", "lambda")):
             cvcfg = cfg.get("cv", {})
-            plan = classify.CrossValPlan(
-                c_grid=tuple(cvcfg.get("c_grid", classify.CrossValPlan.c_grid))
+            plan = crossval.CrossValPlan(
+                c_grid=tuple(cvcfg.get("c_grid", crossval.CrossValPlan.c_grid))
                 if hyper["C"] == "auto" else (hyper["C"],),
-                d_grid=tuple(cvcfg.get("d_grid", classify.CrossValPlan.d_grid))
+                d_grid=tuple(cvcfg.get("d_grid", crossval.CrossValPlan.d_grid))
                 if hyper["d"] == "auto" else (hyper["d"],),
-                lambda_grid=tuple(cvcfg.get("lambda_grid", classify.CrossValPlan.lambda_grid))
+                lambda_grid=tuple(cvcfg.get("lambda_grid", crossval.CrossValPlan.lambda_grid))
                 if hyper["lambda"] == "auto" else (hyper["lambda"],),
             )
             with _Stage(out_dir, "01_cv") as cvdir:
-                result = classify.cross_validate(
+                result = crossval.cross_validate(
                     [(streams[v], truths[v]) for v in train_ids],
                     plan,
-                    classify.TrainConfig(epochs=epochs, seed=train_seed),
+                    classify.TrainConfig(epochs=epochs),
                 )
-                chosen = {"C": result.c_reg, "d": result.d, "lambda": result.lam}
-                _write_json(chosen, cvdir / "chosen.json")
-                lines = ["C,d,lambda,mean_accuracy"]
-                for cell in result.table:
-                    lines.append(f"{cell.c_reg},{cell.d},{cell.lam},{cell.mean_accuracy!r}")
-                (cvdir / "table.csv").write_text("\n".join(lines) + "\n")
-                write_manifest(cvdir, "cv", {"plan": str(plan), "seed": train_seed}, {"config": config_path},
-                               [cvdir / "chosen.json", cvdir / "table.csv"])
+                write_manifest(cvdir, "cv", {"plan": str(plan)}, {"config": config_path},
+                               write_cv_result(result, cvdir))
             c_reg, d, lam = result.c_reg, result.d, result.lam
         else:
             c_reg, d, lam = float(hyper["C"]), int(hyper["d"]), float(hyper["lambda"])
 
-        tcfg = classify.TrainConfig(c_reg=c_reg, epochs=epochs, seed=train_seed)
+        tcfg = classify.TrainConfig(c_reg=c_reg, epochs=epochs)
         train_streams = [streams[v] for v in train_ids]
         train_truths = [truths[v] for v in train_ids]
 
@@ -525,14 +506,14 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path, threads: int = 1)
         with _Stage(out_dir, "02_state_model") as mdir:
             state_model = classify.train(train_streams, train_truths, tcfg)
             classify.save_model(state_model, mdir / "state.bin")
-            write_manifest(mdir, "train-state", {"C": c_reg, "epochs": epochs, "seed": train_seed},
+            write_manifest(mdir, "train-state", {"C": c_reg, "epochs": epochs},
                            {"config": config_path}, [mdir / "state.bin"])
 
         stage = "train-change"
         with _Stage(out_dir, "03_change_model") as mdir:
             change_model = change.train_change_model(train_streams, train_truths, d, tcfg)
             classify.save_model(change_model, mdir / "change.bin")
-            write_manifest(mdir, "train-change", {"C": c_reg, "d": d, "epochs": epochs, "seed": train_seed},
+            write_manifest(mdir, "train-change", {"C": c_reg, "d": d, "epochs": epochs},
                            {"config": config_path}, [mdir / "change.bin"])
 
         stage = "detect-changes"
@@ -547,7 +528,7 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path, threads: int = 1)
                 path = cdir / f"{vid}.txt"
                 write_candidates(cands, path)
                 outputs.append(path)
-            write_manifest(cdir, "detect-changes", {"d": d, "seed": train_seed}, {"config": config_path}, outputs)
+            write_manifest(cdir, "detect-changes", {"d": d}, {"config": config_path}, outputs)
 
         stage = "infer"
         preds_full, preds_unary = {}, {}
@@ -555,17 +536,15 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path, threads: int = 1)
             outputs = []
             for vid in test_ids:
                 unary = classify.score_stream(state_model, streams[vid])
-                segf = inference.segment_features(streams[vid], candidates[vid])
-                problem = inference.InferenceProblem(
-                    unary, candidates[vid], segf, lam, label_space=space
-                )
-                preds_full[vid] = inference.decode(problem)
+                preds_full[vid] = inference.decode_stream(
+                    streams[vid], unary, candidates[vid], [lam], space
+                )[0]
                 preds_unary[vid] = classify.predict_frames(state_model, streams[vid])
                 for tag, seq in (("full", preds_full[vid]), ("unary", preds_unary[vid])):
                     path = pdir / f"{vid}.{tag}.txt"
                     write_labels(seq, path)
                     outputs.append(path)
-            write_manifest(pdir, "infer", {"lambda": lam, "d": d, "seed": train_seed},
+            write_manifest(pdir, "infer", {"lambda": lam, "d": d},
                            {"config": config_path}, outputs)
 
         stage = "eval"
@@ -579,8 +558,8 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path, threads: int = 1)
                     timelines={v: {"truth": truths[v], "pred": preds[v]} for v in test_ids},
                 )
                 write_manifest(
-                    edir, f"eval-{tag}", {"seed": train_seed}, {"config": config_path},
-                    sorted(p for p in edir.iterdir() if p.name != "manifest.json"),
+                    edir, f"eval-{tag}", {}, {"config": config_path},
+                    [p for p in edir.iterdir() if p.name not in ("manifest.json", "INCOMPLETE")],
                 )
                 accuracies[tag] = report.global_accuracy
     except Exception as e:
@@ -595,7 +574,7 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path, threads: int = 1)
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    accuracies = run_pipeline(args.config, args.out, threads=args.threads)
+    accuracies = run_pipeline(args.config, args.out)
     print(f"unary accuracy: {accuracies['unary']:.4f}")
     print(f"full accuracy:  {accuracies['full']:.4f}")
     return 0
@@ -610,10 +589,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate synthetic features or videos")
-    sp.add_argument("kind", choices=["features", "videos"])
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_synth)
+    kinds = sp.add_subparsers(dest="kind", required=True)
+    synth_kinds = {kind: kinds.add_parser(kind) for kind in ("features", "videos")}
+    for kp in synth_kinds.values():
+        kp.add_argument("--config", required=True)
+        kp.add_argument("--out", required=True)
+        kp.set_defaults(func=_cmd_synth)
+    synth_kinds["features"].add_argument("--label-space", required=True,
+                                         help="truth files hold this space's label names")
 
     sp = sub.add_parser("align", help="align videos to a common hand template")
     sp.add_argument("--manifest", required=True, help="file listing video directories")
@@ -647,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--label-space", required=True)
         sp.add_argument("--c-reg", type=float, default=1.0)
         sp.add_argument("--epochs", type=int, default=200)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", required=True)
         if name == "train-change":
             sp.add_argument("--d", type=int, required=True)
@@ -661,7 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d-grid", type=int, nargs="+", default=[3, 6, 9, 12])
     sp.add_argument("--lambda-grid", type=float, nargs="+", default=[0.1, 0.3, 1.0, 3.0, 10.0])
     sp.add_argument("--epochs", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_cv)
 
@@ -706,7 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pipeline", help="run synth -> train -> infer -> eval")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=_cmd_pipeline)
 
     return p

@@ -84,30 +84,6 @@ class LabelSpace:
 
 
 @dataclass(frozen=True)
-class FrameFeature:
-    """Feature vector of a single frame on the processing timeline."""
-
-    video_id: str
-    frame_index: int
-    camera: Camera
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.frame_index < 0:
-            raise ValueError("frame_index must be non-negative")
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ValueError("feature values must be a 1-d vector")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("feature values must be finite")
-        object.__setattr__(self, "values", _readonly(vals))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class FeatureStream:
     """Per-frame feature vectors of one video at a fixed frame rate.
 
@@ -137,11 +113,6 @@ class FeatureStream:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def frame(self, i: int) -> FrameFeature:
-        if not 0 <= i < self.n_frames:
-            raise IndexError(f"frame {i} out of range 0..{self.n_frames - 1}")
-        return FrameFeature(self.video_id, i, self.camera, self.values[i])
 
 
 @dataclass(frozen=True)

@@ -141,13 +141,6 @@ def segment_similarity_matrix(segments: Sequence[Segment]) -> np.ndarray:
     return sim
 
 
-def hac_cluster(segments: Sequence[Segment], k: int) -> Clustering:
-    """Cluster segments by cosine similarity of their mean features."""
-    if not 1 <= k <= len(segments):
-        raise ValueError(f"k must be in [1, {len(segments)}]")
-    return average_linkage(segment_similarity_matrix(segments), k)
-
-
 def modified_purity(
     clustering: Clustering,
     segments: Sequence[Segment],
@@ -191,17 +184,3 @@ def modified_purity(
         if dominant != free and counts[dominant] > 0:
             discovered += int(counts[dominant])
     return discovered / true_active
-
-
-def purity_curve(
-    segments: Sequence[Segment],
-    truths: Mapping[str, StateSequence],
-    k_range: Sequence[int],
-) -> list[tuple[int, float]]:
-    """modified_purity at each requested cluster count."""
-    sim = segment_similarity_matrix(segments)
-    out = []
-    for k in k_range:
-        clustering = average_linkage(sim, k)
-        out.append((k, modified_purity(clustering, segments, truths)))
-    return out

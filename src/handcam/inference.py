@@ -67,14 +67,12 @@ class InferenceProblem:
     unary: (N, K) per-frame state confidences.
     candidates: frames where a state change is permitted.
     segment_features: |C|+1 mean features of the inter-candidate segments.
-    lam: weight balancing unary and boundary terms (>= 0).
     label_space: attached to decoded sequences when available.
     """
 
     unary: np.ndarray
     candidates: "CandidateSet | Sequence[int] | np.ndarray"
     segment_features: Sequence[np.ndarray]
-    lam: float
     label_space: LabelSpace | None = None
     boundary_similarities: np.ndarray = field(init=False)
 
@@ -84,8 +82,6 @@ class InferenceProblem:
             raise ValueError("unary must be a (N, K) matrix with K >= 1")
         if not np.all(np.isfinite(unary)):
             raise ValueError("unary scores must be finite")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
         if self.label_space is not None and self.label_space.num_labels != unary.shape[1]:
             raise ValueError("unary width does not match the label space")
         cand = _candidate_indices(self.candidates)
@@ -112,19 +108,25 @@ class InferenceProblem:
         return self.unary.shape[1]
 
 
-def decode(problem: InferenceProblem) -> StateSequence:
-    """Exact maximization of the sequence score by segment-level DP.
+def _check_lam(lam: float) -> None:
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
+
+
+def decode(problem: InferenceProblem, lam: float) -> StateSequence:
+    """Exact maximization of the sequence score at boundary weight lam by
+    segment-level DP.
 
     Complexity O(|C| K^2). Among equal-scoring optima the result is the
     lexicographically smallest state sequence from the first segment on
     (so ties prefer the lower state index).
     """
+    _check_lam(lam)
     n, k = problem.n_frames, problem.num_states
     cand = problem.candidates
     bounds = segment_bounds(n, cand)
     useg = np.add.reduceat(problem.unary, bounds[:-1], axis=0)  # (m+1, K)
     sims = problem.boundary_similarities
-    lam = problem.lam
     m = cand.size
 
     # suffix values: value[g][k] = best score of segments g.. with segment g in state k
@@ -149,8 +151,12 @@ def decode(problem: InferenceProblem) -> StateSequence:
     return StateSequence(None, states, num_states=k)
 
 
-def score_sequence(problem: InferenceProblem, seq: "StateSequence | np.ndarray") -> float:
-    """Score of one state sequence; -inf if it changes state off-candidate."""
+def score_sequence(
+    problem: InferenceProblem, seq: "StateSequence | np.ndarray", lam: float
+) -> float:
+    """Score of one state sequence at boundary weight lam; -inf if it changes
+    state off-candidate."""
+    _check_lam(lam)
     states = seq.states if isinstance(seq, StateSequence) else np.asarray(seq, dtype=np.int64)
     n = problem.n_frames
     if states.shape != (n,):
@@ -166,4 +172,23 @@ def score_sequence(problem: InferenceProblem, seq: "StateSequence | np.ndarray")
     for g, c in enumerate(cand):
         sim = float(problem.boundary_similarities[g])
         binary_total += sim if states[c - 1] == states[c] else -sim
-    return unary_total + problem.lam * binary_total
+    return unary_total + lam * binary_total
+
+
+def decode_stream(
+    stream: FeatureStream,
+    unary: np.ndarray,
+    candidates: "CandidateSet | Sequence[int] | np.ndarray",
+    lams: Sequence[float],
+    label_space: LabelSpace | None = None,
+) -> list[StateSequence]:
+    """Decode one stream at every boundary weight in lams.
+
+    The segment features and the problem depend only on the stream, the
+    unaries and the candidates, so they are built once; only the DP runs
+    per lambda.
+    """
+    problem = InferenceProblem(
+        unary, candidates, segment_features(stream, candidates), label_space=label_space
+    )
+    return [decode(problem, lam) for lam in lams]

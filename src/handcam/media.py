@@ -182,12 +182,3 @@ def resize_to(img: Image, width: int, height: int) -> Image:
     bot = (1.0 - fx) * src[np.ix_(y1, x0)] + fx * src[np.ix_(y1, x1)]
     out = (1.0 - fy) * top + fy * bot
     return Image(np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8))
-
-
-def resize_bilinear(img: Image, scale: float) -> Image:
-    """Bilinear resize by a scale factor; output dims = round(scale * dims)."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    width = int(np.floor(scale * img.width + 0.5))
-    height = int(np.floor(scale * img.height + 0.5))
-    return resize_to(img, width, height)

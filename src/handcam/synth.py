@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .core import Camera, FeatureStream, LabelSpace, StateSequence
-from .media import Image
+from .media import Image, resize_to, save_video_dir
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,44 @@ def gen_feature_stream(
     return stream, truth
 
 
+def gen_feature_set(
+    seed: int,
+    num_states: int,
+    dim: int,
+    n_frames: int,
+    min_dwell: int,
+    noise_sigma: float,
+    video_ids: Sequence[str],
+    transition_ramp: int = 0,
+    fps: float = 6.0,
+    label_space: LabelSpace | None = None,
+) -> list[tuple[FeatureStream, StateSequence]]:
+    """One labeled stream per video id around shared random centers.
+
+    Video i is drawn with seed seed*1000+i, so adding videos never changes
+    the earlier ones.
+    """
+    centers = random_centers(num_states, dim, seed)
+    return [
+        gen_feature_stream(
+            SynthConfig(
+                seed=seed * 1000 + i,
+                num_states=num_states,
+                dim=dim,
+                n_frames=n_frames,
+                min_dwell=min_dwell,
+                centers=centers,
+                noise_sigma=noise_sigma,
+                transition_ramp=transition_ramp,
+            ),
+            video_id=vid,
+            fps=fps,
+            label_space=label_space,
+        )
+        for i, vid in enumerate(video_ids)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # synthetic videos for the alignment stage
 
@@ -149,8 +188,6 @@ def smooth_patch(width: int, height: int, seed: int, cells: int = 6) -> Image:
     """Low-frequency random texture: a coarse random grid upsampled
     bilinearly, so single-pixel jitter moves values only a little while the
     pattern still discriminates scale and translation."""
-    from .media import resize_to
-
     rng = np.random.default_rng(seed)
     coarse = Image(rng.integers(0, 256, size=(cells, cells, 3), dtype=np.uint8))
     return resize_to(coarse, width, height)
@@ -173,8 +210,6 @@ def gen_video_set(
     the template. noise_sigma=0 freezes the background (constant video when
     jitter is also 0). Returns frames and the ground-truth transforms.
     """
-    from .media import resize_to, save_video_dir
-
     w, h = frame_size
     videos: dict[str, list[Image]] = {}
     truth: dict[str, dict] = {}

@@ -37,22 +37,22 @@ def _make_problem(rng):
     angles = np.concatenate([[0.0], np.cumsum(np.arccos(sims))])
     feats = [np.array([np.cos(a), np.sin(a)]) for a in angles]
     lam = [0.1, 1.0, 10.0][int(rng.integers(0, 3))]
-    return inference.InferenceProblem(unary, cand, feats, lam)
+    return inference.InferenceProblem(unary, cand, feats), lam
 
 
 def test_criterion_1_dp_optimality():
     rng = np.random.default_rng(2024)
     start = time.time()
     for _ in range(200):
-        problem = _make_problem(rng)
-        decoded = inference.decode(problem)
-        dp_score = inference.score_sequence(problem, decoded)
+        problem, lam = _make_problem(rng)
+        decoded = inference.decode(problem, lam)
+        dp_score = inference.score_sequence(problem, decoded, lam)
         bounds = inference.segment_bounds(problem.n_frames, problem.candidates)
         lengths = np.diff(bounds)
         best = float("-inf")
         for combo in product(range(problem.num_states), repeat=len(lengths)):
             states = np.repeat(np.array(combo, dtype=np.int64), lengths)
-            best = max(best, inference.score_sequence(problem, states))
+            best = max(best, inference.score_sequence(problem, states, lam))
         assert dp_score == best  # exact equality
     elapsed = time.time() - start
     assert elapsed < 5.0
@@ -71,14 +71,14 @@ def test_criterion_2_degenerate_reductions():
         sims = rng.uniform(-1, 1, n - 1)
         angles = np.concatenate([[0.0], np.cumsum(np.arccos(sims))])
         feats = [np.array([np.cos(a), np.sin(a)]) for a in angles]
-        all_cand = inference.InferenceProblem(unary, np.arange(1, n), feats, 0.0)
+        all_cand = inference.InferenceProblem(unary, np.arange(1, n), feats)
         assert np.array_equal(
-            inference.decode(all_cand).states, np.argmax(unary, axis=1)
+            inference.decode(all_cand, 0.0).states, np.argmax(unary, axis=1)
         )
         no_cand = inference.InferenceProblem(
-            unary, np.array([], dtype=int), [np.ones(2)], 1.0
+            unary, np.array([], dtype=int), [np.ones(2)]
         )
-        decoded = inference.decode(no_cand).states
+        decoded = inference.decode(no_cand, 1.0).states
         assert len(set(decoded.tolist())) == 1
         assert decoded[0] == int(np.argmax(unary.sum(axis=0)))
     _report("2 degenerate reductions (lambda=0 argmax, forced constant): PASS")
@@ -111,7 +111,7 @@ def test_criterion_3_unary_to_full_improvement():
         )
         cands = change.detect_candidates(test_stream, change_model, change.ChangeParams(d))
         segf = inference.segment_features(test_stream, cands)
-        decoded = inference.decode(inference.InferenceProblem(unary, cands, segf, lam))
+        decoded = inference.decode(inference.InferenceProblem(unary, cands, segf), lam)
         full_accs.append(float(np.mean(decoded.states == test_truth.states)))
     elapsed = time.time() - start
     med_u, med_f = float(np.median(unary_accs)), float(np.median(full_accs))
@@ -234,7 +234,7 @@ def test_criterion_6_classifier():
     x = np.vstack([n0, n1])
     y = np.array([0] * 100 + [1] * 100)
     space = LabelSpace.free_active()
-    cfg = classify.TrainConfig(c_reg=1.0, epochs=200, seed=0)
+    cfg = classify.TrainConfig(c_reg=1.0, epochs=200)
     model = classify.train_arrays(x, y, space, cfg)
     pred = np.argmax(x @ model.weights.T + model.bias, axis=1)
     assert float(np.mean(pred == y)) == 1.0

@@ -2,22 +2,23 @@ import numpy as np
 import pytest
 
 from handcam import synth
+from handcam.change import train_change_model
 from handcam.classify import (
-    CrossValPlan,
     LinearModel,
+    ModelFileError,
     TrainConfig,
-    cross_validate,
     load_model,
     model_bytes,
     predict_frames,
     save_model,
-    score,
+    score_stream,
     train,
     train_arrays,
     train_binary,
     training_objective,
 )
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence
+from handcam.crossval import CrossValPlan, cross_validate
 
 
 def two_blobs(seed=0, n_per=100, margin=5.0, sigma=1.0, dim=4):
@@ -46,7 +47,7 @@ class TestTrain:
 
     def test_same_seed_byte_identical(self):
         x, y = two_blobs()
-        cfg = TrainConfig(c_reg=1.0, epochs=150, seed=3)
+        cfg = TrainConfig(c_reg=1.0, epochs=150)
         a = train_arrays(x, y, LabelSpace.free_active(), cfg)
         b = train_arrays(x, y, LabelSpace.free_active(), cfg)
         assert model_bytes(a) == model_bytes(b)
@@ -95,26 +96,30 @@ class TestTrain:
         assert predict_frames(model, streams[0]).states.tolist() == y.tolist()
 
 
+def frames(values):
+    return FeatureStream("v", Camera.HEAD, 6.0, np.atleast_2d(np.asarray(values, dtype=np.float64)))
+
+
 class TestScore:
     def test_bias_passthrough(self):
         model = LinearModel(np.zeros((2, 3)), np.array([1.0, -1.0]), LabelSpace.free_active(), TrainConfig())
-        assert score(model, np.zeros(3)).tolist() == [1.0, -1.0]
+        assert score_stream(model, frames(np.zeros(3))).tolist() == [[1.0, -1.0]]
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
         model = LinearModel(rng.standard_normal((2, 3)), np.zeros(2), LabelSpace.free_active(), TrainConfig())
         f = rng.standard_normal(3)
-        assert np.allclose(score(model, 2.0 * f), 2.0 * score(model, f))
+        assert np.allclose(score_stream(model, frames(2.0 * f)), 2.0 * score_stream(model, frames(f)))
 
     def test_dimension_mismatch(self):
         model = LinearModel(np.zeros((2, 3)), np.zeros(2), LabelSpace.free_active(), TrainConfig())
         with pytest.raises(ValueError, match="dim"):
-            score(model, np.zeros(4))
+            score_stream(model, frames(np.zeros(4)))
 
     def test_trained_frame_argmax_is_label(self):
         x, y = two_blobs(seed=2)
         model = train_arrays(x, y, LabelSpace.free_active())
-        assert int(np.argmax(score(model, x[0]))) == y[0]
+        assert np.array_equal(np.argmax(score_stream(model, frames(x)), axis=1), y)
 
 
 class TestPredictFrames:
@@ -141,7 +146,7 @@ class TestPredictFrames:
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         x, y = two_blobs(seed=4)
-        model = train_arrays(x, y, LabelSpace.free_active(), TrainConfig(c_reg=0.1, epochs=50, seed=9))
+        model = train_arrays(x, y, LabelSpace.free_active(), TrainConfig(c_reg=0.1, epochs=50))
         path = tmp_path / "m.bin"
         save_model(model, path)
         loaded = load_model(path)
@@ -160,6 +165,49 @@ class TestModelFile:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.is_binary
+        assert np.array_equal(loaded.weights, model.weights)
+
+    def test_detached_multiclass_round_trip(self, tmp_path):
+        x, y = two_blobs(seed=6)
+        model = train_arrays(x, y, 3, TrainConfig(epochs=20))
+        path = tmp_path / "detached.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.label_space is None and loaded.num_classes == 3
+        assert np.array_equal(loaded.weights, model.weights)
+        assert model_bytes(loaded) == model_bytes(model)
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        data = bytearray(model_bytes(train_binary(*two_blobs(seed=7), TrainConfig(epochs=5))))
+        data[8] = 3  # kind byte: after the 4-byte magic and the u32 version
+        path = tmp_path / "bad.bin"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFileError, match="kind"):
+            load_model(path)
+
+    def test_change_model_records_d(self, tmp_path):
+        pairs = synth_cv_videos(0, ramp=0, sigma=0.5, n_videos=2)
+        model = train_change_model([s for s, _ in pairs], [t for _, t in pairs], 4,
+                                   TrainConfig(epochs=20))
+        assert model.d == 4
+        path = tmp_path / "change.bin"
+        save_model(model, path)
+        assert load_model(path).d == 4
+        state = train_arrays(*two_blobs(seed=8), LabelSpace.free_active(), TrainConfig(epochs=5))
+        save_model(state, path)
+        assert load_model(path).d is None
+
+    def test_version_1_file_still_loads(self, tmp_path):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((30, 3))
+        model = train_binary(x, (x[:, 0] > 0).astype(int), TrainConfig(epochs=10))
+        data = bytearray(model_bytes(model))
+        data[4:8] = (1).to_bytes(4, "little")  # version
+        data[21:29] = (7).to_bytes(8, "little")  # the v1 seed slot, not a d
+        path = tmp_path / "v1.bin"
+        path.write_bytes(bytes(data))
+        loaded = load_model(path)
+        assert loaded.d is None
         assert np.array_equal(loaded.weights, model.weights)
 
 

@@ -119,6 +119,24 @@ class TestTrainInferEval:
                    "--mode", "full", "--lambda", "1.0"])
         assert rc == 2
 
+    def test_d_differing_from_change_model_rejected(self, tmp_path, capsys):
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        smodel, cmodel = tmp_path / "state.bin", tmp_path / "change.bin"
+        common = ["--features", *feats, "--truth", *truths, "--label-space", str(ges),
+                  "--epochs", "20"]
+        assert main(["train-state", *common, "--out", str(smodel)]) == 0
+        assert main(["train-change", *common, "--d", "3", "--out", str(cmodel)]) == 0
+        capsys.readouterr()
+        assert main(["detect-changes", "--features", feats[0], "--model", str(cmodel),
+                     "--d", "4"]) == 2
+        assert "d=3" in capsys.readouterr().err
+        assert main(["infer", "--features", feats[0], "--state-model", str(smodel),
+                     "--mode", "full", "--change-model", str(cmodel), "--d", "4",
+                     "--lambda", "1.0"]) == 2
+        assert main(["detect-changes", "--features", feats[0], "--model", str(cmodel),
+                     "--d", "3"]) == 0
+
 
 class TestAlign:
     def test_align_videos(self, tmp_path, capsys):
@@ -262,6 +280,23 @@ class TestPipeline:
         assert abs(summary["accuracy_full"] - 0.9125) < 1e-9
         assert abs(summary["accuracy_unary"] - 0.7575) < 1e-9
 
+    def test_manifest_outputs_exist_and_match(self, tmp_path):
+        cfg = pipeline_config(tmp_path)
+        run = tmp_path / "run"
+        run_pipeline(cfg, run)
+        manifests = sorted(run.glob("*/manifest.json"))
+        assert [m.parent.name for m in manifests] == [
+            "00_synth", "02_state_model", "03_change_model", "04_candidates",
+            "05_predictions", "06_eval_full", "06_eval_unary",
+        ]
+        for manifest in manifests:
+            outputs = json.loads(manifest.read_text())["outputs"]
+            assert outputs
+            for name, digest in outputs.items():
+                path = manifest.parent / name
+                assert path.is_file(), f"{manifest.parent.name} lists missing {name}"
+                assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_stage_failure_names_stage_and_marks_incomplete(self, tmp_path, capsys):
         cfg = pipeline_config(tmp_path)
         doc = json.loads(cfg.read_text())
@@ -309,14 +344,30 @@ class TestPipeline:
 
 class TestSynthCommand:
     def test_synth_features(self, tmp_path):
+        _, ges, _ = write_spaces(tmp_path)
         cfg = tmp_path / "synth.json"
         cfg.write_text(json.dumps({"seed": 3, "states": 3, "dim": 4, "frames": 80,
                                    "min_dwell": 10, "noise_sigma": 0.4, "videos": 2}))
         out = tmp_path / "data"
-        assert main(["synth", "features", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["synth", "features", "--config", str(cfg), "--out", str(out),
+                     "--label-space", str(ges)]) == 0
         stream = read_features(out / "video_00.feat")
         assert stream.n_frames == 80
         assert len((out / "video_00.truth.txt").read_text().splitlines()) == 80
+
+    def test_synth_features_train_on_own_output(self, tmp_path):
+        _, ges, _ = write_spaces(tmp_path)
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"seed": 3, "states": 3, "dim": 4, "frames": 80,
+                                   "min_dwell": 10, "noise_sigma": 0.4, "videos": 2}))
+        out = tmp_path / "data"
+        assert main(["synth", "features", "--config", str(cfg), "--out", str(out),
+                     "--label-space", str(ges)]) == 0
+        assert set((out / "video_00.truth.txt").read_text().split()) <= {"free", "g01", "g02"}
+        assert main(["train-state", "--features", str(out / "video_00.feat"),
+                     str(out / "video_01.feat"), "--truth", str(out / "video_00.truth.txt"),
+                     str(out / "video_01.truth.txt"), "--label-space", str(ges),
+                     "--epochs", "20", "--out", str(tmp_path / "state.bin")]) == 0
 
     def test_synth_videos(self, tmp_path):
         cfg = tmp_path / "synth.json"

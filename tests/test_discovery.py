@@ -7,9 +7,8 @@ from handcam.discovery import (
     Segment,
     active_segments,
     average_linkage,
-    hac_cluster,
     modified_purity,
-    purity_curve,
+    segment_similarity_matrix,
 )
 
 
@@ -27,6 +26,10 @@ def fa_stream(states, dim=2, vid="v"):
 
 def seg(vid, start, end, feature):
     return Segment(vid, start, end, 1, np.asarray(feature, dtype=np.float64))
+
+
+def cluster_segments(segs, k):
+    return average_linkage(segment_similarity_matrix(segs), k)
 
 
 class TestActiveSegments:
@@ -55,7 +58,7 @@ class TestActiveSegments:
 class TestAverageLinkage:
     def test_k_equals_n_singletons(self):
         segs = [seg("v", i, i + 1, [np.cos(i), np.sin(i)]) for i in range(4)]
-        clustering = hac_cluster(segs, 4)
+        clustering = cluster_segments(segs, 4)
         assert clustering.assignment.tolist() == [0, 1, 2, 3]
         assert clustering.merges == ()
 
@@ -65,7 +68,7 @@ class TestAverageLinkage:
             seg("v", 1, 2, [0.0, 1.0]),
             seg("v", 2, 3, [1.0, 0.0]),  # same direction as segment 0
         ]
-        clustering = hac_cluster(segs, 2)
+        clustering = cluster_segments(segs, 2)
         assert clustering.merges[0] == (0, 2)
         a = clustering.assignment
         assert a[0] == a[2] and a[0] != a[1]
@@ -100,7 +103,7 @@ class TestAverageLinkage:
         rng = np.random.default_rng(1)
         segs = [seg("v", i, i + 1, rng.standard_normal(3)) for i in range(8)]
         for k in (1, 3, 8):
-            clustering = hac_cluster(segs, k)
+            clustering = cluster_segments(segs, k)
             assert len(clustering.merges) == 8 - k
             assert len(set(clustering.assignment.tolist())) == k
 
@@ -108,7 +111,7 @@ class TestAverageLinkage:
         segs = [seg("v", 0, 1, [1.0, 0.0])]
         for k in (0, 2):
             with pytest.raises(ValueError):
-                hac_cluster(segs, k)
+                cluster_segments(segs, k)
 
 
 def purity_fixture():
@@ -194,28 +197,34 @@ class TestModifiedPurity:
 
 
 class TestPurityCurve:
+    """Purity over k from one similarity matrix, as `discover` computes it."""
+
     def test_k_equals_n_pure_segments(self):
         space = object_space()
         cup, kettle = space.index_of("cup"), space.index_of("kettle")
         truth = StateSequence(space, np.array([cup, kettle, cup]))
         segs = [seg("v", i, i + 1, [float(i), 1.0]) for i in range(3)]
-        table = purity_curve(segs, {"v": truth}, [3])
-        assert table == [(3, 1.0)]
+        assert modified_purity(cluster_segments(segs, 3), segs, {"v": truth}) == 1.0
 
     def test_matches_fresh_clustering(self):
+        # clustering must not modify the shared matrix between k values
         rng = np.random.default_rng(3)
         space = object_space()
         truth = StateSequence(space, rng.integers(1, 5, 12))
         segs = [seg("v", i, i + 1, rng.standard_normal(3)) for i in range(12)]
-        table = purity_curve(segs, {"v": truth}, [2, 5, 9])
-        for k, p in table:
-            clustering = hac_cluster(segs, k)
-            assert p == modified_purity(clustering, segs, {"v": truth})
+        sim = segment_similarity_matrix(segs)
+        for k in (2, 5, 9):
+            shared = average_linkage(sim, k)
+            fresh = cluster_segments(segs, k)
+            assert np.array_equal(shared.assignment, fresh.assignment)
+            assert modified_purity(shared, segs, {"v": truth}) == modified_purity(
+                fresh, segs, {"v": truth}
+            )
 
     def test_constant_features_determinate(self):
         space = object_space()
         truth = StateSequence(space, np.array([1, 1, 2, 2]))
         segs = [seg("v", i, i + 1, [1.0, 1.0]) for i in range(4)]
-        a = purity_curve(segs, {"v": truth}, [2])
-        b = purity_curve(segs, {"v": truth}, [2])
+        a = modified_purity(cluster_segments(segs, 2), segs, {"v": truth})
+        b = modified_purity(cluster_segments(segs, 2), segs, {"v": truth})
         assert a == b

@@ -7,6 +7,7 @@ from handcam.core import Camera, FeatureStream
 from handcam.inference import (
     InferenceProblem,
     decode,
+    decode_stream,
     score_sequence,
     segment_bounds,
     segment_features,
@@ -15,13 +16,13 @@ from handcam.inference import (
 NEG_INF = float("-inf")
 
 
-def make_problem(unary, cand, sims, lam, label_space=None):
+def make_problem(unary, cand, sims, label_space=None):
     """Build a problem whose adjacent-segment cosine similarities equal
     `sims` exactly, via 2-d unit features at accumulated angles."""
     sims = np.asarray(sims, dtype=np.float64)
     angles = np.concatenate([[0.0], np.cumsum(np.arccos(sims))])
     feats = [np.array([np.cos(a), np.sin(a)]) for a in angles]
-    return InferenceProblem(np.asarray(unary, dtype=np.float64), cand, feats, lam,
+    return InferenceProblem(np.asarray(unary, dtype=np.float64), cand, feats,
                             label_space=label_space)
 
 
@@ -33,7 +34,7 @@ def random_problem(rng, max_n=10, max_k=4, max_c=4):
     unary = rng.uniform(-1.0, 1.0, (n, k))
     sims = rng.uniform(-1.0, 1.0, m)
     lam = [0.1, 1.0, 10.0][int(rng.integers(0, 3))]
-    return make_problem(unary, cand, sims, lam)
+    return make_problem(unary, cand, sims), lam
 
 
 def enumerate_legal(problem):
@@ -44,16 +45,16 @@ def enumerate_legal(problem):
         yield np.repeat(np.array(combo, dtype=np.int64), lengths)
 
 
-def brute_force_best(problem):
+def brute_force_best(problem, lam):
     best, best_seq = NEG_INF, None
     for states in enumerate_legal(problem):
-        s = score_sequence(problem, states)
+        s = score_sequence(problem, states, lam)
         if s > best:
             best, best_seq = s, states
     return best, best_seq
 
 
-def score_by_hand(problem, states):
+def score_by_hand(problem, states, lam):
     """Independent scorer: direct loop over frames and boundaries."""
     cand = set(int(c) for c in problem.candidates)
     for i in range(1, problem.n_frames):
@@ -66,7 +67,7 @@ def score_by_hand(problem, states):
     for g, c in enumerate(sorted(cand)):
         sim = float(problem.boundary_similarities[g])
         binary_total += sim if states[c - 1] == states[c] else -sim
-    return unary_total + problem.lam * binary_total
+    return unary_total + lam * binary_total
 
 
 class TestSegmentFeatures:
@@ -103,57 +104,57 @@ class TestScoreSequence:
         # R = sum(u) + lam * sum(+sim at each candidate)
         unary = np.array([[1.0, 0.0], [0.5, 0.2], [0.0, 2.0], [1.0, 1.0]])
         sims = [0.25, -0.5]
-        p = make_problem(unary, np.array([1, 3]), sims, lam=2.0)
-        got = score_sequence(p, np.zeros(4, dtype=int))
+        p = make_problem(unary, np.array([1, 3]), sims)
+        got = score_sequence(p, np.zeros(4, dtype=int), 2.0)
         want = (1.0 + 0.5 + 0.0 + 1.0) + 2.0 * (0.25 + (-0.5))
         assert abs(got - want) < 1e-12
 
     def test_off_candidate_change_is_neg_inf(self):
-        p = make_problem(np.zeros((4, 2)), np.array([2]), [0.5], lam=1.0)
-        assert score_sequence(p, np.array([0, 1, 1, 1])) == NEG_INF
+        p = make_problem(np.zeros((4, 2)), np.array([2]), [0.5])
+        assert score_sequence(p, np.array([0, 1, 1, 1]), 1.0) == NEG_INF
 
     def test_change_at_candidate_scores_minus_sim(self):
-        p = make_problem(np.zeros((4, 2)), np.array([2]), [0.7], lam=3.0)
-        got = score_sequence(p, np.array([0, 0, 1, 1]))
+        p = make_problem(np.zeros((4, 2)), np.array([2]), [0.7])
+        got = score_sequence(p, np.array([0, 0, 1, 1]), 3.0)
         assert abs(got - (-3.0 * 0.7)) < 1e-12
 
     def test_matches_independent_scorer(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
-            p = random_problem(rng, max_n=7, max_k=3, max_c=3)
+            p, lam = random_problem(rng, max_n=7, max_k=3, max_c=3)
             for states in enumerate_legal(p):
-                assert abs(score_sequence(p, states) - score_by_hand(p, states)) < 1e-12
+                assert abs(score_sequence(p, states, lam) - score_by_hand(p, states, lam)) < 1e-12
 
 
 class TestDecode:
     def test_lambda_zero_all_candidates_is_frame_argmax(self):
         rng = np.random.default_rng(1)
         unary = rng.uniform(-1, 1, (12, 3))
-        p = make_problem(unary, np.arange(1, 12), rng.uniform(-1, 1, 11), lam=0.0)
-        assert np.array_equal(decode(p).states, np.argmax(unary, axis=1))
+        p = make_problem(unary, np.arange(1, 12), rng.uniform(-1, 1, 11))
+        assert np.array_equal(decode(p, 0.0).states, np.argmax(unary, axis=1))
 
     def test_no_candidates_best_constant(self):
         rng = np.random.default_rng(2)
         unary = rng.uniform(-1, 1, (9, 4))
-        p = InferenceProblem(unary, np.array([], dtype=int), [np.ones(2)], 1.0)
-        dec = decode(p)
+        p = InferenceProblem(unary, np.array([], dtype=int), [np.ones(2)])
+        dec = decode(p, 1.0)
         assert len(set(dec.states.tolist())) == 1
         assert dec.states[0] == int(np.argmax(unary.sum(axis=0)))
 
     def test_oracle_equivalence_200_instances(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            p = random_problem(rng)
-            dec = decode(p)
-            dp_score = score_sequence(p, dec)
-            bf_score, _ = brute_force_best(p)
+            p, lam = random_problem(rng)
+            dec = decode(p, lam)
+            dp_score = score_sequence(p, dec, lam)
+            bf_score, _ = brute_force_best(p, lam)
             assert dp_score == bf_score
 
     def test_changes_only_at_candidates(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            p = random_problem(rng)
-            states = decode(p).states
+            p, lam = random_problem(rng)
+            states = decode(p, lam).states
             changes = np.nonzero(states[1:] != states[:-1])[0] + 1
             assert np.isin(changes, p.candidates).all()
 
@@ -162,40 +163,57 @@ class TestDecode:
         unary = rng.uniform(-1, 1, (15, 3))
         cand = np.array([4, 9])
         sims = rng.uniform(-1, 1, 2)
-        a = decode(make_problem(unary, cand, sims, lam=1.0))
-        b = decode(make_problem(unary + 7.25, cand, sims, lam=1.0))
+        a = decode(make_problem(unary, cand, sims), 1.0)
+        b = decode(make_problem(unary + 7.25, cand, sims), 1.0)
         assert np.array_equal(a.states, b.states)
 
     def test_large_lambda_positive_sims_forces_constant(self):
         rng = np.random.default_rng(6)
         unary = rng.uniform(-1, 1, (20, 3))
         cand = np.array([5, 10, 15])
-        p = make_problem(unary, cand, [0.9, 0.8, 0.95], lam=1e6)
-        assert len(set(decode(p).states.tolist())) == 1
+        p = make_problem(unary, cand, [0.9, 0.8, 0.95])
+        assert len(set(decode(p, 1e6).states.tolist())) == 1
 
     def test_decode_beats_random_legal_sequences(self):
         rng = np.random.default_rng(7)
-        p = random_problem(rng, max_n=10, max_k=4, max_c=4)
-        best = score_sequence(p, decode(p))
+        p, lam = random_problem(rng, max_n=10, max_k=4, max_c=4)
+        best = score_sequence(p, decode(p, lam), lam)
         bounds = segment_bounds(p.n_frames, p.candidates)
         lengths = np.diff(bounds)
         for _ in range(1000):
             combo = rng.integers(0, p.num_states, len(lengths))
             states = np.repeat(combo, lengths)
-            assert score_sequence(p, states) <= best
+            assert score_sequence(p, states, lam) <= best
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            make_problem(np.zeros((3, 2)), np.array([1]), [0.5], lam=-1.0)
+        p = make_problem(np.zeros((3, 2)), np.array([1]), [0.5])
+        with pytest.raises(ValueError, match="lam"):
+            decode(p, -1.0)
+        with pytest.raises(ValueError, match="lam"):
+            score_sequence(p, np.zeros(3, dtype=int), -1.0)
 
     def test_label_space_attached(self):
         from handcam.core import LabelSpace
 
         space = LabelSpace.free_active()
-        p = make_problem(np.zeros((4, 2)), np.array([2]), [0.5], 1.0, label_space=space)
-        assert decode(p).label_space == space
+        p = make_problem(np.zeros((4, 2)), np.array([2]), [0.5], label_space=space)
+        assert decode(p, 1.0).label_space == space
 
     def test_tie_prefers_lower_state_lexicographically(self):
         # all-zero unaries, zero similarity: every sequence ties; expect all-0
-        p = make_problem(np.zeros((6, 3)), np.array([3]), [0.0], lam=1.0)
-        assert decode(p).states.tolist() == [0] * 6
+        p = make_problem(np.zeros((6, 3)), np.array([3]), [0.0])
+        assert decode(p, 1.0).states.tolist() == [0] * 6
+
+
+class TestDecodeStream:
+    def test_equals_decode_for_each_lambda(self):
+        rng = np.random.default_rng(8)
+        stream = FeatureStream("v", Camera.HEAD, 6.0, rng.standard_normal((30, 3)))
+        unary = rng.uniform(-1, 1, (30, 4))
+        cand = np.array([5, 11, 20, 26])
+        lams = [0.0, 0.3, 1.0, 10.0]
+        problem = InferenceProblem(unary, cand, segment_features(stream, cand))
+        decoded = decode_stream(stream, unary, cand, lams)
+        assert len(decoded) == len(lams)
+        for lam, seq in zip(lams, decoded):
+            assert np.array_equal(seq.states, decode(problem, lam).states)

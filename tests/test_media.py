@@ -7,7 +7,6 @@ from handcam.media import (
     hflip,
     load_ppm,
     load_video_dir,
-    resize_bilinear,
     resize_to,
     save_ppm,
     save_video_dir,
@@ -116,19 +115,19 @@ class TestResize:
     def test_scale_one_identity(self):
         rng = np.random.default_rng(5)
         img = make_image(rng.integers(0, 256, (6, 8, 3)))
-        assert np.array_equal(resize_bilinear(img, 1.0).pixels, img.pixels)
+        assert np.array_equal(resize_to(img, 8, 6).pixels, img.pixels)
 
     def test_constant_image_any_scale(self):
         img = make_image(np.full((4, 4, 3), 123))
-        for scale in (0.5, 1.3, 2.0):
-            out = resize_bilinear(img, scale)
+        for width, height in ((2, 2), (5, 5), (8, 8), (1, 3)):
+            out = resize_to(img, width, height)
             assert np.all(out.pixels == 123)
 
     def test_checkerboard_2x_frozen(self):
         # corner-aligned sampling of [[0,255],[255,0]] evaluated by hand:
         # values 255*(x + y - 2xy) at x, y in {0, 1/3, 2/3, 1}
         img = make_image(np.stack([[[0, 255], [255, 0]]] * 3, axis=-1))
-        out = resize_bilinear(img, 2.0)
+        out = resize_to(img, 4, 4)
         expected = np.array(
             [
                 [0, 85, 170, 255],
@@ -162,6 +161,6 @@ class TestResize:
     def test_bad_scale(self):
         img = make_image(np.zeros((2, 2, 3)))
         with pytest.raises(ValueError):
-            resize_bilinear(img, 0.0)
+            resize_to(img, 0, 2)
         with pytest.raises(ValueError):
-            resize_bilinear(img, -1.0)
+            resize_to(img, 2, -1)
