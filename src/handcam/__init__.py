@@ -13,7 +13,6 @@ from .core import (
     LabelSpace,
     StateSequence,
     Task,
-    cosine_similarity,
 )
 
 __all__ = [
@@ -22,6 +21,5 @@ __all__ = [
     "LabelSpace",
     "StateSequence",
     "Task",
-    "cosine_similarity",
     "__version__",
 ]

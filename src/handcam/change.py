@@ -19,26 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .classify import LinearModel, TrainConfig, train_binary
-from .core import FeatureStream, StateSequence
-
-
-@dataclass(frozen=True)
-class ChangeParams:
-    """Half-width d of the change feature and the suppression radius.
-
-    The radius defaults to d so detection works on a single temporal scale.
-    """
-
-    d: int
-    suppression_radius: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.suppression_radius is None:
-            object.__setattr__(self, "suppression_radius", self.d)
-        elif self.suppression_radius < 1:
-            raise ValueError("suppression_radius must be >= 1")
+from .core import FeatureStream, StateSequence, run_starts
 
 
 @dataclass(frozen=True)
@@ -93,18 +74,12 @@ def change_feature_matrix(stream: FeatureStream, d: int) -> tuple[np.ndarray, np
     return np.arange(lo, hi + 1), cf
 
 
-def transition_indices(truth: StateSequence) -> np.ndarray:
-    """Frames that start a new state (the transition convention)."""
-    s = truth.states
-    return np.nonzero(s[1:] != s[:-1])[0] + 1
-
-
 def label_change_frames(truth: StateSequence, d: int) -> np.ndarray:
     """Per-frame binary change labels: 1 within d frames of a transition,
     0 otherwise, -1 outside the valid band (excluded from training)."""
     n = len(truth)
     labels = np.zeros(n, dtype=np.int8)
-    for t in transition_indices(truth):
+    for t in run_starts(truth.states)[1:]:
         labels[max(0, t - d) : min(n, t + d + 1)] = 1
     lo, hi = valid_band(n, d)
     labels[: max(0, lo)] = -1
@@ -145,34 +120,35 @@ def suppress_non_maxima(
 
 
 def detect_candidates(
-    stream: FeatureStream, change_model: LinearModel, params: ChangeParams
+    stream: FeatureStream, change_model: LinearModel, d: int
 ) -> CandidateSet:
-    """Score all in-band frames with the change model and run greedy NMS.
+    """Score all in-band frames with the change model at half-width d and
+    run greedy NMS at radius d, so detection works on one temporal scale.
 
     A model that records its training d must be run with that d.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if not change_model.is_binary:
         raise ValueError("detect_candidates requires a binary change model")
-    if change_model.d is not None and change_model.d != params.d:
+    if change_model.d is not None and change_model.d != d:
         raise ValueError(
-            f"d={params.d} differs from the d={change_model.d} the change model was trained with"
+            f"d={d} differs from the d={change_model.d} the change model was trained with"
         )
     if change_model.dim != stream.dim:
         raise ValueError(
             f"change model dim {change_model.dim} does not match stream dim {stream.dim}"
         )
-    if stream.n_frames < 2 * params.d + 1:
+    if stream.n_frames < 2 * d + 1:
         warnings.warn(
             f"stream {stream.video_id}: {stream.n_frames} frames is shorter than "
-            f"2d+1 = {2 * params.d + 1}; no change candidates",
+            f"2d+1 = {2 * d + 1}; no change candidates",
             stacklevel=2,
         )
-        return CandidateSet(
-            np.empty(0, dtype=np.int64), np.empty(0), params.suppression_radius
-        )
-    band, cf = change_feature_matrix(stream, params.d)
+        return CandidateSet(np.empty(0, dtype=np.int64), np.empty(0), d)
+    band, cf = change_feature_matrix(stream, d)
     conf = cf @ change_model.weights[0] + change_model.bias[0]
-    return suppress_non_maxima(band, conf, params.suppression_radius)
+    return suppress_non_maxima(band, conf, d)
 
 
 def change_training_set(

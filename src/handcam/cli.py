@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +63,27 @@ def write_manifest(
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
     }
     _write_json(doc, out_dir / "manifest.json")
+
+
+def read_list_file(path: Path, min_cols: int, max_cols: int) -> list[list[str]]:
+    """Rows of a list file (`align`, `cv` and `discover` manifests).
+
+    Each line is stripped; blank lines and lines starting with '#' are
+    skipped; the rest split on tabs into min_cols..max_cols columns.
+    """
+    rows = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if not min_cols <= len(cols) <= max_cols:
+            want = str(min_cols) if min_cols == max_cols else f"{min_cols} to {max_cols}"
+            raise ValueError(
+                f"{path}:{lineno}: expected {want} tab-separated columns, got {len(cols)}"
+            )
+        rows.append(cols)
+    return rows
 
 
 def read_truth(path: Path, space: LabelSpace) -> StateSequence:
@@ -146,11 +166,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
-    video_dirs = [
-        Path(line.strip())
-        for line in Path(args.manifest).read_text().splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
+    video_dirs = [Path(path) for path, in read_list_file(args.manifest, 1, 1)]
     if len(video_dirs) < 2:
         raise ValueError("alignment needs at least two videos")
     params = alignment.AlignmentParams(
@@ -159,14 +175,8 @@ def _cmd_align(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def load_and_stats(d: Path):
-        frames = media.load_video_dir(d)
-        return frames, alignment.compute_pixel_stats(frames)
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        loaded = list(pool.map(load_and_stats, video_dirs))
-    stats = {d.name: st for d, (_, st) in zip(video_dirs, loaded)}
-    frames_by_vid = {d.name: fr for d, (fr, _) in zip(video_dirs, loaded)}
+    frames_by_vid = {d.name: media.load_video_dir(d) for d in video_dirs}
+    stats = {vid: alignment.compute_pixel_stats(fr) for vid, fr in frames_by_vid.items()}
     result = alignment.align_videos(stats, params)
     for vid, entry in sorted(result.per_video.items()):
         aligned = alignment.align_video(frames_by_vid[vid], entry, result)
@@ -236,15 +246,10 @@ def _cmd_train_change(args: argparse.Namespace) -> int:
 
 def _cmd_cv(args: argparse.Namespace) -> int:
     space = load_label_space(args.label_space)
-    pairs = []
-    for line in Path(args.manifest).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        feat_path, truth_path = line.split("\t")
-        pairs.append(
-            (features_mod.read_features(feat_path), read_truth(Path(truth_path), space))
-        )
+    pairs = [
+        (features_mod.read_features(feat_path), read_truth(Path(truth_path), space))
+        for feat_path, truth_path in read_list_file(args.manifest, 2, 2)
+    ]
     plan = crossval.CrossValPlan(
         c_grid=tuple(args.c_grid), d_grid=tuple(args.d_grid), lambda_grid=tuple(args.lambda_grid)
     )
@@ -259,8 +264,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
 def _cmd_detect_changes(args: argparse.Namespace) -> int:
     stream = features_mod.read_features(args.features)
     model = classify.load_model(args.model)
-    params = change.ChangeParams(args.d, args.radius)
-    cands = change.detect_candidates(stream, model, params)
+    cands = change.detect_candidates(stream, model, args.d)
     if args.out:
         write_candidates(cands, Path(args.out))
     else:
@@ -270,40 +274,31 @@ def _cmd_detect_changes(args: argparse.Namespace) -> int:
     return 0
 
 
-def _infer_sequence(
-    stream: FeatureStream,
-    state_model: classify.LinearModel,
-    mode: str,
-    lam: float | None,
-    change_model: classify.LinearModel | None,
-    d: int | None,
-    radius: int | None,
-) -> StateSequence:
-    if mode == "unary":
-        return classify.predict_frames(state_model, stream)
-    if change_model is None or d is None or lam is None:
-        raise ValueError("full mode needs --change-model, --d and --lambda")
-    cands = change.detect_candidates(stream, change_model, change.ChangeParams(d, radius))
-    unary = classify.score_stream(state_model, stream)
-    return inference.decode_stream(stream, unary, cands, [lam], state_model.label_space)[0]
-
-
 def _cmd_infer(args: argparse.Namespace) -> int:
+    if args.mode == "unary":
+        full_options = {"--change-model": args.change_model, "--d": args.d,
+                        "--lambda": args.lam, "--cv-result": args.cv_result}
+        given = [flag for flag, value in full_options.items() if value is not None]
+        if given:
+            raise ValueError(f"--mode unary takes no {', '.join(given)}")
     stream = features_mod.read_features(args.features)
     state_model = classify.load_model(args.state_model)
-    lam: float | None = None
-    d = args.d
-    if args.mode == "full":
-        if args.lam == "auto":
+    if args.mode == "unary":
+        seq = classify.predict_frames(state_model, stream)
+    else:
+        lam, d = args.lam, args.d
+        if lam == "auto":
             if not args.cv_result:
                 raise ValueError("--lambda auto requires --cv-result from a prior cv run")
             chosen = json.loads(Path(args.cv_result).read_text())
-            lam = float(chosen["lambda"])
+            lam = chosen["lambda"]
             d = d if d is not None else int(chosen["d"])
-        else:
-            lam = float(args.lam)
-    change_model = classify.load_model(args.change_model) if args.change_model else None
-    seq = _infer_sequence(stream, state_model, args.mode, lam, change_model, d, args.radius)
+        if args.change_model is None or d is None or lam is None:
+            raise ValueError("full mode needs --change-model, --d and --lambda")
+        lam = float(lam)
+        cands = change.detect_candidates(stream, classify.load_model(args.change_model), d)
+        unary = classify.score_stream(state_model, stream)
+        seq = inference.decode_stream(stream, unary, cands, [lam], state_model.label_space)[0]
     if args.out:
         write_labels(seq, Path(args.out))
     else:
@@ -332,11 +327,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     obj_space = load_label_space(args.object_space) if args.object_space else None
     segments: list[discovery.Segment] = []
     truths: dict[str, StateSequence] = {}
-    for line in Path(args.manifest).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    for parts in read_list_file(args.manifest, 2, 3):
         stream = features_mod.read_features(parts[0])
         decoded = read_truth(Path(parts[1]), fa_space)
         segments.extend(discovery.active_segments(decoded, stream))
@@ -521,9 +512,7 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
         with _Stage(out_dir, "04_candidates") as cdir:
             outputs = []
             for vid in test_ids:
-                cands = change.detect_candidates(
-                    streams[vid], change_model, change.ChangeParams(d)
-                )
+                cands = change.detect_candidates(streams[vid], change_model, d)
                 candidates[vid] = cands
                 path = cdir / f"{vid}.txt"
                 write_candidates(cands, path)
@@ -604,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta-threshold", type=float, default=40.0)
     sp.add_argument("--scales", type=float, nargs="+",
                     default=[0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5])
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=_cmd_align)
 
     sp = sub.add_parser("extract", help="color-histogram features from frames")
@@ -650,7 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--features", required=True)
     sp.add_argument("--model", required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--radius", type=int, default=None)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_detect_changes)
 
@@ -663,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cv-result", help="chosen.json from a cv run")
     sp.add_argument("--change-model")
     sp.add_argument("--d", type=int)
-    sp.add_argument("--radius", type=int, default=None)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_infer)
 

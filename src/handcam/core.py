@@ -152,23 +152,42 @@ class StateSequence:
         return [self.label_space.labels[s] for s in self.states]
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two finite vectors, in [-1, 1].
+def run_starts(states: np.ndarray) -> np.ndarray:
+    """First frame of every maximal run of equal states, 0 included.
 
-    Zero-norm input yields 0 by convention (a neutral value: degenerate
-    features neither reward nor punish a boundary).
+    All starts after the first are the transitions of the sequence (the
+    pipeline's convention: a transition index is the first frame of the
+    new state), so `run_starts(s)[1:]` lists them.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("cosine_similarity requires finite input")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(float(np.dot(a, b)) / (na * nb), -1.0, 1.0))
+    s = np.asarray(states)
+    starts = np.ones(s.shape, dtype=bool)
+    starts[1:] = s[1:] != s[:-1]
+    return np.flatnonzero(starts)
+
+
+def segment_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Mean row of each segment [starts[j], starts[j+1]) of an (N, D) matrix.
+
+    starts must be strictly increasing and begin at 0; the last segment
+    ends at N. Returns a (len(starts), D) matrix.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.diff(np.append(starts, values.shape[0]))
+    return np.add.reduceat(values, starts, axis=0) / lengths[:, None]
+
+
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length; zero rows stay zero.
+
+    The cosine similarity of rows i and j is then the dot product of unit
+    rows i and j, clipped to [-1, 1]. A zero row gives cosine 0 with every
+    row by convention (a neutral value: degenerate features neither reward
+    nor punish a boundary).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
 
 _TASK_BY_VALUE = {t.value: t for t in Task}

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .change import ChangeParams, detect_candidates, train_change_model
+from .change import detect_candidates, train_change_model
 from .classify import TrainConfig, score_stream, train
 from .core import FeatureStream, StateSequence
 from .inference import decode_stream
@@ -93,7 +93,7 @@ def cross_validate(
                 change_model = train_change_model(train_streams, train_truths, d, cfg)
                 correct = np.zeros(len(plan.lambda_grid), dtype=np.int64)
                 for (stream, truth), unary in zip(fold, unaries):
-                    cands = detect_candidates(stream, change_model, ChangeParams(d))
+                    cands = detect_candidates(stream, change_model, d)
                     decoded = decode_stream(
                         stream, unary, cands, plan.lambda_grid, label_space=truth.label_space
                     )

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import FeatureStream, StateSequence, cosine_similarity
+from .core import FeatureStream, StateSequence, run_starts, segment_means, unit_rows
 
 
 @dataclass(frozen=True)
@@ -46,26 +46,15 @@ def active_segments(decoded: StateSequence, stream: FeatureStream) -> list[Segme
         raise ValueError("decoded sequence needs a label space to identify 'free'")
     if len(decoded) != stream.n_frames:
         raise ValueError("sequence and stream lengths differ")
-    free = decoded.label_space.free_label_index
     s = decoded.states
-    segments = []
-    start = None
-    for i in range(len(s) + 1):
-        boundary = i == len(s) or s[i] == free or (start is not None and s[i] != s[start])
-        if start is not None and boundary:
-            segments.append(
-                Segment(
-                    stream.video_id,
-                    start,
-                    i,
-                    int(s[start]),
-                    stream.values[start:i].mean(axis=0),
-                )
-            )
-            start = None
-        if i < len(s) and s[i] != free and start is None:
-            start = i
-    return segments
+    starts = run_starts(s)
+    ends = np.append(starts[1:], s.size)
+    active = s[starts] != decoded.label_space.free_label_index
+    means = segment_means(stream.values, starts)[active]
+    return [
+        Segment(stream.video_id, int(a), int(b), int(s[a]), mean)
+        for a, b, mean in zip(starts[active], ends[active], means)
+    ]
 
 
 @dataclass(frozen=True)
@@ -131,14 +120,9 @@ def average_linkage(similarity: np.ndarray, k: int) -> Clustering:
 
 
 def segment_similarity_matrix(segments: Sequence[Segment]) -> np.ndarray:
-    n = len(segments)
-    sim = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sim[i, j] = sim[j, i] = cosine_similarity(
-                segments[i].mean_feature, segments[j].mean_feature
-            )
-    return sim
+    """Pairwise cosine similarity of the segments' mean features."""
+    u = unit_rows(np.array([seg.mean_feature for seg in segments]))
+    return np.clip(u @ u.T, -1.0, 1.0)
 
 
 def modified_purity(

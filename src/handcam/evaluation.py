@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import StateSequence
+from .core import StateSequence, run_starts
 
 
 def _check_pair(pred: StateSequence, truth: StateSequence) -> None:
@@ -105,19 +105,17 @@ def timeline_svg(sequences: Mapping[str, StateSequence], width: int = 720) -> st
         parts.append(
             f'<text x="4" y="{y + _SVG_LANE_H - 8}">{name}</text>'
         )
-        s = seq.states
-        # merge equal-state runs into single rects
-        run_start = 0
-        for i in range(1, len(s) + 1):
-            if i == len(s) or s[i] != s[run_start]:
-                x0 = _SVG_LABEL_W + run_start * width / n
-                x1 = _SVG_LABEL_W + i * width / n
-                color = _state_color(int(s[run_start]), seq.num_states)
-                parts.append(
-                    f'<rect x="{x0:.2f}" y="{y}" width="{x1 - x0:.2f}" '
-                    f'height="{_SVG_LANE_H}" fill="{color}"/>'
-                )
-                run_start = i
+        # one rect per equal-state run
+        starts = run_starts(seq.states)
+        ends = np.append(starts[1:], len(seq))
+        for a, b, state in zip(starts.tolist(), ends.tolist(), seq.states[starts].tolist()):
+            x0 = _SVG_LABEL_W + a * width / n
+            x1 = _SVG_LABEL_W + b * width / n
+            color = _state_color(state, seq.num_states)
+            parts.append(
+                f'<rect x="{x0:.2f}" y="{y}" width="{x1 - x0:.2f}" '
+                f'height="{_SVG_LANE_H}" fill="{color}"/>'
+            )
     parts.append("</svg>")
     return "".join(parts) + "\n"
 

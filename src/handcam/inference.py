@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureStream, LabelSpace, StateSequence, cosine_similarity
+from .core import FeatureStream, LabelSpace, StateSequence, run_starts, segment_means, unit_rows
 from .change import CandidateSet
 
 NEG_INF = float("-inf")
@@ -39,13 +39,13 @@ def segment_bounds(n_frames: int, cand: np.ndarray) -> np.ndarray:
 def segment_features(
     stream: "FeatureStream | np.ndarray",
     candidates: "CandidateSet | Sequence[int] | np.ndarray",
-) -> list[np.ndarray]:
-    """Mean feature vector of every inter-candidate segment ( |C|+1 of them )."""
+) -> np.ndarray:
+    """Mean feature vector of every inter-candidate segment, one row for
+    each of the |C|+1 segments."""
     values = stream.values if isinstance(stream, FeatureStream) else np.asarray(stream, dtype=np.float64)
     cand = _candidate_indices(candidates)
     _check_candidates(cand, values.shape[0])
-    bounds = segment_bounds(values.shape[0], cand)
-    return [values[a:b].mean(axis=0) for a, b in zip(bounds[:-1], bounds[1:])]
+    return segment_means(values, segment_bounds(values.shape[0], cand)[:-1])
 
 
 def _check_candidates(cand: np.ndarray, n: int) -> None:
@@ -66,13 +66,16 @@ class InferenceProblem:
 
     unary: (N, K) per-frame state confidences.
     candidates: frames where a state change is permitted.
-    segment_features: |C|+1 mean features of the inter-candidate segments.
+    segment_features: (|C|+1, D) mean features of the inter-candidate
+        segments, one row per segment.
     label_space: attached to decoded sequences when available.
+    boundary_similarities: cosine similarity of the segment features on
+        either side of each candidate.
     """
 
     unary: np.ndarray
     candidates: "CandidateSet | Sequence[int] | np.ndarray"
-    segment_features: Sequence[np.ndarray]
+    segment_features: "np.ndarray | Sequence[np.ndarray]"
     label_space: LabelSpace | None = None
     boundary_similarities: np.ndarray = field(init=False)
 
@@ -86,14 +89,16 @@ class InferenceProblem:
             raise ValueError("unary width does not match the label space")
         cand = _candidate_indices(self.candidates)
         _check_candidates(cand, unary.shape[0])
-        feats = [np.asarray(f, dtype=np.float64) for f in self.segment_features]
-        if len(feats) != cand.size + 1:
+        feats = np.asarray(self.segment_features, dtype=np.float64)
+        if feats.ndim != 2 or feats.shape[0] != cand.size + 1:
             raise ValueError(
-                f"expected {cand.size + 1} segment features, got {len(feats)}"
+                f"expected {cand.size + 1} segment features as rows of a matrix, "
+                f"got shape {feats.shape}"
             )
-        sims = np.array(
-            [cosine_similarity(feats[g], feats[g + 1]) for g in range(cand.size)]
-        )
+        if not np.all(np.isfinite(feats)):
+            raise ValueError("segment features must be finite")
+        u = unit_rows(feats)
+        sims = np.clip(np.sum(u[:-1] * u[1:], axis=1), -1.0, 1.0)
         object.__setattr__(self, "unary", unary)
         object.__setattr__(self, "candidates", cand)
         object.__setattr__(self, "segment_features", feats)
@@ -163,7 +168,7 @@ def score_sequence(
         raise ValueError(f"sequence length {states.shape} does not match N={n}")
     if states.size and (states.min() < 0 or states.max() >= problem.num_states):
         raise ValueError("state index out of range")
-    changes = np.nonzero(states[1:] != states[:-1])[0] + 1
+    changes = run_starts(states)[1:]
     cand = problem.candidates
     if not np.isin(changes, cand).all():
         return NEG_INF

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Camera, FeatureStream, LabelSpace, StateSequence
+from .core import Camera, FeatureStream, LabelSpace, StateSequence, run_starts
 from .media import Image, resize_to, save_video_dir
 
 
@@ -28,7 +28,6 @@ class SynthConfig:
     min_dwell: int
     centers: np.ndarray  # (K, D) per-state feature centers
     noise_sigma: float
-    free_label_index: int = 0
     transition_ramp: int = 0  # half-width of linear feature blend at transitions
 
     def __post_init__(self) -> None:
@@ -45,8 +44,6 @@ class SynthConfig:
             raise ValueError("noise_sigma must be >= 0")
         if self.transition_ramp < 0:
             raise ValueError("transition_ramp must be >= 0")
-        if not 0 <= self.free_label_index < self.num_states:
-            raise ValueError("free_label_index out of range")
         centers = np.ascontiguousarray(centers)
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
@@ -108,13 +105,12 @@ def gen_feature_stream(
     trajectory = config.centers[states].copy()
     w = config.transition_ramp
     if w > 0:
-        transitions = np.nonzero(states[1:] != states[:-1])[0] + 1
-        for t in transitions:
-            old_c = config.centers[states[t - 1]]
-            new_c = config.centers[states[t]]
-            for i in range(max(0, t - w), min(config.n_frames, t + w)):
-                alpha = (i - (t - w)) / (2.0 * w)
-                trajectory[i] = (1.0 - alpha) * old_c + alpha * new_c
+        for t in run_starts(states)[1:]:
+            frames = np.arange(max(0, t - w), min(config.n_frames, t + w))
+            alpha = ((frames - (t - w)) / (2.0 * w))[:, None]
+            trajectory[frames] = (
+                (1.0 - alpha) * config.centers[states[t - 1]] + alpha * config.centers[states[t]]
+            )
     noise = rng.standard_normal((config.n_frames, config.dim)) * config.noise_sigma
     stream = FeatureStream(video_id, camera, fps, trajectory + noise)
     truth = (

@@ -14,7 +14,9 @@ import numpy as np
 from handcam import change, classify, discovery, inference, synth
 from handcam.alignment import compute_pixel_stats, median_as_image, ncc_match
 from handcam.cli import run_pipeline
-from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task, save_label_space
+from handcam.core import (
+    Camera, FeatureStream, LabelSpace, StateSequence, Task, run_starts, save_label_space,
+)
 from handcam.features import read_features, write_features
 from handcam.media import Image, load_ppm, save_ppm
 
@@ -109,7 +111,7 @@ def test_criterion_3_unary_to_full_improvement():
         change_model = change.train_change_model(
             [s for s, _ in pairs[:4]], [t for _, t in pairs[:4]], d, cfg
         )
-        cands = change.detect_candidates(test_stream, change_model, change.ChangeParams(d))
+        cands = change.detect_candidates(test_stream, change_model, d)
         segf = inference.segment_features(test_stream, cands)
         decoded = inference.decode(inference.InferenceProblem(unary, cands, segf), lam)
         full_accs.append(float(np.mean(decoded.states == test_truth.states)))
@@ -212,8 +214,8 @@ def test_criterion_5_change_detection():
         model = change.train_change_model(
             [s for s, _ in pairs[:3]], [t for _, t in pairs[:3]], d, cfg
         )
-        cands = change.detect_candidates(pairs[3][0], model, change.ChangeParams(d))
-        for t in change.transition_indices(pairs[3][1]):
+        cands = change.detect_candidates(pairs[3][0], model, d)
+        for t in run_starts(pairs[3][1].states)[1:]:
             if not np.any(np.abs(cands.frame_indices - t) <= d):
                 misses += 1
     assert misses == 0

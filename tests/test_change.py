@@ -4,17 +4,15 @@ import pytest
 from handcam import synth
 from handcam.change import (
     CandidateSet,
-    ChangeParams,
     change_feature,
     change_feature_matrix,
     detect_candidates,
     label_change_frames,
     suppress_non_maxima,
     train_change_model,
-    transition_indices,
 )
 from handcam.classify import LinearModel, TrainConfig
-from handcam.core import Camera, FeatureStream, StateSequence
+from handcam.core import Camera, FeatureStream, StateSequence, run_starts
 
 
 def stream_from(values):
@@ -86,7 +84,7 @@ class TestLabelChangeFrames:
     def test_transition_convention_first_new_frame(self):
         states = np.array([0, 0, 1, 1, 0])
         truth = StateSequence(None, states, num_states=2)
-        assert transition_indices(truth).tolist() == [2, 4]
+        assert run_starts(truth.states)[1:].tolist() == [2, 4]
 
 
 class TestNms:
@@ -159,14 +157,20 @@ class TestDetectCandidates:
         s = stream_from(np.zeros((5, 2)))
         model = LinearModel(np.ones((1, 2)), np.zeros(1), None, TrainConfig())
         with pytest.warns(UserWarning, match="shorter"):
-            cands = detect_candidates(s, model, ChangeParams(d=3))
+            cands = detect_candidates(s, model, 3)
         assert len(cands) == 0
 
     def test_requires_binary_model(self):
         s = stream_from(np.zeros((20, 2)))
         model = LinearModel(np.ones((2, 2)), np.zeros(2), None, TrainConfig())
         with pytest.raises(ValueError, match="binary"):
-            detect_candidates(s, model, ChangeParams(d=3))
+            detect_candidates(s, model, 3)
+
+    def test_d_below_one_rejected(self):
+        s = stream_from(np.zeros((20, 2)))
+        model = LinearModel(np.ones((1, 2)), np.zeros(1), None, TrainConfig())
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            detect_candidates(s, model, 0)
 
     def test_full_recall_on_high_snr(self):
         d = 3
@@ -178,8 +182,8 @@ class TestDetectCandidates:
                 [s for s, _ in train_pairs], [t for _, t in train_pairs], d,
                 TrainConfig(c_reg=0.1, epochs=150),
             )
-            cands = detect_candidates(test_stream, model, ChangeParams(d))
-            for t in transition_indices(test_truth):
+            cands = detect_candidates(test_stream, model, d)
+            for t in run_starts(test_truth.states)[1:]:
                 if not np.any(np.abs(cands.frame_indices - t) <= d):
                     misses += 1
         assert misses == 0

@@ -118,6 +118,23 @@ class TestTrainInferEval:
         rc = main(["infer", "--features", feats[0], "--state-model", str(smodel),
                    "--mode", "full", "--lambda", "1.0"])
         assert rc == 2
+        rc = main(["infer", "--features", feats[0], "--state-model", str(smodel),
+                   "--mode", "full", "--change-model", str(smodel), "--d", "3"])
+        assert rc == 2
+
+    def test_unary_mode_rejects_full_mode_options(self, tmp_path, capsys):
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        smodel = tmp_path / "state.bin"
+        assert main(["train-state", "--features", *feats, "--truth", *truths,
+                     "--label-space", str(ges), "--epochs", "20", "--out", str(smodel)]) == 0
+        unary = ["infer", "--features", feats[0], "--state-model", str(smodel), "--mode", "unary"]
+        for extra in (["--change-model", str(smodel)], ["--d", "3"], ["--lambda", "1.0"],
+                      ["--cv-result", str(tmp_path / "chosen.json")]):
+            capsys.readouterr()
+            assert main([*unary, *extra]) == 2
+            assert extra[0] in capsys.readouterr().err
+        assert main([*unary, "--out", str(tmp_path / "pred.txt")]) == 0
 
     def test_d_differing_from_change_model_rejected(self, tmp_path, capsys):
         _, ges, _ = write_spaces(tmp_path)
@@ -149,12 +166,23 @@ class TestAlign:
             f"{tmp_path / 'videos' / 'va'}\n{tmp_path / 'videos' / 'vb'}\n"
         )
         out = tmp_path / "aligned"
-        assert main(["align", "--manifest", str(manifest), "--out", str(out),
-                     "--threads", "2"]) == 0
+        assert main(["align", "--manifest", str(manifest), "--out", str(out)]) == 0
         report = json.loads((out / "alignment.json").read_text())
         assert set(report["videos"]) == {"va", "vb"}
         assert (out / "va" / "frame_000000.ppm").exists()
         assert (out / "vb" / "frame_000008.ppm").exists()
+
+    def test_indented_comment_line_skipped(self, tmp_path):
+        hand = synth.smooth_patch(8, 8, seed=5)
+        specs = [synth.VideoSpec("va", 1.0, 4, 4), synth.VideoSpec("vb", 1.0, 10, 6)]
+        synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
+                            out_dir=tmp_path / "videos")
+        manifest = tmp_path / "videos.txt"
+        manifest.write_text(
+            f"  # two videos\n{tmp_path / 'videos' / 'va'}\n\n{tmp_path / 'videos' / 'vb'}\n"
+        )
+        assert main(["align", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                     "--scales", "1.0"]) == 0
 
 
 class TestDiscover:
@@ -194,6 +222,19 @@ class TestDiscover:
         purity = (out / "purity.csv").read_text().splitlines()
         k, p = purity[1].split(",")
         assert k == "2" and float(p) == 1.0  # well-separated categories
+
+    def test_one_column_line_rejected(self, tmp_path, capsys):
+        fa, _, _ = write_spaces(tmp_path)
+        stream = FeatureStream("v0", Camera.RIGHT_HAND, 6.0, np.ones((4, 2)))
+        fpath = tmp_path / "v0.feat"
+        write_features(stream, fpath)
+        ppath = tmp_path / "v0.fa.txt"
+        ppath.write_text("active\n" * 4)
+        manifest = tmp_path / "discover.txt"
+        manifest.write_text(f"# features, predictions\n{fpath}\t{ppath}\n{fpath}\n")
+        assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                     "--k", "1", "--out", str(tmp_path / "disc")]) == 2
+        assert f"{manifest}:3:" in capsys.readouterr().err
 
 
 class TestCv:

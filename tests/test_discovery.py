@@ -54,6 +54,36 @@ class TestActiveSegments:
         with pytest.raises(ValueError):
             active_segments(seq, stream)
 
+    def test_matches_per_frame_loop(self):
+        def per_frame_segments(decoded, stream):
+            # the per-frame scan active_segments replaced
+            free = decoded.label_space.free_label_index
+            s = decoded.states
+            segments = []
+            start = None
+            for i in range(len(s) + 1):
+                boundary = i == len(s) or s[i] == free or (start is not None and s[i] != s[start])
+                if start is not None and boundary:
+                    segments.append((start, i, int(s[start]), stream.values[start:i].mean(axis=0)))
+                    start = None
+                if i < len(s) and s[i] != free and start is None:
+                    start = i
+            return segments
+
+        rng = np.random.default_rng(5)
+        space = object_space()
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            states = np.repeat(rng.integers(0, 4, n), rng.integers(1, 4, n))[:n]
+            stream = FeatureStream("v", Camera.RIGHT_HAND, 6.0, rng.standard_normal((n, 3)))
+            decoded = StateSequence(space, states)
+            got = active_segments(decoded, stream)
+            want = per_frame_segments(decoded, stream)
+            assert [(g.start, g.end, g.state) for g in got] == [w[:3] for w in want]
+            for g, w in zip(got, want):
+                assert g.video_id == "v"
+                assert np.max(np.abs(g.mean_feature - w[3])) <= 1e-12
+
 
 class TestAverageLinkage:
     def test_k_equals_n_singletons(self):
