@@ -54,16 +54,6 @@ def valid_band(n_frames: int, d: int) -> tuple[int, int]:
     return d, n_frames - 1 - d
 
 
-def change_feature(stream: FeatureStream, i: int, d: int) -> np.ndarray:
-    lo, hi = valid_band(stream.n_frames, d)
-    if not lo <= i <= hi:
-        raise ValueError(
-            f"frame {i} outside the valid change band [{lo}, {hi}]; "
-            "border frames carry no change feature"
-        )
-    return np.abs(stream.values[i - d] - stream.values[i + d])
-
-
 def change_feature_matrix(stream: FeatureStream, d: int) -> tuple[np.ndarray, np.ndarray]:
     """All in-band change features: (band frame indices, (len(band), D))."""
     n = stream.n_frames

@@ -65,6 +65,47 @@ def write_manifest(
     _write_json(doc, out_dir / "manifest.json")
 
 
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
+
+
+def _check_json(value, kind, where: str):
+    """Return value if it is of kind, else raise ValueError naming `where`.
+
+    A kind is "integer", "number" or "string", with " or auto" also allowing
+    "auto"; [kind], a list of them; or {key: kind}, an object whose keys
+    ending in '?' may be absent and which has no other keys.
+    """
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where}: expected a JSON object")
+        kinds = {key.rstrip("?"): k for key, k in kind.items()}
+        unknown = sorted(set(value) - set(kinds))
+        if unknown:
+            raise ValueError(f"{where}: unknown keys {unknown}")
+        missing = [key for key in kind if not key.endswith("?") and key not in value]
+        if missing:
+            raise ValueError(f"{where}: missing keys {missing}")
+        for key, item in value.items():
+            _check_json(item, kinds[key], f"{where}: {key}")
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list")
+        for i, item in enumerate(value):
+            _check_json(item, kind[0], f"{where}[{i}]")
+    elif not (
+        (kind.endswith(" or auto") and value == "auto")
+        or (isinstance(value, _JSON_TYPES[kind.removesuffix(" or auto")])
+            and not isinstance(value, bool))
+    ):
+        raise ValueError(f"{where} must be {kind}, got {value!r}")
+    return value
+
+
+def _read_json_object(path: str | Path, spec: dict) -> dict:
+    """A JSON file the CLI reads (configs, chosen.json), checked against spec."""
+    return _check_json(json.loads(Path(path).read_text()), spec, str(path))
+
+
 def read_list_file(path: Path, min_cols: int, max_cols: int) -> list[list[str]]:
     """Rows of a list file (`align`, `cv` and `discover` manifests).
 
@@ -105,6 +146,11 @@ def write_labeled_stream(stream: FeatureStream, truth: StateSequence, out_dir: P
     return [fpath, tpath]
 
 
+def read_cv_result(path: Path) -> dict:
+    """chosen.json as `write_cv_result` writes it: C, d and lambda."""
+    return _read_json_object(path, {"C": "number", "d": "integer", "lambda": "number"})
+
+
 def write_cv_result(result: crossval.CVResult, out_dir: Path) -> list[Path]:
     """Write chosen.json and the full grid as table.csv."""
     chosen, table = out_dir / "chosen.json", out_dir / "table.csv"
@@ -126,13 +172,25 @@ def write_candidates(cands: change.CandidateSet, path: Path) -> None:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
+_SYNTH_STREAMS = {
+    "states": "integer", "dim": "integer", "frames": "integer", "min_dwell": "integer",
+    "noise_sigma": "number", "transition_ramp?": "integer",
+}
+_SYNTH_VIDEOS = {
+    "seed": "integer", "frames": "integer", "frame_width": "integer",
+    "frame_height": "integer", "hand_width": "integer", "hand_height": "integer",
+    "noise_sigma": "number", "jitter": "integer",
+    "videos": [{"video_id": "string", "scale": "number", "dx": "integer", "dy": "integer"}],
+}
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
-    cfg = json.loads(Path(args.config).read_text())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "features":
-        _check_keys(cfg, {"seed", "states", "dim", "frames", "min_dwell",
-                          "noise_sigma", "transition_ramp", "videos"}, "synth config")
+        cfg = _read_json_object(
+            args.config, {"seed": "integer", **_SYNTH_STREAMS, "videos": "integer"}
+        )
         pairs = synth.gen_feature_set(
             cfg["seed"], cfg["states"], cfg["dim"], cfg["frames"], cfg["min_dwell"],
             cfg["noise_sigma"], [f"video_{i:02d}" for i in range(cfg["videos"])],
@@ -142,23 +200,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         for stream, truth in pairs:
             write_labeled_stream(stream, truth, out)
     else:
-        _check_keys(cfg, {"seed", "frames", "frame_width", "frame_height",
-                          "hand_width", "hand_height", "noise_sigma", "jitter",
-                          "videos"}, "synth config")
+        cfg = _read_json_object(args.config, _SYNTH_VIDEOS)
         hand = synth.textured_patch(cfg["hand_width"], cfg["hand_height"], cfg["seed"])
-        specs = [
-            synth.VideoSpec(v["video_id"], v["scale"], v["dx"], v["dy"])
-            for v in cfg["videos"]
-        ]
+        specs = [synth.VideoSpec(**v) for v in cfg["videos"]]  # keys checked above
         _, truth = synth.gen_video_set(
-            hand,
-            specs,
-            (cfg["frame_width"], cfg["frame_height"]),
-            cfg["frames"],
-            cfg["noise_sigma"],
-            cfg["jitter"],
-            cfg["seed"],
-            out_dir=out,
+            hand, specs, (cfg["frame_width"], cfg["frame_height"]), cfg["frames"],
+            cfg["noise_sigma"], cfg["jitter"], cfg["seed"], out_dir=out,
         )
         _write_json(truth, out / "ground_truth.json")
     print(f"synthesized into {out}")
@@ -290,9 +337,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         if lam == "auto":
             if not args.cv_result:
                 raise ValueError("--lambda auto requires --cv-result from a prior cv run")
-            chosen = json.loads(Path(args.cv_result).read_text())
-            lam = chosen["lambda"]
-            d = d if d is not None else int(chosen["d"])
+            chosen = read_cv_result(Path(args.cv_result))
+            lam, d = chosen["lambda"], chosen["d"] if d is None else d
         if args.change_model is None or d is None or lam is None:
             raise ValueError("full mode needs --change-model, --d and --lambda")
         lam = float(lam)
@@ -323,6 +369,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
+    lo, _, hi = args.k_range.partition(":")
+    if not (lo.isdecimal() and hi.isdecimal() and 1 <= int(lo) <= int(hi)):
+        raise ValueError(f"--k-range {args.k_range!r}: expected A:B with 1 <= A <= B")
     fa_space = load_label_space(args.fa_space)
     obj_space = load_label_space(args.object_space) if args.object_space else None
     segments: list[discovery.Segment] = []
@@ -335,26 +384,18 @@ def _cmd_discover(args: argparse.Namespace) -> int:
             if obj_space is None:
                 raise ValueError("truth column given but no --object-space")
             truths[stream.video_id] = read_truth(Path(parts[2]), obj_space)
-    if not segments:
-        raise ValueError("no active segments to cluster")
-    if args.k is None and not args.k_range:
-        raise ValueError("need --k or --k-range")
+    ks = range(int(lo), min(int(hi), len(segments)) + 1)
+    if not ks:
+        raise ValueError(f"--k-range {args.k_range}: every k exceeds {len(segments)} segments")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.k_range:
-        lo, hi = (int(v) for v in args.k_range.split(":"))
-        ks = [k for k in range(lo, hi + 1) if 1 <= k <= len(segments)]
-    else:
-        ks = [args.k]
-    sim = discovery.segment_similarity_matrix(segments)
+    history = discovery.average_linkage(discovery.segment_similarity_matrix(segments))
     rows = ["k,purity"]
     for k in ks:
-        clustering = discovery.average_linkage(sim, k)
+        clustering = discovery.cut_history(history, k)
         lines = ["segment,video_id,start,end,cluster"]
-        for i, seg in enumerate(segments):
-            lines.append(
-                f"{i},{seg.video_id},{seg.start},{seg.end},{clustering.assignment[i]}"
-            )
+        for i, (seg, cluster) in enumerate(zip(segments, clustering.assignment)):
+            lines.append(f"{i},{seg.video_id},{seg.start},{seg.end},{cluster}")
         (out / f"clusters_k{k}.csv").write_text("\n".join(lines) + "\n")
         if truths:
             purity = discovery.modified_purity(clustering, segments, truths)
@@ -370,39 +411,19 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # pipeline
 
-_PIPELINE_KEYS = {"seed", "label_space", "fps", "synth", "hyperparameters", "training", "cv"}
-_SYNTH_KEYS = {"train_videos", "test_videos", "frames", "states", "dim", "min_dwell",
-               "noise_sigma", "transition_ramp"}
-_HYPER_KEYS = {"C", "d", "lambda"}
-_TRAIN_KEYS = {"epochs"}
-_CV_KEYS = {"c_grid", "d_grid", "lambda_grid"}
-
-
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+_PIPELINE = {
+    "seed": "integer", "label_space": "string", "fps?": "number",
+    "synth": {**_SYNTH_STREAMS, "train_videos": "integer", "test_videos": "integer"},
+    "hyperparameters": {"C": "number or auto", "d": "integer or auto",
+                        "lambda": "number or auto"},
+    "training?": {"epochs?": "integer"},
+    "cv?": {"c_grid?": ["number"], "d_grid?": ["integer"], "lambda_grid?": ["number"]},
+}
 
 
 def _load_pipeline_config(path: Path) -> dict:
-    cfg = json.loads(path.read_text())
-    _check_keys(cfg, _PIPELINE_KEYS, "pipeline config")
-    for key in ("seed", "label_space", "synth", "hyperparameters"):
-        if key not in cfg:
-            raise ValueError(f"pipeline config: missing key {key!r}")
-    _check_keys(cfg["synth"], _SYNTH_KEYS, "pipeline config: synth")
-    _check_keys(cfg["hyperparameters"], _HYPER_KEYS, "pipeline config: hyperparameters")
-    _check_keys(cfg.get("training", {}), _TRAIN_KEYS, "pipeline config: training")
-    _check_keys(cfg.get("cv", {}), _CV_KEYS, "pipeline config: cv")
-    missing_hyper = _HYPER_KEYS - set(cfg["hyperparameters"])
-    if missing_hyper:
-        raise ValueError(f"pipeline config: hyperparameters missing {sorted(missing_hyper)}")
-    missing_synth = (_SYNTH_KEYS - {"transition_ramp"}) - set(cfg["synth"])
-    if missing_synth:
-        raise ValueError(f"pipeline config: synth missing {sorted(missing_synth)}")
-    label_path = Path(cfg["label_space"])
-    if not label_path.is_absolute():
-        label_path = path.parent / label_path
+    cfg = _read_json_object(path, _PIPELINE)
+    label_path = path.parent / cfg["label_space"]  # an absolute path replaces the parent
     if not label_path.exists():
         raise ValueError(f"label-space file not found: {label_path}")
     cfg["_label_path"] = label_path
@@ -660,13 +681,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", required=True)
     sp.set_defaults(func=_cmd_eval)
 
-    sp = sub.add_parser("discover", help="cluster active segments into categories")
+    # no abbreviations: `--k` must not silently stand for `--k-range`
+    sp = sub.add_parser("discover", help="cluster active segments into categories",
+                        allow_abbrev=False)
     sp.add_argument("--manifest", required=True,
                     help="lines of '<features>\\t<fa-predictions>[\\t<object-truth>]'")
     sp.add_argument("--fa-space", required=True, help="free/active label space file")
     sp.add_argument("--object-space", help="object label space file (for purity)")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--k-range", help="a:b inclusive")
+    sp.add_argument("--k-range", required=True,
+                    help="A:B inclusive, 1 <= A <= B; k above the segment count is skipped")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_discover)
 

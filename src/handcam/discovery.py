@@ -35,10 +35,6 @@ class Segment:
         mf.setflags(write=False)
         object.__setattr__(self, "mean_feature", mf)
 
-    @property
-    def n_frames(self) -> int:
-        return self.end - self.start
-
 
 def active_segments(decoded: StateSequence, stream: FeatureStream) -> list[Segment]:
     """Maximal runs of the active (non-free) state with their mean features."""
@@ -59,64 +55,57 @@ def active_segments(decoded: StateSequence, stream: FeatureStream) -> list[Segme
 
 @dataclass(frozen=True)
 class Clustering:
-    """Flat clustering of segments plus the merge order that produced it."""
+    """Flat clustering of segments."""
 
     k: int
     assignment: np.ndarray  # cluster id in [0, k) per segment
-    merges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.assignment, dtype=np.int64)
-        if len(np.unique(a)) != self.k:
-            raise ValueError("assignment must use exactly k non-empty clusters")
-        a = np.ascontiguousarray(a)
+        a = np.ascontiguousarray(self.assignment, dtype=np.int64)
+        if not np.array_equal(np.unique(a), np.arange(self.k)):
+            raise ValueError("assignment must use every cluster id 0..k-1")
         a.setflags(write=False)
         object.__setattr__(self, "assignment", a)
 
-    def members(self, cluster: int) -> np.ndarray:
-        return np.nonzero(self.assignment == cluster)[0]
 
+def average_linkage(similarity: np.ndarray) -> np.ndarray:
+    """Merge history of agglomerative average-linkage clustering: the n-1
+    merges in order, as rows (a, b) with a < b.
 
-def average_linkage(similarity: np.ndarray, k: int) -> Clustering:
-    """Agglomerative clustering on a similarity matrix, average linkage.
-
-    Repeatedly merges the pair of clusters with the highest mean pairwise
-    member similarity until k clusters remain; equal link scores merge the
-    lexicographically smallest (id, id) pair. A merged cluster keeps the
-    smaller id. Final ids are compacted to 0..k-1 in id order.
+    Each step merges the pair of clusters with the highest mean pairwise
+    member similarity; equal links merge the lexicographically smallest
+    (id, id) pair, and the merged cluster keeps the smaller id. The order
+    does not depend on where agglomeration stops, so `cut_history` gives
+    the clustering at every k from one history.
     """
-    sim = np.asarray(similarity, dtype=np.float64)
-    n = sim.shape[0]
-    if sim.shape != (n, n):
-        raise ValueError("similarity must be square")
+    link = np.array(similarity, dtype=np.float64)
+    n = link.shape[0]
+    if link.shape != (n, n) or n == 0:
+        raise ValueError("similarity must be a non-empty square matrix")
+    size = np.ones(n)
+    open_pair = np.triu(np.ones((n, n), dtype=bool), 1)  # a < b, both alive
+    merges = np.empty((n - 1, 2), dtype=np.int64)
+    for step in range(n - 1):
+        # the row-major first maximum is the smallest (a, b) among equal links
+        flat = np.argmax(np.where(open_pair, link, -np.inf))
+        a, b = merges[step] = divmod(flat, n)
+        # Lance-Williams update for average linkage
+        link[a] = link[:, a] = (size[a] * link[a] + size[b] * link[b]) / (size[a] + size[b])
+        size[a] += size[b]
+        open_pair[b] = open_pair[:, b] = False
+    return merges
+
+
+def cut_history(merges: np.ndarray, k: int) -> Clustering:
+    """The clustering after the first n-k merges of an `average_linkage`
+    history; cluster ids are compacted to 0..k-1 in id order."""
+    n = len(merges) + 1
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
-    link = sim.copy()
-    size = np.ones(n)
-    alive = list(range(n))
     parent = np.arange(n)
-    merges = []
-    for _ in range(n - k):
-        best = None
-        for ai, a in enumerate(alive):
-            for b in alive[ai + 1 :]:
-                key = (link[a, b], -a, -b)  # max sim, then smallest (a, b)
-                if best is None or key > best[0]:
-                    best = (key, a, b)
-        _, a, b = best
-        merges.append((a, b))
-        # Lance-Williams update for average linkage
-        for c in alive:
-            if c not in (a, b):
-                link[a, c] = link[c, a] = (
-                    size[a] * link[a, c] + size[b] * link[b, c]
-                ) / (size[a] + size[b])
-        size[a] += size[b]
-        alive.remove(b)
+    for a, b in merges[: n - k]:
         parent[parent == b] = a
-    remap = {cid: i for i, cid in enumerate(sorted(alive))}
-    assignment = np.array([remap[parent[i]] for i in range(n)], dtype=np.int64)
-    return Clustering(k, assignment, tuple(merges))
+    return Clustering(k, np.unique(parent, return_inverse=True)[1])
 
 
 def segment_similarity_matrix(segments: Sequence[Segment]) -> np.ndarray:
@@ -153,18 +142,14 @@ def modified_purity(
     if true_active == 0:
         raise ValueError("metric undefined: no true active frames")
 
-    discovered = 0
-    for cluster in range(clustering.k):
-        counts = np.zeros(space.num_labels, dtype=np.int64)
-        for si in clustering.members(cluster):
-            seg = segments[si]
-            truth = truths.get(seg.video_id)
-            if truth is None or seg.end > len(truth):
-                raise ValueError(f"ground truth does not cover segment of {seg.video_id}")
-            counts += np.bincount(
-                truth.states[seg.start : seg.end], minlength=space.num_labels
-            )
-        dominant = int(np.argmax(counts))  # ties: lower label index
-        if dominant != free and counts[dominant] > 0:
-            discovered += int(counts[dominant])
-    return discovered / true_active
+    counts = np.zeros((clustering.k, space.num_labels), dtype=np.int64)
+    for seg, cluster in zip(segments, clustering.assignment):
+        truth = truths.get(seg.video_id)
+        if truth is None or seg.end > len(truth):
+            raise ValueError(f"ground truth does not cover segment of {seg.video_id}")
+        counts[cluster] += np.bincount(
+            truth.states[seg.start : seg.end], minlength=space.num_labels
+        )
+    dominant = np.argmax(counts, axis=1)  # ties: lower label index
+    discovered = counts[np.arange(clustering.k), dominant]
+    return int(discovered[dominant != free].sum()) / true_active

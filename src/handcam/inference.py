@@ -134,21 +134,22 @@ def decode(problem: InferenceProblem, lam: float) -> StateSequence:
     sims = problem.boundary_similarities
     m = cand.size
 
-    # suffix values: value[g][k] = best score of segments g.. with segment g in state k
+    # suffix values: value[g][k] = best score of segments g.. with segment g in state k;
+    # nxt[g][k] = the state of segment g+1 that attains it (first max: lowest state)
     value = np.empty((m + 1, k))
+    nxt = np.empty((m, k), dtype=np.int64)
     value[m] = useg[m]
     for g in range(m - 1, -1, -1):
         boundary = np.full((k, k), -lam * sims[g])
         np.fill_diagonal(boundary, lam * sims[g])
-        value[g] = useg[g] + np.max(boundary + value[g + 1][None, :], axis=1)
+        scores = boundary + value[g + 1][None, :]
+        nxt[g] = np.argmax(scores, axis=1)
+        value[g] = useg[g] + np.max(scores, axis=1)
 
     seg_states = np.empty(m + 1, dtype=np.int64)
-    seg_states[0] = int(np.argmax(value[0]))  # first max: lowest state index
+    seg_states[0] = np.argmax(value[0])  # first max: lowest state index
     for g in range(m):
-        s = seg_states[g]
-        row = np.full(k, -lam * sims[g])
-        row[s] = lam * sims[g]
-        seg_states[g + 1] = int(np.argmax(row + value[g + 1]))
+        seg_states[g + 1] = nxt[g, seg_states[g]]
 
     states = np.repeat(seg_states, np.diff(bounds))
     if problem.label_space is not None:

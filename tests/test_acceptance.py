@@ -177,13 +177,15 @@ def test_criterion_5_change_detection():
     for _ in range(50):
         n, dim, d = int(rng.integers(9, 60)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
         vals = rng.standard_normal((n, dim))
-        s = FeatureStream("v", Camera.RIGHT_HAND, 6.0, vals)
-        s_rev = FeatureStream("v", Camera.RIGHT_HAND, 6.0, vals[::-1])
-        for i in range(d, n - d):
-            assert np.array_equal(
-                change.change_feature(s, i, d),
-                change.change_feature(s_rev, n - 1 - i, d),
-            )
+        band, cf = change.change_feature_matrix(
+            FeatureStream("v", Camera.RIGHT_HAND, 6.0, vals), d
+        )
+        band_rev, cf_rev = change.change_feature_matrix(
+            FeatureStream("v", Camera.RIGHT_HAND, 6.0, vals[::-1]), d
+        )
+        # frame i of the stream is frame n - 1 - i of the reversed stream
+        assert np.array_equal(n - 1 - band[::-1], band_rev)
+        assert np.array_equal(cf[::-1], cf_rev)
 
     # NMS separation and local-maximality on 10^3 random confidence tracks
     rng = np.random.default_rng(4)
@@ -266,7 +268,7 @@ def test_criterion_7_purity():
     segs = [
         discovery.Segment("v", i, i + 1, 1, np.array([1.0, 0.0])) for i in range(6)
     ]
-    clustering = discovery.Clustering(2, np.array([0, 0, 0, 1, 1, 1]), ())
+    clustering = discovery.Clustering(2, np.array([0, 0, 0, 1, 1, 1]))
     purity = discovery.modified_purity(clustering, segs, {"v": truth})
     assert abs(purity - 2.0 / 3.0) < 1e-12
 
@@ -286,7 +288,7 @@ def test_criterion_7_purity():
         raw = rng.integers(0, len(rsegs), len(rsegs))
         used = np.unique(raw)
         assignment = np.array([int(np.nonzero(used == c)[0][0]) for c in raw])
-        rc = discovery.Clustering(len(used), assignment, ())
+        rc = discovery.Clustering(len(used), assignment)
         p = discovery.modified_purity(rc, rsegs, {"v": t})
         assert 0.0 <= p <= 1.0
 
@@ -296,7 +298,7 @@ def test_criterion_7_purity():
         discovery.Segment("v", 0, 2, 1, np.array([1.0, 0.0])),
         discovery.Segment("v", 2, 4, 1, np.array([0.0, 1.0])),
     ]
-    c2 = discovery.Clustering(2, np.array([0, 1]), ())
+    c2 = discovery.Clustering(2, np.array([0, 1]))
     assert discovery.modified_purity(c2, segs2, {"v": truth2}) == 1.0
     _report("7 purity (hand example 2/3, bounded on random, perfect = 1): PASS")
 

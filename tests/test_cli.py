@@ -185,43 +185,72 @@ class TestAlign:
                      "--scales", "1.0"]) == 0
 
 
+def write_discover_inputs(tmp_path):
+    """Two videos with alternating active runs over two object categories:
+    four active segments. Returns (fa space, object space, manifest)."""
+    fa, _, obj = write_spaces(tmp_path)
+    obj_space = LabelSpace(
+        Task.OBJECT_CATEGORY,
+        ("free", "cup", "kettle") + tuple(f"obj{i:02d}" for i in range(21)), 0,
+    )
+    rng = np.random.default_rng(0)
+    manifest_lines = []
+    for vi in range(2):
+        n = 60
+        states = np.zeros(n, dtype=int)
+        obj_truth = np.zeros(n, dtype=int)
+        values = rng.standard_normal((n, 4)) * 0.05
+        for r, (start, cat) in enumerate([(10, 1), (30, 2)]):
+            states[start : start + 10] = 1
+            obj_truth[start : start + 10] = cat
+            values[start : start + 10] += np.eye(4)[cat] * 3.0
+        stream = FeatureStream(f"v{vi}", Camera.RIGHT_HAND, 6.0, values)
+        fpath = tmp_path / f"v{vi}.feat"
+        write_features(stream, fpath)
+        pred = StateSequence(LabelSpace.free_active(), states)
+        ppath = tmp_path / f"v{vi}.fa.txt"
+        ppath.write_text("\n".join(pred.label_names()) + "\n")
+        truth = StateSequence(obj_space, obj_truth)
+        tpath = tmp_path / f"v{vi}.obj.txt"
+        tpath.write_text("\n".join(truth.label_names()) + "\n")
+        manifest_lines.append(f"{fpath}\t{ppath}\t{tpath}")
+    manifest = tmp_path / "discover.txt"
+    manifest.write_text("\n".join(manifest_lines) + "\n")
+    return fa, obj, manifest
+
+
 class TestDiscover:
     def test_discover_with_purity(self, tmp_path, capsys):
-        fa, _, obj = write_spaces(tmp_path)
-        obj_space = LabelSpace(
-            Task.OBJECT_CATEGORY,
-            ("free", "cup", "kettle") + tuple(f"obj{i:02d}" for i in range(21)), 0,
-        )
-        rng = np.random.default_rng(0)
-        # two videos with alternating active runs over two object categories
-        manifest_lines = []
-        for vi in range(2):
-            n = 60
-            states = np.zeros(n, dtype=int)
-            obj_truth = np.zeros(n, dtype=int)
-            values = rng.standard_normal((n, 4)) * 0.05
-            for r, (start, cat) in enumerate([(10, 1), (30, 2)]):
-                states[start : start + 10] = 1
-                obj_truth[start : start + 10] = cat
-                values[start : start + 10] += np.eye(4)[cat] * 3.0
-            stream = FeatureStream(f"v{vi}", Camera.RIGHT_HAND, 6.0, values)
-            fpath = tmp_path / f"v{vi}.feat"
-            write_features(stream, fpath)
-            pred = StateSequence(LabelSpace.free_active(), states)
-            ppath = tmp_path / f"v{vi}.fa.txt"
-            ppath.write_text("\n".join(pred.label_names()) + "\n")
-            truth = StateSequence(obj_space, obj_truth)
-            tpath = tmp_path / f"v{vi}.obj.txt"
-            tpath.write_text("\n".join(truth.label_names()) + "\n")
-            manifest_lines.append(f"{fpath}\t{ppath}\t{tpath}")
-        manifest = tmp_path / "discover.txt"
-        manifest.write_text("\n".join(manifest_lines) + "\n")
+        fa, obj, manifest = write_discover_inputs(tmp_path)
         out = tmp_path / "disc"
         assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
-                     "--object-space", str(obj), "--k", "2", "--out", str(out)]) == 0
+                     "--object-space", str(obj), "--k-range", "2:2", "--out", str(out)]) == 0
         purity = (out / "purity.csv").read_text().splitlines()
         k, p = purity[1].split(",")
         assert k == "2" and float(p) == 1.0  # well-separated categories
+
+    def test_k_values_come_from_k_range_only(self, tmp_path, capsys):
+        fa, obj, manifest = write_discover_inputs(tmp_path)
+        common = ["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                  "--object-space", str(obj), "--out", str(tmp_path / "disc")]
+        assert main([*common, "--k", "3", "--k-range", "2:2"]) == 1  # no --k option
+        assert main(common) == 1  # --k-range is required
+        assert not (tmp_path / "disc").exists()
+        assert main([*common, "--k-range", "3:9"]) == 0  # k above 4 segments skipped
+        assert sorted(p.name for p in (tmp_path / "disc").iterdir()) == [
+            "clusters_k3.csv", "clusters_k4.csv", "purity.csv",
+        ]
+
+    def test_empty_or_invalid_k_range_rejected(self, tmp_path, capsys):
+        fa, obj, manifest = write_discover_inputs(tmp_path)
+        out = tmp_path / "disc"
+        for k_range in ("5:3", "500:600", "0:2", "2", "a:b"):
+            capsys.readouterr()
+            assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                         "--object-space", str(obj), "--k-range", k_range,
+                         "--out", str(out)]) == 2
+            assert "--k-range" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_one_column_line_rejected(self, tmp_path, capsys):
         fa, _, _ = write_spaces(tmp_path)
@@ -233,7 +262,7 @@ class TestDiscover:
         manifest = tmp_path / "discover.txt"
         manifest.write_text(f"# features, predictions\n{fpath}\t{ppath}\n{fpath}\n")
         assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
-                     "--k", "1", "--out", str(tmp_path / "disc")]) == 2
+                     "--k-range", "1:1", "--out", str(tmp_path / "disc")]) == 2
         assert f"{manifest}:3:" in capsys.readouterr().err
 
 
@@ -422,3 +451,66 @@ class TestSynthCommand:
         assert (out / "v0" / "frame_000002.ppm").exists()
         truth = json.loads((out / "ground_truth.json").read_text())
         assert truth["v0"]["dx"] == 5
+
+
+class TestJsonInputs:
+    """Damaged JSON documents the CLI reads are data errors (exit 2) naming
+    the file and the key."""
+
+    def run_synth(self, tmp_path, kind, doc):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(doc))
+        _, ges, _ = write_spaces(tmp_path)
+        extra = ["--label-space", str(ges)] if kind == "features" else []
+        return main(["synth", kind, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     *extra])
+
+    def test_synth_features_config(self, tmp_path, capsys):
+        doc = {"seed": 3, "states": 3, "dim": 4, "frames": 80, "min_dwell": 10,
+               "noise_sigma": 0.4, "videos": 2}
+        for broken, key in (({k: v for k, v in doc.items() if k != "videos"}, "videos"),
+                            ({**doc, "frames": "300"}, "frames"),
+                            ({**doc, "videos": True}, "videos"),
+                            ({**doc, "extra": 1}, "extra")):
+            capsys.readouterr()
+            assert self.run_synth(tmp_path, "features", broken) == 2
+            err = capsys.readouterr().err
+            assert "synth.json" in err and key in err
+
+    def test_synth_videos_config(self, tmp_path, capsys):
+        video = {"video_id": "v0", "scale": 1.0, "dx": 5, "dy": 5}
+        doc = {"seed": 5, "frames": 3, "frame_width": 40, "frame_height": 30,
+               "hand_width": 10, "hand_height": 10, "noise_sigma": 20.0, "jitter": 0}
+        for videos, key in (([{k: v for k, v in video.items() if k != "dx"}], "dx"),
+                            (video, "videos")):
+            capsys.readouterr()
+            assert self.run_synth(tmp_path, "videos", {**doc, "videos": videos}) == 2
+            assert key in capsys.readouterr().err
+
+    def test_pipeline_config_value_types(self, tmp_path, capsys):
+        cfg = pipeline_config(tmp_path)
+        good = json.loads(cfg.read_text())
+        for section, key, value in (("cv", "c_grid", 5), ("training", "epochs", "many"),
+                                    ("hyperparameters", "d", 2.5), ("synth", "frames", None)):
+            cfg.write_text(json.dumps({**good, section: {**good.get(section, {}), key: value}}))
+            capsys.readouterr()
+            assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert "pipeline.json" in err and section in err and key in err
+            assert not (tmp_path / "o").exists()
+
+    def test_chosen_json(self, tmp_path, capsys):
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        smodel = tmp_path / "state.bin"
+        assert main(["train-state", "--features", *feats, "--truth", *truths,
+                     "--label-space", str(ges), "--epochs", "20", "--out", str(smodel)]) == 0
+        chosen = tmp_path / "chosen.json"
+        for doc, expect in (({"C": 0.1, "d": 3}, "lambda"), ([0.1, 3, 1.0], "JSON object")):
+            chosen.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main(["infer", "--features", feats[0], "--state-model", str(smodel),
+                         "--mode", "full", "--change-model", str(smodel),
+                         "--lambda", "auto", "--cv-result", str(chosen)]) == 2
+            err = capsys.readouterr().err
+            assert "chosen.json" in err and expect in err

@@ -7,6 +7,7 @@ from handcam.discovery import (
     Segment,
     active_segments,
     average_linkage,
+    cut_history,
     modified_purity,
     segment_similarity_matrix,
 )
@@ -29,7 +30,7 @@ def seg(vid, start, end, feature):
 
 
 def cluster_segments(segs, k):
-    return average_linkage(segment_similarity_matrix(segs), k)
+    return cut_history(average_linkage(segment_similarity_matrix(segs)), k)
 
 
 class TestActiveSegments:
@@ -85,12 +86,42 @@ class TestActiveSegments:
                 assert np.max(np.abs(g.mean_feature - w[3])) <= 1e-12
 
 
+def per_k_average_linkage(sim, k):
+    """Average linkage stopped at k clusters, one run per k (the reference
+    the merge history replaced): (assignment, merges)."""
+    n = sim.shape[0]
+    link = sim.copy()
+    size = np.ones(n)
+    alive = list(range(n))
+    parent = np.arange(n)
+    merges = []
+    for _ in range(n - k):
+        best = None
+        for ai, a in enumerate(alive):
+            for b in alive[ai + 1 :]:
+                key = (link[a, b], -a, -b)  # max sim, then smallest (a, b)
+                if best is None or key > best[0]:
+                    best = (key, a, b)
+        _, a, b = best
+        merges.append((a, b))
+        for c in alive:
+            if c not in (a, b):
+                link[a, c] = link[c, a] = (
+                    size[a] * link[a, c] + size[b] * link[b, c]
+                ) / (size[a] + size[b])
+        size[a] += size[b]
+        alive.remove(b)
+        parent[parent == b] = a
+    remap = {cid: i for i, cid in enumerate(sorted(alive))}
+    return [remap[parent[i]] for i in range(n)], merges
+
+
 class TestAverageLinkage:
     def test_k_equals_n_singletons(self):
         segs = [seg("v", i, i + 1, [np.cos(i), np.sin(i)]) for i in range(4)]
         clustering = cluster_segments(segs, 4)
         assert clustering.assignment.tolist() == [0, 1, 2, 3]
-        assert clustering.merges == ()
+        assert average_linkage(segment_similarity_matrix(segs)).shape == (3, 2)
 
     def test_identical_features_merge_first(self):
         segs = [
@@ -98,16 +129,14 @@ class TestAverageLinkage:
             seg("v", 1, 2, [0.0, 1.0]),
             seg("v", 2, 3, [1.0, 0.0]),  # same direction as segment 0
         ]
-        clustering = cluster_segments(segs, 2)
-        assert clustering.merges[0] == (0, 2)
-        a = clustering.assignment
+        assert average_linkage(segment_similarity_matrix(segs))[0].tolist() == [0, 2]
+        a = cluster_segments(segs, 2).assignment
         assert a[0] == a[2] and a[0] != a[1]
 
     def test_hand_run_three_segments(self):
         # pairwise similarities (a,b)=0.9 (a,c)=0.1 (b,c)=0.2 -> merge (a,b)
         sim = np.array([[1.0, 0.9, 0.1], [0.9, 1.0, 0.2], [0.1, 0.2, 1.0]])
-        clustering = average_linkage(sim, 2)
-        a = clustering.assignment
+        a = cut_history(average_linkage(sim), 2).assignment
         assert a[0] == a[1] and a[2] != a[0]
 
     def test_average_linkage_update_by_hand(self):
@@ -120,28 +149,50 @@ class TestAverageLinkage:
                 [0.0, 0.0, 0.5, 1.0],
             ]
         )
-        clustering = average_linkage(sim, 2)
-        assert clustering.merges == ((0, 1), (2, 3))
+        assert average_linkage(sim)[:2].tolist() == [[0, 1], [2, 3]]
 
     def test_tie_break_smallest_pair(self):
         sim = np.full((3, 3), 0.5)
         np.fill_diagonal(sim, 1.0)
-        clustering = average_linkage(sim, 2)
-        assert clustering.merges == ((0, 1),)
+        assert average_linkage(sim)[0].tolist() == [0, 1]
 
     def test_merge_count(self):
         rng = np.random.default_rng(1)
         segs = [seg("v", i, i + 1, rng.standard_normal(3)) for i in range(8)]
+        assert average_linkage(segment_similarity_matrix(segs)).shape == (7, 2)
         for k in (1, 3, 8):
-            clustering = cluster_segments(segs, k)
-            assert len(clustering.merges) == 8 - k
-            assert len(set(clustering.assignment.tolist())) == k
+            assert len(set(cluster_segments(segs, k).assignment.tolist())) == k
 
     def test_k_out_of_range(self):
         segs = [seg("v", 0, 1, [1.0, 0.0])]
         for k in (0, 2):
             with pytest.raises(ValueError):
                 cluster_segments(segs, k)
+
+    def test_cut_history_matches_per_k_clustering(self):
+        rng = np.random.default_rng(4)
+        for trial in range(60):
+            n = int(rng.integers(1, 31))
+            if trial % 2:
+                x = rng.standard_normal((n, 3))
+            else:  # few distinct directions: many equal links
+                x = rng.integers(-1, 2, (n, 3)).astype(np.float64)
+            sim = segment_similarity_matrix([seg("v", i, i + 1, f) for i, f in enumerate(x)])
+            if trial % 3 == 0:
+                sim = np.round(sim * 2) / 2  # quantized: ties between merged clusters too
+            history = average_linkage(sim)
+            for k in range(1, n + 1):
+                assignment, merges = per_k_average_linkage(sim, k)
+                assert cut_history(history, k).assignment.tolist() == assignment
+                assert [tuple(m) for m in history[: n - k].tolist()] == merges
+
+
+class TestClustering:
+    def test_assignment_uses_ids_0_to_k_minus_1(self):
+        assert Clustering(2, [1, 0, 1]).assignment.tolist() == [1, 0, 1]
+        for k, assignment in ((2, [0, 0]), (2, [0, 5]), (1, [-1, -1])):
+            with pytest.raises(ValueError):
+                Clustering(k, assignment)
 
 
 def purity_fixture():
@@ -151,7 +202,7 @@ def purity_fixture():
     cup, kettle = space.index_of("cup"), space.index_of("kettle")
     truth = StateSequence(space, np.array([cup, cup, 0, 0, 0, kettle]))
     segs = [seg("v", i, i + 1, [1.0, 0.0]) for i in range(6)]
-    clustering = Clustering(2, np.array([0, 0, 0, 1, 1, 1]), ())
+    clustering = Clustering(2, np.array([0, 0, 0, 1, 1, 1]))
     return clustering, segs, {"v": truth}, space
 
 
@@ -166,7 +217,7 @@ class TestModifiedPurity:
         cup, kettle = space.index_of("cup"), space.index_of("kettle")
         truth = StateSequence(space, np.array([cup, cup, kettle, kettle]))
         segs = [seg("v", i, i + 1, [1.0, 0.0]) for i in range(4)]
-        clustering = Clustering(2, np.array([0, 0, 1, 1]), ())
+        clustering = Clustering(2, np.array([0, 0, 1, 1]))
         assert modified_purity(clustering, segs, {"v": truth}) == 1.0
 
     def test_free_dominated_cluster_scores_zero(self):
@@ -174,7 +225,7 @@ class TestModifiedPurity:
         cup = space.index_of("cup")
         truth = StateSequence(space, np.array([0, 0, cup]))
         segs = [seg("v", i, i + 1, [1.0, 0.0]) for i in range(3)]
-        clustering = Clustering(1, np.array([0, 0, 0]), ())
+        clustering = Clustering(1, np.array([0, 0, 0]))
         assert modified_purity(clustering, segs, {"v": truth}) == 0.0
 
     def test_missed_active_frames_penalized(self):
@@ -183,14 +234,14 @@ class TestModifiedPurity:
         cup = space.index_of("cup")
         truth = StateSequence(space, np.array([cup, cup, cup, 0]))
         segs = [seg("v", 0, 2, [1.0, 0.0])]
-        clustering = Clustering(1, np.array([0]), ())
+        clustering = Clustering(1, np.array([0]))
         assert abs(modified_purity(clustering, segs, {"v": truth}) - 2.0 / 3.0) < 1e-12
 
     def test_no_active_frames_undefined(self):
         space = object_space()
         truth = StateSequence(space, np.zeros(4, dtype=int))
         segs = [seg("v", 0, 1, [1.0, 0.0])]
-        clustering = Clustering(1, np.array([0]), ())
+        clustering = Clustering(1, np.array([0]))
         with pytest.raises(ValueError, match="metric undefined"):
             modified_purity(clustering, segs, {"v": truth})
 
@@ -214,13 +265,51 @@ class TestModifiedPurity:
             used = np.unique(labels)
             remap = {c: i for i, c in enumerate(used)}
             assignment = np.array([remap[c] for c in labels])
-            clustering = Clustering(len(used), assignment, ())
+            clustering = Clustering(len(used), assignment)
             p = modified_purity(clustering, segs, {"v": truth})
             assert 0.0 <= p <= 1.0
 
+    def test_matches_per_cluster_loop(self):
+        def per_cluster_purity(clustering, segments, truths):
+            # the per-cluster member scan modified_purity replaced
+            space = next(iter(truths.values())).label_space
+            free = space.free_label_index
+            true_active = sum(int(np.sum(t.states != free)) for t in truths.values())
+            discovered = 0
+            for cluster in range(clustering.k):
+                counts = np.zeros(space.num_labels, dtype=np.int64)
+                for si in np.nonzero(clustering.assignment == cluster)[0]:
+                    seg = segments[si]
+                    states = truths[seg.video_id].states[seg.start : seg.end]
+                    counts += np.bincount(states, minlength=space.num_labels)
+                dominant = int(np.argmax(counts))
+                if dominant != free and counts[dominant] > 0:
+                    discovered += int(counts[dominant])
+            return discovered / true_active
+
+        rng = np.random.default_rng(7)
+        space = object_space()
+        for _ in range(300):
+            truths = {
+                vid: StateSequence(space, rng.integers(0, 4, 20) * rng.integers(0, 2, 20))
+                for vid in ("a", "b")
+            }
+            if not any(np.any(t.states != 0) for t in truths.values()):
+                continue
+            segs = []
+            for vid in truths:
+                cuts = np.sort(rng.choice(np.arange(1, 20), 4, replace=False)).tolist()
+                segs += [seg(vid, a, b, [1.0]) for a, b in zip([0, *cuts], [*cuts, 20])]
+            k = int(rng.integers(1, len(segs) + 1))
+            assignment = np.concatenate([np.arange(k), rng.integers(0, k, len(segs) - k)])
+            clustering = Clustering(k, rng.permutation(assignment))
+            assert modified_purity(clustering, segs, truths) == per_cluster_purity(
+                clustering, segs, truths
+            )
+
     def test_relabeling_invariance(self):
         clustering, segs, truths, _ = purity_fixture()
-        swapped = Clustering(2, 1 - clustering.assignment, ())
+        swapped = Clustering(2, 1 - clustering.assignment)
         assert modified_purity(clustering, segs, truths) == modified_purity(
             swapped, segs, truths
         )
@@ -237,14 +326,16 @@ class TestPurityCurve:
         assert modified_purity(cluster_segments(segs, 3), segs, {"v": truth}) == 1.0
 
     def test_matches_fresh_clustering(self):
-        # clustering must not modify the shared matrix between k values
+        # one history cut at each k, and the matrix it was built from is unchanged
         rng = np.random.default_rng(3)
         space = object_space()
         truth = StateSequence(space, rng.integers(1, 5, 12))
         segs = [seg("v", i, i + 1, rng.standard_normal(3)) for i in range(12)]
         sim = segment_similarity_matrix(segs)
+        history = average_linkage(sim)
+        assert np.array_equal(sim, segment_similarity_matrix(segs))
         for k in (2, 5, 9):
-            shared = average_linkage(sim, k)
+            shared = cut_history(history, k)
             fresh = cluster_segments(segs, k)
             assert np.array_equal(shared.assignment, fresh.assignment)
             assert modified_purity(shared, segs, {"v": truth}) == modified_purity(

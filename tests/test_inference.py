@@ -205,6 +205,47 @@ class TestDecode:
         assert decode(p, 1.0).states.tolist() == [0] * 6
 
 
+def decode_rebuilding_boundaries(problem, lam):
+    """The segment DP whose backtrack rebuilt each boundary row the forward
+    pass had built (the reference for decode's back-pointers)."""
+    n, k = problem.n_frames, problem.num_states
+    bounds = segment_bounds(n, problem.candidates)
+    useg = np.add.reduceat(problem.unary, bounds[:-1], axis=0)
+    sims = problem.boundary_similarities
+    m = problem.candidates.size
+    value = np.empty((m + 1, k))
+    value[m] = useg[m]
+    for g in range(m - 1, -1, -1):
+        boundary = np.full((k, k), -lam * sims[g])
+        np.fill_diagonal(boundary, lam * sims[g])
+        value[g] = useg[g] + np.max(boundary + value[g + 1][None, :], axis=1)
+    seg_states = np.empty(m + 1, dtype=np.int64)
+    seg_states[0] = int(np.argmax(value[0]))
+    for g in range(m):
+        row = np.full(k, -lam * sims[g])
+        row[seg_states[g]] = lam * sims[g]
+        seg_states[g + 1] = int(np.argmax(row + value[g + 1]))
+    return np.repeat(seg_states, np.diff(bounds))
+
+
+class TestDecodeBackPointers:
+    def test_matches_rebuilt_boundary_backtrack_on_ties(self):
+        rng = np.random.default_rng(9)
+        for _ in range(2000):
+            n = int(rng.integers(1, 16))
+            k = int(rng.integers(1, 5))
+            m = int(rng.integers(0, n))
+            cand = np.sort(rng.choice(np.arange(1, n), size=m, replace=False))
+            # few distinct unaries and feature directions: many equal-scoring optima
+            unary = rng.integers(-1, 2, (n, k)).astype(np.float64)
+            feats = rng.integers(-1, 2, (m + 1, 2)).astype(np.float64)
+            problem = InferenceProblem(unary, cand, feats)
+            lam = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+            assert np.array_equal(
+                decode(problem, lam).states, decode_rebuilding_boundaries(problem, lam)
+            )
+
+
 class TestDecodeStream:
     def test_equals_decode_for_each_lambda(self):
         rng = np.random.default_rng(8)

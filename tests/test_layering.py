@@ -1,10 +1,14 @@
-"""Import layering: every module imports at its top level.
+"""Package structure: every module imports at its top level, and every
+public top-level name is used by the package.
 
 An import inside a function or under `if TYPE_CHECKING` is how a cycle
 between modules gets hidden; the package keeps its imports acyclic instead.
+A public name that nothing in the package references is code only tests
+call; the few kept on purpose are listed with their reason.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,70 @@ def test_detector_finds_each_form():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_imports_at_module_top(path):
     assert misplaced_imports(path.read_text()) == []
+
+
+# public names nothing in src/handcam references, each kept for a reason
+UNREFERENCED_ALLOWED = {
+    "inference.score_sequence": "oracle: the objective decode maximizes, for exhaustive checks",
+    "classify.training_objective": "oracle: the objective training descends, for solver checks",
+    "core.save_label_space": "round-trip inverse of load_label_space",
+    "alignment.read_alignment_report": "round-trip inverse of write_alignment_report",
+    "synth.orthonormal_centers": "synthetic fixture: well-separated state centers",
+    "synth.smooth_patch": "synthetic fixture: low-frequency hand texture",
+}
+
+
+def name_uses(node: ast.AST) -> Counter:
+    """How often each identifier appears as a name, an attribute or an import."""
+    uses = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            uses[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            uses[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            uses[sub.name] += 1
+    return uses
+
+
+def public_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Top-level functions, classes and assigned names not starting with '_'."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        found.update((name, node) for name in names if not name.startswith("_"))
+    return found
+
+
+def unreferenced_names(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each public top-level name that no module uses
+    outside the name's own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum((name_uses(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for name, node in public_definitions(tree).items():
+            if total[name] - name_uses(node)[name] == 0:
+                found.append(f"{module}.{name}")
+    return sorted(found)
+
+
+def test_unreferenced_detector():
+    sources = {
+        "a": "def used():\n    return 1\ndef recursive(n):\n    return recursive(n)\n"
+             "LIMIT = 3\ndef _private():\n    pass\n",
+        "b": "from .a import used\nclass Kept:\n    pass\nx = Kept()\n",
+    }
+    assert unreferenced_names(sources) == ["a.LIMIT", "a.recursive", "b.x"]
+
+
+def test_every_public_name_is_used():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_names(sources) == sorted(UNREFERENCED_ALLOWED)
