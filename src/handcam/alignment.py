@@ -17,8 +17,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.ndimage import label as cc_label
-from scipy.signal import fftconvolve
 
 from .media import Image, resize_to, to_gray
 
@@ -77,7 +75,29 @@ class StableMask:
         return self.bounding_box is None
 
 
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+def _component_roots(mask: np.ndarray) -> np.ndarray:
+    """For each True pixel of `mask` in row-major order, the row-major rank
+    of the first pixel of its 4-connected component.
+
+    Vectorized union-find: every edge between neighbouring mask pixels hooks
+    its larger root to its smaller one, pointer jumping flattens the trees,
+    and this repeats until both ends of every edge share a root. A root only
+    ever points lower, so each component ends at its smallest rank.
+    """
+    parent = np.arange(np.count_nonzero(mask))
+    rank = np.full(mask.shape, -1, dtype=np.int64)
+    rank[mask] = parent
+    right = mask[:, :-1] & mask[:, 1:]
+    down = mask[:-1] & mask[1:]
+    a = np.concatenate([rank[:, :-1][right], rank[:-1][down]])
+    b = np.concatenate([rank[:, 1:][right], rank[1:][down]])
+    while True:
+        ra, rb = parent[a], parent[b]
+        if np.array_equal(ra, rb):
+            return parent
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
 
 
 def stable_mask(stats: PixelStats, params: AlignmentParams) -> StableMask:
@@ -87,11 +107,10 @@ def stable_mask(stats: PixelStats, params: AlignmentParams) -> StableMask:
     mask = np.all(stats.diversity_image < params.beta_threshold, axis=2)
     if not mask.any():
         return StableMask(mask, None, 0)
-    labels, n = cc_label(mask, structure=_CROSS)
-    sizes = np.bincount(labels.ravel())
-    sizes[0] = 0
-    best = int(np.argmax(sizes))  # ties: first label in scan order
-    ys, xs = np.nonzero(labels == best)
+    roots = _component_roots(mask)
+    sizes = np.bincount(roots)
+    best = int(np.argmax(sizes))  # ties: the component that starts first in scan order
+    ys, xs = np.divmod(np.flatnonzero(mask)[roots == best], mask.shape[1])
     box = (int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
     return StableMask(mask, box, int(sizes[best]))
 
@@ -140,6 +159,42 @@ def _window_sums(arr: np.ndarray, th: int, tw: int) -> np.ndarray:
     return c[th:, tw:] - c[:-th, tw:] - c[th:, :-tw] + c[:-th, :-tw]
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2*3*5-smooth length >= n (scipy's `next_fast_len(n, real=True)`)."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _valid_correlation(target: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Sum of `kernel` times each window of `target` it fits in.
+
+    Bit-identical to `scipy.signal.fftconvolve(target, kernel[::-1, ::-1],
+    mode="valid")` because it takes the same steps: 5-smooth padding, an
+    axis left untransformed where the kernel has length 1, and an
+    unnormalized inverse scaled once by 1 / (padded size).
+    """
+    flipped = kernel[::-1, ::-1]
+    axes = [a for a in (0, 1) if kernel.shape[a] != 1]
+    if not axes:
+        return target * flipped
+    fshape = [_fast_len(target.shape[a] + kernel.shape[a] - 1) for a in axes]
+    spec = np.fft.rfftn(target, fshape, axes) * np.fft.rfftn(flipped, fshape, axes)
+    if len(axes) == 2:
+        spec = np.fft.ifft(spec, axis=0, norm="forward")
+    full = np.fft.irfft(spec, fshape[-1], axis=axes[-1], norm="forward")
+    full *= 1.0 / np.prod(fshape)
+    window = [slice(None), slice(None)]
+    for a in axes:
+        window[a] = slice(kernel.shape[a] - 1, target.shape[a])
+    return full[tuple(window)]
+
+
 def zncc_map(template_gray: np.ndarray, target_gray: np.ndarray) -> np.ndarray:
     """Zero-normalized cross-correlation of the template at every placement.
 
@@ -153,7 +208,7 @@ def zncc_map(template_gray: np.ndarray, target_gray: np.ndarray) -> np.ndarray:
     n = th * tw
     t0 = tpl - tpl.mean()
     t_norm2 = float((t0 * t0).sum())
-    num = fftconvolve(tgt, t0[::-1, ::-1], mode="valid")
+    num = _valid_correlation(tgt, t0)
     s1 = _window_sums(tgt, th, tw)
     s2 = _window_sums(tgt * tgt, th, tw)
     w_var = s2 - s1 * s1 / n  # exact 0 for constant windows

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .classify import LinearModel, TrainConfig, train_binary
-from .core import FeatureStream, StateSequence, run_starts
+from .core import FeatureStream, StateSequence, frozen_array, run_starts
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,8 @@ class CandidateSet:
                 "candidate indices must be strictly increasing and separated "
                 "by more than the suppression radius"
             )
-        for name, arr in (("frame_indices", idx), ("confidences", conf)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "frame_indices", frozen_array(idx))
+        object.__setattr__(self, "confidences", frozen_array(conf))
 
     def __len__(self) -> int:
         return self.frame_indices.shape[0]

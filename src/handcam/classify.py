@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureStream, LabelSpace, StateSequence, Task
+from .core import FeatureStream, LabelSpace, StateSequence, Task, frozen_array
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,8 @@ class LinearModel:
         binary = self.label_space is None and w.shape[0] == 1
         if self.d is not None and not (binary and self.d >= 1):
             raise ValueError("only binary change models carry a d, and it must be >= 1")
-        for name, arr in (("weights", w), ("bias", b)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "weights", frozen_array(w))
+        object.__setattr__(self, "bias", frozen_array(b))
 
     @property
     def num_classes(self) -> int:

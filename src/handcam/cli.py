@@ -593,8 +593,17 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and every subparser it makes, that takes options only by
+    their full names: a removed or misspelled option that is a prefix of
+    another (`--k` of `--k-range`) fails instead of binding to it."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="handcam", description=__doc__)
+    p = _Parser(prog="handcam", description=__doc__)
     p.add_argument("--version", action="version", version=f"handcam {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -681,9 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", required=True)
     sp.set_defaults(func=_cmd_eval)
 
-    # no abbreviations: `--k` must not silently stand for `--k-range`
-    sp = sub.add_parser("discover", help="cluster active segments into categories",
-                        allow_abbrev=False)
+    sp = sub.add_parser("discover", help="cluster active segments into categories")
     sp.add_argument("--manifest", required=True,
                     help="lines of '<features>\\t<fa-predictions>[\\t<object-truth>]'")
     sp.add_argument("--fa-space", required=True, help="free/active label space file")

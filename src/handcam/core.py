@@ -33,8 +33,15 @@ class Camera(Enum):
     HEAD = "head"
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+def frozen_array(arr: np.ndarray) -> np.ndarray:
+    """`arr` as a read-only C-contiguous array that its caller cannot change.
+
+    A writable or non-contiguous argument is copied, so the caller's array
+    stays writable and later writes to it do not reach the stored one; an
+    array that is already read-only and contiguous is stored as it is.
+    """
+    if arr.flags.writeable or not arr.flags.c_contiguous:
+        arr = np.array(arr, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -104,7 +111,7 @@ class FeatureStream:
             raise ValueError("feature values must be a 2-d (frames x dim) array")
         if not np.all(np.isfinite(vals)):
             raise ValueError("feature values must be finite")
-        object.__setattr__(self, "values", _readonly(vals))
+        object.__setattr__(self, "values", frozen_array(vals))
 
     @property
     def n_frames(self) -> int:
@@ -141,7 +148,7 @@ class StateSequence:
             raise ValueError("num_states required when label_space is None")
         if states.size and (states.min() < 0 or states.max() >= self.num_states):
             raise ValueError("state index out of range for the label space")
-        object.__setattr__(self, "states", _readonly(states))
+        object.__setattr__(self, "states", frozen_array(states))
 
     def __len__(self) -> int:
         return self.states.shape[0]

@@ -15,7 +15,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import FeatureStream, StateSequence, run_starts, segment_means, unit_rows
+from .core import (
+    FeatureStream, StateSequence, frozen_array, run_starts, segment_means, unit_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -31,9 +33,8 @@ class Segment:
     def __post_init__(self) -> None:
         if not 0 <= self.start < self.end:
             raise ValueError("segment span must be non-empty")
-        mf = np.ascontiguousarray(np.asarray(self.mean_feature, dtype=np.float64))
-        mf.setflags(write=False)
-        object.__setattr__(self, "mean_feature", mf)
+        mf = np.asarray(self.mean_feature, dtype=np.float64)
+        object.__setattr__(self, "mean_feature", frozen_array(mf))
 
 
 def active_segments(decoded: StateSequence, stream: FeatureStream) -> list[Segment]:
@@ -61,11 +62,10 @@ class Clustering:
     assignment: np.ndarray  # cluster id in [0, k) per segment
 
     def __post_init__(self) -> None:
-        a = np.ascontiguousarray(self.assignment, dtype=np.int64)
+        a = np.asarray(self.assignment, dtype=np.int64)
         if not np.array_equal(np.unique(a), np.arange(self.k)):
             raise ValueError("assignment must use every cluster id 0..k-1")
-        a.setflags(write=False)
-        object.__setattr__(self, "assignment", a)
+        object.__setattr__(self, "assignment", frozen_array(a))
 
 
 def average_linkage(similarity: np.ndarray) -> np.ndarray:

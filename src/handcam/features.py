@@ -72,6 +72,7 @@ def read_features(path: str | Path) -> FeatureStream:
     values = values.reshape(n, d).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise FeatureFileError("non-finite values in payload")
+    values.setflags(write=False)  # fresh and ours: FeatureStream keeps it without a copy
     return FeatureStream(vid, _CAMERA_FROM_CODE[camera_code], fps, values)
 
 

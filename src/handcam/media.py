@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import frozen_array
+
 
 class PpmError(ValueError):
     """Malformed or truncated PPM data."""
@@ -33,9 +35,7 @@ class Image:
             raise ValueError("pixels must be (h, w) or (h, w, {1,3})")
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError("image dimensions must be positive")
-        px = np.ascontiguousarray(px)
-        px.setflags(write=False)
-        object.__setattr__(self, "pixels", px)
+        object.__setattr__(self, "pixels", frozen_array(px))
 
     @property
     def width(self) -> int:

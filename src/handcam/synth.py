@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Camera, FeatureStream, LabelSpace, StateSequence, run_starts
+from .core import Camera, FeatureStream, LabelSpace, StateSequence, frozen_array, run_starts
 from .media import Image, resize_to, save_video_dir
 
 
@@ -44,9 +44,7 @@ class SynthConfig:
             raise ValueError("noise_sigma must be >= 0")
         if self.transition_ramp < 0:
             raise ValueError("transition_ramp must be >= 0")
-        centers = np.ascontiguousarray(centers)
-        centers.setflags(write=False)
-        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "centers", frozen_array(centers))
 
 
 def random_centers(num_states: int, dim: int, seed: int) -> np.ndarray:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from scipy.ndimage import label as scipy_label
+from scipy.signal import fftconvolve
 
 from handcam import synth
 from handcam.alignment import (
     AlignmentParams,
+    PixelStats,
+    _valid_correlation,
     align_video,
     align_videos,
     compute_pixel_stats,
@@ -103,6 +107,133 @@ class TestStableMask:
         frames = [Image(np.zeros((2, 2, 1), dtype=np.uint8))] * 2
         with pytest.raises(ValueError):
             stable_mask(compute_pixel_stats(frames), AlignmentParams())
+
+
+def stats_with_mask(mask):
+    """Pixel stats whose stable mask (at the default threshold) is `mask`."""
+    diversity = np.where(mask, 0.0, 100.0)[:, :, None].repeat(3, axis=2)
+    return PixelStats(np.zeros(mask.shape + (3,)), diversity)
+
+
+def scipy_largest_component(mask):
+    """Box and size of the largest 4-connected component as the scipy-based
+    `stable_mask` chose it: ties go to the first label in scan order."""
+    labels, _ = scipy_label(mask, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0
+    best = int(np.argmax(sizes))
+    ys, xs = np.nonzero(labels == best)
+    return (int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1), int(sizes[best])
+
+
+def equal_component_mask(rng, h, w, cell):
+    """Copies of one random connected shape, one per chosen grid cell, with
+    a blank gap between cells: every component has the same size."""
+    shape = np.zeros((cell - 1, cell - 1), dtype=bool)
+    y = x = 0
+    for _ in range(3 * cell):
+        shape[y, x] = True
+        if rng.random() < 0.5:
+            y = min(max(y + rng.choice([-1, 1]), 0), cell - 2)
+        else:
+            x = min(max(x + rng.choice([-1, 1]), 0), cell - 2)
+    mask = np.zeros((h, w), dtype=bool)
+    for gy in range(h // cell):
+        for gx in range(w // cell):
+            if rng.random() < 0.6:
+                mask[gy * cell : gy * cell + cell - 1, gx * cell : gx * cell + cell - 1] = shape
+    return mask
+
+
+def serpentine_mask(h, w):
+    """One path through every other row, joined alternately at the right and
+    left edge."""
+    mask = np.zeros((h, w), dtype=bool)
+    mask[::2] = True
+    for r in range(1, h - 1, 2):
+        mask[r, w - 1 if r % 4 == 1 else 0] = True
+    return mask
+
+
+class TestStableMaskOracle:
+    """The union-find components pick the same box and size as scipy's labels."""
+
+    def check(self, mask):
+        got = stable_mask(stats_with_mask(mask), AlignmentParams())
+        assert np.array_equal(got.mask, mask)
+        if not mask.any():
+            assert got.is_empty and got.component_size == 0
+            return
+        assert (got.bounding_box, got.component_size) == scipy_largest_component(mask)
+
+    def test_random_masks(self):
+        rng = np.random.default_rng(20)
+        for _ in range(400):
+            h, w = rng.integers(1, 40, 2)
+            self.check(rng.random((h, w)) < rng.uniform(0.05, 0.95))
+
+    def test_equal_sized_components(self):
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            cell = int(rng.integers(2, 7))
+            h, w = rng.integers(cell, 8 * cell, 2)
+            self.check(equal_component_mask(rng, h, w, cell))
+
+    def test_checkerboard_all_ties(self):
+        yy, xx = np.mgrid[:9, :11]
+        mask = (yy + xx) % 2 == 1  # single pixels; the first is (x=1, y=0)
+        self.check(mask)
+        got = stable_mask(stats_with_mask(mask), AlignmentParams())
+        assert (got.bounding_box, got.component_size) == ((1, 0, 2, 1), 1)
+
+    def test_full_mask(self):
+        for h, w in ((1, 1), (1, 17), (13, 1), (48, 64)):
+            self.check(np.ones((h, w), dtype=bool))
+
+    def test_serpentine(self):
+        for h, w in ((3, 2), (5, 7), (41, 30), (120, 160)):
+            mask = serpentine_mask(h, w)
+            self.check(mask)
+            self.check(mask.T.copy())
+            self.check(mask[::-1, ::-1].copy())
+
+
+class TestValidCorrelationOracle:
+    """The numpy FFT correlation equals scipy's `fftconvolve` bit for bit."""
+
+    @staticmethod
+    def check(target, kernel):
+        expected = fftconvolve(target, kernel[::-1, ::-1], mode="valid")
+        assert np.array_equal(_valid_correlation(target, kernel), expected)
+
+    def random_pair(self, rng, th, tw, h, w, integer):
+        if integer:  # gray images, as `zncc_map` sees them
+            target = rng.integers(0, 256, (h, w)).astype(np.float64)
+            kernel = rng.integers(0, 256, (th, tw)).astype(np.float64)
+        else:
+            target = rng.standard_normal((h, w)) * 100
+            kernel = rng.standard_normal((th, tw))
+        return target, kernel - kernel.mean()
+
+    def test_random_shapes(self):
+        rng = np.random.default_rng(30)
+        for i in range(300):
+            h, w = rng.integers(1, 70, 2)
+            th, tw = rng.integers(1, h + 1), rng.integers(1, w + 1)
+            self.check(*self.random_pair(rng, th, tw, h, w, integer=i % 2 == 0))
+
+    @pytest.mark.parametrize("kind", ["1xk", "kx1", "1x1", "as_large"])
+    def test_degenerate_templates(self, kind):
+        rng = np.random.default_rng(31)
+        for i in range(60):
+            h, w = rng.integers(1, 50, 2)
+            th, tw = {
+                "1xk": (1, rng.integers(1, w + 1)),
+                "kx1": (rng.integers(1, h + 1), 1),
+                "1x1": (1, 1),
+                "as_large": (h, w),
+            }[kind]
+            self.check(*self.random_pair(rng, th, tw, h, w, integer=i % 2 == 0))
 
 
 def build_masked_stats(sizes, seed=0):

@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
 
 import numpy as np
 
 from handcam import synth
-from handcam.cli import main, run_pipeline
+from handcam.cli import build_parser, main, run_pipeline
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task, save_label_space
 from handcam.features import read_features, write_features
 
@@ -54,6 +55,37 @@ class TestExitCodes:
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+
+class TestAbbreviatedOptions:
+    def test_infer_takes_only_full_option_names(self, tmp_path, capsys):
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        smodel, cmodel = tmp_path / "state.bin", tmp_path / "change.bin"
+        common = ["--features", *feats, "--truth", *truths, "--label-space", str(ges),
+                  "--epochs", "20"]
+        assert main(["train-state", *common, "--out", str(smodel)]) == 0
+        assert main(["train-change", *common, "--d", "3", "--out", str(cmodel)]) == 0
+        chosen = tmp_path / "chosen.json"
+        chosen.write_text(json.dumps({"C": 1.0, "d": 3, "lambda": 2.0}))
+        infer = ["infer", "--features", feats[0], "--state-model", str(smodel),
+                 "--mode", "full", "--out", str(tmp_path / "pred.txt")]
+        assert main([*infer, "--lam", "auto", "--cv", str(chosen),
+                     "--change", str(cmodel)]) == 1
+        assert "unrecognized arguments: --lam" in capsys.readouterr().err
+        assert main([*infer, "--lambda", "auto", "--cv-result", str(chosen),
+                     "--change-model", str(cmodel)]) == 0
+
+    def test_no_parser_allows_abbreviations(self):
+        parsers, seen = [build_parser()], []
+        while parsers:
+            parser = parsers.pop()
+            seen.append(parser.prog)
+            assert parser.allow_abbrev is False, parser.prog
+            for action in parser._actions:
+                if action.nargs == argparse.PARSER:  # a subcommand table
+                    parsers.extend(action.choices.values())
+        assert len(seen) == 15  # handcam, 12 commands, synth features and videos
 
 
 class TestExtractFuse:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,13 @@ from handcam.core import (
     segment_means,
     unit_rows,
 )
-from handcam.discovery import Segment, segment_similarity_matrix
+from handcam.change import CandidateSet
+from handcam.classify import LinearModel, TrainConfig
+from handcam.discovery import Clustering, Segment, segment_similarity_matrix
+from handcam.features import read_features, write_features
 from handcam.inference import InferenceProblem
+from handcam.media import Image
+from handcam.synth import SynthConfig
 
 
 def gesture_space():
@@ -211,6 +217,56 @@ class TestFeatureStream:
         s = FeatureStream("v", Camera.HEAD, 6.0, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             s.values[0, 0] = 1.0
+
+
+# constructors of frozen dataclasses: (field, build from one array, that array)
+FROZEN_FIELDS = {
+    "FeatureStream": ("values", lambda a: FeatureStream("v", Camera.HEAD, 6.0, a),
+                      lambda: np.arange(6.0).reshape(3, 2)),
+    "StateSequence": ("states", lambda a: StateSequence(LabelSpace.free_active(), a),
+                      lambda: np.array([0, 1, 1])),
+    "Clustering": ("assignment", lambda a: Clustering(2, a), lambda: np.array([0, 1, 1])),
+    "Segment": ("mean_feature", lambda a: Segment("v", 0, 2, 1, a), lambda: np.ones(3)),
+    "CandidateSet": ("frame_indices", lambda a: CandidateSet(a, np.ones(2), 3),
+                     lambda: np.array([2, 9])),
+    "LinearModel": ("weights", lambda a: LinearModel(a, np.zeros(2), None, TrainConfig()),
+                    lambda: np.ones((2, 3))),
+    "Image": ("pixels", Image, lambda: np.zeros((2, 3, 3), dtype=np.uint8)),
+    "SynthConfig": ("centers", lambda a: SynthConfig(0, 2, 2, 10, 1, a, 0.0),
+                    lambda: np.eye(2)),
+}
+
+
+class TestFrozenArrays:
+    @pytest.mark.parametrize("name", sorted(FROZEN_FIELDS))
+    def test_caller_array_stays_writable(self, name):
+        field, build, make = FROZEN_FIELDS[name]
+        arr = make()
+        stored = getattr(build(arr), field)
+        assert arr.flags.writeable and not stored.flags.writeable
+        before = stored.copy()
+        arr[...] = 0
+        assert np.array_equal(stored, before)
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_FIELDS))
+    def test_read_only_array_kept_as_is(self, name):
+        field, build, make = FROZEN_FIELDS[name]
+        arr = make()
+        arr.setflags(write=False)
+        assert getattr(build(arr), field) is arr
+
+    def test_read_features_copies_the_payload_once(self, tmp_path):
+        path = tmp_path / "v.feat"
+        write_features(FeatureStream("v", Camera.HEAD, 6.0, np.ones((4000, 64))), path)
+        tracemalloc.start()
+        try:
+            values = read_features(path).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file's bytes plus one float64 array; a second copy would add another
+        assert peak < path.stat().st_size + 1.5 * values.nbytes
+        assert not values.flags.writeable
 
 
 class TestStateSequence:

@@ -1,13 +1,19 @@
-"""Package structure: every module imports at its top level, and every
-public top-level name is used by the package.
+"""Package structure: every module imports at its top level, the package
+needs only numpy at run time, and every public top-level name is used by
+the package.
 
 An import inside a function or under `if TYPE_CHECKING` is how a cycle
 between modules gets hidden; the package keeps its imports acyclic instead.
-A public name that nothing in the package references is code only tests
-call; the few kept on purpose are listed with their reason.
+Importing scipy costs more than a second of start-up per command, so the
+package does not use it (tests may, as a reference). A public name that
+nothing in the package references is code only tests call; the few kept on
+purpose are listed with their reason.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -53,6 +59,48 @@ def test_detector_finds_each_form():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_imports_at_module_top(path):
     assert misplaced_imports(path.read_text()) == []
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Line numbers of imports of scipy or a scipy submodule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            found.append(node.lineno)
+    return found
+
+
+def test_scipy_detector():
+    source = (
+        "import scipy\n"
+        "import numpy, scipy.fft\n"
+        "from scipy.signal import fftconvolve\n"
+        "from . import scipy_like\n"
+        "import scipyx\n"
+    )
+    assert scipy_imports(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, handcam.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), *sys.path]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # public names nothing in src/handcam references, each kept for a reason
