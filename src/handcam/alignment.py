@@ -351,18 +351,3 @@ def write_alignment_report(result: AlignmentResult, path: str | Path) -> None:
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
-
-def read_alignment_report(path: str | Path) -> AlignmentResult:
-    doc = json.loads(Path(path).read_text())
-    per_video = {
-        vid: VideoAlignment(
-            vid, v["scale"], v["dx"], v["dy"], v["peak"], tuple(v["crop_window"])
-        )
-        for vid, v in doc["videos"].items()
-    }
-    return AlignmentResult(
-        doc["reference_video_id"],
-        tuple(doc["reference_size"]),
-        tuple(doc["template_box"]),
-        per_video,
-    )

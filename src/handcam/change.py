@@ -2,9 +2,10 @@
 
 The change feature of frame i is the elementwise absolute difference of the
 frame features d frames before and after it. A binary classifier scores
-these, and greedy non-maximum suppression keeps local peaks as the change
-candidate set. No confidence floor is applied: recall matters more than
-precision here, since the decoder prunes false candidates.
+these, and non-maximum suppression keeps local peaks as the change candidate
+set, in time linear in the number of frames. No confidence floor is applied:
+recall matters more than precision here, since the decoder prunes false
+candidates.
 
 Convention used throughout the pipeline: a transition index is the first
 frame of the new state.
@@ -81,29 +82,27 @@ def suppress_non_maxima(
     """Keep local confidence maxima, separated by more than the radius.
 
     A frame qualifies only if its raw confidence dominates every frame
-    within the radius; qualifying frames are then taken greedily (highest
-    first, ties to the earlier frame), each suppressing its neighborhood,
-    which resolves plateaus of equal confidence. Every retained confidence
-    is therefore >= all raw confidences within its radius.
+    within the radius (a windowed maximum over the track padded with -inf).
+    Two qualifying frames within the radius dominate each other, so they are
+    equal: conflicts only arise on plateaus, and a left-to-right scan breaks
+    them, keeping the earliest frame and then the next qualifying frame more
+    than the radius after the last kept one. Every retained confidence is
+    therefore >= all raw confidences within its radius. Cost O(n r) for n
+    frames; the frame indices must be consecutive, as in-band frames are.
     """
     idx = np.asarray(frame_indices, dtype=np.int64)
     conf = np.asarray(confidences, dtype=np.float64)
-    is_local_max = np.array(
-        [
-            conf[j] >= conf[np.abs(idx - idx[j]) <= radius].max()
-            for j in range(idx.size)
-        ],
-        dtype=bool,
-    )
-    order = np.argsort(-conf, kind="stable")  # stable: equal scores keep earlier frames
-    alive = np.ones(idx.size, dtype=bool)
-    kept = []
-    for j in order:
-        if not alive[j] or not is_local_max[j]:
-            continue
-        kept.append(j)
-        alive[np.abs(idx - idx[j]) <= radius] = False
-    kept.sort()
+    if np.any(np.diff(idx) != 1):
+        raise ValueError("frame indices must be consecutive")
+    if idx.size == 0:
+        return CandidateSet(idx, conf, radius)
+    pad = np.full(idx.size + 2 * radius, -np.inf)
+    pad[radius : radius + idx.size] = conf
+    window_max = np.lib.stride_tricks.sliding_window_view(pad, 2 * radius + 1).max(axis=1)
+    kept: list[int] = []
+    for j in np.flatnonzero(conf >= window_max).tolist():
+        if not kept or j - kept[-1] > radius:
+            kept.append(j)
     return CandidateSet(idx[kept], conf[kept], radius)
 
 
@@ -111,7 +110,7 @@ def detect_candidates(
     stream: FeatureStream, change_model: LinearModel, d: int
 ) -> CandidateSet:
     """Score all in-band frames with the change model at half-width d and
-    run greedy NMS at radius d, so detection works on one temporal scale.
+    run NMS at radius d, so detection works on one temporal scale.
 
     A model that records its training d must be run with that d.
     """

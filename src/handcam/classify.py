@@ -277,12 +277,16 @@ def load_model(path: str | Path) -> LinearModel:
             space = LabelSpace(task, tuple(labels), free_idx)
         k, d = struct.unpack_from("<II", data, pos)
         pos += 8
+        if (k * d + k) * 8 != len(data) - pos:
+            raise ModelFileError(
+                f"weight shape ({k}, {d}) does not fit the {len(data) - pos} bytes after it"
+            )
         w = np.frombuffer(data, dtype="<f8", count=k * d, offset=pos).reshape(k, d)
-        pos += k * d * 8
-        b = np.frombuffer(data, dtype="<f8", count=k, offset=pos)
-        pos += k * 8
+        b = np.frombuffer(data, dtype="<f8", count=k, offset=pos + k * d * 8)
+        return LinearModel(w.copy(), b.copy(), space, TrainConfig(c_reg, epochs), change_d)
     except struct.error as e:
         raise ModelFileError(f"truncated model file: {e}") from None
-    if pos != len(data):
-        raise ModelFileError("trailing bytes in model file")
-    return LinearModel(w.copy(), b.copy(), space, TrainConfig(c_reg, epochs), change_d)
+    except ModelFileError:
+        raise
+    except ValueError as e:  # bad UTF-8, task, label space or parameters
+        raise ModelFileError(f"malformed model file: {e}") from None

@@ -339,6 +339,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                 raise ValueError("--lambda auto requires --cv-result from a prior cv run")
             chosen = read_cv_result(Path(args.cv_result))
             lam, d = chosen["lambda"], chosen["d"] if d is None else d
+        elif args.cv_result is not None:
+            raise ValueError("--cv-result is read only with --lambda auto")
         if args.change_model is None or d is None or lam is None:
             raise ValueError("full mode needs --change-model, --d and --lambda")
         lam = float(lam)

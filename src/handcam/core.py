@@ -104,8 +104,8 @@ class FeatureStream:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        if not 0 < self.fps < np.inf:
+            raise ValueError(f"fps must be positive and finite, got {self.fps}")
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2:
             raise ValueError("feature values must be a 2-d (frames x dim) array")

@@ -57,6 +57,8 @@ def read_features(path: str | Path) -> FeatureStream:
         pos += struct.calcsize("<BdII")
     except struct.error as e:
         raise FeatureFileError(f"truncated header: {e}") from None
+    except UnicodeDecodeError as e:
+        raise FeatureFileError(f"video id is not UTF-8: {e}") from None
     if version != VERSION:
         raise FeatureFileError(f"unsupported version {version}")
     if camera_code not in _CAMERA_FROM_CODE:
@@ -73,7 +75,10 @@ def read_features(path: str | Path) -> FeatureStream:
     if not np.all(np.isfinite(values)):
         raise FeatureFileError("non-finite values in payload")
     values.setflags(write=False)  # fresh and ours: FeatureStream keeps it without a copy
-    return FeatureStream(vid, _CAMERA_FROM_CODE[camera_code], fps, values)
+    try:
+        return FeatureStream(vid, _CAMERA_FROM_CODE[camera_code], fps, values)
+    except ValueError as e:  # fps not positive and finite
+        raise FeatureFileError(str(e)) from None
 
 
 def color_histogram(img: Image, bins_per_channel: int = 8) -> np.ndarray:

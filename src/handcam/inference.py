@@ -118,43 +118,51 @@ def _check_lam(lam: float) -> None:
         raise ValueError("lam must be >= 0")
 
 
-def decode(problem: InferenceProblem, lam: float) -> StateSequence:
-    """Exact maximization of the sequence score at boundary weight lam by
-    segment-level DP.
+def decode(problem: InferenceProblem, lams: Sequence[float]) -> list[StateSequence]:
+    """Exact maximization of the sequence score at every boundary weight in
+    lams, by one segment-level DP pass over all of them.
 
-    Complexity O(|C| K^2). Among equal-scoring optima the result is the
-    lexicographically smallest state sequence from the first segment on
-    (so ties prefer the lower state index).
+    The suffix values of all L weights form one (L, K) array, so the DP loop
+    over the |C|+1 segments runs once: O(|C| L K^2). Back-tracking then
+    follows one pointer per segment and weight. Among equal-scoring optima
+    the result is the lexicographically smallest state sequence from the
+    first segment on (so ties prefer the lower state index).
     """
-    _check_lam(lam)
+    for lam in lams:
+        _check_lam(lam)
+    weights = np.asarray(lams, dtype=np.float64)
     n, k = problem.n_frames, problem.num_states
     cand = problem.candidates
     bounds = segment_bounds(n, cand)
     useg = np.add.reduceat(problem.unary, bounds[:-1], axis=0)  # (m+1, K)
     sims = problem.boundary_similarities
+    stay = np.multiply.outer(sims, weights)[:, :, None]  # (m, L, 1): lam*sim
+    switch = np.multiply.outer(sims, -weights)[:, :, None, None]  # (m, L, 1, 1): -lam*sim
     m = cand.size
 
-    # suffix values: value[g][k] = best score of segments g.. with segment g in state k;
-    # nxt[g][k] = the state of segment g+1 that attains it (first max: lowest state)
-    value = np.empty((m + 1, k))
-    nxt = np.empty((m, k), dtype=np.int64)
-    value[m] = useg[m]
+    # value[l, k] = best score of segments g.. with segment g in state k at weight l;
+    # nxt[g, l, k] = the state of segment g+1 that attains it (first max: lowest state).
+    # scores[l, k, j] = value[l, j] + (lam*sim if k == j else -lam*sim), filled in place
+    value = np.broadcast_to(useg[m], (weights.size, k))
+    nxt = np.empty((m, weights.size, k), dtype=np.int64)
+    scores = np.empty((weights.size, k, k))
+    diagonal = scores.reshape(weights.size, k * k)[:, :: k + 1]
     for g in range(m - 1, -1, -1):
-        boundary = np.full((k, k), -lam * sims[g])
-        np.fill_diagonal(boundary, lam * sims[g])
-        scores = boundary + value[g + 1][None, :]
-        nxt[g] = np.argmax(scores, axis=1)
-        value[g] = useg[g] + np.max(scores, axis=1)
+        np.add(value[:, None, :], switch[g], out=scores)
+        np.add(value, stay[g], out=diagonal)
+        np.argmax(scores, axis=2, out=nxt[g])
+        value = useg[g] + np.max(scores, axis=2)
 
-    seg_states = np.empty(m + 1, dtype=np.int64)
-    seg_states[0] = np.argmax(value[0])  # first max: lowest state index
-    for g in range(m):
-        seg_states[g + 1] = nxt[g, seg_states[g]]
+    seg_states = np.empty((weights.size, m + 1), dtype=np.int64)
+    seg_states[:, 0] = np.argmax(value, axis=1)  # first max: lowest state index
+    for row, path in enumerate(seg_states):  # scalar steps beat a fancy index per segment
+        state = path[0]
+        for g in range(m):
+            state = path[g + 1] = nxt[g, row, state]
 
-    states = np.repeat(seg_states, np.diff(bounds))
-    if problem.label_space is not None:
-        return StateSequence(problem.label_space, states)
-    return StateSequence(None, states, num_states=k)
+    lengths = np.diff(bounds)
+    return [StateSequence(problem.label_space, np.repeat(s, lengths), num_states=k)
+            for s in seg_states]
 
 
 def score_sequence(
@@ -188,13 +196,10 @@ def decode_stream(
     lams: Sequence[float],
     label_space: LabelSpace | None = None,
 ) -> list[StateSequence]:
-    """Decode one stream at every boundary weight in lams.
-
-    The segment features and the problem depend only on the stream, the
-    unaries and the candidates, so they are built once; only the DP runs
-    per lambda.
-    """
+    """Decode one stream at every boundary weight in lams: the segment
+    features and the problem are built once, and one DP pass serves every
+    lambda."""
     problem = InferenceProblem(
         unary, candidates, segment_features(stream, candidates), label_space=label_space
     )
-    return [decode(problem, lam) for lam in lams]
+    return decode(problem, lams)

@@ -47,7 +47,7 @@ def test_criterion_1_dp_optimality():
     start = time.time()
     for _ in range(200):
         problem, lam = _make_problem(rng)
-        decoded = inference.decode(problem, lam)
+        decoded = inference.decode(problem, [lam])[0]
         dp_score = inference.score_sequence(problem, decoded, lam)
         bounds = inference.segment_bounds(problem.n_frames, problem.candidates)
         lengths = np.diff(bounds)
@@ -75,12 +75,12 @@ def test_criterion_2_degenerate_reductions():
         feats = [np.array([np.cos(a), np.sin(a)]) for a in angles]
         all_cand = inference.InferenceProblem(unary, np.arange(1, n), feats)
         assert np.array_equal(
-            inference.decode(all_cand, 0.0).states, np.argmax(unary, axis=1)
+            inference.decode(all_cand, [0.0])[0].states, np.argmax(unary, axis=1)
         )
         no_cand = inference.InferenceProblem(
             unary, np.array([], dtype=int), [np.ones(2)]
         )
-        decoded = inference.decode(no_cand, 1.0).states
+        decoded = inference.decode(no_cand, [1.0])[0].states
         assert len(set(decoded.tolist())) == 1
         assert decoded[0] == int(np.argmax(unary.sum(axis=0)))
     _report("2 degenerate reductions (lambda=0 argmax, forced constant): PASS")
@@ -113,7 +113,7 @@ def test_criterion_3_unary_to_full_improvement():
         )
         cands = change.detect_candidates(test_stream, change_model, d)
         segf = inference.segment_features(test_stream, cands)
-        decoded = inference.decode(inference.InferenceProblem(unary, cands, segf), lam)
+        decoded = inference.decode(inference.InferenceProblem(unary, cands, segf), [lam])[0]
         full_accs.append(float(np.mean(decoded.states == test_truth.states)))
     elapsed = time.time() - start
     med_u, med_f = float(np.median(unary_accs)), float(np.median(full_accs))

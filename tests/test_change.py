@@ -14,6 +14,27 @@ from handcam.classify import LinearModel, TrainConfig
 from handcam.core import Camera, FeatureStream, StateSequence, run_starts
 
 
+def suppress_non_maxima_greedy(frame_indices, confidences, radius):
+    """NMS as it ran before the windowed maximum: a quadratic local-maximum
+    test, then greedy selection by confidence (the reference, bit for bit)."""
+    idx = np.asarray(frame_indices, dtype=np.int64)
+    conf = np.asarray(confidences, dtype=np.float64)
+    is_local_max = np.array(
+        [conf[j] >= conf[np.abs(idx - idx[j]) <= radius].max() for j in range(idx.size)],
+        dtype=bool,
+    )
+    order = np.argsort(-conf, kind="stable")  # stable: equal scores keep earlier frames
+    alive = np.ones(idx.size, dtype=bool)
+    kept = []
+    for j in order:
+        if not alive[j] or not is_local_max[j]:
+            continue
+        kept.append(j)
+        alive[np.abs(idx - idx[j]) <= radius] = False
+    kept.sort()
+    return idx[kept], conf[kept]
+
+
 def stream_from(values):
     return FeatureStream("v", Camera.RIGHT_HAND, 6.0, np.asarray(values, dtype=np.float64))
 
@@ -131,6 +152,33 @@ class TestNms:
         a = suppress_non_maxima(np.arange(50), conf, 4)
         b = suppress_non_maxima(np.arange(50), conf + 123.0, 4)
         assert np.array_equal(a.frame_indices, b.frame_indices)
+
+    def test_equals_greedy_reference(self):
+        rng = np.random.default_rng(4)
+        for trial in range(600):
+            n = int(rng.integers(1, 201))
+            radius = int(rng.integers(1, 13))
+            start = int(rng.integers(0, 50))
+            if trial % 2:  # integer tracks: plateaus of every length
+                conf = rng.integers(0, int(rng.integers(1, 5)), n).astype(np.float64)
+            else:
+                conf = rng.standard_normal(n)
+            idx = np.arange(start, start + n)
+            got = suppress_non_maxima(idx, conf, radius)
+            want_idx, want_conf = suppress_non_maxima_greedy(idx, conf, radius)
+            assert np.array_equal(got.frame_indices, want_idx)
+            assert np.array_equal(got.confidences, want_conf)
+            assert got.suppression_radius == radius
+
+    def test_empty_track(self):
+        cands = suppress_non_maxima(np.arange(0), np.empty(0), 3)
+        assert len(cands) == 0
+
+    def test_non_consecutive_indices_rejected(self):
+        with pytest.raises(ValueError, match="consecutive"):
+            suppress_non_maxima(np.array([2, 3, 5]), np.array([1.0, 2.0, 3.0]), 1)
+        with pytest.raises(ValueError, match="consecutive"):
+            suppress_non_maxima(np.array([3, 2, 1]), np.array([1.0, 2.0, 3.0]), 1)
 
     def test_candidate_set_validation(self):
         with pytest.raises(ValueError, match="separated"):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,17 @@ class TestModelFile:
         path = tmp_path / "bad.bin"
         path.write_bytes(bytes(data))
         with pytest.raises(ModelFileError, match="kind"):
+            load_model(path)
+
+    def test_impossible_shape_rejected(self, tmp_path):
+        model = train_binary(*two_blobs(seed=7), TrainConfig(epochs=5))
+        data = bytearray(model_bytes(model))
+        shape_at = len(data) - 8 * (model.weights.size + model.bias.size) - 8  # the (k, d) u32s
+        assert struct.unpack_from("<II", data, shape_at) == model.weights.shape
+        data[shape_at : shape_at + 8] = b"\xff" * 8
+        path = tmp_path / "huge.bin"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFileError, match="shape"):
             load_model(path)
 
     def test_change_model_records_d(self, tmp_path):

@@ -98,6 +98,10 @@ class TestExtractFuse:
                      "--out", str(feat), "--bins", "4"]) == 0
         stream = read_features(feat)
         assert stream.n_frames == 3 and stream.dim == 64
+        # a NaN fps is rejected, not written to a file that would not read back
+        assert main(["extract", "--video", str(tmp_path / "vid0"), "--out",
+                     str(tmp_path / "nan.feat"), "--fps", "nan"]) == 2
+        assert not (tmp_path / "nan.feat").exists()
         fused = tmp_path / "fused.feat"
         assert main(["fuse", "--inputs", str(feat), str(feat), "--out", str(fused)]) == 0
         assert read_features(fused).dim == 128
@@ -167,6 +171,22 @@ class TestTrainInferEval:
             assert main([*unary, *extra]) == 2
             assert extra[0] in capsys.readouterr().err
         assert main([*unary, "--out", str(tmp_path / "pred.txt")]) == 0
+
+    def test_numeric_lambda_rejects_cv_result(self, tmp_path, capsys):
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        smodel, cmodel = tmp_path / "state.bin", tmp_path / "change.bin"
+        common = ["--features", *feats, "--truth", *truths, "--label-space", str(ges),
+                  "--epochs", "20"]
+        assert main(["train-state", *common, "--out", str(smodel)]) == 0
+        assert main(["train-change", *common, "--d", "3", "--out", str(cmodel)]) == 0
+        full = ["infer", "--features", feats[0], "--state-model", str(smodel), "--mode", "full",
+                "--change-model", str(cmodel), "--d", "3", "--lambda", "2"]
+        capsys.readouterr()
+        assert main([*full, "--cv-result", str(tmp_path / "does-not-exist.json")]) == 2
+        err = capsys.readouterr().err
+        assert "--cv-result" in err and "--lambda" in err
+        assert main([*full, "--out", str(tmp_path / "pred.txt")]) == 0
 
     def test_d_differing_from_change_model_rejected(self, tmp_path, capsys):
         _, ges, _ = write_spaces(tmp_path)

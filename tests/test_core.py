@@ -212,6 +212,9 @@ class TestFeatureStream:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             FeatureStream("v", Camera.HEAD, 6.0, np.array([[np.inf, 0.0]]))
+        for fps in (np.nan, np.inf, 0.0, -6.0):
+            with pytest.raises(ValueError, match="fps"):
+                FeatureStream("v", Camera.HEAD, fps, np.zeros((1, 2)))
 
     def test_immutable(self):
         s = FeatureStream("v", Camera.HEAD, 6.0, np.zeros((2, 2)))

@@ -131,13 +131,13 @@ class TestDecode:
         rng = np.random.default_rng(1)
         unary = rng.uniform(-1, 1, (12, 3))
         p = make_problem(unary, np.arange(1, 12), rng.uniform(-1, 1, 11))
-        assert np.array_equal(decode(p, 0.0).states, np.argmax(unary, axis=1))
+        assert np.array_equal(decode(p, [0.0])[0].states, np.argmax(unary, axis=1))
 
     def test_no_candidates_best_constant(self):
         rng = np.random.default_rng(2)
         unary = rng.uniform(-1, 1, (9, 4))
         p = InferenceProblem(unary, np.array([], dtype=int), [np.ones(2)])
-        dec = decode(p, 1.0)
+        dec = decode(p, [1.0])[0]
         assert len(set(dec.states.tolist())) == 1
         assert dec.states[0] == int(np.argmax(unary.sum(axis=0)))
 
@@ -145,7 +145,7 @@ class TestDecode:
         rng = np.random.default_rng(3)
         for _ in range(200):
             p, lam = random_problem(rng)
-            dec = decode(p, lam)
+            dec = decode(p, [lam])[0]
             dp_score = score_sequence(p, dec, lam)
             bf_score, _ = brute_force_best(p, lam)
             assert dp_score == bf_score
@@ -154,7 +154,7 @@ class TestDecode:
         rng = np.random.default_rng(4)
         for _ in range(50):
             p, lam = random_problem(rng)
-            states = decode(p, lam).states
+            states = decode(p, [lam])[0].states
             changes = np.nonzero(states[1:] != states[:-1])[0] + 1
             assert np.isin(changes, p.candidates).all()
 
@@ -163,8 +163,8 @@ class TestDecode:
         unary = rng.uniform(-1, 1, (15, 3))
         cand = np.array([4, 9])
         sims = rng.uniform(-1, 1, 2)
-        a = decode(make_problem(unary, cand, sims), 1.0)
-        b = decode(make_problem(unary + 7.25, cand, sims), 1.0)
+        a = decode(make_problem(unary, cand, sims), [1.0])[0]
+        b = decode(make_problem(unary + 7.25, cand, sims), [1.0])[0]
         assert np.array_equal(a.states, b.states)
 
     def test_large_lambda_positive_sims_forces_constant(self):
@@ -172,12 +172,12 @@ class TestDecode:
         unary = rng.uniform(-1, 1, (20, 3))
         cand = np.array([5, 10, 15])
         p = make_problem(unary, cand, [0.9, 0.8, 0.95])
-        assert len(set(decode(p, 1e6).states.tolist())) == 1
+        assert len(set(decode(p, [1e6])[0].states.tolist())) == 1
 
     def test_decode_beats_random_legal_sequences(self):
         rng = np.random.default_rng(7)
         p, lam = random_problem(rng, max_n=10, max_k=4, max_c=4)
-        best = score_sequence(p, decode(p, lam), lam)
+        best = score_sequence(p, decode(p, [lam])[0], lam)
         bounds = segment_bounds(p.n_frames, p.candidates)
         lengths = np.diff(bounds)
         for _ in range(1000):
@@ -188,7 +188,7 @@ class TestDecode:
     def test_negative_lambda_rejected(self):
         p = make_problem(np.zeros((3, 2)), np.array([1]), [0.5])
         with pytest.raises(ValueError, match="lam"):
-            decode(p, -1.0)
+            decode(p, [1.0, -1.0])
         with pytest.raises(ValueError, match="lam"):
             score_sequence(p, np.zeros(3, dtype=int), -1.0)
 
@@ -197,12 +197,12 @@ class TestDecode:
 
         space = LabelSpace.free_active()
         p = make_problem(np.zeros((4, 2)), np.array([2]), [0.5], label_space=space)
-        assert decode(p, 1.0).label_space == space
+        assert decode(p, [1.0])[0].label_space == space
 
     def test_tie_prefers_lower_state_lexicographically(self):
         # all-zero unaries, zero similarity: every sequence ties; expect all-0
         p = make_problem(np.zeros((6, 3)), np.array([3]), [0.0])
-        assert decode(p, 1.0).states.tolist() == [0] * 6
+        assert decode(p, [1.0])[0].states.tolist() == [0] * 6
 
 
 def decode_rebuilding_boundaries(problem, lam):
@@ -242,7 +242,7 @@ class TestDecodeBackPointers:
             problem = InferenceProblem(unary, cand, feats)
             lam = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
             assert np.array_equal(
-                decode(problem, lam).states, decode_rebuilding_boundaries(problem, lam)
+                decode(problem, [lam])[0].states, decode_rebuilding_boundaries(problem, lam)
             )
 
 
@@ -257,4 +257,69 @@ class TestDecodeStream:
         decoded = decode_stream(stream, unary, cand, lams)
         assert len(decoded) == len(lams)
         for lam, seq in zip(lams, decoded):
-            assert np.array_equal(seq.states, decode(problem, lam).states)
+            assert np.array_equal(seq.states, decode(problem, [lam])[0].states)
+
+
+def decode_per_lambda(problem, lam):
+    """The segment DP as it ran once per lambda before every lambda shared
+    one pass (the reference for the batched decode, bit for bit)."""
+    n, k = problem.n_frames, problem.num_states
+    cand = problem.candidates
+    bounds = segment_bounds(n, cand)
+    useg = np.add.reduceat(problem.unary, bounds[:-1], axis=0)
+    sims = problem.boundary_similarities
+    m = cand.size
+    value = np.empty((m + 1, k))
+    nxt = np.empty((m, k), dtype=np.int64)
+    value[m] = useg[m]
+    for g in range(m - 1, -1, -1):
+        boundary = np.full((k, k), -lam * sims[g])
+        np.fill_diagonal(boundary, lam * sims[g])
+        scores = boundary + value[g + 1][None, :]
+        nxt[g] = np.argmax(scores, axis=1)
+        value[g] = useg[g] + np.max(scores, axis=1)
+    seg_states = np.empty(m + 1, dtype=np.int64)
+    seg_states[0] = np.argmax(value[0])
+    for g in range(m):
+        seg_states[g + 1] = nxt[g, seg_states[g]]
+    return np.repeat(seg_states, np.diff(bounds))
+
+
+class TestDecodeAllLambdas:
+    LAMS = [0.0, 0.5, 1.0, 2.0, 3.0]
+
+    def test_equals_per_lambda_dp_on_ties(self):
+        rng = np.random.default_rng(10)
+        axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])  # similarities exactly -1, 0, 1
+        for trial in range(400):
+            n = int(rng.integers(1, 40))
+            k = int(rng.integers(1, 25))
+            m = 0 if trial % 5 == 0 else int(rng.integers(0, n))
+            cand = np.sort(rng.choice(np.arange(1, n), size=m, replace=False))
+            unary = rng.integers(-1, 2, (n, k)).astype(np.float64)
+            if trial % 2:
+                feats = axes[rng.integers(0, 3, m + 1)]
+            else:
+                feats = rng.integers(-1, 2, (m + 1, 2)).astype(np.float64)
+            problem = InferenceProblem(unary, cand, feats)
+            decoded = decode(problem, self.LAMS)
+            assert len(decoded) == len(self.LAMS)
+            for lam, seq in zip(self.LAMS, decoded):
+                assert np.array_equal(seq.states, decode_per_lambda(problem, lam))
+
+    def test_equals_per_lambda_dp_on_random_scores(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n, k = int(rng.integers(2, 80)), int(rng.integers(1, 25))
+            m = int(rng.integers(0, n))
+            cand = np.sort(rng.choice(np.arange(1, n), size=m, replace=False))
+            problem = InferenceProblem(
+                rng.standard_normal((n, k)), cand, rng.standard_normal((m + 1, 3))
+            )
+            lams = [0.0, *rng.uniform(0.0, 5.0, 3)]
+            for lam, seq in zip(lams, decode(problem, lams)):
+                assert np.array_equal(seq.states, decode_per_lambda(problem, lam))
+
+    def test_no_lambdas_no_sequences(self):
+        p = make_problem(np.zeros((4, 2)), np.array([2]), [0.5])
+        assert decode(p, []) == []

@@ -108,7 +108,6 @@ UNREFERENCED_ALLOWED = {
     "inference.score_sequence": "oracle: the objective decode maximizes, for exhaustive checks",
     "classify.training_objective": "oracle: the objective training descends, for solver checks",
     "core.save_label_space": "round-trip inverse of load_label_space",
-    "alignment.read_alignment_report": "round-trip inverse of write_alignment_report",
     "synth.orthonormal_centers": "synthetic fixture: well-separated state centers",
     "synth.smooth_patch": "synthetic fixture: low-frequency hand texture",
 }
