@@ -3,17 +3,21 @@
 Training is deterministic full-batch subgradient descent on the
 L2-regularized hinge loss
 
-    J_k(w, b) = c_reg/2 * ||w_k||^2 + mean_i max(0, 1 - y_ik (w_k x_i + b_k))
+    J_k(w, b) = C_k/2 * ||w_k||^2 + mean_i max(0, 1 - y_ik (w_k x_i + b_k))
 
-with step size 1/(c_reg * t) and zero initialization. The iterate with the
-lowest objective is kept per class, so the returned objective never exceeds
-the value at initialization. Identical inputs and config give bit-identical
-models. Confidences are raw margins; the decoding weight lambda absorbs
-their scale, so no calibration is applied.
+with step size 1/(C_k * t) and zero initialization. Each column k of a
+solve (one class under one C) has its own C_k. The shrink factor 1 - 1/t
+does not depend on C, so one solve trains the models of a whole C grid as
+column blocks. The iterate with the lowest objective is kept per column,
+so the returned objective never exceeds the value at initialization.
+Identical inputs and config give bit-identical models. Confidences are raw
+margins; the decoding weight lambda absorbs their scale, so no calibration
+is applied.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,8 +34,8 @@ class TrainConfig:
     epochs: int = 200
 
     def __post_init__(self) -> None:
-        if self.c_reg <= 0:
-            raise ValueError("c_reg must be positive")
+        if not (0 < self.c_reg < math.inf and 1.0 / self.c_reg < math.inf):  # steps are 1/C
+            raise ValueError(f"c_reg must be positive, finite and not tiny, got {self.c_reg}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -81,9 +85,10 @@ class LinearModel:
 
 
 def _solve_subgradient(
-    x: np.ndarray, y_signs: np.ndarray, c_reg: float, epochs: int
+    x: np.ndarray, y_signs: np.ndarray, c_regs: np.ndarray, epochs: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best-objective iterate of subgradient descent, per class column."""
+    """Best-objective iterate of subgradient descent, per column; c_regs
+    holds each column's C."""
     n, d = x.shape
     k = y_signs.shape[1]
     w = np.zeros((k, d))
@@ -92,7 +97,7 @@ def _solve_subgradient(
     best_obj = np.full(k, np.inf)
     for t in range(epochs + 1):
         margins = y_signs * (x @ w.T + b)
-        obj = 0.5 * c_reg * (w * w).sum(axis=1) + np.maximum(0.0, 1.0 - margins).mean(axis=0)
+        obj = 0.5 * c_regs * (w * w).sum(axis=1) + np.maximum(0.0, 1.0 - margins).mean(axis=0)
         better = obj < best_obj
         best_w[better] = w[better]
         best_b[better] = b[better]
@@ -100,8 +105,8 @@ def _solve_subgradient(
         if t == epochs:
             break
         active = np.where(margins < 1.0, y_signs, 0.0)
-        eta = 1.0 / (c_reg * (t + 1))
-        w = (1.0 - eta * c_reg) * w + (eta / n) * (active.T @ x)
+        eta = 1.0 / (c_regs * (t + 1))
+        w = (1.0 - eta * c_regs)[:, None] * w + (eta / n)[:, None] * (active.T @ x)
         b = b + (eta / n) * active.sum(axis=0)
     return best_w, best_b, best_obj
 
@@ -115,16 +120,22 @@ def _check_training_input(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError("training data must contain at least two distinct labels")
 
 
-def train_arrays(
-    x: np.ndarray,
-    y: np.ndarray,
-    label_space: LabelSpace | int,
-    config: TrainConfig = TrainConfig(),
-) -> LinearModel:
-    """Train the multiclass state model on stacked frame features.
+def _fit(
+    x: np.ndarray, y_signs: np.ndarray, space: LabelSpace | None, c_grid: Sequence[float],
+    epochs: int,
+) -> list[LinearModel]:
+    """One model per C of c_grid from one solve of the sign columns tiled C-major."""
+    configs = [TrainConfig(c, epochs) for c in c_grid]
+    k = y_signs.shape[1]
+    w, b, _ = _solve_subgradient(x, np.tile(y_signs, len(configs)), np.repeat(c_grid, k), epochs)
+    return [LinearModel(w[i * k : (i + 1) * k], b[i * k : (i + 1) * k], space, cfg)
+            for i, cfg in enumerate(configs)]
 
-    label_space may be a plain state count for detached models.
-    """
+
+def _state_models(
+    x: np.ndarray, y: np.ndarray, label_space: LabelSpace | int, c_grid: Sequence[float],
+    epochs: int,
+) -> list[LinearModel]:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     _check_training_input(x, y)
@@ -136,16 +147,25 @@ def train_arrays(
         raise ValueError("labels out of range for the label space")
     y_signs = np.full((x.shape[0], k), -1.0)
     y_signs[np.arange(x.shape[0]), y] = 1.0
-    w, b, _ = _solve_subgradient(x, y_signs, config.c_reg, config.epochs)
-    return LinearModel(w, b, space, config)
+    return _fit(x, y_signs, space, c_grid, epochs)
 
 
-def train(
-    streams: Sequence[FeatureStream],
-    truths: Sequence[StateSequence],
+def train_arrays(
+    x: np.ndarray,
+    y: np.ndarray,
+    label_space: LabelSpace | int,
     config: TrainConfig = TrainConfig(),
 ) -> LinearModel:
-    """Train on labeled streams; all streams must share one dimension."""
+    """Train the multiclass state model on stacked frame features.
+
+    label_space may be a plain state count for detached models.
+    """
+    return _state_models(x, y, label_space, [config.c_reg], config.epochs)[0]
+
+
+def _stacked(
+    streams: Sequence[FeatureStream], truths: Sequence[StateSequence]
+) -> tuple[np.ndarray, np.ndarray, LabelSpace | int]:
     if len(streams) != len(truths) or not streams:
         raise ValueError("need matching, non-empty streams and truths")
     space = truths[0].label_space
@@ -160,21 +180,43 @@ def train(
             raise ValueError(f"video {s.video_id}: dim {s.dim} != {streams[0].dim}")
     x = np.concatenate([s.values for s in streams])
     y = np.concatenate([t.states for t in truths])
-    return train_arrays(x, y, space if space is not None else truths[0].num_states, config)
+    return x, y, space if space is not None else truths[0].num_states
+
+
+def train(
+    streams: Sequence[FeatureStream],
+    truths: Sequence[StateSequence],
+    config: TrainConfig = TrainConfig(),
+) -> LinearModel:
+    """Train on labeled streams; all streams must share one dimension."""
+    return train_arrays(*_stacked(streams, truths), config)
+
+
+def train_grid(
+    streams: Sequence[FeatureStream], truths: Sequence[StateSequence], c_grid: Sequence[float],
+    epochs: int,
+) -> list[LinearModel]:
+    """`train` for every C of c_grid, in one solver run."""
+    return _state_models(*_stacked(streams, truths), c_grid, epochs)
+
+
+def train_binary_grid(
+    x: np.ndarray, y: np.ndarray, c_grid: Sequence[float], epochs: int
+) -> list[LinearModel]:
+    """`train_binary` for every C of c_grid, in one solver run."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    _check_training_input(x, y)
+    if not set(np.unique(y)) <= {0, 1}:
+        raise ValueError("binary labels must be 0 or 1")
+    return _fit(x, (2.0 * y - 1.0)[:, None], None, c_grid, epochs)
 
 
 def train_binary(
     x: np.ndarray, y: np.ndarray, config: TrainConfig = TrainConfig()
 ) -> LinearModel:
     """Train the binary change scorer; y holds 0/1 labels."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    _check_training_input(x, y)
-    if not set(np.unique(y)) <= {0, 1}:
-        raise ValueError("binary labels must be 0 or 1")
-    y_signs = (2.0 * y - 1.0)[:, None]
-    w, b, _ = _solve_subgradient(x, y_signs, config.c_reg, config.epochs)
-    return LinearModel(w, b, None, config)
+    return train_binary_grid(x, y, [config.c_reg], config.epochs)[0]
 
 
 def training_objective(model: LinearModel, x: np.ndarray, y_signs: np.ndarray) -> np.ndarray:

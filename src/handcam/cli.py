@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -71,9 +72,10 @@ _JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
 def _check_json(value, kind, where: str):
     """Return value if it is of kind, else raise ValueError naming `where`.
 
-    A kind is "integer", "number" or "string", with " or auto" also allowing
-    "auto"; [kind], a list of them; or {key: kind}, an object whose keys
-    ending in '?' may be absent and which has no other keys.
+    A kind is "integer", "number" (finite: Python's json also reads NaN and
+    Infinity) or "string", with " or auto" also allowing "auto"; [kind], a
+    list of them; or {key: kind}, an object whose keys ending in '?' may be
+    absent and which has no other keys.
     """
     if isinstance(kind, dict):
         if not isinstance(value, dict):
@@ -95,7 +97,8 @@ def _check_json(value, kind, where: str):
     elif not (
         (kind.endswith(" or auto") and value == "auto")
         or (isinstance(value, _JSON_TYPES[kind.removesuffix(" or auto")])
-            and not isinstance(value, bool))
+            and not isinstance(value, bool)
+            and (not isinstance(value, float) or math.isfinite(value)))
     ):
         raise ValueError(f"{where} must be {kind}, got {value!r}")
     return value

@@ -7,14 +7,15 @@ DP) on held-out videos, averaged over folds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .change import detect_candidates, train_change_model
-from .classify import TrainConfig, score_stream, train
+from .change import change_training_set, detect_candidates
+from .classify import TrainConfig, score_stream, train_binary_grid, train_grid
 from .core import FeatureStream, StateSequence
 from .inference import decode_stream
 
@@ -31,6 +32,12 @@ class CrossValPlan:
             raise ValueError("folds must be >= 2")
         if not (self.c_grid and self.d_grid and self.lambda_grid):
             raise ValueError("grids must be non-empty")
+        for c in self.c_grid:
+            TrainConfig(c_reg=c)  # rejects a C the solver cannot use
+        if min(self.d_grid) < 1:
+            raise ValueError("d grid values must be >= 1")
+        if not all(0 <= lam < math.inf for lam in self.lambda_grid):
+            raise ValueError(f"lambda grid values must be finite and >= 0, got {self.lambda_grid}")
         # sorted grids make the tie-break numeric: smaller C, then d, then lambda
         object.__setattr__(self, "c_grid", tuple(sorted(set(self.c_grid))))
         object.__setattr__(self, "d_grid", tuple(sorted(set(self.d_grid))))
@@ -66,6 +73,9 @@ def cross_validate(
     the training folds, decodes the held-out videos, and scores per-frame
     accuracy pooled within each fold. Ties go to the smaller C, then d,
     then lambda.
+
+    Each fold trains the state models of every C in one solver run, and
+    the change models of every C in one run per d.
     """
     if len(videos) < plan.folds:
         raise ValueError(
@@ -76,7 +86,8 @@ def cross_validate(
     folds = [videos[i :: plan.folds] for i in range(plan.folds)]
 
     # accumulate per-(c, d, lam) fold accuracies; state models are shared
-    # across d and lam, change models and decoding problems across lam
+    # across d and lam, change models (one solve per d for all C) and
+    # decoding problems across lam
     cells: dict[tuple[float, int, float], list[float]] = {
         key: [] for key in product(plan.c_grid, plan.d_grid, plan.lambda_grid)
     }
@@ -85,14 +96,14 @@ def cross_validate(
         train_streams = [s for s, _ in videos if s.video_id not in val_ids]
         train_truths = [t for s, t in videos if s.video_id not in val_ids]
         total = sum(len(t) for _, t in fold)
-        for c in plan.c_grid:
-            cfg = TrainConfig(c_reg=c, epochs=base_config.epochs)
-            state_model = train(train_streams, train_truths, cfg)
-            unaries = [score_stream(state_model, s) for s, _ in fold]
-            for d in plan.d_grid:
-                change_model = train_change_model(train_streams, train_truths, d, cfg)
+        state_models = train_grid(train_streams, train_truths, plan.c_grid, base_config.epochs)
+        unaries = [[score_stream(m, s) for s, _ in fold] for m in state_models]
+        for d in plan.d_grid:
+            x, y = change_training_set(train_streams, train_truths, d)
+            change_models = train_binary_grid(x, y, plan.c_grid, base_config.epochs)
+            for c, change_model, c_unaries in zip(plan.c_grid, change_models, unaries):
                 correct = np.zeros(len(plan.lambda_grid), dtype=np.int64)
-                for (stream, truth), unary in zip(fold, unaries):
+                for (stream, truth), unary in zip(fold, c_unaries):
                     cands = detect_candidates(stream, change_model, d)
                     decoded = decode_stream(
                         stream, unary, cands, plan.lambda_grid, label_space=truth.label_space
@@ -101,14 +112,6 @@ def cross_validate(
                 for lam, n_correct in zip(plan.lambda_grid, correct):
                     cells[(c, d, lam)].append(int(n_correct) / total)
 
-    table = []
-    best_key = None
-    best_acc = -1.0
-    for key in product(plan.c_grid, plan.d_grid, plan.lambda_grid):
-        accs = cells[key]
-        mean_acc = float(np.mean(accs))
-        table.append(CVCell(key[0], key[1], key[2], mean_acc, tuple(accs)))
-        if mean_acc > best_acc:
-            best_acc = mean_acc
-            best_key = key
-    return CVResult(best_key[0], best_key[1], best_key[2], tuple(table))
+    table = tuple(CVCell(*key, float(np.mean(accs)), tuple(accs)) for key, accs in cells.items())
+    best = max(table, key=lambda cell: cell.mean_accuracy)  # the first, so the smallest cell
+    return CVResult(best.c_reg, best.d, best.lam, table)

@@ -14,6 +14,7 @@ which makes an exact dynamic program over segments x states possible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -114,8 +115,8 @@ class InferenceProblem:
 
 
 def _check_lam(lam: float) -> None:
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not 0 <= lam < math.inf:  # also false for NaN
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
 
 
 def decode(problem: InferenceProblem, lams: Sequence[float]) -> list[StateSequence]:

@@ -1,10 +1,11 @@
 import struct
+from itertools import product
 
 import numpy as np
 import pytest
 
-from handcam import synth
-from handcam.change import train_change_model
+from handcam import classify, synth
+from handcam.change import change_training_set, detect_candidates, train_change_model
 from handcam.classify import (
     LinearModel,
     ModelFileError,
@@ -17,10 +18,13 @@ from handcam.classify import (
     train,
     train_arrays,
     train_binary,
+    train_binary_grid,
+    train_grid,
     training_objective,
 )
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence
-from handcam.crossval import CrossValPlan, cross_validate
+from handcam.crossval import CrossValPlan, CVCell, CVResult, cross_validate
+from handcam.inference import decode_stream
 
 
 def two_blobs(seed=0, n_per=100, margin=5.0, sigma=1.0, dim=4):
@@ -88,6 +92,14 @@ class TestTrain:
             obj = training_objective(model, x, signs)
             assert np.all(obj <= 1.0 + 1e-12)  # objective at w = 0, b = 0 is 1
 
+    def test_unusable_c_rejected(self):
+        # NaN passed a `c_reg <= 0` test, and 1 / 1e-320 overflows to inf;
+        # each trained an all-zero model
+        for c in (0.0, -1.0, float("nan"), float("inf"), 1e-320):
+            with pytest.raises(ValueError, match="c_reg"):
+                TrainConfig(c_reg=c)
+        assert TrainConfig(c_reg=1e-300).c_reg == 1e-300
+
     def test_train_on_streams(self):
         x, y = two_blobs(seed=5)
         space = LabelSpace.free_active()
@@ -96,6 +108,101 @@ class TestTrain:
         model = train(streams, truths)
         assert model.label_space == space
         assert predict_frames(model, streams[0]).states.tolist() == y.tolist()
+
+
+def parent_solve(x, y_signs, c_reg, epochs):
+    """The solver as it was with one scalar C for every column, verbatim."""
+    n, d = x.shape
+    k = y_signs.shape[1]
+    w = np.zeros((k, d))
+    b = np.zeros(k)
+    best_w, best_b = w.copy(), b.copy()
+    best_obj = np.full(k, np.inf)
+    for t in range(epochs + 1):
+        margins = y_signs * (x @ w.T + b)
+        obj = 0.5 * c_reg * (w * w).sum(axis=1) + np.maximum(0.0, 1.0 - margins).mean(axis=0)
+        better = obj < best_obj
+        best_w[better] = w[better]
+        best_b[better] = b[better]
+        best_obj[better] = obj[better]
+        if t == epochs:
+            break
+        active = np.where(margins < 1.0, y_signs, 0.0)
+        eta = 1.0 / (c_reg * (t + 1))
+        w = (1.0 - eta * c_reg) * w + (eta / n) * (active.T @ x)
+        b = b + (eta / n) * active.sum(axis=0)
+    return best_w, best_b, best_obj
+
+
+def one_vs_rest(y, k):
+    signs = np.full((y.size, k), -1.0)
+    signs[np.arange(y.size), y] = 1.0
+    return signs
+
+
+def seeded_states(seed, k, n=150, dim=7):
+    rng = np.random.default_rng(seed)
+    y = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+    x = rng.standard_normal((n, dim)) + 1.5 * rng.standard_normal((k, dim))[y]
+    return x, y
+
+
+C_GRID = (0.01, 0.1, 1.0, 10.0)
+
+
+class TestGridSolve:
+    """Every C of a grid solved as column blocks of one run."""
+
+    def test_one_c_matches_scalar_solver_bytes(self):
+        for k, c in product(range(2, 14), (0.01, 1.0, 10.0)):
+            x, y = seeded_states(k, k)
+            cfg = TrainConfig(c_reg=c, epochs=40)
+            w, b, _ = parent_solve(x, one_vs_rest(y, k), c, cfg.epochs)
+            assert model_bytes(train_arrays(x, y, k, cfg)) == model_bytes(LinearModel(w, b, None, cfg))
+            space = LabelSpace.free_active() if k == 2 else None
+            if space is not None:
+                model = train(
+                    [FeatureStream("v", Camera.HEAD, 6.0, x)], [StateSequence(space, y)], cfg
+                )
+                assert model_bytes(model) == model_bytes(LinearModel(w, b, space, cfg))
+        for seed, c in product(range(6), (0.01, 1.0, 10.0)):
+            x, y = seeded_states(seed, 2)
+            cfg = TrainConfig(c_reg=c, epochs=40)
+            w, b, _ = parent_solve(x, (2.0 * y - 1.0)[:, None], c, cfg.epochs)
+            assert model_bytes(train_binary(x, y, cfg)) == model_bytes(LinearModel(w, b, None, cfg))
+
+    def test_change_model_matches_scalar_solver_bytes(self):
+        pairs = synth_cv_videos(2, ramp=3, sigma=0.4, n_videos=3)
+        streams, truths = [s for s, _ in pairs], [t for _, t in pairs]
+        cfg = TrainConfig(c_reg=0.1, epochs=30)
+        x, y = change_training_set(streams, truths, 4)
+        w, b, _ = parent_solve(x, (2.0 * y - 1.0)[:, None], cfg.c_reg, cfg.epochs)
+        model = train_change_model(streams, truths, 4, cfg)
+        assert model_bytes(model) == model_bytes(LinearModel(w, b, None, cfg, d=4))
+
+    def test_each_c_block_matches_its_own_solve(self):
+        for k in range(2, 8):
+            x, y = seeded_states(10 + k, k)
+            space = LabelSpace.free_active() if k == 2 else None
+            truth = StateSequence(space, y) if space else StateSequence(None, y, num_states=k)
+            stream = FeatureStream("v", Camera.HEAD, 6.0, x)
+            grid = train_grid([stream], [truth], C_GRID, 40)
+            assert [m.config for m in grid] == [TrainConfig(c, 40) for c in C_GRID]
+            for c, model in zip(C_GRID, grid):
+                alone = train([stream], [truth], TrainConfig(c, 40))
+                assert model.label_space == space and model.weights.shape == (k, 7)
+                assert np.allclose(model.weights, alone.weights, rtol=1e-12, atol=1e-13)
+                assert np.allclose(model.bias, alone.bias, rtol=1e-12, atol=1e-13)
+                assert np.all(training_objective(model, x, one_vs_rest(y, k)) <= 1.0)
+        for seed in range(4):
+            x, y = seeded_states(seed, 2)
+            grid = train_binary_grid(x, y, C_GRID, 40)
+            for c, model in zip(C_GRID, grid):
+                alone = train_binary(x, y, TrainConfig(c, 40))
+                assert model.is_binary and model.config.c_reg == c
+                assert np.allclose(model.weights, alone.weights, rtol=1e-12, atol=1e-13)
+                assert np.allclose(model.bias, alone.bias, rtol=1e-12, atol=1e-13)
+                assert training_objective(model, x, (2.0 * y - 1.0)[:, None])[0] <= 1.0
 
 
 def frames(values):
@@ -244,6 +351,19 @@ class TestCrossValidate:
         assert (res.c_reg, res.d, res.lam) == (0.1, 3, 1.0)
         assert len(res.table) == 1
 
+    def test_unusable_grid_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for grids, match in (
+            ({"lambda_grid": (1.0, nan)}, "lambda"),
+            ({"lambda_grid": (inf,)}, "lambda"),
+            ({"lambda_grid": (-0.5,)}, "lambda"),
+            ({"c_grid": (0.1, nan)}, "c_reg"),
+            ({"c_grid": (1e-320,)}, "c_reg"),
+            ({"d_grid": (0, 3)}, "d grid"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                CrossValPlan(**grids)
+
     def test_too_few_videos(self):
         pairs = synth_cv_videos(0, ramp=0, sigma=0.5, n_videos=4)
         with pytest.raises(ValueError, match="explicit hyperparameters"):
@@ -286,3 +406,63 @@ class TestCrossValidate:
         res = cross_validate(pairs, plan, TrainConfig(epochs=40))
         assert len(res.table) == 8
         assert all(len(cell.fold_accuracies) == 5 for cell in res.table)
+
+    def test_grid_solves_match_per_c_cross_validation(self):
+        plan = CrossValPlan(c_grid=C_GRID, d_grid=(3, 6), lambda_grid=(0.1, 1.0, 10.0))
+        for seed, ramp, sigma in ((3, 0, 0.6), (4, 4, 0.3), (5, 2, 0.9)):
+            pairs = synth_cv_videos(seed, ramp=ramp, sigma=sigma)
+            expected = per_c_cross_validate(pairs, plan, TrainConfig(epochs=40))
+            assert cross_validate(pairs, plan, TrainConfig(epochs=40)) == expected
+
+    def test_one_solver_run_per_fold_and_d(self, monkeypatch):
+        calls = []
+        solve = classify._solve_subgradient
+
+        def counted(x, y_signs, c_regs, epochs):
+            calls.append(sorted(set(c_regs)))
+            return solve(x, y_signs, c_regs, epochs)
+
+        monkeypatch.setattr(classify, "_solve_subgradient", counted)
+        plan = CrossValPlan(c_grid=C_GRID, d_grid=(3, 6), lambda_grid=(1.0,))
+        cross_validate(synth_cv_videos(1, ramp=0, sigma=0.5), plan, TrainConfig(epochs=5))
+        assert len(calls) == plan.folds * (1 + len(plan.d_grid))
+        assert all(cs == list(C_GRID) for cs in calls)
+
+
+def per_c_cross_validate(videos, plan, base_config):
+    """Cross-validation as it was, with a state solve and a change solve
+    per C, kept verbatim as the reference for the grid solves."""
+    videos = sorted(videos, key=lambda pair: pair[0].video_id)
+    folds = [videos[i :: plan.folds] for i in range(plan.folds)]
+    cells = {key: [] for key in product(plan.c_grid, plan.d_grid, plan.lambda_grid)}
+    for fold in folds:
+        val_ids = {s.video_id for s, _ in fold}
+        train_streams = [s for s, _ in videos if s.video_id not in val_ids]
+        train_truths = [t for s, t in videos if s.video_id not in val_ids]
+        total = sum(len(t) for _, t in fold)
+        for c in plan.c_grid:
+            cfg = TrainConfig(c_reg=c, epochs=base_config.epochs)
+            state_model = train(train_streams, train_truths, cfg)
+            unaries = [score_stream(state_model, s) for s, _ in fold]
+            for d in plan.d_grid:
+                change_model = train_change_model(train_streams, train_truths, d, cfg)
+                correct = np.zeros(len(plan.lambda_grid), dtype=np.int64)
+                for (stream, truth), unary in zip(fold, unaries):
+                    cands = detect_candidates(stream, change_model, d)
+                    decoded = decode_stream(
+                        stream, unary, cands, plan.lambda_grid, label_space=truth.label_space
+                    )
+                    correct += [int(np.sum(seq.states == truth.states)) for seq in decoded]
+                for lam, n_correct in zip(plan.lambda_grid, correct):
+                    cells[(c, d, lam)].append(int(n_correct) / total)
+    table = []
+    best_key = None
+    best_acc = -1.0
+    for key in product(plan.c_grid, plan.d_grid, plan.lambda_grid):
+        accs = cells[key]
+        mean_acc = float(np.mean(accs))
+        table.append(CVCell(key[0], key[1], key[2], mean_acc, tuple(accs)))
+        if mean_acc > best_acc:
+            best_acc = mean_acc
+            best_key = key
+    return CVResult(best_key[0], best_key[1], best_key[2], tuple(table))

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from handcam import synth
+from handcam import classify, synth
 from handcam.cli import build_parser, main, run_pipeline
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task, save_label_space
 from handcam.features import read_features, write_features
@@ -188,6 +188,36 @@ class TestTrainInferEval:
         assert "--cv-result" in err and "--lambda" in err
         assert main([*full, "--out", str(tmp_path / "pred.txt")]) == 0
 
+    def test_unusable_c_reg_exits_2(self, tmp_path, capsys):
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        common = ["--features", *feats, "--truth", *truths, "--label-space", str(ges),
+                  "--epochs", "20"]
+        for c in ("nan", "inf", "1e-320", "0"):
+            for cmd in (["train-state"], ["train-change", "--d", "3"]):
+                out = tmp_path / "model.bin"
+                capsys.readouterr()
+                assert main([*cmd, *common, "--c-reg", c, "--out", str(out)]) == 2
+                assert "c_reg" in capsys.readouterr().err
+                assert not out.exists()
+
+    def test_non_finite_lambda_exits_2(self, tmp_path, capsys):
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        smodel, cmodel = tmp_path / "state.bin", tmp_path / "change.bin"
+        common = ["--features", *feats, "--truth", *truths, "--label-space", str(ges),
+                  "--epochs", "20"]
+        assert main(["train-state", *common, "--out", str(smodel)]) == 0
+        assert main(["train-change", *common, "--d", "3", "--out", str(cmodel)]) == 0
+        full = ["infer", "--features", feats[0], "--state-model", str(smodel), "--mode", "full",
+                "--change-model", str(cmodel), "--d", "3"]
+        for lam in ("nan", "inf"):
+            pred = tmp_path / "pred.txt"
+            capsys.readouterr()
+            assert main([*full, "--lambda", lam, "--out", str(pred)]) == 2
+            assert "lam" in capsys.readouterr().err
+            assert not pred.exists()
+
     def test_d_differing_from_change_model_rejected(self, tmp_path, capsys):
         _, ges, _ = write_spaces(tmp_path)
         feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
@@ -350,6 +380,27 @@ class TestCv:
                      "--lambda", "auto", "--cv-result", str(out / "chosen.json"),
                      "--out", str(pred)]) == 0
         assert len(pred.read_text().splitlines()) == 100
+
+    def test_unusable_grid_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=5,
+                                            n_frames=60)
+        manifest = tmp_path / "cv.txt"
+        manifest.write_text("\n".join(f"{f}\t{t}" for f, t in zip(feats, truths)) + "\n")
+
+        def no_training(*args):
+            raise AssertionError("the grid must be checked before any training")
+
+        monkeypatch.setattr(classify, "_solve_subgradient", no_training)
+        cv = ["cv", "--manifest", str(manifest), "--label-space", str(ges), "--epochs", "5",
+              "--out", str(tmp_path / "cv_out")]
+        for grid, name in ((["--lambda-grid", "1", "nan"], "lambda"),
+                           (["--lambda-grid", "inf"], "lambda"),
+                           (["--c-grid", "nan"], "c_reg"),
+                           (["--d-grid", "0"], "d grid")):
+            capsys.readouterr()
+            assert main([*cv, *grid]) == 2
+            assert name in capsys.readouterr().err
 
     def test_lambda_auto_without_cv_result_fails(self, tmp_path):
         _, ges, _ = write_spaces(tmp_path)
@@ -549,6 +600,23 @@ class TestJsonInputs:
             assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
             err = capsys.readouterr().err
             assert "pipeline.json" in err and section in err and key in err
+            assert not (tmp_path / "o").exists()
+
+    def test_pipeline_non_finite_number_rejected(self, tmp_path, capsys):
+        # Python's json reads NaN and Infinity; a hyperparameter or grid
+        # entry that is not finite fails before any stage runs
+        cfg = pipeline_config(tmp_path)
+        good = json.loads(cfg.read_text())
+        for section, key, value in (("hyperparameters", "lambda", float("nan")),
+                                    ("hyperparameters", "C", float("inf")),
+                                    ("cv", "lambda_grid", [1.0, float("nan")])):
+            doc = {**good, section: {**good.get(section, {}), key: value}}
+            doc["hyperparameters"] = {**doc["hyperparameters"], "d": "auto"}
+            cfg.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert "pipeline.json" in err and key in err
             assert not (tmp_path / "o").exists()
 
     def test_chosen_json(self, tmp_path, capsys):

@@ -192,6 +192,16 @@ class TestDecode:
         with pytest.raises(ValueError, match="lam"):
             score_sequence(p, np.zeros(3, dtype=int), -1.0)
 
+    def test_non_finite_lambda_rejected(self):
+        # NaN compares false with everything, so a `lam < 0` test let it
+        # through and every frame decoded to state 0
+        p = make_problem(np.zeros((3, 2)), np.array([1]), [0.5])
+        for lam in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lam"):
+                decode(p, [lam])
+            with pytest.raises(ValueError, match="lam"):
+                score_sequence(p, np.zeros(3, dtype=int), lam)
+
     def test_label_space_attached(self):
         from handcam.core import LabelSpace
 

@@ -1,9 +1,10 @@
-"""Damaged binary files: the `.feat` and `.bin` readers either read the file
-or raise their documented error, never another exception.
+"""Damaged files: the `.feat`, `.bin`, `.ppm` and label-space readers either
+read the file or raise their documented error, never another exception.
 
 Each example takes a valid file and applies one to three damages: a
 truncation anywhere, a single-byte flip in the header, or an overwritten
-8-byte run in the header. Examples are derandomized so the suite is
+8-byte run in the header. A label-space file is all header. PPM headers are
+also rewritten token by token. Examples are derandomized so the suite is
 repeatable.
 """
 
@@ -12,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handcam.classify import LinearModel, ModelFileError, TrainConfig, load_model, model_bytes
-from handcam.core import Camera, FeatureStream, LabelSpace
+from handcam.core import (
+    Camera, FeatureStream, LabelSpace, Task, load_label_space, save_label_space,
+)
 from handcam.features import FeatureFileError, read_features, write_features
+from handcam.media import Image, PpmError, load_ppm, save_ppm
 
 FUZZ = settings(
     max_examples=150,
@@ -96,5 +100,77 @@ def test_load_model_damaged(tmp_path_factory):
         except ModelFileError:
             return
         assert model.weights.shape[0] == model.bias.shape[0]
+
+    check()
+
+
+def ppm_file(tmp_path, pixels):
+    path = tmp_path / "valid.ppm"
+    save_ppm(Image(pixels), path)
+    data = path.read_bytes()
+    return data, len(data) - pixels.size
+
+
+@st.composite
+def rewritten_header(draw, files):
+    """A PPM with one header token replaced, other separators and maybe
+    no pixel data."""
+    data, header_len = draw(st.sampled_from(files))
+    tokens = data[:header_len].split()  # magic, width, height, maxval
+    tokens[draw(st.integers(0, 3))] = draw(st.one_of(
+        st.integers(-3, 2**70).map(lambda v: str(v).encode()),
+        st.sampled_from([b"P3", b"P6", b"0", b"255", b"65535", b"1e3", b"\xd9\xa3", b""]),
+        st.binary(max_size=4),
+    ))
+    sep = draw(st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b" #c\n", b"#", b""]))
+    end = draw(st.sampled_from([b"\n", b"", b"\n\n", b"#\n"]))
+    payload = data[header_len:] if draw(st.booleans()) else b""
+    return tokens[0] + sep + sep.join(tokens[1:]) + end + payload
+
+
+def test_load_ppm_damaged(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("ppm")
+    rng = np.random.default_rng(2)
+    files = [
+        ppm_file(tmp, rng.integers(0, 256, (2, 3, 3), dtype=np.uint8)),
+        ppm_file(tmp, rng.integers(0, 256, (1, 1, 3), dtype=np.uint8)),
+        ppm_file(tmp, rng.integers(0, 256, (4, 2, 3), dtype=np.uint8)),
+    ]
+
+    @FUZZ
+    @given(st.one_of(damaged(files), rewritten_header(files)))
+    def check(data):
+        path = tmp / "damaged.ppm"
+        path.write_bytes(data)
+        try:
+            img = load_ppm(path)
+        except PpmError:
+            return
+        assert img.channels == 3 and img.pixels.size == 3 * img.width * img.height
+
+    check()
+
+
+def test_load_label_space_damaged(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("labels")
+    files = []
+    for i, space in enumerate((
+        LabelSpace.free_active(),
+        LabelSpace(Task.GESTURE, ("free",) + tuple(f"g{i:02d}" for i in range(1, 13)), 0),
+    )):
+        save_label_space(space, tmp / f"valid{i}.txt")
+        data = (tmp / f"valid{i}.txt").read_bytes()
+        files.append((data, len(data)))
+
+    @FUZZ
+    @given(damaged(files))
+    def check(data):
+        path = tmp / "damaged.txt"
+        path.write_bytes(data)
+        try:
+            space = load_label_space(path)
+        except ValueError:
+            return
+        assert space.labels[space.free_label_index] == space.free_label
 
     check()
