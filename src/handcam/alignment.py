@@ -5,8 +5,9 @@ Each video's per-pixel intensity history is summarized by a Laplace fit
 stays below a threshold in every channel form the stable hand mask; the
 video with the smallest stable region provides the template, which is then
 located in every other video's median image by multiscale zero-normalized
-cross-correlation. Frames are finally rescaled, cropped to the reference
-resolution, and replicate-padded.
+cross-correlation. The statistics are exact, from sorted bands of rows of
+the uint8 frames. Frames are finally rescaled (only the crop window, by
+`media.resample`), cropped to the reference resolution, and replicate-padded.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .media import Image, resize_to, to_gray
+from .media import Image, resample, resize_to, to_gray
+
+_BAND_ROWS = 8  # frame rows whose time series are sorted together
+_CHUNK_FRAMES = 4  # frames resampled together: small float64 temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -28,10 +32,10 @@ class AlignmentParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scales", tuple(self.scales))
-        if self.beta_threshold <= 0:
-            raise ValueError("beta_threshold must be positive")
-        if not self.scales or any(s <= 0 for s in self.scales):
-            raise ValueError("scales must be non-empty and positive")
+        if not 0 < self.beta_threshold < np.inf:
+            raise ValueError(f"beta_threshold must be finite and positive: {self.beta_threshold}")
+        if not self.scales or not all(0 < s < np.inf for s in self.scales):
+            raise ValueError(f"scales must be non-empty, finite and positive: {self.scales}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class PixelStats:
     diversity_image: np.ndarray
 
 
-def compute_pixel_stats(frames: Sequence[Image]) -> PixelStats:
+def _frame_shape(frames: Sequence[Image]) -> tuple[int, int, int]:
     if len(frames) < 1:
         raise ValueError("need at least one frame")
     shape = frames[0].pixels.shape
@@ -56,9 +60,25 @@ def compute_pixel_stats(frames: Sequence[Image]) -> PixelStats:
             raise ValueError(
                 f"frame {i} has shape {f.pixels.shape}, expected {shape}"
             )
-    stack = np.stack([f.pixels for f in frames]).astype(np.float64)
-    median = np.median(stack, axis=0)  # even count: mean of the two middle values
-    diversity = np.mean(np.abs(stack - median), axis=0)
+    return shape
+
+
+def compute_pixel_stats(frames: Sequence[Image]) -> PixelStats:
+    """Median and mean absolute deviation of each pixel over time, from uint8
+    bands of rows sorted along time. Exact, as a float64 median and mean: the
+    median is the mean of the two middle values; as many values lie above it
+    as below, so the deviations sum to (upper half sum) - (lower half sum)."""
+    shape = _frame_shape(frames)
+    t = len(frames)
+    median, diversity = np.empty(shape), np.empty(shape)
+    for r in range(0, shape[0], _BAND_ROWS):
+        band = np.stack([f.pixels[r : r + _BAND_ROWS] for f in frames], axis=-1)
+        band.sort(axis=-1, kind="stable")  # radix sort for uint8
+        lo, hi = band[..., (t - 1) // 2], band[..., t // 2]
+        median[r : r + _BAND_ROWS] = (lo + hi.astype(np.float64)) / 2
+        upper = band[..., (t + 1) // 2 :].sum(axis=-1, dtype=np.int64)
+        lower = band[..., : t // 2].sum(axis=-1, dtype=np.int64)
+        diversity[r : r + _BAND_ROWS] = (upper - lower) / t
     return PixelStats(median, diversity)
 
 
@@ -318,18 +338,20 @@ def align_video(
     """Rescale, register to the template position, crop, replicate-pad.
 
     Every output frame has the reference resolution; pixels that fall
-    outside the rescaled source replicate the nearest edge.
+    outside the rescaled source replicate the nearest edge. All frames must
+    have one shape; only the crop window is resampled, a few frames at a time.
     """
     out_w, out_h = result.reference_size
     bx0, by0 = result.template_box[0], result.template_box[1]
+    h, w = _frame_shape(frames)[:2]
+    sw = int(np.floor(entry.scale * w + 0.5))
+    sh = int(np.floor(entry.scale * h + 0.5))
+    ys = np.clip(np.arange(out_h) - by0 + entry.dy, 0, sh - 1)
+    xs = np.clip(np.arange(out_w) - bx0 + entry.dx, 0, sw - 1)
     aligned = []
-    for img in frames:
-        sw = int(np.floor(entry.scale * img.width + 0.5))
-        sh = int(np.floor(entry.scale * img.height + 0.5))
-        scaled = img if (sw, sh) == (img.width, img.height) else resize_to(img, sw, sh)
-        ys = np.clip(np.arange(out_h) - by0 + entry.dy, 0, sh - 1)
-        xs = np.clip(np.arange(out_w) - bx0 + entry.dx, 0, sw - 1)
-        aligned.append(Image(scaled.pixels[np.ix_(ys, xs)]))
+    for s in range(0, len(frames), _CHUNK_FRAMES):
+        chunk = np.stack([f.pixels for f in frames[s : s + _CHUNK_FRAMES]])
+        aligned.extend(Image(px) for px in resample(chunk, sw, sh, ys, xs))
     return aligned
 
 

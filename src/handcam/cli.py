@@ -216,20 +216,27 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
-    video_dirs = [Path(path) for path, in read_list_file(args.manifest, 1, 1)]
-    if len(video_dirs) < 2:
+    """Pass 1 keeps only each video's pixel statistics; pass 2 reloads one video
+    at a time to align and save it: memory follows one video, not the corpus."""
+    dirs: dict[str, Path] = {}
+    for path, in read_list_file(args.manifest, 1, 1):
+        vid = Path(path).name
+        if vid in dirs:
+            raise ValueError(f"{args.manifest}: video id {vid!r} (the directory name) "
+                             f"is used twice: {dirs[vid]} and {path}")
+        dirs[vid] = Path(path)
+    if len(dirs) < 2:
         raise ValueError("alignment needs at least two videos")
     params = alignment.AlignmentParams(
         beta_threshold=args.beta_threshold, scales=tuple(args.scales)
     )
+    stats = {vid: alignment.compute_pixel_stats(media.load_video_dir(d))
+             for vid, d in dirs.items()}
+    result = alignment.align_videos(stats, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    frames_by_vid = {d.name: media.load_video_dir(d) for d in video_dirs}
-    stats = {vid: alignment.compute_pixel_stats(fr) for vid, fr in frames_by_vid.items()}
-    result = alignment.align_videos(stats, params)
     for vid, entry in sorted(result.per_video.items()):
-        aligned = alignment.align_video(frames_by_vid[vid], entry, result)
+        aligned = alignment.align_video(media.load_video_dir(dirs[vid]), entry, result)
         media.save_video_dir(aligned, out / vid)
     alignment.write_alignment_report(result, out / "alignment.json")
     print(f"reference: {result.reference_video_id}")

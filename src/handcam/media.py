@@ -1,4 +1,6 @@
-"""Frame image handling: binary PPM (P6) ingestion, grayscale, resize, flip.
+"""Frame image handling: binary PPM (P6) ingestion, grayscale, flip, and
+`resample`, the single bilinear kernel that `resize_to` runs over a whole
+frame and alignment over the crop window of a stack of frames.
 
 A video is a directory of ``frame_%06d.ppm`` files; the frame number is the
 position on the processing timeline.
@@ -158,27 +160,41 @@ def to_gray(img: Image) -> Image:
     return Image(gray[:, :, None])
 
 
-def resize_to(img: Image, width: int, height: int) -> Image:
-    """Bilinear resample to exact output dimensions.
+def _source_coords(idx: np.ndarray, n_dst: int, n_src: int):
+    """Lower and clamped upper source neighbour of each index, and the upper's weight."""
+    pos = idx * (n_src - 1) / (n_dst - 1) if n_dst > 1 else np.zeros(len(idx))
+    lo = np.floor(pos).astype(np.int64)
+    return lo, np.minimum(lo + 1, n_src - 1), pos - lo
+
+
+def resample(
+    stack: np.ndarray, width: int, height: int, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Rows `rows` and columns `cols` of each frame of a uint8 (T, h, w, C)
+    stack bilinearly resized to width x height: uint8 (T, rows, cols, C).
 
     Corner-aligned sampling: output pixel x reads source coordinate
-    x*(w_src-1)/(w_dst-1), so corners map to corners and resampling at the
-    source size is the identity. Samples never leave the source grid, which
-    realizes edge clamping.
+    x*(w-1)/(width-1), so corners map to corners, the source size is the
+    identity and samples never leave the grid (edge clamping). Only the
+    source rows between the first and last one read are converted.
     """
     if width < 1 or height < 1:
         raise ValueError("output dimensions must be >= 1")
-    src = img.pixels.astype(np.float64)
-    h, w = src.shape[:2]
-    xs = np.arange(width) * (w - 1) / (width - 1) if width > 1 else np.zeros(width)
-    ys = np.arange(height) * (h - 1) / (height - 1) if height > 1 else np.zeros(height)
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (xs - x0)[None, :, None]
-    fy = (ys - y0)[:, None, None]
-    top = (1.0 - fx) * src[np.ix_(y0, x0)] + fx * src[np.ix_(y0, x1)]
-    bot = (1.0 - fx) * src[np.ix_(y1, x0)] + fx * src[np.ix_(y1, x1)]
+    h, w = stack.shape[1:3]
+    if (width, height) == (w, h):
+        return stack[:, rows][:, :, cols]
+    y0, y1, fy = _source_coords(rows, height, h)
+    x0, x1, fx = _source_coords(cols, width, w)
+    first = int(y0.min())
+    band = stack[:, first : int(y1.max()) + 1]
+    fx = fx[:, None]
+    horiz = (1.0 - fx) * np.take(band, x0, axis=2) + fx * np.take(band, x1, axis=2)
+    fy = fy[:, None, None]
+    top, bot = np.take(horiz, y0 - first, axis=1), np.take(horiz, y1 - first, axis=1)
     out = (1.0 - fy) * top + fy * bot
-    return Image(np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8))
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+def resize_to(img: Image, width: int, height: int) -> Image:
+    """Bilinear resample of the whole image to exact output dimensions."""
+    return Image(resample(img.pixels[None], width, height, np.arange(height), np.arange(width))[0])

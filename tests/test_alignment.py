@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from scipy.signal import fftconvolve
 from handcam import synth
 from handcam.alignment import (
     AlignmentParams,
+    AlignmentResult,
     PixelStats,
+    VideoAlignment,
     _valid_correlation,
     align_video,
     align_videos,
@@ -21,11 +24,28 @@ from handcam.alignment import (
     zncc_map,
 )
 from handcam.media import Image
+from test_media import KINDS, random_stack, reference_resize_to
 
 
 def gray_video(series):
     """Frames where every pixel follows the same scalar time series."""
     return [Image(np.full((2, 2, 3), v, dtype=np.uint8)) for v in series]
+
+
+class TestAlignmentParams:
+    def test_defaults_accepted(self):
+        assert AlignmentParams().scales == (0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_beta_threshold_finite_positive(self, bad):
+        with pytest.raises(ValueError, match="beta_threshold"):
+            AlignmentParams(beta_threshold=bad)
+
+    @pytest.mark.parametrize("bad", [(), (0.0,), (1.0, -0.5), (1.0, float("nan")),
+                                     (float("inf"),), (1.0, -float("inf"))])
+    def test_scales_finite_positive(self, bad):
+        with pytest.raises(ValueError, match="scales"):
+            AlignmentParams(scales=bad)
 
 
 class TestPixelStats:
@@ -64,6 +84,18 @@ class TestPixelStats:
         for _ in range(100):
             c = rng.uniform(0, 255, size=(300, 1))
             assert np.all(best <= np.abs(series - c).sum(axis=1) + 1e-9)
+
+    def test_memory_stays_near_the_frames(self):
+        # uint8 bands, not a float64 stack of every frame (8x the frames)
+        rng = np.random.default_rng(3)
+        frames = [Image(p) for p in rng.integers(0, 256, (40, 48, 20, 3), dtype=np.uint8)]
+        tracemalloc.start()
+        try:
+            compute_pixel_stats(frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 40 * 48 * 20 * 3
 
     def test_diversity_permutation_invariant(self):
         rng = np.random.default_rng(2)
@@ -451,3 +483,86 @@ class TestAlignVideos:
                 "scale": va.scale, "dx": va.dx, "dy": va.dy, "peak": va.peak,
                 "crop_window": list(va.crop_window),
             }
+
+
+def reference_pixel_stats(frames):
+    """`compute_pixel_stats` as it was before the uint8 bands: a float64
+    stack, `np.median` and `np.mean`."""
+    stack = np.stack([f.pixels for f in frames]).astype(np.float64)
+    median = np.median(stack, axis=0)
+    return median, np.mean(np.abs(stack - median), axis=0)
+
+
+def reference_align_video(frames, entry, result):
+    """`align_video` as it was before `resample`: resize every whole frame,
+    then crop it."""
+    out_w, out_h = result.reference_size
+    bx0, by0 = result.template_box[0], result.template_box[1]
+    aligned = []
+    for img in frames:
+        sw = int(np.floor(entry.scale * img.width + 0.5))
+        sh = int(np.floor(entry.scale * img.height + 0.5))
+        same = (sw, sh) == (img.width, img.height)
+        scaled = img.pixels if same else reference_resize_to(img.pixels, sw, sh)
+        ys = np.clip(np.arange(out_h) - by0 + entry.dy, 0, sh - 1)
+        xs = np.clip(np.arange(out_w) - bx0 + entry.dx, 0, sw - 1)
+        aligned.append(scaled[np.ix_(ys, xs)])
+    return aligned
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestExactAgainstReference:
+    """Byte-equal results to the float64 whole-frame code they replace."""
+
+    def test_pixel_stats(self):
+        rng = np.random.default_rng(21)
+        # T = 1, odd and even T, and frames taller than one band of rows
+        for case, t in enumerate([1, 2, 3, 4, 5, 8, 9, 20, 31] * 12):
+            h, w = int(rng.integers(1, 20)), int(rng.integers(1, 8))
+            c = int(rng.choice([1, 3]))
+            frames = [Image(p) for p in random_stack(rng, t, h, w, c, KINDS[case % 3])]
+            stats = compute_pixel_stats(frames)
+            median, diversity = reference_pixel_stats(frames)
+            assert same_bits(stats.median_image, median), (t, h, w, c)
+            assert same_bits(stats.diversity_image, diversity), (t, h, w, c)
+
+    def test_long_series(self):
+        # 0/255 alternating in time: the largest deviations, summed over
+        # many frames
+        frames = [Image(np.full((3, 2, 3), 255 * (i % 2), dtype=np.uint8)) for i in range(601)]
+        stats = compute_pixel_stats(frames)
+        median, diversity = reference_pixel_stats(frames)
+        assert same_bits(stats.median_image, median)
+        assert same_bits(stats.diversity_image, diversity)
+
+    def test_align_video(self):
+        rng = np.random.default_rng(22)
+        scales = [0.5, 0.75, 0.9, 1.0, 1.1, 1.3, 1.5, 2.0]
+        for case in range(240):
+            t = int(rng.choice([1, 2, 3, 7, 10]))
+            h, w = (int(v) for v in rng.integers(1, 13, 2))
+            c = int(rng.choice([1, 3]))
+            scale = scales[case % len(scales)] if case % 3 else float(rng.uniform(0.5, 2.0))
+            out_w, out_h = (int(v) for v in rng.integers(1, 13, 2))
+            bx0, by0 = int(rng.integers(0, out_w)), int(rng.integers(0, out_h))
+            dx, dy = int(rng.integers(-3, 2 * w + 3)), int(rng.integers(-3, 2 * h + 3))
+            entry = VideoAlignment("v", scale, dx, dy, 1.0, (0, 0, 1, 1))
+            result = AlignmentResult("v", (out_w, out_h), (bx0, by0, bx0 + 1, by0 + 1),
+                                     {"v": entry})
+            frames = [Image(p) for p in random_stack(rng, t, h, w, c, KINDS[case % 3])]
+            got = align_video(frames, entry, result)
+            want = reference_align_video(frames, entry, result)
+            assert len(got) == t
+            for a, b in zip(got, want):
+                assert same_bits(a.pixels, b), (t, h, w, c, scale, out_w, out_h)
+
+    def test_align_video_needs_one_frame_shape(self):
+        frames = [Image(np.zeros((4, 4, 3), dtype=np.uint8)),
+                  Image(np.zeros((4, 5, 3), dtype=np.uint8))]
+        entry = VideoAlignment("v", 1.0, 0, 0, 1.0, (0, 0, 4, 4))
+        result = AlignmentResult("v", (4, 4), (0, 0, 1, 1), {"v": entry})
+        with pytest.raises(ValueError, match="frame 1 has shape"):
+            align_video(frames, entry, result)

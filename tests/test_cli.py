@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -265,6 +266,78 @@ class TestAlign:
         )
         assert main(["align", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
                      "--scales", "1.0"]) == 0
+
+    def test_duplicate_video_ids_rejected(self, tmp_path, capsys):
+        # ids are directory names: a/cam and b/cam collide, and so does a
+        # directory listed twice
+        hand = synth.smooth_patch(8, 8, seed=5)
+        specs = [synth.VideoSpec("cam", 1.0, 4, 4), synth.VideoSpec("cam2", 1.0, 10, 6)]
+        for parent in ("a", "b"):
+            synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
+                                out_dir=tmp_path / parent)
+        out = tmp_path / "aligned"
+        for dirs in (["a/cam", "b/cam", "a/cam2"], ["a/cam", "a/cam"]):
+            manifest = tmp_path / "videos.txt"
+            manifest.write_text("".join(f"{tmp_path / d}\n" for d in dirs))
+            capsys.readouterr()
+            assert main(["align", "--manifest", str(manifest), "--out", str(out),
+                         "--scales", "1.0"]) == 2
+            assert "video id 'cam'" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_unreadable_video_leaves_no_output(self, tmp_path, capsys):
+        hand = synth.smooth_patch(8, 8, seed=5)
+        synth.gen_video_set(hand, [synth.VideoSpec("va", 1.0, 4, 4)], (24, 18), 3, 20.0, 0,
+                            seed=11, out_dir=tmp_path / "videos")
+        manifest = tmp_path / "videos.txt"
+        manifest.write_text(f"{tmp_path / 'videos' / 'va'}\n{tmp_path / 'videos' / 'gone'}\n")
+        out = tmp_path / "aligned"
+        assert main(["align", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert "gone" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_parameters_rejected(self, tmp_path, capsys):
+        hand = synth.smooth_patch(8, 8, seed=5)
+        specs = [synth.VideoSpec("va", 1.0, 4, 4), synth.VideoSpec("vb", 1.0, 10, 6)]
+        synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
+                            out_dir=tmp_path / "videos")
+        manifest = tmp_path / "videos.txt"
+        manifest.write_text(f"{tmp_path / 'videos' / 'va'}\n{tmp_path / 'videos' / 'vb'}\n")
+        out = tmp_path / "aligned"
+        for extra, name in ((["--scales", "inf"], "scales"), (["--scales", "1", "nan"], "scales"),
+                            (["--scales", "1", "-1"], "scales"),
+                            (["--beta-threshold", "nan"], "beta_threshold"),
+                            (["--beta-threshold", "inf"], "beta_threshold")):
+            capsys.readouterr()
+            assert main(["align", "--manifest", str(manifest), "--out", str(out), *extra]) == 2
+            assert name in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_peak_memory_follows_one_video(self, tmp_path, capsys):
+        # align holds one video's frames at a time: two more videos add only
+        # their pixel statistics (two float64 images each, a quarter of a
+        # 64-frame video), not their frames
+        hand = synth.smooth_patch(8, 8, seed=5)
+        specs = [synth.VideoSpec(f"v{i}", 1.0, 3 + 4 * i, 2 + 3 * i) for i in range(4)]
+        synth.gen_video_set(hand, specs, (32, 24), 64, 30.0, 0, seed=3,
+                            out_dir=tmp_path / "videos")
+        video_bytes = 64 * 24 * 32 * 3
+
+        def peak(n):
+            manifest = tmp_path / f"videos{n}.txt"
+            manifest.write_text("".join(f"{tmp_path / 'videos' / f'v{i}'}\n" for i in range(n)))
+            tracemalloc.start()
+            try:
+                assert main(["align", "--manifest", str(manifest),
+                             "--out", str(tmp_path / f"out{n}"), "--scales", "1.0"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first call: one-time allocations of the libraries
+        two, four = peak(2), peak(4)
+        assert four <= 1.3 * two
+        assert four - two < video_bytes
 
 
 def write_discover_inputs(tmp_path):

@@ -7,6 +7,7 @@ from handcam.media import (
     hflip,
     load_ppm,
     load_video_dir,
+    resample,
     resize_to,
     save_ppm,
     save_video_dir,
@@ -164,3 +165,64 @@ class TestResize:
             resize_to(img, 0, 2)
         with pytest.raises(ValueError):
             resize_to(img, 2, -1)
+
+
+def reference_resize_to(pixels, width, height):
+    """`resize_to` as it was before `resample`: the whole frame in float64."""
+    src = pixels.astype(np.float64)
+    h, w = src.shape[:2]
+    xs = np.arange(width) * (w - 1) / (width - 1) if width > 1 else np.zeros(width)
+    ys = np.arange(height) * (h - 1) / (height - 1) if height > 1 else np.zeros(height)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = (xs - x0)[None, :, None]
+    fy = (ys - y0)[:, None, None]
+    top = (1.0 - fx) * src[np.ix_(y0, x0)] + fx * src[np.ix_(y0, x1)]
+    bot = (1.0 - fx) * src[np.ix_(y1, x0)] + fx * src[np.ix_(y1, x1)]
+    out = (1.0 - fy) * top + fy * bot
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+def random_stack(rng, t, h, w, c, kind):
+    """uint8 (t, h, w, c) frames: random, constant over time, or 0/255."""
+    if kind == "random":
+        return rng.integers(0, 256, (t, h, w, c), dtype=np.uint8)
+    if kind == "constant":
+        return np.repeat(rng.integers(0, 256, (1, h, w, c), dtype=np.uint8), t, axis=0)
+    return (rng.integers(0, 2, (t, h, w, c)) * 255).astype(np.uint8)
+
+
+KINDS = ("random", "constant", "binary")
+
+
+class TestResampleExact:
+    def test_resize_matches_reference(self):
+        rng = np.random.default_rng(7)
+        for case in range(150):
+            h, w = (int(v) for v in rng.integers(1, 13, 2))
+            c = int(rng.choice([1, 3]))
+            width, height = (int(v) for v in rng.integers(1, 25, 2))
+            px = random_stack(rng, 1, h, w, c, KINDS[case % 3])[0]
+            assert resize_to(Image(px), width, height).pixels.tobytes() == (
+                reference_resize_to(px, width, height).tobytes()
+            ), (h, w, c, width, height)
+
+    def test_window_matches_crop_of_full_resize(self):
+        # any rows and columns of the resized grid, repeated and unordered
+        # as replicate padding makes them, equal that crop of the whole frame
+        rng = np.random.default_rng(8)
+        for case in range(150):
+            t = int(rng.integers(1, 5))
+            h, w = (int(v) for v in rng.integers(1, 13, 2))
+            c = int(rng.choice([1, 3]))
+            width, height = (int(v) for v in rng.integers(1, 25, 2))
+            rows = rng.integers(0, height, int(rng.integers(1, 9)))
+            cols = rng.integers(0, width, int(rng.integers(1, 9)))
+            stack = random_stack(rng, t, h, w, c, KINDS[case % 3])
+            out = resample(stack, width, height, rows, cols)
+            assert out.shape == (t, len(rows), len(cols), c) and out.dtype == np.uint8
+            for frame, got in zip(stack, out):
+                want = reference_resize_to(frame, width, height)[np.ix_(rows, cols)]
+                assert got.tobytes() == want.tobytes(), (h, w, width, height)

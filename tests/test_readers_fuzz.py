@@ -1,5 +1,6 @@
-"""Damaged files: the `.feat`, `.bin`, `.ppm` and label-space readers either
-read the file or raise their documented error, never another exception.
+"""Damaged files: the `.feat`, `.bin`, `.ppm`, label-space, truth and list
+file readers either read the file or raise their documented error, never
+another exception.
 
 Each example takes a valid file and applies one to three damages: a
 truncation anywhere, a single-byte flip in the header, or an overwritten
@@ -12,6 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from handcam.cli import read_list_file, read_truth
 from handcam.classify import LinearModel, ModelFileError, TrainConfig, load_model, model_bytes
 from handcam.core import (
     Camera, FeatureStream, LabelSpace, Task, load_label_space, save_label_space,
@@ -172,5 +174,56 @@ def test_load_label_space_damaged(tmp_path_factory):
         except ValueError:
             return
         assert space.labels[space.free_label_index] == space.free_label
+
+    check()
+
+
+# label names mixed with what splits lines, pads fields or starts comments
+TEXT_PIECES = st.sampled_from(
+    ["free", "active", "g01", "free ", " active", "\n", "\r", "\r\n", "\x85", "\u2028",
+     "\x0b", "\x0c", " ", "\t", "\x00", "#", "# c", "\ufeff", "é"]
+)
+
+
+def text_file_bytes():
+    """Arbitrary bytes, or text pieces encoded as UTF-8 or Latin-1."""
+    pieces = st.lists(TEXT_PIECES, max_size=12).map("".join)
+    return st.one_of(
+        st.binary(max_size=40),
+        pieces.map(lambda t: t.encode("utf-8")),
+        pieces.map(lambda t: t.encode("latin-1", "replace")),
+    )
+
+
+def test_read_truth_arbitrary(tmp_path_factory):
+    path = tmp_path_factory.mktemp("truth") / "damaged.txt"
+    space = LabelSpace.free_active()
+
+    @FUZZ
+    @given(text_file_bytes())
+    def check(data):
+        path.write_bytes(data)
+        try:
+            seq = read_truth(path, space)
+        except (ValueError, OSError):
+            return
+        assert set(seq.label_names()) <= set(space.labels)
+
+    check()
+
+
+def test_read_list_file_arbitrary(tmp_path_factory):
+    path = tmp_path_factory.mktemp("list") / "damaged.txt"
+
+    @FUZZ
+    @given(text_file_bytes(), st.sampled_from([(1, 1), (2, 2), (2, 3)]))
+    def check(data, cols):
+        path.write_bytes(data)
+        try:
+            rows = read_list_file(path, *cols)
+        except (ValueError, OSError):
+            return
+        assert all(cols[0] <= len(row) <= cols[1] for row in rows)
+        assert all(row[0] and not row[0].startswith("#") for row in rows)
 
     check()
