@@ -8,8 +8,11 @@ L2-regularized hinge loss
 with step size 1/(C_k * t) and zero initialization. Each column k of a
 solve (one class under one C) has its own C_k. The shrink factor 1 - 1/t
 does not depend on C, so one solve trains the models of a whole C grid as
-column blocks. The iterate with the lowest objective is kept per column,
-so the returned objective never exceeds the value at initialization.
+column blocks. A sign of 0 leaves a row out of that column's problem: the
+mean runs over the column's own rows. So one solve also trains every
+cross-validation fold, each fold's columns signing its held-out rows 0.
+The iterate with the lowest objective is kept per column, so the returned
+objective never exceeds the value at initialization.
 Identical inputs and config give bit-identical models. Confidences are raw
 margins; the decoding weight lambda absorbs their scale, so no calibration
 is applied.
@@ -88,57 +91,91 @@ def _solve_subgradient(
     x: np.ndarray, y_signs: np.ndarray, c_regs: np.ndarray, epochs: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best-objective iterate of subgradient descent, per column; c_regs
-    holds each column's C."""
-    n, d = x.shape
-    k = y_signs.shape[1]
+    holds each column's C. A sign of 0 leaves the row out of the column's
+    problem: its hinge term is zeroed before the sum (so it is never active)
+    and the mean divides by the column's count of non-zero signs. Without
+    zero signs these are exactly the float steps of a plain mean."""
+    left_out = y_signs == 0.0
+    n = np.count_nonzero(y_signs, axis=0).astype(np.float64)
+    if not np.all(n):
+        raise ValueError("every column needs at least one training row")
+    k, d = y_signs.shape[1], x.shape[1]
     w = np.zeros((k, d))
     b = np.zeros(k)
     best_w, best_b = w.copy(), b.copy()
     best_obj = np.full(k, np.inf)
+    work = np.empty(y_signs.shape)  # margins, then hinge terms, then active signs
     for t in range(epochs + 1):
-        margins = y_signs * (x @ w.T + b)
-        obj = 0.5 * c_regs * (w * w).sum(axis=1) + np.maximum(0.0, 1.0 - margins).mean(axis=0)
+        np.matmul(x, w.T, out=work)
+        work += b
+        work *= y_signs
+        np.subtract(1.0, work, out=work)
+        np.maximum(0.0, work, out=work)
+        np.copyto(work, 0.0, where=left_out)
+        obj = 0.5 * c_regs * (w * w).sum(axis=1) + work.sum(axis=0) / n
         better = obj < best_obj
         best_w[better] = w[better]
         best_b[better] = b[better]
         best_obj[better] = obj[better]
         if t == epochs:
             break
-        active = np.where(margins < 1.0, y_signs, 0.0)
+        active = work > 0.0  # 1 - margin > 0 exactly where margin < 1
+        work.fill(0.0)
+        np.copyto(work, y_signs, where=active)
         eta = 1.0 / (c_regs * (t + 1))
-        w = (1.0 - eta * c_regs)[:, None] * w + (eta / n)[:, None] * (active.T @ x)
-        b = b + (eta / n) * active.sum(axis=0)
+        w = (1.0 - eta * c_regs)[:, None] * w + (eta / n)[:, None] * (work.T @ x)
+        b = b + (eta / n) * work.sum(axis=0)
     return best_w, best_b, best_obj
 
 
-def _check_training_input(x: np.ndarray, y: np.ndarray) -> None:
+def _training_input(
+    x: np.ndarray, y: np.ndarray, row_folds: np.ndarray | None, folds: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked features, labels and the (n, folds) mask of the rows each
+    fold holds out; without fold indices, one fold trains on every row."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("expected (n, D) features and (n,) labels")
     if not np.all(np.isfinite(x)):
         raise ValueError("training features must be finite")
-    if np.unique(y).size < 2:
-        raise ValueError("training data must contain at least two distinct labels")
+    if row_folds is None:
+        held_out = np.zeros((y.size, 1), dtype=bool)
+    else:
+        row_folds = np.asarray(row_folds)
+        if row_folds.shape != y.shape:
+            raise ValueError("expected one fold index per training row")
+        held_out = row_folds[:, None] == np.arange(folds)
+    for fold_rows_out in held_out.T:
+        if np.unique(y[~fold_rows_out]).size < 2:
+            raise ValueError("training data must contain at least two distinct labels")
+    return x, y, held_out
 
 
 def _fit(
-    x: np.ndarray, y_signs: np.ndarray, space: LabelSpace | None, c_grid: Sequence[float],
-    epochs: int,
-) -> list[LinearModel]:
-    """One model per C of c_grid from one solve of the sign columns tiled C-major."""
+    x: np.ndarray, y_signs: np.ndarray, held_out: np.ndarray, space: LabelSpace | None,
+    c_grid: Sequence[float], epochs: int,
+) -> list[list[LinearModel]]:
+    """Models [fold][C] from one solve. Its columns are the sign columns
+    tiled fold-major, then C; a fold's columns sign its held-out rows 0."""
     configs = [TrainConfig(c, epochs) for c in c_grid]
-    k = y_signs.shape[1]
-    w, b, _ = _solve_subgradient(x, np.tile(y_signs, len(configs)), np.repeat(c_grid, k), epochs)
-    return [LinearModel(w[i * k : (i + 1) * k], b[i * k : (i + 1) * k], space, cfg)
-            for i, cfg in enumerate(configs)]
+    (n, k), folds = y_signs.shape, held_out.shape[1]
+    signs = np.empty((n, folds, len(configs), k))
+    signs[...] = y_signs[:, None, None, :]
+    signs[held_out] = 0.0
+    w, b, _ = _solve_subgradient(
+        x, signs.reshape(n, -1), np.tile(np.repeat(c_grid, k), folds), epochs
+    )
+    w, b = w.reshape(folds, len(configs), k, -1), b.reshape(folds, len(configs), k)
+    return [[LinearModel(wc, bc, space, cfg) for wc, bc, cfg in zip(wf, bf, configs)]
+            for wf, bf in zip(w, b)]
 
 
 def _state_models(
-    x: np.ndarray, y: np.ndarray, label_space: LabelSpace | int, c_grid: Sequence[float],
-    epochs: int,
-) -> list[LinearModel]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    _check_training_input(x, y)
+    x: np.ndarray, y: np.ndarray, label_space: LabelSpace | int, row_folds: np.ndarray | None,
+    folds: int, c_grid: Sequence[float], epochs: int,
+) -> list[list[LinearModel]]:
+    x, y, held_out = _training_input(x, y, row_folds, folds)
     space = label_space if isinstance(label_space, LabelSpace) else None
     k = space.num_labels if space is not None else int(label_space)
     if k < 2:
@@ -147,7 +184,7 @@ def _state_models(
         raise ValueError("labels out of range for the label space")
     y_signs = np.full((x.shape[0], k), -1.0)
     y_signs[np.arange(x.shape[0]), y] = 1.0
-    return _fit(x, y_signs, space, c_grid, epochs)
+    return _fit(x, y_signs, held_out, space, c_grid, epochs)
 
 
 def train_arrays(
@@ -160,7 +197,7 @@ def train_arrays(
 
     label_space may be a plain state count for detached models.
     """
-    return _state_models(x, y, label_space, [config.c_reg], config.epochs)[0]
+    return _state_models(x, y, label_space, None, 1, [config.c_reg], config.epochs)[0][0]
 
 
 def _stacked(
@@ -193,30 +230,35 @@ def train(
 
 
 def train_grid(
-    streams: Sequence[FeatureStream], truths: Sequence[StateSequence], c_grid: Sequence[float],
-    epochs: int,
-) -> list[LinearModel]:
-    """`train` for every C of c_grid, in one solver run."""
-    return _state_models(*_stacked(streams, truths), c_grid, epochs)
+    streams: Sequence[FeatureStream], truths: Sequence[StateSequence],
+    row_folds: np.ndarray | None, folds: int, c_grid: Sequence[float], epochs: int,
+) -> list[list[LinearModel]]:
+    """`train` for every fold and every C of c_grid, in one solver run.
+
+    row_folds gives the fold that holds out each stacked frame; the models
+    of fold f train on every other row (None: one fold, on every row).
+    Models are indexed [fold][C].
+    """
+    return _state_models(*_stacked(streams, truths), row_folds, folds, c_grid, epochs)
 
 
 def train_binary_grid(
-    x: np.ndarray, y: np.ndarray, c_grid: Sequence[float], epochs: int
-) -> list[LinearModel]:
-    """`train_binary` for every C of c_grid, in one solver run."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    _check_training_input(x, y)
+    x: np.ndarray, y: np.ndarray, row_folds: np.ndarray | None, folds: int,
+    c_grid: Sequence[float], epochs: int,
+) -> list[list[LinearModel]]:
+    """`train_binary` for every fold and every C of c_grid, in one solver
+    run, indexed [fold][C] as in `train_grid`."""
+    x, y, held_out = _training_input(x, y, row_folds, folds)
     if not set(np.unique(y)) <= {0, 1}:
         raise ValueError("binary labels must be 0 or 1")
-    return _fit(x, (2.0 * y - 1.0)[:, None], None, c_grid, epochs)
+    return _fit(x, (2.0 * y - 1.0)[:, None], held_out, None, c_grid, epochs)
 
 
 def train_binary(
     x: np.ndarray, y: np.ndarray, config: TrainConfig = TrainConfig()
 ) -> LinearModel:
     """Train the binary change scorer; y holds 0/1 labels."""
-    return train_binary_grid(x, y, [config.c_reg], config.epochs)[0]
+    return train_binary_grid(x, y, None, 1, [config.c_reg], config.epochs)[0][0]
 
 
 def training_objective(model: LinearModel, x: np.ndarray, y_signs: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -104,9 +105,22 @@ def _check_json(value, kind, where: str):
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys all differ (json.loads keeps the last)."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        repeated = sorted(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"repeated keys {repeated}")
+    return doc
+
+
 def _read_json_object(path: str | Path, spec: dict) -> dict:
     """A JSON file the CLI reads (configs, chosen.json), checked against spec."""
-    return _check_json(json.loads(Path(path).read_text()), spec, str(path))
+    try:
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except ValueError as e:  # not UTF-8, not JSON, or a key given twice
+        raise ValueError(f"{path}: {e}") from None
+    return _check_json(doc, spec, str(path))
 
 
 def read_list_file(path: Path, min_cols: int, max_cols: int) -> list[list[str]]:

@@ -2,7 +2,10 @@
 
 Every (C, d, lambda) cell of the grid is scored by the pooled per-frame
 accuracy of the full model (state classifier, change candidates, segment
-DP) on held-out videos, averaged over folds.
+DP) on held-out videos, averaged over folds. The classifiers of every fold
+are trained together: in the one solve for the state models, and the one
+per d for the change models, a fold's columns give the rows of its own
+videos a sign of 0, which leaves them out of its problem.
 """
 
 from __future__ import annotations
@@ -69,13 +72,14 @@ def cross_validate(
     """Grid-search (C, d, lambda) by mean cross-validated full-model accuracy.
 
     Videos are assigned to folds whole (split by video, never by frame) in
-    sorted id order. Every grid cell trains the state and change models on
-    the training folds, decodes the held-out videos, and scores per-frame
-    accuracy pooled within each fold. Ties go to the smaller C, then d,
-    then lambda.
+    sorted id order; ids must be unique. Every grid cell trains the state
+    and change models on the training folds, decodes the held-out videos,
+    and scores per-frame accuracy pooled within each fold. Ties go to the
+    smaller C, then d, then lambda.
 
-    Each fold trains the state models of every C in one solver run, and
-    the change models of every C in one run per d.
+    The rows of every video are stacked once, and each row is keyed by its
+    video's fold. The state models of every fold and C come from one solver
+    run, and the change models of every fold and C from one run per d.
     """
     if len(videos) < plan.folds:
         raise ValueError(
@@ -83,25 +87,35 @@ def cross_validate(
             "pass explicit hyperparameters (C, d, lambda) instead"
         )
     videos = sorted(videos, key=lambda pair: pair[0].video_id)
+    ids = [s.video_id for s, _ in videos]
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise ValueError(f"video id {a!r} is listed more than once")
+    streams, truths = [s for s, _ in videos], [t for _, t in videos]
+    video_folds = np.arange(len(videos)) % plan.folds
     folds = [videos[i :: plan.folds] for i in range(plan.folds)]
 
+    epochs = base_config.epochs
+    frame_folds = np.repeat(video_folds, [s.n_frames for s in streams])
+    state_models = train_grid(streams, truths, frame_folds, plan.folds, plan.c_grid, epochs)
+    change_models = []  # [d][fold][C]
+    for d in plan.d_grid:
+        x, y = change_training_set(streams, truths, d)
+        row_folds = np.repeat(video_folds, [max(0, s.n_frames - 2 * d) for s in streams])
+        if any(np.all(row_folds == f) for f in range(plan.folds)):
+            raise ValueError("no video is long enough for the requested d")
+        change_models.append(train_binary_grid(x, y, row_folds, plan.folds, plan.c_grid, epochs))
+
     # accumulate per-(c, d, lam) fold accuracies; state models are shared
-    # across d and lam, change models (one solve per d for all C) and
-    # decoding problems across lam
+    # across d and lam, change models and decoding problems across lam
     cells: dict[tuple[float, int, float], list[float]] = {
         key: [] for key in product(plan.c_grid, plan.d_grid, plan.lambda_grid)
     }
-    for fold in folds:
-        val_ids = {s.video_id for s, _ in fold}
-        train_streams = [s for s, _ in videos if s.video_id not in val_ids]
-        train_truths = [t for s, t in videos if s.video_id not in val_ids]
+    for f, fold in enumerate(folds):
         total = sum(len(t) for _, t in fold)
-        state_models = train_grid(train_streams, train_truths, plan.c_grid, base_config.epochs)
-        unaries = [[score_stream(m, s) for s, _ in fold] for m in state_models]
-        for d in plan.d_grid:
-            x, y = change_training_set(train_streams, train_truths, d)
-            change_models = train_binary_grid(x, y, plan.c_grid, base_config.epochs)
-            for c, change_model, c_unaries in zip(plan.c_grid, change_models, unaries):
+        unaries = [[score_stream(m, s) for s, _ in fold] for m in state_models[f]]
+        for d, d_models in zip(plan.d_grid, change_models):
+            for c, change_model, c_unaries in zip(plan.c_grid, d_models[f], unaries):
                 correct = np.zeros(len(plan.lambda_grid), dtype=np.int64)
                 for (stream, truth), unary in zip(fold, c_unaries):
                     cands = detect_candidates(stream, change_model, d)

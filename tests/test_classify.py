@@ -186,7 +186,7 @@ class TestGridSolve:
             space = LabelSpace.free_active() if k == 2 else None
             truth = StateSequence(space, y) if space else StateSequence(None, y, num_states=k)
             stream = FeatureStream("v", Camera.HEAD, 6.0, x)
-            grid = train_grid([stream], [truth], C_GRID, 40)
+            (grid,) = train_grid([stream], [truth], None, 1, C_GRID, 40)
             assert [m.config for m in grid] == [TrainConfig(c, 40) for c in C_GRID]
             for c, model in zip(C_GRID, grid):
                 alone = train([stream], [truth], TrainConfig(c, 40))
@@ -196,7 +196,7 @@ class TestGridSolve:
                 assert np.all(training_objective(model, x, one_vs_rest(y, k)) <= 1.0)
         for seed in range(4):
             x, y = seeded_states(seed, 2)
-            grid = train_binary_grid(x, y, C_GRID, 40)
+            (grid,) = train_binary_grid(x, y, None, 1, C_GRID, 40)
             for c, model in zip(C_GRID, grid):
                 alone = train_binary(x, y, TrainConfig(c, 40))
                 assert model.is_binary and model.config.c_reg == c
@@ -414,19 +414,26 @@ class TestCrossValidate:
             expected = per_c_cross_validate(pairs, plan, TrainConfig(epochs=40))
             assert cross_validate(pairs, plan, TrainConfig(epochs=40)) == expected
 
-    def test_one_solver_run_per_fold_and_d(self, monkeypatch):
+    def test_one_solver_run_per_d(self, monkeypatch):
         calls = []
         solve = classify._solve_subgradient
 
         def counted(x, y_signs, c_regs, epochs):
-            calls.append(sorted(set(c_regs)))
+            calls.append((sorted(set(c_regs)), x.shape[0], y_signs.shape[1]))
             return solve(x, y_signs, c_regs, epochs)
 
         monkeypatch.setattr(classify, "_solve_subgradient", counted)
         plan = CrossValPlan(c_grid=C_GRID, d_grid=(3, 6), lambda_grid=(1.0,))
-        cross_validate(synth_cv_videos(1, ramp=0, sigma=0.5), plan, TrainConfig(epochs=5))
-        assert len(calls) == plan.folds * (1 + len(plan.d_grid))
-        assert all(cs == list(C_GRID) for cs in calls)
+        pairs = synth_cv_videos(1, ramp=0, sigma=0.5)
+        cross_validate(pairs, plan, TrainConfig(epochs=5))
+        assert len(calls) == 1 + len(plan.d_grid)
+        assert all(cs == list(C_GRID) for cs, _, _ in calls)
+        # every video's rows, one column block per fold, C and class
+        frames = sum(s.n_frames for s, _ in pairs)
+        columns = plan.folds * len(C_GRID)
+        assert [shape for _, *shape in calls] == [[frames, columns * 3]] + [
+            [frames - 2 * d * len(pairs), columns] for d in plan.d_grid
+        ]
 
 
 def per_c_cross_validate(videos, plan, base_config):

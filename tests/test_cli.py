@@ -692,6 +692,21 @@ class TestJsonInputs:
             assert "pipeline.json" in err and key in err
             assert not (tmp_path / "o").exists()
 
+    def test_repeated_or_malformed_json_rejected(self, tmp_path, capsys):
+        # json.loads keeps the last of two equal keys; every reader refuses
+        # them, and names the file when the JSON itself is broken
+        cfg = pipeline_config(tmp_path)
+        text = cfg.read_text()
+        for damaged, expect in ((text.replace('"seed": 11', '"seed": 11, "seed": 12'), "seed"),
+                                (text.replace('"C": 0.1', '"C": 0.1, "C": 0.1'), "'C'"),
+                                (text[:-3], "pipeline.json")):
+            cfg.write_text(damaged)
+            capsys.readouterr()
+            assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert "pipeline.json" in err and expect in err
+            assert not (tmp_path / "o").exists()
+
     def test_chosen_json(self, tmp_path, capsys):
         _, ges, _ = write_spaces(tmp_path)
         feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)

@@ -7,14 +7,25 @@ truncation anywhere, a single-byte flip in the header, or an overwritten
 8-byte run in the header. A label-space file is all header. PPM headers are
 also rewritten token by token. Examples are derandomized so the suite is
 repeatable.
+
+The JSON documents the CLI reads (pipeline and synth configs, chosen.json)
+also get damages to their structure: a value of the wrong type, NaN,
+Infinity or an edge number, a key removed, an unknown key or a key given
+twice. The command reading one exits 0 or 2, never 3. Replacement numbers
+stay small, so that a document that is still valid asks for little work.
 """
+
+import json
+import shutil
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handcam.cli import read_list_file, read_truth
-from handcam.classify import LinearModel, ModelFileError, TrainConfig, load_model, model_bytes
+from handcam.cli import main, read_list_file, read_truth
+from handcam.classify import (
+    LinearModel, ModelFileError, TrainConfig, load_model, model_bytes, save_model,
+)
 from handcam.core import (
     Camera, FeatureStream, LabelSpace, Task, load_label_space, save_label_space,
 )
@@ -227,3 +238,134 @@ def test_read_list_file_arbitrary(tmp_path_factory):
         assert all(row[0] and not row[0].startswith("#") for row in rows)
 
     check()
+
+
+# JSON values of every type; numbers small enough that a valid document
+# stays cheap to run, plus the non-finite floats Python's json writes
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 9),
+        st.floats(-2.0, 4.0), st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+        st.sampled_from(["auto", "", "fa.txt", "0", "1e3", "v"]),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["C", "seed", "x"]), inner,
+                                            max_size=2)),
+    max_leaves=4,
+)
+
+
+def _objects(doc, path=()):
+    """Paths of every JSON object in doc, the document itself first."""
+    if isinstance(doc, dict):
+        yield path
+        for key, value in doc.items():
+            yield from _objects(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _objects(value, path + (i,))
+
+
+@st.composite
+def damaged_json(draw, doc):
+    """JSON text of doc with one damage to its bytes or its structure, and
+    whether the damage alone makes the document invalid."""
+    kind = draw(st.sampled_from(["bytes", "value", "remove", "unknown", "duplicate"]))
+    if kind == "bytes":
+        data = json.dumps(doc).encode()
+        return draw(damaged([(data, len(data))])), False
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_objects(doc))))
+    obj = doc
+    for step in path:
+        obj = obj[step]
+    key = draw(st.sampled_from(sorted(obj)))
+    value = draw(JSON_VALUES)
+    if kind == "value":
+        obj[key] = value
+    elif kind == "remove":
+        del obj[key]
+    elif kind == "unknown":
+        obj[key + "_extra"] = value
+    else:  # the key twice: a stand-in string is replaced by the text of both entries
+        first = json.dumps({key: value})[:-1]
+        rest = json.dumps(obj)[1:]
+        placeholder = "@duplicate@"
+        if path:
+            parent = doc
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = placeholder
+            return json.dumps(doc).replace(f'"{placeholder}"', f"{first}, {rest}").encode(), True
+        return f"{first}, {rest}".encode(), True
+    return json.dumps(doc).encode(), kind == "unknown"
+
+
+JSON_FUZZ = settings(FUZZ, max_examples=60)
+
+
+def fuzz_command(tmp, name, doc, argv):
+    """Run argv (with {config} and {out}) on damaged copies of doc: exit 0
+    or 2, and 2 for an unknown or repeated key."""
+    config = tmp / f"{name}.json"
+
+    @JSON_FUZZ
+    @given(damaged_json(doc))
+    def check(damage):
+        data, invalid = damage
+        config.write_bytes(data)
+        out = tmp / f"{name}_out"
+        try:
+            code = main([a.format(config=config, out=out) for a in argv])
+        finally:
+            shutil.rmtree(out, ignore_errors=True)
+        assert code == 2 if invalid else code in (0, 2)
+
+    check()
+
+
+def test_pipeline_config_damaged(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("pipeline")
+    save_label_space(LabelSpace.free_active(), tmp / "fa.txt")
+    doc = {
+        "seed": 1, "label_space": "fa.txt", "fps": 6.0,
+        "synth": {"states": 2, "dim": 3, "frames": 24, "min_dwell": 4, "noise_sigma": 0.5,
+                  "transition_ramp": 1, "train_videos": 2, "test_videos": 1},
+        "hyperparameters": {"C": 1.0, "d": 2, "lambda": 1.0},
+        "training": {"epochs": 3},
+        "cv": {"c_grid": [1.0], "d_grid": [2], "lambda_grid": [1.0]},
+    }
+    fuzz_command(tmp, "pipeline", doc, ["pipeline", "--config", "{config}", "--out", "{out}"])
+
+
+def test_synth_configs_damaged(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("synth")
+    save_label_space(LabelSpace.free_active(), tmp / "fa.txt")
+    features = {"seed": 1, "states": 2, "dim": 3, "frames": 12, "min_dwell": 3,
+                "noise_sigma": 0.5, "transition_ramp": 1, "videos": 2}
+    fuzz_command(tmp, "features", features, ["synth", "features", "--config", "{config}",
+                                             "--label-space", str(tmp / "fa.txt"),
+                                             "--out", "{out}"])
+    videos = {"seed": 1, "frames": 2, "frame_width": 9, "frame_height": 8, "hand_width": 3,
+              "hand_height": 3, "noise_sigma": 2.0, "jitter": 0,
+              "videos": [{"video_id": "va", "scale": 1.0, "dx": 2, "dy": 2},
+                         {"video_id": "vb", "scale": 1.25, "dx": 3, "dy": 1}]}
+    fuzz_command(tmp, "videos", videos, ["synth", "videos", "--config", "{config}",
+                                         "--out", "{out}"])
+
+
+def test_chosen_json_damaged(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("chosen")
+    save_label_space(LabelSpace.free_active(), tmp / "fa.txt")
+    rng = np.random.default_rng(3)
+    write_features(FeatureStream("v", Camera.HEAD, 6.0, rng.standard_normal((12, 2))),
+                   tmp / "v.feat")
+    save_model(LinearModel(rng.standard_normal((2, 2)), np.zeros(2), LabelSpace.free_active(),
+                           TrainConfig()), tmp / "state.bin")
+    save_model(LinearModel(rng.standard_normal((1, 2)), np.zeros(1), None, TrainConfig(), 2),
+               tmp / "change.bin")
+    fuzz_command(tmp, "chosen", {"C": 1.0, "d": 2, "lambda": 0.5},
+                 ["infer", "--features", str(tmp / "v.feat"), "--state-model",
+                  str(tmp / "state.bin"), "--change-model", str(tmp / "change.bin"),
+                  "--mode", "full", "--lambda", "auto", "--cv-result", "{config}",
+                  "--out", "{out}"])
