@@ -11,6 +11,11 @@ does not depend on C, so one solve trains the models of a whole C grid as
 column blocks. A sign of 0 leaves a row out of that column's problem: the
 mean runs over the column's own rows. So one solve also trains every
 cross-validation fold, each fold's columns signing its held-out rows 0.
+With two classes, class 1's signs negate class 0's, and IEEE negation
+commutes with every solver step, so only class 0's columns are solved and
+class 1 is 0 - w, 0 - b. This needs at least two solved columns: a
+one-column product takes BLAS's matrix-vector path, which rounds
+differently, so a single model (one fold, one C) solves both classes.
 The iterate with the lowest objective is kept per column, so the returned
 objective never exceeds the value at initialization.
 Identical inputs and config give bit-identical models. Confidences are raw
@@ -92,11 +97,11 @@ def _solve_subgradient(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best-objective iterate of subgradient descent, per column; c_regs
     holds each column's C. A sign of 0 leaves the row out of the column's
-    problem: its hinge term is zeroed before the sum (so it is never active)
+    problem: its hinge term is 0 - margin * 0 = +0 (so it is never active)
     and the mean divides by the column's count of non-zero signs. Without
     zero signs these are exactly the float steps of a plain mean."""
-    left_out = y_signs == 0.0
-    n = np.count_nonzero(y_signs, axis=0).astype(np.float64)
+    in_problem = y_signs != 0.0  # the 1 of 1 - margin, as a bool
+    n = np.count_nonzero(in_problem, axis=0).astype(np.float64)
     if not np.all(n):
         raise ValueError("every column needs at least one training row")
     k, d = y_signs.shape[1], x.shape[1]
@@ -105,13 +110,13 @@ def _solve_subgradient(
     best_w, best_b = w.copy(), b.copy()
     best_obj = np.full(k, np.inf)
     work = np.empty(y_signs.shape)  # margins, then hinge terms, then active signs
+    active = np.empty(y_signs.shape, dtype=bool)
     for t in range(epochs + 1):
         np.matmul(x, w.T, out=work)
         work += b
         work *= y_signs
-        np.subtract(1.0, work, out=work)
+        np.subtract(in_problem, work, out=work)
         np.maximum(0.0, work, out=work)
-        np.copyto(work, 0.0, where=left_out)
         obj = 0.5 * c_regs * (w * w).sum(axis=1) + work.sum(axis=0) / n
         better = obj < best_obj
         best_w[better] = w[better]
@@ -119,9 +124,9 @@ def _solve_subgradient(
         best_obj[better] = obj[better]
         if t == epochs:
             break
-        active = work > 0.0  # 1 - margin > 0 exactly where margin < 1
-        work.fill(0.0)
-        np.copyto(work, y_signs, where=active)
+        np.greater(work, 0.0, out=active)  # 1 - margin > 0 exactly where margin < 1
+        np.multiply(y_signs, active, out=work)
+        work += 0.0  # an inactive -1 row gives -0.0; the gradient sums +0.0
         eta = 1.0 / (c_regs * (t + 1))
         w = (1.0 - eta * c_regs)[:, None] * w + (eta / n)[:, None] * (work.T @ x)
         b = b + (eta / n) * work.sum(axis=0)
@@ -157,16 +162,23 @@ def _fit(
     c_grid: Sequence[float], epochs: int,
 ) -> list[list[LinearModel]]:
     """Models [fold][C] from one solve. Its columns are the sign columns
-    tiled fold-major, then C; a fold's columns sign its held-out rows 0."""
+    tiled fold-major, then C; a fold's columns sign its held-out rows 0.
+    With two classes and two or more of these columns, only class 0 is
+    solved (see the module docstring)."""
     configs = [TrainConfig(c, epochs) for c in c_grid]
     (n, k), folds = y_signs.shape, held_out.shape[1]
-    signs = np.empty((n, folds, len(configs), k))
-    signs[...] = y_signs[:, None, None, :]
+    paired = k == 2 and folds * len(configs) >= 2
+    solved = 1 if paired else k
+    signs = np.empty((n, folds, len(configs), solved))
+    signs[...] = y_signs[:, None, None, :solved]
     signs[held_out] = 0.0
     w, b, _ = _solve_subgradient(
-        x, signs.reshape(n, -1), np.tile(np.repeat(c_grid, k), folds), epochs
+        x, signs.reshape(n, -1), np.tile(np.repeat(c_grid, solved), folds), epochs
     )
-    w, b = w.reshape(folds, len(configs), k, -1), b.reshape(folds, len(configs), k)
+    w, b = w.reshape(folds, len(configs), solved, -1), b.reshape(folds, len(configs), solved)
+    if paired:
+        # 0 - v, not -v: a zero weight is +0.0 in both columns of the pair
+        w, b = np.concatenate([w, 0.0 - w], axis=2), np.concatenate([b, 0.0 - b], axis=2)
     return [[LinearModel(wc, bc, space, cfg) for wc, bc, cfg in zip(wf, bf, configs)]
             for wf, bf in zip(w, b)]
 
@@ -259,13 +271,6 @@ def train_binary(
 ) -> LinearModel:
     """Train the binary change scorer; y holds 0/1 labels."""
     return train_binary_grid(x, y, None, 1, [config.c_reg], config.epochs)[0][0]
-
-
-def training_objective(model: LinearModel, x: np.ndarray, y_signs: np.ndarray) -> np.ndarray:
-    """Per-class objective of a model on (n, D) features and (n, K) signs."""
-    margins = y_signs * (x @ model.weights.T + model.bias)
-    reg = 0.5 * model.config.c_reg * (model.weights * model.weights).sum(axis=1)
-    return reg + np.maximum(0.0, 1.0 - margins).mean(axis=0)
 
 
 def score_stream(model: LinearModel, stream: FeatureStream) -> np.ndarray:

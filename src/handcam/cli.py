@@ -202,8 +202,8 @@ _SYNTH_VIDEOS = {
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    """Checks the config before --out is created: a rejected one leaves no directory."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.kind == "features":
         cfg = _read_json_object(
             args.config, {"seed": "integer", **_SYNTH_STREAMS, "videos": "integer"}
@@ -214,12 +214,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             transition_ramp=cfg.get("transition_ramp", 0),
             label_space=load_label_space(args.label_space),
         )
+        out.mkdir(parents=True, exist_ok=True)
         for stream, truth in pairs:
             write_labeled_stream(stream, truth, out)
     else:
         cfg = _read_json_object(args.config, _SYNTH_VIDEOS)
         hand = synth.textured_patch(cfg["hand_width"], cfg["hand_height"], cfg["seed"])
         specs = [synth.VideoSpec(**v) for v in cfg["videos"]]  # keys checked above
+        out.mkdir(parents=True, exist_ok=True)
         _, truth = synth.gen_video_set(
             hand, specs, (cfg["frame_width"], cfg["frame_height"]), cfg["frames"],
             cfg["noise_sigma"], cfg["jitter"], cfg["seed"], out_dir=out,

@@ -9,6 +9,7 @@ where per-frame classification is imperfect and temporal decoding helps.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -170,6 +171,12 @@ class VideoSpec:
     scale: float
     dx: int
     dy: int
+
+    def __post_init__(self) -> None:
+        # the id names the video's directory inside the output directory
+        seps = {"/", os.sep, os.altsep} - {None}
+        if self.video_id in ("", ".", "..") or any(sep in self.video_id for sep in seps):
+            raise ValueError(f"video id {self.video_id!r} is not a plain directory name")
 
 
 def textured_patch(width: int, height: int, seed: int) -> Image:

@@ -20,7 +20,6 @@ from handcam.classify import (
     train_binary,
     train_binary_grid,
     train_grid,
-    training_objective,
 )
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence
 from handcam.crossval import CrossValPlan, CVCell, CVResult, cross_validate
@@ -42,6 +41,14 @@ def two_blobs(seed=0, n_per=100, margin=5.0, sigma=1.0, dim=4):
     x = np.vstack([x0, x1])
     y = np.array([0] * n_per + [1] * n_per)
     return x, y
+
+
+def training_objective(model, x, y_signs):
+    """Per-class objective of a model on (n, D) features and (n, K) signs:
+    the oracle for what training descends."""
+    margins = y_signs * (x @ model.weights.T + model.bias)
+    reg = 0.5 * model.config.c_reg * (model.weights * model.weights).sum(axis=1)
+    return reg + np.maximum(0.0, 1.0 - margins).mean(axis=0)
 
 
 class TestTrain:
@@ -134,6 +141,75 @@ def parent_solve(x, y_signs, c_reg, epochs):
     return best_w, best_b, best_obj
 
 
+def parent_masked_solve(x, y_signs, c_regs, epochs):
+    """The solver with one C per column and zero signs, before the lean
+    epoch, verbatim: the reference every solve must equal byte for byte."""
+    left_out = y_signs == 0.0
+    n = np.count_nonzero(y_signs, axis=0).astype(np.float64)
+    if not np.all(n):
+        raise ValueError("every column needs at least one training row")
+    k, d = y_signs.shape[1], x.shape[1]
+    w = np.zeros((k, d))
+    b = np.zeros(k)
+    best_w, best_b = w.copy(), b.copy()
+    best_obj = np.full(k, np.inf)
+    work = np.empty(y_signs.shape)  # margins, then hinge terms, then active signs
+    for t in range(epochs + 1):
+        np.matmul(x, w.T, out=work)
+        work += b
+        work *= y_signs
+        np.subtract(1.0, work, out=work)
+        np.maximum(0.0, work, out=work)
+        np.copyto(work, 0.0, where=left_out)
+        obj = 0.5 * c_regs * (w * w).sum(axis=1) + work.sum(axis=0) / n
+        better = obj < best_obj
+        best_w[better] = w[better]
+        best_b[better] = b[better]
+        best_obj[better] = obj[better]
+        if t == epochs:
+            break
+        active = work > 0.0  # 1 - margin > 0 exactly where margin < 1
+        work.fill(0.0)
+        np.copyto(work, y_signs, where=active)
+        eta = 1.0 / (c_regs * (t + 1))
+        w = (1.0 - eta * c_regs)[:, None] * w + (eta / n)[:, None] * (work.T @ x)
+        b = b + (eta / n) * work.sum(axis=0)
+    return best_w, best_b, best_obj
+
+
+def parent_fit(x, y_signs, held_out, space, c_grid, epochs):
+    """`classify._fit` as it was, solving every class column, verbatim but
+    for the reference solver."""
+    configs = [TrainConfig(c, epochs) for c in c_grid]
+    (n, k), folds = y_signs.shape, held_out.shape[1]
+    signs = np.empty((n, folds, len(configs), k))
+    signs[...] = y_signs[:, None, None, :]
+    signs[held_out] = 0.0
+    w, b, _ = parent_masked_solve(
+        x, signs.reshape(n, -1), np.tile(np.repeat(c_grid, k), folds), epochs
+    )
+    w, b = w.reshape(folds, len(configs), k, -1), b.reshape(folds, len(configs), k)
+    return [[LinearModel(wc, bc, space, cfg) for wc, bc, cfg in zip(wf, bf, configs)]
+            for wf, bf in zip(w, b)]
+
+
+def fold_signs(signs, folds, c_grid):
+    """Sign columns tiled fold-major, then C, each fold's rows signed 0
+    in its own columns (rows go to folds round robin; one fold holds out
+    none), and their Cs."""
+    n, k = signs.shape
+    tiled = np.empty((n, folds, len(c_grid), k))
+    tiled[...] = signs[:, None, None, :]
+    if folds > 1:
+        tiled[(np.arange(n) % folds)[:, None] == np.arange(folds)] = 0.0
+    return tiled.reshape(n, -1), np.tile(np.repeat(c_grid, k), folds)
+
+
+def same_bytes(a, b):
+    return all(u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+               for u, v in zip(a, b, strict=True))
+
+
 def one_vs_rest(y, k):
     signs = np.full((y.size, k), -1.0)
     signs[np.arange(y.size), y] = 1.0
@@ -153,12 +229,21 @@ C_GRID = (0.01, 0.1, 1.0, 10.0)
 class TestGridSolve:
     """Every C of a grid solved as column blocks of one run."""
 
-    def test_one_c_matches_scalar_solver_bytes(self):
+    def test_one_c_matches_scalar_solver_bytes(self, monkeypatch):
+        widths = []
+        solve = classify._solve_subgradient
+
+        def counted(x, y_signs, c_regs, epochs):
+            widths.append(y_signs.shape[1])
+            return solve(x, y_signs, c_regs, epochs)
+
+        monkeypatch.setattr(classify, "_solve_subgradient", counted)
         for k, c in product(range(2, 14), (0.01, 1.0, 10.0)):
             x, y = seeded_states(k, k)
             cfg = TrainConfig(c_reg=c, epochs=40)
             w, b, _ = parent_solve(x, one_vs_rest(y, k), c, cfg.epochs)
             assert model_bytes(train_arrays(x, y, k, cfg)) == model_bytes(LinearModel(w, b, None, cfg))
+            assert widths[-1] == k  # a single K=2 model solves both columns
             space = LabelSpace.free_active() if k == 2 else None
             if space is not None:
                 model = train(
@@ -203,6 +288,57 @@ class TestGridSolve:
                 assert np.allclose(model.weights, alone.weights, rtol=1e-12, atol=1e-13)
                 assert np.allclose(model.bias, alone.bias, rtol=1e-12, atol=1e-13)
                 assert training_objective(model, x, (2.0 * y - 1.0)[:, None])[0] <= 1.0
+
+
+class TestSolverExactness:
+    """The solver and `_fit` keep the reference's bytes: (w, b, objective)
+    of every column, and every model of a K=2 grid whose class 1 is the
+    negation of a solved class 0."""
+
+    def test_fold_grids_match_reference_bytes(self):
+        for k, folds, seed in product(range(2, 7), (1, 3, 5), (0, 1)):
+            x, y = seeded_states(20 * k + seed, k)
+            signs, c_regs = fold_signs(one_vs_rest(y, k), folds, C_GRID)
+            expected = parent_masked_solve(x, signs, c_regs, 30)
+            assert same_bytes(classify._solve_subgradient(x, signs, c_regs, 30), expected)
+
+    def test_random_zero_signs_match_reference_bytes(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((90, 6))
+        signs = np.where(rng.random((90, 7)) < 0.5, 1.0, -1.0)
+        signs[rng.random((90, 7)) < 0.3] = 0.0
+        c_regs = np.array([0.01, 0.1, 1.0, 10.0, 0.5, 3.0, 1e-3])
+        expected = parent_masked_solve(x, signs, c_regs, 25)
+        assert same_bytes(classify._solve_subgradient(x, signs, c_regs, 25), expected)
+
+    def test_column_with_no_active_rows_matches_reference_bytes(self):
+        # separable rows and a small C: after the first step every margin is
+        # at least 1, so no row is active and the active sign of each -1 row
+        # is -1 * False = -0.0, which the reference held as +0.0
+        x, y = two_blobs(seed=3, n_per=30, margin=6.0, dim=3)
+        signs = (1.0 - 2.0 * y)[:, None] * np.array([1.0, -1.0])
+        signs[::7, 1] = 0.0
+        c_regs = np.array([0.01, 0.01])
+        n = np.count_nonzero(signs, axis=0)
+        w1, b1 = (signs.T @ x) / (c_regs * n)[:, None], signs.sum(axis=0) / (c_regs * n)
+        margins = signs * (x @ w1.T + b1)
+        assert np.all(margins[signs != 0.0] >= 1.0)
+        expected = parent_masked_solve(x, signs, c_regs, 20)
+        assert same_bytes(classify._solve_subgradient(x, signs, c_regs, 20), expected)
+
+    def test_k2_grids_match_reference_fit_bytes(self):
+        # the halved solve pairs class 0 with its negation, a zero weight
+        # (a feature that is 0 on every row) staying +0.0 in both
+        for seed, folds, c_grid in product(range(3), (1, 2, 5), ((0.1, 1.0), C_GRID, (1e6,))):
+            x, y = seeded_states(seed, 2)
+            x[:, 3] = 0.0
+            row_folds = np.arange(y.size) % folds if folds > 1 else None
+            x, y, held_out = classify._training_input(x, y, row_folds, folds)
+            args = (x, one_vs_rest(y, 2), held_out, LabelSpace.free_active(), c_grid, 30)
+            got, expected = classify._fit(*args), parent_fit(*args)
+            assert [[model_bytes(m) for m in f] for f in got] == [
+                [model_bytes(m) for m in f] for f in expected
+            ]
 
 
 def frames(values):
@@ -331,12 +467,12 @@ class TestModelFile:
         assert np.array_equal(loaded.weights, model.weights)
 
 
-def synth_cv_videos(seed, ramp, sigma, n_videos=5):
-    centers = synth.orthonormal_centers(3, 6, seed * 13 + 5)
+def synth_cv_videos(seed, ramp, sigma, n_videos=5, k=3):
+    centers = synth.orthonormal_centers(k, 6, seed * 13 + 5)
     pairs = []
     for i in range(n_videos):
         cfg = synth.SynthConfig(
-            seed=seed * 100 + i, num_states=3, dim=6, n_frames=240,
+            seed=seed * 100 + i, num_states=k, dim=6, n_frames=240,
             min_dwell=24, centers=centers, noise_sigma=sigma, transition_ramp=ramp,
         )
         pairs.append(synth.gen_feature_stream(cfg, video_id=f"v{i}"))
@@ -414,6 +550,20 @@ class TestCrossValidate:
             expected = per_c_cross_validate(pairs, plan, TrainConfig(epochs=40))
             assert cross_validate(pairs, plan, TrainConfig(epochs=40)) == expected
 
+    def test_k2_matches_reference_cross_validation(self, monkeypatch):
+        # free/active: the state solve halves, and every cell must come out
+        # as it did when both classes were solved
+        space = LabelSpace.free_active()
+        plan = CrossValPlan(c_grid=C_GRID, d_grid=(3, 6), lambda_grid=(0.1, 1.0, 10.0))
+        for seed, n_videos in ((0, 5), (1, 6), (2, 7), (3, 5)):
+            pairs = synth.gen_feature_set(seed, 2, 6, 180, 15, 0.9,
+                                          [f"v{i}" for i in range(n_videos)],
+                                          transition_ramp=2, label_space=space)
+            with monkeypatch.context() as m:
+                m.setattr(classify, "_fit", parent_fit)
+                expected = cross_validate(pairs, plan, TrainConfig(epochs=40))
+            assert cross_validate(pairs, plan, TrainConfig(epochs=40)) == expected
+
     def test_one_solver_run_per_d(self, monkeypatch):
         calls = []
         solve = classify._solve_subgradient
@@ -424,16 +574,20 @@ class TestCrossValidate:
 
         monkeypatch.setattr(classify, "_solve_subgradient", counted)
         plan = CrossValPlan(c_grid=C_GRID, d_grid=(3, 6), lambda_grid=(1.0,))
-        pairs = synth_cv_videos(1, ramp=0, sigma=0.5)
-        cross_validate(pairs, plan, TrainConfig(epochs=5))
-        assert len(calls) == 1 + len(plan.d_grid)
-        assert all(cs == list(C_GRID) for cs, _, _ in calls)
-        # every video's rows, one column block per fold, C and class
-        frames = sum(s.n_frames for s, _ in pairs)
-        columns = plan.folds * len(C_GRID)
-        assert [shape for _, *shape in calls] == [[frames, columns * 3]] + [
-            [frames - 2 * d * len(pairs), columns] for d in plan.d_grid
-        ]
+        for k in (2, 3):
+            calls.clear()
+            pairs = synth_cv_videos(1, ramp=0, sigma=0.5, k=k)
+            cross_validate(pairs, plan, TrainConfig(epochs=5))
+            assert len(calls) == 1 + len(plan.d_grid)
+            assert all(cs == list(C_GRID) for cs, _, _ in calls)
+            # every video's rows, one column block per fold, C and class;
+            # with two classes only class 0 is solved
+            frames = sum(s.n_frames for s, _ in pairs)
+            columns = plan.folds * len(C_GRID)
+            state_columns = columns if k == 2 else columns * k
+            assert [shape for _, *shape in calls] == [[frames, state_columns]] + [
+                [frames - 2 * d * len(pairs), columns] for d in plan.d_grid
+            ]
 
 
 def per_c_cross_validate(videos, plan, base_config):

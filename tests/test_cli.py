@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -628,6 +629,21 @@ class TestSynthCommand:
         truth = json.loads((out / "ground_truth.json").read_text())
         assert truth["v0"]["dx"] == 5
 
+    def test_synth_videos_stay_inside_out(self, tmp_path, capsys):
+        # "../escaped" used to exit 0 and write frames next to --out
+        doc = {"seed": 5, "frames": 2, "frame_width": 40, "frame_height": 30,
+               "hand_width": 10, "hand_height": 10, "noise_sigma": 20.0, "jitter": 0}
+        cfg = tmp_path / "synth.json"
+        out = tmp_path / "sub" / "vids"
+        for bad in ("../escaped", "", ".", "..", "a/b", str(tmp_path / "abs"), "a" + os.sep + "b"):
+            cfg.write_text(json.dumps(
+                {**doc, "videos": [{"video_id": bad, "scale": 1.0, "dx": 5, "dy": 5}]}
+            ))
+            capsys.readouterr()
+            assert main(["synth", "videos", "--config", str(cfg), "--out", str(out)]) == 2, bad
+            assert "video id" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.json"], bad
+
 
 class TestJsonInputs:
     """Damaged JSON documents the CLI reads are data errors (exit 2) naming
@@ -652,6 +668,7 @@ class TestJsonInputs:
             assert self.run_synth(tmp_path, "features", broken) == 2
             err = capsys.readouterr().err
             assert "synth.json" in err and key in err
+            assert not (tmp_path / "out").exists()
 
     def test_synth_videos_config(self, tmp_path, capsys):
         video = {"video_id": "v0", "scale": 1.0, "dx": 5, "dy": 5}
@@ -662,6 +679,7 @@ class TestJsonInputs:
             capsys.readouterr()
             assert self.run_synth(tmp_path, "videos", {**doc, "videos": videos}) == 2
             assert key in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_pipeline_config_value_types(self, tmp_path, capsys):
         cfg = pipeline_config(tmp_path)

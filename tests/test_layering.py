@@ -106,7 +106,6 @@ def test_cli_import_loads_no_scipy():
 # public names nothing in src/handcam references, each kept for a reason
 UNREFERENCED_ALLOWED = {
     "inference.score_sequence": "oracle: the objective decode maximizes, for exhaustive checks",
-    "classify.training_objective": "oracle: the objective training descends, for solver checks",
     "core.save_label_space": "round-trip inverse of load_label_space",
     "synth.orthonormal_centers": "synthetic fixture: well-separated state centers",
     "synth.smooth_patch": "synthetic fixture: low-frequency hand texture",
