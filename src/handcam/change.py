@@ -59,7 +59,8 @@ def change_feature_matrix(stream: FeatureStream, d: int) -> tuple[np.ndarray, np
     lo, hi = valid_band(n, d)
     if hi < lo:
         return np.empty(0, dtype=np.int64), np.empty((0, stream.dim))
-    cf = np.abs(stream.values[: n - 2 * d] - stream.values[2 * d :])
+    cf = stream.values[: n - 2 * d] - stream.values[2 * d :]
+    np.abs(cf, out=cf)
     return np.arange(lo, hi + 1), cf
 
 

@@ -17,7 +17,10 @@ class 1 is 0 - w, 0 - b. This needs at least two solved columns: a
 one-column product takes BLAS's matrix-vector path, which rounds
 differently, so a single model (one fold, one C) solves both classes.
 The iterate with the lowest objective is kept per column, so the returned
-objective never exceeds the value at initialization.
+objective never exceeds the value at initialization. The column sums of
+an epoch give a plain sum's bits: the bias gradient sums -1, +0 and +1,
+integers that add exactly in any order, and einsum adds the hinge terms in
+row order as sum does, but for one column, which sum adds pairwise.
 Identical inputs and config give bit-identical models. Confidences are raw
 margins; the decoding weight lambda absorbs their scale, so no calibration
 is applied.
@@ -110,26 +113,28 @@ def _solve_subgradient(
     best_w, best_b = w.copy(), b.copy()
     best_obj = np.full(k, np.inf)
     work = np.empty(y_signs.shape)  # margins, then hinge terms, then active signs
-    active = np.empty(y_signs.shape, dtype=bool)
+    ones = np.ones(y_signs.shape[0])
     for t in range(epochs + 1):
         np.matmul(x, w.T, out=work)
         work += b
         work *= y_signs
         np.subtract(in_problem, work, out=work)
         np.maximum(0.0, work, out=work)
-        obj = 0.5 * c_regs * (w * w).sum(axis=1) + work.sum(axis=0) / n
+        # einsum adds the rows in order, as sum does over two or more columns
+        hinge = np.einsum("ij->j", work) if k > 1 else work.sum(axis=0)
+        obj = 0.5 * c_regs * (w * w).sum(axis=1) + hinge / n
         better = obj < best_obj
         best_w[better] = w[better]
         best_b[better] = b[better]
         best_obj[better] = obj[better]
         if t == epochs:
             break
-        np.greater(work, 0.0, out=active)  # 1 - margin > 0 exactly where margin < 1
-        np.multiply(y_signs, active, out=work)
+        np.greater(work, 0.0, out=work)  # 1 - margin > 0 exactly where margin < 1
+        work *= y_signs
         work += 0.0  # an inactive -1 row gives -0.0; the gradient sums +0.0
         eta = 1.0 / (c_regs * (t + 1))
         w = (1.0 - eta * c_regs)[:, None] * w + (eta / n)[:, None] * (work.T @ x)
-        b = b + (eta / n) * work.sum(axis=0)
+        b = b + (eta / n) * (ones @ work)  # integer sums of -1, +0, +1: exact in any order
     return best_w, best_b, best_obj
 
 
@@ -277,7 +282,9 @@ def score_stream(model: LinearModel, stream: FeatureStream) -> np.ndarray:
     """(N, K) margins for every frame of a stream."""
     if stream.dim != model.dim:
         raise ValueError(f"stream dim {stream.dim} does not match model dim {model.dim}")
-    return stream.values @ model.weights.T + model.bias
+    margins = stream.values @ model.weights.T
+    margins += model.bias
+    return margins
 
 
 def predict_frames(model: LinearModel, stream: FeatureStream) -> StateSequence:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,19 @@ def high_snr_videos(seed, sigma=0.1, n_videos=4):
 
 
 class TestDetectCandidates:
+    def test_memory_holds_one_change_feature_matrix(self):
+        # |a - b| is taken in place: one (frames, D) float64 array at a time
+        rng = np.random.default_rng(5)
+        stream, d = stream_from(rng.standard_normal((20_000, 32))), 3
+        model = LinearModel(rng.standard_normal((1, 32)), np.ones(1), None, TrainConfig())
+        tracemalloc.start()
+        try:
+            detect_candidates(stream, model, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (20_000 - 2 * d) * 32 * 8
+
     def test_short_stream_warns_empty(self):
         s = stream_from(np.zeros((5, 2)))
         model = LinearModel(np.ones((1, 2)), np.zeros(1), None, TrainConfig())

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -340,6 +341,63 @@ class TestSolverExactness:
                 [model_bytes(m) for m in f] for f in expected
             ]
 
+    def test_wide_grid_matches_reference_bytes(self):
+        # 120 columns: every hinge sum adds its column's rows in order
+        x, y = seeded_states(7, 6, n=400, dim=9)
+        signs, c_regs = fold_signs(one_vs_rest(y, 6), 5, C_GRID)
+        assert signs.shape[1] == 120
+        expected = parent_masked_solve(x, signs, c_regs, 25)
+        assert same_bytes(classify._solve_subgradient(x, signs, c_regs, 25), expected)
+
+    def test_long_solves_match_reference_bytes(self):
+        # more rows than numpy's 8,192-element buffer, in one and in three columns
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((9000, 5)) * np.array([0.01, 1.0, 100.0, 1.0, 3.0])
+        signs = np.where(x[:, :3] + rng.standard_normal((9000, 3)) > 0.0, 1.0, -1.0)
+        signs[rng.random((9000, 3)) < 0.2] = 0.0
+        for cols in (slice(0, 1), slice(0, 3)):
+            c_regs = np.array([0.01, 0.3, 5.0])[cols]
+            expected = parent_masked_solve(x, signs[:, cols], c_regs, 8)
+            got = classify._solve_subgradient(x, np.ascontiguousarray(signs[:, cols]), c_regs, 8)
+            assert same_bytes(got, expected)
+
+    def test_one_column_solves_match_reference_bytes(self):
+        # a lone column is contiguous, so its hinge terms sum pairwise
+        for seed, n, c in product(range(4), (9, 130, 1000, 9000), (0.1, 1.0)):
+            x, y = seeded_states(seed, 2, n=n)
+            signs = (2.0 * y - 1.0)[:, None]
+            signs[::5] = 0.0
+            c_regs = np.array([c])
+            expected = parent_masked_solve(x, signs, c_regs, 30)
+            assert same_bytes(classify._solve_subgradient(x, signs, c_regs, 30), expected)
+
+    def test_k24_single_model_matches_reference_fit_bytes(self):
+        x, y = seeded_states(24, 24, n=600, dim=12)
+        x, y, held_out = classify._training_input(x, y, None, 1)
+        args = (x, one_vs_rest(y, 24), held_out, None, (0.5,), 30)
+        ((got,),), ((expected,),) = classify._fit(*args), parent_fit(*args)
+        assert model_bytes(got) == model_bytes(expected)
+
+
+class TestNumpyColumnSums:
+    """The solver sums the hinge terms of two or more columns with
+    einsum, which must add each column's rows in the order `sum` does.
+    A numpy release that changes either order fails here, not by moving
+    model bytes."""
+
+    def test_einsum_matches_sum_bytes(self):
+        rng = np.random.default_rng(9)
+        for rows, cols in product(
+            (1, 2, 7, 9, 128, 129, 1000, 8192, 8193, 12_000), (2, 3, 8, 20, 121, 480)
+        ):
+            if rows * cols > 2_000_000:
+                continue
+            a = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-8.0, 8.0, (rows, cols))
+            a[rng.random((rows, cols)) < 0.3] = 0.0
+            for values in (a, np.maximum(0.0, a)):  # signed, and hinge-like
+                assert values.flags.c_contiguous
+                assert np.einsum("ij->j", values).tobytes() == values.sum(axis=0).tobytes()
+
 
 def frames(values):
     return FeatureStream("v", Camera.HEAD, 6.0, np.atleast_2d(np.asarray(values, dtype=np.float64)))
@@ -360,6 +418,20 @@ class TestScore:
         model = LinearModel(np.zeros((2, 3)), np.zeros(2), LabelSpace.free_active(), TrainConfig())
         with pytest.raises(ValueError, match="dim"):
             score_stream(model, frames(np.zeros(4)))
+
+    def test_memory_holds_one_margin_matrix(self):
+        # the bias is added in place into the product
+        rng = np.random.default_rng(6)
+        model = LinearModel(rng.standard_normal((24, 32)), rng.standard_normal(24), None, TrainConfig())
+        stream = frames(rng.standard_normal((20_000, 32)))
+        tracemalloc.start()
+        try:
+            margins = score_stream(model, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(margins, stream.values @ model.weights.T + model.bias)
+        assert peak < 1.5 * margins.nbytes
 
     def test_trained_frame_argmax_is_label(self):
         x, y = two_blobs(seed=2)
