@@ -6,8 +6,12 @@ stays below a threshold in every channel form the stable hand mask; the
 video with the smallest stable region provides the template, which is then
 located in every other video's median image by multiscale zero-normalized
 cross-correlation. The statistics are exact, from sorted bands of rows of
-the uint8 frames. Frames are finally rescaled (only the crop window, by
-`media.resample`), cropped to the reference resolution, and replicate-padded.
+the uint8 frames, so they need every frame of a video at once. Frames are
+finally rescaled (only the crop window, by `media.resample`), cropped to the
+reference resolution, and replicate-padded; `align_video_dir` streams this
+last pass from file to file a few frames at a time. `resample` rounds half
+up by a bare cast to uint8, with no `floor` or `clip`: a bilinear mix of
+uint8 values, plus 0.5, lies in [0.5, 256), where truncation is the floor.
 """
 
 from __future__ import annotations
@@ -19,10 +23,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .media import Image, resample, resize_to, to_gray
+from .media import (
+    Image, frame_path, frame_paths, load_ppm, remove_frames_from, resample, resize_to, save_ppm,
+    to_gray,
+)
 
 _BAND_ROWS = 8  # frame rows whose time series are sorted together
-_CHUNK_FRAMES = 4  # frames resampled together: small float64 temporaries stay in cache
+_CHUNK_FRAMES = 4  # frames aligned together: small float64 temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -339,7 +346,8 @@ def align_video(
 
     Every output frame has the reference resolution; pixels that fall
     outside the rescaled source replicate the nearest edge. All frames must
-    have one shape; only the crop window is resampled, a few frames at a time.
+    have one shape; only the crop window is resampled, all frames at once,
+    so `align_video_dir` passes a few at a time.
     """
     out_w, out_h = result.reference_size
     bx0, by0 = result.template_box[0], result.template_box[1]
@@ -348,11 +356,32 @@ def align_video(
     sh = int(np.floor(entry.scale * h + 0.5))
     ys = np.clip(np.arange(out_h) - by0 + entry.dy, 0, sh - 1)
     xs = np.clip(np.arange(out_w) - bx0 + entry.dx, 0, sw - 1)
-    aligned = []
-    for s in range(0, len(frames), _CHUNK_FRAMES):
-        chunk = np.stack([f.pixels for f in frames[s : s + _CHUNK_FRAMES]])
-        aligned.extend(Image(px) for px in resample(chunk, sw, sh, ys, xs))
-    return aligned
+    stack = np.stack([f.pixels for f in frames])
+    return [Image(px) for px in resample(stack, sw, sh, ys, xs)]
+
+
+def align_video_dir(
+    video_dir: str | Path,
+    out_dir: str | Path,
+    entry: VideoAlignment,
+    result: AlignmentResult,
+    frame_shape: tuple[int, int, int],
+) -> None:
+    """`align_video` from the frame files of `video_dir` to those of `out_dir`,
+    `_CHUNK_FRAMES` frames at a time, so memory follows one chunk, not the
+    video. Every frame must have `frame_shape`, the shape of the frames
+    whose statistics placed the video."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = frame_paths(video_dir)
+    for s in range(0, len(paths), _CHUNK_FRAMES):
+        chunk = [load_ppm(p) for p in paths[s : s + _CHUNK_FRAMES]]
+        for p, img in zip(paths[s:], chunk):
+            if img.pixels.shape != frame_shape:
+                raise ValueError(f"{p} has shape {img.pixels.shape}, expected {frame_shape}")
+        for i, img in enumerate(align_video(chunk, entry, result), start=s):
+            save_ppm(img, frame_path(out_dir, i))
+    remove_frames_from(out_dir, len(paths))
 
 
 def write_alignment_report(result: AlignmentResult, path: str | Path) -> None:

@@ -232,8 +232,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
-    """Pass 1 keeps only each video's pixel statistics; pass 2 reloads one video
-    at a time to align and save it: memory follows one video, not the corpus."""
+    """Pass 1 keeps only each video's pixel statistics, from one video at a
+    time; pass 2 streams each video through a few frames at a time to align
+    and save it: memory follows one video, not the corpus."""
     dirs: dict[str, Path] = {}
     for path, in read_list_file(args.manifest, 1, 1):
         vid = Path(path).name
@@ -252,8 +253,8 @@ def _cmd_align(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for vid, entry in sorted(result.per_video.items()):
-        aligned = alignment.align_video(media.load_video_dir(dirs[vid]), entry, result)
-        media.save_video_dir(aligned, out / vid)
+        alignment.align_video_dir(dirs[vid], out / vid, entry, result,
+                                  stats[vid].median_image.shape)
     alignment.write_alignment_report(result, out / "alignment.json")
     print(f"reference: {result.reference_video_id}")
     for vid, entry in sorted(result.per_video.items()):

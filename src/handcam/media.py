@@ -90,15 +90,17 @@ def load_ppm(path: str | Path) -> Image:
         raise PpmError("image dimensions must be positive")
     if maxval != 255:
         raise PpmError(f"unsupported maxval {maxval}, expected 255")
-    pos += 1  # single whitespace byte after maxval
+    if pos < len(data) and not data[pos : pos + 1].isspace():
+        raise PpmError(f"expected one whitespace byte after maxval, got {data[pos : pos + 1]!r}")
+    pos += 1
     expected = width * height * 3
-    payload = data[pos : pos + expected]
-    if len(payload) < expected:
+    if len(data) - pos < expected:
         raise PpmError("unexpected end of pixel data")
     if len(data) - pos > expected:
         raise PpmError("trailing bytes after pixel data")
-    px = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return Image(px)
+    # a read-only view of the file's bytes: `Image` keeps it without a copy
+    px = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)
+    return Image(px.reshape(height, width, 3))
 
 
 def save_ppm(img: Image, path: str | Path) -> None:
@@ -110,32 +112,48 @@ def save_ppm(img: Image, path: str | Path) -> None:
     """
     if img.channels != 3:
         raise ValueError("save_ppm requires a 3-channel image")
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.pixels.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{img.width} {img.height}\n255\n".encode("ascii"))
+        fh.write(img.pixels.data)  # `Image` pixels are C-contiguous: no copy
 
 
-_FRAME_RE = re.compile(r"^frame_(\d{6})\.ppm$")
+# every name `frame_path` writes: six digits, or more without a leading zero
+_FRAME_RE = re.compile(r"^frame_(\d{6}|[1-9]\d{6,})\.ppm$")
 
 
 def frame_path(video_dir: str | Path, index: int) -> Path:
     return Path(video_dir) / f"frame_{index:06d}.ppm"
 
 
-def load_video_dir(video_dir: str | Path) -> list[Image]:
-    """Load all frames of a video directory, ordered by frame number."""
+def _numbered_frames(video_dir: Path) -> list[tuple[int, Path]]:
+    return sorted(
+        (int(m.group(1)), p) for p in video_dir.iterdir() if (m := _FRAME_RE.match(p.name))
+    )
+
+
+def frame_paths(video_dir: str | Path) -> list[Path]:
+    """The frame files of a video directory, ordered by frame number, which
+    must run from 0 without a gap."""
     video_dir = Path(video_dir)
-    numbered = []
-    for p in video_dir.iterdir():
-        m = _FRAME_RE.match(p.name)
-        if m:
-            numbered.append((int(m.group(1)), p))
+    numbered = _numbered_frames(video_dir)
     if not numbered:
         raise ValueError(f"no frame_*.ppm files in {video_dir}")
-    numbered.sort()
-    indices = [i for i, _ in numbered]
-    if indices != list(range(len(indices))):
+    if [i for i, _ in numbered] != list(range(len(numbered))):
         raise ValueError(f"frame numbers in {video_dir} are not contiguous from 0")
-    return [load_ppm(p) for _, p in numbered]
+    return [p for _, p in numbered]
+
+
+def load_video_dir(video_dir: str | Path) -> list[Image]:
+    """Load all frames of a video directory, ordered by frame number."""
+    return [load_ppm(p) for p in frame_paths(video_dir)]
+
+
+def remove_frames_from(video_dir: str | Path, count: int) -> None:
+    """Delete the frame files numbered `count` and above, so that a video
+    written over a longer one holds exactly the frames written."""
+    for i, p in _numbered_frames(Path(video_dir)):
+        if i >= count:
+            p.unlink()
 
 
 def save_video_dir(frames: list[Image], video_dir: str | Path) -> None:
@@ -143,6 +161,7 @@ def save_video_dir(frames: list[Image], video_dir: str | Path) -> None:
     video_dir.mkdir(parents=True, exist_ok=True)
     for i, img in enumerate(frames):
         save_ppm(img, frame_path(video_dir, i))
+    remove_frames_from(video_dir, len(frames))
 
 
 def hflip(img: Image) -> Image:
@@ -177,6 +196,12 @@ def resample(
     x*(w-1)/(width-1), so corners map to corners, the source size is the
     identity and samples never leave the grid (edge clamping). Only the
     source rows between the first and last one read are converted.
+
+    Each gathered block is scaled in place (`a * w` is the same IEEE product
+    as `w * a`), so there are two float64 arrays of the window, not six.
+    Rounding half up needs no `floor` or `clip`: a convex mix of values in
+    [0, 255], plus 0.5, lies in [0.5, 256), where the cast to uint8
+    truncates, which is the floor there.
     """
     if width < 1 or height < 1:
         raise ValueError("output dimensions must be >= 1")
@@ -188,11 +213,17 @@ def resample(
     first = int(y0.min())
     band = stack[:, first : int(y1.max()) + 1]
     fx = fx[:, None]
-    horiz = (1.0 - fx) * np.take(band, x0, axis=2) + fx * np.take(band, x1, axis=2)
+    horiz = np.take(band, x0, axis=2) * (1.0 - fx)
+    horiz += np.take(band, x1, axis=2) * fx
     fy = fy[:, None, None]
-    top, bot = np.take(horiz, y0 - first, axis=1), np.take(horiz, y1 - first, axis=1)
-    out = (1.0 - fy) * top + fy * bot
-    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+    out = np.take(horiz, y0 - first, axis=1)
+    out *= 1.0 - fy
+    bot = np.take(horiz, y1 - first, axis=1)
+    bot *= fy
+    out += bot
+    del horiz, bot  # before the cast allocates its uint8 copy
+    out += 0.5
+    return out.astype(np.uint8)
 
 
 def resize_to(img: Image, width: int, height: int) -> Image:

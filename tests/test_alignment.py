@@ -14,6 +14,7 @@ from handcam.alignment import (
     VideoAlignment,
     _valid_correlation,
     align_video,
+    align_video_dir,
     align_videos,
     compute_pixel_stats,
     median_as_image,
@@ -23,7 +24,7 @@ from handcam.alignment import (
     write_alignment_report,
     zncc_map,
 )
-from handcam.media import Image
+from handcam.media import Image, frame_path, load_video_dir, save_ppm, save_video_dir
 from test_media import KINDS, random_stack, reference_resize_to
 
 
@@ -566,3 +567,55 @@ class TestExactAgainstReference:
         result = AlignmentResult("v", (4, 4), (0, 0, 1, 1), {"v": entry})
         with pytest.raises(ValueError, match="frame 1 has shape"):
             align_video(frames, entry, result)
+
+
+def scaled_entry(scale, out_w, out_h, dx, dy):
+    entry = VideoAlignment("v", scale, dx, dy, 1.0, (0, 0, 1, 1))
+    return entry, AlignmentResult("v", (out_w, out_h), (0, 0, 1, 1), {"v": entry})
+
+
+class TestAlignVideoDir:
+    """Pass 2 of `align`, streamed from frame files to frame files."""
+
+    def test_files_match_align_video(self, tmp_path):
+        rng = np.random.default_rng(41)
+        for case, t in enumerate((1, 3, 4, 5, 9)):
+            frames = [Image(p) for p in random_stack(rng, t, 18, 24, 3, KINDS[case % 3])]
+            save_video_dir(frames, tmp_path / f"in{case}")
+            entry, result = scaled_entry((0.9, 1.0, 1.1, 1.2, 1.3)[case], 20, 16, -2, 3)
+            align_video_dir(tmp_path / f"in{case}", tmp_path / "out", entry, result, (18, 24, 3))
+            save_video_dir(align_video(frames, entry, result), tmp_path / "want")
+            got = sorted((tmp_path / "out").iterdir())
+            want = sorted((tmp_path / "want").iterdir())
+            assert [p.name for p in got] == [p.name for p in want]
+            assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
+
+    def test_frame_shape_checked(self, tmp_path):
+        frames = [Image(np.zeros((6, 8, 3), dtype=np.uint8)) for _ in range(6)]
+        save_video_dir(frames, tmp_path / "in")
+        save_ppm(Image(np.zeros((6, 9, 3), dtype=np.uint8)), frame_path(tmp_path / "in", 5))
+        entry, result = scaled_entry(1.0, 8, 6, 0, 0)
+        with pytest.raises(ValueError, match=r"frame_000000\.ppm has shape \(6, 8, 3\), "
+                                             r"expected \(7, 8, 3\)"):
+            align_video_dir(tmp_path / "in", tmp_path / "out", entry, result, (7, 8, 3))
+        with pytest.raises(ValueError, match=r"frame_000005\.ppm has shape \(6, 9, 3\)"):
+            align_video_dir(tmp_path / "in", tmp_path / "out", entry, result, (6, 8, 3))
+
+    def test_memory_follows_one_chunk(self, tmp_path):
+        # the parent held the whole video and its aligned copy: 4x the
+        # frames for 4x the video
+        rng = np.random.default_rng(42)
+        entry, result = scaled_entry(1.2, 64, 48, 3, 2)
+        peaks = []
+        for t in (32, 128):
+            video = tmp_path / f"v{t}"
+            save_video_dir([Image(p) for p in rng.integers(0, 256, (t, 48, 64, 3),
+                                                           dtype=np.uint8)], video)
+            tracemalloc.start()
+            try:
+                align_video_dir(video, tmp_path / f"out{t}", entry, result, (48, 64, 3))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(load_video_dir(tmp_path / f"out{t}")) == t
+        assert peaks[1] < 1.2 * peaks[0]

@@ -286,6 +286,37 @@ class TestAlign:
             assert "video id 'cam'" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_rerun_with_shorter_videos_leaves_no_stale_frames(self, tmp_path):
+        # aligning 3-frame videos into an --out that holds 5-frame ones used
+        # to leave frames 3 and 4 behind
+        hand = synth.smooth_patch(8, 8, seed=5)
+        specs = [synth.VideoSpec("va", 1.0, 4, 4), synth.VideoSpec("vb", 1.0, 10, 6)]
+        manifest = tmp_path / "videos.txt"
+        manifest.write_text(f"{tmp_path / 'videos' / 'va'}\n{tmp_path / 'videos' / 'vb'}\n")
+        out = tmp_path / "aligned"
+        for n_frames in (5, 3):
+            synth.gen_video_set(hand, specs, (24, 18), n_frames, 20.0, 0, seed=11,
+                                out_dir=tmp_path / "videos")
+            assert main(["align", "--manifest", str(manifest), "--out", str(out),
+                         "--scales", "1.0"]) == 0
+        for vid in ("va", "vb"):
+            assert sorted(p.name for p in (tmp_path / "videos" / vid).iterdir()) == [
+                f"frame_{i:06d}.ppm" for i in range(3)]
+            assert sorted(p.name for p in (out / vid).iterdir()) == [
+                f"frame_{i:06d}.ppm" for i in range(3)]
+
+    def test_frame_numbers_past_999999_exit_2(self, tmp_path, capsys):
+        # frames 0, 1 and 1,000,000 used to load as a 2-frame video
+        hand = synth.smooth_patch(8, 8, seed=5)
+        video = tmp_path / "videos" / "va"
+        synth.gen_video_set(hand, [synth.VideoSpec("va", 1.0, 4, 4)], (24, 18), 2, 20.0, 0,
+                            seed=11, out_dir=tmp_path / "videos")
+        (video / "frame_000001.ppm").rename(video / "frame_1000000.ppm")
+        (video / "frame_000001.ppm").write_bytes((video / "frame_1000000.ppm").read_bytes())
+        capsys.readouterr()
+        assert main(["extract", "--video", str(video), "--out", str(tmp_path / "x.feat")]) == 2
+        assert "not contiguous" in capsys.readouterr().err
+
     def test_unreadable_video_leaves_no_output(self, tmp_path, capsys):
         hand = synth.smooth_patch(8, 8, seed=5)
         synth.gen_video_set(hand, [synth.VideoSpec("va", 1.0, 4, 4)], (24, 18), 3, 20.0, 0,

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from handcam.media import (
     Image,
     PpmError,
+    frame_path,
     hflip,
     load_ppm,
     load_video_dir,
@@ -47,6 +50,17 @@ class TestPpm:
         path.write_bytes(b"P6\n# a comment\n1 1\n255\n\x01\x02\x03")
         assert load_ppm(path).pixels.ravel().tolist() == [1, 2, 3]
 
+    def test_separator_is_one_whitespace_byte(self, tmp_path):
+        # a '#' after maxval used to be taken as the separator
+        path = tmp_path / "s.ppm"
+        for sep in (b" ", b"\t", b"\r", b"\n"):
+            path.write_bytes(b"P6\n1 1\n255" + sep + b"\x01\x02\x03")
+            assert load_ppm(path).pixels.ravel().tolist() == [1, 2, 3]
+        for data in (b"P6\n1 1\n255#\x01\x02\x03", b"P6\n1 1\n255#\n\x01\x02"):
+            path.write_bytes(data)
+            with pytest.raises(PpmError, match="whitespace"):
+                load_ppm(path)
+
     def test_truncated_pixels(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 5)
@@ -73,6 +87,41 @@ class TestPpm:
         assert len(loaded) == 3
         for a, b in zip(frames, loaded):
             assert np.array_equal(a.pixels, b.pixels)
+
+
+class TestVideoDir:
+    def test_rewrite_with_fewer_frames_leaves_no_stale_frames(self, tmp_path):
+        # writing 3 frames over 5 used to read back 5
+        rng = np.random.default_rng(9)
+        video = tmp_path / "vid"
+        (tmp_path / "vid").mkdir()
+        (video / "notes.txt").write_text("kept")
+        save_video_dir([make_image(rng.integers(0, 256, (2, 3, 3))) for _ in range(5)], video)
+        frames = [make_image(rng.integers(0, 256, (2, 3, 3))) for _ in range(3)]
+        save_video_dir(frames, video)
+        assert sorted(p.name for p in video.iterdir()) == [
+            "frame_000000.ppm", "frame_000001.ppm", "frame_000002.ppm", "notes.txt"]
+        loaded = load_video_dir(video)
+        assert [f.pixels.tobytes() for f in loaded] == [f.pixels.tobytes() for f in frames]
+
+    def test_frame_numbers_past_999999_are_listed(self, tmp_path):
+        # frame_1000000.ppm used to be skipped, so 0, 1, 1000000 read as 2 frames
+        img = make_image(np.zeros((1, 1, 3)))
+        assert frame_path(tmp_path, 1_000_000).name == "frame_1000000.ppm"
+        for i in (0, 1, 1_000_000):
+            save_ppm(img, frame_path(tmp_path, i))
+        with pytest.raises(ValueError, match="not contiguous"):
+            load_video_dir(tmp_path)
+
+    def test_names_frame_path_never_writes_are_not_frames(self, tmp_path):
+        img = make_image(np.zeros((1, 1, 3)))
+        for name in ("frame_000000.ppm", "frame_0000001.ppm", "frame_00001.ppm",
+                     "frame_000001.ppm.bak"):
+            save_ppm(img, tmp_path / name)
+        assert len(load_video_dir(tmp_path)) == 1
+        save_video_dir([], tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
+            "frame_0000001.ppm", "frame_00001.ppm", "frame_000001.ppm.bak"])
 
 
 class TestHflip:
@@ -226,3 +275,95 @@ class TestResampleExact:
             for frame, got in zip(stack, out):
                 want = reference_resize_to(frame, width, height)[np.ix_(rows, cols)]
                 assert got.tobytes() == want.tobytes(), (h, w, width, height)
+
+
+def parent_source_coords(idx, n_dst, n_src):
+    """`media._source_coords` as `parent_resample` used it."""
+    pos = idx * (n_src - 1) / (n_dst - 1) if n_dst > 1 else np.zeros(len(idx))
+    lo = np.floor(pos).astype(np.int64)
+    return lo, np.minimum(lo + 1, n_src - 1), pos - lo
+
+
+def parent_resample(stack, width, height, rows, cols):
+    """`resample` as it was before its in-place passes: six float64 arrays
+    of the window, then `floor` and `clip`."""
+    if width < 1 or height < 1:
+        raise ValueError("output dimensions must be >= 1")
+    h, w = stack.shape[1:3]
+    if (width, height) == (w, h):
+        return stack[:, rows][:, :, cols]
+    y0, y1, fy = parent_source_coords(rows, height, h)
+    x0, x1, fx = parent_source_coords(cols, width, w)
+    first = int(y0.min())
+    band = stack[:, first : int(y1.max()) + 1]
+    fx = fx[:, None]
+    horiz = (1.0 - fx) * np.take(band, x0, axis=2) + fx * np.take(band, x1, axis=2)
+    fy = fy[:, None, None]
+    top, bot = np.take(horiz, y0 - first, axis=1), np.take(horiz, y1 - first, axis=1)
+    out = (1.0 - fy) * top + fy * bot
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+def crop_window(scale, w, h, dx, dy):
+    """Rows and columns of the scaled frame that `align_video` reads for a
+    w x h output with the template at (0, 0): clipped, so a window past an
+    edge replicates it."""
+    sw, sh = int(np.floor(scale * w + 0.5)), int(np.floor(scale * h + 0.5))
+    return sw, sh, np.clip(np.arange(h) + dy, 0, sh - 1), np.clip(np.arange(w) + dx, 0, sw - 1)
+
+
+class TestLeanResample:
+    SCALES = (0.9, 1.1, 1.2, 1.3)
+
+    def test_matches_parent_at_corpus_sizes(self):
+        # 90 x 120 frames, chunks of 1-7 frames, windows inside the frame
+        # and past each of its four edges
+        rng = np.random.default_rng(31)
+        offsets = [(5, 4), (-20, 3), (7, -15), (60, 8), (4, 50), (-30, -30), (80, 70)]
+        for case in range(56):
+            scale = self.SCALES[case % 4]
+            t = case % 7 + 1
+            kind = ("random", "binary")[case // 28]
+            stack = random_stack(rng, t, 90, 120, 3, kind)
+            dx, dy = offsets[case % len(offsets)]
+            sw, sh, rows, cols = crop_window(scale, 120, 90, dx, dy)
+            got = resample(stack, sw, sh, rows, cols)
+            want = parent_resample(stack, sw, sh, rows, cols)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (scale, t, dx, dy)
+
+    def test_extreme_frames_match_parent(self):
+        # all 0, all 255 and 0/255 stripes: the ends of the rounding range
+        for fill in (np.zeros, lambda s, dtype: np.full(s, 255, dtype=dtype)):
+            stack = fill((3, 90, 120, 3), dtype=np.uint8)
+            stack[1, ::2] = 255 - stack[1, ::2]
+            stack[2, :, ::3] = 255 - stack[2, :, ::3]
+            for scale in self.SCALES:
+                sw, sh, rows, cols = crop_window(scale, 120, 90, -9, 95)
+                assert resample(stack, sw, sh, rows, cols).tobytes() == (
+                    parent_resample(stack, sw, sh, rows, cols).tobytes())
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_memory_two_window_arrays(self, scale):
+        # a 4-frame chunk peaks near 3x its float64 output (the parent, 5.9x)
+        stack = np.random.default_rng(32).integers(0, 256, (4, 90, 120, 3), dtype=np.uint8)
+        sw, sh, rows, cols = crop_window(scale, 120, 90, 6, 5)
+        tracemalloc.start()
+        try:
+            out = resample(stack, sw, sh, rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * out.size * 8
+
+
+class TestNumpyCast:
+    def test_uint8_cast_truncates_like_floor(self):
+        # `resample` rounds by `(x + 0.5).astype(np.uint8)` on [0.5, 256):
+        # every value near each integer and at the ends of the range
+        ints = np.arange(256, dtype=np.float64)
+        near = np.concatenate([ints, np.nextafter(ints, -1), np.nextafter(ints, 256),
+                               ints + 0.5, ints + 0.25, ints + 0.999999])
+        rng = np.random.default_rng(33)
+        x = np.concatenate([near, rng.uniform(0.5, 256, 100_000), [np.nextafter(256.0, 0)]])
+        x = x[(x >= 0.5) & (x < 256)]
+        assert np.array_equal(x.astype(np.uint8).astype(np.float64), np.floor(x))

@@ -126,17 +126,19 @@ def ppm_file(tmp_path, pixels):
 
 @st.composite
 def rewritten_header(draw, files):
-    """A PPM with one header token replaced, other separators and maybe
-    no pixel data."""
+    """A PPM with one header token maybe replaced, other separators and
+    maybe no pixel data."""
     data, header_len = draw(st.sampled_from(files))
     tokens = data[:header_len].split()  # magic, width, height, maxval
-    tokens[draw(st.integers(0, 3))] = draw(st.one_of(
+    i = draw(st.integers(0, 3))
+    tokens[i] = draw(st.one_of(
+        st.just(tokens[i]),
         st.integers(-3, 2**70).map(lambda v: str(v).encode()),
         st.sampled_from([b"P3", b"P6", b"0", b"255", b"65535", b"1e3", b"\xd9\xa3", b""]),
         st.binary(max_size=4),
     ))
     sep = draw(st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b" #c\n", b"#", b""]))
-    end = draw(st.sampled_from([b"\n", b"", b"\n\n", b"#\n"]))
+    end = draw(st.sampled_from([b"\n", b"", b"\n\n", b"#\n", b"#", b" ", b"\t"]))
     payload = data[header_len:] if draw(st.booleans()) else b""
     return tokens[0] + sep + sep.join(tokens[1:]) + end + payload
 
@@ -160,6 +162,9 @@ def test_load_ppm_damaged(tmp_path_factory):
         except PpmError:
             return
         assert img.channels == 3 and img.pixels.size == 3 * img.width * img.height
+        # the pixels are the bytes after one whitespace byte that ends the header
+        header, payload = data[: -img.pixels.size], data[-img.pixels.size :]
+        assert header[-1:].isspace() and img.pixels.tobytes() == payload
 
     check()
 
