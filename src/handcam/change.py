@@ -53,13 +53,16 @@ def valid_band(n_frames: int, d: int) -> tuple[int, int]:
     return d, n_frames - 1 - d
 
 
-def change_feature_matrix(stream: FeatureStream, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """All in-band change features: (band frame indices, (len(band), D))."""
+def change_feature_matrix(
+    stream: FeatureStream, d: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """All in-band change features: (band frame indices, (len(band), D)),
+    written into `out` when it is given."""
     n = stream.n_frames
     lo, hi = valid_band(n, d)
     if hi < lo:
         return np.empty(0, dtype=np.int64), np.empty((0, stream.dim))
-    cf = stream.values[: n - 2 * d] - stream.values[2 * d :]
+    cf = np.subtract(stream.values[: n - 2 * d], stream.values[2 * d :], out=out)
     np.abs(cf, out=cf)
     return np.arange(lo, hi + 1), cf
 
@@ -142,20 +145,30 @@ def detect_candidates(
 def change_training_set(
     streams: Sequence[FeatureStream], truths: Sequence[StateSequence], d: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack in-band change features and labels across labeled videos."""
-    xs, ys = [], []
+    """Stack in-band change features and labels across labeled videos.
+
+    The (rows, D) matrix and the labels are allocated once, and each video
+    writes its in-band rows into them, so training holds one copy.
+    """
+    rows = []
     for stream, truth in zip(streams, truths):
         if stream.n_frames != len(truth):
             raise ValueError(f"video {stream.video_id}: frame/label count mismatch")
-        if stream.n_frames < 2 * d + 1:
-            continue
-        band, cf = change_feature_matrix(stream, d)
-        labels = label_change_frames(truth, d)[band]
-        xs.append(cf)
-        ys.append(labels)
-    if not xs:
+        rows.append(max(0, stream.n_frames - 2 * d))  # 0 below 2d+1 frames
+    dims = {stream.dim for stream, m in zip(streams, rows) if m}
+    if not dims:
         raise ValueError("no video is long enough for the requested d")
-    return np.concatenate(xs), np.concatenate(ys).astype(np.int64)
+    if len(dims) > 1:
+        raise ValueError(f"videos differ in feature dim: {sorted(dims)}")
+    x = np.empty((sum(rows), dims.pop()))
+    y = np.empty(sum(rows), dtype=np.int64)
+    start = 0
+    for stream, truth, m in zip(streams, truths, rows):
+        if m:
+            change_feature_matrix(stream, d, out=x[start : start + m])
+            y[start : start + m] = label_change_frames(truth, d)[d : d + m]
+            start += m
+    return x, y
 
 
 def train_change_model(

@@ -208,6 +208,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         cfg = _read_json_object(
             args.config, {"seed": "integer", **_SYNTH_STREAMS, "videos": "integer"}
         )
+        synth.check_stream_budget(cfg["videos"], cfg["frames"], cfg["dim"])
         pairs = synth.gen_feature_set(
             cfg["seed"], cfg["states"], cfg["dim"], cfg["frames"], cfg["min_dwell"],
             cfg["noise_sigma"], [f"video_{i:02d}" for i in range(cfg["videos"])],
@@ -234,7 +235,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_align(args: argparse.Namespace) -> int:
     """Pass 1 keeps only each video's pixel statistics, from one video at a
     time; pass 2 streams each video through a few frames at a time to align
-    and save it: memory follows one video, not the corpus."""
+    and save it: memory follows one video, not the corpus. Afterwards --out
+    holds the videos of this run only: the frames of any other video
+    directory in it are deleted, and the directory too if that empties it."""
     dirs: dict[str, Path] = {}
     for path, in read_list_file(args.manifest, 1, 1):
         vid = Path(path).name
@@ -255,6 +258,11 @@ def _cmd_align(args: argparse.Namespace) -> int:
     for vid, entry in sorted(result.per_video.items()):
         alignment.align_video_dir(dirs[vid], out / vid, entry, result,
                                   stats[vid].median_image.shape)
+    for stale in sorted(out.iterdir()):
+        if stale.name not in result.per_video and stale.is_dir() and not stale.is_symlink():
+            media.remove_frames_from(stale, 0)
+            if not any(stale.iterdir()):
+                stale.rmdir()
     alignment.write_alignment_report(result, out / "alignment.json")
     print(f"reference: {result.reference_video_id}")
     for vid, entry in sorted(result.per_video.items()):
@@ -486,6 +494,8 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
     scfg = cfg["synth"]
     if scfg["states"] > space.num_labels:
         raise ValueError("synth states exceed the label-space size")
+    synth.check_stream_budget(scfg["train_videos"] + scfg["test_videos"], scfg["frames"],
+                              scfg["dim"])
     fps = cfg.get("fps", 6.0)
     epochs = cfg.get("training", {}).get("epochs", 200)
 

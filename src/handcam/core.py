@@ -39,6 +39,11 @@ def frozen_array(arr: np.ndarray) -> np.ndarray:
     A writable or non-contiguous argument is copied, so the caller's array
     stays writable and later writes to it do not reach the stored one; an
     array that is already read-only and contiguous is stored as it is.
+
+    Hand-over rule: a function that has just made an array and keeps no
+    other reference to it sets it read-only before passing it in, and the
+    array is then kept without a copy (as `read_features` and
+    `synth.gen_feature_stream` do).
     """
     if arr.flags.writeable or not arr.flags.c_contiguous:
         arr = np.array(arr, order="C")

@@ -79,7 +79,8 @@ def cross_validate(
 
     The rows of every video are stacked once, and each row is keyed by its
     video's fold. The state models of every fold and C come from one solver
-    run, and the change models of every fold and C from one run per d.
+    run, and the change models of every fold and C from one run per d; one
+    d's change set is alive at a time.
     """
     if len(videos) < plan.folds:
         raise ValueError(
@@ -105,6 +106,7 @@ def cross_validate(
         if any(np.all(row_folds == f) for f in range(plan.folds)):
             raise ValueError("no video is long enough for the requested d")
         change_models.append(train_binary_grid(x, y, row_folds, plan.folds, plan.c_grid, epochs))
+        del x, y  # the next d's set is built without this one alive
 
     # accumulate per-(c, d, lam) fold accuracies; state models are shared
     # across d and lam, change models and decoding problems across lam

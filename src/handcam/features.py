@@ -39,8 +39,9 @@ def write_features(stream: FeatureStream, path: str | Path) -> None:
     ) + vid + struct.pack(
         "<BdII", _CAMERA_CODE[stream.camera], stream.fps, stream.n_frames, stream.dim
     )
-    payload = stream.values.astype("<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(stream.values.astype("<f4"))  # the array's buffer, not a copy of it
 
 
 def read_features(path: str | Path) -> FeatureStream:
@@ -107,6 +108,7 @@ def histogram_stream(
 ) -> FeatureStream:
     """Apply the reference extractor to every frame of a video."""
     values = np.stack([color_histogram(f, bins_per_channel) for f in frames])
+    values.setflags(write=False)  # fresh and ours: FeatureStream keeps it without a copy
     return FeatureStream(video_id, camera, fps, values)
 
 
@@ -121,4 +123,5 @@ def fuse_concat(a: FeatureStream, b: FeatureStream) -> FeatureStream:
     if a.fps != b.fps:
         raise ValueError(f"fps mismatch: {a.fps} vs {b.fps}")
     values = np.concatenate([a.values, b.values], axis=1)
+    values.setflags(write=False)  # fresh and ours: FeatureStream keeps it without a copy
     return FeatureStream(a.video_id, a.camera, a.fps, values)

@@ -20,6 +20,22 @@ from .core import Camera, FeatureStream, LabelSpace, StateSequence, frozen_array
 from .media import Image, resize_to, save_video_dir
 
 
+# Every synthesized stream is float64 and a feature set is held in memory
+# whole, so a config is refused before anything is allocated when its
+# streams would exceed this many bytes of values.
+MAX_STREAM_BYTES = 2**31
+
+
+def check_stream_budget(n_videos: int, n_frames: int, dim: int) -> None:
+    """Refuse streams of more than MAX_STREAM_BYTES of float64 values."""
+    nbytes = 8 * n_videos * n_frames * dim
+    if nbytes > MAX_STREAM_BYTES:
+        raise ValueError(
+            f"{n_videos} videos x {n_frames} frames x {dim} dims of float64 values are "
+            f"{nbytes} bytes, over the synth budget of {MAX_STREAM_BYTES} bytes"
+        )
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int
@@ -101,7 +117,7 @@ def gen_feature_stream(
         raise ValueError("label space too small for the configured state count")
     rng = np.random.default_rng(config.seed)
     states = _draw_states(config, rng)
-    trajectory = config.centers[states].copy()
+    trajectory = config.centers[states]
     w = config.transition_ramp
     if w > 0:
         for t in run_starts(states)[1:]:
@@ -110,8 +126,14 @@ def gen_feature_stream(
             trajectory[frames] = (
                 (1.0 - alpha) * config.centers[states[t - 1]] + alpha * config.centers[states[t]]
             )
-    noise = rng.standard_normal((config.n_frames, config.dim)) * config.noise_sigma
-    stream = FeatureStream(video_id, camera, fps, trajectory + noise)
+    # the values are built inside the noise array: noise + trajectory has
+    # the bits of trajectory + noise, as IEEE addition commutes
+    values = rng.standard_normal((config.n_frames, config.dim))
+    values *= config.noise_sigma
+    values += trajectory
+    del trajectory
+    values.setflags(write=False)  # fresh and ours: FeatureStream keeps it without a copy
+    stream = FeatureStream(video_id, camera, fps, values)
     truth = (
         StateSequence(label_space, states)
         if label_space is not None

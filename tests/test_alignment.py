@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,16 +85,11 @@ class TestPixelStats:
             c = rng.uniform(0, 255, size=(300, 1))
             assert np.all(best <= np.abs(series - c).sum(axis=1) + 1e-9)
 
-    def test_memory_stays_near_the_frames(self):
+    def test_memory_stays_near_the_frames(self, traced_peak):
         # uint8 bands, not a float64 stack of every frame (8x the frames)
         rng = np.random.default_rng(3)
         frames = [Image(p) for p in rng.integers(0, 256, (40, 48, 20, 3), dtype=np.uint8)]
-        tracemalloc.start()
-        try:
-            compute_pixel_stats(frames)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(compute_pixel_stats, frames)
         assert peak < 1.5 * 40 * 48 * 20 * 3
 
     def test_diversity_permutation_invariant(self):
@@ -601,7 +595,7 @@ class TestAlignVideoDir:
         with pytest.raises(ValueError, match=r"frame_000005\.ppm has shape \(6, 9, 3\)"):
             align_video_dir(tmp_path / "in", tmp_path / "out", entry, result, (6, 8, 3))
 
-    def test_memory_follows_one_chunk(self, tmp_path):
+    def test_memory_follows_one_chunk(self, tmp_path, traced_peak):
         # the parent held the whole video and its aligned copy: 4x the
         # frames for 4x the video
         rng = np.random.default_rng(42)
@@ -611,11 +605,7 @@ class TestAlignVideoDir:
             video = tmp_path / f"v{t}"
             save_video_dir([Image(p) for p in rng.integers(0, 256, (t, 48, 64, 3),
                                                            dtype=np.uint8)], video)
-            tracemalloc.start()
-            try:
-                align_video_dir(video, tmp_path / f"out{t}", entry, result, (48, 64, 3))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(align_video_dir, video, tmp_path / f"out{t}", entry,
+                                     result, (48, 64, 3))[0])
             assert len(load_video_dir(tmp_path / f"out{t}")) == t
         assert peaks[1] < 1.2 * peaks[0]

@@ -1,4 +1,4 @@
-import tracemalloc
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from handcam import synth
 from handcam.change import (
     CandidateSet,
     change_feature_matrix,
+    change_training_set,
     detect_candidates,
     label_change_frames,
     suppress_non_maxima,
@@ -35,6 +36,27 @@ def suppress_non_maxima_greedy(frame_indices, confidences, radius):
         alive[np.abs(idx - idx[j]) <= radius] = False
     kept.sort()
     return idx[kept], conf[kept]
+
+
+def parent_change_training_set(streams, truths, d):
+    """change_training_set as it was before it wrote into one preallocated
+    matrix: per-video arrays, then their concatenation (the reference, bit
+    for bit), with change_feature_matrix inlined."""
+    xs, ys = [], []
+    for stream, truth in zip(streams, truths):
+        if stream.n_frames != len(truth):
+            raise ValueError(f"video {stream.video_id}: frame/label count mismatch")
+        if stream.n_frames < 2 * d + 1:
+            continue
+        n = stream.n_frames
+        cf = stream.values[: n - 2 * d] - stream.values[2 * d :]
+        np.abs(cf, out=cf)
+        labels = label_change_frames(truth, d)[np.arange(d, n - d)]
+        xs.append(cf)
+        ys.append(labels)
+    if not xs:
+        raise ValueError("no video is long enough for the requested d")
+    return np.concatenate(xs), np.concatenate(ys).astype(np.int64)
 
 
 def stream_from(values):
@@ -199,18 +221,81 @@ def high_snr_videos(seed, sigma=0.1, n_videos=4):
     return out
 
 
+def random_labeled_videos(rng, d):
+    """1-5 videos of 2-40 dims, some shorter than 2d+1, with ramps on or off."""
+    n_videos, dim = int(rng.integers(1, 6)), int(rng.integers(2, 41))
+    centers = synth.random_centers(3, dim, int(rng.integers(1 << 30)))
+    return [synth.gen_feature_stream(synth.SynthConfig(
+        seed=int(rng.integers(1 << 30)), num_states=3, dim=dim,
+        n_frames=int(rng.integers(1, 6 * d + 40)), min_dwell=int(rng.integers(1, 12)),
+        centers=centers, noise_sigma=float(rng.uniform(0, 2)),
+        transition_ramp=int(rng.integers(0, 2)) * int(rng.integers(1, 5)),
+    ), video_id=f"v{i}") for i in range(n_videos)]
+
+
+class TestChangeTrainingSet:
+    def test_matches_parent_bytes(self):
+        rng = np.random.default_rng(21)
+        short = 0
+        for _ in range(60):
+            d = int(rng.integers(1, 7))
+            pairs = random_labeled_videos(rng, d)
+            streams, truths = [s for s, _ in pairs], [t for _, t in pairs]
+            short += sum(s.n_frames < 2 * d + 1 for s in streams)
+            try:
+                want = parent_change_training_set(streams, truths, d)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=re.escape(str(e))):
+                    change_training_set(streams, truths, d)
+                continue
+            x, y = change_training_set(streams, truths, d)
+            for got, ref in zip((x, y), want):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+        assert short > 10
+
+    def test_errors_match_parent(self):
+        (s0, t0), (s1, t1) = high_snr_videos(3, n_videos=2)
+        cut = StateSequence(None, t1.states[:-1], num_states=3)
+        for streams, truths, d in (([s0, s1], [t0, cut], 3), ([s0], [t0], 100)):
+            with pytest.raises(ValueError) as want:
+                parent_change_training_set(streams, truths, d)
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                change_training_set(streams, truths, d)
+
+    def test_videos_of_different_dims(self):
+        # rows of two widths cannot stack (the parent's concatenate raised);
+        # a video too short to give rows is skipped whatever its width
+        (s0, t0), (s1, t1) = high_snr_videos(3, n_videos=2)
+        wide = FeatureStream("w", Camera.HEAD, 6.0, np.zeros((s1.n_frames, 9)))
+        with pytest.raises(ValueError):
+            parent_change_training_set([s0, wide], [t0, t1], 3)
+        with pytest.raises(ValueError, match=r"feature dim: \[6, 9\]"):
+            change_training_set([s0, wide], [t0, t1], 3)
+        short = FeatureStream("w", Camera.HEAD, 6.0, np.zeros((5, 9)))
+        x, y = change_training_set([s0, short], [t0, StateSequence(None, t1.states[:5],
+                                                                   num_states=3)], 3)
+        want = parent_change_training_set([s0], [t0], 3)
+        assert x.tobytes() == want[0].tobytes() and y.tobytes() == want[1].tobytes()
+
+    def test_memory_holds_one_matrix(self, traced_peak):
+        # the parent held every video's rows beside their concatenation (2x)
+        pairs = [synth.gen_feature_stream(synth.SynthConfig(
+            seed=i, num_states=3, dim=32, n_frames=2_000, min_dwell=20,
+            centers=synth.random_centers(3, 32, 7), noise_sigma=0.5,
+        ), video_id=f"v{i}") for i in range(8)]
+        peak, (x, _) = traced_peak(
+            change_training_set, [s for s, _ in pairs], [t for _, t in pairs], 4)
+        assert peak <= 1.2 * x.nbytes, peak / x.nbytes
+
+
 class TestDetectCandidates:
-    def test_memory_holds_one_change_feature_matrix(self):
+    def test_memory_holds_one_change_feature_matrix(self, traced_peak):
         # |a - b| is taken in place: one (frames, D) float64 array at a time
         rng = np.random.default_rng(5)
         stream, d = stream_from(rng.standard_normal((20_000, 32))), 3
         model = LinearModel(rng.standard_normal((1, 32)), np.ones(1), None, TrainConfig())
-        tracemalloc.start()
-        try:
-            detect_candidates(stream, model, d)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(detect_candidates, stream, model, d)
         assert peak < 1.5 * (20_000 - 2 * d) * 32 * 8
 
     def test_short_stream_warns_empty(self):

@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -419,17 +418,12 @@ class TestScore:
         with pytest.raises(ValueError, match="dim"):
             score_stream(model, frames(np.zeros(4)))
 
-    def test_memory_holds_one_margin_matrix(self):
+    def test_memory_holds_one_margin_matrix(self, traced_peak):
         # the bias is added in place into the product
         rng = np.random.default_rng(6)
         model = LinearModel(rng.standard_normal((24, 32)), rng.standard_normal(24), None, TrainConfig())
         stream = frames(rng.standard_normal((20_000, 32)))
-        tracemalloc.start()
-        try:
-            margins = score_stream(model, stream)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, margins = traced_peak(score_stream, model, stream)
         assert np.array_equal(margins, stream.values @ model.weights.T + model.bias)
         assert peak < 1.5 * margins.nbytes
 

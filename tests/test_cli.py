@@ -2,7 +2,6 @@ import argparse
 import hashlib
 import json
 import os
-import tracemalloc
 
 import numpy as np
 
@@ -305,6 +304,44 @@ class TestAlign:
             assert sorted(p.name for p in (out / vid).iterdir()) == [
                 f"frame_{i:06d}.ppm" for i in range(3)]
 
+    def test_rerun_with_fewer_videos_leaves_no_stale_videos(self, tmp_path):
+        # aligning va vb vc and then va vb into one --out used to leave vc/
+        # while alignment.json listed only va and vb
+        hand = synth.smooth_patch(8, 8, seed=5)
+        specs = [synth.VideoSpec(v, 1.0, 4 + 3 * i, 4 + i)
+                 for i, v in enumerate(("va", "vb", "vc"))]
+        synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
+                            out_dir=tmp_path / "videos")
+        manifest = tmp_path / "videos.txt"
+        out = tmp_path / "aligned"
+        (out / "notes").mkdir(parents=True)
+        (out / "notes" / "keep.txt").write_text("not a frame\n")
+        (out / "readme.txt").write_text("not a video\n")
+        for vids in (("va", "vb", "vc"), ("va", "vb")):
+            manifest.write_text("".join(f"{tmp_path / 'videos' / v}\n" for v in vids))
+            assert main(["align", "--manifest", str(manifest), "--out", str(out),
+                         "--scales", "1.0"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "alignment.json", "notes", "readme.txt", "va", "vb"]
+        assert set(json.loads((out / "alignment.json").read_text())["videos"]) == {"va", "vb"}
+        assert [p.name for p in (out / "notes").iterdir()] == ["keep.txt"]
+
+    def test_stale_video_keeps_its_other_files(self, tmp_path):
+        hand = synth.smooth_patch(8, 8, seed=5)
+        specs = [synth.VideoSpec(v, 1.0, 4 + 3 * i, 4 + i) for i, v in enumerate(("va", "vb"))]
+        synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
+                            out_dir=tmp_path / "videos")
+        out = tmp_path / "aligned"
+        synth.gen_video_set(hand, [synth.VideoSpec("vc", 1.0, 4, 4)], (24, 18), 3, 20.0, 0,
+                            seed=11, out_dir=out)
+        (out / "vc" / "notes.txt").write_text("not a frame\n")
+        manifest = tmp_path / "videos.txt"
+        manifest.write_text(f"{tmp_path / 'videos' / 'va'}\n{tmp_path / 'videos' / 'vb'}\n")
+        assert main(["align", "--manifest", str(manifest), "--out", str(out),
+                     "--scales", "1.0"]) == 0
+        assert [p.name for p in (out / "vc").iterdir()] == ["notes.txt"]
+        assert len(list((out / "va").iterdir())) == 3
+
     def test_frame_numbers_past_999999_exit_2(self, tmp_path, capsys):
         # frames 0, 1 and 1,000,000 used to load as a 2-frame video
         hand = synth.smooth_patch(8, 8, seed=5)
@@ -345,7 +382,7 @@ class TestAlign:
             assert name in capsys.readouterr().err
             assert not out.exists()
 
-    def test_peak_memory_follows_one_video(self, tmp_path, capsys):
+    def test_peak_memory_follows_one_video(self, tmp_path, capsys, traced_peak):
         # align holds one video's frames at a time: two more videos add only
         # their pixel statistics (two float64 images each, a quarter of a
         # 64-frame video), not their frames
@@ -358,13 +395,10 @@ class TestAlign:
         def peak(n):
             manifest = tmp_path / f"videos{n}.txt"
             manifest.write_text("".join(f"{tmp_path / 'videos' / f'v{i}'}\n" for i in range(n)))
-            tracemalloc.start()
-            try:
-                assert main(["align", "--manifest", str(manifest),
-                             "--out", str(tmp_path / f"out{n}"), "--scales", "1.0"]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            traced, rc = traced_peak(main, ["align", "--manifest", str(manifest),
+                                            "--out", str(tmp_path / f"out{n}"), "--scales", "1.0"])
+            assert rc == 0
+            return traced
 
         peak(2)  # first call: one-time allocations of the libraries
         two, four = peak(2), peak(4)
@@ -586,6 +620,19 @@ class TestPipeline:
         assert "stage 'synth' failed" in err
         assert (tmp_path / "o" / "00_synth" / "INCOMPLETE").exists()
 
+    def test_streams_over_the_budget_exit_2_before_out(self, tmp_path, capsys, monkeypatch):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("the budget must be checked before generating")
+
+        monkeypatch.setattr(synth, "gen_feature_set", no_generation)
+        cfg = pipeline_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["synth"].update(train_videos=6, test_videos=4, frames=10**6, dim=10**5)
+        cfg.write_text(json.dumps(doc))
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_label_space_named(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({
@@ -646,6 +693,28 @@ class TestSynthCommand:
                      str(out / "video_01.feat"), "--truth", str(out / "video_00.truth.txt"),
                      str(out / "video_01.truth.txt"), "--label-space", str(ges),
                      "--epochs", "20", "--out", str(tmp_path / "state.bin")]) == 0
+
+    def test_streams_over_the_budget_exit_2_before_out(self, tmp_path, capsys, monkeypatch):
+        # 10^12 values used to be allocated without a bound; the generator
+        # raises here, so a missing check fails fast instead of allocating
+        _, ges, _ = write_spaces(tmp_path)
+
+        def no_generation(*args, **kwargs):
+            raise ValueError("the generator ran")
+
+        monkeypatch.setattr(synth, "gen_feature_set", no_generation)
+        cfg = tmp_path / "synth.json"
+        out = tmp_path / "data"
+        doc = {"seed": 3, "states": 3, "min_dwell": 10, "noise_sigma": 0.4}
+        for videos, frames, dim, error in ((10, 10**6, 10**5, "budget"),
+                                           (1, 2**28 + 1, 1, "budget"),
+                                           (1, 2**28, 1, "the generator ran")):
+            cfg.write_text(json.dumps({**doc, "videos": videos, "frames": frames, "dim": dim}))
+            capsys.readouterr()
+            assert main(["synth", "features", "--config", str(cfg), "--out", str(out),
+                         "--label-space", str(ges)]) == 2
+            assert error in capsys.readouterr().err
+            assert not out.exists()
 
     def test_synth_videos(self, tmp_path):
         cfg = tmp_path / "synth.json"

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,15 +257,11 @@ class TestFrozenArrays:
         arr.setflags(write=False)
         assert getattr(build(arr), field) is arr
 
-    def test_read_features_copies_the_payload_once(self, tmp_path):
+    def test_read_features_copies_the_payload_once(self, tmp_path, traced_peak):
         path = tmp_path / "v.feat"
         write_features(FeatureStream("v", Camera.HEAD, 6.0, np.ones((4000, 64))), path)
-        tracemalloc.start()
-        try:
-            values = read_features(path).values
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, stream = traced_peak(read_features, path)
+        values = stream.values
         # the file's bytes plus one float64 array; a second copy would add another
         assert peak < path.stat().st_size + 1.5 * values.nbytes
         assert not values.flags.writeable

@@ -1,7 +1,6 @@
 """Cross-validation as fold-stacked solves: one state solve and one change
 solve per d for every fold and C, checked against one solve per fold."""
 
-import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -194,7 +193,7 @@ class TestDuplicateVideoIds:
         assert not (tmp_path / "out").exists()
 
 
-def test_peak_memory_follows_the_stacked_problem():
+def test_peak_memory_follows_the_stacked_problem(traced_peak):
     """cross_validate's traced peak stays within 2.5x the stacked problem:
     the features of every video plus the (frames, folds x C x K) signs. The
     solver's one work array of the signs' shape brings it to about 2.2x;
@@ -205,10 +204,21 @@ def test_peak_memory_follows_the_stacked_problem():
     cross_validate(videos(8, 5, n_frames=40), plan, TrainConfig(epochs=1))  # warm lazy imports
     frames = sum(s.n_frames for s, _ in pairs)
     problem_bytes = 8 * frames * (16 + plan.folds * len(C_GRID) * 3)
-    tracemalloc.start()
-    try:
-        cross_validate(pairs, plan, TrainConfig(epochs=2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(cross_validate, pairs, plan, TrainConfig(epochs=2))
     assert peak <= 2.5 * problem_bytes, peak / problem_bytes
+
+
+def test_peak_memory_holds_one_change_set(traced_peak):
+    """With several d, cross_validate holds one change set at a time. At one
+    C the state solve is small, so the peak is one change set and its solve
+    (1.27x the set). The parent built each d's set beside the previous one
+    and its per-video parts (3.0x); two whole sets alive read 2.0x."""
+    pairs = videos(7, 10, k=2, dim=64, n_frames=600)
+    plan = CrossValPlan(folds=5, c_grid=(1.0,), d_grid=(3, 6, 9, 12), lambda_grid=(1.0,))
+    warm = CrossValPlan(folds=5, c_grid=(1.0,), d_grid=(3,), lambda_grid=(1.0,))
+    cross_validate(videos(8, 5, n_frames=40), warm, TrainConfig(epochs=1))  # warm lazy imports
+    x, y = change_training_set([s for s, _ in pairs], [t for _, t in pairs], min(plan.d_grid))
+    set_bytes = x.nbytes + y.nbytes
+    del x, y
+    peak, _ = traced_peak(cross_validate, pairs, plan, TrainConfig(epochs=2))
+    assert peak <= 1.6 * set_bytes, peak / set_bytes

@@ -1,8 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from handcam.core import Camera, FeatureStream
 from handcam.features import (
+    _CAMERA_CODE,
+    MAGIC,
+    VERSION,
     FeatureFileError,
     color_histogram,
     fuse_concat,
@@ -17,7 +22,37 @@ def stream(values, vid="v", camera=Camera.RIGHT_HAND, fps=6.0):
     return FeatureStream(vid, camera, fps, np.asarray(values, dtype=np.float64))
 
 
+def parent_feature_bytes(stream):
+    """The bytes write_features wrote when it joined the header to a
+    float32 copy of the payload (the reference)."""
+    vid = stream.video_id.encode("utf-8")
+    header = MAGIC + struct.pack(
+        "<IH", VERSION, len(vid)
+    ) + vid + struct.pack(
+        "<BdII", _CAMERA_CODE[stream.camera], stream.fps, stream.n_frames, stream.dim
+    )
+    return header + stream.values.astype("<f4").tobytes()
+
+
 class TestFeatureFile:
+    def test_bytes_match_parent(self, tmp_path):
+        rng = np.random.default_rng(9)
+        path = tmp_path / "s.feat"
+        for i in range(30):
+            values = rng.standard_normal((int(rng.integers(1, 300)), int(rng.integers(1, 70))))
+            values *= 10.0 ** rng.integers(-30, 30)  # inside the float32 range
+            s = stream(values, vid="clip_é" * (i % 4), camera=list(Camera)[i % 3],
+                       fps=float(rng.uniform(0.5, 60)))
+            write_features(s, path)
+            assert path.read_bytes() == parent_feature_bytes(s)
+
+    def test_memory_holds_one_float32_payload(self, tmp_path, traced_peak):
+        # the parent held the float32 array and its bytes, then those bytes
+        # and the header joined to them: the float64 values' size (1.0x)
+        s = stream(np.random.default_rng(1).standard_normal((20_000, 32)))
+        peak, _ = traced_peak(write_features, s, tmp_path / "s.feat")
+        assert peak <= 0.6 * s.values.nbytes, peak / s.values.nbytes
+
     def test_decode_two_rows(self, tmp_path):
         path = tmp_path / "s.feat"
         write_features(stream([[1, 2, 3], [4, 5, 6]]), path)
@@ -114,6 +149,13 @@ class TestFuseConcat:
         a = stream([[1.0]])
         b = stream([[2.0]])
         assert fuse_concat(a, b).values.tolist() != fuse_concat(b, a).values.tolist()
+
+    def test_memory_holds_the_fused_array_once(self, traced_peak):
+        # the stream keeps the concatenation (the parent copied it, 2x)
+        rng = np.random.default_rng(2)
+        a, b = stream(rng.standard_normal((20_000, 16))), stream(rng.standard_normal((20_000, 8)))
+        peak, fused = traced_peak(fuse_concat, a, b)
+        assert peak <= 1.2 * fused.values.nbytes, peak / fused.values.nbytes
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):

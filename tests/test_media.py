@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -343,16 +341,11 @@ class TestLeanResample:
                     parent_resample(stack, sw, sh, rows, cols).tobytes())
 
     @pytest.mark.parametrize("scale", SCALES)
-    def test_memory_two_window_arrays(self, scale):
+    def test_memory_two_window_arrays(self, scale, traced_peak):
         # a 4-frame chunk peaks near 3x its float64 output (the parent, 5.9x)
         stack = np.random.default_rng(32).integers(0, 256, (4, 90, 120, 3), dtype=np.uint8)
         sw, sh, rows, cols = crop_window(scale, 120, 90, 6, 5)
-        tracemalloc.start()
-        try:
-            out = resample(stack, sw, sh, rows, cols)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, out = traced_peak(resample, stack, sw, sh, rows, cols)
         assert peak <= 3.5 * out.size * 8
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from handcam import synth
-from handcam.core import LabelSpace, Task
+from handcam.core import FeatureStream, LabelSpace, StateSequence, Task, run_starts
 
 
 def config(**overrides):
@@ -19,7 +19,59 @@ def config(**overrides):
     return synth.SynthConfig(**base)
 
 
+def parent_gen_feature_stream(config, video_id="synth", camera=synth.Camera.RIGHT_HAND,
+                              fps=6.0, label_space=None):
+    """gen_feature_stream as it was before it built the values inside the
+    noise array (the reference, bit for bit)."""
+    if label_space is not None and label_space.num_labels < config.num_states:
+        raise ValueError("label space too small for the configured state count")
+    rng = np.random.default_rng(config.seed)
+    states = synth._draw_states(config, rng)
+    trajectory = config.centers[states].copy()
+    w = config.transition_ramp
+    if w > 0:
+        for t in run_starts(states)[1:]:
+            frames = np.arange(max(0, t - w), min(config.n_frames, t + w))
+            alpha = ((frames - (t - w)) / (2.0 * w))[:, None]
+            trajectory[frames] = (
+                (1.0 - alpha) * config.centers[states[t - 1]] + alpha * config.centers[states[t]]
+            )
+    noise = rng.standard_normal((config.n_frames, config.dim)) * config.noise_sigma
+    stream = FeatureStream(video_id, camera, fps, trajectory + noise)
+    truth = (
+        StateSequence(label_space, states)
+        if label_space is not None
+        else StateSequence(None, states, num_states=config.num_states)
+    )
+    return stream, truth
+
+
 class TestFeatureStreamGen:
+    def test_matches_parent_bytes(self):
+        rng = np.random.default_rng(8)
+        for i in range(60):
+            k, dim = int(rng.integers(2, 6)), int(rng.integers(2, 40))
+            cfg = synth.SynthConfig(
+                seed=int(rng.integers(1 << 30)), num_states=k, dim=dim,
+                n_frames=int(rng.integers(1, 400)), min_dwell=int(rng.integers(1, 30)),
+                centers=synth.random_centers(k, dim, i), noise_sigma=float(rng.uniform(0, 3)),
+                transition_ramp=(i % 2) * int(rng.integers(1, 8)),
+            )
+            (stream, truth), (ref, ref_truth) = (
+                synth.gen_feature_stream(cfg, f"v{i}"), parent_gen_feature_stream(cfg, f"v{i}"))
+            assert stream.values.tobytes() == ref.values.tobytes()
+            assert stream.values.shape == ref.values.shape
+            assert truth.states.tobytes() == ref_truth.states.tobytes()
+            assert not stream.values.flags.writeable
+
+    def test_memory_trajectory_and_noise_only(self, traced_peak):
+        # the parent held the trajectory, the noise, their sum and the
+        # stream's copy of it (4x)
+        cfg = config(dim=32, n_frames=20_000, centers=synth.random_centers(3, 32, 4),
+                     transition_ramp=3)
+        peak, (stream, _) = traced_peak(synth.gen_feature_stream, cfg)
+        assert peak <= 2.5 * stream.values.nbytes, peak / stream.values.nbytes
+
     def test_noiseless_frames_equal_centers(self):
         cfg = config(noise_sigma=0.0)
         stream, truth = synth.gen_feature_stream(cfg)
