@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +33,7 @@ _CAMERAS = {c.value: c for c in Camera}
 
 
 class StageError(RuntimeError):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage '{stage}' failed: {cause}")
-        self.stage = stage
-        self.cause = cause
+    """A pipeline stage failed; raised from the failure, whose type sets the exit code."""
 
 
 # ---------------------------------------------------------------------------
@@ -150,40 +148,22 @@ def read_truth(path: Path, space: LabelSpace) -> StateSequence:
     return StateSequence(space, states)
 
 
-def write_labels(seq: StateSequence, path: Path) -> None:
-    path.write_text("\n".join(seq.label_names()) + "\n")
+def _write_text(text: str, path: str | Path | None) -> None:
+    """Write text to the file at path, or to stdout without one."""
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
-def write_labeled_stream(stream: FeatureStream, truth: StateSequence, out_dir: Path) -> list[Path]:
-    """Write `<video_id>.feat` and `<video_id>.truth.txt` (label names)."""
-    fpath = out_dir / f"{stream.video_id}.feat"
-    tpath = out_dir / f"{stream.video_id}.truth.txt"
-    features_mod.write_features(stream, fpath)
-    write_labels(truth, tpath)
-    return [fpath, tpath]
+def write_labels(seq: StateSequence, path: str | Path | None) -> None:
+    """One label name per frame, to the file at path or to stdout without one."""
+    _write_text("\n".join(seq.label_names()) + "\n", path)
 
 
 def read_cv_result(path: Path) -> dict:
-    """chosen.json as `write_cv_result` writes it: C, d and lambda."""
+    """chosen.json as `run_cv` writes it: C, d and lambda."""
     return _read_json_object(path, {"C": "number", "d": "integer", "lambda": "number"})
-
-
-def write_cv_result(result: crossval.CVResult, out_dir: Path) -> list[Path]:
-    """Write chosen.json and the full grid as table.csv."""
-    chosen, table = out_dir / "chosen.json", out_dir / "table.csv"
-    _write_json({"C": result.c_reg, "d": result.d, "lambda": result.lam}, chosen)
-    lines = ["C,d,lambda,mean_accuracy"]
-    for cell in result.table:
-        lines.append(f"{cell.c_reg},{cell.d},{cell.lam},{cell.mean_accuracy!r}")
-    table.write_text("\n".join(lines) + "\n")
-    return [chosen, table]
-
-
-def write_candidates(cands: change.CandidateSet, path: Path) -> None:
-    lines = ["frame_index\tconfidence"]
-    for i, c in zip(cands.frame_indices, cands.confidences):
-        lines.append(f"{int(i)}\t{float(c)!r}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +181,24 @@ _SYNTH_VIDEOS = {
 }
 
 
+def _synth_features(cfg: dict, video_ids: list[str], space: LabelSpace, out: Path,
+                    fps: float = 6.0) -> list[Path]:
+    """Write `<video_id>.feat` and `<video_id>.truth.txt` (label names) of
+    each stream a synth config asks for into out; return the files."""
+    pairs = synth.gen_feature_set(
+        cfg["seed"], cfg["states"], cfg["dim"], cfg["frames"], cfg["min_dwell"],
+        cfg["noise_sigma"], video_ids, transition_ramp=cfg.get("transition_ramp", 0),
+        fps=fps, label_space=space,
+    )
+    out.mkdir(parents=True, exist_ok=True)
+    files = []
+    for stream, truth in pairs:
+        files += [out / f"{stream.video_id}.feat", out / f"{stream.video_id}.truth.txt"]
+        features_mod.write_features(stream, files[-2])
+        write_labels(truth, files[-1])
+    return files
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     """Checks the config before --out is created: a rejected one leaves no directory."""
     out = Path(args.out)
@@ -209,15 +207,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             args.config, {"seed": "integer", **_SYNTH_STREAMS, "videos": "integer"}
         )
         synth.check_stream_budget(cfg["videos"], cfg["frames"], cfg["dim"])
-        pairs = synth.gen_feature_set(
-            cfg["seed"], cfg["states"], cfg["dim"], cfg["frames"], cfg["min_dwell"],
-            cfg["noise_sigma"], [f"video_{i:02d}" for i in range(cfg["videos"])],
-            transition_ramp=cfg.get("transition_ramp", 0),
-            label_space=load_label_space(args.label_space),
-        )
-        out.mkdir(parents=True, exist_ok=True)
-        for stream, truth in pairs:
-            write_labeled_stream(stream, truth, out)
+        _synth_features(cfg, [f"video_{i:02d}" for i in range(cfg["videos"])],
+                        load_label_space(args.label_space), out)
     else:
         cfg = _read_json_object(args.config, _SYNTH_VIDEOS)
         hand = synth.textured_patch(cfg["hand_width"], cfg["hand_height"], cfg["seed"])
@@ -297,110 +288,155 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _load_pairs(
-    feature_paths: list[str], truth_paths: list[str], space: LabelSpace
+    feature_paths: list[str], truth_paths: list[str], label_space: str | Path
 ) -> tuple[list[FeatureStream], list[StateSequence]]:
     if len(feature_paths) != len(truth_paths):
         raise ValueError("--features and --truth need the same count")
+    space = load_label_space(label_space)
     streams = [features_mod.read_features(p) for p in feature_paths]
     truths = [read_truth(Path(p), space) for p in truth_paths]
     return streams, truths
 
 
+# Each stage function reads its inputs from paths and writes its outputs;
+# the subcommand of that name and the pipeline's stage both call it.
+
+def run_train_state(features: list, truths: list, label_space: str | Path, c_reg: float,
+                    epochs: int, out: str | Path) -> classify.LinearModel:
+    streams, seqs = _load_pairs(features, truths, label_space)
+    model = classify.train(streams, seqs, classify.TrainConfig(c_reg=c_reg, epochs=epochs))
+    classify.save_model(model, out)
+    return model
+
+
+def run_train_change(features: list, truths: list, label_space: str | Path, c_reg: float,
+                     epochs: int, d: int, out: str | Path) -> classify.LinearModel:
+    streams, seqs = _load_pairs(features, truths, label_space)
+    cfg = classify.TrainConfig(c_reg=c_reg, epochs=epochs)
+    model = change.train_change_model(streams, seqs, d, cfg)
+    classify.save_model(model, out)
+    return model
+
+
+def run_cv(pairs: list, label_space: str | Path, plan: crossval.CrossValPlan, epochs: int,
+           out: Path) -> list[Path]:
+    """Cross-validate over (features, truth) path pairs. Write the chosen
+    cell as chosen.json and the full grid as table.csv; return both."""
+    streams, truths = _load_pairs([f for f, _ in pairs], [t for _, t in pairs], label_space)
+    result = crossval.cross_validate(list(zip(streams, truths)), plan,
+                                     classify.TrainConfig(epochs=epochs))
+    out.mkdir(parents=True, exist_ok=True)
+    chosen, table = out / "chosen.json", out / "table.csv"
+    _write_json({"C": result.c_reg, "d": result.d, "lambda": result.lam}, chosen)
+    rows = [f"{c.c_reg},{c.d},{c.lam},{c.mean_accuracy!r}" for c in result.table]
+    table.write_text("\n".join(["C,d,lambda,mean_accuracy", *rows]) + "\n")
+    return [chosen, table]
+
+
+def run_detect_changes(features: str | Path, model: str | Path, d: int,
+                       out: str | Path | None = None) -> None:
+    """Write the candidates to `out`, or to stdout without one."""
+    cands = change.detect_candidates(features_mod.read_features(features),
+                                     classify.load_model(model), d)
+    rows = [f"{int(i)}\t{float(c)!r}" for i, c in zip(cands.frame_indices, cands.confidences)]
+    _write_text("\n".join(["frame_index\tconfidence", *rows]) + "\n", out)
+
+
+def run_infer(features: str | Path, state_model: str | Path, mode: str,
+              lam: float | str | None = None, d: int | None = None,
+              change_model: str | Path | None = None, cv_result: str | Path | None = None,
+              out: str | Path | None = None) -> None:
+    """Write the predicted label names to `out`, or to stdout without one."""
+    if mode == "unary":
+        full_options = {"--change-model": change_model, "--d": d,
+                        "--lambda": lam, "--cv-result": cv_result}
+        given = [flag for flag, value in full_options.items() if value is not None]
+        if given:
+            raise ValueError(f"--mode unary takes no {', '.join(given)}")
+    stream = features_mod.read_features(features)
+    state = classify.load_model(state_model)
+    if mode == "unary":
+        seq = classify.predict_frames(state, stream)
+    else:
+        if lam == "auto":
+            if not cv_result:
+                raise ValueError("--lambda auto requires --cv-result from a prior cv run")
+            chosen = read_cv_result(Path(cv_result))
+            lam, d = chosen["lambda"], chosen["d"] if d is None else d
+        elif cv_result is not None:
+            raise ValueError("--cv-result is read only with --lambda auto")
+        if change_model is None or d is None or lam is None:
+            raise ValueError("full mode needs --change-model, --d and --lambda")
+        cands = change.detect_candidates(stream, classify.load_model(change_model), d)
+        unary = classify.score_stream(state, stream)
+        seq = inference.decode_stream(stream, unary, cands, [float(lam)], state.label_space)[0]
+    write_labels(seq, out)
+
+
+def run_eval(preds: list, truths: list, label_space: str | Path,
+             report_dir: str | Path) -> evaluation.EvalReport:
+    """Score prediction files against truth files, pooled over the videos.
+
+    A video's id is its prediction file's name up to the first '.'
+    (`test_04.full.txt` is `test_04`); two pairs may not share one.
+    """
+    if len(preds) != len(truths):
+        raise ValueError("--pred and --truth need the same count")
+    space = load_label_space(label_space)
+    pred_seqs, truth_seqs = {}, {}
+    for pred_path, truth_path in zip(preds, truths):
+        vid = Path(pred_path).name.split(".")[0]
+        if vid in pred_seqs:
+            raise ValueError(f"video id {vid!r} (a prediction file's name up to its first "
+                             f"'.') is given twice")
+        pred_seqs[vid] = read_truth(Path(pred_path), space)
+        truth_seqs[vid] = read_truth(Path(truth_path), space)
+    report = evaluation.build_report(pred_seqs, truth_seqs, task=space.task.value)
+    evaluation.write_report(
+        report, report_dir, label_names=list(space.labels),
+        timelines={v: {"truth": truth_seqs[v], "pred": pred_seqs[v]} for v in pred_seqs},
+    )
+    return report
+
+
 def _cmd_train_state(args: argparse.Namespace) -> int:
-    space = load_label_space(args.label_space)
-    streams, truths = _load_pairs(args.features, args.truth, space)
-    cfg = classify.TrainConfig(c_reg=args.c_reg, epochs=args.epochs)
-    model = classify.train(streams, truths, cfg)
-    classify.save_model(model, args.out)
+    model = run_train_state(args.features, args.truth, args.label_space, args.c_reg,
+                            args.epochs, args.out)
     print(f"state model: K={model.num_classes} D={model.dim} -> {args.out}")
     return 0
 
 
 def _cmd_train_change(args: argparse.Namespace) -> int:
-    space = load_label_space(args.label_space)
-    streams, truths = _load_pairs(args.features, args.truth, space)
-    cfg = classify.TrainConfig(c_reg=args.c_reg, epochs=args.epochs)
-    model = change.train_change_model(streams, truths, args.d, cfg)
-    classify.save_model(model, args.out)
+    model = run_train_change(args.features, args.truth, args.label_space, args.c_reg,
+                             args.epochs, args.d, args.out)
     print(f"change model: d={args.d} D={model.dim} -> {args.out}")
     return 0
 
 
 def _cmd_cv(args: argparse.Namespace) -> int:
-    space = load_label_space(args.label_space)
-    pairs = [
-        (features_mod.read_features(feat_path), read_truth(Path(truth_path), space))
-        for feat_path, truth_path in read_list_file(args.manifest, 2, 2)
-    ]
     plan = crossval.CrossValPlan(
         c_grid=tuple(args.c_grid), d_grid=tuple(args.d_grid), lambda_grid=tuple(args.lambda_grid)
     )
-    result = crossval.cross_validate(pairs, plan, classify.TrainConfig(epochs=args.epochs))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_cv_result(result, out)
-    print(f"chosen: C={result.c_reg} d={result.d} lambda={result.lam}")
+    chosen = run_cv(read_list_file(args.manifest, 2, 2), args.label_space, plan, args.epochs,
+                    Path(args.out))[0]
+    result = read_cv_result(chosen)
+    print(f"chosen: C={result['C']} d={result['d']} lambda={result['lambda']}")
     return 0
 
 
 def _cmd_detect_changes(args: argparse.Namespace) -> int:
-    stream = features_mod.read_features(args.features)
-    model = classify.load_model(args.model)
-    cands = change.detect_candidates(stream, model, args.d)
-    if args.out:
-        write_candidates(cands, Path(args.out))
-    else:
-        print("frame_index\tconfidence")
-        for i, c in zip(cands.frame_indices, cands.confidences):
-            print(f"{int(i)}\t{float(c)!r}")
+    run_detect_changes(args.features, args.model, args.d, args.out)
     return 0
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    if args.mode == "unary":
-        full_options = {"--change-model": args.change_model, "--d": args.d,
-                        "--lambda": args.lam, "--cv-result": args.cv_result}
-        given = [flag for flag, value in full_options.items() if value is not None]
-        if given:
-            raise ValueError(f"--mode unary takes no {', '.join(given)}")
-    stream = features_mod.read_features(args.features)
-    state_model = classify.load_model(args.state_model)
-    if args.mode == "unary":
-        seq = classify.predict_frames(state_model, stream)
-    else:
-        lam, d = args.lam, args.d
-        if lam == "auto":
-            if not args.cv_result:
-                raise ValueError("--lambda auto requires --cv-result from a prior cv run")
-            chosen = read_cv_result(Path(args.cv_result))
-            lam, d = chosen["lambda"], chosen["d"] if d is None else d
-        elif args.cv_result is not None:
-            raise ValueError("--cv-result is read only with --lambda auto")
-        if args.change_model is None or d is None or lam is None:
-            raise ValueError("full mode needs --change-model, --d and --lambda")
-        lam = float(lam)
-        cands = change.detect_candidates(stream, classify.load_model(args.change_model), d)
-        unary = classify.score_stream(state_model, stream)
-        seq = inference.decode_stream(stream, unary, cands, [lam], state_model.label_space)[0]
-    if args.out:
-        write_labels(seq, Path(args.out))
-    else:
-        sys.stdout.write("\n".join(seq.label_names()) + "\n")
+    run_infer(args.features, args.state_model, args.mode, args.lam, args.d,
+              args.change_model, args.cv_result, args.out)
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    space = load_label_space(args.label_space)
-    pred = read_truth(Path(args.pred), space)
-    truth = read_truth(Path(args.truth), space)
-    vid = Path(args.pred).stem
-    report = evaluation.build_report({vid: pred}, {vid: truth}, task=space.task.value)
-    evaluation.write_report(
-        report,
-        args.report,
-        label_names=list(space.labels),
-        timelines={vid: {"truth": truth, "pred": pred}},
-    )
+    report = run_eval(args.pred, args.truth, args.label_space, args.report)
     print(f"accuracy: {report.global_accuracy:.4f}")
     return 0
 
@@ -458,77 +494,57 @@ _PIPELINE = {
 }
 
 
-def _load_pipeline_config(path: Path) -> dict:
-    cfg = _read_json_object(path, _PIPELINE)
-    label_path = path.parent / cfg["label_space"]  # an absolute path replaces the parent
-    if not label_path.exists():
-        raise ValueError(f"label-space file not found: {label_path}")
-    cfg["_label_path"] = label_path
-    return cfg
-
-
-class _Stage:
-    """Marks a stage directory INCOMPLETE until it finishes."""
-
-    def __init__(self, out_dir: Path, name: str):
-        self.dir = out_dir / name
-        self.name = name
-        self.marker = self.dir / "INCOMPLETE"
-
-    def __enter__(self) -> Path:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.marker.write_text("stage did not finish\n")
-        return self.dir
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.marker.unlink()
+@contextmanager
+def _stage(out_dir: Path, name: str, stage: str):
+    """The stage directory out_dir/name, marked INCOMPLETE until the stage
+    finishes; a failure inside is raised as a StageError naming the stage."""
+    sdir = out_dir / name
+    sdir.mkdir(parents=True, exist_ok=True)
+    (sdir / "INCOMPLETE").write_text("stage did not finish\n")
+    try:
+        yield sdir
+    except Exception as e:
+        raise StageError(f"stage '{stage}' failed: {e}") from e
+    (sdir / "INCOMPLETE").unlink()
 
 
 def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
-    """Chain synth -> train -> infer -> eval; rerun-identical artifacts."""
+    """Chain synth -> train -> infer -> eval; rerun-identical artifacts.
+
+    After synth, each stage is the subcommand of that name run over the
+    files of the stages before it, so every stage can be rebuilt by hand.
+    """
     config_path = Path(config_path)
     out_dir = Path(out_dir)
-    cfg = _load_pipeline_config(config_path)
-    space = load_label_space(cfg["_label_path"])
+    cfg = _read_json_object(config_path, _PIPELINE)
+    labels = config_path.parent / cfg["label_space"]  # an absolute path replaces the parent
+    if not labels.exists():
+        raise ValueError(f"label-space file not found: {labels}")
+    space = load_label_space(labels)
     scfg = cfg["synth"]
     if scfg["states"] > space.num_labels:
         raise ValueError("synth states exceed the label-space size")
     synth.check_stream_budget(scfg["train_videos"] + scfg["test_videos"], scfg["frames"],
                               scfg["dim"])
-    fps = cfg.get("fps", 6.0)
     epochs = cfg.get("training", {}).get("epochs", 200)
+    inputs = {"config": config_path}  # of every manifest after synth
 
-    stage = "synth"
-    try:
-        streams: dict[str, FeatureStream] = {}
-        truths: dict[str, StateSequence] = {}
-        with _Stage(out_dir, "00_synth") as sdir:
-            n_train = scfg["train_videos"]
-            vids = [
-                f"{'train' if i < n_train else 'test'}_{i:02d}"
-                for i in range(n_train + scfg["test_videos"])
-            ]
-            train_ids, test_ids = vids[:n_train], vids[n_train:]
-            pairs = synth.gen_feature_set(
-                cfg["seed"], scfg["states"], scfg["dim"], scfg["frames"], scfg["min_dwell"],
-                scfg["noise_sigma"], vids, transition_ramp=scfg.get("transition_ramp", 0),
-                fps=fps, label_space=space,
-            )
-            outputs = []
-            for stream, truth in pairs:
-                streams[stream.video_id] = stream
-                truths[stream.video_id] = truth
-                outputs += write_labeled_stream(stream, truth, sdir)
-            write_manifest(
-                sdir, "synth", {"seed": cfg["seed"], **scfg},
-                {"config": config_path, "label_space": cfg["_label_path"]}, outputs,
-            )
+    with _stage(out_dir, "00_synth", "synth") as sdir:
+        n_train = scfg["train_videos"]
+        vids = [f"{'train' if i < n_train else 'test'}_{i:02d}"
+                for i in range(n_train + scfg["test_videos"])]
+        seeded = {"seed": cfg["seed"], **scfg}
+        outputs = _synth_features(seeded, vids, space, sdir, cfg.get("fps", 6.0))
+        write_manifest(sdir, "synth", seeded,
+                       {"config": config_path, "label_space": labels}, outputs)
+    feats = {v: sdir / f"{v}.feat" for v in vids}
+    truths = {v: sdir / f"{v}.truth.txt" for v in vids}
+    train_ids, test_ids = vids[:n_train], vids[n_train:]
 
-        stage = "hyperparameters"
-        hyper = cfg["hyperparameters"]
-        if any(hyper[k] == "auto" for k in ("C", "d", "lambda")):
-            cvcfg = cfg.get("cv", {})
+    hyper = cfg["hyperparameters"]
+    if any(hyper[k] == "auto" for k in ("C", "d", "lambda")):
+        cvcfg = cfg.get("cv", {})
+        with _stage(out_dir, "01_cv", "cv") as cvdir:
             plan = crossval.CrossValPlan(
                 c_grid=tuple(cvcfg.get("c_grid", crossval.CrossValPlan.c_grid))
                 if hyper["C"] == "auto" else (hyper["C"],),
@@ -537,82 +553,50 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
                 lambda_grid=tuple(cvcfg.get("lambda_grid", crossval.CrossValPlan.lambda_grid))
                 if hyper["lambda"] == "auto" else (hyper["lambda"],),
             )
-            with _Stage(out_dir, "01_cv") as cvdir:
-                result = crossval.cross_validate(
-                    [(streams[v], truths[v]) for v in train_ids],
-                    plan,
-                    classify.TrainConfig(epochs=epochs),
-                )
-                write_manifest(cvdir, "cv", {"plan": str(plan)}, {"config": config_path},
-                               write_cv_result(result, cvdir))
-            c_reg, d, lam = result.c_reg, result.d, result.lam
-        else:
-            c_reg, d, lam = float(hyper["C"]), int(hyper["d"]), float(hyper["lambda"])
+            outputs = run_cv([(feats[v], truths[v]) for v in train_ids], labels, plan,
+                             epochs, cvdir)
+            write_manifest(cvdir, "cv", {"plan": str(plan)}, inputs, outputs)
+            chosen = read_cv_result(outputs[0])
+        c_reg, d, lam = chosen["C"], chosen["d"], chosen["lambda"]
+    else:
+        c_reg, d, lam = float(hyper["C"]), int(hyper["d"]), float(hyper["lambda"])
+    train_feats, train_truths = [feats[v] for v in train_ids], [truths[v] for v in train_ids]
 
-        tcfg = classify.TrainConfig(c_reg=c_reg, epochs=epochs)
-        train_streams = [streams[v] for v in train_ids]
-        train_truths = [truths[v] for v in train_ids]
+    with _stage(out_dir, "02_state_model", "train-state") as mdir:
+        state_model = mdir / "state.bin"
+        run_train_state(train_feats, train_truths, labels, c_reg, epochs, state_model)
+        write_manifest(mdir, "train-state", {"C": c_reg, "epochs": epochs}, inputs,
+                       [state_model])
 
-        stage = "train-state"
-        with _Stage(out_dir, "02_state_model") as mdir:
-            state_model = classify.train(train_streams, train_truths, tcfg)
-            classify.save_model(state_model, mdir / "state.bin")
-            write_manifest(mdir, "train-state", {"C": c_reg, "epochs": epochs},
-                           {"config": config_path}, [mdir / "state.bin"])
+    with _stage(out_dir, "03_change_model", "train-change") as mdir:
+        change_model = mdir / "change.bin"
+        run_train_change(train_feats, train_truths, labels, c_reg, epochs, d, change_model)
+        write_manifest(mdir, "train-change", {"C": c_reg, "d": d, "epochs": epochs},
+                       inputs, [change_model])
 
-        stage = "train-change"
-        with _Stage(out_dir, "03_change_model") as mdir:
-            change_model = change.train_change_model(train_streams, train_truths, d, tcfg)
-            classify.save_model(change_model, mdir / "change.bin")
-            write_manifest(mdir, "train-change", {"C": c_reg, "d": d, "epochs": epochs},
-                           {"config": config_path}, [mdir / "change.bin"])
+    with _stage(out_dir, "04_candidates", "detect-changes") as cdir:
+        outputs = [cdir / f"{v}.txt" for v in test_ids]
+        for v, path in zip(test_ids, outputs):
+            run_detect_changes(feats[v], change_model, d, path)
+        write_manifest(cdir, "detect-changes", {"d": d}, inputs, outputs)
 
-        stage = "detect-changes"
-        candidates = {}
-        with _Stage(out_dir, "04_candidates") as cdir:
-            outputs = []
-            for vid in test_ids:
-                cands = change.detect_candidates(streams[vid], change_model, d)
-                candidates[vid] = cands
-                path = cdir / f"{vid}.txt"
-                write_candidates(cands, path)
-                outputs.append(path)
-            write_manifest(cdir, "detect-changes", {"d": d}, {"config": config_path}, outputs)
+    with _stage(out_dir, "05_predictions", "infer") as pdir:
+        preds = {tag: [pdir / f"{v}.{tag}.txt" for v in test_ids] for tag in ("full", "unary")}
+        for v, full, unary in zip(test_ids, preds["full"], preds["unary"]):
+            run_infer(feats[v], state_model, "full", lam, d, change_model, out=full)
+            run_infer(feats[v], state_model, "unary", out=unary)
+        write_manifest(pdir, "infer", {"lambda": lam, "d": d}, inputs,
+                       preds["full"] + preds["unary"])
 
-        stage = "infer"
-        preds_full, preds_unary = {}, {}
-        with _Stage(out_dir, "05_predictions") as pdir:
-            outputs = []
-            for vid in test_ids:
-                unary = classify.score_stream(state_model, streams[vid])
-                preds_full[vid] = inference.decode_stream(
-                    streams[vid], unary, candidates[vid], [lam], space
-                )[0]
-                preds_unary[vid] = classify.predict_frames(state_model, streams[vid])
-                for tag, seq in (("full", preds_full[vid]), ("unary", preds_unary[vid])):
-                    path = pdir / f"{vid}.{tag}.txt"
-                    write_labels(seq, path)
-                    outputs.append(path)
-            write_manifest(pdir, "infer", {"lambda": lam, "d": d},
-                           {"config": config_path}, outputs)
-
-        stage = "eval"
-        accuracies = {}
-        for tag, preds in (("full", preds_full), ("unary", preds_unary)):
-            with _Stage(out_dir, f"06_eval_{tag}") as edir:
-                test_truths = {v: truths[v] for v in test_ids}
-                report = evaluation.build_report(preds, test_truths, task=space.task.value)
-                evaluation.write_report(
-                    report, edir, label_names=list(space.labels),
-                    timelines={v: {"truth": truths[v], "pred": preds[v]} for v in test_ids},
-                )
-                write_manifest(
-                    edir, f"eval-{tag}", {}, {"config": config_path},
-                    [p for p in edir.iterdir() if p.name not in ("manifest.json", "INCOMPLETE")],
-                )
-                accuracies[tag] = report.global_accuracy
-    except Exception as e:
-        raise StageError(stage, e) from e
+    accuracies = {}
+    for tag, tag_preds in preds.items():
+        with _stage(out_dir, f"06_eval_{tag}", f"eval-{tag}") as edir:
+            report = run_eval(tag_preds, [truths[v] for v in test_ids], labels, edir)
+            write_manifest(
+                edir, f"eval-{tag}", {}, inputs,
+                [p for p in edir.iterdir() if p.name not in ("manifest.json", "INCOMPLETE")],
+            )
+            accuracies[tag] = report.global_accuracy
 
     _write_json(
         {"accuracy_full": accuracies["full"], "accuracy_unary": accuracies["unary"],
@@ -723,8 +707,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_infer)
 
     sp = sub.add_parser("eval", help="score predictions against ground truth")
-    sp.add_argument("--pred", required=True)
-    sp.add_argument("--truth", required=True)
+    sp.add_argument("--pred", nargs="+", required=True,
+                    help="one file per video; its id is the file name up to the first '.'")
+    sp.add_argument("--truth", nargs="+", required=True)
     sp.add_argument("--label-space", required=True)
     sp.add_argument("--report", required=True)
     sp.set_defaults(func=_cmd_eval)
@@ -755,16 +740,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except StageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        if isinstance(e.cause, (ValueError, OSError)):
+    except Exception as e:
+        cause = e.__cause__ if isinstance(e, StageError) else e
+        if isinstance(cause, (ValueError, OSError)):  # a data error
+            print(f"error: {e}", file=sys.stderr)
             return 2
-        return 3
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except Exception as e:  # internal error
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        print(f"internal error: {type(cause).__name__}: {e}", file=sys.stderr)
         return 3
 
 

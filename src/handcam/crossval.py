@@ -41,10 +41,11 @@ class CrossValPlan:
             raise ValueError("d grid values must be >= 1")
         if not all(0 <= lam < math.inf for lam in self.lambda_grid):
             raise ValueError(f"lambda grid values must be finite and >= 0, got {self.lambda_grid}")
-        # sorted grids make the tie-break numeric: smaller C, then d, then lambda
-        object.__setattr__(self, "c_grid", tuple(sorted(set(self.c_grid))))
+        # sorted grids make the tie-break numeric: smaller C, then d, then lambda;
+        # float C and lambda write the same chosen.json for 1 (a JSON config) and 1.0
+        object.__setattr__(self, "c_grid", tuple(sorted(set(map(float, self.c_grid)))))
         object.__setattr__(self, "d_grid", tuple(sorted(set(self.d_grid))))
-        object.__setattr__(self, "lambda_grid", tuple(sorted(set(self.lambda_grid))))
+        object.__setattr__(self, "lambda_grid", tuple(sorted(set(map(float, self.lambda_grid)))))
 
 
 @dataclass(frozen=True)

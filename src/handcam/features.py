@@ -28,7 +28,10 @@ class FeatureFileError(ValueError):
 
 
 def write_features(stream: FeatureStream, path: str | Path) -> None:
-    """Serialize a feature stream; payload is float32 little-endian, row-major."""
+    """Serialize a feature stream; payload is float32 little-endian, row-major.
+
+    A value beyond float32's range is refused before the file is opened: it
+    would be written as inf, which `read_features` rejects."""
     vid = stream.video_id.encode("utf-8")
     if len(vid) > 0xFFFF:
         raise FeatureFileError("video_id too long")
@@ -39,9 +42,13 @@ def write_features(stream: FeatureStream, path: str | Path) -> None:
     ) + vid + struct.pack(
         "<BdII", _CAMERA_CODE[stream.camera], stream.fps, stream.n_frames, stream.dim
     )
+    with np.errstate(over="ignore"):
+        payload = stream.values.astype("<f4")
+    if not (np.isfinite(payload.max()) and np.isfinite(payload.min())):
+        raise FeatureFileError("values beyond the float32 range of the payload")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(stream.values.astype("<f4"))  # the array's buffer, not a copy of it
+        f.write(payload)  # the array's buffer, not a copy of it
 
 
 def read_features(path: str | Path) -> FeatureStream:
@@ -82,14 +89,18 @@ def read_features(path: str | Path) -> FeatureStream:
         raise FeatureFileError(str(e)) from None
 
 
+def _check_bins(bins_per_channel: int) -> None:
+    if not 2 <= bins_per_channel <= 16:
+        raise ValueError("bins_per_channel must be in [2, 16]")
+
+
 def color_histogram(img: Image, bins_per_channel: int = 8) -> np.ndarray:
     """Joint RGB histogram, L1-normalized to sum 1.
 
     Bin index per channel is floor(value * bins / 256); the joint bin is
     (r_bin * bins + g_bin) * bins + b_bin, giving a bins**3 vector.
     """
-    if not 2 <= bins_per_channel <= 16:
-        raise ValueError("bins_per_channel must be in [2, 16]")
+    _check_bins(bins_per_channel)
     if img.channels != 3:
         raise ValueError("color_histogram requires a 3-channel image")
     b = bins_per_channel
@@ -106,8 +117,12 @@ def histogram_stream(
     fps: float = 6.0,
     bins_per_channel: int = 8,
 ) -> FeatureStream:
-    """Apply the reference extractor to every frame of a video."""
-    values = np.stack([color_histogram(f, bins_per_channel) for f in frames])
+    """Apply the reference extractor to every frame of a video, writing each
+    histogram into its row of one array."""
+    _check_bins(bins_per_channel)
+    values = np.empty((len(frames), bins_per_channel**3))
+    for row, f in zip(values, frames):
+        row[:] = color_histogram(f, bins_per_channel)
     values.setflags(write=False)  # fresh and ours: FeatureStream keeps it without a copy
     return FeatureStream(video_id, camera, fps, values)
 

@@ -5,8 +5,8 @@ import os
 
 import numpy as np
 
-from handcam import classify, synth
-from handcam.cli import build_parser, main, run_pipeline
+from handcam import classify, evaluation, synth
+from handcam.cli import build_parser, main, run_pipeline, write_labels
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task, save_label_space
 from handcam.features import read_features, write_features
 
@@ -145,6 +145,44 @@ class TestTrainInferEval:
         assert 0.0 <= doc["global_accuracy"] <= 1.0
         out = capsys.readouterr().out
         assert "accuracy" in out
+
+    def test_eval_pools_several_pairs_as_build_report(self, tmp_path):
+        _, ges, _ = write_spaces(tmp_path)
+        space = gesture_space()
+        rng = np.random.default_rng(4)
+        preds, truths = {}, {}
+        for vid, n in (("b", 50), ("a", 30)):
+            preds[vid] = StateSequence(space, rng.integers(0, 3, n))
+            truths[vid] = StateSequence(space, rng.integers(0, 3, n))
+            write_labels(preds[vid], tmp_path / f"{vid}.full.txt")
+            write_labels(truths[vid], tmp_path / f"{vid}.truth.txt")
+        report_dir = tmp_path / "report"
+        assert main(["eval", "--pred", str(tmp_path / "b.full.txt"), str(tmp_path / "a.full.txt"),
+                     "--truth", str(tmp_path / "b.truth.txt"), str(tmp_path / "a.truth.txt"),
+                     "--label-space", str(ges), "--report", str(report_dir)]) == 0
+        expected = evaluation.build_report(preds, truths, task=space.task.value)
+        doc = json.loads((report_dir / "report.json").read_text())
+        assert doc == json.loads(json.dumps(evaluation.report_dict(expected, list(space.labels))))
+        assert sorted(p.name for p in report_dir.glob("timeline_*.svg")) == [
+            "timeline_a.svg", "timeline_b.svg"]
+
+    def test_eval_video_ids_must_differ(self, tmp_path, capsys):
+        # the video id is the prediction file's name up to its first '.'
+        _, ges, _ = write_spaces(tmp_path)
+        seq = StateSequence(gesture_space(), np.array([0, 1, 1, 2]))
+        for name in ("v.full.txt", "v.unary.txt", "v.truth.txt", "pred.txt"):
+            write_labels(seq, tmp_path / name)
+        truth = str(tmp_path / "v.truth.txt")
+        report = ["--label-space", str(ges), "--report", str(tmp_path / "report")]
+        assert main(["eval", "--pred", str(tmp_path / "v.full.txt"), str(tmp_path / "v.unary.txt"),
+                     "--truth", truth, truth, *report]) == 2
+        assert "'v'" in capsys.readouterr().err
+        assert main(["eval", "--pred", str(tmp_path / "v.full.txt"), "--truth", truth, truth,
+                     *report]) == 2
+        assert "same count" in capsys.readouterr().err
+        assert main(["eval", "--pred", str(tmp_path / "pred.txt"), "--truth", truth, *report]) == 0
+        doc = json.loads((tmp_path / "report" / "report.json").read_text())
+        assert list(doc["per_video_accuracy"]) == ["pred"]
 
     def test_full_mode_needs_change_model(self, tmp_path, capsys):
         _, ges, _ = write_spaces(tmp_path)
@@ -654,6 +692,83 @@ class TestPipeline:
         assert rc == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    @staticmethod
+    def rebuild_with_subcommands(run, labels, out, c_reg, d, lam, epochs):
+        """Run the subcommands by hand over the pipeline run's 00_synth/
+        files, writing each file where the pipeline's stage writes it."""
+        synth_dir = run / "00_synth"
+        train = sorted(p.name.split(".")[0] for p in synth_dir.glob("train_*.feat"))
+        test = sorted(p.name.split(".")[0] for p in synth_dir.glob("test_*.feat"))
+        feats = {v: str(synth_dir / f"{v}.feat") for v in train + test}
+        truths = {v: str(synth_dir / f"{v}.truth.txt") for v in train + test}
+        common = ["--features", *(feats[v] for v in train), "--truth",
+                  *(truths[v] for v in train), "--label-space", str(labels),
+                  "--c-reg", repr(c_reg), "--epochs", str(epochs)]
+        state = out / "02_state_model" / "state.bin"
+        change_model = out / "03_change_model" / "change.bin"
+        for sub in ("02_state_model", "03_change_model", "04_candidates", "05_predictions"):
+            (out / sub).mkdir(parents=True)
+        assert main(["train-state", *common, "--out", str(state)]) == 0
+        assert main(["train-change", *common, "--d", str(d), "--out", str(change_model)]) == 0
+        for v in test:
+            assert main(["detect-changes", "--features", feats[v], "--model", str(change_model),
+                         "--d", str(d), "--out", str(out / "04_candidates" / f"{v}.txt")]) == 0
+            model = ["--features", feats[v], "--state-model", str(state)]
+            assert main(["infer", *model, "--mode", "full", "--change-model", str(change_model),
+                         "--d", str(d), "--lambda", repr(lam),
+                         "--out", str(out / "05_predictions" / f"{v}.full.txt")]) == 0
+            assert main(["infer", *model, "--mode", "unary",
+                         "--out", str(out / "05_predictions" / f"{v}.unary.txt")]) == 0
+        for tag in ("full", "unary"):
+            assert main(["eval", "--pred", *(str(out / "05_predictions" / f"{v}.{tag}.txt")
+                                             for v in test),
+                         "--truth", *(truths[v] for v in test), "--label-space", str(labels),
+                         "--report", str(out / f"06_eval_{tag}")]) == 0
+
+    @staticmethod
+    def stage_files(root):
+        return {str(p.relative_to(root)): p.read_bytes()
+                for p in sorted(root.glob("0[2-6]_*/*"))
+                if p.is_file() and p.name != "manifest.json"}
+
+    def test_subcommands_rebuild_every_stage_from_its_files(self, tmp_path):
+        # the pipeline once trained and decoded on float64 streams no file
+        # holds, so its models and candidates could not be rebuilt from 00_synth/
+        cfg = pipeline_config(tmp_path)
+        run, rebuilt = tmp_path / "run", tmp_path / "rebuilt"
+        run_pipeline(cfg, run)
+        self.rebuild_with_subcommands(run, tmp_path / "labels.txt", rebuilt,
+                                      c_reg=0.1, d=3, lam=1.0, epochs=120)
+        got = self.stage_files(rebuilt)
+        assert len(got) == 16  # 2 models, 2 candidate files, 4 predictions, 2 x 4 report files
+        assert got == self.stage_files(run)
+
+    def test_cv_rebuilds_the_auto_stage(self, tmp_path):
+        cfg = pipeline_config(tmp_path, C="auto", d="auto", **{"lambda": "auto"})
+        doc = json.loads(cfg.read_text())
+        doc["synth"]["train_videos"] = 5
+        # integers in the JSON grids read as the same floats as on the command line
+        doc["cv"] = {"c_grid": [0.1, 1], "d_grid": [3, 6], "lambda_grid": [0.5, 1]}
+        doc["training"] = {"epochs": 40}
+        cfg.write_text(json.dumps(doc))
+        run = tmp_path / "run"
+        run_pipeline(cfg, run)
+        synth_dir = run / "00_synth"
+        pairs = tmp_path / "train.txt"
+        pairs.write_text("".join(f"{synth_dir / f'train_{i:02d}.feat'}\t"
+                                 f"{synth_dir / f'train_{i:02d}.truth.txt'}\n" for i in range(5)))
+        cv = tmp_path / "cv"
+        assert main(["cv", "--manifest", str(pairs), "--label-space", str(tmp_path / "labels.txt"),
+                     "--c-grid", "0.1", "1", "--d-grid", "3", "6", "--lambda-grid", "0.5",
+                     "1", "--epochs", "40", "--out", str(cv)]) == 0
+        for name in ("chosen.json", "table.csv"):
+            assert (cv / name).read_bytes() == (run / "01_cv" / name).read_bytes()
+        chosen = json.loads((cv / "chosen.json").read_text())
+        rebuilt = tmp_path / "rebuilt"
+        self.rebuild_with_subcommands(run, tmp_path / "labels.txt", rebuilt, c_reg=chosen["C"],
+                                      d=chosen["d"], lam=chosen["lambda"], epochs=40)
+        assert self.stage_files(rebuilt) == self.stage_files(run)
+
     def test_auto_lambda_via_cv(self, tmp_path):
         cfg = pipeline_config(tmp_path, **{"lambda": "auto"})
         doc = json.loads(cfg.read_text())
@@ -715,6 +830,19 @@ class TestSynthCommand:
                          "--label-space", str(ges)]) == 2
             assert error in capsys.readouterr().err
             assert not out.exists()
+
+    def test_values_beyond_float32_exit_2_without_a_feat_file(self, tmp_path, capsys):
+        # finite float64 values past float32's range were written as inf,
+        # and read_features then rejected the file it had just been given
+        _, ges, _ = write_spaces(tmp_path)
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"seed": 3, "states": 3, "dim": 4, "frames": 80,
+                                   "min_dwell": 10, "noise_sigma": 1e39, "videos": 2}))
+        out = tmp_path / "data"
+        assert main(["synth", "features", "--config", str(cfg), "--out", str(out),
+                     "--label-space", str(ges)]) == 2
+        assert "float32" in capsys.readouterr().err
+        assert not list(out.glob("*.feat"))
 
     def test_synth_videos(self, tmp_path):
         cfg = tmp_path / "synth.json"

@@ -53,6 +53,16 @@ class TestFeatureFile:
         peak, _ = traced_peak(write_features, s, tmp_path / "s.feat")
         assert peak <= 0.6 * s.values.nbytes, peak / s.values.nbytes
 
+    def test_values_beyond_float32_rejected_before_the_file(self, tmp_path):
+        path = tmp_path / "s.feat"
+        for big in (3.5e38, -1e39, 1e300):
+            with pytest.raises(FeatureFileError, match="float32"):
+                write_features(stream([[1.0, big]]), path)
+            assert not path.exists()
+        top = float(np.finfo(np.float32).max)
+        write_features(stream([[top, -top]]), path)
+        assert np.array_equal(read_features(path).values, [[top, -top]])
+
     def test_decode_two_rows(self, tmp_path):
         path = tmp_path / "s.feat"
         write_features(stream([[1, 2, 3], [4, 5, 6]]), path)
@@ -129,6 +139,15 @@ class TestColorHistogram:
         frames = [Image(rng.integers(0, 256, (4, 4, 3), dtype=np.uint8)) for _ in range(3)]
         s = histogram_stream(frames, "vid", Camera.LEFT_HAND, bins_per_channel=4)
         assert s.n_frames == 3 and s.dim == 64
+        assert np.array_equal(s.values, [color_histogram(f, 4) for f in frames])
+
+    def test_stream_memory_holds_the_histograms_once(self, traced_peak):
+        # the parent held every frame's histogram beside their stack (2.07x);
+        # the rest is the stream's finiteness check (one byte per value)
+        rng = np.random.default_rng(5)
+        frames = [Image(rng.integers(0, 256, (4, 4, 3), dtype=np.uint8)) for _ in range(2000)]
+        peak, s = traced_peak(histogram_stream, frames, "vid", Camera.RIGHT_HAND)
+        assert peak <= 1.15 * s.values.nbytes, peak / s.values.nbytes
 
 
 class TestFuseConcat:

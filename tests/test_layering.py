@@ -166,3 +166,47 @@ def test_unreferenced_detector():
 def test_every_public_name_is_used():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_names(sources) == sorted(UNREFERENCED_ALLOWED)
+
+
+# `run_pipeline` reaches these modules only through the subcommands' stage
+# functions, so each stage has one code path; CrossValPlan names the grids
+STAGE_MODULES = ("classify", "change", "inference", "evaluation", "crossval")
+
+
+def stage_module_uses(source: str, function: str) -> list[str]:
+    """Each name of a stage module (other than CrossValPlan) that the body of
+    the top-level `function` references, as `module.name` or as imported."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module in STAGE_MODULES
+                for alias in node.names}
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    found = []
+    for node in ast.walk(body):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in STAGE_MODULES and node.attr != "CrossValPlan"):
+            found.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in imported:
+            found.append(node.id)
+    return sorted(found)
+
+
+def test_stage_module_detector():
+    source = (
+        "from . import classify, crossval\n"
+        "from .evaluation import build_report as report\n"
+        "def run_pipeline():\n"
+        "    crossval.CrossValPlan(c_grid=crossval.CrossValPlan.c_grid)\n"
+        "    classify.train(x)\n"
+        "    report(a)\n"
+        "    crossval.cross_validate(y)\n"
+        "def other():\n"
+        "    classify.save_model(x)\n"
+    )
+    assert stage_module_uses(source, "run_pipeline") == [
+        "classify.train", "crossval.cross_validate", "report"]
+
+
+def test_pipeline_runs_only_stage_functions():
+    assert stage_module_uses((SRC / "cli.py").read_text(), "run_pipeline") == []
