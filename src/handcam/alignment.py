@@ -16,13 +16,13 @@ uint8 values, plus 0.5, lies in [0.5, 256), where truncation is the floor.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .core import write_json
 from .media import (
     Image, frame_path, frame_paths, load_ppm, remove_frames_from, resample, resize_to, save_ppm,
     to_gray,
@@ -400,5 +400,5 @@ def write_alignment_report(result: AlignmentResult, path: str | Path) -> None:
             for vid, va in sorted(result.per_video.items())
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(doc, path)
 

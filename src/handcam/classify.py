@@ -8,22 +8,25 @@ L2-regularized hinge loss
 with step size 1/(C_k * t) and zero initialization. Each column k of a
 solve (one class under one C) has its own C_k. The shrink factor 1 - 1/t
 does not depend on C, so one solve trains the models of a whole C grid as
-column blocks. A sign of 0 leaves a row out of that column's problem: the
-mean runs over the column's own rows. So one solve also trains every
-cross-validation fold, each fold's columns signing its held-out rows 0.
+column blocks. A sign of 0 leaves a frame out of that column's problem:
+the mean runs over the column's own frames. So one solve also trains every
+cross-validation fold, each fold's columns signing its held-out frames 0.
 With two classes, class 1's signs negate class 0's, and IEEE negation
 commutes with every solver step, so only class 0's columns are solved and
 class 1 is 0 - w, 0 - b. This needs at least two solved columns: a
 one-column product takes BLAS's matrix-vector path, which rounds
 differently, so a single model (one fold, one C) solves both classes.
 The iterate with the lowest objective is kept per column, so the returned
-objective never exceeds the value at initialization. The column sums of
-an epoch give a plain sum's bits: the bias gradient sums -1, +0 and +1,
-integers that add exactly in any order, and einsum adds the hinge terms in
-row order as sum does, but for one column, which sum adds pairwise.
-Identical inputs and config give bit-identical models. Confidences are raw
-margins; the decoding weight lambda absorbs their scale, so no calibration
-is applied.
+objective never exceeds the value at initialization.
+
+Frames are on BLAS's row side of every product: a solve's signs are
+(columns, n), one contiguous row per column, margins are w @ x.T and
+scores W @ x.T, so OpenBLAS packs a block of frames at a time instead of
+all of them. The bias gradient sums -1, +0 and +1, integers that add
+exactly in any order, and each column's hinge terms, one contiguous row,
+sum pairwise. Identical inputs and config give bit-identical models at a
+fixed BLAS thread count and build. Confidences are raw margins; the
+decoding weight lambda absorbs their scale, so no calibration is applied.
 """
 
 from __future__ import annotations
@@ -98,31 +101,30 @@ class LinearModel:
 def _solve_subgradient(
     x: np.ndarray, y_signs: np.ndarray, c_regs: np.ndarray, epochs: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best-objective iterate of subgradient descent, per column; c_regs
-    holds each column's C. A sign of 0 leaves the row out of the column's
-    problem: its hinge term is 0 - margin * 0 = +0 (so it is never active)
-    and the mean divides by the column's count of non-zero signs. Without
-    zero signs these are exactly the float steps of a plain mean."""
+    """Best-objective iterate of subgradient descent, per column: y_signs
+    is (k, n), one contiguous row of signs per column, and c_regs holds each
+    column's C. A sign of 0 leaves the frame out of the column's problem:
+    its hinge term is 0 - margin * 0 = +0 (so it is never active) and the
+    mean divides by the column's count of non-zero signs. Without zero signs
+    these are exactly the float steps of a plain mean."""
     in_problem = y_signs != 0.0  # the 1 of 1 - margin, as a bool
-    n = np.count_nonzero(in_problem, axis=0).astype(np.float64)
+    n = np.count_nonzero(in_problem, axis=1).astype(np.float64)
     if not np.all(n):
         raise ValueError("every column needs at least one training row")
-    k, d = y_signs.shape[1], x.shape[1]
+    k, d = y_signs.shape[0], x.shape[1]
     w = np.zeros((k, d))
     b = np.zeros(k)
     best_w, best_b = w.copy(), b.copy()
     best_obj = np.full(k, np.inf)
     work = np.empty(y_signs.shape)  # margins, then hinge terms, then active signs
-    ones = np.ones(y_signs.shape[0])
+    ones = np.ones(y_signs.shape[1])
     for t in range(epochs + 1):
-        np.matmul(x, w.T, out=work)
-        work += b
+        np.matmul(w, x.T, out=work)  # frames on BLAS's row side: x is not packed whole
+        work += b[:, None]
         work *= y_signs
         np.subtract(in_problem, work, out=work)
         np.maximum(0.0, work, out=work)
-        # einsum adds the rows in order, as sum does over two or more columns
-        hinge = np.einsum("ij->j", work) if k > 1 else work.sum(axis=0)
-        obj = 0.5 * c_regs * (w * w).sum(axis=1) + hinge / n
+        obj = 0.5 * c_regs * (w * w).sum(axis=1) + work.sum(axis=1) / n
         better = obj < best_obj
         best_w[better] = w[better]
         best_b[better] = b[better]
@@ -133,8 +135,8 @@ def _solve_subgradient(
         work *= y_signs
         work += 0.0  # an inactive -1 row gives -0.0; the gradient sums +0.0
         eta = 1.0 / (c_regs * (t + 1))
-        w = (1.0 - eta * c_regs)[:, None] * w + (eta / n)[:, None] * (work.T @ x)
-        b = b + (eta / n) * (ones @ work)  # integer sums of -1, +0, +1: exact in any order
+        w = (1.0 - eta * c_regs)[:, None] * w + (eta / n)[:, None] * (work @ x)
+        b = b + (eta / n) * (work @ ones)  # integer sums of -1, +0, +1: exact in any order
     return best_w, best_b, best_obj
 
 
@@ -147,7 +149,7 @@ def _training_input(
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("expected (n, D) features and (n,) labels")
-    if not np.all(np.isfinite(x)):
+    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
         raise ValueError("training features must be finite")
     if row_folds is None:
         held_out = np.zeros((y.size, 1), dtype=bool)
@@ -166,19 +168,19 @@ def _fit(
     x: np.ndarray, y_signs: np.ndarray, held_out: np.ndarray, space: LabelSpace | None,
     c_grid: Sequence[float], epochs: int,
 ) -> list[list[LinearModel]]:
-    """Models [fold][C] from one solve. Its columns are the sign columns
-    tiled fold-major, then C; a fold's columns sign its held-out rows 0.
-    With two classes and two or more of these columns, only class 0 is
-    solved (see the module docstring)."""
+    """Models [fold][C] from one solve of the (n, k) sign columns. Its sign
+    rows are those columns tiled fold-major, then C; a fold's rows sign its
+    held-out frames 0. With two classes and two or more of these rows, only
+    class 0 is solved (see the module docstring)."""
     configs = [TrainConfig(c, epochs) for c in c_grid]
     (n, k), folds = y_signs.shape, held_out.shape[1]
     paired = k == 2 and folds * len(configs) >= 2
     solved = 1 if paired else k
-    signs = np.empty((n, folds, len(configs), solved))
-    signs[...] = y_signs[:, None, None, :solved]
-    signs[held_out] = 0.0
+    signs = np.empty((folds, len(configs), solved, n))
+    signs[...] = y_signs.T[:solved]
+    np.copyto(signs, 0.0, where=held_out.T[:, None, None, :])
     w, b, _ = _solve_subgradient(
-        x, signs.reshape(n, -1), np.tile(np.repeat(c_grid, solved), folds), epochs
+        x, signs.reshape(-1, n), np.tile(np.repeat(c_grid, solved), folds), epochs
     )
     w, b = w.reshape(folds, len(configs), solved, -1), b.reshape(folds, len(configs), solved)
     if paired:
@@ -282,9 +284,9 @@ def score_stream(model: LinearModel, stream: FeatureStream) -> np.ndarray:
     """(N, K) margins for every frame of a stream."""
     if stream.dim != model.dim:
         raise ValueError(f"stream dim {stream.dim} does not match model dim {model.dim}")
-    margins = stream.values @ model.weights.T
-    margins += model.bias
-    return margins
+    margins = model.weights @ stream.values.T  # (K, N): frames on BLAS's row side
+    margins += model.bias[:, None]
+    return margins.T
 
 
 def predict_frames(model: LinearModel, stream: FeatureStream) -> StateSequence:

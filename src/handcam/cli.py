@@ -27,6 +27,7 @@ from .core import (
     LabelSpace,
     StateSequence,
     load_label_space,
+    write_json,
 )
 
 _CAMERAS = {c.value: c for c in Camera}
@@ -41,10 +42,6 @@ class StageError(RuntimeError):
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_manifest(
@@ -62,7 +59,7 @@ def write_manifest(
         "inputs": {name: _sha256(p) for name, p in sorted(inputs.items())},
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
     }
-    _write_json(doc, out_dir / "manifest.json")
+    write_json(doc, out_dir / "manifest.json")
 
 
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
@@ -218,7 +215,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             hand, specs, (cfg["frame_width"], cfg["frame_height"]), cfg["frames"],
             cfg["noise_sigma"], cfg["jitter"], cfg["seed"], out_dir=out,
         )
-        _write_json(truth, out / "ground_truth.json")
+        write_json(truth, out / "ground_truth.json")
     print(f"synthesized into {out}")
     return 0
 
@@ -327,7 +324,7 @@ def run_cv(pairs: list, label_space: str | Path, plan: crossval.CrossValPlan, ep
                                      classify.TrainConfig(epochs=epochs))
     out.mkdir(parents=True, exist_ok=True)
     chosen, table = out / "chosen.json", out / "table.csv"
-    _write_json({"C": result.c_reg, "d": result.d, "lambda": result.lam}, chosen)
+    write_json({"C": result.c_reg, "d": result.d, "lambda": result.lam}, chosen)
     rows = [f"{c.c_reg},{c.d},{c.lam},{c.mean_accuracy!r}" for c in result.table]
     table.write_text("\n".join(["C,d,lambda,mean_accuracy", *rows]) + "\n")
     return [chosen, table]
@@ -598,7 +595,7 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
             )
             accuracies[tag] = report.global_accuracy
 
-    _write_json(
+    write_json(
         {"accuracy_full": accuracies["full"], "accuracy_unary": accuracies["unary"],
          "C": c_reg, "d": d, "lambda": lam},
         out_dir / "summary.json",

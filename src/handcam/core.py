@@ -6,6 +6,7 @@ parallel workers.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -114,8 +115,8 @@ class FeatureStream:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2:
             raise ValueError("feature values must be a 2-d (frames x dim) array")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("feature values must be finite")
+        if vals.size and not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
+            raise ValueError("non-finite feature values")  # min/max: no mask to build
         object.__setattr__(self, "values", frozen_array(vals))
 
     @property
@@ -243,10 +244,7 @@ def load_label_space(path: str | Path) -> LabelSpace:
     return LabelSpace(task, labels, labels.index(entries["free_label"]))
 
 
-def save_label_space(space: LabelSpace, path: str | Path) -> None:
-    text = (
-        f"task = {space.task.value}\n"
-        f"labels = {', '.join(space.labels)}\n"
-        f"free_label = {space.free_label}\n"
-    )
-    Path(path).write_text(text, encoding="utf-8")
+def write_json(doc: dict, path: str | Path) -> None:
+    """The one layout of every JSON file the package writes: indented, keys
+    sorted, with a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .core import StateSequence, run_starts
+from .core import StateSequence, run_starts, write_json
 
 
 def _check_pair(pred: StateSequence, truth: StateSequence) -> None:
@@ -130,7 +129,7 @@ def write_report(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = report_dict(report, label_names)
-    (out_dir / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(doc, out_dir / "report.json")
     lines = ["video,accuracy"]
     for vid in sorted(report.per_video_accuracy):
         lines.append(f"{vid},{report.per_video_accuracy[vid]!r}")

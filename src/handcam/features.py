@@ -80,12 +80,10 @@ def read_features(path: str | Path) -> FeatureStream:
         raise FeatureFileError("payload length mismatch: trailing bytes")
     values = np.frombuffer(data, dtype="<f4", count=n * d, offset=pos)
     values = values.reshape(n, d).astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise FeatureFileError("non-finite values in payload")
     values.setflags(write=False)  # fresh and ours: FeatureStream keeps it without a copy
     try:
         return FeatureStream(vid, _CAMERA_FROM_CODE[camera_code], fps, values)
-    except ValueError as e:  # fps not positive and finite
+    except ValueError as e:  # fps or values not finite
         raise FeatureFileError(str(e)) from None
 
 

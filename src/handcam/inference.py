@@ -20,10 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureStream, LabelSpace, StateSequence, run_starts, segment_means, unit_rows
+from .core import FeatureStream, LabelSpace, StateSequence, segment_means, unit_rows
 from .change import CandidateSet
-
-NEG_INF = float("-inf")
 
 
 def _candidate_indices(candidates: "CandidateSet | Sequence[int] | np.ndarray") -> np.ndarray:
@@ -164,30 +162,6 @@ def decode(problem: InferenceProblem, lams: Sequence[float]) -> list[StateSequen
     lengths = np.diff(bounds)
     return [StateSequence(problem.label_space, np.repeat(s, lengths), num_states=k)
             for s in seg_states]
-
-
-def score_sequence(
-    problem: InferenceProblem, seq: "StateSequence | np.ndarray", lam: float
-) -> float:
-    """Score of one state sequence at boundary weight lam; -inf if it changes
-    state off-candidate."""
-    _check_lam(lam)
-    states = seq.states if isinstance(seq, StateSequence) else np.asarray(seq, dtype=np.int64)
-    n = problem.n_frames
-    if states.shape != (n,):
-        raise ValueError(f"sequence length {states.shape} does not match N={n}")
-    if states.size and (states.min() < 0 or states.max() >= problem.num_states):
-        raise ValueError("state index out of range")
-    changes = run_starts(states)[1:]
-    cand = problem.candidates
-    if not np.isin(changes, cand).all():
-        return NEG_INF
-    unary_total = float(problem.unary[np.arange(n), states].sum())
-    binary_total = 0.0
-    for g, c in enumerate(cand):
-        sim = float(problem.boundary_similarities[g])
-        binary_total += sim if states[c - 1] == states[c] else -sim
-    return unary_total + lam * binary_total
 
 
 def decode_stream(

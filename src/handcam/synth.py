@@ -71,16 +71,6 @@ def random_centers(num_states: int, dim: int, seed: int) -> np.ndarray:
     return centers / np.linalg.norm(centers, axis=1, keepdims=True)
 
 
-def orthonormal_centers(num_states: int, dim: int, seed: int) -> np.ndarray:
-    """Mutually orthogonal unit centers: equal pairwise separation, so
-    classification difficulty depends only on the noise level."""
-    if num_states > dim:
-        raise ValueError("orthonormal centers need num_states <= dim")
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, num_states)))
-    return np.ascontiguousarray(q.T[:num_states])
-
-
 def _draw_states(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     """Runs of length uniform in [dwell, 2*dwell]; a too-short tail is
     absorbed into the final run so every run keeps the minimum dwell."""
@@ -205,15 +195,6 @@ def textured_patch(width: int, height: int, seed: int) -> Image:
     """High-frequency random texture; sharp enough to discriminate scales."""
     rng = np.random.default_rng(seed)
     return Image(rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8))
-
-
-def smooth_patch(width: int, height: int, seed: int, cells: int = 6) -> Image:
-    """Low-frequency random texture: a coarse random grid upsampled
-    bilinearly, so single-pixel jitter moves values only a little while the
-    pattern still discriminates scale and translation."""
-    rng = np.random.default_rng(seed)
-    coarse = Image(rng.integers(0, 256, size=(cells, cells, 3), dtype=np.uint8))
-    return resize_to(coarse, width, height)
 
 
 def gen_video_set(

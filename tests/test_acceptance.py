@@ -15,10 +15,13 @@ from handcam import change, classify, discovery, inference, synth
 from handcam.alignment import compute_pixel_stats, median_as_image, ncc_match
 from handcam.cli import run_pipeline
 from handcam.core import (
-    Camera, FeatureStream, LabelSpace, StateSequence, Task, run_starts, save_label_space,
+    Camera, FeatureStream, LabelSpace, StateSequence, Task, run_starts,
 )
 from handcam.features import read_features, write_features
 from handcam.media import Image, load_ppm, save_ppm
+from test_core import save_label_space
+from test_inference import score_sequence
+from test_synth import orthonormal_centers
 
 
 def _report(line):
@@ -48,13 +51,13 @@ def test_criterion_1_dp_optimality():
     for _ in range(200):
         problem, lam = _make_problem(rng)
         decoded = inference.decode(problem, [lam])[0]
-        dp_score = inference.score_sequence(problem, decoded, lam)
+        dp_score = score_sequence(problem, decoded, lam)
         bounds = inference.segment_bounds(problem.n_frames, problem.candidates)
         lengths = np.diff(bounds)
         best = float("-inf")
         for combo in product(range(problem.num_states), repeat=len(lengths)):
             states = np.repeat(np.array(combo, dtype=np.int64), lengths)
-            best = max(best, inference.score_sequence(problem, states, lam))
+            best = max(best, score_sequence(problem, states, lam))
         assert dp_score == best  # exact equality
     elapsed = time.time() - start
     assert elapsed < 5.0
@@ -96,7 +99,7 @@ def test_criterion_3_unary_to_full_improvement():
     cfg = classify.TrainConfig(c_reg=0.1, epochs=150)
     unary_accs, full_accs = [], []
     for seed in range(20):
-        centers = synth.orthonormal_centers(3, 6, seed * 7 + 1)
+        centers = orthonormal_centers(3, 6, seed * 7 + 1)
         pairs = []
         for i in range(5):
             scfg = synth.SynthConfig(
@@ -205,7 +208,7 @@ def test_criterion_5_change_detection():
     cfg = classify.TrainConfig(c_reg=0.1, epochs=150)
     misses = 0
     for seed in range(50):
-        centers = synth.orthonormal_centers(3, 6, seed + 900)  # separation 10x sigma
+        centers = orthonormal_centers(3, 6, seed + 900)  # separation 10x sigma
         pairs = []
         for i in range(4):
             scfg = synth.SynthConfig(

@@ -25,6 +25,7 @@ from handcam.alignment import (
 )
 from handcam.media import Image, frame_path, load_video_dir, save_ppm, save_video_dir
 from test_media import KINDS, random_stack, reference_resize_to
+from test_synth import smooth_patch
 
 
 def gray_video(series):
@@ -391,7 +392,7 @@ def scale_one_set(seed=11):
         synth.VideoSpec("vb", 1.0, 42, 23),
         synth.VideoSpec("vc", 1.0, 12, 50),
     ]
-    hand = synth.smooth_patch(24, 24, seed=5)
+    hand = smooth_patch(24, 24, seed=5)
     videos, truth = synth.gen_video_set(
         hand, specs, (120, 90), n_frames=9, noise_sigma=60.0, jitter=1, seed=seed
     )

@@ -15,6 +15,7 @@ from handcam.change import (
 )
 from handcam.classify import LinearModel, TrainConfig
 from handcam.core import Camera, FeatureStream, StateSequence, run_starts
+from test_synth import orthonormal_centers
 
 
 def suppress_non_maxima_greedy(frame_indices, confidences, radius):
@@ -210,7 +211,7 @@ class TestNms:
 
 
 def high_snr_videos(seed, sigma=0.1, n_videos=4):
-    centers = synth.orthonormal_centers(3, 6, seed + 900)  # separation sqrt(2) > 10 sigma
+    centers = orthonormal_centers(3, 6, seed + 900)  # separation sqrt(2) > 10 sigma
     out = []
     for i in range(n_videos):
         cfg = synth.SynthConfig(

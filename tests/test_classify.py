@@ -1,5 +1,9 @@
+import os
 import struct
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from handcam.classify import (
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence
 from handcam.crossval import CrossValPlan, CVCell, CVResult, cross_validate
 from handcam.inference import decode_stream
+from test_synth import orthonormal_centers
 
 
 def two_blobs(seed=0, n_per=100, margin=5.0, sigma=1.0, dim=4):
@@ -81,9 +86,10 @@ class TestTrain:
             train_arrays(x, y, LabelSpace.free_active())
 
     def test_nan_feature_rejected(self):
-        x = np.array([[np.nan, 0.0], [1.0, 1.0]])
-        with pytest.raises(ValueError, match="finite"):
-            train_arrays(x, np.array([0, 1]), LabelSpace.free_active())
+        for bad in (np.nan, np.inf, -np.inf):  # a NaN, or either end of the range
+            x = np.array([[bad, 0.0], [1.0, 1.0]])
+            with pytest.raises(ValueError, match="finite"):
+                train_arrays(x, np.array([0, 1]), LabelSpace.free_active())
 
     def test_objective_final_le_initial(self):
         # the returned iterate never scores worse than the zero initializer
@@ -177,6 +183,50 @@ def parent_masked_solve(x, y_signs, c_regs, epochs):
     return best_w, best_b, best_obj
 
 
+def reference_solve(x, y_signs, c_regs, epochs):
+    """The solver with frames on BLAS's row side, verbatim: (k, n) signs,
+    margins as w @ x.T and each column's hinge terms summed pairwise as one
+    contiguous row. The reference for the shapes where BLAS rounds the
+    transposed products differently from `parent_masked_solve`, or where the
+    objective's pairwise sum differs from its row-order sum."""
+    in_problem = y_signs != 0.0  # the 1 of 1 - margin, as a bool
+    n = np.count_nonzero(in_problem, axis=1).astype(np.float64)
+    if not np.all(n):
+        raise ValueError("every column needs at least one training row")
+    k, d = y_signs.shape[0], x.shape[1]
+    w = np.zeros((k, d))
+    b = np.zeros(k)
+    best_w, best_b = w.copy(), b.copy()
+    best_obj = np.full(k, np.inf)
+    work = np.empty(y_signs.shape)  # margins, then hinge terms, then active signs
+    ones = np.ones(y_signs.shape[1])
+    for t in range(epochs + 1):
+        np.matmul(w, x.T, out=work)  # frames on BLAS's row side: x is not packed whole
+        work += b[:, None]
+        work *= y_signs
+        np.subtract(in_problem, work, out=work)
+        np.maximum(0.0, work, out=work)
+        obj = 0.5 * c_regs * (w * w).sum(axis=1) + work.sum(axis=1) / n
+        better = obj < best_obj
+        best_w[better] = w[better]
+        best_b[better] = b[better]
+        best_obj[better] = obj[better]
+        if t == epochs:
+            break
+        np.greater(work, 0.0, out=work)  # 1 - margin > 0 exactly where margin < 1
+        work *= y_signs
+        work += 0.0  # an inactive -1 row gives -0.0; the gradient sums +0.0
+        eta = 1.0 / (c_regs * (t + 1))
+        w = (1.0 - eta * c_regs)[:, None] * w + (eta / n)[:, None] * (work @ x)
+        b = b + (eta / n) * (work @ ones)  # integer sums of -1, +0, +1: exact in any order
+    return best_w, best_b, best_obj
+
+
+def rows(signs):
+    """(n, k) sign columns as the (k, n) sign rows the solver takes."""
+    return np.ascontiguousarray(signs.T)
+
+
 def parent_fit(x, y_signs, held_out, space, c_grid, epochs):
     """`classify._fit` as it was, solving every class column, verbatim but
     for the reference solver."""
@@ -234,7 +284,7 @@ class TestGridSolve:
         solve = classify._solve_subgradient
 
         def counted(x, y_signs, c_regs, epochs):
-            widths.append(y_signs.shape[1])
+            widths.append(y_signs.shape[0])
             return solve(x, y_signs, c_regs, epochs)
 
         monkeypatch.setattr(classify, "_solve_subgradient", counted)
@@ -293,14 +343,16 @@ class TestGridSolve:
 class TestSolverExactness:
     """The solver and `_fit` keep the reference's bytes: (w, b, objective)
     of every column, and every model of a K=2 grid whose class 1 is the
-    negation of a solved class 0."""
+    negation of a solved class 0. The reference is `parent_masked_solve`,
+    or `reference_solve` where the objective's sum order moved or BLAS
+    rounds the transposed products differently at that shape."""
 
     def test_fold_grids_match_reference_bytes(self):
         for k, folds, seed in product(range(2, 7), (1, 3, 5), (0, 1)):
             x, y = seeded_states(20 * k + seed, k)
             signs, c_regs = fold_signs(one_vs_rest(y, k), folds, C_GRID)
-            expected = parent_masked_solve(x, signs, c_regs, 30)
-            assert same_bytes(classify._solve_subgradient(x, signs, c_regs, 30), expected)
+            expected = reference_solve(x, rows(signs), c_regs, 30)
+            assert same_bytes(classify._solve_subgradient(x, rows(signs), c_regs, 30), expected)
 
     def test_random_zero_signs_match_reference_bytes(self):
         rng = np.random.default_rng(4)
@@ -308,8 +360,8 @@ class TestSolverExactness:
         signs = np.where(rng.random((90, 7)) < 0.5, 1.0, -1.0)
         signs[rng.random((90, 7)) < 0.3] = 0.0
         c_regs = np.array([0.01, 0.1, 1.0, 10.0, 0.5, 3.0, 1e-3])
-        expected = parent_masked_solve(x, signs, c_regs, 25)
-        assert same_bytes(classify._solve_subgradient(x, signs, c_regs, 25), expected)
+        expected = reference_solve(x, rows(signs), c_regs, 25)
+        assert same_bytes(classify._solve_subgradient(x, rows(signs), c_regs, 25), expected)
 
     def test_column_with_no_active_rows_matches_reference_bytes(self):
         # separable rows and a small C: after the first step every margin is
@@ -324,7 +376,7 @@ class TestSolverExactness:
         margins = signs * (x @ w1.T + b1)
         assert np.all(margins[signs != 0.0] >= 1.0)
         expected = parent_masked_solve(x, signs, c_regs, 20)
-        assert same_bytes(classify._solve_subgradient(x, signs, c_regs, 20), expected)
+        assert same_bytes(classify._solve_subgradient(x, rows(signs), c_regs, 20), expected)
 
     def test_k2_grids_match_reference_fit_bytes(self):
         # the halved solve pairs class 0 with its negation, a zero weight
@@ -341,12 +393,12 @@ class TestSolverExactness:
             ]
 
     def test_wide_grid_matches_reference_bytes(self):
-        # 120 columns: every hinge sum adds its column's rows in order
+        # 120 columns at 400 x 9: BLAS rounds w @ x.T differently from x @ w.T here
         x, y = seeded_states(7, 6, n=400, dim=9)
         signs, c_regs = fold_signs(one_vs_rest(y, 6), 5, C_GRID)
         assert signs.shape[1] == 120
-        expected = parent_masked_solve(x, signs, c_regs, 25)
-        assert same_bytes(classify._solve_subgradient(x, signs, c_regs, 25), expected)
+        expected = reference_solve(x, rows(signs), c_regs, 25)
+        assert same_bytes(classify._solve_subgradient(x, rows(signs), c_regs, 25), expected)
 
     def test_long_solves_match_reference_bytes(self):
         # more rows than numpy's 8,192-element buffer, in one and in three columns
@@ -357,7 +409,7 @@ class TestSolverExactness:
         for cols in (slice(0, 1), slice(0, 3)):
             c_regs = np.array([0.01, 0.3, 5.0])[cols]
             expected = parent_masked_solve(x, signs[:, cols], c_regs, 8)
-            got = classify._solve_subgradient(x, np.ascontiguousarray(signs[:, cols]), c_regs, 8)
+            got = classify._solve_subgradient(x, rows(signs[:, cols]), c_regs, 8)
             assert same_bytes(got, expected)
 
     def test_one_column_solves_match_reference_bytes(self):
@@ -368,21 +420,109 @@ class TestSolverExactness:
             signs[::5] = 0.0
             c_regs = np.array([c])
             expected = parent_masked_solve(x, signs, c_regs, 30)
-            assert same_bytes(classify._solve_subgradient(x, signs, c_regs, 30), expected)
+            assert same_bytes(classify._solve_subgradient(x, rows(signs), c_regs, 30), expected)
 
     def test_k24_single_model_matches_reference_fit_bytes(self):
         x, y = seeded_states(24, 24, n=600, dim=12)
         x, y, held_out = classify._training_input(x, y, None, 1)
-        args = (x, one_vs_rest(y, 24), held_out, None, (0.5,), 30)
-        ((got,),), ((expected,),) = classify._fit(*args), parent_fit(*args)
-        assert model_bytes(got) == model_bytes(expected)
+        ((got,),) = classify._fit(x, one_vs_rest(y, 24), held_out, None, (0.5,), 30)
+        w, b, _ = reference_solve(x, rows(one_vs_rest(y, 24)), np.full(24, 0.5), 30)
+        assert model_bytes(got) == model_bytes(LinearModel(w, b, None, TrainConfig(0.5, 30)))
+
+    def test_workload_shapes_match_column_reference_weights(self):
+        # with the frames as BLAS's rows, weights and biases keep the (n, k)
+        # products' bits at the workloads' shapes: 1,200-frame videos,
+        # cv-auto's 7,200 rows with 5 folds x 4 C, 8,000 rows, K=24, D=512
+        for n, d in product((1_200, 7_200, 8_000), (64, 512)):
+            x, y = seeded_states(n + d, 24, n=n, dim=d)
+            binary = (2.0 * (y % 2) - 1.0)[:, None]
+            for k in (1, 2, 20, 24):
+                if k == 20:
+                    signs, c_regs = fold_signs(binary, 5, C_GRID)
+                else:
+                    signs = one_vs_rest(y % k, k) if k > 1 else binary
+                    c_regs = np.full(k, 0.5)
+                expected = parent_masked_solve(x, signs, c_regs, 4)
+                got = classify._solve_subgradient(x, rows(signs), c_regs, 4)
+                assert same_bytes(got[:2], expected[:2]), (n, d, k)
+
+
+# The growth of the high-water mark over one product of n x D frames with
+# k weight rows, in bytes, in a fresh process at 2 BLAS threads: a solve
+# (argv "solve n D k") or a scoring (argv "score n D k"). VmHWM is the
+# process's own mark; the ru_maxrss of a child starts at its parent's.
+HIGH_WATER_GROWTH = """
+import sys
+import numpy as np
+from handcam import classify
+from handcam.core import Camera, FeatureStream
+
+def high_water():
+    with open("/proc/self/status") as f:
+        return 1024 * next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+what, (n, d, k) = sys.argv[1], map(int, sys.argv[2:])
+rng = np.random.default_rng(0)
+x = rng.standard_normal((n, d))
+x.setflags(write=False)
+signs = np.where(rng.random((k, n)) < 0.5, 1.0, -1.0)
+model = classify.LinearModel(rng.standard_normal((k, d)), np.ones(k), None, classify.TrainConfig())
+stream = FeatureStream("v", Camera.HEAD, 6.0, x)
+np.ones((4, 4)) @ np.ones((4, 4))  # BLAS sets up before the baseline
+before = high_water()
+if what == "solve":
+    classify._solve_subgradient(x, signs, np.ones(k), 2)
+else:
+    classify.score_stream(model, stream)
+print(high_water() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+class TestProductMemory:
+    """With the frames on BLAS's column side (x @ w.T), OpenBLAS at 2 threads
+    packed all of x.T into its buffer; as rows it packs a block at a time."""
+
+    @staticmethod
+    def growth(*argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(classify.__file__).parents[1]), *sys.path]))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "2"
+        out = subprocess.run([sys.executable, "-c", HIGH_WATER_GROWTH, *map(str, argv)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        return int(out)
+
+    def test_solve_does_not_pack_the_whole_feature_matrix(self):
+        # cv-auto's 20 columns at D=512 (MB = 2^20 B): x is 28.1 MB, and
+        # packing it whole grew the mark by 16.5 MB; now 2.8 MB, of which
+        # the work array is 1.1 MB
+        growth = self.growth("solve", 7_200, 512, 20)
+        assert growth < 6 * 2**20, growth / 2**20
+
+    def test_scoring_holds_the_margins_and_a_block(self):
+        # long-video's scoring: the margins are 7.3 MB, and the mark grows
+        # by 7.1-7.4 MB; packing the 19.5 MB of frames whole made it 21.5 MB
+        growth = self.growth("score", 40_000, 64, 24)
+        assert growth < 1.5 * 40_000 * 24 * 8, growth / 2**20
 
 
 class TestNumpyColumnSums:
-    """The solver sums the hinge terms of two or more columns with
-    einsum, which must add each column's rows in the order `sum` does.
-    A numpy release that changes either order fails here, not by moving
-    model bytes."""
+    """The solver sums each column's hinge terms as one contiguous row of a
+    (k, n) array, which must give the bits of that row's own 1-D sum for
+    any k. The (n, k) epoch before it summed two or more columns with
+    einsum, which adds each column's rows in the order `sum` does. A numpy
+    release that changes either order fails here, not by moving model
+    bytes."""
+
+    def test_row_sums_match_one_row_sum_bytes(self):
+        rng = np.random.default_rng(10)
+        for cols, rows in product((1, 2, 3, 20, 24, 121), (1, 7, 9, 128, 129, 8192, 8193, 12_000)):
+            a = rng.standard_normal((cols, rows)) * 10.0 ** rng.uniform(-8.0, 8.0, (cols, rows))
+            a[rng.random((cols, rows)) < 0.3] = 0.0
+            for values in (a, np.maximum(0.0, a)):  # signed, and hinge-like
+                expected = np.array([row.sum() for row in values])
+                assert values.sum(axis=1).tobytes() == expected.tobytes()
 
     def test_einsum_matches_sum_bytes(self):
         rng = np.random.default_rng(9)
@@ -426,6 +566,17 @@ class TestScore:
         peak, margins = traced_peak(score_stream, model, stream)
         assert np.array_equal(margins, stream.values @ model.weights.T + model.bias)
         assert peak < 1.5 * margins.nbytes
+
+    def test_frames_as_rows_match_the_column_product_bytes(self):
+        # long-video's 40,000 x 64 x 24 scoring and a 1,200-frame K=2 video
+        rng = np.random.default_rng(12)
+        for n, d, k in ((40_000, 64, 24), (1_200, 64, 2)):
+            model = LinearModel(rng.standard_normal((k, d)), rng.standard_normal(k), None,
+                                TrainConfig())
+            stream = frames(rng.standard_normal((n, d)))
+            margins = score_stream(model, stream)
+            assert margins.shape == (n, k)
+            assert margins.tobytes() == (stream.values @ model.weights.T + model.bias).tobytes()
 
     def test_trained_frame_argmax_is_label(self):
         x, y = two_blobs(seed=2)
@@ -534,7 +685,7 @@ class TestModelFile:
 
 
 def synth_cv_videos(seed, ramp, sigma, n_videos=5, k=3):
-    centers = synth.orthonormal_centers(k, 6, seed * 13 + 5)
+    centers = orthonormal_centers(k, 6, seed * 13 + 5)
     pairs = []
     for i in range(n_videos):
         cfg = synth.SynthConfig(
@@ -635,7 +786,7 @@ class TestCrossValidate:
         solve = classify._solve_subgradient
 
         def counted(x, y_signs, c_regs, epochs):
-            calls.append((sorted(set(c_regs)), x.shape[0], y_signs.shape[1]))
+            calls.append((sorted(set(c_regs)), x.shape[0], y_signs.shape[0]))
             return solve(x, y_signs, c_regs, epochs)
 
         monkeypatch.setattr(classify, "_solve_subgradient", counted)

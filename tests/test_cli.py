@@ -7,8 +7,10 @@ import numpy as np
 
 from handcam import classify, evaluation, synth
 from handcam.cli import build_parser, main, run_pipeline, write_labels
-from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task, save_label_space
+from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task
 from handcam.features import read_features, write_features
+from test_core import save_label_space
+from test_synth import orthonormal_centers, smooth_patch
 
 
 def gesture_space():
@@ -28,7 +30,7 @@ def write_spaces(tmp_path):
 
 
 def make_labeled_videos(tmp_path, space, n_videos=2, seed=0, sigma=0.5, n_frames=120):
-    centers = synth.orthonormal_centers(3, 6, seed + 50)
+    centers = orthonormal_centers(3, 6, seed + 50)
     feature_paths, truth_paths = [], []
     for i in range(n_videos):
         cfg = synth.SynthConfig(seed=seed * 10 + i, num_states=3, dim=6,
@@ -91,7 +93,7 @@ class TestAbbreviatedOptions:
 
 class TestExtractFuse:
     def test_extract_and_fuse(self, tmp_path, capsys):
-        hand = synth.smooth_patch(10, 10, seed=1)
+        hand = smooth_patch(10, 10, seed=1)
         synth.gen_video_set(hand, [synth.VideoSpec("vid0", 1.0, 4, 4)], (30, 24),
                             3, 20.0, 0, seed=2, out_dir=tmp_path)
         feat = tmp_path / "vid0.feat"
@@ -278,7 +280,7 @@ class TestTrainInferEval:
 
 class TestAlign:
     def test_align_videos(self, tmp_path, capsys):
-        hand = synth.smooth_patch(24, 24, seed=5)
+        hand = smooth_patch(24, 24, seed=5)
         specs = [synth.VideoSpec("va", 1.0, 30, 30), synth.VideoSpec("vb", 1.0, 42, 23)]
         synth.gen_video_set(hand, specs, (120, 90), 9, 60.0, 1, seed=11,
                             out_dir=tmp_path / "videos")
@@ -294,7 +296,7 @@ class TestAlign:
         assert (out / "vb" / "frame_000008.ppm").exists()
 
     def test_indented_comment_line_skipped(self, tmp_path):
-        hand = synth.smooth_patch(8, 8, seed=5)
+        hand = smooth_patch(8, 8, seed=5)
         specs = [synth.VideoSpec("va", 1.0, 4, 4), synth.VideoSpec("vb", 1.0, 10, 6)]
         synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
                             out_dir=tmp_path / "videos")
@@ -308,7 +310,7 @@ class TestAlign:
     def test_duplicate_video_ids_rejected(self, tmp_path, capsys):
         # ids are directory names: a/cam and b/cam collide, and so does a
         # directory listed twice
-        hand = synth.smooth_patch(8, 8, seed=5)
+        hand = smooth_patch(8, 8, seed=5)
         specs = [synth.VideoSpec("cam", 1.0, 4, 4), synth.VideoSpec("cam2", 1.0, 10, 6)]
         for parent in ("a", "b"):
             synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
@@ -326,7 +328,7 @@ class TestAlign:
     def test_rerun_with_shorter_videos_leaves_no_stale_frames(self, tmp_path):
         # aligning 3-frame videos into an --out that holds 5-frame ones used
         # to leave frames 3 and 4 behind
-        hand = synth.smooth_patch(8, 8, seed=5)
+        hand = smooth_patch(8, 8, seed=5)
         specs = [synth.VideoSpec("va", 1.0, 4, 4), synth.VideoSpec("vb", 1.0, 10, 6)]
         manifest = tmp_path / "videos.txt"
         manifest.write_text(f"{tmp_path / 'videos' / 'va'}\n{tmp_path / 'videos' / 'vb'}\n")
@@ -345,7 +347,7 @@ class TestAlign:
     def test_rerun_with_fewer_videos_leaves_no_stale_videos(self, tmp_path):
         # aligning va vb vc and then va vb into one --out used to leave vc/
         # while alignment.json listed only va and vb
-        hand = synth.smooth_patch(8, 8, seed=5)
+        hand = smooth_patch(8, 8, seed=5)
         specs = [synth.VideoSpec(v, 1.0, 4 + 3 * i, 4 + i)
                  for i, v in enumerate(("va", "vb", "vc"))]
         synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
@@ -365,7 +367,7 @@ class TestAlign:
         assert [p.name for p in (out / "notes").iterdir()] == ["keep.txt"]
 
     def test_stale_video_keeps_its_other_files(self, tmp_path):
-        hand = synth.smooth_patch(8, 8, seed=5)
+        hand = smooth_patch(8, 8, seed=5)
         specs = [synth.VideoSpec(v, 1.0, 4 + 3 * i, 4 + i) for i, v in enumerate(("va", "vb"))]
         synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
                             out_dir=tmp_path / "videos")
@@ -382,7 +384,7 @@ class TestAlign:
 
     def test_frame_numbers_past_999999_exit_2(self, tmp_path, capsys):
         # frames 0, 1 and 1,000,000 used to load as a 2-frame video
-        hand = synth.smooth_patch(8, 8, seed=5)
+        hand = smooth_patch(8, 8, seed=5)
         video = tmp_path / "videos" / "va"
         synth.gen_video_set(hand, [synth.VideoSpec("va", 1.0, 4, 4)], (24, 18), 2, 20.0, 0,
                             seed=11, out_dir=tmp_path / "videos")
@@ -393,7 +395,7 @@ class TestAlign:
         assert "not contiguous" in capsys.readouterr().err
 
     def test_unreadable_video_leaves_no_output(self, tmp_path, capsys):
-        hand = synth.smooth_patch(8, 8, seed=5)
+        hand = smooth_patch(8, 8, seed=5)
         synth.gen_video_set(hand, [synth.VideoSpec("va", 1.0, 4, 4)], (24, 18), 3, 20.0, 0,
                             seed=11, out_dir=tmp_path / "videos")
         manifest = tmp_path / "videos.txt"
@@ -404,7 +406,7 @@ class TestAlign:
         assert not out.exists()
 
     def test_non_finite_parameters_rejected(self, tmp_path, capsys):
-        hand = synth.smooth_patch(8, 8, seed=5)
+        hand = smooth_patch(8, 8, seed=5)
         specs = [synth.VideoSpec("va", 1.0, 4, 4), synth.VideoSpec("vb", 1.0, 10, 6)]
         synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
                             out_dir=tmp_path / "videos")
@@ -424,7 +426,7 @@ class TestAlign:
         # align holds one video's frames at a time: two more videos add only
         # their pixel statistics (two float64 images each, a quarter of a
         # 64-frame video), not their frames
-        hand = synth.smooth_patch(8, 8, seed=5)
+        hand = smooth_patch(8, 8, seed=5)
         specs = [synth.VideoSpec(f"v{i}", 1.0, 3 + 4 * i, 2 + 3 * i) for i in range(4)]
         synth.gen_video_set(hand, specs, (32, 24), 64, 30.0, 0, seed=3,
                             out_dir=tmp_path / "videos")

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from handcam.core import (
     Task,
     load_label_space,
     run_starts,
-    save_label_space,
     segment_means,
     unit_rows,
+    write_json,
 )
 from handcam.change import CandidateSet
 from handcam.classify import LinearModel, TrainConfig
@@ -22,6 +23,16 @@ from handcam.features import read_features, write_features
 from handcam.inference import InferenceProblem
 from handcam.media import Image
 from handcam.synth import SynthConfig
+
+
+def save_label_space(space, path):
+    """Write a label-space declaration that `load_label_space` reads back."""
+    text = (
+        f"task = {space.task.value}\n"
+        f"labels = {', '.join(space.labels)}\n"
+        f"free_label = {space.free_label}\n"
+    )
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def gesture_space():
@@ -151,6 +162,18 @@ class TestSegmentMeans:
             assert np.max(np.abs(segment_means(values, starts) - want)) <= 1e-12
 
 
+class TestWriteJson:
+    def test_layout(self, tmp_path):
+        # every JSON file the package writes has this layout, and the run
+        # tree's digests depend on it
+        path = tmp_path / "doc.json"
+        write_json({"b": 1, "a": [0.1, "x"], "c": {"z": None, "y": True}}, path)
+        assert path.read_text() == (
+            '{\n  "a": [\n    0.1,\n    "x"\n  ],\n  "b": 1,\n'
+            '  "c": {\n    "y": true,\n    "z": null\n  }\n}\n'
+        )
+
+
 class TestLabelSpace:
     def test_task_cardinalities(self):
         assert LabelSpace.free_active().num_labels == 2
@@ -209,8 +232,9 @@ class TestFeatureStream:
         assert np.array_equal(s.values[1], [2.0, 3.0])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureStream("v", Camera.HEAD, 6.0, np.array([[np.inf, 0.0]]))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError):
+                FeatureStream("v", Camera.HEAD, 6.0, np.array([[1.0, 0.0], [bad, 0.0]]))
         for fps in (np.nan, np.inf, 0.0, -6.0):
             with pytest.raises(ValueError, match="fps"):
                 FeatureStream("v", Camera.HEAD, fps, np.zeros((1, 2)))

@@ -17,16 +17,18 @@ from handcam.classify import (
     train_grid,
 )
 from handcam.cli import main
-from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, save_label_space
+from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence
 from handcam.crossval import CrossValPlan, CVCell, CVResult, cross_validate
 from handcam.features import write_features
 from handcam.inference import decode_stream
+from test_core import save_label_space
+from test_synth import orthonormal_centers
 
 C_GRID = (0.01, 0.1, 1.0, 10.0)
 
 
 def videos(seed, n_videos, k=3, dim=6, n_frames=120, ramp=2, sigma=0.6):
-    centers = synth.orthonormal_centers(k, dim, seed * 13 + 5)
+    centers = orthonormal_centers(k, dim, seed * 13 + 5)
     pairs = []
     for i in range(n_videos):
         cfg = synth.SynthConfig(
@@ -120,11 +122,11 @@ class TestFoldStackedSolve:
         signs = np.where(rng.random((60, 3)) < 0.5, 1.0, -1.0)
         keep = rng.random((60, 3)) < 0.7
         c_regs = np.array([0.1, 1.0, 10.0])
-        w, b, obj = classify._solve_subgradient(x, np.where(keep, signs, 0.0), c_regs, 30)
+        w, b, obj = classify._solve_subgradient(x, np.where(keep, signs, 0.0).T.copy(), c_regs, 30)
         for j in range(3):
             rows = keep[:, j]
             wj, bj, objj = classify._solve_subgradient(
-                x[rows], signs[rows, j : j + 1], c_regs[j : j + 1], 30
+                x[rows], signs[None, rows, j], c_regs[j : j + 1], 30
             )
             assert np.allclose(w[j], wj[0], rtol=1e-12, atol=1e-13)
             assert np.allclose([b[j], obj[j]], [bj[0], objj[0]], rtol=1e-12, atol=1e-13)
@@ -159,7 +161,7 @@ class TestFoldValidity:
 
     def test_column_with_no_rows(self):
         x = np.arange(12.0).reshape(4, 3)
-        signs = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        signs = np.array([[1.0, -1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0]])
         with np.errstate(all="raise"), pytest.raises(ValueError, match="at least one"):
             classify._solve_subgradient(x, signs, np.ones(2), 5)
         y = np.array([0, 1, 0, 1])

@@ -3,17 +3,40 @@ from itertools import product
 import numpy as np
 import pytest
 
-from handcam.core import Camera, FeatureStream
+from handcam.core import Camera, FeatureStream, StateSequence, run_starts
 from handcam.inference import (
     InferenceProblem,
+    _check_lam,
     decode,
     decode_stream,
-    score_sequence,
     segment_bounds,
     segment_features,
 )
 
 NEG_INF = float("-inf")
+
+
+def score_sequence(problem, seq, lam):
+    """Score of one state sequence at boundary weight lam; -inf if it changes
+    state off-candidate: the objective `decode` maximizes, for exhaustive
+    checks."""
+    _check_lam(lam)
+    states = seq.states if isinstance(seq, StateSequence) else np.asarray(seq, dtype=np.int64)
+    n = problem.n_frames
+    if states.shape != (n,):
+        raise ValueError(f"sequence length {states.shape} does not match N={n}")
+    if states.size and (states.min() < 0 or states.max() >= problem.num_states):
+        raise ValueError("state index out of range")
+    changes = run_starts(states)[1:]
+    cand = problem.candidates
+    if not np.isin(changes, cand).all():
+        return NEG_INF
+    unary_total = float(problem.unary[np.arange(n), states].sum())
+    binary_total = 0.0
+    for g, c in enumerate(cand):
+        sim = float(problem.boundary_similarities[g])
+        binary_total += sim if states[c - 1] == states[c] else -sim
+    return unary_total + lam * binary_total
 
 
 def make_problem(unary, cand, sims, label_space=None):

@@ -6,8 +6,8 @@ An import inside a function or under `if TYPE_CHECKING` is how a cycle
 between modules gets hidden; the package keeps its imports acyclic instead.
 Importing scipy costs more than a second of start-up per command, so the
 package does not use it (tests may, as a reference). A public name that
-nothing in the package references is code only tests call; the few kept on
-purpose are listed with their reason.
+nothing in the package references is code only tests call, and it belongs
+in the tests; an exception would be listed with its reason.
 """
 
 import ast
@@ -103,13 +103,8 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-# public names nothing in src/handcam references, each kept for a reason
-UNREFERENCED_ALLOWED = {
-    "inference.score_sequence": "oracle: the objective decode maximizes, for exhaustive checks",
-    "core.save_label_space": "round-trip inverse of load_label_space",
-    "synth.orthonormal_centers": "synthetic fixture: well-separated state centers",
-    "synth.smooth_patch": "synthetic fixture: low-frequency hand texture",
-}
+# public names nothing in the package references, each kept for a reason: none
+UNREFERENCED_ALLOWED = {}
 
 
 def name_uses(node: ast.AST) -> Counter:

@@ -27,10 +27,11 @@ from handcam.classify import (
     LinearModel, ModelFileError, TrainConfig, load_model, model_bytes, save_model,
 )
 from handcam.core import (
-    Camera, FeatureStream, LabelSpace, Task, load_label_space, save_label_space,
+    Camera, FeatureStream, LabelSpace, Task, load_label_space,
 )
 from handcam.features import FeatureFileError, read_features, write_features
 from handcam.media import Image, PpmError, load_ppm, save_ppm
+from test_core import save_label_space
 
 FUZZ = settings(
     max_examples=150,

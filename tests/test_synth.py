@@ -3,6 +3,26 @@ import pytest
 
 from handcam import synth
 from handcam.core import FeatureStream, LabelSpace, StateSequence, Task, run_starts
+from handcam.media import Image, resize_to
+
+
+def orthonormal_centers(num_states, dim, seed):
+    """Mutually orthogonal unit centers: equal pairwise separation, so
+    classification difficulty depends only on the noise level."""
+    if num_states > dim:
+        raise ValueError("orthonormal centers need num_states <= dim")
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, num_states)))
+    return np.ascontiguousarray(q.T[:num_states])
+
+
+def smooth_patch(width, height, seed, cells=6):
+    """Low-frequency random texture: a coarse random grid upsampled
+    bilinearly, so single-pixel jitter moves values only a little while the
+    pattern still discriminates scale and translation."""
+    rng = np.random.default_rng(seed)
+    coarse = Image(rng.integers(0, 256, size=(cells, cells, 3), dtype=np.uint8))
+    return resize_to(coarse, width, height)
 
 
 def config(**overrides):
@@ -12,7 +32,7 @@ def config(**overrides):
         dim=4,
         n_frames=200,
         min_dwell=20,
-        centers=synth.orthonormal_centers(3, 4, 99),
+        centers=orthonormal_centers(3, 4, 99),
         noise_sigma=0.5,
     )
     base.update(overrides)
@@ -133,7 +153,7 @@ class TestFeatureStreamGen:
 
 class TestVideoGen:
     def test_identity_composite(self):
-        hand = synth.smooth_patch(10, 10, seed=1)
+        hand = smooth_patch(10, 10, seed=1)
         videos, truth = synth.gen_video_set(
             hand, [synth.VideoSpec("v", 1.0, 5, 7)], (40, 30),
             n_frames=3, noise_sigma=0.0, jitter=0, seed=2,
@@ -160,7 +180,7 @@ class TestVideoGen:
                                 2, 0.0, 0, seed=0)
 
     def test_written_to_disk(self, tmp_path):
-        hand = synth.smooth_patch(8, 8, seed=4)
+        hand = smooth_patch(8, 8, seed=4)
         synth.gen_video_set(hand, [synth.VideoSpec("v", 1.0, 3, 3)], (30, 20),
                             2, 0.0, 0, seed=1, out_dir=tmp_path)
         assert (tmp_path / "v" / "frame_000000.ppm").exists()
@@ -169,7 +189,7 @@ class TestVideoGen:
 
 class TestCenters:
     def test_orthonormal(self):
-        c = synth.orthonormal_centers(3, 6, 0)
+        c = orthonormal_centers(3, 6, 0)
         assert np.allclose(c @ c.T, np.eye(3), atol=1e-12)
 
     def test_random_unit_norm(self):
@@ -177,5 +197,5 @@ class TestCenters:
         assert np.allclose(np.linalg.norm(c, axis=1), 1.0)
 
     def test_deterministic(self):
-        assert np.array_equal(synth.orthonormal_centers(2, 4, 7),
-                              synth.orthonormal_centers(2, 4, 7))
+        assert np.array_equal(orthonormal_centers(2, 4, 7),
+                              orthonormal_centers(2, 4, 7))
