@@ -57,12 +57,15 @@ def change_feature_matrix(
     stream: FeatureStream, d: int, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """All in-band change features: (band frame indices, (len(band), D)),
-    written into `out` when it is given."""
+    in float64, written into `out` when it is given. float32 values are
+    upcast as they are subtracted, which gives the bits of their float64
+    copy."""
     n = stream.n_frames
     lo, hi = valid_band(n, d)
     if hi < lo:
         return np.empty(0, dtype=np.int64), np.empty((0, stream.dim))
-    cf = np.subtract(stream.values[: n - 2 * d], stream.values[2 * d :], out=out)
+    cf = np.subtract(stream.values[: n - 2 * d], stream.values[2 * d :], out=out,
+                     dtype=np.float64)
     np.abs(cf, out=cf)
     return np.arange(lo, hi + 1), cf
 

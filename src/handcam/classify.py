@@ -39,7 +39,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureStream, LabelSpace, StateSequence, Task, frozen_array
+from .core import (
+    UPCAST_ROWS, FeatureStream, LabelSpace, StateSequence, Task, all_finite, frozen_array,
+)
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class LinearModel:
         b = np.asarray(self.bias, dtype=np.float64)
         if w.ndim != 2 or b.shape != (w.shape[0],):
             raise ValueError("weights must be (K, D) with matching bias")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        if not (all_finite(w) and all_finite(b)):
             raise ValueError("model parameters must be finite")
         if self.label_space is not None and w.shape[0] != self.label_space.num_labels:
             raise ValueError("weight rows must match the label count")
@@ -149,7 +151,7 @@ def _training_input(
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("expected (n, D) features and (n,) labels")
-    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
+    if not all_finite(x):
         raise ValueError("training features must be finite")
     if row_folds is None:
         held_out = np.zeros((y.size, 1), dtype=bool)
@@ -234,7 +236,7 @@ def _stacked(
             raise ValueError(f"video {s.video_id}: {s.n_frames} frames vs {len(t)} labels")
         if s.dim != streams[0].dim:
             raise ValueError(f"video {s.video_id}: dim {s.dim} != {streams[0].dim}")
-    x = np.concatenate([s.values for s in streams])
+    x = np.concatenate([s.values for s in streams], dtype=np.float64)  # float32 upcasts exactly
     y = np.concatenate([t.states for t in truths])
     return x, y, space if space is not None else truths[0].num_states
 
@@ -281,10 +283,26 @@ def train_binary(
 
 
 def score_stream(model: LinearModel, stream: FeatureStream) -> np.ndarray:
-    """(N, K) margins for every frame of a stream."""
+    """(N, K) margins for every frame of a stream.
+
+    The frames are taken UPCAST_ROWS at a time, the last block taking the
+    remainder, so no block is smaller than UPCAST_ROWS frames unless it
+    holds them all. Each block is upcast to float64 on its own and
+    multiplied into one (K, N) margin array. With K >= 2 these blocks give
+    the bits of the whole product; smaller blocks, blocks at other offsets,
+    or a one-row model's matrix-vector product may not, so a one-row model
+    multiplies all frames at once."""
     if stream.dim != model.dim:
         raise ValueError(f"stream dim {stream.dim} does not match model dim {model.dim}")
-    margins = model.weights @ stream.values.T  # (K, N): frames on BLAS's row side
+    n = stream.n_frames
+    blocks = max(n // UPCAST_ROWS, 1) if model.num_classes > 1 else 1
+    edges = [i * UPCAST_ROWS for i in range(blocks)] + [n]
+    margins = np.empty((model.num_classes, n))  # (K, N): frames on BLAS's row side
+    # one float64 block alive at a time, the largest (the last) first: the
+    # memory freed by a smaller block could not hold a later, larger one
+    for lo, hi in reversed(list(zip(edges, edges[1:]))):
+        np.matmul(model.weights, np.asarray(stream.values[lo:hi], dtype=np.float64).T,
+                  out=margins[:, lo:hi])  # float32 upcasts exactly
     margins += model.bias[:, None]
     return margins.T
 

@@ -140,8 +140,12 @@ def read_list_file(path: Path, min_cols: int, max_cols: int) -> list[list[str]]:
 
 
 def read_truth(path: Path, space: LabelSpace) -> StateSequence:
-    names = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    states = np.array([space.index_of(n.strip()) for n in names], dtype=np.int64)
+    index = {name: i for i, name in enumerate(space.labels)}
+    names = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
+    try:
+        states = np.array([index[n] for n in names], dtype=np.int64)
+    except KeyError as e:
+        raise ValueError(f"unknown label {e.args[0]!r}") from None
     return StateSequence(space, states)
 
 

@@ -52,6 +52,17 @@ def frozen_array(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# Rows of float32 features upcast to float64 at a time by the consumers
+# that compute in float64 (segment means, state scoring).
+UPCAST_ROWS = 4096
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether no value of arr is NaN or infinite. NaN propagates through
+    min and max, so their two scalars decide it, with no mask of arr."""
+    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 @dataclass(frozen=True)
 class LabelSpace:
     """Ordered set of state names for one recognition task.
@@ -85,12 +96,6 @@ class LabelSpace:
     def free_label(self) -> str:
         return self.labels[self.free_label_index]
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.labels.index(name)
-        except ValueError:
-            raise ValueError(f"unknown label {name!r}") from None
-
     @staticmethod
     def free_active(free: str = "free", active: str = "active") -> "LabelSpace":
         return LabelSpace(Task.FREE_ACTIVE, (free, active), 0)
@@ -102,6 +107,10 @@ class FeatureStream:
 
     Frames are stored as one (N, D) array; row i is frame i on a
     contiguous 0..N-1 timeline (6 fps by default in this pipeline).
+    float32 values, such as a feature file's payload, are kept as float32,
+    and float64 values as float64; any other values become float64. Every
+    float32 value upcasts exactly, so consumers that compute in float64
+    upcast blocks of rows as they use them, not a copy of the stream.
     """
 
     video_id: str
@@ -112,11 +121,13 @@ class FeatureStream:
     def __post_init__(self) -> None:
         if not 0 < self.fps < np.inf:
             raise ValueError(f"fps must be positive and finite, got {self.fps}")
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(self.values)
+        if vals.dtype != np.float32:
+            vals = np.asarray(vals, dtype=np.float64)
         if vals.ndim != 2:
             raise ValueError("feature values must be a 2-d (frames x dim) array")
-        if vals.size and not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
-            raise ValueError("non-finite feature values")  # min/max: no mask to build
+        if not all_finite(vals):
+            raise ValueError("non-finite feature values")
         object.__setattr__(self, "values", frozen_array(vals))
 
     @property
@@ -182,12 +193,26 @@ def segment_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Mean row of each segment [starts[j], starts[j+1]) of an (N, D) matrix.
 
     starts must be strictly increasing and begin at 0; the last segment
-    ends at N. Returns a (len(starts), D) matrix.
+    ends at N. Returns a (len(starts), D) float64 matrix. The segments are
+    summed in groups of whole segments of up to UPCAST_ROWS rows (a longer
+    segment is a group of its own), each group upcast to float64 on its own:
+    `reduceat` with a dtype would cast all its input first. A segment's sum
+    does not depend on its group, so float32 values give the bits of their
+    float64 copy.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
     starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.diff(np.append(starts, values.shape[0]))
-    return np.add.reduceat(values, starts, axis=0) / lengths[:, None]
+    bounds = np.append(starts, values.shape[0])
+    sums = np.empty((starts.size, values.shape[1]))
+    j = 0
+    while j < starts.size:
+        k = max(int(np.searchsorted(bounds, bounds[j] + UPCAST_ROWS, side="right")) - 1, j + 1)
+        group = values[bounds[j] : bounds[k]]
+        # the upcast is a temporary, so one float64 group is alive at a time
+        np.add.reduceat(np.asarray(group, dtype=np.float64), bounds[j:k] - bounds[j], axis=0,
+                        out=sums[j:k])
+        j = k
+    return sums / np.diff(bounds)[:, None]
 
 
 def unit_rows(x: np.ndarray) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 Per-frame features normally come from files produced by an external
 extractor (deep features etc.); the binary container below is the exchange
-format. A joint color histogram is provided as a reference extractor so the
-whole pipeline can run without any external dependency.
+format. Its payload is float32, and a stream read from it keeps the payload
+as a read-only float32 view of the file's bytes: no float64 copy is made,
+and each consumer upcasts the rows it computes on. A joint color histogram
+is provided as a reference extractor so the whole pipeline can run without
+any external dependency.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Camera, FeatureStream
+from .core import Camera, FeatureStream, all_finite
 from .media import Image
 
 MAGIC = b"HCFT"
@@ -43,8 +46,8 @@ def write_features(stream: FeatureStream, path: str | Path) -> None:
         "<BdII", _CAMERA_CODE[stream.camera], stream.fps, stream.n_frames, stream.dim
     )
     with np.errstate(over="ignore"):
-        payload = stream.values.astype("<f4")
-    if not (np.isfinite(payload.max()) and np.isfinite(payload.min())):
+        payload = stream.values.astype("<f4", copy=False)
+    if not all_finite(payload):
         raise FeatureFileError("values beyond the float32 range of the payload")
     with open(path, "wb") as f:
         f.write(header)
@@ -78,9 +81,8 @@ def read_features(path: str | Path) -> FeatureStream:
         raise FeatureFileError("truncated payload")
     if len(data) - pos > expected:
         raise FeatureFileError("payload length mismatch: trailing bytes")
-    values = np.frombuffer(data, dtype="<f4", count=n * d, offset=pos)
-    values = values.reshape(n, d).astype(np.float64)
-    values.setflags(write=False)  # fresh and ours: FeatureStream keeps it without a copy
+    # a read-only view of the file's bytes, aligned or not: FeatureStream keeps it as it is
+    values = np.frombuffer(data, dtype="<f4", count=n * d, offset=pos).reshape(n, d)
     try:
         return FeatureStream(vid, _CAMERA_FROM_CODE[camera_code], fps, values)
     except ValueError as e:  # fps or values not finite

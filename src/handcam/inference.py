@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureStream, LabelSpace, StateSequence, segment_means, unit_rows
+from .core import FeatureStream, LabelSpace, StateSequence, all_finite, segment_means, unit_rows
 from .change import CandidateSet
 
 
@@ -41,7 +41,7 @@ def segment_features(
 ) -> np.ndarray:
     """Mean feature vector of every inter-candidate segment, one row for
     each of the |C|+1 segments."""
-    values = stream.values if isinstance(stream, FeatureStream) else np.asarray(stream, dtype=np.float64)
+    values = stream.values if isinstance(stream, FeatureStream) else np.asarray(stream)
     cand = _candidate_indices(candidates)
     _check_candidates(cand, values.shape[0])
     return segment_means(values, segment_bounds(values.shape[0], cand)[:-1])
@@ -82,7 +82,7 @@ class InferenceProblem:
         unary = np.asarray(self.unary, dtype=np.float64)
         if unary.ndim != 2 or unary.shape[1] < 1:
             raise ValueError("unary must be a (N, K) matrix with K >= 1")
-        if not np.all(np.isfinite(unary)):
+        if not all_finite(unary):
             raise ValueError("unary scores must be finite")
         if self.label_space is not None and self.label_space.num_labels != unary.shape[1]:
             raise ValueError("unary width does not match the label space")
@@ -94,7 +94,7 @@ class InferenceProblem:
                 f"expected {cand.size + 1} segment features as rows of a matrix, "
                 f"got shape {feats.shape}"
             )
-        if not np.all(np.isfinite(feats)):
+        if not all_finite(feats):
             raise ValueError("segment features must be finite")
         u = unit_rows(feats)
         sims = np.clip(np.sum(u[:-1] * u[1:], axis=1), -1.0, 1.0)

@@ -265,7 +265,7 @@ def test_criterion_6_classifier():
 def test_criterion_7_purity():
     labels = ("free", "cup", "kettle") + tuple(f"obj{i:02d}" for i in range(21))
     space = LabelSpace(Task.OBJECT_CATEGORY, labels, 0)
-    cup, kettle = space.index_of("cup"), space.index_of("kettle")
+    cup, kettle = space.labels.index("cup"), space.labels.index("kettle")
 
     truth = StateSequence(space, np.array([cup, cup, 0, 0, 0, kettle]))
     segs = [

@@ -1,4 +1,5 @@
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from handcam.change import (
     suppress_non_maxima,
     train_change_model,
 )
-from handcam.classify import LinearModel, TrainConfig
+from handcam.classify import LinearModel, TrainConfig, model_bytes
 from handcam.core import Camera, FeatureStream, StateSequence, run_starts
+from test_features import float32_pair
 from test_synth import orthonormal_centers
 
 
@@ -100,6 +102,20 @@ class TestChangeFeature:
         assert band.tolist() == list(range(2, 18))
         for row, i in zip(cf, band):
             assert np.array_equal(row, np.abs(s.values[i - 2] - s.values[i + 2]))
+
+    def test_float32_stream_matches_its_float64_upcast_bytes(self):
+        # float32 differences are taken in float64, as on the upcast stream
+        rng = np.random.default_rng(22)
+        for (n, dim), aligned, d in product(((40_000, 3), (5_000, 64), (800, 512)),
+                                            (True, False), (1, 4)):
+            s32, s64 = float32_pair(rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3, dim),
+                                    aligned)
+            band, want = change_feature_matrix(s64, d)
+            got = change_feature_matrix(s32, d)[1]
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            out = np.empty((n - 2 * d, dim))
+            assert change_feature_matrix(s32, d, out=out)[1] is out
+            assert out.tobytes() == want.tobytes()
 
 
 class TestLabelChangeFrames:
@@ -291,6 +307,19 @@ class TestChangeTrainingSet:
 
 
 class TestDetectCandidates:
+    def test_float32_streams_match_their_float64_upcast(self):
+        # the change model trained on, and the candidates found in, streams
+        # read from feature files equal those of their float64 upcast
+        pairs = [float32_pair(s.values) + (t,) for s, t in high_snr_videos(4, n_videos=4)]
+        model32, model64 = (train_change_model([p[i] for p in pairs[:3]],
+                                               [p[2] for p in pairs[:3]], 3,
+                                               TrainConfig(c_reg=0.1, epochs=30))
+                            for i in (0, 1))
+        assert model_bytes(model32) == model_bytes(model64)
+        got, want = (detect_candidates(pairs[3][i], model64, 3) for i in (0, 1))
+        assert got.frame_indices.tobytes() == want.frame_indices.tobytes()
+        assert got.confidences.tobytes() == want.confidences.tobytes()
+
     def test_memory_holds_one_change_feature_matrix(self, traced_peak):
         # |a - b| is taken in place: one (frames, D) float64 array at a time
         rng = np.random.default_rng(5)

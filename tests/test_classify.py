@@ -27,7 +27,9 @@ from handcam.classify import (
 )
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence
 from handcam.crossval import CrossValPlan, CVCell, CVResult, cross_validate
+from handcam.features import write_features
 from handcam.inference import decode_stream
+from test_features import float32_pair
 from test_synth import orthonormal_centers
 
 
@@ -112,6 +114,29 @@ class TestTrain:
             with pytest.raises(ValueError, match="c_reg"):
                 TrainConfig(c_reg=c)
         assert TrainConfig(c_reg=1e-300).c_reg == 1e-300
+
+    def test_float32_streams_train_their_float64_upcast_models(self):
+        # streams as read from feature files (float32, aligned or not)
+        # against their float64 upcast: train, train_grid and the change grid
+        centers = synth.random_centers(3, 24, 5)
+        videos = [synth.gen_feature_stream(synth.SynthConfig(
+            seed=i, num_states=3, dim=24, n_frames=300, min_dwell=10, centers=centers,
+            noise_sigma=1.5), video_id=f"v{i}") for i in range(4)]
+        pairs = [float32_pair(s.values, aligned=i % 2 == 0) for i, (s, _) in enumerate(videos)]
+        truths = [t for _, t in videos]
+        s32, s64 = [p[0] for p in pairs], [p[1] for p in pairs]
+        cfg = TrainConfig(c_reg=0.5, epochs=20)
+        assert model_bytes(train(s32, truths, cfg)) == model_bytes(train(s64, truths, cfg))
+        row_folds = np.repeat(np.arange(4), 300)
+        for a, b in zip(*(sum(train_grid(s, truths, row_folds, 4, [0.1, 1.0], 20), [])
+                          for s in (s32, s64))):
+            assert model_bytes(a) == model_bytes(b)
+        grids = []
+        for s in (s32, s64):
+            x, y = change_training_set(s, truths, 3)
+            grids.append(sum(train_binary_grid(x, y, np.arange(y.size) % 3, 3, [0.1, 1.0], 20), []))
+        for a, b in zip(*grids):
+            assert model_bytes(a) == model_bytes(b)
 
     def test_train_on_streams(self):
         x, y = two_blobs(seed=5)
@@ -449,29 +474,37 @@ class TestSolverExactness:
 
 # The growth of the high-water mark over one product of n x D frames with
 # k weight rows, in bytes, in a fresh process at 2 BLAS threads: a solve
-# (argv "solve n D k") or a scoring (argv "score n D k"). VmHWM is the
-# process's own mark; the ru_maxrss of a child starts at its parent's.
+# (argv "solve n D k"), a scoring (argv "score n D k"), or the reading and
+# scoring of a feature file (argv "read path D k"). VmHWM is the process's
+# own mark; the ru_maxrss of a child starts at its parent's.
 HIGH_WATER_GROWTH = """
 import sys
 import numpy as np
 from handcam import classify
 from handcam.core import Camera, FeatureStream
+from handcam.features import read_features
 
 def high_water():
     with open("/proc/self/status") as f:
         return 1024 * next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
 
-what, (n, d, k) = sys.argv[1], map(int, sys.argv[2:])
+what = sys.argv[1]
 rng = np.random.default_rng(0)
-x = rng.standard_normal((n, d))
-x.setflags(write=False)
-signs = np.where(rng.random((k, n)) < 0.5, 1.0, -1.0)
+if what == "read":
+    path, (d, k) = sys.argv[2], map(int, sys.argv[3:])
+else:
+    n, d, k = map(int, sys.argv[2:])
+    x = rng.standard_normal((n, d))
+    x.setflags(write=False)
+    signs = np.where(rng.random((k, n)) < 0.5, 1.0, -1.0)
+    stream = FeatureStream("v", Camera.HEAD, 6.0, x)
 model = classify.LinearModel(rng.standard_normal((k, d)), np.ones(k), None, classify.TrainConfig())
-stream = FeatureStream("v", Camera.HEAD, 6.0, x)
 np.ones((4, 4)) @ np.ones((4, 4))  # BLAS sets up before the baseline
 before = high_water()
 if what == "solve":
     classify._solve_subgradient(x, signs, np.ones(k), 2)
+elif what == "read":
+    classify.score_stream(model, read_features(path))
 else:
     classify.score_stream(model, stream)
 print(high_water() - before)
@@ -507,13 +540,27 @@ class TestProductMemory:
         assert growth < 1.5 * 40_000 * 24 * 8, growth / 2**20
 
 
+    def test_reading_and_scoring_hold_the_file_and_a_block(self, tmp_path):
+        # a 20,000 x 512 feature file (41 MB of payload) read and scored by
+        # a K=24 model; a float64 copy of the payload grew the mark by 3x
+        n, d = 20_000, 512
+        path = tmp_path / "wide.feat"
+        write_features(FeatureStream("v", Camera.HEAD, 6.0, np.zeros((1, d))), path)
+        header = path.read_bytes()[:-4 * d]
+        with open(path, "wb") as f:
+            f.write(header[:-8] + struct.pack("<II", n, d))
+            for rows in np.array_split(np.arange(n), 10):
+                f.write(np.random.default_rng(rows[0]).standard_normal((rows.size, d),
+                                                                       dtype=np.float32))
+        growth = self.growth("read", path, d, 24)
+        assert growth < 2 * n * d * 4, growth / (n * d * 4)
+
+
 class TestNumpyColumnSums:
     """The solver sums each column's hinge terms as one contiguous row of a
     (k, n) array, which must give the bits of that row's own 1-D sum for
-    any k. The (n, k) epoch before it summed two or more columns with
-    einsum, which adds each column's rows in the order `sum` does. A numpy
-    release that changes either order fails here, not by moving model
-    bytes."""
+    any k. A numpy release that changes this order fails here, not by
+    moving model bytes."""
 
     def test_row_sums_match_one_row_sum_bytes(self):
         rng = np.random.default_rng(10)
@@ -524,25 +571,49 @@ class TestNumpyColumnSums:
                 expected = np.array([row.sum() for row in values])
                 assert values.sum(axis=1).tobytes() == expected.tobytes()
 
-    def test_einsum_matches_sum_bytes(self):
-        rng = np.random.default_rng(9)
-        for rows, cols in product(
-            (1, 2, 7, 9, 128, 129, 1000, 8192, 8193, 12_000), (2, 3, 8, 20, 121, 480)
-        ):
-            if rows * cols > 2_000_000:
-                continue
-            a = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-8.0, 8.0, (rows, cols))
-            a[rng.random((rows, cols)) < 0.3] = 0.0
-            for values in (a, np.maximum(0.0, a)):  # signed, and hinge-like
-                assert values.flags.c_contiguous
-                assert np.einsum("ij->j", values).tobytes() == values.sum(axis=0).tobytes()
-
 
 def frames(values):
     return FeatureStream("v", Camera.HEAD, 6.0, np.atleast_2d(np.asarray(values, dtype=np.float64)))
 
 
+# Prints the (N, K, D) shapes at which score_stream on a float32 stream,
+# aligned or not, differs in any bit from the float64 product of the whole
+# stream (the scoring before frames were upcast a block at a time).
+BLOCKED_SCORES = """
+from itertools import product
+import numpy as np
+from handcam.classify import LinearModel, TrainConfig, score_stream
+from handcam.core import Camera, FeatureStream
+
+rng = np.random.default_rng(0)
+for n, d in product((4_095, 4_096, 8_191, 8_192, 8_193, 40_000), (7, 64, 512)):
+    if n * d > 5_000_000:
+        continue
+    pad = b"\\0" if n % 2 else b""  # an odd N reads an unaligned payload
+    values = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, d)
+    v32 = np.frombuffer(pad + values.astype("<f4").tobytes(), dtype="<f4", offset=len(pad))
+    stream = FeatureStream("v", Camera.HEAD, 6.0, v32.reshape(n, d))
+    for k in (1, 2, 24):
+        w, b = rng.standard_normal((k, d)), rng.standard_normal(k)
+        got = score_stream(LinearModel(w, b, None, TrainConfig()), stream)
+        want = w @ stream.values.astype(np.float64).T
+        want += b[:, None]
+        if got.tobytes() != want.T.tobytes():
+            print(n, k, d)
+"""
+
+
 class TestScore:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_float32_blocks_match_the_whole_float64_product_bytes(self, threads):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(classify.__file__).parents[1]), *sys.path]))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        out = subprocess.run([sys.executable, "-c", BLOCKED_SCORES], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "", out
+
     def test_bias_passthrough(self):
         model = LinearModel(np.zeros((2, 3)), np.array([1.0, -1.0]), LabelSpace.free_active(), TrainConfig())
         assert score_stream(model, frames(np.zeros(3))).tolist() == [[1.0, -1.0]]
@@ -603,6 +674,18 @@ class TestPredictFrames:
         a = predict_frames(LinearModel(w, np.zeros(3), None, TrainConfig()), stream)
         b = predict_frames(LinearModel(w, np.full(3, 11.5), None, TrainConfig()), stream)
         assert np.array_equal(a.states, b.states)
+
+
+class TestLinearModel:
+    def test_non_finite_parameters_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            w, b = np.zeros((2, 3)), np.zeros(2)
+            w[1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                LinearModel(w, np.zeros(2), None, TrainConfig())
+            b[1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                LinearModel(np.zeros((2, 3)), b, None, TrainConfig())
 
 
 class TestModelFile:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 
 from handcam import classify, evaluation, synth
-from handcam.cli import build_parser, main, run_pipeline, write_labels
+from handcam.cli import build_parser, main, read_truth, run_pipeline, write_labels
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task
 from handcam.features import read_features, write_features
 from test_core import save_label_space
@@ -55,6 +55,19 @@ class TestExitCodes:
                    "--state-model", str(tmp_path / "m.bin"), "--mode", "unary"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unknown_label_deep_in_a_long_truth_file_is_2(self, capsys, tmp_path):
+        _, ges, _ = write_spaces(tmp_path)
+        seq = StateSequence(gesture_space(), np.arange(40_000) % 13)
+        good, bad = tmp_path / "v.truth.txt", tmp_path / "v.full.txt"
+        write_labels(seq, good)
+        names = seq.label_names()
+        assert read_truth(good, gesture_space()).states.tolist() == seq.states.tolist()
+        names[39_000] = "g13"
+        bad.write_text("\n".join(names) + "\n")
+        report = ["--label-space", str(ges), "--report", str(tmp_path / "report")]
+        assert main(["eval", "--pred", str(bad), "--truth", str(good), *report]) == 2
+        assert "unknown label 'g13'" in capsys.readouterr().err
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0

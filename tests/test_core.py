@@ -1,4 +1,5 @@
 import math
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from handcam.features import read_features, write_features
 from handcam.inference import InferenceProblem
 from handcam.media import Image
 from handcam.synth import SynthConfig
+from test_features import as_read
 
 
 def save_label_space(space, path):
@@ -161,6 +163,29 @@ class TestSegmentMeans:
             want = [values[a:b].mean(axis=0) for a, b in zip(bounds[:-1], bounds[1:])]
             assert np.max(np.abs(segment_means(values, starts) - want)) <= 1e-12
 
+    def test_float32_values_match_their_float64_upcast_bytes(self):
+        # a feature file's float32 payload, aligned or not, against the
+        # float64 copy of it that reading used to make
+        rng = np.random.default_rng(11)
+        for (n, d), aligned in product(((60_000, 3), (30_000, 64), (6_000, 512)), (True, False)):
+            values = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, d)
+            v32 = as_read(values, aligned)
+            for p in (0.002, 0.05, 0.5):  # about 120 to 30,000 segments
+                starts = np.flatnonzero(np.r_[True, rng.random(n - 1) < p])
+                got = segment_means(v32, starts)
+                assert got.dtype == np.float64
+                assert got.tobytes() == segment_means(v32.astype(np.float64), starts).tobytes()
+
+    def test_float32_memory_upcasts_a_group_of_segments_at_a_time(self, traced_peak):
+        # one group of up to 4,096 rows in float64 is 0.2x the float32
+        # bytes here; a float64 copy of all values would be 2x, and two
+        # groups alive at once 0.45x
+        rng = np.random.default_rng(12)
+        v32 = as_read(rng.standard_normal((40_000, 64)))
+        starts = np.flatnonzero(np.r_[True, rng.random(39_999) < 0.02])
+        peak, _ = traced_peak(segment_means, v32, starts)
+        assert peak < 0.3 * v32.nbytes, peak / v32.nbytes
+
 
 class TestWriteJson:
     def test_layout(self, tmp_path):
@@ -238,6 +263,18 @@ class TestFeatureStream:
         for fps in (np.nan, np.inf, 0.0, -6.0):
             with pytest.raises(ValueError, match="fps"):
                 FeatureStream("v", Camera.HEAD, fps, np.zeros((1, 2)))
+
+    def test_float32_and_float64_values_kept_as_given(self):
+        for dtype in (np.float32, np.float64):
+            values = np.arange(6, dtype=dtype).reshape(3, 2)
+            values.setflags(write=False)
+            assert FeatureStream("v", Camera.HEAD, 6.0, values).values is values
+        assert FeatureStream("v", Camera.HEAD, 6.0, [[1, 2]]).values.dtype == np.float64
+
+    def test_non_finite_float32_rejected(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                FeatureStream("v", Camera.HEAD, 6.0, as_read([[1.0, 0.0], [bad, 0.0]], False))
 
     def test_immutable(self):
         s = FeatureStream("v", Camera.HEAD, 6.0, np.zeros((2, 2)))

@@ -199,7 +199,7 @@ def purity_fixture():
     """Six 1-frame segments over one video; truth spells the hand example:
     cluster 0 frames {cup, cup, free}, cluster 1 frames {free, free, kettle}."""
     space = object_space()
-    cup, kettle = space.index_of("cup"), space.index_of("kettle")
+    cup, kettle = space.labels.index("cup"), space.labels.index("kettle")
     truth = StateSequence(space, np.array([cup, cup, 0, 0, 0, kettle]))
     segs = [seg("v", i, i + 1, [1.0, 0.0]) for i in range(6)]
     clustering = Clustering(2, np.array([0, 0, 0, 1, 1, 1]))
@@ -214,7 +214,7 @@ class TestModifiedPurity:
 
     def test_perfect_clustering(self):
         space = object_space()
-        cup, kettle = space.index_of("cup"), space.index_of("kettle")
+        cup, kettle = space.labels.index("cup"), space.labels.index("kettle")
         truth = StateSequence(space, np.array([cup, cup, kettle, kettle]))
         segs = [seg("v", i, i + 1, [1.0, 0.0]) for i in range(4)]
         clustering = Clustering(2, np.array([0, 0, 1, 1]))
@@ -222,7 +222,7 @@ class TestModifiedPurity:
 
     def test_free_dominated_cluster_scores_zero(self):
         space = object_space()
-        cup = space.index_of("cup")
+        cup = space.labels.index("cup")
         truth = StateSequence(space, np.array([0, 0, cup]))
         segs = [seg("v", i, i + 1, [1.0, 0.0]) for i in range(3)]
         clustering = Clustering(1, np.array([0, 0, 0]))
@@ -231,7 +231,7 @@ class TestModifiedPurity:
     def test_missed_active_frames_penalized(self):
         # one active frame not covered by any segment still counts in the denominator
         space = object_space()
-        cup = space.index_of("cup")
+        cup = space.labels.index("cup")
         truth = StateSequence(space, np.array([cup, cup, cup, 0]))
         segs = [seg("v", 0, 2, [1.0, 0.0])]
         clustering = Clustering(1, np.array([0]))
@@ -320,7 +320,7 @@ class TestPurityCurve:
 
     def test_k_equals_n_pure_segments(self):
         space = object_space()
-        cup, kettle = space.index_of("cup"), space.index_of("kettle")
+        cup, kettle = space.labels.index("cup"), space.labels.index("kettle")
         truth = StateSequence(space, np.array([cup, kettle, cup]))
         segs = [seg("v", i, i + 1, [float(i), 1.0]) for i in range(3)]
         assert modified_purity(cluster_segments(segs, 3), segs, {"v": truth}) == 1.0

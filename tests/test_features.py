@@ -3,7 +3,9 @@ import struct
 import numpy as np
 import pytest
 
-from handcam.core import Camera, FeatureStream
+from handcam.change import change_feature_matrix
+from handcam.classify import LinearModel, TrainConfig, model_bytes, score_stream, train
+from handcam.core import Camera, FeatureStream, StateSequence
 from handcam.features import (
     _CAMERA_CODE,
     MAGIC,
@@ -15,11 +17,12 @@ from handcam.features import (
     read_features,
     write_features,
 )
+from handcam.inference import segment_features
 from handcam.media import Image, hflip
 
 
 def stream(values, vid="v", camera=Camera.RIGHT_HAND, fps=6.0):
-    return FeatureStream(vid, camera, fps, np.asarray(values, dtype=np.float64))
+    return FeatureStream(vid, camera, fps, values)
 
 
 def parent_feature_bytes(stream):
@@ -32,6 +35,21 @@ def parent_feature_bytes(stream):
         "<BdII", _CAMERA_CODE[stream.camera], stream.fps, stream.n_frames, stream.dim
     )
     return header + stream.values.astype("<f4").tobytes()
+
+
+def as_read(values, aligned=True):
+    """`values` rounded to float32 and held as `read_features` holds them: a
+    read-only view of bytes, at a 4-byte-aligned offset or not."""
+    pad = b"" if aligned else b"\0"
+    payload = pad + np.asarray(values, dtype="<f4").tobytes()
+    return np.frombuffer(payload, dtype="<f4", offset=len(pad)).reshape(np.shape(values))
+
+
+def float32_pair(values, aligned=True):
+    """A stream of `values` rounded to float32 as a feature file holds them,
+    and the same stream upcast to float64 (the reference)."""
+    v32 = as_read(values, aligned)
+    return stream(v32), FeatureStream("v", Camera.RIGHT_HAND, 6.0, v32.astype(np.float64))
 
 
 class TestFeatureFile:
@@ -64,12 +82,56 @@ class TestFeatureFile:
         assert np.array_equal(read_features(path).values, [[top, -top]])
 
     def test_read_memory_holds_the_file_and_the_values_once(self, tmp_path, traced_peak):
-        # the file's float32 bytes (0.5x) beside the float64 values (1.0x);
-        # the parent added a one-byte-per-value finiteness mask (1.625x)
+        # the values are a view of the file's bytes; a float64 copy of them
+        # beside those bytes was 3x the payload
         path = tmp_path / "s.feat"
         write_features(stream(np.random.default_rng(4).standard_normal((20_000, 32))), path)
         peak, s = traced_peak(read_features, path)
-        assert peak <= 1.55 * s.values.nbytes, peak / s.values.nbytes
+        assert peak <= 1.05 * s.values.nbytes, peak / s.values.nbytes
+
+    def test_values_are_a_read_only_float32_view_of_the_file(self, tmp_path):
+        path = tmp_path / "s.feat"
+        values = np.random.default_rng(7).standard_normal((50, 6))
+        write_features(stream(values), path)
+        got = read_features(path).values
+        assert got.dtype == np.float32 and not got.flags.writeable
+        base = got
+        while not isinstance(base, bytes):
+            base = base.base
+        assert len(base) == path.stat().st_size  # the file's own bytes, not a copy
+        assert np.array_equal(got, values.astype(np.float32))
+
+    @pytest.mark.parametrize("vid", ["v", "ab", "test_00"])
+    def test_payload_at_any_alignment_reads_exactly(self, tmp_path, vid):
+        # the header is 27 bytes and the video id: 28 bytes with "v", whose
+        # payload is 4-byte aligned, 29 with "ab" and 34 with "test_00"
+        path = tmp_path / "s.feat"
+        values = np.random.default_rng(8).standard_normal((300, 7)).astype(np.float32)
+        write_features(stream(values, vid=vid), path)
+        got = read_features(path)
+        assert got.values.flags.aligned == (len(vid) % 4 == 1)
+        assert got.values.tobytes() == values.tobytes()
+        write_features(got, tmp_path / "again.feat")
+        assert (tmp_path / "again.feat").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("vid", ["v", "test_00"])
+    def test_read_stream_computes_as_its_float64_upcast(self, tmp_path, vid):
+        # every float64 consumer of a feature file, its payload aligned or
+        # not, gives the bits of a float64 copy of the stream
+        rng = np.random.default_rng(10)
+        path = tmp_path / "s.feat"
+        write_features(stream(rng.standard_normal((9_000, 16)), vid=vid), path)
+        s32 = read_features(path)
+        s64 = FeatureStream(vid, s32.camera, s32.fps, s32.values.astype(np.float64))
+        model = LinearModel(rng.standard_normal((24, 16)), rng.standard_normal(24), None,
+                            TrainConfig())
+        cand = np.flatnonzero(rng.random(8_999) < 0.05) + 1
+        truth = [StateSequence(None, rng.integers(0, 3, 9_000), num_states=3)]
+        for as_bytes in (lambda s: score_stream(model, s).tobytes(),
+                         lambda s: segment_features(s, cand).tobytes(),
+                         lambda s: change_feature_matrix(s, 3)[1].tobytes(),
+                         lambda s: model_bytes(train([s], truth, TrainConfig(epochs=3)))):
+            assert as_bytes(s32) == as_bytes(s64)
 
     def test_decode_two_rows(self, tmp_path):
         path = tmp_path / "s.feat"

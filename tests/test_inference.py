@@ -12,6 +12,7 @@ from handcam.inference import (
     segment_bounds,
     segment_features,
 )
+from test_features import float32_pair
 
 NEG_INF = float("-inf")
 
@@ -120,6 +121,38 @@ class TestSegmentFeatures:
     def test_candidate_zero_rejected(self):
         with pytest.raises(ValueError, match=r"\[1, N-1\]"):
             segment_features(np.ones((4, 2)), np.array([0]))
+
+    def test_float32_stream_matches_its_float64_upcast_bytes(self):
+        rng = np.random.default_rng(13)
+        for (n, d), aligned in product(((60_000, 3), (30_000, 64), (6_000, 512)), (True, False)):
+            s32, s64 = float32_pair(rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, d),
+                                    aligned)
+            cand = np.flatnonzero(rng.random(n - 1) < 0.05) + 1  # about 300 to 3,000
+            got = segment_features(s32, cand)
+            assert got.tobytes() == segment_features(s64, cand).tobytes()
+
+
+class TestInferenceProblem:
+    def test_non_finite_rejected(self):
+        unary, feats = np.zeros((6, 2)), np.ones((3, 4))
+        InferenceProblem(unary, [2, 4], feats)
+        for bad in (np.nan, np.inf, -np.inf):
+            u, f = unary.copy(), feats.copy()
+            u[3, 1] = f[1, 2] = bad
+            with pytest.raises(ValueError, match="unary scores must be finite"):
+                InferenceProblem(u, [2, 4], feats)
+            with pytest.raises(ValueError, match="segment features must be finite"):
+                InferenceProblem(unary, [2, 4], f)
+
+    def test_memory_builds_no_finiteness_mask(self, traced_peak):
+        # long-video's 40,000 x 24 unary with 399 candidates; a mask of one
+        # byte per unary value was 0.125x its bytes
+        rng = np.random.default_rng(14)
+        unary = rng.standard_normal((40_000, 24))
+        cand = np.sort(rng.choice(np.arange(1, 40_000), 399, replace=False))
+        feats = rng.standard_normal((400, 8))
+        peak, _ = traced_peak(InferenceProblem, unary, cand, feats)
+        assert peak < 0.02 * unary.nbytes, peak / unary.nbytes
 
 
 class TestScoreSequence:
