@@ -25,7 +25,7 @@ import numpy as np
 from .core import write_json
 from .media import (
     Image, frame_path, frame_paths, load_ppm, remove_frames_from, resample, resize_to, save_ppm,
-    to_gray,
+    scaled_size, to_gray,
 )
 
 _BAND_ROWS = 8  # frame rows whose time series are sorted together
@@ -259,8 +259,7 @@ def ncc_match(
     tgt_gray = to_gray(target)
     best: NccMatch | None = None
     for scale in sorted(scales):
-        w = int(np.floor(scale * tgt_gray.width + 0.5))
-        h = int(np.floor(scale * tgt_gray.height + 0.5))
+        w, h = scaled_size(scale, tgt_gray.width, tgt_gray.height)
         if w < tpl_gray.shape[1] or h < tpl_gray.shape[0]:
             continue
         scaled = resize_to(tgt_gray, w, h).pixels[:, :, 0]
@@ -328,8 +327,7 @@ def align_videos(
         else:
             match = ncc_match(template, median_as_image(stats_by_video[vid]), params.scales)
         h, w = stats_by_video[vid].median_image.shape[:2]
-        sw = int(np.floor(match.scale * w + 0.5))
-        sh = int(np.floor(match.scale * h + 0.5))
+        sw, sh = scaled_size(match.scale, w, h)
         window = _clip_window(match.dx, match.dy, box, ref_w, ref_h, sw, sh)
         per_video[vid] = VideoAlignment(
             vid, match.scale, match.dx, match.dy, match.peak, window
@@ -352,8 +350,7 @@ def align_video(
     out_w, out_h = result.reference_size
     bx0, by0 = result.template_box[0], result.template_box[1]
     h, w = _frame_shape(frames)[:2]
-    sw = int(np.floor(entry.scale * w + 0.5))
-    sh = int(np.floor(entry.scale * h + 0.5))
+    sw, sh = scaled_size(entry.scale, w, h)
     ys = np.clip(np.arange(out_h) - by0 + entry.dy, 0, sh - 1)
     xs = np.clip(np.arange(out_w) - bx0 + entry.dx, 0, sw - 1)
     stack = np.stack([f.pixels for f in frames])

@@ -212,13 +212,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                         load_label_space(args.label_space), out)
     else:
         cfg = _read_json_object(args.config, _SYNTH_VIDEOS)
-        hand = synth.textured_patch(cfg["hand_width"], cfg["hand_height"], cfg["seed"])
         specs = [synth.VideoSpec(**v) for v in cfg["videos"]]  # keys checked above
-        out.mkdir(parents=True, exist_ok=True)
-        _, truth = synth.gen_video_set(
-            hand, specs, (cfg["frame_width"], cfg["frame_height"]), cfg["frames"],
-            cfg["noise_sigma"], cfg["jitter"], cfg["seed"], out_dir=out,
-        )
+        video_set = (specs, (cfg["frame_width"], cfg["frame_height"]), cfg["frames"],
+                     cfg["noise_sigma"], cfg["jitter"])
+        # the hand fits in a checked frame before it is allocated
+        synth.check_video_set((cfg["hand_width"], cfg["hand_height"]), *video_set)
+        hand = synth.textured_patch(cfg["hand_width"], cfg["hand_height"], cfg["seed"])
+        truth = synth.gen_video_set(hand, *video_set, cfg["seed"], out_dir=out)
         write_json(truth, out / "ground_truth.json")
     print(f"synthesized into {out}")
     return 0
@@ -263,16 +263,9 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    frames = media.load_video_dir(args.video)
-    if args.flip:
-        frames = [media.hflip(f) for f in frames]
     stream = features_mod.histogram_stream(
-        frames,
-        video_id=Path(args.video).name,
-        camera=_CAMERAS[args.camera],
-        fps=args.fps,
-        bins_per_channel=args.bins,
-    )
+        media.frame_paths(args.video), Path(args.video).name, _CAMERAS[args.camera],
+        fps=args.fps, bins_per_channel=args.bins)
     features_mod.write_features(stream, args.out)
     print(f"{stream.n_frames} frames x {stream.dim} dims -> {args.out}")
     return 0
@@ -655,8 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--camera", choices=sorted(_CAMERAS), default="right_hand")
     sp.add_argument("--fps", type=float, default=6.0)
     sp.add_argument("--bins", type=int, default=8)
-    sp.add_argument("--flip", action="store_true",
-                    help="mirror frames (left-hand videos)")
     sp.set_defaults(func=_cmd_extract)
 
     sp = sub.add_parser("fuse", help="concatenate feature streams frame-wise")

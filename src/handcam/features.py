@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Camera, FeatureStream, all_finite
-from .media import Image
+from .media import Image, load_ppm
 
 MAGIC = b"HCFT"
 VERSION = 1
@@ -104,25 +104,27 @@ def color_histogram(img: Image, bins_per_channel: int = 8) -> np.ndarray:
     if img.channels != 3:
         raise ValueError("color_histogram requires a 3-channel image")
     b = bins_per_channel
-    idx = (img.pixels.astype(np.int64) * b) // 256
+    # uint16 is exact (value * b <= 4,080) and keeps each frame's temporaries small
+    idx = (img.pixels.astype(np.uint16) * b) // 256
     flat = (idx[:, :, 0] * b + idx[:, :, 1]) * b + idx[:, :, 2]
     counts = np.bincount(flat.ravel(), minlength=b * b * b).astype(np.float64)
     return counts / counts.sum()
 
 
 def histogram_stream(
-    frames: list[Image],
+    paths: list[Path],
     video_id: str,
     camera: Camera,
     fps: float = 6.0,
     bins_per_channel: int = 8,
 ) -> FeatureStream:
-    """Apply the reference extractor to every frame of a video, writing each
-    histogram into its row of one array."""
+    """The reference extractor over the frame files of a video, read one at
+    a time, each histogram written into its row of one float32 array: the
+    payload type, rounded as `write_features` rounds, which copies nothing."""
     _check_bins(bins_per_channel)
-    values = np.empty((len(frames), bins_per_channel**3))
-    for row, f in zip(values, frames):
-        row[:] = color_histogram(f, bins_per_channel)
+    values = np.empty((len(paths), bins_per_channel**3), dtype=np.float32)
+    for row, path in zip(values, paths):
+        row[:] = color_histogram(load_ppm(path), bins_per_channel)
     values.setflags(write=False)  # fresh and ours: FeatureStream keeps it without a copy
     return FeatureStream(video_id, camera, fps, values)
 

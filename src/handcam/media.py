@@ -1,4 +1,4 @@
-"""Frame image handling: binary PPM (P6) ingestion, grayscale, flip, and
+"""Frame image handling: binary PPM (P6) ingestion, grayscale, and
 `resample`, the single bilinear kernel that `resize_to` runs over a whole
 frame and alignment over the crop window of a stack of frames.
 
@@ -156,19 +156,6 @@ def remove_frames_from(video_dir: str | Path, count: int) -> None:
             p.unlink()
 
 
-def save_video_dir(frames: list[Image], video_dir: str | Path) -> None:
-    video_dir = Path(video_dir)
-    video_dir.mkdir(parents=True, exist_ok=True)
-    for i, img in enumerate(frames):
-        save_ppm(img, frame_path(video_dir, i))
-    remove_frames_from(video_dir, len(frames))
-
-
-def hflip(img: Image) -> Image:
-    """Mirror horizontally: column x maps to width-1-x."""
-    return Image(img.pixels[:, ::-1, :].copy())
-
-
 def to_gray(img: Image) -> Image:
     """ITU-R 601 luminance: round(0.299 R + 0.587 G + 0.114 B)."""
     if img.channels == 1:
@@ -177,6 +164,11 @@ def to_gray(img: Image) -> Image:
     gray = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
     gray = np.clip(np.floor(gray + 0.5), 0, 255).astype(np.uint8)
     return Image(gray[:, :, None])
+
+
+def scaled_size(scale: float, width: int, height: int) -> tuple[int, int]:
+    """The size of a width x height frame rescaled by `scale`, rounded half up."""
+    return int(np.floor(scale * width + 0.5)), int(np.floor(scale * height + 0.5))
 
 
 def _source_coords(idx: np.ndarray, n_dst: int, n_src: int):

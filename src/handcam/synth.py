@@ -17,17 +17,19 @@ from typing import Sequence
 import numpy as np
 
 from .core import Camera, FeatureStream, LabelSpace, StateSequence, frozen_array, run_starts
-from .media import Image, resize_to, save_video_dir
+from .media import Image, frame_path, remove_frames_from, resize_to, save_ppm, scaled_size
 
 
 # Every synthesized stream is float64 and a feature set is held in memory
 # whole, so a config is refused before anything is allocated when its
-# streams would exceed this many bytes of values.
+# streams, or one rendered video frame, would exceed this many bytes.
 MAX_STREAM_BYTES = 2**31
 
 
 def check_stream_budget(n_videos: int, n_frames: int, dim: int) -> None:
-    """Refuse streams of more than MAX_STREAM_BYTES of float64 values."""
+    """Refuse an empty feature set, or streams over MAX_STREAM_BYTES of float64."""
+    if min(n_videos, n_frames, dim) < 1:
+        raise ValueError("synth needs videos, frames and dim >= 1")
     nbytes = 8 * n_videos * n_frames * dim
     if nbytes > MAX_STREAM_BYTES:
         raise ValueError(
@@ -197,6 +199,30 @@ def textured_patch(width: int, height: int, seed: int) -> Image:
     return Image(rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8))
 
 
+def check_video_set(hand_size: tuple[int, int], specs: list[VideoSpec],
+                    frame_size: tuple[int, int], n_frames: int, noise_sigma: float,
+                    jitter: int) -> None:
+    """Refuse a set `gen_video_set` could not write whole: no frames or
+    videos, an id given twice, negative noise or jitter, a hand out of
+    frame, or a float64 frame (the canvas at its planted scale, or the
+    native frame it is resampled to) over MAX_STREAM_BYTES."""
+    w, h = frame_size
+    if min(n_frames, len(specs), w, h) < 1 or min(noise_sigma, jitter) < 0:
+        raise ValueError("synth videos needs frames, videos, frame_width and frame_height "
+                         ">= 1, and noise_sigma and jitter >= 0")
+    if len({spec.video_id for spec in specs}) < len(specs):
+        raise ValueError("synth videos needs a different id for each video")
+    for spec in specs:
+        sw, sh = scaled_size(spec.scale, w, h)
+        nbytes = 3 * 8 * max(sw * sh, w * h)
+        if nbytes > MAX_STREAM_BYTES:
+            raise ValueError(f"{spec.video_id}: a float64 frame is {nbytes} bytes, over the "
+                             f"synth budget of {MAX_STREAM_BYTES} bytes")
+        if not (jitter <= spec.dx <= sw - hand_size[0] - jitter
+                and jitter <= spec.dy <= sh - hand_size[1] - jitter):
+            raise ValueError(f"{spec.video_id}: hand out of frame")
+
+
 def gen_video_set(
     hand: Image,
     specs: list[VideoSpec],
@@ -205,31 +231,25 @@ def gen_video_set(
     noise_sigma: float,
     jitter: int,
     seed: int,
-    out_dir: str | Path | None = None,
-) -> tuple[dict[str, list[Image]], dict[str, dict]]:
-    """Render one video per spec: noisy background plus the pasted hand.
-
-    The composition happens at the rescaled dimensions and the frame is then
-    resampled to the native size, so searching the planted scale recovers
-    the template. noise_sigma=0 freezes the background (constant video when
-    jitter is also 0). Returns frames and the ground-truth transforms.
-    """
+    out_dir: str | Path,
+) -> dict[str, dict]:
+    """Render one video per spec into out_dir/<video_id>, one frame at a
+    time, once `check_video_set` accepts the whole set: a noisy background
+    plus the pasted hand, composed at the rescaled size and resampled to the
+    native one, so searching the planted scale recovers the template.
+    noise_sigma=0 freezes the background (constant video when jitter is also
+    0). Stale frames of a longer video are deleted. Returns the truth."""
+    check_video_set((hand.width, hand.height), specs, frame_size, n_frames, noise_sigma, jitter)
     w, h = frame_size
-    videos: dict[str, list[Image]] = {}
     truth: dict[str, dict] = {}
     for vi, spec in enumerate(sorted(specs, key=lambda s: s.video_id)):
         rng = np.random.default_rng([seed, vi])
-        sw = int(np.floor(spec.scale * w + 0.5))
-        sh = int(np.floor(spec.scale * h + 0.5))
-        if not (
-            jitter <= spec.dx <= sw - hand.width - jitter
-            and jitter <= spec.dy <= sh - hand.height - jitter
-        ):
-            raise ValueError(f"{spec.video_id}: hand out of frame")
+        sw, sh = scaled_size(spec.scale, w, h)
         # background centered mid-gray so additive noise rarely clips
         base = rng.integers(80, 176, size=(sh, sw, 3)).astype(np.float64)
-        frames = []
-        for _ in range(n_frames):
+        video_dir = Path(out_dir) / spec.video_id
+        video_dir.mkdir(parents=True, exist_ok=True)
+        for i in range(n_frames):
             canvas = base.copy()
             if noise_sigma > 0:
                 canvas += rng.standard_normal(canvas.shape) * noise_sigma
@@ -240,9 +260,7 @@ def gen_video_set(
             img = Image(np.clip(np.floor(canvas + 0.5), 0, 255).astype(np.uint8))
             if (sw, sh) != (w, h):
                 img = resize_to(img, w, h)
-            frames.append(img)
-        videos[spec.video_id] = frames
+            save_ppm(img, frame_path(video_dir, i))
+        remove_frames_from(video_dir, n_frames)
         truth[spec.video_id] = {"scale": spec.scale, "dx": spec.dx, "dy": spec.dy}
-        if out_dir is not None:
-            save_video_dir(frames, Path(out_dir) / spec.video_id)
-    return videos, truth
+    return truth

@@ -18,7 +18,7 @@ from handcam.core import (
     Camera, FeatureStream, LabelSpace, StateSequence, Task, run_starts,
 )
 from handcam.features import read_features, write_features
-from handcam.media import Image, load_ppm, save_ppm
+from handcam.media import Image, load_ppm, load_video_dir, save_ppm
 from test_core import save_label_space
 from test_inference import score_sequence
 from test_synth import orthonormal_centers
@@ -133,7 +133,7 @@ def test_criterion_3_unary_to_full_improvement():
 # 4. alignment recovery, Laplace stats properties
 
 
-def test_criterion_4_alignment_recovery():
+def test_criterion_4_alignment_recovery(tmp_path):
     scales = (0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
     hits = 0
     for seed in range(100):
@@ -144,11 +144,11 @@ def test_criterion_4_alignment_recovery():
         sw, sh = round(s * w), round(s * h)
         dx = int(rng.integers(1, min(84, sw - 25)))
         dy = int(rng.integers(1, min(84, sh - 25)))
-        videos, _ = synth.gen_video_set(
+        synth.gen_video_set(
             hand, [synth.VideoSpec("v", s, dx, dy)], (w, h),
-            n_frames=9, noise_sigma=60.0, jitter=1, seed=seed,
+            n_frames=9, noise_sigma=60.0, jitter=1, seed=seed, out_dir=tmp_path,
         )
-        stats = compute_pixel_stats(videos["v"])
+        stats = compute_pixel_stats(load_video_dir(tmp_path / "v"))
         match = ncc_match(hand, median_as_image(stats), scales)
         hits += match.scale == s and abs(match.dx - dx) <= 2 and abs(match.dy - dy) <= 2
     assert hits >= 95

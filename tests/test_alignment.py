@@ -23,7 +23,8 @@ from handcam.alignment import (
     write_alignment_report,
     zncc_map,
 )
-from handcam.media import Image, frame_path, load_video_dir, save_ppm, save_video_dir
+from handcam.media import Image, frame_path, load_video_dir, save_ppm
+from conftest import save_frames
 from test_media import KINDS, random_stack, reference_resize_to
 from test_synth import smooth_patch
 
@@ -361,11 +362,10 @@ class TestNccMatch:
         tpl = np.arange(9.0).reshape(3, 3)
         assert np.all(zncc_map(tpl, tgt) == 0.0)
 
-    def test_scale_recovery(self):
+    def test_scale_recovery(self, tmp_path):
         # target rendered at 1.2x, then captured at native size
-        rng = np.random.default_rng(7)
         hand = synth.textured_patch(20, 20, seed=7)
-        videos, _ = synth.gen_video_set(
+        synth.gen_video_set(
             hand,
             [synth.VideoSpec("v", 1.2, 31, 17)],
             (100, 80),
@@ -373,8 +373,9 @@ class TestNccMatch:
             noise_sigma=0.0,
             jitter=0,
             seed=7,
+            out_dir=tmp_path,
         )
-        stats = compute_pixel_stats(videos["v"])
+        stats = compute_pixel_stats(load_video_dir(tmp_path / "v"))
         match = ncc_match(hand, median_as_image(stats), (0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5))
         assert match.scale == 1.2
         assert abs(match.dx - 31) <= 1 and abs(match.dy - 17) <= 1
@@ -386,23 +387,25 @@ class TestNccMatch:
             ncc_match(tpl, tgt, [0.9, 1.0])
 
 
-def scale_one_set(seed=11):
+def scale_one_set(out_dir, seed=11):
     specs = [
         synth.VideoSpec("va", 1.0, 30, 30),
         synth.VideoSpec("vb", 1.0, 42, 23),
         synth.VideoSpec("vc", 1.0, 12, 50),
     ]
     hand = smooth_patch(24, 24, seed=5)
-    videos, truth = synth.gen_video_set(
-        hand, specs, (120, 90), n_frames=9, noise_sigma=60.0, jitter=1, seed=seed
+    truth = synth.gen_video_set(
+        hand, specs, (120, 90), n_frames=9, noise_sigma=60.0, jitter=1, seed=seed,
+        out_dir=out_dir,
     )
+    videos = {v: load_video_dir(out_dir / v) for v in truth}
     stats = {v: compute_pixel_stats(f) for v, f in videos.items()}
     return videos, truth, stats
 
 
 class TestAlignVideos:
-    def test_offsets_recovered(self):
-        videos, truth, stats = scale_one_set()
+    def test_offsets_recovered(self, tmp_path):
+        videos, truth, stats = scale_one_set(tmp_path)
         result = align_videos(stats, AlignmentParams())
         ref = result.reference_video_id
         for vid, entry in result.per_video.items():
@@ -414,8 +417,8 @@ class TestAlignVideos:
             assert abs(got_dx - want_dx) <= 2
             assert abs(got_dy - want_dy) <= 2
 
-    def test_reference_self_alignment_identity(self):
-        videos, _, stats = scale_one_set()
+    def test_reference_self_alignment_identity(self, tmp_path):
+        videos, _, stats = scale_one_set(tmp_path)
         result = align_videos(stats, AlignmentParams())
         ref = result.reference_video_id
         aligned = align_video(videos[ref], result.per_video[ref], result)
@@ -464,7 +467,7 @@ class TestAlignVideos:
         assert (aligned.width, aligned.height) == (20, 20)
 
     def test_report_round_trip(self, tmp_path):
-        _, _, stats = scale_one_set()
+        _, _, stats = scale_one_set(tmp_path / "videos")
         result = align_videos(stats, AlignmentParams())
         path = tmp_path / "alignment.json"
         write_alignment_report(result, path)
@@ -576,10 +579,10 @@ class TestAlignVideoDir:
         rng = np.random.default_rng(41)
         for case, t in enumerate((1, 3, 4, 5, 9)):
             frames = [Image(p) for p in random_stack(rng, t, 18, 24, 3, KINDS[case % 3])]
-            save_video_dir(frames, tmp_path / f"in{case}")
+            save_frames(frames, tmp_path / f"in{case}")
             entry, result = scaled_entry((0.9, 1.0, 1.1, 1.2, 1.3)[case], 20, 16, -2, 3)
             align_video_dir(tmp_path / f"in{case}", tmp_path / "out", entry, result, (18, 24, 3))
-            save_video_dir(align_video(frames, entry, result), tmp_path / "want")
+            save_frames(align_video(frames, entry, result), tmp_path / "want")
             got = sorted((tmp_path / "out").iterdir())
             want = sorted((tmp_path / "want").iterdir())
             assert [p.name for p in got] == [p.name for p in want]
@@ -587,7 +590,7 @@ class TestAlignVideoDir:
 
     def test_frame_shape_checked(self, tmp_path):
         frames = [Image(np.zeros((6, 8, 3), dtype=np.uint8)) for _ in range(6)]
-        save_video_dir(frames, tmp_path / "in")
+        save_frames(frames, tmp_path / "in")
         save_ppm(Image(np.zeros((6, 9, 3), dtype=np.uint8)), frame_path(tmp_path / "in", 5))
         entry, result = scaled_entry(1.0, 8, 6, 0, 0)
         with pytest.raises(ValueError, match=r"frame_000000\.ppm has shape \(6, 8, 3\), "
@@ -604,7 +607,7 @@ class TestAlignVideoDir:
         peaks = []
         for t in (32, 128):
             video = tmp_path / f"v{t}"
-            save_video_dir([Image(p) for p in rng.integers(0, 256, (t, 48, 64, 3),
+            save_frames([Image(p) for p in rng.integers(0, 256, (t, 48, 64, 3),
                                                            dtype=np.uint8)], video)
             peaks.append(traced_peak(align_video_dir, video, tmp_path / f"out{t}", entry,
                                      result, (48, 64, 3))[0])

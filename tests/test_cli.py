@@ -9,6 +9,8 @@ from handcam import classify, evaluation, synth
 from handcam.cli import build_parser, main, read_truth, run_pipeline, write_labels
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task
 from handcam.features import read_features, write_features
+from handcam.media import Image, load_video_dir
+from conftest import save_frames
 from test_core import save_label_space
 from test_synth import orthonormal_centers, smooth_patch
 
@@ -121,6 +123,32 @@ class TestExtractFuse:
         fused = tmp_path / "fused.feat"
         assert main(["fuse", "--inputs", str(feat), str(feat), "--out", str(fused)]) == 0
         assert read_features(fused).dim == 128
+
+    def test_flip_option_is_gone(self, tmp_path):
+        # a whole-frame histogram is mirror-invariant, so --flip wrote the same file
+        save_frames([Image(np.zeros((2, 3, 3), dtype=np.uint8))], tmp_path / "v")
+        assert main(["extract", "--video", str(tmp_path / "v"), "--out",
+                     str(tmp_path / "v.feat"), "--flip"]) == 1
+        assert not (tmp_path / "v.feat").exists()
+
+    def test_extract_memory_follows_one_frame(self, tmp_path, capsys, traced_peak):
+        # the parent loaded every frame first: its peak grew by 13.6 MB from
+        # 40 to 400 frames of 120 x 90, against 1.5 MB of histograms
+        rng = np.random.default_rng(8)
+        for t in (40, 400):
+            save_frames([Image(p) for p in rng.integers(0, 256, (t, 90, 120, 3),
+                                                         dtype=np.uint8)], tmp_path / f"v{t}")
+
+        def peak(t):
+            traced, rc = traced_peak(main, ["extract", "--video", str(tmp_path / f"v{t}"),
+                                            "--out", str(tmp_path / f"v{t}.feat")])
+            assert rc == 0
+            return traced
+
+        peak(40)  # first call: one-time allocations of the libraries
+        growth = peak(400) - peak(40)
+        assert growth <= 1.2 * 360 * 512 * 8, growth
+        assert read_features(tmp_path / "v400.feat").n_frames == 400
 
 
 class TestTrainInferEval:
@@ -846,6 +874,23 @@ class TestSynthCommand:
             assert error in capsys.readouterr().err
             assert not out.exists()
 
+    def test_empty_feature_set_exit_2_before_out(self, tmp_path, capsys):
+        # frames 0 used to exit 2 after making --out, and videos 0 exited 0
+        # with an empty directory
+        _, ges, _ = write_spaces(tmp_path)
+        cfg = tmp_path / "synth.json"
+        out = tmp_path / "data"
+        doc = {"seed": 3, "states": 3, "dim": 4, "frames": 80, "min_dwell": 10,
+               "noise_sigma": 0.4, "videos": 2}
+        for key, value in (("frames", 0), ("frames", -3), ("videos", 0), ("videos", -1),
+                           ("dim", 0)):
+            cfg.write_text(json.dumps({**doc, key: value}))
+            capsys.readouterr()
+            assert main(["synth", "features", "--config", str(cfg), "--out", str(out),
+                         "--label-space", str(ges)]) == 2, key
+            assert key in capsys.readouterr().err
+            assert not out.exists(), (key, value)
+
     def test_values_beyond_float32_exit_2_without_a_feat_file(self, tmp_path, capsys):
         # finite float64 values past float32's range were written as inf,
         # and read_features then rejected the file it had just been given
@@ -886,6 +931,86 @@ class TestSynthCommand:
             assert main(["synth", "videos", "--config", str(cfg), "--out", str(out)]) == 2, bad
             assert "video id" in capsys.readouterr().err
             assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.json"], bad
+
+
+class TestSynthVideos:
+    """`synth videos` checks its whole config before it writes anything, and
+    writes one frame at a time."""
+
+    DOC = {"seed": 5, "frames": 3, "frame_width": 40, "frame_height": 30,
+           "hand_width": 10, "hand_height": 10, "noise_sigma": 20.0, "jitter": 1,
+           "videos": [{"video_id": "va", "scale": 1.0, "dx": 5, "dy": 5},
+                      {"video_id": "vb", "scale": 1.2, "dx": 12, "dy": 8}]}
+
+    def run(self, tmp_path, **changes):
+        cfg = tmp_path / "videos.json"
+        cfg.write_text(json.dumps({**self.DOC, **changes}))
+        return main(["synth", "videos", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+    def check_rejected(self, tmp_path, capsys, message, **changes):
+        capsys.readouterr()
+        assert self.run(tmp_path, **changes) == 2, changes
+        assert message in capsys.readouterr().err, changes
+        assert not (tmp_path / "out").exists(), changes
+
+    def test_no_frames_exit_2_before_out(self, tmp_path, capsys):
+        # frames 0 and -3 used to exit 0 with empty video directories
+        for frames in (0, -3):
+            self.check_rejected(tmp_path, capsys, "frames", frames=frames)
+        self.check_rejected(tmp_path, capsys, "videos", videos=[])
+
+    def test_repeated_video_id_exit_2_before_out(self, tmp_path, capsys):
+        # the second "va" used to overwrite the first, and the truth kept one entry
+        videos = [self.DOC["videos"][0], {**self.DOC["videos"][1], "video_id": "va"}]
+        self.check_rejected(tmp_path, capsys, "id", videos=videos)
+
+    def test_second_hand_out_of_frame_writes_no_first_video(self, tmp_path, capsys):
+        # exit 2 used to come after the first video was written into --out
+        videos = [self.DOC["videos"][0], {**self.DOC["videos"][1], "dx": 40}]
+        self.check_rejected(tmp_path, capsys, "vb: hand out of frame", videos=videos)
+
+    def test_negative_noise_or_jitter_exit_2_before_out(self, tmp_path, capsys):
+        # both used to be taken as 0
+        self.check_rejected(tmp_path, capsys, "noise_sigma", noise_sigma=-1.0)
+        self.check_rejected(tmp_path, capsys, "jitter", jitter=-1)
+
+    def test_frame_over_the_budget_exit_2_before_out(self, tmp_path, capsys):
+        # a 10^6 x 10^6 frame used to exit 3 (MemoryError) and leave --out
+        self.check_rejected(tmp_path, capsys, "budget", frame_width=10**6,
+                            frame_height=10**6)
+        # so did a hand too large to allocate, in a frame that is too small for it
+        self.check_rejected(tmp_path, capsys, "out of frame", hand_width=10**6,
+                            hand_height=10**6)
+
+    def test_rewrite_with_fewer_frames_leaves_no_stale_frames(self, tmp_path):
+        # writing 3 frames over 5 used to read back 5
+        video = tmp_path / "out" / "va"
+        for frames in (5, 3):
+            assert self.run(tmp_path, frames=frames) == 0
+            (video / "notes.txt").write_text("kept")
+        assert sorted(p.name for p in video.iterdir()) == [
+            "frame_000000.ppm", "frame_000001.ppm", "frame_000002.ppm", "notes.txt"]
+        assert len(load_video_dir(video)) == 3
+
+    def test_memory_follows_one_frame(self, tmp_path, capsys, traced_peak):
+        # the parent held every frame of every video: +46 MB from 40 to 400
+        # frames of 120 x 90
+        doc = {**self.DOC, "frame_width": 120, "frame_height": 90, "hand_width": 24,
+               "hand_height": 24, "videos": [{"video_id": "va", "scale": 1.2, "dx": 10,
+                                              "dy": 10}]}
+        cfg = tmp_path / "videos.json"
+
+        def peak(frames):
+            cfg.write_text(json.dumps({**doc, "frames": frames}))
+            traced, rc = traced_peak(main, ["synth", "videos", "--config", str(cfg),
+                                            "--out", str(tmp_path / f"out{frames}")])
+            assert rc == 0
+            return traced
+
+        peak(40)  # first call: one-time allocations of the libraries
+        forty, four_hundred = peak(40), peak(400)
+        assert four_hundred <= forty + 0.5e6, (forty, four_hundred)
+        assert len(load_video_dir(tmp_path / "out400" / "va")) == 400
 
 
 class TestJsonInputs:

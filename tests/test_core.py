@@ -20,7 +20,6 @@ from handcam.core import (
 from handcam.change import CandidateSet
 from handcam.classify import LinearModel, TrainConfig
 from handcam.discovery import Clustering, Segment, segment_similarity_matrix
-from handcam.features import read_features, write_features
 from handcam.inference import InferenceProblem
 from handcam.media import Image
 from handcam.synth import SynthConfig
@@ -317,15 +316,6 @@ class TestFrozenArrays:
         arr = make()
         arr.setflags(write=False)
         assert getattr(build(arr), field) is arr
-
-    def test_read_features_copies_the_payload_once(self, tmp_path, traced_peak):
-        path = tmp_path / "v.feat"
-        write_features(FeatureStream("v", Camera.HEAD, 6.0, np.ones((4000, 64))), path)
-        peak, stream = traced_peak(read_features, path)
-        values = stream.values
-        # the file's bytes plus one float64 array; a second copy would add another
-        assert peak < path.stat().st_size + 1.5 * values.nbytes
-        assert not values.flags.writeable
 
 
 class TestStateSequence:

@@ -18,7 +18,8 @@ from handcam.features import (
     write_features,
 )
 from handcam.inference import segment_features
-from handcam.media import Image, hflip
+from handcam.media import Image, frame_paths
+from conftest import save_frames
 
 
 def stream(values, vid="v", camera=Camera.RIGHT_HAND, fps=6.0):
@@ -194,9 +195,21 @@ class TestColorHistogram:
         assert abs(color_histogram(img).sum() - 1.0) < 1e-9
 
     def test_hflip_invariance(self):
+        # why `extract` needs no mirroring of left-hand videos
         rng = np.random.default_rng(2)
         img = Image(rng.integers(0, 256, (5, 6, 3), dtype=np.uint8))
-        assert np.array_equal(color_histogram(img), color_histogram(hflip(img)))
+        assert np.array_equal(color_histogram(img), color_histogram(Image(img.pixels[:, ::-1])))
+
+    def test_matches_int64_bins_at_every_bin_count(self):
+        # the bins are computed in uint16: every value, at every bin count,
+        # must land where int64 arithmetic puts it
+        px = np.stack(np.meshgrid(np.arange(256), np.arange(256), indexing="ij"), -1)
+        img = Image(np.concatenate([px, px[..., :1][::-1]], axis=-1).astype(np.uint8))
+        for b in range(2, 17):
+            idx = (img.pixels.astype(np.int64) * b) // 256
+            flat = (idx[:, :, 0] * b + idx[:, :, 1]) * b + idx[:, :, 2]
+            want = np.bincount(flat.ravel(), minlength=b**3) / flat.size
+            assert np.array_equal(color_histogram(img, b), want), b
 
     def test_bins_range(self):
         img = Image(np.zeros((2, 2, 3), dtype=np.uint8))
@@ -204,19 +217,28 @@ class TestColorHistogram:
             with pytest.raises(ValueError):
                 color_histogram(img, bins_per_channel=bad)
 
-    def test_stream_extraction(self):
+    def test_stream_extraction(self, tmp_path):
         rng = np.random.default_rng(3)
         frames = [Image(rng.integers(0, 256, (4, 4, 3), dtype=np.uint8)) for _ in range(3)]
-        s = histogram_stream(frames, "vid", Camera.LEFT_HAND, bins_per_channel=4)
+        save_frames(frames, tmp_path / "vid")
+        s = histogram_stream(frame_paths(tmp_path / "vid"), "vid", Camera.LEFT_HAND,
+                             bins_per_channel=4)
         assert s.n_frames == 3 and s.dim == 64
-        assert np.array_equal(s.values, [color_histogram(f, 4) for f in frames])
+        want = np.array([color_histogram(f, 4) for f in frames])
+        assert np.array_equal(s.values, want.astype(np.float32))
+        # the file holds the bytes of the float64 histograms written directly
+        write_features(s, tmp_path / "got.feat")
+        write_features(stream(want, "vid", Camera.LEFT_HAND), tmp_path / "want.feat")
+        assert (tmp_path / "got.feat").read_bytes() == (tmp_path / "want.feat").read_bytes()
 
-    def test_stream_memory_holds_the_histograms_once(self, traced_peak):
+    def test_stream_memory_holds_the_histograms_once(self, tmp_path, traced_peak):
         # the parent held every frame's histogram beside their stack (2.07x),
         # then a finiteness mask of one byte per value beside the stream (1.125x)
         rng = np.random.default_rng(5)
-        frames = [Image(rng.integers(0, 256, (4, 4, 3), dtype=np.uint8)) for _ in range(2000)]
-        peak, s = traced_peak(histogram_stream, frames, "vid", Camera.RIGHT_HAND)
+        save_frames([Image(rng.integers(0, 256, (4, 4, 3), dtype=np.uint8))
+                     for _ in range(2000)], tmp_path / "vid")
+        paths = frame_paths(tmp_path / "vid")
+        peak, s = traced_peak(histogram_stream, paths, "vid", Camera.RIGHT_HAND)
         assert peak <= 1.125 * s.values.nbytes, peak / s.values.nbytes
 
 

@@ -5,15 +5,15 @@ from handcam.media import (
     Image,
     PpmError,
     frame_path,
-    hflip,
     load_ppm,
     load_video_dir,
+    remove_frames_from,
     resample,
     resize_to,
     save_ppm,
-    save_video_dir,
     to_gray,
 )
+from conftest import save_frames
 
 
 def make_image(arr):
@@ -80,7 +80,7 @@ class TestPpm:
     def test_video_dir_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         frames = [make_image(rng.integers(0, 256, (4, 5, 3))) for _ in range(3)]
-        save_video_dir(frames, tmp_path / "vid")
+        save_frames(frames, tmp_path / "vid")
         loaded = load_video_dir(tmp_path / "vid")
         assert len(loaded) == 3
         for a, b in zip(frames, loaded):
@@ -88,20 +88,6 @@ class TestPpm:
 
 
 class TestVideoDir:
-    def test_rewrite_with_fewer_frames_leaves_no_stale_frames(self, tmp_path):
-        # writing 3 frames over 5 used to read back 5
-        rng = np.random.default_rng(9)
-        video = tmp_path / "vid"
-        (tmp_path / "vid").mkdir()
-        (video / "notes.txt").write_text("kept")
-        save_video_dir([make_image(rng.integers(0, 256, (2, 3, 3))) for _ in range(5)], video)
-        frames = [make_image(rng.integers(0, 256, (2, 3, 3))) for _ in range(3)]
-        save_video_dir(frames, video)
-        assert sorted(p.name for p in video.iterdir()) == [
-            "frame_000000.ppm", "frame_000001.ppm", "frame_000002.ppm", "notes.txt"]
-        loaded = load_video_dir(video)
-        assert [f.pixels.tobytes() for f in loaded] == [f.pixels.tobytes() for f in frames]
-
     def test_frame_numbers_past_999999_are_listed(self, tmp_path):
         # frame_1000000.ppm used to be skipped, so 0, 1, 1000000 read as 2 frames
         img = make_image(np.zeros((1, 1, 3)))
@@ -117,31 +103,9 @@ class TestVideoDir:
                      "frame_000001.ppm.bak"):
             save_ppm(img, tmp_path / name)
         assert len(load_video_dir(tmp_path)) == 1
-        save_video_dir([], tmp_path)
+        remove_frames_from(tmp_path, 0)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
             "frame_0000001.ppm", "frame_00001.ppm", "frame_000001.ppm.bak"])
-
-
-class TestHflip:
-    def test_involution(self):
-        rng = np.random.default_rng(3)
-        img = make_image(rng.integers(0, 256, (6, 7, 3)))
-        assert np.array_equal(hflip(hflip(img)).pixels, img.pixels)
-
-    def test_two_pixel_swap(self):
-        img = make_image([[[1, 1, 1], [2, 2, 2]]])
-        assert hflip(img).pixels[0, :, 0].tolist() == [2, 1]
-
-    def test_width_one_fixed_point(self):
-        img = make_image([[[9, 8, 7]], [[1, 2, 3]]])
-        assert np.array_equal(hflip(img).pixels, img.pixels)
-
-    def test_preserves_row_multisets(self):
-        rng = np.random.default_rng(4)
-        img = make_image(rng.integers(0, 256, (5, 9, 3)))
-        flipped = hflip(img)
-        for r in range(5):
-            assert sorted(map(tuple, img.pixels[r])) == sorted(map(tuple, flipped.pixels[r]))
 
 
 class TestToGray:

@@ -310,9 +310,10 @@ def damaged_json(draw, doc):
 JSON_FUZZ = settings(FUZZ, max_examples=60)
 
 
-def fuzz_command(tmp, name, doc, argv):
+def fuzz_command(tmp, name, doc, argv, check_out=None):
     """Run argv (with {config} and {out}) on damaged copies of doc: exit 0
-    or 2, and 2 for an unknown or repeated key."""
+    or 2, and 2 for an unknown or repeated key. check_out(code, out), if
+    given, then checks what the command left at {out}."""
     config = tmp / f"{name}.json"
 
     @JSON_FUZZ
@@ -323,9 +324,11 @@ def fuzz_command(tmp, name, doc, argv):
         out = tmp / f"{name}_out"
         try:
             code = main([a.format(config=config, out=out) for a in argv])
+            assert code == 2 if invalid else code in (0, 2)
+            if check_out is not None:
+                check_out(code, out)
         finally:
             shutil.rmtree(out, ignore_errors=True)
-        assert code == 2 if invalid else code in (0, 2)
 
     check()
 
@@ -344,20 +347,34 @@ def test_pipeline_config_damaged(tmp_path_factory):
     fuzz_command(tmp, "pipeline", doc, ["pipeline", "--config", "{config}", "--out", "{out}"])
 
 
+def no_out_on_exit_2(code, out):
+    assert code != 2 or not out.exists()
+
+
 def test_synth_configs_damaged(tmp_path_factory):
+    # a rejected config leaves no --out, and extract reads every video an
+    # accepted synth videos config writes
     tmp = tmp_path_factory.mktemp("synth")
     save_label_space(LabelSpace.free_active(), tmp / "fa.txt")
     features = {"seed": 1, "states": 2, "dim": 3, "frames": 12, "min_dwell": 3,
                 "noise_sigma": 0.5, "transition_ramp": 1, "videos": 2}
     fuzz_command(tmp, "features", features, ["synth", "features", "--config", "{config}",
                                              "--label-space", str(tmp / "fa.txt"),
-                                             "--out", "{out}"])
+                                             "--out", "{out}"], no_out_on_exit_2)
     videos = {"seed": 1, "frames": 2, "frame_width": 9, "frame_height": 8, "hand_width": 3,
               "hand_height": 3, "noise_sigma": 2.0, "jitter": 0,
               "videos": [{"video_id": "va", "scale": 1.0, "dx": 2, "dy": 2},
                          {"video_id": "vb", "scale": 1.25, "dx": 3, "dy": 1}]}
+
+    def extract_every_video(code, out):
+        no_out_on_exit_2(code, out)
+        if code == 0:
+            for vid in json.loads((out / "ground_truth.json").read_text()):
+                assert main(["extract", "--video", str(out / vid),
+                             "--out", str(out / f"{vid}.feat")]) == 0, vid
+
     fuzz_command(tmp, "videos", videos, ["synth", "videos", "--config", "{config}",
-                                         "--out", "{out}"])
+                                         "--out", "{out}"], extract_every_video)
 
 
 def test_chosen_json_damaged(tmp_path_factory):

@@ -1,9 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from handcam import synth
 from handcam.core import FeatureStream, LabelSpace, StateSequence, Task, run_starts
-from handcam.media import Image, resize_to
+from handcam.media import Image, load_video_dir, resize_to
 
 
 def orthonormal_centers(num_states, dim, seed):
@@ -152,32 +154,34 @@ class TestFeatureStreamGen:
 
 
 class TestVideoGen:
-    def test_identity_composite(self):
+    def test_identity_composite(self, tmp_path):
         hand = smooth_patch(10, 10, seed=1)
-        videos, truth = synth.gen_video_set(
+        truth = synth.gen_video_set(
             hand, [synth.VideoSpec("v", 1.0, 5, 7)], (40, 30),
-            n_frames=3, noise_sigma=0.0, jitter=0, seed=2,
+            n_frames=3, noise_sigma=0.0, jitter=0, seed=2, out_dir=tmp_path,
         )
-        frames = videos["v"]
+        frames = load_video_dir(tmp_path / "v")
         assert len(frames) == 3
         for f in frames[1:]:
             assert np.array_equal(f.pixels, frames[0].pixels)
         assert np.array_equal(frames[0].pixels[7:17, 5:15], hand.pixels)
         assert truth["v"] == {"scale": 1.0, "dx": 5, "dy": 7}
 
-    def test_same_seed_identical_pixels(self):
+    def test_same_seed_identical_pixels(self, tmp_path):
         hand = synth.textured_patch(8, 8, seed=3)
         spec = [synth.VideoSpec("v", 1.1, 6, 6)]
-        a, _ = synth.gen_video_set(hand, spec, (40, 30), 4, 30.0, 1, seed=5)
-        b, _ = synth.gen_video_set(hand, spec, (40, 30), 4, 30.0, 1, seed=5)
-        for fa, fb in zip(a["v"], b["v"]):
+        for out in ("a", "b"):
+            synth.gen_video_set(hand, spec, (40, 30), 4, 30.0, 1, seed=5, out_dir=tmp_path / out)
+        a, b = (load_video_dir(tmp_path / out / "v") for out in ("a", "b"))
+        for fa, fb in zip(a, b):
             assert np.array_equal(fa.pixels, fb.pixels)
 
-    def test_hand_out_of_frame(self):
+    def test_hand_out_of_frame(self, tmp_path):
         hand = synth.textured_patch(20, 20, seed=0)
         with pytest.raises(ValueError, match="out of frame"):
             synth.gen_video_set(hand, [synth.VideoSpec("v", 1.0, 35, 5)], (40, 30),
-                                2, 0.0, 0, seed=0)
+                                2, 0.0, 0, seed=0, out_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_written_to_disk(self, tmp_path):
         hand = smooth_patch(8, 8, seed=4)
@@ -185,6 +189,21 @@ class TestVideoGen:
                             2, 0.0, 0, seed=1, out_dir=tmp_path)
         assert (tmp_path / "v" / "frame_000000.ppm").exists()
         assert (tmp_path / "v" / "frame_000001.ppm").exists()
+
+    def test_frame_budget_edge(self):
+        # the float64 canvas at the planted scale, and the native frame it is
+        # resampled to, may each be exactly the budget and not one pixel more
+        pixels = synth.MAX_STREAM_BYTES // 24
+        for scale, size, ok in ((1.0, (pixels, 1), True), (1.0, (pixels + 1, 1), False),
+                                (2.0, (pixels // 4, 1), True), (2.0, (pixels // 4 + 1, 1), False),
+                                (0.5, (pixels // 2, 2), True), (0.5, (pixels + 1, 1), False)):
+            check = partial(synth.check_video_set, (1, 1), [synth.VideoSpec("v", scale, 0, 0)],
+                            size, 1, 0.0, 0)
+            if ok:
+                check()
+            else:
+                with pytest.raises(ValueError, match="budget"):
+                    check()
 
 
 class TestCenters:
