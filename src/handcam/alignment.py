@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import write_json
 from .media import (
-    Image, frame_path, frame_paths, load_ppm, remove_frames_from, resample, resize_to, save_ppm,
+    frame_path, frame_paths, load_frames, remove_frames_from, resample, resize_to, save_ppm,
     scaled_size, to_gray,
 )
 
@@ -34,6 +34,8 @@ _CHUNK_FRAMES = 4  # frames aligned together: small float64 temporaries stay in 
 
 @dataclass(frozen=True)
 class AlignmentParams:
+    """Stable-mask diversity threshold and the scales the template search tries."""
+
     beta_threshold: float = 40.0
     scales: tuple[float, ...] = (0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
 
@@ -58,28 +60,21 @@ class PixelStats:
     diversity_image: np.ndarray
 
 
-def _frame_shape(frames: Sequence[Image]) -> tuple[int, int, int]:
-    if len(frames) < 1:
+def pixel_stats(stack: np.ndarray) -> PixelStats:
+    """Median and mean absolute deviation of each pixel over time of a uint8
+    (T, h, w, C) stack, from bands of rows sorted along time. Exact, as a
+    float64 median and mean: the median is the mean of the two middle
+    values; as many values lie above it as below, so the deviations sum to
+    (upper half sum) - (lower half sum)."""
+    t, shape = len(stack), stack.shape[1:]
+    if t < 1:
         raise ValueError("need at least one frame")
-    shape = frames[0].pixels.shape
-    for i, f in enumerate(frames):
-        if f.pixels.shape != shape:
-            raise ValueError(
-                f"frame {i} has shape {f.pixels.shape}, expected {shape}"
-            )
-    return shape
-
-
-def compute_pixel_stats(frames: Sequence[Image]) -> PixelStats:
-    """Median and mean absolute deviation of each pixel over time, from uint8
-    bands of rows sorted along time. Exact, as a float64 median and mean: the
-    median is the mean of the two middle values; as many values lie above it
-    as below, so the deviations sum to (upper half sum) - (lower half sum)."""
-    shape = _frame_shape(frames)
-    t = len(frames)
     median, diversity = np.empty(shape), np.empty(shape)
+    # one (rows, w, C, T) buffer, time contiguous: each pixel's series is one run
+    bands = np.empty((min(_BAND_ROWS, shape[0]), *shape[1:], t), dtype=np.uint8)
     for r in range(0, shape[0], _BAND_ROWS):
-        band = np.stack([f.pixels[r : r + _BAND_ROWS] for f in frames], axis=-1)
+        band = bands[: min(_BAND_ROWS, shape[0] - r)]
+        np.copyto(band, np.moveaxis(stack[:, r : r + _BAND_ROWS], 0, -1))
         band.sort(axis=-1, kind="stable")  # radix sort for uint8
         lo, hi = band[..., (t - 1) // 2], band[..., t // 2]
         median[r : r + _BAND_ROWS] = (lo + hi.astype(np.float64)) / 2
@@ -146,14 +141,10 @@ def _round_u8(arr: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(arr + 0.5), 0, 255).astype(np.uint8)
 
 
-def median_as_image(stats: PixelStats) -> Image:
-    return Image(_round_u8(stats.median_image))
-
-
 def select_reference(
     stats_by_video: Mapping[str, PixelStats],
     masks_by_video: Mapping[str, StableMask],
-) -> tuple[str, Image]:
+) -> tuple[str, np.ndarray]:
     """Choose the video with the smallest stable component; crop its template.
 
     Smallest is by stable-component pixel count; ties go to the
@@ -167,12 +158,13 @@ def select_reference(
         raise ValueError("no stable region found")
     ref = min(eligible, key=lambda vid: (masks_by_video[vid].component_size, vid))
     x0, y0, x1, y1 = masks_by_video[ref].bounding_box
-    template = _round_u8(stats_by_video[ref].median_image[y0:y1, x0:x1])
-    return ref, Image(template)
+    return ref, _round_u8(stats_by_video[ref].median_image[y0:y1, x0:x1])
 
 
 @dataclass(frozen=True)
 class NccMatch:
+    """Best template placement: target scale, top-left corner there, ZNCC."""
+
     scale: float
     dx: int
     dy: int
@@ -246,23 +238,23 @@ def zncc_map(template_gray: np.ndarray, target_gray: np.ndarray) -> np.ndarray:
 
 
 def ncc_match(
-    template: Image, target: Image, scales: Sequence[float]
+    template: np.ndarray, target: np.ndarray, scales: Sequence[float]
 ) -> NccMatch:
     """Exhaustive multiscale template search over integer translations.
 
-    The target is resized by each scale (template fixed), both reduced to
-    luminance, and the peak placement returned. Scales where the template
-    no longer fits are skipped. Deterministic tie-break on equal peaks:
+    The uint8 (h, w, 3) target is resized by each scale (template fixed),
+    both reduced to luminance, and the peak placement returned. Scales where
+    the template no longer fits are skipped. Deterministic tie-break on equal peaks:
     smaller scale, then smaller dy, then smaller dx.
     """
-    tpl_gray = to_gray(template).pixels[:, :, 0]
+    tpl_gray = to_gray(template)[:, :, 0]
     tgt_gray = to_gray(target)
     best: NccMatch | None = None
     for scale in sorted(scales):
-        w, h = scaled_size(scale, tgt_gray.width, tgt_gray.height)
+        w, h = scaled_size(scale, tgt_gray.shape[1], tgt_gray.shape[0])
         if w < tpl_gray.shape[1] or h < tpl_gray.shape[0]:
             continue
-        scaled = resize_to(tgt_gray, w, h).pixels[:, :, 0]
+        scaled = resize_to(tgt_gray, w, h)[:, :, 0]
         zncc = zncc_map(tpl_gray, scaled)
         flat = int(np.argmax(zncc))  # first max in row-major order: min dy, then dx
         dy, dx = divmod(flat, zncc.shape[1])
@@ -276,6 +268,8 @@ def ncc_match(
 
 @dataclass(frozen=True)
 class VideoAlignment:
+    """How one video's frames are rescaled and cropped onto the template."""
+
     video_id: str
     scale: float
     dx: int
@@ -286,6 +280,8 @@ class VideoAlignment:
 
 @dataclass(frozen=True)
 class AlignmentResult:
+    """The reference video, frame size and template box, and each video's alignment."""
+
     reference_video_id: str
     reference_size: tuple[int, int]  # (width, height)
     template_box: tuple[int, int, int, int]
@@ -325,7 +321,8 @@ def align_videos(
         if vid == ref:
             match = NccMatch(1.0, box[0], box[1], 1.0)
         else:
-            match = ncc_match(template, median_as_image(stats_by_video[vid]), params.scales)
+            match = ncc_match(template, _round_u8(stats_by_video[vid].median_image),
+                              params.scales)
         h, w = stats_by_video[vid].median_image.shape[:2]
         sw, sh = scaled_size(match.scale, w, h)
         window = _clip_window(match.dx, match.dy, box, ref_w, ref_h, sw, sh)
@@ -336,25 +333,24 @@ def align_videos(
 
 
 def align_video(
-    frames: Sequence[Image],
+    stack: np.ndarray,
     entry: VideoAlignment,
     result: AlignmentResult,
-) -> list[Image]:
-    """Rescale, register to the template position, crop, replicate-pad.
+) -> np.ndarray:
+    """Rescale, register to the template position, crop, replicate-pad a
+    uint8 (T, h, w, C) stack of frames: uint8 (T, height, width, C) at the
+    reference resolution.
 
-    Every output frame has the reference resolution; pixels that fall
-    outside the rescaled source replicate the nearest edge. All frames must
-    have one shape; only the crop window is resampled, all frames at once,
-    so `align_video_dir` passes a few at a time.
+    Pixels that fall outside the rescaled source replicate the nearest
+    edge. Only the crop window is resampled, all frames at once, so
+    `align_video_dir` passes a few at a time.
     """
     out_w, out_h = result.reference_size
     bx0, by0 = result.template_box[0], result.template_box[1]
-    h, w = _frame_shape(frames)[:2]
-    sw, sh = scaled_size(entry.scale, w, h)
+    sw, sh = scaled_size(entry.scale, stack.shape[2], stack.shape[1])
     ys = np.clip(np.arange(out_h) - by0 + entry.dy, 0, sh - 1)
     xs = np.clip(np.arange(out_w) - bx0 + entry.dx, 0, sw - 1)
-    stack = np.stack([f.pixels for f in frames])
-    return [Image(px) for px in resample(stack, sw, sh, ys, xs)]
+    return resample(stack, sw, sh, ys, xs)
 
 
 def align_video_dir(
@@ -372,12 +368,9 @@ def align_video_dir(
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = frame_paths(video_dir)
     for s in range(0, len(paths), _CHUNK_FRAMES):
-        chunk = [load_ppm(p) for p in paths[s : s + _CHUNK_FRAMES]]
-        for p, img in zip(paths[s:], chunk):
-            if img.pixels.shape != frame_shape:
-                raise ValueError(f"{p} has shape {img.pixels.shape}, expected {frame_shape}")
-        for i, img in enumerate(align_video(chunk, entry, result), start=s):
-            save_ppm(img, frame_path(out_dir, i))
+        chunk = load_frames(paths[s : s + _CHUNK_FRAMES], frame_shape)
+        for i, px in enumerate(align_video(chunk, entry, result), start=s):
+            save_ppm(px, frame_path(out_dir, i))
     remove_frames_from(out_dir, len(paths))
 
 

@@ -46,6 +46,8 @@ from .core import (
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Solver settings: the hinge-loss weight C and the number of epochs."""
+
     c_reg: float = 1.0
     epochs: int = 200
 

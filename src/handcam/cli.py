@@ -242,7 +242,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     params = alignment.AlignmentParams(
         beta_threshold=args.beta_threshold, scales=tuple(args.scales)
     )
-    stats = {vid: alignment.compute_pixel_stats(media.load_video_dir(d))
+    stats = {vid: alignment.pixel_stats(media.load_video_dir(d))
              for vid, d in dirs.items()}
     result = alignment.align_videos(stats, params)
     out = Path(args.out)
@@ -518,15 +518,31 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
     scfg = cfg["synth"]
     if scfg["states"] > space.num_labels:
         raise ValueError("synth states exceed the label-space size")
-    synth.check_stream_budget(scfg["train_videos"] + scfg["test_videos"], scfg["frames"],
-                              scfg["dim"])
+    n_train, n_test = scfg["train_videos"], scfg["test_videos"]
+    if min(n_train, n_test) < 1:
+        raise ValueError("pipeline needs train_videos and test_videos >= 1")
+    synth.check_stream_budget(n_train + n_test, scfg["frames"], scfg["dim"])
+    hyper = cfg["hyperparameters"]
+    plan = None
+    if "auto" in hyper.values():
+        cvcfg = cfg.get("cv", {})
+        plan = crossval.CrossValPlan(
+            c_grid=tuple(cvcfg.get("c_grid", crossval.CrossValPlan.c_grid))
+            if hyper["C"] == "auto" else (hyper["C"],),
+            d_grid=tuple(cvcfg.get("d_grid", crossval.CrossValPlan.d_grid))
+            if hyper["d"] == "auto" else (hyper["d"],),
+            lambda_grid=tuple(cvcfg.get("lambda_grid", crossval.CrossValPlan.lambda_grid))
+            if hyper["lambda"] == "auto" else (hyper["lambda"],),
+        )
+        if n_train < plan.folds:
+            raise ValueError(f"cross-validation needs train_videos >= {plan.folds}, got "
+                             f"{n_train}; give C, d and lambda instead of \"auto\"")
     epochs = cfg.get("training", {}).get("epochs", 200)
     inputs = {"config": config_path}  # of every manifest after synth
 
     with _stage(out_dir, "00_synth", "synth") as sdir:
-        n_train = scfg["train_videos"]
         vids = [f"{'train' if i < n_train else 'test'}_{i:02d}"
-                for i in range(n_train + scfg["test_videos"])]
+                for i in range(n_train + n_test)]
         seeded = {"seed": cfg["seed"], **scfg}
         outputs = _synth_features(seeded, vids, space, sdir, cfg.get("fps", 6.0))
         write_manifest(sdir, "synth", seeded,
@@ -535,18 +551,8 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
     truths = {v: sdir / f"{v}.truth.txt" for v in vids}
     train_ids, test_ids = vids[:n_train], vids[n_train:]
 
-    hyper = cfg["hyperparameters"]
-    if any(hyper[k] == "auto" for k in ("C", "d", "lambda")):
-        cvcfg = cfg.get("cv", {})
+    if plan is not None:
         with _stage(out_dir, "01_cv", "cv") as cvdir:
-            plan = crossval.CrossValPlan(
-                c_grid=tuple(cvcfg.get("c_grid", crossval.CrossValPlan.c_grid))
-                if hyper["C"] == "auto" else (hyper["C"],),
-                d_grid=tuple(cvcfg.get("d_grid", crossval.CrossValPlan.d_grid))
-                if hyper["d"] == "auto" else (hyper["d"],),
-                lambda_grid=tuple(cvcfg.get("lambda_grid", crossval.CrossValPlan.lambda_grid))
-                if hyper["lambda"] == "auto" else (hyper["lambda"],),
-            )
             outputs = run_cv([(feats[v], truths[v]) for v in train_ids], labels, plan,
                              epochs, cvdir)
             write_manifest(cvdir, "cv", {"plan": str(plan)}, inputs, outputs)

@@ -25,6 +25,8 @@ from .inference import decode_stream
 
 @dataclass(frozen=True)
 class CrossValPlan:
+    """The folds and the (C, d, lambda) grid that cross-validation searches."""
+
     folds: int = 5
     c_grid: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0)
     d_grid: tuple[int, ...] = (3, 6, 9, 12)
@@ -50,6 +52,8 @@ class CrossValPlan:
 
 @dataclass(frozen=True)
 class CVCell:
+    """One grid cell: its mean accuracy and the accuracy of each fold."""
+
     c_reg: float
     d: int
     lam: float
@@ -59,6 +63,8 @@ class CVCell:
 
 @dataclass(frozen=True)
 class CVResult:
+    """The chosen (C, d, lambda) and the table of every cell."""
+
     c_reg: float
     d: int
     lam: float

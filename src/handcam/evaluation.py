@@ -40,6 +40,8 @@ def confusion(pred: StateSequence, truth: StateSequence) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """Per-video and pooled per-frame accuracy, and the truth x prediction confusion."""
+
     task: str
     per_video_accuracy: dict[str, float]
     global_accuracy: float

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Camera, FeatureStream, all_finite
-from .media import Image, load_ppm
+from .media import load_ppm
 
 MAGIC = b"HCFT"
 VERSION = 1
@@ -94,18 +94,18 @@ def _check_bins(bins_per_channel: int) -> None:
         raise ValueError("bins_per_channel must be in [2, 16]")
 
 
-def color_histogram(img: Image, bins_per_channel: int = 8) -> np.ndarray:
-    """Joint RGB histogram, L1-normalized to sum 1.
+def color_histogram(pixels: np.ndarray, bins_per_channel: int = 8) -> np.ndarray:
+    """Joint RGB histogram of a uint8 (h, w, 3) frame, L1-normalized to sum 1.
 
     Bin index per channel is floor(value * bins / 256); the joint bin is
     (r_bin * bins + g_bin) * bins + b_bin, giving a bins**3 vector.
     """
     _check_bins(bins_per_channel)
-    if img.channels != 3:
-        raise ValueError("color_histogram requires a 3-channel image")
+    if pixels.ndim != 3 or pixels.shape[2] != 3:
+        raise ValueError("color_histogram requires a 3-channel frame")
     b = bins_per_channel
     # uint16 is exact (value * b <= 4,080) and keeps each frame's temporaries small
-    idx = (img.pixels.astype(np.uint16) * b) // 256
+    idx = (pixels.astype(np.uint16) * b) // 256
     flat = (idx[:, :, 0] * b + idx[:, :, 1]) * b + idx[:, :, 2]
     counts = np.bincount(flat.ravel(), minlength=b * b * b).astype(np.float64)
     return counts / counts.sum()

@@ -142,15 +142,18 @@ def decode(problem: InferenceProblem, lams: Sequence[float]) -> list[StateSequen
     # value[l, k] = best score of segments g.. with segment g in state k at weight l;
     # nxt[g, l, k] = the state of segment g+1 that attains it (first max: lowest state).
     # scores[l, k, j] = value[l, j] + (lam*sim if k == j else -lam*sim), filled in place
-    value = np.broadcast_to(useg[m], (weights.size, k))
+    value = np.tile(useg[m], (weights.size, 1))
+    value_rows = value[:, None, :]
+    best = np.empty_like(value)
     nxt = np.empty((m, weights.size, k), dtype=np.int64)
     scores = np.empty((weights.size, k, k))
     diagonal = scores.reshape(weights.size, k * k)[:, :: k + 1]
     for g in range(m - 1, -1, -1):
-        np.add(value[:, None, :], switch[g], out=scores)
+        np.add(value_rows, switch[g], out=scores)
         np.add(value, stay[g], out=diagonal)
-        np.argmax(scores, axis=2, out=nxt[g])
-        value = useg[g] + np.max(scores, axis=2)
+        scores.argmax(axis=2, out=nxt[g])
+        np.maximum.reduce(scores, axis=2, out=best)
+        np.add(useg[g], best, out=value)
 
     seg_states = np.empty((weights.size, m + 1), dtype=np.int64)
     seg_states[:, 0] = np.argmax(value, axis=1)  # first max: lowest state index

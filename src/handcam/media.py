@@ -2,54 +2,21 @@
 `resample`, the single bilinear kernel that `resize_to` runs over a whole
 frame and alignment over the crop window of a stack of frames.
 
-A video is a directory of ``frame_%06d.ppm`` files; the frame number is the
-position on the processing timeline.
+A frame is a uint8 (height, width, 3) array, read-only as `load_ppm` reads
+it. A video is a directory of ``frame_%06d.ppm`` files; the frame number is
+the position on the processing timeline.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import frozen_array
-
 
 class PpmError(ValueError):
     """Malformed or truncated PPM data."""
-
-
-@dataclass(frozen=True)
-class Image:
-    """8-bit image, (height, width, channels) row-major; channels 1 or 3."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self) -> None:
-        px = np.asarray(self.pixels)
-        if px.dtype != np.uint8:
-            raise ValueError("pixels must be uint8")
-        if px.ndim == 2:
-            px = px[:, :, None]
-        if px.ndim != 3 or px.shape[2] not in (1, 3):
-            raise ValueError("pixels must be (h, w) or (h, w, {1,3})")
-        if px.shape[0] < 1 or px.shape[1] < 1:
-            raise ValueError("image dimensions must be positive")
-        object.__setattr__(self, "pixels", frozen_array(px))
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[2]
 
 
 def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -73,8 +40,9 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def load_ppm(path: str | Path) -> Image:
-    """Decode a binary NetPBM P6 file with maxval 255."""
+def load_ppm(path: str | Path) -> np.ndarray:
+    """Decode a binary NetPBM P6 file with maxval 255: a read-only uint8
+    (height, width, 3) view of the file's bytes, not a copy."""
     data = Path(path).read_bytes()
     if data[:2] != b"P6":
         raise PpmError(f"bad magic {data[:2]!r}, expected P6")
@@ -98,23 +66,23 @@ def load_ppm(path: str | Path) -> Image:
         raise PpmError("unexpected end of pixel data")
     if len(data) - pos > expected:
         raise PpmError("trailing bytes after pixel data")
-    # a read-only view of the file's bytes: `Image` keeps it without a copy
     px = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)
-    return Image(px.reshape(height, width, 3))
+    return px.reshape(height, width, 3)
 
 
-def save_ppm(img: Image, path: str | Path) -> None:
-    """Write a 3-channel image as canonical binary P6.
+def save_ppm(pixels: np.ndarray, path: str | Path) -> None:
+    """Write a uint8 (height, width, 3) frame as canonical binary P6.
 
     load/save round-trips are byte identical for files in this canonical
     form (single-space header, maxval 255), which is what every writer in
-    this package emits.
+    this package emits. A C-contiguous frame is written without a copy.
     """
-    if img.channels != 3:
-        raise ValueError("save_ppm requires a 3-channel image")
+    if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[2] != 3 or 0 in pixels.shape:
+        raise ValueError(f"save_ppm needs a uint8 (height, width, 3) frame, got {pixels.dtype} "
+                         f"{pixels.shape}")
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{img.width} {img.height}\n255\n".encode("ascii"))
-        fh.write(img.pixels.data)  # `Image` pixels are C-contiguous: no copy
+        fh.write(f"P6\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii"))
+        fh.write(np.ascontiguousarray(pixels).data)
 
 
 # every name `frame_path` writes: six digits, or more without a leading zero
@@ -143,9 +111,25 @@ def frame_paths(video_dir: str | Path) -> list[Path]:
     return [p for _, p in numbered]
 
 
-def load_video_dir(video_dir: str | Path) -> list[Image]:
-    """Load all frames of a video directory, ordered by frame number."""
-    return [load_ppm(p) for p in frame_paths(video_dir)]
+def load_frames(paths: list[Path], shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """The frame files `paths` as one uint8 (T, height, width, 3) stack,
+    read one file at a time into it. Every frame must have `shape`, by
+    default the first one's; a frame of another shape is named."""
+    first = load_ppm(paths[0])
+    shape = first.shape if shape is None else shape
+    stack = np.empty((len(paths), *shape), dtype=np.uint8)
+    for i, path in enumerate(paths):
+        px = first if i == 0 else load_ppm(path)
+        if px.shape != shape:
+            raise ValueError(f"{path} has shape {px.shape}, expected {shape}")
+        stack[i] = px
+    return stack
+
+
+def load_video_dir(video_dir: str | Path) -> np.ndarray:
+    """All frames of a video directory, ordered by frame number: one uint8
+    (T, height, width, 3) stack."""
+    return load_frames(frame_paths(video_dir))
 
 
 def remove_frames_from(video_dir: str | Path, count: int) -> None:
@@ -156,14 +140,12 @@ def remove_frames_from(video_dir: str | Path, count: int) -> None:
             p.unlink()
 
 
-def to_gray(img: Image) -> Image:
-    """ITU-R 601 luminance: round(0.299 R + 0.587 G + 0.114 B)."""
-    if img.channels == 1:
-        return Image(img.pixels.copy())
-    rgb = img.pixels.astype(np.float64)
+def to_gray(pixels: np.ndarray) -> np.ndarray:
+    """ITU-R 601 luminance round(0.299 R + 0.587 G + 0.114 B) of a frame, as
+    a uint8 (height, width, 1) frame."""
+    rgb = pixels.astype(np.float64)
     gray = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
-    gray = np.clip(np.floor(gray + 0.5), 0, 255).astype(np.uint8)
-    return Image(gray[:, :, None])
+    return np.clip(np.floor(gray + 0.5), 0, 255).astype(np.uint8)[:, :, None]
 
 
 def scaled_size(scale: float, width: int, height: int) -> tuple[int, int]:
@@ -218,6 +200,6 @@ def resample(
     return out.astype(np.uint8)
 
 
-def resize_to(img: Image, width: int, height: int) -> Image:
-    """Bilinear resample of the whole image to exact output dimensions."""
-    return Image(resample(img.pixels[None], width, height, np.arange(height), np.arange(width))[0])
+def resize_to(pixels: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Bilinear resample of a whole uint8 (h, w, C) frame to width x height."""
+    return resample(pixels[None], width, height, np.arange(height), np.arange(width))[0]

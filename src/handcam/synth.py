@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Camera, FeatureStream, LabelSpace, StateSequence, frozen_array, run_starts
-from .media import Image, frame_path, remove_frames_from, resize_to, save_ppm, scaled_size
+from .media import frame_path, remove_frames_from, resize_to, save_ppm, scaled_size
 
 
 # Every synthesized stream is float64 and a feature set is held in memory
@@ -40,6 +40,8 @@ def check_stream_budget(n_videos: int, n_frames: int, dim: int) -> None:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """One synthetic stream: state runs, and Gaussian features around their centers."""
+
     seed: int
     num_states: int
     dim: int
@@ -193,10 +195,11 @@ class VideoSpec:
             raise ValueError(f"video id {self.video_id!r} is not a plain directory name")
 
 
-def textured_patch(width: int, height: int, seed: int) -> Image:
-    """High-frequency random texture; sharp enough to discriminate scales."""
+def textured_patch(width: int, height: int, seed: int) -> np.ndarray:
+    """High-frequency random uint8 (height, width, 3) texture; sharp enough
+    to discriminate scales."""
     rng = np.random.default_rng(seed)
-    return Image(rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8))
+    return rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
 
 
 def check_video_set(hand_size: tuple[int, int], specs: list[VideoSpec],
@@ -224,7 +227,7 @@ def check_video_set(hand_size: tuple[int, int], specs: list[VideoSpec],
 
 
 def gen_video_set(
-    hand: Image,
+    hand: np.ndarray,
     specs: list[VideoSpec],
     frame_size: tuple[int, int],
     n_frames: int,
@@ -239,7 +242,8 @@ def gen_video_set(
     native one, so searching the planted scale recovers the template.
     noise_sigma=0 freezes the background (constant video when jitter is also
     0). Stale frames of a longer video are deleted. Returns the truth."""
-    check_video_set((hand.width, hand.height), specs, frame_size, n_frames, noise_sigma, jitter)
+    hand_h, hand_w = hand.shape[:2]
+    check_video_set((hand_w, hand_h), specs, frame_size, n_frames, noise_sigma, jitter)
     w, h = frame_size
     truth: dict[str, dict] = {}
     for vi, spec in enumerate(sorted(specs, key=lambda s: s.video_id)):
@@ -256,11 +260,11 @@ def gen_video_set(
             jx = int(rng.integers(-jitter, jitter + 1)) if jitter > 0 else 0
             jy = int(rng.integers(-jitter, jitter + 1)) if jitter > 0 else 0
             x0, y0 = spec.dx + jx, spec.dy + jy
-            canvas[y0 : y0 + hand.height, x0 : x0 + hand.width] = hand.pixels
-            img = Image(np.clip(np.floor(canvas + 0.5), 0, 255).astype(np.uint8))
+            canvas[y0 : y0 + hand_h, x0 : x0 + hand_w] = hand
+            px = np.clip(np.floor(canvas + 0.5), 0, 255).astype(np.uint8)
             if (sw, sh) != (w, h):
-                img = resize_to(img, w, h)
-            save_ppm(img, frame_path(video_dir, i))
+                px = resize_to(px, w, h)
+            save_ppm(px, frame_path(video_dir, i))
         remove_frames_from(video_dir, n_frames)
         truth[spec.video_id] = {"scale": spec.scale, "dx": spec.dx, "dy": spec.dy}
     return truth

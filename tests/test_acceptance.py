@@ -12,13 +12,13 @@ from itertools import product
 import numpy as np
 
 from handcam import change, classify, discovery, inference, synth
-from handcam.alignment import compute_pixel_stats, median_as_image, ncc_match
+from handcam.alignment import ncc_match, pixel_stats
 from handcam.cli import run_pipeline
 from handcam.core import (
     Camera, FeatureStream, LabelSpace, StateSequence, Task, run_starts,
 )
 from handcam.features import read_features, write_features
-from handcam.media import Image, load_ppm, load_video_dir, save_ppm
+from handcam.media import load_ppm, load_video_dir, save_ppm
 from test_core import save_label_space
 from test_inference import score_sequence
 from test_synth import orthonormal_centers
@@ -148,15 +148,15 @@ def test_criterion_4_alignment_recovery(tmp_path):
             hand, [synth.VideoSpec("v", s, dx, dy)], (w, h),
             n_frames=9, noise_sigma=60.0, jitter=1, seed=seed, out_dir=tmp_path,
         )
-        stats = compute_pixel_stats(load_video_dir(tmp_path / "v"))
-        match = ncc_match(hand, median_as_image(stats), scales)
+        stats = pixel_stats(load_video_dir(tmp_path / "v"))
+        match = ncc_match(hand, np.floor(stats.median_image + 0.5).astype(np.uint8), scales)
         hits += match.scale == s and abs(match.dx - dx) <= 2 and abs(match.dy - dy) <= 2
     assert hits >= 95
 
     # constant video: diversity identically zero
     rng = np.random.default_rng(0)
-    frame = Image(rng.integers(0, 256, (20, 30, 3), dtype=np.uint8))
-    stats = compute_pixel_stats([frame] * 6)
+    frame = rng.integers(0, 256, (20, 30, 3), dtype=np.uint8)
+    stats = pixel_stats(np.stack([frame] * 6))
     assert np.all(stats.diversity_image == 0.0)
 
     # median L1-optimality on 10^4 random pixel series

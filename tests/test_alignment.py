@@ -15,23 +15,23 @@ from handcam.alignment import (
     align_video,
     align_video_dir,
     align_videos,
-    compute_pixel_stats,
-    median_as_image,
     ncc_match,
+    pixel_stats,
     select_reference,
     stable_mask,
     write_alignment_report,
     zncc_map,
 )
-from handcam.media import Image, frame_path, load_video_dir, save_ppm
+from handcam.media import frame_path, load_video_dir, save_ppm
 from conftest import save_frames
 from test_media import KINDS, random_stack, reference_resize_to
 from test_synth import smooth_patch
 
 
 def gray_video(series):
-    """Frames where every pixel follows the same scalar time series."""
-    return [Image(np.full((2, 2, 3), v, dtype=np.uint8)) for v in series]
+    """A stack of 2 x 2 frames where every pixel follows the same scalar time series."""
+    return np.broadcast_to(np.asarray(series, dtype=np.uint8)[:, None, None, None],
+                           (len(series), 2, 2, 3))
 
 
 class TestAlignmentParams:
@@ -54,28 +54,28 @@ class TestPixelStats:
     def test_constant_video(self):
         rng = np.random.default_rng(0)
         frame = rng.integers(0, 256, (4, 5, 3), dtype=np.uint8)
-        stats = compute_pixel_stats([Image(frame)] * 4)
+        stats = pixel_stats(np.stack([frame] * 4))
         assert np.array_equal(stats.median_image, frame)
         assert np.all(stats.diversity_image == 0.0)
 
     def test_series_1_2_9(self):
         # median 2, mean absolute deviation (1 + 0 + 7) / 3 = 8/3
-        stats = compute_pixel_stats(gray_video([1, 2, 9]))
+        stats = pixel_stats(gray_video([1, 2, 9]))
         assert np.all(stats.median_image == 2.0)
         assert np.allclose(stats.diversity_image, 8.0 / 3.0)
 
     def test_even_count_series_10_20(self):
-        stats = compute_pixel_stats(gray_video([10, 20]))
+        stats = pixel_stats(gray_video([10, 20]))
         assert np.all(stats.median_image == 15.0)
         assert np.all(stats.diversity_image == 5.0)
 
-    def test_dimension_mismatch(self):
-        frames = [
-            Image(np.zeros((2, 2, 3), dtype=np.uint8)),
-            Image(np.zeros((2, 3, 3), dtype=np.uint8)),
-        ]
-        with pytest.raises(ValueError):
-            compute_pixel_stats(frames)
+    def test_dimension_mismatch(self, tmp_path):
+        save_frames([np.zeros((2, 2, 3), dtype=np.uint8), np.zeros((2, 3, 3), dtype=np.uint8)],
+                    tmp_path / "v")
+        with pytest.raises(ValueError, match=r"frame_000001\.ppm has shape \(2, 3, 3\)"):
+            pixel_stats(load_video_dir(tmp_path / "v"))
+        with pytest.raises(ValueError, match="at least one frame"):
+            pixel_stats(np.zeros((0, 2, 2, 3), dtype=np.uint8))
 
     def test_median_minimizes_l1(self):
         # sum |x - median| <= sum |x - c| for random alternatives c
@@ -90,29 +90,28 @@ class TestPixelStats:
     def test_memory_stays_near_the_frames(self, traced_peak):
         # uint8 bands, not a float64 stack of every frame (8x the frames)
         rng = np.random.default_rng(3)
-        frames = [Image(p) for p in rng.integers(0, 256, (40, 48, 20, 3), dtype=np.uint8)]
-        peak, _ = traced_peak(compute_pixel_stats, frames)
+        frames = rng.integers(0, 256, (40, 48, 20, 3), dtype=np.uint8)
+        peak, _ = traced_peak(pixel_stats, frames)
         assert peak < 1.5 * 40 * 48 * 20 * 3
 
     def test_diversity_permutation_invariant(self):
         rng = np.random.default_rng(2)
-        frames = [Image(rng.integers(0, 256, (3, 3, 3), dtype=np.uint8)) for _ in range(7)]
-        stats = compute_pixel_stats(frames)
-        perm = [frames[i] for i in rng.permutation(7)]
-        stats_p = compute_pixel_stats(perm)
+        frames = np.stack([rng.integers(0, 256, (3, 3, 3), dtype=np.uint8) for _ in range(7)])
+        stats = pixel_stats(frames)
+        stats_p = pixel_stats(frames[rng.permutation(7)])
         assert np.array_equal(stats.diversity_image, stats_p.diversity_image)
 
 
 class TestStableMask:
     def test_constant_video_full_mask(self):
-        stats = compute_pixel_stats(gray_video([7, 7, 7]))
+        stats = pixel_stats(gray_video([7, 7, 7]))
         mask = stable_mask(stats, AlignmentParams())
         assert mask.mask.all()
         assert mask.bounding_box == (0, 0, 2, 2)
         assert mask.component_size == 4
 
     def test_everything_unstable(self):
-        stats = compute_pixel_stats(gray_video([0, 255, 0, 255]))
+        stats = pixel_stats(gray_video([0, 255, 0, 255]))
         mask = stable_mask(stats, AlignmentParams())
         assert mask.is_empty
         assert mask.component_size == 0
@@ -128,15 +127,15 @@ class TestStableMask:
             px = np.clip(px, 0, 255)
             px[2:12, 2:12] = base[2:12, 2:12]  # 100 px component
             px[14:19, 20:26] = base[14:19, 20:26]  # 30 px component
-            frames.append(Image(px.astype(np.uint8)))
-        mask = stable_mask(compute_pixel_stats(frames), AlignmentParams())
+            frames.append(px.astype(np.uint8))
+        mask = stable_mask(pixel_stats(np.stack(frames)), AlignmentParams())
         assert mask.bounding_box == (2, 2, 12, 12)
         assert mask.component_size == 100
 
     def test_requires_three_channels(self):
-        frames = [Image(np.zeros((2, 2, 1), dtype=np.uint8))] * 2
+        frames = np.zeros((2, 2, 2, 1), dtype=np.uint8)
         with pytest.raises(ValueError):
-            stable_mask(compute_pixel_stats(frames), AlignmentParams())
+            stable_mask(pixel_stats(frames), AlignmentParams())
 
 
 def stats_with_mask(mask):
@@ -278,8 +277,8 @@ def build_masked_stats(sizes, seed=0):
         for _ in range(8):
             px = np.clip(base + rng.standard_normal((40, 40, 3)) * 80, 0, 255)
             px[5 : 5 + side, 5 : 5 + side] = base[5 : 5 + side, 5 : 5 + side]
-            frames.append(Image(px.astype(np.uint8)))
-        st = compute_pixel_stats(frames)
+            frames.append(px.astype(np.uint8))
+        st = pixel_stats(np.stack(frames))
         stats[vid] = st
         masks[vid] = stable_mask(st, params)
     return stats, masks
@@ -292,11 +291,11 @@ class TestSelectReference:
         ref, template = select_reference(stats, masks)
         assert ref == "vb"
         box = masks["vb"].bounding_box
-        assert (template.height, template.width) == (box[3] - box[1], box[2] - box[0])
+        assert template.shape == (box[3] - box[1], box[2] - box[0], 3)
 
     def test_single_eligible(self):
         stats, masks = build_masked_stats({"va": 289})
-        empty_stats = compute_pixel_stats(gray_video([0, 255, 0, 255]))
+        empty_stats = pixel_stats(gray_video([0, 255, 0, 255]))
         stats["vz"] = empty_stats
         masks["vz"] = stable_mask(empty_stats, AlignmentParams())
         ref, _ = select_reference(stats, masks)
@@ -309,7 +308,7 @@ class TestSelectReference:
         assert ref == "va"
 
     def test_all_empty(self):
-        st = compute_pixel_stats(gray_video([0, 255, 0, 255]))
+        st = pixel_stats(gray_video([0, 255, 0, 255]))
         masks = {"v": stable_mask(st, AlignmentParams())}
         with pytest.raises(ValueError, match="no stable region found"):
             select_reference({"v": st}, masks)
@@ -334,8 +333,8 @@ def zncc_direct(tpl, tgt):
 class TestNccMatch:
     def test_self_match(self):
         rng = np.random.default_rng(4)
-        target = Image(rng.integers(0, 256, (40, 50, 3), dtype=np.uint8))
-        template = Image(target.pixels[3:19, 7:27].copy())
+        target = rng.integers(0, 256, (40, 50, 3), dtype=np.uint8)
+        template = target[3:19, 7:27].copy()
         match = ncc_match(template, target, [1.0])
         assert (match.scale, match.dx, match.dy) == (1.0, 7, 3)
         assert abs(match.peak - 1.0) < 1e-9
@@ -343,8 +342,8 @@ class TestNccMatch:
     def test_brightness_shift_invariance(self):
         rng = np.random.default_rng(5)
         base = rng.integers(40, 200, (30, 30, 3), dtype=np.uint8)
-        target = Image(np.clip(base.astype(int) + 30, 0, 255).astype(np.uint8))
-        template = Image(base[5:15, 5:15].copy())
+        target = np.clip(base.astype(int) + 30, 0, 255).astype(np.uint8)
+        template = base[5:15, 5:15].copy()
         match = ncc_match(template, target, [1.0])
         assert (match.dx, match.dy) == (5, 5)
         assert abs(match.peak - 1.0) < 1e-6
@@ -375,14 +374,15 @@ class TestNccMatch:
             seed=7,
             out_dir=tmp_path,
         )
-        stats = compute_pixel_stats(load_video_dir(tmp_path / "v"))
-        match = ncc_match(hand, median_as_image(stats), (0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5))
+        stats = pixel_stats(load_video_dir(tmp_path / "v"))
+        median = np.floor(stats.median_image + 0.5).astype(np.uint8)
+        match = ncc_match(hand, median, (0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5))
         assert match.scale == 1.2
         assert abs(match.dx - 31) <= 1 and abs(match.dy - 17) <= 1
 
     def test_template_too_large(self):
-        tpl = Image(np.zeros((20, 20, 3), dtype=np.uint8))
-        tgt = Image(np.zeros((10, 10, 3), dtype=np.uint8))
+        tpl = np.zeros((20, 20, 3), dtype=np.uint8)
+        tgt = np.zeros((10, 10, 3), dtype=np.uint8)
         with pytest.raises(ValueError, match="every scale"):
             ncc_match(tpl, tgt, [0.9, 1.0])
 
@@ -399,7 +399,7 @@ def scale_one_set(out_dir, seed=11):
         out_dir=out_dir,
     )
     videos = {v: load_video_dir(out_dir / v) for v in truth}
-    stats = {v: compute_pixel_stats(f) for v, f in videos.items()}
+    stats = {v: pixel_stats(f) for v, f in videos.items()}
     return videos, truth, stats
 
 
@@ -422,9 +422,7 @@ class TestAlignVideos:
         result = align_videos(stats, AlignmentParams())
         ref = result.reference_video_id
         aligned = align_video(videos[ref], result.per_video[ref], result)
-        assert len(aligned) == len(videos[ref])
-        for a, b in zip(aligned, videos[ref]):
-            assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(aligned, videos[ref])
 
     def test_pure_translation_alignment(self):
         # a video that is the reference content shifted; aligned frames must
@@ -433,13 +431,11 @@ class TestAlignVideos:
         base = rng.integers(0, 256, (60, 80, 3), dtype=np.uint8)
         sx, sy = 9, 6
         shifted = np.roll(np.roll(base, sy, axis=0), sx, axis=1)
-        ref_frames = [Image(base)]
-        target_frames = [Image(shifted)]
         from handcam.alignment import AlignmentResult, VideoAlignment
 
         tpl_box = (20, 20, 44, 44)
-        template = Image(base[20:44, 20:44].copy())
-        match = ncc_match(template, Image(shifted), [1.0])
+        template = base[20:44, 20:44].copy()
+        match = ncc_match(template, shifted, [1.0])
         assert (match.dx, match.dy) == (20 + sx, 20 + sy)
         result = AlignmentResult(
             "ref",
@@ -450,21 +446,21 @@ class TestAlignVideos:
                 "tgt": VideoAlignment("tgt", 1.0, match.dx, match.dy, match.peak, (9, 6, 80, 60)),
             },
         )
-        aligned = align_video(target_frames, result.per_video["tgt"], result)[0]
+        aligned = align_video(shifted[None], result.per_video["tgt"], result)[0]
         # interior equality (replicate padding only affects the first sx cols / sy rows)
-        assert np.array_equal(aligned.pixels[:-sy or None, :-sx or None], base[: 60 - sy, : 80 - sx])
+        assert np.array_equal(aligned[:-sy or None, :-sx or None], base[: 60 - sy, : 80 - sx])
 
     def test_constant_video_stays_constant(self):
-        img = Image(np.full((30, 40, 3), 99, dtype=np.uint8))
+        frames = np.full((1, 30, 40, 3), 99, dtype=np.uint8)
         from handcam.alignment import AlignmentResult, VideoAlignment
 
         result = AlignmentResult(
             "r", (20, 20), (5, 5, 15, 15),
             {"v": VideoAlignment("v", 1.3, 8, 9, 0.5, (3, 4, 23, 24))},
         )
-        aligned = align_video([img], result.per_video["v"], result)[0]
-        assert np.all(aligned.pixels == 99)
-        assert (aligned.width, aligned.height) == (20, 20)
+        aligned = align_video(frames, result.per_video["v"], result)[0]
+        assert np.all(aligned == 99)
+        assert aligned.shape == (20, 20, 3)
 
     def test_report_round_trip(self, tmp_path):
         _, _, stats = scale_one_set(tmp_path / "videos")
@@ -485,9 +481,9 @@ class TestAlignVideos:
 
 
 def reference_pixel_stats(frames):
-    """`compute_pixel_stats` as it was before the uint8 bands: a float64
-    stack, `np.median` and `np.mean`."""
-    stack = np.stack([f.pixels for f in frames]).astype(np.float64)
+    """`pixel_stats` as it was before the uint8 bands: a float64 stack,
+    `np.median` and `np.mean`."""
+    stack = frames.astype(np.float64)
     median = np.median(stack, axis=0)
     return median, np.mean(np.abs(stack - median), axis=0)
 
@@ -499,10 +495,10 @@ def reference_align_video(frames, entry, result):
     bx0, by0 = result.template_box[0], result.template_box[1]
     aligned = []
     for img in frames:
-        sw = int(np.floor(entry.scale * img.width + 0.5))
-        sh = int(np.floor(entry.scale * img.height + 0.5))
-        same = (sw, sh) == (img.width, img.height)
-        scaled = img.pixels if same else reference_resize_to(img.pixels, sw, sh)
+        h, w = img.shape[:2]
+        sw = int(np.floor(entry.scale * w + 0.5))
+        sh = int(np.floor(entry.scale * h + 0.5))
+        scaled = img if (sw, sh) == (w, h) else reference_resize_to(img, sw, sh)
         ys = np.clip(np.arange(out_h) - by0 + entry.dy, 0, sh - 1)
         xs = np.clip(np.arange(out_w) - bx0 + entry.dx, 0, sw - 1)
         aligned.append(scaled[np.ix_(ys, xs)])
@@ -522,8 +518,8 @@ class TestExactAgainstReference:
         for case, t in enumerate([1, 2, 3, 4, 5, 8, 9, 20, 31] * 12):
             h, w = int(rng.integers(1, 20)), int(rng.integers(1, 8))
             c = int(rng.choice([1, 3]))
-            frames = [Image(p) for p in random_stack(rng, t, h, w, c, KINDS[case % 3])]
-            stats = compute_pixel_stats(frames)
+            frames = random_stack(rng, t, h, w, c, KINDS[case % 3])
+            stats = pixel_stats(frames)
             median, diversity = reference_pixel_stats(frames)
             assert same_bits(stats.median_image, median), (t, h, w, c)
             assert same_bits(stats.diversity_image, diversity), (t, h, w, c)
@@ -531,8 +527,9 @@ class TestExactAgainstReference:
     def test_long_series(self):
         # 0/255 alternating in time: the largest deviations, summed over
         # many frames
-        frames = [Image(np.full((3, 2, 3), 255 * (i % 2), dtype=np.uint8)) for i in range(601)]
-        stats = compute_pixel_stats(frames)
+        frames = np.zeros((601, 3, 2, 3), dtype=np.uint8)
+        frames[1::2] = 255
+        stats = pixel_stats(frames)
         median, diversity = reference_pixel_stats(frames)
         assert same_bits(stats.median_image, median)
         assert same_bits(stats.diversity_image, diversity)
@@ -551,20 +548,12 @@ class TestExactAgainstReference:
             entry = VideoAlignment("v", scale, dx, dy, 1.0, (0, 0, 1, 1))
             result = AlignmentResult("v", (out_w, out_h), (bx0, by0, bx0 + 1, by0 + 1),
                                      {"v": entry})
-            frames = [Image(p) for p in random_stack(rng, t, h, w, c, KINDS[case % 3])]
+            frames = random_stack(rng, t, h, w, c, KINDS[case % 3])
             got = align_video(frames, entry, result)
             want = reference_align_video(frames, entry, result)
             assert len(got) == t
             for a, b in zip(got, want):
-                assert same_bits(a.pixels, b), (t, h, w, c, scale, out_w, out_h)
-
-    def test_align_video_needs_one_frame_shape(self):
-        frames = [Image(np.zeros((4, 4, 3), dtype=np.uint8)),
-                  Image(np.zeros((4, 5, 3), dtype=np.uint8))]
-        entry = VideoAlignment("v", 1.0, 0, 0, 1.0, (0, 0, 4, 4))
-        result = AlignmentResult("v", (4, 4), (0, 0, 1, 1), {"v": entry})
-        with pytest.raises(ValueError, match="frame 1 has shape"):
-            align_video(frames, entry, result)
+                assert same_bits(a, b), (t, h, w, c, scale, out_w, out_h)
 
 
 def scaled_entry(scale, out_w, out_h, dx, dy):
@@ -578,7 +567,7 @@ class TestAlignVideoDir:
     def test_files_match_align_video(self, tmp_path):
         rng = np.random.default_rng(41)
         for case, t in enumerate((1, 3, 4, 5, 9)):
-            frames = [Image(p) for p in random_stack(rng, t, 18, 24, 3, KINDS[case % 3])]
+            frames = random_stack(rng, t, 18, 24, 3, KINDS[case % 3])
             save_frames(frames, tmp_path / f"in{case}")
             entry, result = scaled_entry((0.9, 1.0, 1.1, 1.2, 1.3)[case], 20, 16, -2, 3)
             align_video_dir(tmp_path / f"in{case}", tmp_path / "out", entry, result, (18, 24, 3))
@@ -589,9 +578,8 @@ class TestAlignVideoDir:
             assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
 
     def test_frame_shape_checked(self, tmp_path):
-        frames = [Image(np.zeros((6, 8, 3), dtype=np.uint8)) for _ in range(6)]
-        save_frames(frames, tmp_path / "in")
-        save_ppm(Image(np.zeros((6, 9, 3), dtype=np.uint8)), frame_path(tmp_path / "in", 5))
+        save_frames(np.zeros((6, 6, 8, 3), dtype=np.uint8), tmp_path / "in")
+        save_ppm(np.zeros((6, 9, 3), dtype=np.uint8), frame_path(tmp_path / "in", 5))
         entry, result = scaled_entry(1.0, 8, 6, 0, 0)
         with pytest.raises(ValueError, match=r"frame_000000\.ppm has shape \(6, 8, 3\), "
                                              r"expected \(7, 8, 3\)"):
@@ -607,8 +595,7 @@ class TestAlignVideoDir:
         peaks = []
         for t in (32, 128):
             video = tmp_path / f"v{t}"
-            save_frames([Image(p) for p in rng.integers(0, 256, (t, 48, 64, 3),
-                                                           dtype=np.uint8)], video)
+            save_frames(rng.integers(0, 256, (t, 48, 64, 3), dtype=np.uint8), video)
             peaks.append(traced_peak(align_video_dir, video, tmp_path / f"out{t}", entry,
                                      result, (48, 64, 3))[0])
             assert len(load_video_dir(tmp_path / f"out{t}")) == t

@@ -4,12 +4,13 @@ import json
 import os
 
 import numpy as np
+import pytest
 
-from handcam import classify, evaluation, synth
+from handcam import alignment, classify, evaluation, synth
 from handcam.cli import build_parser, main, read_truth, run_pipeline, write_labels
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task
 from handcam.features import read_features, write_features
-from handcam.media import Image, load_video_dir
+from handcam.media import frame_path, load_video_dir, save_ppm
 from conftest import save_frames
 from test_core import save_label_space
 from test_synth import orthonormal_centers, smooth_patch
@@ -126,7 +127,7 @@ class TestExtractFuse:
 
     def test_flip_option_is_gone(self, tmp_path):
         # a whole-frame histogram is mirror-invariant, so --flip wrote the same file
-        save_frames([Image(np.zeros((2, 3, 3), dtype=np.uint8))], tmp_path / "v")
+        save_frames(np.zeros((1, 2, 3, 3), dtype=np.uint8), tmp_path / "v")
         assert main(["extract", "--video", str(tmp_path / "v"), "--out",
                      str(tmp_path / "v.feat"), "--flip"]) == 1
         assert not (tmp_path / "v.feat").exists()
@@ -136,8 +137,7 @@ class TestExtractFuse:
         # 40 to 400 frames of 120 x 90, against 1.5 MB of histograms
         rng = np.random.default_rng(8)
         for t in (40, 400):
-            save_frames([Image(p) for p in rng.integers(0, 256, (t, 90, 120, 3),
-                                                         dtype=np.uint8)], tmp_path / f"v{t}")
+            save_frames(rng.integers(0, 256, (t, 90, 120, 3), dtype=np.uint8), tmp_path / f"v{t}")
 
         def peak(t):
             traced, rc = traced_peak(main, ["extract", "--video", str(tmp_path / f"v{t}"),
@@ -446,6 +446,37 @@ class TestAlign:
         assert "gone" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_frame_of_another_size_named_in_both_passes(self, tmp_path, capsys, monkeypatch):
+        # pass 1 used to say only "frame 1 has shape ...", naming no file
+        hand = smooth_patch(8, 8, seed=5)
+        specs = [synth.VideoSpec("va", 1.0, 4, 4), synth.VideoSpec("vb", 1.0, 10, 6)]
+        synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
+                            out_dir=tmp_path / "videos")
+        manifest = tmp_path / "videos.txt"
+        manifest.write_text(f"{tmp_path / 'videos' / 'va'}\n{tmp_path / 'videos' / 'vb'}\n")
+        wide = np.zeros((18, 25, 3), dtype=np.uint8)
+        args = ["align", "--manifest", str(manifest), "--out", str(tmp_path / "aligned"),
+                "--scales", "1.0"]
+
+        bad = frame_path(tmp_path / "videos" / "vb", 1)
+        save_ppm(wide, bad)
+        capsys.readouterr()
+        assert main(args) == 2
+        assert f"{bad} has shape (18, 25, 3), expected (18, 24, 3)" in capsys.readouterr().err
+
+        # pass 2: the frame changes size after pass 1 placed the video
+        save_ppm(np.zeros((18, 24, 3), dtype=np.uint8), bad)
+        place = alignment.align_videos
+
+        def place_then_resize_a_frame(*a, **k):
+            result = place(*a, **k)
+            save_ppm(wide, bad)
+            return result
+
+        monkeypatch.setattr(alignment, "align_videos", place_then_resize_a_frame)
+        assert main(args) == 2
+        assert f"{bad} has shape (18, 25, 3), expected (18, 24, 3)" in capsys.readouterr().err
+
     def test_non_finite_parameters_rejected(self, tmp_path, capsys):
         hand = smooth_patch(8, 8, seed=5)
         specs = [synth.VideoSpec("va", 1.0, 4, 4), synth.VideoSpec("vb", 1.0, 10, 6)]
@@ -712,6 +743,29 @@ class TestPipeline:
         cfg.write_text(json.dumps(doc))
         assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("counts, hyper", [
+        ({"train_videos": 0}, {}),
+        ({"test_videos": 0}, {}),
+        ({"train_videos": -1, "test_videos": 4}, {}),
+        ({"train_videos": 4}, {"C": "auto"}),
+        ({"train_videos": 4}, {"d": "auto"}),
+        ({"train_videos": 4}, {"lambda": "auto"}),
+    ])
+    def test_too_few_videos_exit_2_before_out(self, tmp_path, capsys, monkeypatch, counts,
+                                              hyper):
+        # each of these used to fail only at a later stage, after 00_synth/ was written
+        def no_generation(*args, **kwargs):
+            raise AssertionError("the video counts must be checked before generating")
+
+        monkeypatch.setattr(synth, "gen_feature_set", no_generation)
+        cfg = pipeline_config(tmp_path, **hyper)
+        doc = json.loads(cfg.read_text())
+        doc["synth"].update(counts)
+        cfg.write_text(json.dumps(doc))
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "videos" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_missing_label_space_named(self, tmp_path, capsys):

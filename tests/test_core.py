@@ -21,7 +21,6 @@ from handcam.change import CandidateSet
 from handcam.classify import LinearModel, TrainConfig
 from handcam.discovery import Clustering, Segment, segment_similarity_matrix
 from handcam.inference import InferenceProblem
-from handcam.media import Image
 from handcam.synth import SynthConfig
 from test_features import as_read
 
@@ -293,7 +292,6 @@ FROZEN_FIELDS = {
                      lambda: np.array([2, 9])),
     "LinearModel": ("weights", lambda a: LinearModel(a, np.zeros(2), None, TrainConfig()),
                     lambda: np.ones((2, 3))),
-    "Image": ("pixels", Image, lambda: np.zeros((2, 3, 3), dtype=np.uint8)),
     "SynthConfig": ("centers", lambda a: SynthConfig(0, 2, 2, 10, 1, a, 0.0),
                     lambda: np.eye(2)),
 }

@@ -18,7 +18,7 @@ from handcam.features import (
     write_features,
 )
 from handcam.inference import segment_features
-from handcam.media import Image, frame_paths
+from handcam.media import frame_paths
 from conftest import save_frames
 
 
@@ -176,7 +176,7 @@ class TestFeatureFile:
 
 class TestColorHistogram:
     def test_all_black(self):
-        img = Image(np.zeros((3, 3, 3), dtype=np.uint8))
+        img = np.zeros((3, 3, 3), dtype=np.uint8)
         h = color_histogram(img)
         assert h[0] == 1.0
         assert h.sum() == 1.0
@@ -185,41 +185,41 @@ class TestColorHistogram:
     def test_half_black_half_white(self):
         px = np.zeros((2, 2, 3), dtype=np.uint8)
         px[:, 1, :] = 255
-        h = color_histogram(Image(px))
+        h = color_histogram(px)
         assert h[0] == 0.5  # bin (0, 0, 0)
         assert h[(7 * 8 + 7) * 8 + 7] == 0.5  # bin (7, 7, 7)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(1)
-        img = Image(rng.integers(0, 256, (11, 13, 3), dtype=np.uint8))
+        img = rng.integers(0, 256, (11, 13, 3), dtype=np.uint8)
         assert abs(color_histogram(img).sum() - 1.0) < 1e-9
 
     def test_hflip_invariance(self):
         # why `extract` needs no mirroring of left-hand videos
         rng = np.random.default_rng(2)
-        img = Image(rng.integers(0, 256, (5, 6, 3), dtype=np.uint8))
-        assert np.array_equal(color_histogram(img), color_histogram(Image(img.pixels[:, ::-1])))
+        img = rng.integers(0, 256, (5, 6, 3), dtype=np.uint8)
+        assert np.array_equal(color_histogram(img), color_histogram(img[:, ::-1]))
 
     def test_matches_int64_bins_at_every_bin_count(self):
         # the bins are computed in uint16: every value, at every bin count,
         # must land where int64 arithmetic puts it
         px = np.stack(np.meshgrid(np.arange(256), np.arange(256), indexing="ij"), -1)
-        img = Image(np.concatenate([px, px[..., :1][::-1]], axis=-1).astype(np.uint8))
+        img = np.concatenate([px, px[..., :1][::-1]], axis=-1).astype(np.uint8)
         for b in range(2, 17):
-            idx = (img.pixels.astype(np.int64) * b) // 256
+            idx = (img.astype(np.int64) * b) // 256
             flat = (idx[:, :, 0] * b + idx[:, :, 1]) * b + idx[:, :, 2]
             want = np.bincount(flat.ravel(), minlength=b**3) / flat.size
             assert np.array_equal(color_histogram(img, b), want), b
 
     def test_bins_range(self):
-        img = Image(np.zeros((2, 2, 3), dtype=np.uint8))
+        img = np.zeros((2, 2, 3), dtype=np.uint8)
         for bad in (1, 17, 0):
             with pytest.raises(ValueError):
                 color_histogram(img, bins_per_channel=bad)
 
     def test_stream_extraction(self, tmp_path):
         rng = np.random.default_rng(3)
-        frames = [Image(rng.integers(0, 256, (4, 4, 3), dtype=np.uint8)) for _ in range(3)]
+        frames = [rng.integers(0, 256, (4, 4, 3), dtype=np.uint8) for _ in range(3)]
         save_frames(frames, tmp_path / "vid")
         s = histogram_stream(frame_paths(tmp_path / "vid"), "vid", Camera.LEFT_HAND,
                              bins_per_channel=4)
@@ -235,8 +235,8 @@ class TestColorHistogram:
         # the parent held every frame's histogram beside their stack (2.07x),
         # then a finiteness mask of one byte per value beside the stream (1.125x)
         rng = np.random.default_rng(5)
-        save_frames([Image(rng.integers(0, 256, (4, 4, 3), dtype=np.uint8))
-                     for _ in range(2000)], tmp_path / "vid")
+        save_frames([rng.integers(0, 256, (4, 4, 3), dtype=np.uint8) for _ in range(2000)],
+                    tmp_path / "vid")
         paths = frame_paths(tmp_path / "vid")
         peak, s = traced_peak(histogram_stream, paths, "vid", Camera.RIGHT_HAND)
         assert peak <= 1.125 * s.values.nbytes, peak / s.values.nbytes

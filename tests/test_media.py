@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from handcam.media import (
-    Image,
     PpmError,
     frame_path,
     load_ppm,
@@ -17,7 +16,7 @@ from conftest import save_frames
 
 
 def make_image(arr):
-    return Image(np.asarray(arr, dtype=np.uint8))
+    return np.asarray(arr, dtype=np.uint8)
 
 
 class TestPpm:
@@ -25,8 +24,8 @@ class TestPpm:
         path = tmp_path / "t.ppm"
         path.write_bytes(b"P6\n2 1\n255\n" + bytes([255, 0, 0, 0, 255, 0]))
         img = load_ppm(path)
-        assert (img.width, img.height, img.channels) == (2, 1, 3)
-        assert img.pixels.ravel().tolist() == [255, 0, 0, 0, 255, 0]
+        assert img.shape == (1, 2, 3) and img.dtype == np.uint8
+        assert img.ravel().tolist() == [255, 0, 0, 0, 255, 0]
 
     def test_round_trip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -41,19 +40,19 @@ class TestPpm:
         img = make_image(rng.integers(0, 256, (7, 3, 3)))
         path = tmp_path / "x.ppm"
         save_ppm(img, path)
-        assert np.array_equal(load_ppm(path).pixels, img.pixels)
+        assert np.array_equal(load_ppm(path), img)
 
     def test_header_comment_accepted(self, tmp_path):
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n# a comment\n1 1\n255\n\x01\x02\x03")
-        assert load_ppm(path).pixels.ravel().tolist() == [1, 2, 3]
+        assert load_ppm(path).ravel().tolist() == [1, 2, 3]
 
     def test_separator_is_one_whitespace_byte(self, tmp_path):
         # a '#' after maxval used to be taken as the separator
         path = tmp_path / "s.ppm"
         for sep in (b" ", b"\t", b"\r", b"\n"):
             path.write_bytes(b"P6\n1 1\n255" + sep + b"\x01\x02\x03")
-            assert load_ppm(path).pixels.ravel().tolist() == [1, 2, 3]
+            assert load_ppm(path).ravel().tolist() == [1, 2, 3]
         for data in (b"P6\n1 1\n255#\x01\x02\x03", b"P6\n1 1\n255#\n\x01\x02"):
             path.write_bytes(data)
             with pytest.raises(PpmError, match="whitespace"):
@@ -77,14 +76,51 @@ class TestPpm:
         with pytest.raises(PpmError, match="maxval"):
             load_ppm(path)
 
+    def test_load_is_a_read_only_view_of_the_file(self, tmp_path):
+        path = tmp_path / "x.ppm"
+        path.write_bytes(b"P6\n2 1\n255\n" + bytes(range(6)))
+        img = load_ppm(path)
+        assert not img.flags.writeable
+        with pytest.raises(ValueError):
+            img[0, 0, 0] = 1
+        base = img
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, bytes)  # the file's bytes, not a copy of them
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((2, 3), dtype=np.uint8),
+        np.zeros((2, 3, 4), dtype=np.uint8),
+        np.zeros((2, 3, 1), dtype=np.uint8),
+        np.zeros((2, 3, 3), dtype=np.float64),
+        np.zeros((2, 3, 3), dtype=np.uint16),
+        np.zeros((0, 3, 3), dtype=np.uint8),
+    ])
+    def test_save_rejects_all_but_uint8_rgb(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="uint8"):
+            save_ppm(bad, tmp_path / "x.ppm")
+        assert not (tmp_path / "x.ppm").exists()
+
+    def test_save_non_contiguous(self, tmp_path):
+        rng = np.random.default_rng(3)
+        img = make_image(rng.integers(0, 256, (4, 5, 3)))
+        save_ppm(img[:, ::-1], tmp_path / "x.ppm")
+        assert np.array_equal(load_ppm(tmp_path / "x.ppm"), img[:, ::-1])
+
     def test_video_dir_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         frames = [make_image(rng.integers(0, 256, (4, 5, 3))) for _ in range(3)]
         save_frames(frames, tmp_path / "vid")
         loaded = load_video_dir(tmp_path / "vid")
-        assert len(loaded) == 3
-        for a, b in zip(frames, loaded):
-            assert np.array_equal(a.pixels, b.pixels)
+        assert loaded.shape == (3, 4, 5, 3) and loaded.dtype == np.uint8
+        assert np.array_equal(loaded, np.stack(frames))
+
+    def test_video_dir_names_a_frame_of_another_size(self, tmp_path):
+        frames = [make_image(np.zeros((4, 5, 3)))] * 3
+        save_frames(frames[:2] + [make_image(np.zeros((4, 6, 3)))], tmp_path / "vid")
+        with pytest.raises(ValueError, match=r"frame_000002\.ppm has shape \(4, 6, 3\), "
+                                             r"expected \(4, 5, 3\)"):
+            load_video_dir(tmp_path / "vid")
 
 
 class TestVideoDir:
@@ -111,29 +147,28 @@ class TestVideoDir:
 class TestToGray:
     def test_white_and_black(self):
         img = make_image([[[255, 255, 255], [0, 0, 0]]])
-        assert to_gray(img).pixels[0, :, 0].tolist() == [255, 0]
+        assert to_gray(img)[0, :, 0].tolist() == [255, 0]
 
     def test_pure_red(self):
         # round(0.299 * 255) = round(76.245) = 76
         img = make_image([[[255, 0, 0]]])
-        assert to_gray(img).pixels[0, 0, 0] == 76
+        assert to_gray(img)[0, 0, 0] == 76
 
-    def test_gray_input_identity(self):
-        img = make_image(np.full((2, 2, 1), 40))
-        assert np.array_equal(to_gray(img).pixels, img.pixels)
+    def test_shape(self):
+        assert to_gray(make_image(np.zeros((3, 4, 3)))).shape == (3, 4, 1)
 
 
 class TestResize:
     def test_scale_one_identity(self):
         rng = np.random.default_rng(5)
         img = make_image(rng.integers(0, 256, (6, 8, 3)))
-        assert np.array_equal(resize_to(img, 8, 6).pixels, img.pixels)
+        assert np.array_equal(resize_to(img, 8, 6), img)
 
     def test_constant_image_any_scale(self):
         img = make_image(np.full((4, 4, 3), 123))
         for width, height in ((2, 2), (5, 5), (8, 8), (1, 3)):
             out = resize_to(img, width, height)
-            assert np.all(out.pixels == 123)
+            assert np.all(out == 123)
 
     def test_checkerboard_2x_frozen(self):
         # corner-aligned sampling of [[0,255],[255,0]] evaluated by hand:
@@ -149,7 +184,7 @@ class TestResize:
             ]
         )
         for c in range(3):
-            assert np.array_equal(out.pixels[:, :, c], expected)
+            assert np.array_equal(out[:, :, c], expected)
 
     def test_matches_independent_evaluation(self):
         # direct per-pixel evaluation of the corner-aligned bilinear formula
@@ -167,7 +202,7 @@ class TestResize:
                     (1 - fx) * src[y1, x0] + fx * src[y1, x1]
                 )
                 assert np.array_equal(
-                    out.pixels[yo, xo], np.floor(val + 0.5).astype(np.uint8)
+                    out[yo, xo], np.floor(val + 0.5).astype(np.uint8)
                 )
 
     def test_bad_scale(self):
@@ -216,7 +251,7 @@ class TestResampleExact:
             c = int(rng.choice([1, 3]))
             width, height = (int(v) for v in rng.integers(1, 25, 2))
             px = random_stack(rng, 1, h, w, c, KINDS[case % 3])[0]
-            assert resize_to(Image(px), width, height).pixels.tobytes() == (
+            assert resize_to(px, width, height).tobytes() == (
                 reference_resize_to(px, width, height).tobytes()
             ), (h, w, c, width, height)
 

@@ -5,7 +5,7 @@ import pytest
 
 from handcam import synth
 from handcam.core import FeatureStream, LabelSpace, StateSequence, Task, run_starts
-from handcam.media import Image, load_video_dir, resize_to
+from handcam.media import load_video_dir, resize_to
 
 
 def orthonormal_centers(num_states, dim, seed):
@@ -23,7 +23,7 @@ def smooth_patch(width, height, seed, cells=6):
     bilinearly, so single-pixel jitter moves values only a little while the
     pattern still discriminates scale and translation."""
     rng = np.random.default_rng(seed)
-    coarse = Image(rng.integers(0, 256, size=(cells, cells, 3), dtype=np.uint8))
+    coarse = rng.integers(0, 256, size=(cells, cells, 3), dtype=np.uint8)
     return resize_to(coarse, width, height)
 
 
@@ -163,8 +163,8 @@ class TestVideoGen:
         frames = load_video_dir(tmp_path / "v")
         assert len(frames) == 3
         for f in frames[1:]:
-            assert np.array_equal(f.pixels, frames[0].pixels)
-        assert np.array_equal(frames[0].pixels[7:17, 5:15], hand.pixels)
+            assert np.array_equal(f, frames[0])
+        assert np.array_equal(frames[0][7:17, 5:15], hand)
         assert truth["v"] == {"scale": 1.0, "dx": 5, "dy": 7}
 
     def test_same_seed_identical_pixels(self, tmp_path):
@@ -173,8 +173,7 @@ class TestVideoGen:
         for out in ("a", "b"):
             synth.gen_video_set(hand, spec, (40, 30), 4, 30.0, 1, seed=5, out_dir=tmp_path / out)
         a, b = (load_video_dir(tmp_path / out / "v") for out in ("a", "b"))
-        for fa, fb in zip(a, b):
-            assert np.array_equal(fa.pixels, fb.pixels)
+        assert np.array_equal(a, b)
 
     def test_hand_out_of_frame(self, tmp_path):
         hand = synth.textured_patch(20, 20, seed=0)
