@@ -24,8 +24,8 @@ import numpy as np
 
 from .core import write_json
 from .media import (
-    frame_path, frame_paths, load_frames, remove_frames_from, resample, resize_to, save_ppm,
-    scaled_size, to_gray,
+    frame_path, frame_paths, load_frames, remove_frames_from, resample, resize_to, round_u8,
+    save_ppm, scaled_size, to_gray,
 )
 
 _BAND_ROWS = 8  # frame rows whose time series are sorted together
@@ -137,10 +137,6 @@ def stable_mask(stats: PixelStats, params: AlignmentParams) -> StableMask:
     return StableMask(mask, box, int(sizes[best]))
 
 
-def _round_u8(arr: np.ndarray) -> np.ndarray:
-    return np.clip(np.floor(arr + 0.5), 0, 255).astype(np.uint8)
-
-
 def select_reference(
     stats_by_video: Mapping[str, PixelStats],
     masks_by_video: Mapping[str, StableMask],
@@ -158,7 +154,7 @@ def select_reference(
         raise ValueError("no stable region found")
     ref = min(eligible, key=lambda vid: (masks_by_video[vid].component_size, vid))
     x0, y0, x1, y1 = masks_by_video[ref].bounding_box
-    return ref, _round_u8(stats_by_video[ref].median_image[y0:y1, x0:x1])
+    return ref, round_u8(stats_by_video[ref].median_image[y0:y1, x0:x1])
 
 
 @dataclass(frozen=True)
@@ -321,7 +317,7 @@ def align_videos(
         if vid == ref:
             match = NccMatch(1.0, box[0], box[1], 1.0)
         else:
-            match = ncc_match(template, _round_u8(stats_by_video[vid].median_image),
+            match = ncc_match(template, round_u8(stats_by_video[vid].median_image),
                               params.scales)
         h, w = stats_by_video[vid].median_image.shape[:2]
         sw, sh = scaled_size(match.scale, w, h)

@@ -83,11 +83,10 @@ class LinearModel:
             raise ValueError("model parameters must be finite")
         if self.label_space is not None and w.shape[0] != self.label_space.num_labels:
             raise ValueError("weight rows must match the label count")
-        binary = self.label_space is None and w.shape[0] == 1
-        if self.d is not None and not (binary and self.d >= 1):
-            raise ValueError("only binary change models carry a d, and it must be >= 1")
         object.__setattr__(self, "weights", frozen_array(w))
         object.__setattr__(self, "bias", frozen_array(b))
+        if self.d is not None and not (self.is_binary and self.d >= 1):
+            raise ValueError("only binary change models carry a d, and it must be >= 1")
 
     @property
     def num_classes(self) -> int:
@@ -194,42 +193,12 @@ def _fit(
             for wf, bf in zip(w, b)]
 
 
-def _state_models(
-    x: np.ndarray, y: np.ndarray, label_space: LabelSpace | int, row_folds: np.ndarray | None,
-    folds: int, c_grid: Sequence[float], epochs: int,
-) -> list[list[LinearModel]]:
-    x, y, held_out = _training_input(x, y, row_folds, folds)
-    space = label_space if isinstance(label_space, LabelSpace) else None
-    k = space.num_labels if space is not None else int(label_space)
-    if k < 2:
-        raise ValueError("state models need at least two states")
-    if y.min() < 0 or y.max() >= k:
-        raise ValueError("labels out of range for the label space")
-    y_signs = np.full((x.shape[0], k), -1.0)
-    y_signs[np.arange(x.shape[0]), y] = 1.0
-    return _fit(x, y_signs, held_out, space, c_grid, epochs)
-
-
-def train_arrays(
-    x: np.ndarray,
-    y: np.ndarray,
-    label_space: LabelSpace | int,
-    config: TrainConfig = TrainConfig(),
-) -> LinearModel:
-    """Train the multiclass state model on stacked frame features.
-
-    label_space may be a plain state count for detached models.
-    """
-    return _state_models(x, y, label_space, None, 1, [config.c_reg], config.epochs)[0][0]
-
-
 def _stacked(
     streams: Sequence[FeatureStream], truths: Sequence[StateSequence]
-) -> tuple[np.ndarray, np.ndarray, LabelSpace | int]:
+) -> tuple[np.ndarray, np.ndarray]:
     if len(streams) != len(truths) or not streams:
         raise ValueError("need matching, non-empty streams and truths")
-    space = truths[0].label_space
-    if any(t.label_space != space for t in truths) or any(
+    if any(t.label_space != truths[0].label_space for t in truths) or any(
         t.num_states != truths[0].num_states for t in truths
     ):
         raise ValueError("all truths must share one label space")
@@ -239,8 +208,26 @@ def _stacked(
         if s.dim != streams[0].dim:
             raise ValueError(f"video {s.video_id}: dim {s.dim} != {streams[0].dim}")
     x = np.concatenate([s.values for s in streams], dtype=np.float64)  # float32 upcasts exactly
-    y = np.concatenate([t.states for t in truths])
-    return x, y, space if space is not None else truths[0].num_states
+    return x, np.concatenate([t.states for t in truths])
+
+
+def train_grid(
+    streams: Sequence[FeatureStream], truths: Sequence[StateSequence],
+    row_folds: np.ndarray | None, folds: int, c_grid: Sequence[float], epochs: int,
+) -> list[list[LinearModel]]:
+    """The multiclass state models of every fold and every C of c_grid, in
+    one solver run; all streams must share one dimension.
+
+    row_folds gives the fold that holds out each stacked frame; the models
+    of fold f train on every other row (None: one fold, on every row).
+    Models are indexed [fold][C]. A StateSequence keeps its states in
+    range, and every fold's rows must hold two distinct states, so every
+    model has at least two classes.
+    """
+    x, y, held_out = _training_input(*_stacked(streams, truths), row_folds, folds)
+    y_signs = np.full((x.shape[0], truths[0].num_states), -1.0)
+    y_signs[np.arange(x.shape[0]), y] = 1.0
+    return _fit(x, y_signs, held_out, truths[0].label_space, c_grid, epochs)
 
 
 def train(
@@ -248,21 +235,8 @@ def train(
     truths: Sequence[StateSequence],
     config: TrainConfig = TrainConfig(),
 ) -> LinearModel:
-    """Train on labeled streams; all streams must share one dimension."""
-    return train_arrays(*_stacked(streams, truths), config)
-
-
-def train_grid(
-    streams: Sequence[FeatureStream], truths: Sequence[StateSequence],
-    row_folds: np.ndarray | None, folds: int, c_grid: Sequence[float], epochs: int,
-) -> list[list[LinearModel]]:
-    """`train` for every fold and every C of c_grid, in one solver run.
-
-    row_folds gives the fold that holds out each stacked frame; the models
-    of fold f train on every other row (None: one fold, on every row).
-    Models are indexed [fold][C].
-    """
-    return _state_models(*_stacked(streams, truths), row_folds, folds, c_grid, epochs)
+    """Train the state model on labeled streams: `train_grid`'s one cell."""
+    return train_grid(streams, truths, None, 1, [config.c_reg], config.epochs)[0][0]
 
 
 def train_binary_grid(
@@ -285,20 +259,20 @@ def train_binary(
 
 
 def score_stream(model: LinearModel, stream: FeatureStream) -> np.ndarray:
-    """(N, K) margins for every frame of a stream.
+    """(N, K) margins of a multiclass state model for every frame of a stream.
 
     The frames are taken UPCAST_ROWS at a time, the last block taking the
     remainder, so no block is smaller than UPCAST_ROWS frames unless it
     holds them all. Each block is upcast to float64 on its own and
     multiplied into one (K, N) margin array. With K >= 2 these blocks give
-    the bits of the whole product; smaller blocks, blocks at other offsets,
-    or a one-row model's matrix-vector product may not, so a one-row model
-    multiplies all frames at once."""
+    the bits of the whole product; smaller blocks or blocks at other
+    offsets may not."""
+    if model.num_classes < 2:
+        raise ValueError("scoring requires a multiclass state model")
     if stream.dim != model.dim:
         raise ValueError(f"stream dim {stream.dim} does not match model dim {model.dim}")
     n = stream.n_frames
-    blocks = max(n // UPCAST_ROWS, 1) if model.num_classes > 1 else 1
-    edges = [i * UPCAST_ROWS for i in range(blocks)] + [n]
+    edges = [i * UPCAST_ROWS for i in range(max(n // UPCAST_ROWS, 1))] + [n]
     margins = np.empty((model.num_classes, n))  # (K, N): frames on BLAS's row side
     # one float64 block alive at a time, the largest (the last) first: the
     # memory freed by a smaller block could not hold a later, larger one
@@ -311,8 +285,6 @@ def score_stream(model: LinearModel, stream: FeatureStream) -> np.ndarray:
 
 def predict_frames(model: LinearModel, stream: FeatureStream) -> StateSequence:
     """Per-frame argmax of the margins; ties go to the lower label index."""
-    if model.num_classes < 2:
-        raise ValueError("predict_frames requires a multiclass state model")
     states = np.argmax(score_stream(model, stream), axis=1)
     if model.label_space is None:
         return StateSequence(None, states, num_states=model.num_classes)
@@ -337,10 +309,7 @@ def _pack_str(s: str) -> bytes:
 
 def model_bytes(model: LinearModel) -> bytes:
     # kind 0: multiclass with label space, 1: binary change, 2: detached multiclass
-    if model.label_space is not None:
-        kind = 0
-    else:
-        kind = 1 if model.num_classes == 1 else 2
+    kind = 0 if model.label_space is not None else 1 if model.is_binary else 2
     out = [_MODEL_MAGIC, struct.pack("<IB", _MODEL_VERSION, kind)]
     cfg = model.config
     out.append(struct.pack("<dIQ", cfg.c_reg, cfg.epochs, model.d or 0))

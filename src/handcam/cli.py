@@ -22,6 +22,7 @@ from . import __version__, alignment, change, classify, crossval, discovery, eva
 from . import features as features_mod
 from . import inference, media, synth
 from .core import (
+    DEFAULT_FPS,
     Camera,
     FeatureStream,
     LabelSpace,
@@ -31,6 +32,7 @@ from .core import (
 )
 
 _CAMERAS = {c.value: c for c in Camera}
+_TRAIN_DEFAULTS = classify.TrainConfig()  # the C and epochs when none are given
 
 
 class StageError(RuntimeError):
@@ -183,7 +185,7 @@ _SYNTH_VIDEOS = {
 
 
 def _synth_features(cfg: dict, video_ids: list[str], space: LabelSpace, out: Path,
-                    fps: float = 6.0) -> list[Path]:
+                    fps: float = DEFAULT_FPS) -> list[Path]:
     """Write `<video_id>.feat` and `<video_id>.truth.txt` (label names) of
     each stream a synth config asks for into out; return the files."""
     pairs = synth.gen_feature_set(
@@ -317,8 +319,7 @@ def run_cv(pairs: list, label_space: str | Path, plan: crossval.CrossValPlan, ep
     """Cross-validate over (features, truth) path pairs. Write the chosen
     cell as chosen.json and the full grid as table.csv; return both."""
     streams, truths = _load_pairs([f for f, _ in pairs], [t for _, t in pairs], label_space)
-    result = crossval.cross_validate(list(zip(streams, truths)), plan,
-                                     classify.TrainConfig(epochs=epochs))
+    result = crossval.cross_validate(list(zip(streams, truths)), plan, epochs)
     out.mkdir(parents=True, exist_ok=True)
     chosen, table = out / "chosen.json", out / "table.csv"
     write_json({"C": result.c_reg, "d": result.d, "lambda": result.lam}, chosen)
@@ -347,8 +348,10 @@ def run_infer(features: str | Path, state_model: str | Path, mode: str,
         given = [flag for flag, value in full_options.items() if value is not None]
         if given:
             raise ValueError(f"--mode unary takes no {', '.join(given)}")
-    stream = features_mod.read_features(features)
     state = classify.load_model(state_model)
+    if state.label_space is None:
+        raise ValueError(f"--state-model {state_model}: not a state model with a label space")
+    stream = features_mod.read_features(features)
     if mode == "unary":
         seq = classify.predict_frames(state, stream)
     else:
@@ -451,6 +454,8 @@ def _cmd_discover(args: argparse.Namespace) -> int:
             if obj_space is None:
                 raise ValueError("truth column given but no --object-space")
             truths[stream.video_id] = read_truth(Path(parts[2]), obj_space)
+    if obj_space is not None and not truths:
+        raise ValueError(f"--object-space needs an object-truth column in {args.manifest}")
     ks = range(int(lo), min(int(hi), len(segments)) + 1)
     if not ks:
         raise ValueError(f"--k-range {args.k_range}: every k exceeds {len(segments)} segments")
@@ -537,14 +542,14 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
         if n_train < plan.folds:
             raise ValueError(f"cross-validation needs train_videos >= {plan.folds}, got "
                              f"{n_train}; give C, d and lambda instead of \"auto\"")
-    epochs = cfg.get("training", {}).get("epochs", 200)
+    epochs = cfg.get("training", {}).get("epochs", _TRAIN_DEFAULTS.epochs)
     inputs = {"config": config_path}  # of every manifest after synth
 
     with _stage(out_dir, "00_synth", "synth") as sdir:
         vids = [f"{'train' if i < n_train else 'test'}_{i:02d}"
                 for i in range(n_train + n_test)]
         seeded = {"seed": cfg["seed"], **scfg}
-        outputs = _synth_features(seeded, vids, space, sdir, cfg.get("fps", 6.0))
+        outputs = _synth_features(seeded, vids, space, sdir, cfg.get("fps", DEFAULT_FPS))
         write_manifest(sdir, "synth", seeded,
                        {"config": config_path, "label_space": labels}, outputs)
     feats = {v: sdir / f"{v}.feat" for v in vids}
@@ -643,17 +648,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("align", help="align videos to a common hand template")
     sp.add_argument("--manifest", required=True, help="file listing video directories")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--beta-threshold", type=float, default=40.0)
-    sp.add_argument("--scales", type=float, nargs="+",
-                    default=[0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5])
+    sp.add_argument("--beta-threshold", type=float,
+                    default=alignment.AlignmentParams.beta_threshold)
+    sp.add_argument("--scales", type=float, nargs="+", default=alignment.AlignmentParams.scales)
     sp.set_defaults(func=_cmd_align)
 
     sp = sub.add_parser("extract", help="color-histogram features from frames")
     sp.add_argument("--video", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--camera", choices=sorted(_CAMERAS), default="right_hand")
-    sp.add_argument("--fps", type=float, default=6.0)
-    sp.add_argument("--bins", type=int, default=8)
+    sp.add_argument("--fps", type=float, default=DEFAULT_FPS)
+    sp.add_argument("--bins", type=int, default=features_mod.DEFAULT_BINS)
     sp.set_defaults(func=_cmd_extract)
 
     sp = sub.add_parser("fuse", help="concatenate feature streams frame-wise")
@@ -667,8 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--features", nargs="+", required=True)
         sp.add_argument("--truth", nargs="+", required=True)
         sp.add_argument("--label-space", required=True)
-        sp.add_argument("--c-reg", type=float, default=1.0)
-        sp.add_argument("--epochs", type=int, default=200)
+        sp.add_argument("--c-reg", type=float, default=_TRAIN_DEFAULTS.c_reg)
+        sp.add_argument("--epochs", type=int, default=_TRAIN_DEFAULTS.epochs)
         sp.add_argument("--out", required=True)
         if name == "train-change":
             sp.add_argument("--d", type=int, required=True)
@@ -678,10 +683,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifest", required=True,
                     help="lines of '<features>\\t<truth>' per video")
     sp.add_argument("--label-space", required=True)
-    sp.add_argument("--c-grid", type=float, nargs="+", default=[0.01, 0.1, 1.0, 10.0])
-    sp.add_argument("--d-grid", type=int, nargs="+", default=[3, 6, 9, 12])
-    sp.add_argument("--lambda-grid", type=float, nargs="+", default=[0.1, 0.3, 1.0, 3.0, 10.0])
-    sp.add_argument("--epochs", type=int, default=200)
+    sp.add_argument("--c-grid", type=float, nargs="+", default=crossval.CrossValPlan.c_grid)
+    sp.add_argument("--d-grid", type=int, nargs="+", default=crossval.CrossValPlan.d_grid)
+    sp.add_argument("--lambda-grid", type=float, nargs="+",
+                    default=crossval.CrossValPlan.lambda_grid)
+    sp.add_argument("--epochs", type=int, default=_TRAIN_DEFAULTS.epochs)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_cv)
 

@@ -1,7 +1,6 @@
 """Shared domain types: label spaces, feature streams, state sequences.
 
-Everything here is immutable after construction and safe to share across
-parallel workers.
+Everything here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -56,6 +55,9 @@ def frozen_array(arr: np.ndarray) -> np.ndarray:
 # that compute in float64 (segment means, state scoring).
 UPCAST_ROWS = 4096
 
+# Frames per second of a stream when none is given.
+DEFAULT_FPS = 6.0
+
 
 def all_finite(arr: np.ndarray) -> bool:
     """Whether no value of arr is NaN or infinite. NaN propagates through
@@ -92,21 +94,13 @@ class LabelSpace:
     def num_labels(self) -> int:
         return len(self.labels)
 
-    @property
-    def free_label(self) -> str:
-        return self.labels[self.free_label_index]
-
-    @staticmethod
-    def free_active(free: str = "free", active: str = "active") -> "LabelSpace":
-        return LabelSpace(Task.FREE_ACTIVE, (free, active), 0)
-
 
 @dataclass(frozen=True)
 class FeatureStream:
     """Per-frame feature vectors of one video at a fixed frame rate.
 
     Frames are stored as one (N, D) array; row i is frame i on a
-    contiguous 0..N-1 timeline (6 fps by default in this pipeline).
+    contiguous 0..N-1 timeline (DEFAULT_FPS unless given).
     float32 values, such as a feature file's payload, are kept as float32,
     and float64 values as float64; any other values become float64. Every
     float32 value upcasts exactly, so consumers that compute in float64

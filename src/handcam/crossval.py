@@ -74,15 +74,15 @@ class CVResult:
 def cross_validate(
     videos: Sequence[tuple[FeatureStream, StateSequence]],
     plan: CrossValPlan = CrossValPlan(),
-    base_config: TrainConfig = TrainConfig(),
+    epochs: int = TrainConfig.epochs,
 ) -> CVResult:
     """Grid-search (C, d, lambda) by mean cross-validated full-model accuracy.
 
     Videos are assigned to folds whole (split by video, never by frame) in
     sorted id order; ids must be unique. Every grid cell trains the state
-    and change models on the training folds, decodes the held-out videos,
-    and scores per-frame accuracy pooled within each fold. Ties go to the
-    smaller C, then d, then lambda.
+    and change models on the training folds for `epochs` solver epochs,
+    decodes the held-out videos, and scores per-frame accuracy pooled
+    within each fold. Ties go to the smaller C, then d, then lambda.
 
     The rows of every video are stacked once, and each row is keyed by its
     video's fold. The state models of every fold and C come from one solver
@@ -103,7 +103,6 @@ def cross_validate(
     video_folds = np.arange(len(videos)) % plan.folds
     folds = [videos[i :: plan.folds] for i in range(plan.folds)]
 
-    epochs = base_config.epochs
     frame_folds = np.repeat(video_folds, [s.n_frames for s in streams])
     state_models = train_grid(streams, truths, frame_folds, plan.folds, plan.c_grid, epochs)
     change_models = []  # [d][fold][C]

@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Camera, FeatureStream, all_finite
+from .core import DEFAULT_FPS, Camera, FeatureStream, all_finite
 from .media import load_ppm
 
 MAGIC = b"HCFT"
 VERSION = 1
+DEFAULT_BINS = 8  # histogram bins per color channel
 
 _CAMERA_CODE = {Camera.LEFT_HAND: 0, Camera.RIGHT_HAND: 1, Camera.HEAD: 2}
 _CAMERA_FROM_CODE = {v: k for k, v in _CAMERA_CODE.items()}
@@ -94,7 +95,7 @@ def _check_bins(bins_per_channel: int) -> None:
         raise ValueError("bins_per_channel must be in [2, 16]")
 
 
-def color_histogram(pixels: np.ndarray, bins_per_channel: int = 8) -> np.ndarray:
+def color_histogram(pixels: np.ndarray, bins_per_channel: int = DEFAULT_BINS) -> np.ndarray:
     """Joint RGB histogram of a uint8 (h, w, 3) frame, L1-normalized to sum 1.
 
     Bin index per channel is floor(value * bins / 256); the joint bin is
@@ -115,8 +116,8 @@ def histogram_stream(
     paths: list[Path],
     video_id: str,
     camera: Camera,
-    fps: float = 6.0,
-    bins_per_channel: int = 8,
+    fps: float = DEFAULT_FPS,
+    bins_per_channel: int = DEFAULT_BINS,
 ) -> FeatureStream:
     """The reference extractor over the frame files of a video, read one at
     a time, each histogram written into its row of one float32 array: the

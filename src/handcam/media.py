@@ -144,8 +144,12 @@ def to_gray(pixels: np.ndarray) -> np.ndarray:
     """ITU-R 601 luminance round(0.299 R + 0.587 G + 0.114 B) of a frame, as
     a uint8 (height, width, 1) frame."""
     rgb = pixels.astype(np.float64)
-    gray = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
-    return np.clip(np.floor(gray + 0.5), 0, 255).astype(np.uint8)[:, :, None]
+    return round_u8(0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2])[:, :, None]
+
+
+def round_u8(values: np.ndarray) -> np.ndarray:
+    """Values rounded half up and clipped to [0, 255], as uint8."""
+    return np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8)
 
 
 def scaled_size(scale: float, width: int, height: int) -> tuple[int, int]:

@@ -16,8 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Camera, FeatureStream, LabelSpace, StateSequence, frozen_array, run_starts
-from .media import frame_path, remove_frames_from, resize_to, save_ppm, scaled_size
+from .core import (
+    DEFAULT_FPS, Camera, FeatureStream, LabelSpace, StateSequence, frozen_array, run_starts,
+)
+from .media import frame_path, remove_frames_from, resize_to, round_u8, save_ppm, scaled_size
 
 
 # Every synthesized stream is float64 and a feature set is held in memory
@@ -98,7 +100,7 @@ def gen_feature_stream(
     config: SynthConfig,
     video_id: str = "synth",
     camera: Camera = Camera.RIGHT_HAND,
-    fps: float = 6.0,
+    fps: float = DEFAULT_FPS,
     label_space: LabelSpace | None = None,
 ) -> tuple[FeatureStream, StateSequence]:
     """Feature stream plus ground-truth states, reproducible from the seed.
@@ -145,7 +147,7 @@ def gen_feature_set(
     noise_sigma: float,
     video_ids: Sequence[str],
     transition_ramp: int = 0,
-    fps: float = 6.0,
+    fps: float = DEFAULT_FPS,
     label_space: LabelSpace | None = None,
 ) -> list[tuple[FeatureStream, StateSequence]]:
     """One labeled stream per video id around shared random centers.
@@ -261,7 +263,7 @@ def gen_video_set(
             jy = int(rng.integers(-jitter, jitter + 1)) if jitter > 0 else 0
             x0, y0 = spec.dx + jx, spec.dy + jy
             canvas[y0 : y0 + hand_h, x0 : x0 + hand_w] = hand
-            px = np.clip(np.floor(canvas + 0.5), 0, 255).astype(np.uint8)
+            px = round_u8(canvas)
             if (sw, sh) != (w, h):
                 px = resize_to(px, w, h)
             save_ppm(px, frame_path(video_dir, i))

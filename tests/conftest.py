@@ -5,7 +5,22 @@ from pathlib import Path
 
 import pytest
 
+from handcam.classify import TrainConfig, train
+from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task
 from handcam.media import frame_path, save_ppm
+
+
+def free_active(free="free", active="active"):
+    """The two-label free/active space, its free label first."""
+    return LabelSpace(Task.FREE_ACTIVE, (free, active), 0)
+
+
+def train_arrays(x, y, space, config=TrainConfig()):
+    """`train` on the rows of x labeled y, as one stream; space is a label
+    space, or a state count for a model detached from one."""
+    truth = (StateSequence(space, y) if isinstance(space, LabelSpace)
+             else StateSequence(None, y, num_states=space))
+    return train([FeatureStream("v", Camera.HEAD, 6.0, x)], [truth], config)
 
 
 def save_frames(frames, video_dir):

@@ -19,6 +19,7 @@ from handcam.core import (
 )
 from handcam.features import read_features, write_features
 from handcam.media import load_ppm, load_video_dir, save_ppm
+from conftest import free_active, train_arrays
 from test_core import save_label_space
 from test_inference import score_sequence
 from test_synth import orthonormal_centers
@@ -240,13 +241,13 @@ def test_criterion_6_classifier():
     n1[:, 0] = -2.5 - np.abs(n1[:, 0])
     x = np.vstack([n0, n1])
     y = np.array([0] * 100 + [1] * 100)
-    space = LabelSpace.free_active()
+    space = free_active()
     cfg = classify.TrainConfig(c_reg=1.0, epochs=200)
-    model = classify.train_arrays(x, y, space, cfg)
+    model = train_arrays(x, y, space, cfg)
     pred = np.argmax(x @ model.weights.T + model.bias, axis=1)
     assert float(np.mean(pred == y)) == 1.0
 
-    model2 = classify.train_arrays(x, y, space, cfg)
+    model2 = train_arrays(x, y, space, cfg)
     assert classify.model_bytes(model) == classify.model_bytes(model2)
 
     stream = FeatureStream("v", Camera.RIGHT_HAND, 6.0, rng.standard_normal((50, 4)))

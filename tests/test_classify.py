@@ -20,15 +20,15 @@ from handcam.classify import (
     save_model,
     score_stream,
     train,
-    train_arrays,
     train_binary,
     train_binary_grid,
     train_grid,
 )
-from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence
+from handcam.core import Camera, FeatureStream, StateSequence
 from handcam.crossval import CrossValPlan, CVCell, CVResult, cross_validate
 from handcam.features import write_features
 from handcam.inference import decode_stream
+from conftest import free_active, train_arrays
 from test_features import float32_pair
 from test_synth import orthonormal_centers
 
@@ -61,22 +61,22 @@ def training_objective(model, x, y_signs):
 class TestTrain:
     def test_separable_blobs_perfect(self):
         x, y = two_blobs()
-        model = train_arrays(x, y, LabelSpace.free_active())
+        model = train_arrays(x, y, free_active())
         pred = np.argmax(x @ model.weights.T + model.bias, axis=1)
         assert (pred == y).mean() == 1.0
 
     def test_same_seed_byte_identical(self):
         x, y = two_blobs()
         cfg = TrainConfig(c_reg=1.0, epochs=150)
-        a = train_arrays(x, y, LabelSpace.free_active(), cfg)
-        b = train_arrays(x, y, LabelSpace.free_active(), cfg)
+        a = train_arrays(x, y, free_active(), cfg)
+        b = train_arrays(x, y, free_active(), cfg)
         assert model_bytes(a) == model_bytes(b)
 
     def test_duplicated_frames_same_predictions(self):
         x, y = two_blobs()
         xd, yd = np.vstack([x, x]), np.concatenate([y, y])
-        a = train_arrays(x, y, LabelSpace.free_active())
-        b = train_arrays(xd, yd, LabelSpace.free_active())
+        a = train_arrays(x, y, free_active())
+        b = train_arrays(xd, yd, free_active())
         pa = np.argmax(x @ a.weights.T + a.bias, axis=1)
         pb = np.argmax(x @ b.weights.T + b.bias, axis=1)
         assert np.array_equal(pa, pb)
@@ -85,13 +85,13 @@ class TestTrain:
         x = np.zeros((5, 2))
         y = np.ones(5, dtype=int)
         with pytest.raises(ValueError, match="two distinct labels"):
-            train_arrays(x, y, LabelSpace.free_active())
+            train_arrays(x, y, free_active())
 
     def test_nan_feature_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):  # a NaN, or either end of the range
             x = np.array([[bad, 0.0], [1.0, 1.0]])
             with pytest.raises(ValueError, match="finite"):
-                train_arrays(x, np.array([0, 1]), LabelSpace.free_active())
+                train_arrays(x, np.array([0, 1]), free_active())
 
     def test_objective_final_le_initial(self):
         # the returned iterate never scores worse than the zero initializer
@@ -140,7 +140,7 @@ class TestTrain:
 
     def test_train_on_streams(self):
         x, y = two_blobs(seed=5)
-        space = LabelSpace.free_active()
+        space = free_active()
         streams = [FeatureStream("v0", Camera.RIGHT_HAND, 6.0, x)]
         truths = [StateSequence(space, y)]
         model = train(streams, truths)
@@ -319,7 +319,7 @@ class TestGridSolve:
             w, b, _ = parent_solve(x, one_vs_rest(y, k), c, cfg.epochs)
             assert model_bytes(train_arrays(x, y, k, cfg)) == model_bytes(LinearModel(w, b, None, cfg))
             assert widths[-1] == k  # a single K=2 model solves both columns
-            space = LabelSpace.free_active() if k == 2 else None
+            space = free_active() if k == 2 else None
             if space is not None:
                 model = train(
                     [FeatureStream("v", Camera.HEAD, 6.0, x)], [StateSequence(space, y)], cfg
@@ -343,7 +343,7 @@ class TestGridSolve:
     def test_each_c_block_matches_its_own_solve(self):
         for k in range(2, 8):
             x, y = seeded_states(10 + k, k)
-            space = LabelSpace.free_active() if k == 2 else None
+            space = free_active() if k == 2 else None
             truth = StateSequence(space, y) if space else StateSequence(None, y, num_states=k)
             stream = FeatureStream("v", Camera.HEAD, 6.0, x)
             (grid,) = train_grid([stream], [truth], None, 1, C_GRID, 40)
@@ -411,7 +411,7 @@ class TestSolverExactness:
             x[:, 3] = 0.0
             row_folds = np.arange(y.size) % folds if folds > 1 else None
             x, y, held_out = classify._training_input(x, y, row_folds, folds)
-            args = (x, one_vs_rest(y, 2), held_out, LabelSpace.free_active(), c_grid, 30)
+            args = (x, one_vs_rest(y, 2), held_out, free_active(), c_grid, 30)
             got, expected = classify._fit(*args), parent_fit(*args)
             assert [[model_bytes(m) for m in f] for f in got] == [
                 [model_bytes(m) for m in f] for f in expected
@@ -593,7 +593,7 @@ for n, d in product((4_095, 4_096, 8_191, 8_192, 8_193, 40_000), (7, 64, 512)):
     values = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, d)
     v32 = np.frombuffer(pad + values.astype("<f4").tobytes(), dtype="<f4", offset=len(pad))
     stream = FeatureStream("v", Camera.HEAD, 6.0, v32.reshape(n, d))
-    for k in (1, 2, 24):
+    for k in (2, 24):
         w, b = rng.standard_normal((k, d)), rng.standard_normal(k)
         got = score_stream(LinearModel(w, b, None, TrainConfig()), stream)
         want = w @ stream.values.astype(np.float64).T
@@ -615,19 +615,26 @@ class TestScore:
         assert out == "", out
 
     def test_bias_passthrough(self):
-        model = LinearModel(np.zeros((2, 3)), np.array([1.0, -1.0]), LabelSpace.free_active(), TrainConfig())
+        model = LinearModel(np.zeros((2, 3)), np.array([1.0, -1.0]), free_active(), TrainConfig())
         assert score_stream(model, frames(np.zeros(3))).tolist() == [[1.0, -1.0]]
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
-        model = LinearModel(rng.standard_normal((2, 3)), np.zeros(2), LabelSpace.free_active(), TrainConfig())
+        model = LinearModel(rng.standard_normal((2, 3)), np.zeros(2), free_active(), TrainConfig())
         f = rng.standard_normal(3)
         assert np.allclose(score_stream(model, frames(2.0 * f)), 2.0 * score_stream(model, frames(f)))
 
     def test_dimension_mismatch(self):
-        model = LinearModel(np.zeros((2, 3)), np.zeros(2), LabelSpace.free_active(), TrainConfig())
+        model = LinearModel(np.zeros((2, 3)), np.zeros(2), free_active(), TrainConfig())
         with pytest.raises(ValueError, match="dim"):
             score_stream(model, frames(np.zeros(4)))
+
+    def test_one_row_model_rejected(self):
+        # a binary change model scores through detect_candidates, not here
+        change_model = train_binary(*two_blobs(seed=7), TrainConfig(epochs=5))
+        for score in (score_stream, predict_frames):
+            with pytest.raises(ValueError, match="multiclass state model"):
+                score(change_model, frames(np.zeros(4)))
 
     def test_memory_holds_one_margin_matrix(self, traced_peak):
         # the bias is added in place into the product
@@ -651,7 +658,7 @@ class TestScore:
 
     def test_trained_frame_argmax_is_label(self):
         x, y = two_blobs(seed=2)
-        model = train_arrays(x, y, LabelSpace.free_active())
+        model = train_arrays(x, y, free_active())
         assert np.array_equal(np.argmax(score_stream(model, frames(x)), axis=1), y)
 
 
@@ -662,7 +669,7 @@ class TestPredictFrames:
         assert predict_frames(model, stream).states.tolist() == [0, 0, 0, 0]
 
     def test_single_frame(self):
-        model = LinearModel(np.eye(2), np.zeros(2), LabelSpace.free_active(), TrainConfig())
+        model = LinearModel(np.eye(2), np.zeros(2), free_active(), TrainConfig())
         stream = FeatureStream("v", Camera.HEAD, 6.0, np.array([[0.0, 1.0]]))
         seq = predict_frames(model, stream)
         assert len(seq) == 1 and seq.states[0] == 1
@@ -691,7 +698,7 @@ class TestLinearModel:
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         x, y = two_blobs(seed=4)
-        model = train_arrays(x, y, LabelSpace.free_active(), TrainConfig(c_reg=0.1, epochs=50))
+        model = train_arrays(x, y, free_active(), TrainConfig(c_reg=0.1, epochs=50))
         path = tmp_path / "m.bin"
         save_model(model, path)
         loaded = load_model(path)
@@ -749,7 +756,7 @@ class TestModelFile:
         path = tmp_path / "change.bin"
         save_model(model, path)
         assert load_model(path).d == 4
-        state = train_arrays(*two_blobs(seed=8), LabelSpace.free_active(), TrainConfig(epochs=5))
+        state = train_arrays(*two_blobs(seed=8), free_active(), TrainConfig(epochs=5))
         save_model(state, path)
         assert load_model(path).d is None
 
@@ -783,7 +790,7 @@ class TestCrossValidate:
     def test_singleton_grid(self):
         pairs = synth_cv_videos(0, ramp=0, sigma=0.5)
         plan = CrossValPlan(c_grid=(0.1,), d_grid=(3,), lambda_grid=(1.0,))
-        res = cross_validate(pairs, plan, TrainConfig(epochs=60))
+        res = cross_validate(pairs, plan, 60)
         assert (res.c_reg, res.d, res.lam) == (0.1, 3, 1.0)
         assert len(res.table) == 1
 
@@ -821,7 +828,7 @@ class TestCrossValidate:
             states[:20] = 1
             fixed.append((stream, StateSequence(None, states, num_states=3)))
         plan = CrossValPlan(c_grid=(0.01, 0.1), d_grid=(3, 6), lambda_grid=(0.1, 0.3))
-        res = cross_validate(fixed, plan, TrainConfig(epochs=20))
+        res = cross_validate(fixed, plan, 20)
         accs = {cell.mean_accuracy for cell in res.table}
         assert len(accs) == 1  # identical scores everywhere
         assert (res.c_reg, res.d, res.lam) == (0.01, 3, 0.1)
@@ -832,14 +839,14 @@ class TestCrossValidate:
         hits = 0
         for seed in range(20):
             pairs = synth_cv_videos(seed, ramp=6, sigma=0.15)
-            res = cross_validate(pairs, plan, TrainConfig(epochs=150))
+            res = cross_validate(pairs, plan, 150)
             hits += res.d == 6
         assert hits >= 16  # >= 80% of 20 seeds
 
     def test_full_table_emitted(self):
         pairs = synth_cv_videos(1, ramp=0, sigma=0.5)
         plan = CrossValPlan(c_grid=(0.1, 1.0), d_grid=(3, 6), lambda_grid=(0.5, 1.0))
-        res = cross_validate(pairs, plan, TrainConfig(epochs=40))
+        res = cross_validate(pairs, plan, 40)
         assert len(res.table) == 8
         assert all(len(cell.fold_accuracies) == 5 for cell in res.table)
 
@@ -847,13 +854,13 @@ class TestCrossValidate:
         plan = CrossValPlan(c_grid=C_GRID, d_grid=(3, 6), lambda_grid=(0.1, 1.0, 10.0))
         for seed, ramp, sigma in ((3, 0, 0.6), (4, 4, 0.3), (5, 2, 0.9)):
             pairs = synth_cv_videos(seed, ramp=ramp, sigma=sigma)
-            expected = per_c_cross_validate(pairs, plan, TrainConfig(epochs=40))
-            assert cross_validate(pairs, plan, TrainConfig(epochs=40)) == expected
+            expected = per_c_cross_validate(pairs, plan, 40)
+            assert cross_validate(pairs, plan, 40) == expected
 
     def test_k2_matches_reference_cross_validation(self, monkeypatch):
         # free/active: the state solve halves, and every cell must come out
         # as it did when both classes were solved
-        space = LabelSpace.free_active()
+        space = free_active()
         plan = CrossValPlan(c_grid=C_GRID, d_grid=(3, 6), lambda_grid=(0.1, 1.0, 10.0))
         for seed, n_videos in ((0, 5), (1, 6), (2, 7), (3, 5)):
             pairs = synth.gen_feature_set(seed, 2, 6, 180, 15, 0.9,
@@ -861,8 +868,8 @@ class TestCrossValidate:
                                           transition_ramp=2, label_space=space)
             with monkeypatch.context() as m:
                 m.setattr(classify, "_fit", parent_fit)
-                expected = cross_validate(pairs, plan, TrainConfig(epochs=40))
-            assert cross_validate(pairs, plan, TrainConfig(epochs=40)) == expected
+                expected = cross_validate(pairs, plan, 40)
+            assert cross_validate(pairs, plan, 40) == expected
 
     def test_one_solver_run_per_d(self, monkeypatch):
         calls = []
@@ -877,7 +884,7 @@ class TestCrossValidate:
         for k in (2, 3):
             calls.clear()
             pairs = synth_cv_videos(1, ramp=0, sigma=0.5, k=k)
-            cross_validate(pairs, plan, TrainConfig(epochs=5))
+            cross_validate(pairs, plan, 5)
             assert len(calls) == 1 + len(plan.d_grid)
             assert all(cs == list(C_GRID) for cs, _, _ in calls)
             # every video's rows, one column block per fold, C and class;
@@ -890,7 +897,7 @@ class TestCrossValidate:
             ]
 
 
-def per_c_cross_validate(videos, plan, base_config):
+def per_c_cross_validate(videos, plan, epochs):
     """Cross-validation as it was, with a state solve and a change solve
     per C, kept verbatim as the reference for the grid solves."""
     videos = sorted(videos, key=lambda pair: pair[0].video_id)
@@ -902,7 +909,7 @@ def per_c_cross_validate(videos, plan, base_config):
         train_truths = [t for s, t in videos if s.video_id not in val_ids]
         total = sum(len(t) for _, t in fold)
         for c in plan.c_grid:
-            cfg = TrainConfig(c_reg=c, epochs=base_config.epochs)
+            cfg = TrainConfig(c_reg=c, epochs=epochs)
             state_model = train(train_streams, train_truths, cfg)
             unaries = [score_stream(state_model, s) for s, _ in fold]
             for d in plan.d_grid:

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from handcam.cli import build_parser, main, read_truth, run_pipeline, write_labe
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task
 from handcam.features import read_features, write_features
 from handcam.media import frame_path, load_video_dir, save_ppm
-from conftest import save_frames
+from conftest import free_active, save_frames
 from test_core import save_label_space
 from test_synth import orthonormal_centers, smooth_patch
 
@@ -23,7 +24,7 @@ def gesture_space():
 
 def write_spaces(tmp_path):
     fa = tmp_path / "fa.txt"
-    save_label_space(LabelSpace.free_active(), fa)
+    save_label_space(free_active(), fa)
     ges = tmp_path / "gesture.txt"
     save_label_space(gesture_space(), ges)
     obj = tmp_path / "objects.txt"
@@ -239,6 +240,27 @@ class TestTrainInferEval:
         rc = main(["infer", "--features", feats[0], "--state-model", str(smodel),
                    "--mode", "full", "--change-model", str(smodel), "--d", "3"])
         assert rc == 2
+
+    def test_state_model_without_label_space_exits_2_before_reading_features(self, tmp_path,
+                                                                              capsys):
+        # a change model, or a state model detached from a label space, names no
+        # predicted state; infer scored and decoded the stream before failing
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        cmodel, detached = tmp_path / "change.bin", tmp_path / "detached.bin"
+        assert main(["train-change", "--features", *feats, "--truth", *truths,
+                     "--label-space", str(ges), "--epochs", "5", "--d", "3",
+                     "--out", str(cmodel)]) == 0
+        classify.save_model(classify.LinearModel(np.ones((3, 6)), np.zeros(3), None,
+                                                 classify.TrainConfig()), detached)
+        full = ["--mode", "full", "--change-model", str(cmodel), "--d", "3", "--lambda", "1.0"]
+        for model, features in product((cmodel, detached), (feats[0], tmp_path / "none.feat")):
+            for mode in (full, ["--mode", "unary"]):
+                capsys.readouterr()
+                assert main(["infer", "--features", str(features), "--state-model", str(model),
+                             *mode, "--out", str(tmp_path / "pred.txt")]) == 2
+                assert "--state-model" in capsys.readouterr().err
+        assert not (tmp_path / "pred.txt").exists()
 
     def test_unary_mode_rejects_full_mode_options(self, tmp_path, capsys):
         _, ges, _ = write_spaces(tmp_path)
@@ -540,7 +562,7 @@ def write_discover_inputs(tmp_path):
         stream = FeatureStream(f"v{vi}", Camera.RIGHT_HAND, 6.0, values)
         fpath = tmp_path / f"v{vi}.feat"
         write_features(stream, fpath)
-        pred = StateSequence(LabelSpace.free_active(), states)
+        pred = StateSequence(free_active(), states)
         ppath = tmp_path / f"v{vi}.fa.txt"
         ppath.write_text("\n".join(pred.label_names()) + "\n")
         truth = StateSequence(obj_space, obj_truth)
@@ -584,6 +606,20 @@ class TestDiscover:
                          "--out", str(out)]) == 2
             assert "--k-range" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_object_space_without_truth_column_exits_2_before_out(self, tmp_path, capsys):
+        # purity needs object truth; discover wrote clusters and dropped the space
+        fa, obj, manifest = write_discover_inputs(tmp_path)
+        manifest.write_text("".join(line.rsplit("\t", 1)[0] + "\n"
+                                    for line in manifest.read_text().splitlines()))
+        out = tmp_path / "disc"
+        assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                     "--object-space", str(obj), "--k-range", "2:2", "--out", str(out)]) == 2
+        assert "--object-space" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                     "--k-range", "2:2", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["clusters_k2.csv"]
 
     def test_one_column_line_rejected(self, tmp_path, capsys):
         fa, _, _ = write_spaces(tmp_path)

@@ -22,6 +22,7 @@ from handcam.classify import LinearModel, TrainConfig
 from handcam.discovery import Clustering, Segment, segment_similarity_matrix
 from handcam.inference import InferenceProblem
 from handcam.synth import SynthConfig
+from conftest import free_active
 from test_features import as_read
 
 
@@ -30,7 +31,7 @@ def save_label_space(space, path):
     text = (
         f"task = {space.task.value}\n"
         f"labels = {', '.join(space.labels)}\n"
-        f"free_label = {space.free_label}\n"
+        f"free_label = {space.labels[space.free_label_index]}\n"
     )
     Path(path).write_text(text, encoding="utf-8")
 
@@ -199,7 +200,7 @@ class TestWriteJson:
 
 class TestLabelSpace:
     def test_task_cardinalities(self):
-        assert LabelSpace.free_active().num_labels == 2
+        assert free_active().num_labels == 2
         assert gesture_space().num_labels == 13
         objects = ("free",) + tuple(f"obj{i:02d}" for i in range(1, 24))
         assert LabelSpace(Task.OBJECT_CATEGORY, objects, 0).num_labels == 24
@@ -284,7 +285,7 @@ class TestFeatureStream:
 FROZEN_FIELDS = {
     "FeatureStream": ("values", lambda a: FeatureStream("v", Camera.HEAD, 6.0, a),
                       lambda: np.arange(6.0).reshape(3, 2)),
-    "StateSequence": ("states", lambda a: StateSequence(LabelSpace.free_active(), a),
+    "StateSequence": ("states", lambda a: StateSequence(free_active(), a),
                       lambda: np.array([0, 1, 1])),
     "Clustering": ("assignment", lambda a: Clustering(2, a), lambda: np.array([0, 1, 1])),
     "Segment": ("mean_feature", lambda a: Segment("v", 0, 2, 1, a), lambda: np.ones(3)),
@@ -318,7 +319,7 @@ class TestFrozenArrays:
 
 class TestStateSequence:
     def test_with_label_space(self):
-        seq = StateSequence(LabelSpace.free_active(), np.array([0, 1, 1]))
+        seq = StateSequence(free_active(), np.array([0, 1, 1]))
         assert seq.num_states == 2
         assert seq.label_names() == ["free", "active", "active"]
 
@@ -330,7 +331,7 @@ class TestStateSequence:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            StateSequence(LabelSpace.free_active(), np.array([0, 2]))
+            StateSequence(free_active(), np.array([0, 2]))
 
     def test_detached_needs_num_states(self):
         with pytest.raises(ValueError):

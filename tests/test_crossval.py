@@ -9,18 +9,17 @@ import pytest
 from handcam import classify, synth
 from handcam.change import change_training_set, detect_candidates
 from handcam.classify import (
-    TrainConfig,
     score_stream,
-    train_arrays,
     train_binary,
     train_binary_grid,
     train_grid,
 )
 from handcam.cli import main
-from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence
+from handcam.core import Camera, FeatureStream, StateSequence
 from handcam.crossval import CrossValPlan, CVCell, CVResult, cross_validate
 from handcam.features import write_features
 from handcam.inference import decode_stream
+from conftest import free_active, train_arrays
 from test_core import save_label_space
 from test_synth import orthonormal_centers
 
@@ -47,7 +46,7 @@ def labeled(video_id, states, dim=4, seed=0):
             StateSequence(None, states, num_states=3))
 
 
-def per_fold_cross_validate(videos, plan, base_config):
+def per_fold_cross_validate(videos, plan, epochs):
     """Cross-validation with a state solve and a change solve per d in each
     fold, as it was before the folds shared a solve; verbatim apart from
     the [fold][C] results of the grid trainers."""
@@ -59,13 +58,11 @@ def per_fold_cross_validate(videos, plan, base_config):
         train_streams = [s for s, _ in videos if s.video_id not in val_ids]
         train_truths = [t for s, t in videos if s.video_id not in val_ids]
         total = sum(len(t) for _, t in fold)
-        (state_models,) = train_grid(
-            train_streams, train_truths, None, 1, plan.c_grid, base_config.epochs
-        )
+        (state_models,) = train_grid(train_streams, train_truths, None, 1, plan.c_grid, epochs)
         unaries = [[score_stream(m, s) for s, _ in fold] for m in state_models]
         for d in plan.d_grid:
             x, y = change_training_set(train_streams, train_truths, d)
-            (change_models,) = train_binary_grid(x, y, None, 1, plan.c_grid, base_config.epochs)
+            (change_models,) = train_binary_grid(x, y, None, 1, plan.c_grid, epochs)
             for c, change_model, c_unaries in zip(plan.c_grid, change_models, unaries):
                 correct = np.zeros(len(plan.lambda_grid), dtype=np.int64)
                 for (stream, truth), unary in zip(fold, c_unaries):
@@ -89,8 +86,8 @@ class TestFoldStackedSolve:
         for seed, n_videos, k, plan in ((0, 5, 3, plan5), (1, 7, 3, plan5), (2, 6, 4, plan4),
                                         (3, 7, 5, plan5), (4, 6, 2, plan4)):
             pairs = videos(seed, n_videos, k=k)
-            expected = per_fold_cross_validate(pairs, plan, TrainConfig(epochs=30))
-            assert cross_validate(pairs, plan, TrainConfig(epochs=30)) == expected
+            expected = per_fold_cross_validate(pairs, plan, 30)
+            assert cross_validate(pairs, plan, 30) == expected
 
     def test_each_fold_block_matches_its_subset_solve(self):
         pairs = videos(5, 7, k=4)
@@ -141,14 +138,14 @@ class TestFoldValidity:
         pairs = [labeled("v0", [0] * 20 + [1] * 20)]
         pairs += [labeled(f"v{i}", [0] * 40, seed=i) for i in range(1, 5)]
         with np.errstate(all="raise"), pytest.raises(ValueError, match="two distinct labels"):
-            cross_validate(pairs, self.plan, TrainConfig(epochs=5))
+            cross_validate(pairs, self.plan, 5)
 
     def test_no_training_video_long_enough_for_d(self):
         # only v0 is longer than 2d+1 = 7 frames; the fold that holds it out has no change rows
         pairs = [labeled("v0", [0] * 20 + [1] * 20)]
         pairs += [labeled(f"v{i}", [0, 1, 2, 1, 0, 2], seed=i) for i in range(1, 5)]
         with np.errstate(all="raise"), pytest.raises(ValueError, match="long enough"):
-            cross_validate(pairs, self.plan, TrainConfig(epochs=5))
+            cross_validate(pairs, self.plan, 5)
 
     def test_no_training_rows(self):
         with np.errstate(all="raise"):
@@ -174,10 +171,10 @@ class TestDuplicateVideoIds:
         pairs = synth.gen_feature_set(3, 2, 4, 60, 10, 0.5, ["a", "b", "c", "d", "e"])
         plan = CrossValPlan(folds=5, c_grid=(1.0,), d_grid=(3,), lambda_grid=(1.0,))
         with pytest.raises(ValueError, match="video id 'a'"):
-            cross_validate([pairs[0], *pairs], plan, TrainConfig(epochs=5))
+            cross_validate([pairs[0], *pairs], plan, 5)
 
     def test_cv_command_exits_2(self, tmp_path, capsys):
-        space = LabelSpace.free_active()
+        space = free_active()
         save_label_space(space, tmp_path / "fa.txt")
         pairs = synth.gen_feature_set(3, 2, 4, 60, 10, 0.5, ["a", "b", "c", "d", "e"],
                                       label_space=space)
@@ -203,10 +200,10 @@ def test_peak_memory_follows_the_stacked_problem(traced_peak):
     fold, takes it near 3x."""
     pairs = videos(7, 6, k=3, dim=16, n_frames=600)
     plan = CrossValPlan(folds=5, c_grid=C_GRID, d_grid=(3,), lambda_grid=(1.0,))
-    cross_validate(videos(8, 5, n_frames=40), plan, TrainConfig(epochs=1))  # warm lazy imports
+    cross_validate(videos(8, 5, n_frames=40), plan, 1)  # warm lazy imports
     frames = sum(s.n_frames for s, _ in pairs)
     problem_bytes = 8 * frames * (16 + plan.folds * len(C_GRID) * 3)
-    peak, _ = traced_peak(cross_validate, pairs, plan, TrainConfig(epochs=2))
+    peak, _ = traced_peak(cross_validate, pairs, plan, 2)
     assert peak <= 2.5 * problem_bytes, peak / problem_bytes
 
 
@@ -218,9 +215,9 @@ def test_peak_memory_holds_one_change_set(traced_peak):
     pairs = videos(7, 10, k=2, dim=64, n_frames=600)
     plan = CrossValPlan(folds=5, c_grid=(1.0,), d_grid=(3, 6, 9, 12), lambda_grid=(1.0,))
     warm = CrossValPlan(folds=5, c_grid=(1.0,), d_grid=(3,), lambda_grid=(1.0,))
-    cross_validate(videos(8, 5, n_frames=40), warm, TrainConfig(epochs=1))  # warm lazy imports
+    cross_validate(videos(8, 5, n_frames=40), warm, 1)  # warm lazy imports
     x, y = change_training_set([s for s, _ in pairs], [t for _, t in pairs], min(plan.d_grid))
     set_bytes = x.nbytes + y.nbytes
     del x, y
-    peak, _ = traced_peak(cross_validate, pairs, plan, TrainConfig(epochs=2))
+    peak, _ = traced_peak(cross_validate, pairs, plan, 2)
     assert peak <= 1.6 * set_bytes, peak / set_bytes

@@ -11,6 +11,7 @@ from handcam.discovery import (
     modified_purity,
     segment_similarity_matrix,
 )
+from conftest import free_active
 
 
 def object_space():
@@ -22,7 +23,7 @@ def fa_stream(states, dim=2, vid="v"):
     rng = np.random.default_rng(0)
     values = rng.standard_normal((len(states), dim))
     stream = FeatureStream(vid, Camera.RIGHT_HAND, 6.0, values)
-    return stream, StateSequence(LabelSpace.free_active(), np.asarray(states))
+    return stream, StateSequence(free_active(), np.asarray(states))
 
 
 def seg(vid, start, end, feature):
@@ -51,7 +52,7 @@ class TestActiveSegments:
 
     def test_length_mismatch(self):
         stream, _ = fa_stream([0, 1])
-        seq = StateSequence(LabelSpace.free_active(), np.array([0]))
+        seq = StateSequence(free_active(), np.array([0]))
         with pytest.raises(ValueError):
             active_segments(seq, stream)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from handcam.core import LabelSpace, StateSequence
+from handcam.core import StateSequence
 from handcam.evaluation import (
     accuracy,
     build_report,
@@ -11,6 +11,7 @@ from handcam.evaluation import (
     timeline_svg,
     write_report,
 )
+from conftest import free_active
 
 
 def seq(states, k=3):
@@ -34,8 +35,8 @@ class TestAccuracy:
             accuracy(seq([0]), seq([0, 1]))
 
     def test_label_space_mismatch(self):
-        a = StateSequence(LabelSpace.free_active(), np.array([0, 1]))
-        b = StateSequence(LabelSpace.free_active("idle", "busy"), np.array([0, 1]))
+        a = StateSequence(free_active(), np.array([0, 1]))
+        b = StateSequence(free_active("idle", "busy"), np.array([0, 1]))
         with pytest.raises(ValueError, match="label space"):
             accuracy(a, b)
 

@@ -12,6 +12,7 @@ from handcam.inference import (
     segment_bounds,
     segment_features,
 )
+from conftest import free_active
 from test_features import float32_pair
 
 NEG_INF = float("-inf")
@@ -259,9 +260,7 @@ class TestDecode:
                 score_sequence(p, np.zeros(3, dtype=int), lam)
 
     def test_label_space_attached(self):
-        from handcam.core import LabelSpace
-
-        space = LabelSpace.free_active()
+        space = free_active()
         p = make_problem(np.zeros((4, 2)), np.array([2]), [0.5], label_space=space)
         assert decode(p, [1.0])[0].label_space == space
 

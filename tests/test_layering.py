@@ -1,6 +1,6 @@
 """Package structure: every module imports at its top level, the package
-needs only numpy at run time, and every public top-level name is used by
-the package.
+needs only numpy at run time, and every public name (top-level, or a
+member of a top-level class) is used by the package.
 
 An import inside a function or under `if TYPE_CHECKING` is how a cycle
 between modules gets hidden; the package keeps its imports acyclic instead.
@@ -120,10 +120,17 @@ def name_uses(node: ast.AST) -> Counter:
     return uses
 
 
-def public_definitions(tree: ast.Module) -> dict[str, ast.AST]:
-    """Top-level functions, classes and assigned names not starting with '_'."""
+def public_definitions(tree: ast.Module) -> dict[str, tuple[str, ast.AST]]:
+    """Top-level functions, classes and assigned names not starting with '_',
+    and the methods, properties and static methods of each top-level class
+    not starting with '_' (so no dunder): `qualified name -> (name, node)`."""
     found = {}
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found.update((f"{node.name}.{member.name}", (member.name, member))
+                         for member in node.body
+                         if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not member.name.startswith("_"))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -132,20 +139,20 @@ def public_definitions(tree: ast.Module) -> dict[str, ast.AST]:
             names = [node.target.id]
         else:
             names = []
-        found.update((name, node) for name in names if not name.startswith("_"))
+        found.update((name, (name, node)) for name in names if not name.startswith("_"))
     return found
 
 
 def unreferenced_names(sources: dict[str, str]) -> list[str]:
-    """`module.name` of each public top-level name that no module uses
-    outside the name's own definition."""
+    """`module.name` (or `module.Class.member`) of each public definition
+    whose name no module uses outside the definition itself."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     total = sum((name_uses(tree) for tree in trees.values()), Counter())
     found = []
     for module, tree in trees.items():
-        for name, node in public_definitions(tree).items():
+        for qualified, (name, node) in public_definitions(tree).items():
             if total[name] - name_uses(node)[name] == 0:
-                found.append(f"{module}.{name}")
+                found.append(f"{module}.{qualified}")
     return sorted(found)
 
 
@@ -156,6 +163,21 @@ def test_unreferenced_detector():
         "b": "from .a import used\nclass Kept:\n    pass\nx = Kept()\n",
     }
     assert unreferenced_names(sources) == ["a.LIMIT", "a.recursive", "b.x"]
+
+
+def test_unreferenced_member_detector():
+    # methods, properties and static methods count; dunders and private ones do not
+    sources = {
+        "core": "class LabelSpace:\n"
+                "    def __post_init__(self):\n        self._check()\n"
+                "    def _check(self):\n        pass\n"
+                "    @property\n    def num_labels(self):\n        return 2\n"
+                "    @property\n    def free_label(self):\n        return self.labels[0]\n"
+                "    @staticmethod\n    def free_active():\n        return LabelSpace()\n",
+        "cli": "from .core import LabelSpace\nprint(LabelSpace().num_labels)\n",
+    }
+    assert unreferenced_names(sources) == ["core.LabelSpace.free_active",
+                                           "core.LabelSpace.free_label"]
 
 
 def test_every_public_name_is_used():
