@@ -447,15 +447,14 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     segments: list[discovery.Segment] = []
     truths: dict[str, StateSequence] = {}
     for parts in read_list_file(args.manifest, 2, 3):
+        if (len(parts) > 2) != (obj_space is not None):
+            raise ValueError(f"{args.manifest}: give --object-space exactly when every "
+                             "line has an object-truth column")
         stream = features_mod.read_features(parts[0])
         decoded = read_truth(Path(parts[1]), fa_space)
         segments.extend(discovery.active_segments(decoded, stream))
-        if len(parts) > 2:
-            if obj_space is None:
-                raise ValueError("truth column given but no --object-space")
+        if obj_space is not None:
             truths[stream.video_id] = read_truth(Path(parts[2]), obj_space)
-    if obj_space is not None and not truths:
-        raise ValueError(f"--object-space needs an object-truth column in {args.manifest}")
     ks = range(int(lo), min(int(hi), len(segments)) + 1)
     if not ks:
         raise ValueError(f"--k-range {args.k_range}: every k exceeds {len(segments)} segments")

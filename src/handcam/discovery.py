@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    FeatureStream, StateSequence, frozen_array, run_starts, segment_means, unit_rows,
+    FeatureStream, StateSequence, all_finite, frozen_array, run_starts, segment_means, unit_rows,
 )
 
 
@@ -77,22 +77,26 @@ def average_linkage(similarity: np.ndarray) -> np.ndarray:
     (id, id) pair, and the merged cluster keeps the smaller id. The order
     does not depend on where agglomeration stops, so `cut_history` gives
     the clustering at every k from one history.
+
+    similarity must be finite and exactly symmetric, as `u @ u.T` is; in its
+    one float64 copy, -inf marks the diagonal and merged-away clusters.
     """
     link = np.array(similarity, dtype=np.float64)
     n = link.shape[0]
     if link.shape != (n, n) or n == 0:
         raise ValueError("similarity must be a non-empty square matrix")
+    if not all_finite(link) or not np.array_equal(link, link.T):
+        raise ValueError("similarity must be finite and symmetric")
+    np.fill_diagonal(link, -np.inf)
     size = np.ones(n)
-    open_pair = np.triu(np.ones((n, n), dtype=bool), 1)  # a < b, both alive
     merges = np.empty((n - 1, 2), dtype=np.int64)
     for step in range(n - 1):
-        # the row-major first maximum is the smallest (a, b) among equal links
-        flat = np.argmax(np.where(open_pair, link, -np.inf))
-        a, b = merges[step] = divmod(flat, n)
-        # Lance-Williams update for average linkage
+        # symmetric: the row-major first maximum is the smallest a < b among equal links
+        a, b = merges[step] = divmod(np.argmax(link), n)
+        # Lance-Williams update for average linkage; -inf links stay -inf
         link[a] = link[:, a] = (size[a] * link[a] + size[b] * link[b]) / (size[a] + size[b])
         size[a] += size[b]
-        open_pair[b] = open_pair[:, b] = False
+        link[b] = link[:, b] = -np.inf
     return merges
 
 
@@ -111,7 +115,8 @@ def cut_history(merges: np.ndarray, k: int) -> Clustering:
 def segment_similarity_matrix(segments: Sequence[Segment]) -> np.ndarray:
     """Pairwise cosine similarity of the segments' mean features."""
     u = unit_rows(np.array([seg.mean_feature for seg in segments]))
-    return np.clip(u @ u.T, -1.0, 1.0)
+    sim = u @ u.T
+    return np.clip(sim, -1.0, 1.0, out=sim)
 
 
 def modified_purity(

@@ -62,6 +62,8 @@ def build_report(
     total = None
     n = 0
     for vid in sorted(preds):
+        if not len(truths[vid]):
+            raise ValueError(f"video {vid!r} has no frames to evaluate")
         per_video[vid] = accuracy(preds[vid], truths[vid])
         c = confusion(preds[vid], truths[vid])
         total = c if total is None else total + c
@@ -87,11 +89,6 @@ _SVG_GAP = 10
 _SVG_LABEL_W = 90
 
 
-def _state_color(state: int, k: int) -> str:
-    hue = int(360 * state / max(k, 1))
-    return f"hsl({hue},70%,55%)"
-
-
 def timeline_svg(sequences: Mapping[str, StateSequence], width: int = 720) -> str:
     names = list(sequences)
     n = max(len(s) for s in sequences.values())
@@ -106,16 +103,17 @@ def timeline_svg(sequences: Mapping[str, StateSequence], width: int = 720) -> st
         parts.append(
             f'<text x="4" y="{y + _SVG_LANE_H - 8}">{name}</text>'
         )
-        # one rect per equal-state run
+        # one rect per equal-state run, one hue per state
+        k = seq.num_states
+        colors = [f"hsl({int(360 * state / k)},70%,55%)" for state in range(k)]
         starts = run_starts(seq.states)
         ends = np.append(starts[1:], len(seq))
         for a, b, state in zip(starts.tolist(), ends.tolist(), seq.states[starts].tolist()):
             x0 = _SVG_LABEL_W + a * width / n
             x1 = _SVG_LABEL_W + b * width / n
-            color = _state_color(state, seq.num_states)
             parts.append(
                 f'<rect x="{x0:.2f}" y="{y}" width="{x1 - x0:.2f}" '
-                f'height="{_SVG_LANE_H}" fill="{color}"/>'
+                f'height="{_SVG_LANE_H}" fill="{colors[state]}"/>'
             )
     parts.append("</svg>")
     return "".join(parts) + "\n"

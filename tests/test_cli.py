@@ -228,6 +228,18 @@ class TestTrainInferEval:
         doc = json.loads((tmp_path / "report" / "report.json").read_text())
         assert list(doc["per_video_accuracy"]) == ["pred"]
 
+    def test_eval_empty_pair_exits_2_without_report(self, tmp_path, capsys):
+        # accuracy over no frames is NaN, which report.json cannot carry
+        _, ges, _ = write_spaces(tmp_path)
+        (tmp_path / "v.full.txt").write_text("")
+        (tmp_path / "v.truth.txt").write_text("\n")
+        report_dir = tmp_path / "report"
+        assert main(["eval", "--pred", str(tmp_path / "v.full.txt"),
+                     "--truth", str(tmp_path / "v.truth.txt"), "--label-space", str(ges),
+                     "--report", str(report_dir)]) == 2
+        assert "'v'" in capsys.readouterr().err
+        assert not report_dir.exists()
+
     def test_full_mode_needs_change_model(self, tmp_path, capsys):
         _, ges, _ = write_spaces(tmp_path)
         feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
@@ -620,6 +632,21 @@ class TestDiscover:
         assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
                      "--k-range", "2:2", "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["clusters_k2.csv"]
+
+    def test_object_space_with_truth_column_on_some_lines_exits_2_before_out(
+            self, tmp_path, capsys):
+        # purity needs object truth for every video's segments
+        fa, obj, manifest = write_discover_inputs(tmp_path)
+        first, *rest = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([first.rsplit("\t", 1)[0], *rest]) + "\n")
+        out = tmp_path / "disc"
+        assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                     "--object-space", str(obj), "--k-range", "2:2", "--out", str(out)]) == 2
+        assert "--object-space" in capsys.readouterr().err
+        assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                     "--k-range", "2:2", "--out", str(out)]) == 2
+        assert "--object-space" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_one_column_line_rejected(self, tmp_path, capsys):
         fa, _, _ = write_spaces(tmp_path)

@@ -188,6 +188,89 @@ class TestAverageLinkage:
                 assert [tuple(m) for m in history[: n - k].tolist()] == merges
 
 
+def masked_average_linkage(similarity):
+    """`average_linkage` as it was with an open-pair mask and a masked copy
+    of the links at every merge (the reference its -inf marking replaced)."""
+    link = np.array(similarity, dtype=np.float64)
+    n = link.shape[0]
+    if link.shape != (n, n) or n == 0:
+        raise ValueError("similarity must be a non-empty square matrix")
+    size = np.ones(n)
+    open_pair = np.triu(np.ones((n, n), dtype=bool), 1)  # a < b, both alive
+    merges = np.empty((n - 1, 2), dtype=np.int64)
+    for step in range(n - 1):
+        # the row-major first maximum is the smallest (a, b) among equal links
+        flat = np.argmax(np.where(open_pair, link, -np.inf))
+        a, b = merges[step] = divmod(flat, n)
+        # Lance-Williams update for average linkage
+        link[a] = link[:, a] = (size[a] * link[a] + size[b] * link[b]) / (size[a] + size[b])
+        size[a] += size[b]
+        open_pair[b] = open_pair[:, b] = False
+    return merges
+
+
+def symmetric(upper):
+    """The symmetric matrix with upper's upper triangle and diagonal."""
+    upper = np.triu(upper)
+    return upper + np.triu(upper, 1).T
+
+
+class TestLinkageMatchesMaskedReference:
+    SIZES = (1, 2, 3, 5, 17, 64, 150, 400)
+
+    def test_random_cosine(self):
+        rng = np.random.default_rng(11)
+        for n in self.SIZES:
+            x = rng.standard_normal((n, 16))
+            sim = segment_similarity_matrix([seg("v", i, i + 1, f) for i, f in enumerate(x)])
+            assert np.array_equal(average_linkage(sim), masked_average_linkage(sim))
+
+    def test_random_symmetric(self):
+        rng = np.random.default_rng(12)
+        for n in self.SIZES:
+            sim = symmetric(rng.uniform(-3.0, 3.0, (n, n)))
+            assert np.array_equal(average_linkage(sim), masked_average_linkage(sim))
+
+    def test_tie_heavy_quantized(self):
+        rng = np.random.default_rng(13)
+        for n in self.SIZES:
+            for levels in (1, 2, 5):
+                sim = symmetric(rng.integers(0, levels, (n, n)) / 4)
+                assert np.array_equal(average_linkage(sim), masked_average_linkage(sim))
+            x = rng.integers(-1, 2, (n, 3)).astype(np.float64)
+            sim = segment_similarity_matrix([seg("v", i, i + 1, f) for i, f in enumerate(x)])
+            sim = np.round(sim * 2) / 2
+            assert np.array_equal(average_linkage(sim), masked_average_linkage(sim))
+
+    def test_memory_holds_one_matrix(self, traced_peak):
+        n = 600
+        x = np.random.default_rng(15).standard_normal((n, 64))
+        sim = segment_similarity_matrix([seg("v", i, i + 1, f) for i, f in enumerate(x)])
+        peak, merges = traced_peak(average_linkage, sim)
+        assert merges.shape == (n - 1, 2)
+        assert peak <= 1.25 * sim.nbytes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        sim = np.eye(3)
+        sim[0, 2] = sim[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            average_linkage(sim)
+        sim = np.eye(3)
+        sim[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            average_linkage(sim)
+
+    def test_rejects_asymmetric(self):
+        sim = np.eye(3)
+        sim[0, 1] = 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            average_linkage(sim)
+        sim[1, 0] = np.nextafter(0.5, 1.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            average_linkage(sim)
+
+
 class TestClustering:
     def test_assignment_uses_ids_0_to_k_minus_1(self):
         assert Clustering(2, [1, 0, 1]).assignment.tolist() == [1, 0, 1]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,18 @@ class TestReport:
         with pytest.raises(ValueError):
             build_report({"a": seq([0])}, {"b": seq([0])})
 
+    def test_video_without_frames_rejected(self):
+        with pytest.raises(ValueError, match="'b' has no frames"):
+            build_report({"a": seq([0]), "b": seq([])}, {"a": seq([0]), "b": seq([])})
+
     def test_timeline_svg_runs_merged(self):
         svg = timeline_svg({"pred": seq([0, 0, 1, 1, 1])})
         assert svg.count("<rect") == 2
+
+    def test_timeline_svg_one_hue_per_state(self):
+        rng = np.random.default_rng(0)
+        states = np.repeat(rng.integers(0, 24, 500), rng.integers(1, 4, 500))
+        lane = seq(states, k=24)
+        fills = re.findall(r'fill="([^"]*)"', timeline_svg({"pred": lane}))
+        runs = states[np.flatnonzero(np.diff(states, prepend=-1))]
+        assert fills == [f"hsl({int(360 * s / 24)},70%,55%)" for s in runs]
