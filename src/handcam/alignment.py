@@ -6,12 +6,15 @@ stays below a threshold in every channel form the stable hand mask; the
 video with the smallest stable region provides the template, which is then
 located in every other video's median image by multiscale zero-normalized
 cross-correlation. The statistics are exact, from sorted bands of rows of
-the uint8 frames, so they need every frame of a video at once. Frames are
-finally rescaled (only the crop window, by `media.resample`), cropped to the
-reference resolution, and replicate-padded; `align_video_dir` streams this
-last pass from file to file a few frames at a time. `resample` rounds half
-up by a bare cast to uint8, with no `floor` or `clip`: a bilinear mix of
-uint8 values, plus 0.5, lies in [0.5, 256), where truncation is the floor.
+the uint8 frames, so they need every frame of a video at once. Placement
+reads of each video only its median rounded to uint8 and its largest
+stable component (`stable_component`), so the float64 statistics of one
+video can be dropped before the next is read. Frames are finally rescaled
+(only the crop window, by `media.resample`), cropped to the reference
+resolution, and replicate-padded; `align_video_dir` streams this last pass
+from file to file a few frames at a time. `resample` rounds half up by a
+bare cast to uint8, with no `floor` or `clip`: a bilinear mix of uint8
+values, plus 0.5, lies in [0.5, 256), where truncation is the floor.
 """
 
 from __future__ import annotations
@@ -24,12 +27,15 @@ import numpy as np
 
 from .core import write_json
 from .media import (
-    frame_path, frame_paths, load_frames, remove_frames_from, resample, resize_to, round_u8,
-    save_ppm, scaled_size, to_gray,
+    frame_path, frame_paths, load_frames, remove_frames_from, resample, resize_to, save_ppm,
+    scaled_size, to_gray,
 )
 
 _BAND_ROWS = 8  # frame rows whose time series are sorted together
 _CHUNK_FRAMES = 4  # frames aligned together: small float64 temporaries stay in cache
+
+# a stable component: its half-open bounding box (x0, y0, x1, y1) and pixel count
+Component = tuple[tuple[int, int, int, int], int]
 
 
 @dataclass(frozen=True)
@@ -47,25 +53,16 @@ class AlignmentParams:
             raise ValueError(f"scales must be non-empty, finite and positive: {self.scales}")
 
 
-@dataclass(frozen=True)
-class PixelStats:
-    """Laplace fit per pixel and channel over time.
+def pixel_stats(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Laplace fit of each pixel and channel over time of a uint8
+    (T, h, w, C) stack: float64 (median, diversity) images. The median
+    minimizes the sum of absolute deviations; the diversity is the mean
+    absolute deviation from it, zero wherever the pixel never changes.
 
-    median_image minimizes the sum of absolute deviations (sample median);
-    diversity_image is the mean absolute deviation from it, zero wherever
-    the pixel never changes.
-    """
-
-    median_image: np.ndarray
-    diversity_image: np.ndarray
-
-
-def pixel_stats(stack: np.ndarray) -> PixelStats:
-    """Median and mean absolute deviation of each pixel over time of a uint8
-    (T, h, w, C) stack, from bands of rows sorted along time. Exact, as a
-    float64 median and mean: the median is the mean of the two middle
-    values; as many values lie above it as below, so the deviations sum to
-    (upper half sum) - (lower half sum)."""
+    Exact, as a float64 median and mean, from bands of rows sorted along
+    time: the median is the mean of the two middle values; as many values
+    lie above it as below, so the deviations sum to (upper half sum) -
+    (lower half sum)."""
     t, shape = len(stack), stack.shape[1:]
     if t < 1:
         raise ValueError("need at least one frame")
@@ -81,20 +78,7 @@ def pixel_stats(stack: np.ndarray) -> PixelStats:
         upper = band[..., (t + 1) // 2 :].sum(axis=-1, dtype=np.int64)
         lower = band[..., : t // 2].sum(axis=-1, dtype=np.int64)
         diversity[r : r + _BAND_ROWS] = (upper - lower) / t
-    return PixelStats(median, diversity)
-
-
-@dataclass(frozen=True)
-class StableMask:
-    """Stability mask plus the largest 4-connected stable component."""
-
-    mask: np.ndarray
-    bounding_box: tuple[int, int, int, int] | None  # (x0, y0, x1, y1), half-open
-    component_size: int
-
-    @property
-    def is_empty(self) -> bool:
-        return self.bounding_box is None
+    return median, diversity
 
 
 def _component_roots(mask: np.ndarray) -> np.ndarray:
@@ -122,49 +106,30 @@ def _component_roots(mask: np.ndarray) -> np.ndarray:
             parent = jumped
 
 
-def stable_mask(stats: PixelStats, params: AlignmentParams) -> StableMask:
-    """Pixels with diversity below the threshold in all three channels."""
-    if stats.diversity_image.ndim != 3 or stats.diversity_image.shape[2] != 3:
-        raise ValueError("stable_mask requires stats from a 3-channel video")
-    mask = np.all(stats.diversity_image < params.beta_threshold, axis=2)
+def stable_component(diversity: np.ndarray, beta_threshold: float) -> Component | None:
+    """The largest 4-connected component of the pixels whose diversity is
+    below the threshold in all three channels, as its half-open bounding box
+    (x0, y0, x1, y1) and its pixel count; None if no pixel is stable."""
+    if diversity.ndim != 3 or diversity.shape[2] != 3:
+        raise ValueError("stable_component requires the diversity of a 3-channel video")
+    mask = np.all(diversity < beta_threshold, axis=2)
     if not mask.any():
-        return StableMask(mask, None, 0)
+        return None
     roots = _component_roots(mask)
     sizes = np.bincount(roots)
     best = int(np.argmax(sizes))  # ties: the component that starts first in scan order
     ys, xs = np.divmod(np.flatnonzero(mask)[roots == best], mask.shape[1])
     box = (int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
-    return StableMask(mask, box, int(sizes[best]))
+    return box, int(sizes[best])
 
 
-def select_reference(
-    stats_by_video: Mapping[str, PixelStats],
-    masks_by_video: Mapping[str, StableMask],
-) -> tuple[str, np.ndarray]:
-    """Choose the video with the smallest stable component; crop its template.
-
-    Smallest is by stable-component pixel count; ties go to the
-    lexicographically smaller video id. The template is the median image
-    cropped to the component's bounding box.
-    """
-    eligible = sorted(
-        vid for vid, m in masks_by_video.items() if not m.is_empty
-    )
-    if not eligible:
+def select_reference(components: Mapping[str, Component | None]) -> str:
+    """The video with the smallest stable component, by pixel count; ties go
+    to the lexicographically smaller video id."""
+    sized = [(comp[1], vid) for vid, comp in components.items() if comp is not None]
+    if not sized:
         raise ValueError("no stable region found")
-    ref = min(eligible, key=lambda vid: (masks_by_video[vid].component_size, vid))
-    x0, y0, x1, y1 = masks_by_video[ref].bounding_box
-    return ref, round_u8(stats_by_video[ref].median_image[y0:y1, x0:x1])
-
-
-@dataclass(frozen=True)
-class NccMatch:
-    """Best template placement: target scale, top-left corner there, ZNCC."""
-
-    scale: float
-    dx: int
-    dy: int
-    peak: float
+    return min(sized)[1]
 
 
 def _window_sums(arr: np.ndarray, th: int, tw: int) -> np.ndarray:
@@ -235,17 +200,19 @@ def zncc_map(template_gray: np.ndarray, target_gray: np.ndarray) -> np.ndarray:
 
 def ncc_match(
     template: np.ndarray, target: np.ndarray, scales: Sequence[float]
-) -> NccMatch:
+) -> tuple[float, int, int, float]:
     """Exhaustive multiscale template search over integer translations.
 
     The uint8 (h, w, 3) target is resized by each scale (template fixed),
-    both reduced to luminance, and the peak placement returned. Scales where
-    the template no longer fits are skipped. Deterministic tie-break on equal peaks:
-    smaller scale, then smaller dy, then smaller dx.
+    both reduced to luminance, and the peak placement returned as (scale,
+    dx, dy, peak ZNCC), (dx, dy) the template's top-left corner in the
+    scaled target. Scales where the template no longer fits are skipped.
+    Deterministic tie-break on equal peaks: smaller scale, then smaller dy,
+    then smaller dx.
     """
     tpl_gray = to_gray(template)[:, :, 0]
     tgt_gray = to_gray(target)
-    best: NccMatch | None = None
+    best: tuple[float, int, int, float] | None = None
     for scale in sorted(scales):
         w, h = scaled_size(scale, tgt_gray.shape[1], tgt_gray.shape[0])
         if w < tpl_gray.shape[1] or h < tpl_gray.shape[0]:
@@ -255,8 +222,8 @@ def ncc_match(
         flat = int(np.argmax(zncc))  # first max in row-major order: min dy, then dx
         dy, dx = divmod(flat, zncc.shape[1])
         peak = float(zncc[dy, dx])
-        if best is None or peak > best.peak:
-            best = NccMatch(scale, int(dx), int(dy), peak)
+        if best is None or peak > best[3]:
+            best = (scale, int(dx), int(dy), peak)
     if best is None:
         raise ValueError("template larger than the target at every scale")
     return best
@@ -266,7 +233,6 @@ def ncc_match(
 class VideoAlignment:
     """How one video's frames are rescaled and cropped onto the template."""
 
-    video_id: str
     scale: float
     dx: int
     dy: int
@@ -289,42 +255,29 @@ class AlignmentResult:
                 raise ValueError("peak NCC must lie in [-1, 1]")
 
 
-def _clip_window(
-    dx: int, dy: int, box: tuple[int, int, int, int], out_w: int, out_h: int,
-    scaled_w: int, scaled_h: int,
-) -> tuple[int, int, int, int]:
-    x0 = dx - box[0]
-    y0 = dy - box[1]
-    return (
-        max(0, x0),
-        max(0, y0),
-        min(scaled_w, x0 + out_w),
-        min(scaled_h, y0 + out_h),
-    )
-
-
 def align_videos(
-    stats_by_video: Mapping[str, PixelStats],
-    params: AlignmentParams,
+    medians: Mapping[str, np.ndarray],
+    components: Mapping[str, Component | None],
+    scales: Sequence[float],
 ) -> AlignmentResult:
-    """Run reference selection and per-video template matching."""
-    masks = {vid: stable_mask(st, params) for vid, st in stats_by_video.items()}
-    ref, template = select_reference(stats_by_video, masks)
-    box = masks[ref].bounding_box
-    ref_h, ref_w = stats_by_video[ref].median_image.shape[:2]
+    """Place every video on the template: the uint8 median image of the
+    `select_reference` video, cropped to its stable component's box, found
+    by `ncc_match` in each other video's uint8 median image."""
+    ref = select_reference(components)
+    box = components[ref][0]
+    x0, y0, x1, y1 = box
+    template = medians[ref][y0:y1, x0:x1]
+    ref_h, ref_w = medians[ref].shape[:2]
     per_video = {}
-    for vid in sorted(stats_by_video):
+    for vid in sorted(medians):
         if vid == ref:
-            match = NccMatch(1.0, box[0], box[1], 1.0)
+            scale, dx, dy, peak = 1.0, x0, y0, 1.0
         else:
-            match = ncc_match(template, round_u8(stats_by_video[vid].median_image),
-                              params.scales)
-        h, w = stats_by_video[vid].median_image.shape[:2]
-        sw, sh = scaled_size(match.scale, w, h)
-        window = _clip_window(match.dx, match.dy, box, ref_w, ref_h, sw, sh)
-        per_video[vid] = VideoAlignment(
-            vid, match.scale, match.dx, match.dy, match.peak, window
-        )
+            scale, dx, dy, peak = ncc_match(template, medians[vid], scales)
+        sw, sh = scaled_size(scale, medians[vid].shape[1], medians[vid].shape[0])
+        left, top = dx - x0, dy - y0  # the reference frame's corner in the scaled video
+        window = (max(0, left), max(0, top), min(sw, left + ref_w), min(sh, top + ref_h))
+        per_video[vid] = VideoAlignment(scale, dx, dy, peak, window)
     return AlignmentResult(ref, (ref_w, ref_h), box, per_video)
 
 

@@ -227,11 +227,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
-    """Pass 1 keeps only each video's pixel statistics, from one video at a
-    time; pass 2 streams each video through a few frames at a time to align
-    and save it: memory follows one video, not the corpus. Afterwards --out
-    holds the videos of this run only: the frames of any other video
-    directory in it are deleted, and the directory too if that empties it."""
+    """Pass 1 reads one video at a time and keeps only its median, rounded
+    to uint8, and its stable component; pass 2 streams each video through a
+    few frames at a time to align and save it: memory follows one video,
+    not the corpus. Afterwards --out holds the videos of this run only: the
+    frames of any other video directory in it are deleted, and the
+    directory too if that empties it."""
     dirs: dict[str, Path] = {}
     for path, in read_list_file(args.manifest, 1, 1):
         vid = Path(path).name
@@ -244,14 +245,17 @@ def _cmd_align(args: argparse.Namespace) -> int:
     params = alignment.AlignmentParams(
         beta_threshold=args.beta_threshold, scales=tuple(args.scales)
     )
-    stats = {vid: alignment.pixel_stats(media.load_video_dir(d))
-             for vid, d in dirs.items()}
-    result = alignment.align_videos(stats, params)
+    medians, components = {}, {}
+    for vid, d in dirs.items():
+        median, diversity = alignment.pixel_stats(media.load_video_dir(d))
+        components[vid] = alignment.stable_component(diversity, params.beta_threshold)
+        medians[vid] = media.round_u8(median)
+        del median, diversity  # the next video is read without them
+    result = alignment.align_videos(medians, components, params.scales)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for vid, entry in sorted(result.per_video.items()):
-        alignment.align_video_dir(dirs[vid], out / vid, entry, result,
-                                  stats[vid].median_image.shape)
+        alignment.align_video_dir(dirs[vid], out / vid, entry, result, medians[vid].shape)
     for stale in sorted(out.iterdir()):
         if stale.name not in result.per_video and stale.is_dir() and not stale.is_symlink():
             media.remove_frames_from(stale, 0)
@@ -446,15 +450,22 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     obj_space = load_label_space(args.object_space) if args.object_space else None
     segments: list[discovery.Segment] = []
     truths: dict[str, StateSequence] = {}
+    seen: set[str] = set()
     for parts in read_list_file(args.manifest, 2, 3):
         if (len(parts) > 2) != (obj_space is not None):
             raise ValueError(f"{args.manifest}: give --object-space exactly when every "
                              "line has an object-truth column")
         stream = features_mod.read_features(parts[0])
+        if stream.video_id in seen:
+            raise ValueError(f"{args.manifest}: video id {stream.video_id!r} is given twice")
+        seen.add(stream.video_id)
         decoded = read_truth(Path(parts[1]), fa_space)
         segments.extend(discovery.active_segments(decoded, stream))
         if obj_space is not None:
-            truths[stream.video_id] = read_truth(Path(parts[2]), obj_space)
+            truth = truths[stream.video_id] = read_truth(Path(parts[2]), obj_space)
+            if len(truth) != stream.n_frames:
+                raise ValueError(f"{parts[2]}: {len(truth)} frames of object truth for the "
+                                 f"{stream.n_frames} frames of {parts[0]}")
     ks = range(int(lo), min(int(hi), len(segments)) + 1)
     if not ks:
         raise ValueError(f"--k-range {args.k_range}: every k exceeds {len(segments)} segments")

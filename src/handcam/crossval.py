@@ -52,13 +52,12 @@ class CrossValPlan:
 
 @dataclass(frozen=True)
 class CVCell:
-    """One grid cell: its mean accuracy and the accuracy of each fold."""
+    """One grid cell and its accuracy, averaged over the folds."""
 
     c_reg: float
     d: int
     lam: float
     mean_accuracy: float
-    fold_accuracies: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -134,6 +133,6 @@ def cross_validate(
                 for lam, n_correct in zip(plan.lambda_grid, correct):
                     cells[(c, d, lam)].append(int(n_correct) / total)
 
-    table = tuple(CVCell(*key, float(np.mean(accs)), tuple(accs)) for key, accs in cells.items())
+    table = tuple(CVCell(*key, float(np.mean(accs))) for key, accs in cells.items())
     best = max(table, key=lambda cell: cell.mean_accuracy)  # the first, so the smallest cell
     return CVResult(best.c_reg, best.d, best.lam, table)

@@ -27,7 +27,6 @@ class Segment:
     video_id: str
     start: int
     end: int  # half-open
-    state: int
     mean_feature: np.ndarray
 
     def __post_init__(self) -> None:
@@ -49,7 +48,7 @@ def active_segments(decoded: StateSequence, stream: FeatureStream) -> list[Segme
     active = s[starts] != decoded.label_space.free_label_index
     means = segment_means(stream.values, starts)[active]
     return [
-        Segment(stream.video_id, int(a), int(b), int(s[a]), mean)
+        Segment(stream.video_id, int(a), int(b), mean)
         for a, b, mean in zip(starts[active], ends[active], means)
     ]
 

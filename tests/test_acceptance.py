@@ -149,16 +149,16 @@ def test_criterion_4_alignment_recovery(tmp_path):
             hand, [synth.VideoSpec("v", s, dx, dy)], (w, h),
             n_frames=9, noise_sigma=60.0, jitter=1, seed=seed, out_dir=tmp_path,
         )
-        stats = pixel_stats(load_video_dir(tmp_path / "v"))
-        match = ncc_match(hand, np.floor(stats.median_image + 0.5).astype(np.uint8), scales)
-        hits += match.scale == s and abs(match.dx - dx) <= 2 and abs(match.dy - dy) <= 2
+        median, _ = pixel_stats(load_video_dir(tmp_path / "v"))
+        scale, got_dx, got_dy, _ = ncc_match(hand, np.floor(median + 0.5).astype(np.uint8), scales)
+        hits += scale == s and abs(got_dx - dx) <= 2 and abs(got_dy - dy) <= 2
     assert hits >= 95
 
     # constant video: diversity identically zero
     rng = np.random.default_rng(0)
     frame = rng.integers(0, 256, (20, 30, 3), dtype=np.uint8)
-    stats = pixel_stats(np.stack([frame] * 6))
-    assert np.all(stats.diversity_image == 0.0)
+    _, diversity = pixel_stats(np.stack([frame] * 6))
+    assert np.all(diversity == 0.0)
 
     # median L1-optimality on 10^4 random pixel series
     rng = np.random.default_rng(1)
@@ -270,7 +270,7 @@ def test_criterion_7_purity():
 
     truth = StateSequence(space, np.array([cup, cup, 0, 0, 0, kettle]))
     segs = [
-        discovery.Segment("v", i, i + 1, 1, np.array([1.0, 0.0])) for i in range(6)
+        discovery.Segment("v", i, i + 1, np.array([1.0, 0.0])) for i in range(6)
     ]
     clustering = discovery.Clustering(2, np.array([0, 0, 0, 1, 1, 1]))
     purity = discovery.modified_purity(clustering, segs, {"v": truth})
@@ -286,7 +286,7 @@ def test_criterion_7_purity():
         cuts = np.sort(rng.choice(np.arange(1, n_frames), 3, replace=False))
         bounds = [0, *cuts.tolist(), n_frames]
         rsegs = [
-            discovery.Segment("v", a, b, 1, rng.standard_normal(2))
+            discovery.Segment("v", a, b, rng.standard_normal(2))
             for a, b in zip(bounds[:-1], bounds[1:])
         ]
         raw = rng.integers(0, len(rsegs), len(rsegs))
@@ -299,8 +299,8 @@ def test_criterion_7_purity():
     # perfect clustering of pure per-category segments scores 1
     truth2 = StateSequence(space, np.array([cup, cup, kettle, kettle]))
     segs2 = [
-        discovery.Segment("v", 0, 2, 1, np.array([1.0, 0.0])),
-        discovery.Segment("v", 2, 4, 1, np.array([0.0, 1.0])),
+        discovery.Segment("v", 0, 2, np.array([1.0, 0.0])),
+        discovery.Segment("v", 2, 4, np.array([0.0, 1.0])),
     ]
     c2 = discovery.Clustering(2, np.array([0, 1]))
     assert discovery.modified_purity(c2, segs2, {"v": truth2}) == 1.0

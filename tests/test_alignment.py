@@ -9,7 +9,6 @@ from handcam import synth
 from handcam.alignment import (
     AlignmentParams,
     AlignmentResult,
-    PixelStats,
     VideoAlignment,
     _valid_correlation,
     align_video,
@@ -18,14 +17,18 @@ from handcam.alignment import (
     ncc_match,
     pixel_stats,
     select_reference,
-    stable_mask,
+    stable_component,
     write_alignment_report,
     zncc_map,
 )
-from handcam.media import frame_path, load_video_dir, save_ppm
+from handcam.media import frame_path, load_video_dir, round_u8, save_ppm
 from conftest import save_frames
 from test_media import KINDS, random_stack, reference_resize_to
 from test_synth import smooth_patch
+
+
+BETA = AlignmentParams().beta_threshold
+SCALES = AlignmentParams().scales
 
 
 def gray_video(series):
@@ -54,20 +57,20 @@ class TestPixelStats:
     def test_constant_video(self):
         rng = np.random.default_rng(0)
         frame = rng.integers(0, 256, (4, 5, 3), dtype=np.uint8)
-        stats = pixel_stats(np.stack([frame] * 4))
-        assert np.array_equal(stats.median_image, frame)
-        assert np.all(stats.diversity_image == 0.0)
+        median, diversity = pixel_stats(np.stack([frame] * 4))
+        assert np.array_equal(median, frame)
+        assert np.all(diversity == 0.0)
 
     def test_series_1_2_9(self):
         # median 2, mean absolute deviation (1 + 0 + 7) / 3 = 8/3
-        stats = pixel_stats(gray_video([1, 2, 9]))
-        assert np.all(stats.median_image == 2.0)
-        assert np.allclose(stats.diversity_image, 8.0 / 3.0)
+        median, diversity = pixel_stats(gray_video([1, 2, 9]))
+        assert np.all(median == 2.0)
+        assert np.allclose(diversity, 8.0 / 3.0)
 
     def test_even_count_series_10_20(self):
-        stats = pixel_stats(gray_video([10, 20]))
-        assert np.all(stats.median_image == 15.0)
-        assert np.all(stats.diversity_image == 5.0)
+        median, diversity = pixel_stats(gray_video([10, 20]))
+        assert np.all(median == 15.0)
+        assert np.all(diversity == 5.0)
 
     def test_dimension_mismatch(self, tmp_path):
         save_frames([np.zeros((2, 2, 3), dtype=np.uint8), np.zeros((2, 3, 3), dtype=np.uint8)],
@@ -97,24 +100,19 @@ class TestPixelStats:
     def test_diversity_permutation_invariant(self):
         rng = np.random.default_rng(2)
         frames = np.stack([rng.integers(0, 256, (3, 3, 3), dtype=np.uint8) for _ in range(7)])
-        stats = pixel_stats(frames)
-        stats_p = pixel_stats(frames[rng.permutation(7)])
-        assert np.array_equal(stats.diversity_image, stats_p.diversity_image)
+        _, diversity = pixel_stats(frames)
+        _, diversity_p = pixel_stats(frames[rng.permutation(7)])
+        assert np.array_equal(diversity, diversity_p)
 
 
 class TestStableMask:
     def test_constant_video_full_mask(self):
-        stats = pixel_stats(gray_video([7, 7, 7]))
-        mask = stable_mask(stats, AlignmentParams())
-        assert mask.mask.all()
-        assert mask.bounding_box == (0, 0, 2, 2)
-        assert mask.component_size == 4
+        _, diversity = pixel_stats(gray_video([7, 7, 7]))
+        assert stable_component(diversity, BETA) == ((0, 0, 2, 2), 4)
 
     def test_everything_unstable(self):
-        stats = pixel_stats(gray_video([0, 255, 0, 255]))
-        mask = stable_mask(stats, AlignmentParams())
-        assert mask.is_empty
-        assert mask.component_size == 0
+        _, diversity = pixel_stats(gray_video([0, 255, 0, 255]))
+        assert stable_component(diversity, BETA) is None
 
     def test_largest_component_box(self):
         # two stable rectangles: 10x10 = 100 px and 6x5 = 30 px
@@ -128,25 +126,23 @@ class TestStableMask:
             px[2:12, 2:12] = base[2:12, 2:12]  # 100 px component
             px[14:19, 20:26] = base[14:19, 20:26]  # 30 px component
             frames.append(px.astype(np.uint8))
-        mask = stable_mask(pixel_stats(np.stack(frames)), AlignmentParams())
-        assert mask.bounding_box == (2, 2, 12, 12)
-        assert mask.component_size == 100
+        _, diversity = pixel_stats(np.stack(frames))
+        assert stable_component(diversity, BETA) == ((2, 2, 12, 12), 100)
 
     def test_requires_three_channels(self):
         frames = np.zeros((2, 2, 2, 1), dtype=np.uint8)
-        with pytest.raises(ValueError):
-            stable_mask(pixel_stats(frames), AlignmentParams())
+        with pytest.raises(ValueError, match="3-channel"):
+            stable_component(pixel_stats(frames)[1], BETA)
 
 
-def stats_with_mask(mask):
-    """Pixel stats whose stable mask (at the default threshold) is `mask`."""
-    diversity = np.where(mask, 0.0, 100.0)[:, :, None].repeat(3, axis=2)
-    return PixelStats(np.zeros(mask.shape + (3,)), diversity)
+def diversity_with_mask(mask):
+    """A diversity image whose stable mask (at the default threshold) is `mask`."""
+    return np.where(mask, 0.0, 100.0)[:, :, None].repeat(3, axis=2)
 
 
 def scipy_largest_component(mask):
     """Box and size of the largest 4-connected component as the scipy-based
-    `stable_mask` chose it: ties go to the first label in scan order."""
+    stable mask chose it: ties go to the first label in scan order."""
     labels, _ = scipy_label(mask, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
@@ -188,18 +184,18 @@ class TestStableMaskOracle:
     """The union-find components pick the same box and size as scipy's labels."""
 
     def check(self, mask):
-        got = stable_mask(stats_with_mask(mask), AlignmentParams())
-        assert np.array_equal(got.mask, mask)
-        if not mask.any():
-            assert got.is_empty and got.component_size == 0
-            return
-        assert (got.bounding_box, got.component_size) == scipy_largest_component(mask)
+        got = stable_component(diversity_with_mask(mask), BETA)
+        assert got == (scipy_largest_component(mask) if mask.any() else None)
 
     def test_random_masks(self):
         rng = np.random.default_rng(20)
         for _ in range(400):
             h, w = rng.integers(1, 40, 2)
             self.check(rng.random((h, w)) < rng.uniform(0.05, 0.95))
+
+    def test_empty_masks(self):
+        for h, w in ((1, 1), (1, 17), (13, 1), (48, 64)):
+            self.check(np.zeros((h, w), dtype=bool))
 
     def test_equal_sized_components(self):
         rng = np.random.default_rng(21)
@@ -212,8 +208,7 @@ class TestStableMaskOracle:
         yy, xx = np.mgrid[:9, :11]
         mask = (yy + xx) % 2 == 1  # single pixels; the first is (x=1, y=0)
         self.check(mask)
-        got = stable_mask(stats_with_mask(mask), AlignmentParams())
-        assert (got.bounding_box, got.component_size) == ((1, 0, 2, 1), 1)
+        assert stable_component(diversity_with_mask(mask), BETA) == ((1, 0, 2, 1), 1)
 
     def test_full_mask(self):
         for h, w in ((1, 1), (1, 17), (13, 1), (48, 64)):
@@ -265,10 +260,10 @@ class TestValidCorrelationOracle:
             self.check(*self.random_pair(rng, th, tw, h, w, integer=i % 2 == 0))
 
 
-def build_masked_stats(sizes, seed=0):
-    """One synthetic video per entry with a stable block of the given pixel count."""
-    stats, masks = {}, {}
-    params = AlignmentParams()
+def build_components(sizes, seed=0):
+    """The stable component of one synthetic video per entry, each with a
+    stable block of the given pixel count."""
+    components = {}
     rng = np.random.default_rng(seed)
     for vid, size in sizes.items():
         side = int(np.sqrt(size))
@@ -278,40 +273,30 @@ def build_masked_stats(sizes, seed=0):
             px = np.clip(base + rng.standard_normal((40, 40, 3)) * 80, 0, 255)
             px[5 : 5 + side, 5 : 5 + side] = base[5 : 5 + side, 5 : 5 + side]
             frames.append(px.astype(np.uint8))
-        st = pixel_stats(np.stack(frames))
-        stats[vid] = st
-        masks[vid] = stable_mask(st, params)
-    return stats, masks
+        components[vid] = stable_component(pixel_stats(np.stack(frames))[1], BETA)
+    return components
 
 
 class TestSelectReference:
     def test_smallest_mask_wins(self):
-        stats, masks = build_masked_stats({"va": 484, "vb": 289, "vc": 784})
-        assert masks["vb"].component_size < masks["va"].component_size
-        ref, template = select_reference(stats, masks)
-        assert ref == "vb"
-        box = masks["vb"].bounding_box
-        assert template.shape == (box[3] - box[1], box[2] - box[0], 3)
+        components = build_components({"va": 484, "vb": 289, "vc": 784})
+        assert components["vb"][1] < components["va"][1] < components["vc"][1]
+        assert select_reference(components) == "vb"
 
     def test_single_eligible(self):
-        stats, masks = build_masked_stats({"va": 289})
-        empty_stats = pixel_stats(gray_video([0, 255, 0, 255]))
-        stats["vz"] = empty_stats
-        masks["vz"] = stable_mask(empty_stats, AlignmentParams())
-        ref, _ = select_reference(stats, masks)
-        assert ref == "va"
+        components = build_components({"va": 289})
+        components["vz"] = stable_component(pixel_stats(gray_video([0, 255, 0, 255]))[1], BETA)
+        assert components["vz"] is None
+        assert select_reference(components) == "va"
 
     def test_tie_break_lexicographic(self):
-        stats, masks = build_masked_stats({"vb": 289, "va": 289})
-        assert masks["va"].component_size == masks["vb"].component_size
-        ref, _ = select_reference(stats, masks)
-        assert ref == "va"
+        components = build_components({"vb": 289, "va": 289})
+        assert components["va"][1] == components["vb"][1]
+        assert select_reference(components) == "va"
 
     def test_all_empty(self):
-        st = pixel_stats(gray_video([0, 255, 0, 255]))
-        masks = {"v": stable_mask(st, AlignmentParams())}
         with pytest.raises(ValueError, match="no stable region found"):
-            select_reference({"v": st}, masks)
+            select_reference({"v": None, "w": None})
 
 
 def zncc_direct(tpl, tgt):
@@ -335,18 +320,18 @@ class TestNccMatch:
         rng = np.random.default_rng(4)
         target = rng.integers(0, 256, (40, 50, 3), dtype=np.uint8)
         template = target[3:19, 7:27].copy()
-        match = ncc_match(template, target, [1.0])
-        assert (match.scale, match.dx, match.dy) == (1.0, 7, 3)
-        assert abs(match.peak - 1.0) < 1e-9
+        scale, dx, dy, peak = ncc_match(template, target, [1.0])
+        assert (scale, dx, dy) == (1.0, 7, 3)
+        assert abs(peak - 1.0) < 1e-9
 
     def test_brightness_shift_invariance(self):
         rng = np.random.default_rng(5)
         base = rng.integers(40, 200, (30, 30, 3), dtype=np.uint8)
         target = np.clip(base.astype(int) + 30, 0, 255).astype(np.uint8)
         template = base[5:15, 5:15].copy()
-        match = ncc_match(template, target, [1.0])
-        assert (match.dx, match.dy) == (5, 5)
-        assert abs(match.peak - 1.0) < 1e-6
+        _, dx, dy, peak = ncc_match(template, target, [1.0])
+        assert (dx, dy) == (5, 5)
+        assert abs(peak - 1.0) < 1e-6
 
     def test_matches_direct_zncc(self):
         rng = np.random.default_rng(6)
@@ -374,11 +359,10 @@ class TestNccMatch:
             seed=7,
             out_dir=tmp_path,
         )
-        stats = pixel_stats(load_video_dir(tmp_path / "v"))
-        median = np.floor(stats.median_image + 0.5).astype(np.uint8)
-        match = ncc_match(hand, median, (0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5))
-        assert match.scale == 1.2
-        assert abs(match.dx - 31) <= 1 and abs(match.dy - 17) <= 1
+        median = round_u8(pixel_stats(load_video_dir(tmp_path / "v"))[0])
+        scale, dx, dy, _ = ncc_match(hand, median, SCALES)
+        assert scale == 1.2
+        assert abs(dx - 31) <= 1 and abs(dy - 17) <= 1
 
     def test_template_too_large(self):
         tpl = np.zeros((20, 20, 3), dtype=np.uint8)
@@ -399,14 +383,17 @@ def scale_one_set(out_dir, seed=11):
         out_dir=out_dir,
     )
     videos = {v: load_video_dir(out_dir / v) for v in truth}
-    stats = {v: pixel_stats(f) for v, f in videos.items()}
-    return videos, truth, stats
+    medians, components = {}, {}
+    for v, frames in videos.items():
+        median, diversity = pixel_stats(frames)
+        medians[v], components[v] = round_u8(median), stable_component(diversity, BETA)
+    return videos, truth, medians, components
 
 
 class TestAlignVideos:
     def test_offsets_recovered(self, tmp_path):
-        videos, truth, stats = scale_one_set(tmp_path)
-        result = align_videos(stats, AlignmentParams())
+        videos, truth, medians, components = scale_one_set(tmp_path)
+        result = align_videos(medians, components, SCALES)
         ref = result.reference_video_id
         for vid, entry in result.per_video.items():
             # planted relative offset between this video and the reference
@@ -418,9 +405,13 @@ class TestAlignVideos:
             assert abs(got_dy - want_dy) <= 2
 
     def test_reference_self_alignment_identity(self, tmp_path):
-        videos, _, stats = scale_one_set(tmp_path)
-        result = align_videos(stats, AlignmentParams())
+        videos, _, medians, components = scale_one_set(tmp_path)
+        result = align_videos(medians, components, SCALES)
         ref = result.reference_video_id
+        assert ref == select_reference(components)
+        assert result.template_box == components[ref][0]
+        assert result.per_video[ref] == VideoAlignment(
+            1.0, *components[ref][0][:2], 1.0, (0, 0, *result.reference_size))
         aligned = align_video(videos[ref], result.per_video[ref], result)
         assert np.array_equal(aligned, videos[ref])
 
@@ -435,15 +426,15 @@ class TestAlignVideos:
 
         tpl_box = (20, 20, 44, 44)
         template = base[20:44, 20:44].copy()
-        match = ncc_match(template, shifted, [1.0])
-        assert (match.dx, match.dy) == (20 + sx, 20 + sy)
+        scale, dx, dy, peak = ncc_match(template, shifted, [1.0])
+        assert (dx, dy) == (20 + sx, 20 + sy)
         result = AlignmentResult(
             "ref",
             (80, 60),
             tpl_box,
             {
-                "ref": VideoAlignment("ref", 1.0, 20, 20, 1.0, (0, 0, 80, 60)),
-                "tgt": VideoAlignment("tgt", 1.0, match.dx, match.dy, match.peak, (9, 6, 80, 60)),
+                "ref": VideoAlignment(1.0, 20, 20, 1.0, (0, 0, 80, 60)),
+                "tgt": VideoAlignment(scale, dx, dy, peak, (9, 6, 80, 60)),
             },
         )
         aligned = align_video(shifted[None], result.per_video["tgt"], result)[0]
@@ -456,15 +447,15 @@ class TestAlignVideos:
 
         result = AlignmentResult(
             "r", (20, 20), (5, 5, 15, 15),
-            {"v": VideoAlignment("v", 1.3, 8, 9, 0.5, (3, 4, 23, 24))},
+            {"v": VideoAlignment(1.3, 8, 9, 0.5, (3, 4, 23, 24))},
         )
         aligned = align_video(frames, result.per_video["v"], result)[0]
         assert np.all(aligned == 99)
         assert aligned.shape == (20, 20, 3)
 
     def test_report_round_trip(self, tmp_path):
-        _, _, stats = scale_one_set(tmp_path / "videos")
-        result = align_videos(stats, AlignmentParams())
+        _, _, medians, components = scale_one_set(tmp_path / "videos")
+        result = align_videos(medians, components, SCALES)
         path = tmp_path / "alignment.json"
         write_alignment_report(result, path)
         doc = json.loads(path.read_text())
@@ -473,7 +464,6 @@ class TestAlignVideos:
         assert doc["template_box"] == list(result.template_box)
         assert sorted(doc["videos"]) == sorted(result.per_video)
         for vid, va in result.per_video.items():
-            assert va.video_id == vid
             assert doc["videos"][vid] == {
                 "scale": va.scale, "dx": va.dx, "dy": va.dy, "peak": va.peak,
                 "crop_window": list(va.crop_window),
@@ -519,20 +509,19 @@ class TestExactAgainstReference:
             h, w = int(rng.integers(1, 20)), int(rng.integers(1, 8))
             c = int(rng.choice([1, 3]))
             frames = random_stack(rng, t, h, w, c, KINDS[case % 3])
-            stats = pixel_stats(frames)
-            median, diversity = reference_pixel_stats(frames)
-            assert same_bits(stats.median_image, median), (t, h, w, c)
-            assert same_bits(stats.diversity_image, diversity), (t, h, w, c)
+            median, diversity = pixel_stats(frames)
+            want_median, want_diversity = reference_pixel_stats(frames)
+            assert same_bits(median, want_median), (t, h, w, c)
+            assert same_bits(diversity, want_diversity), (t, h, w, c)
 
     def test_long_series(self):
         # 0/255 alternating in time: the largest deviations, summed over
         # many frames
         frames = np.zeros((601, 3, 2, 3), dtype=np.uint8)
         frames[1::2] = 255
-        stats = pixel_stats(frames)
-        median, diversity = reference_pixel_stats(frames)
-        assert same_bits(stats.median_image, median)
-        assert same_bits(stats.diversity_image, diversity)
+        got, want = pixel_stats(frames), reference_pixel_stats(frames)
+        assert same_bits(got[0], want[0])
+        assert same_bits(got[1], want[1])
 
     def test_align_video(self):
         rng = np.random.default_rng(22)
@@ -545,7 +534,7 @@ class TestExactAgainstReference:
             out_w, out_h = (int(v) for v in rng.integers(1, 13, 2))
             bx0, by0 = int(rng.integers(0, out_w)), int(rng.integers(0, out_h))
             dx, dy = int(rng.integers(-3, 2 * w + 3)), int(rng.integers(-3, 2 * h + 3))
-            entry = VideoAlignment("v", scale, dx, dy, 1.0, (0, 0, 1, 1))
+            entry = VideoAlignment(scale, dx, dy, 1.0, (0, 0, 1, 1))
             result = AlignmentResult("v", (out_w, out_h), (bx0, by0, bx0 + 1, by0 + 1),
                                      {"v": entry})
             frames = random_stack(rng, t, h, w, c, KINDS[case % 3])
@@ -557,7 +546,7 @@ class TestExactAgainstReference:
 
 
 def scaled_entry(scale, out_w, out_h, dx, dy):
-    entry = VideoAlignment("v", scale, dx, dy, 1.0, (0, 0, 1, 1))
+    entry = VideoAlignment(scale, dx, dy, 1.0, (0, 0, 1, 1))
     return entry, AlignmentResult("v", (out_w, out_h), (0, 0, 1, 1), {"v": entry})
 
 

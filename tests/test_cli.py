@@ -400,6 +400,31 @@ class TestAlign:
             assert "video id 'cam'" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_memory_keeps_one_small_frame_per_video(self, tmp_path, traced_peak):
+        # pass 1 kept two float64 images of every video until align ended:
+        # the peak grew by about 16 uint8 frames per video. v00's smaller
+        # hand makes it the reference of every run, so each run matches the
+        # same template at the one scale, and only what is kept per video
+        # can differ between the peaks.
+        synth.gen_video_set(smooth_patch(8, 8, seed=5), [synth.VideoSpec("v00", 1.0, 20, 20)],
+                            (64, 48), 6, 60.0, 1, seed=11, out_dir=tmp_path / "videos")
+        rng = np.random.default_rng(8)
+        specs = [synth.VideoSpec(f"v{i:02d}", 1.0, int(rng.integers(2, 46)),
+                                 int(rng.integers(2, 30))) for i in range(1, 12)]
+        synth.gen_video_set(smooth_patch(16, 16, seed=5), specs, (64, 48), 6, 60.0, 1,
+                            seed=11, out_dir=tmp_path / "videos")
+        peaks = {}
+        for n in (2, 2, 12):  # the first run loads what any run loads once
+            manifest = tmp_path / f"videos{n}.txt"
+            manifest.write_text("".join(f"{tmp_path / 'videos' / f'v{i:02d}'}\n"
+                                        for i in range(n)))
+            out = tmp_path / f"out{n}"
+            peaks[n], code = traced_peak(main, ["align", "--manifest", str(manifest),
+                                                "--out", str(out), "--scales", "1.0"])
+            assert code == 0
+            assert json.loads((out / "alignment.json").read_text())["reference_video_id"] == "v00"
+        assert peaks[12] - peaks[2] <= 2 * 64 * 48 * 3 * (12 - 2)
+
     def test_rerun_with_shorter_videos_leaves_no_stale_frames(self, tmp_path):
         # aligning 3-frame videos into an --out that holds 5-frame ones used
         # to leave frames 3 and 4 behind
@@ -646,6 +671,38 @@ class TestDiscover:
         assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
                      "--k-range", "2:2", "--out", str(out)]) == 2
         assert "--object-space" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_video_id_given_twice_exits_2_before_out(self, tmp_path, capsys):
+        # v0 listed twice clustered its segments twice: purity 1.5 at k=2 and k=3
+        fa, obj, manifest = write_discover_inputs(tmp_path)
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([*lines, lines[0]]) + "\n")
+        out = tmp_path / "disc"
+        for space in (["--object-space", str(obj)], []):
+            if not space:  # the feature and prediction columns only
+                manifest.write_text("".join(line.rsplit("\t", 1)[0] + "\n"
+                                            for line in manifest.read_text().splitlines()))
+            capsys.readouterr()
+            assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                         *space, "--k-range", "2:3", "--out", str(out)]) == 2
+            assert "video id 'v0'" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("n_lines", [35, 80])
+    def test_object_truth_length_differs_from_stream_exits_2_before_out(
+            self, tmp_path, capsys, n_lines):
+        # 35 lines wrote clusters_k2.csv before purity failed; 80 lines exited
+        # 0 with the 20 extra active frames in purity's denominator
+        fa, obj, manifest = write_discover_inputs(tmp_path)
+        truth = tmp_path / "v1.obj.txt"
+        lines = truth.read_text().splitlines() + ["cup"] * 20
+        truth.write_text("\n".join(lines[:n_lines]) + "\n")
+        out = tmp_path / "disc"
+        assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                     "--object-space", str(obj), "--k-range", "2:3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{truth}: {n_lines} frames" in err and "60" in err
         assert not out.exists()
 
     def test_one_column_line_rejected(self, tmp_path, capsys):

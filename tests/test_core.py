@@ -59,7 +59,7 @@ def row_cosines(feats):
 
 def matrix_cosines(feats):
     """Cosines of all row pairs: the similarity matrix of one segment per row."""
-    return segment_similarity_matrix([Segment("v", i, i + 1, 1, f) for i, f in enumerate(feats)])
+    return segment_similarity_matrix([Segment("v", i, i + 1, f) for i, f in enumerate(feats)])
 
 
 def cosine(a, b):
@@ -288,7 +288,7 @@ FROZEN_FIELDS = {
     "StateSequence": ("states", lambda a: StateSequence(free_active(), a),
                       lambda: np.array([0, 1, 1])),
     "Clustering": ("assignment", lambda a: Clustering(2, a), lambda: np.array([0, 1, 1])),
-    "Segment": ("mean_feature", lambda a: Segment("v", 0, 2, 1, a), lambda: np.ones(3)),
+    "Segment": ("mean_feature", lambda a: Segment("v", 0, 2, a), lambda: np.ones(3)),
     "CandidateSet": ("frame_indices", lambda a: CandidateSet(a, np.ones(2), 3),
                      lambda: np.array([2, 9])),
     "LinearModel": ("weights", lambda a: LinearModel(a, np.zeros(2), None, TrainConfig()),

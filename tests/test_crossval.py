@@ -73,7 +73,7 @@ def per_fold_cross_validate(videos, plan, epochs):
                     correct += [int(np.sum(seq.states == truth.states)) for seq in decoded]
                 for lam, n_correct in zip(plan.lambda_grid, correct):
                     cells[(c, d, lam)].append(int(n_correct) / total)
-    table = tuple(CVCell(*key, float(np.mean(accs)), tuple(accs)) for key, accs in cells.items())
+    table = tuple(CVCell(*key, float(np.mean(accs))) for key, accs in cells.items())
     best = max(table, key=lambda cell: cell.mean_accuracy)
     return CVResult(best.c_reg, best.d, best.lam, table)
 

@@ -27,7 +27,7 @@ def fa_stream(states, dim=2, vid="v"):
 
 
 def seg(vid, start, end, feature):
-    return Segment(vid, start, end, 1, np.asarray(feature, dtype=np.float64))
+    return Segment(vid, start, end, np.asarray(feature, dtype=np.float64))
 
 
 def cluster_segments(segs, k):
@@ -81,7 +81,7 @@ class TestActiveSegments:
             decoded = StateSequence(space, states)
             got = active_segments(decoded, stream)
             want = per_frame_segments(decoded, stream)
-            assert [(g.start, g.end, g.state) for g in got] == [w[:3] for w in want]
+            assert [(g.start, g.end, int(states[g.start])) for g in got] == [w[:3] for w in want]
             for g, w in zip(got, want):
                 assert g.video_id == "v"
                 assert np.max(np.abs(g.mean_feature - w[3])) <= 1e-12

@@ -1,6 +1,7 @@
 """Package structure: every module imports at its top level, the package
 needs only numpy at run time, and every public name (top-level, or a
-member of a top-level class) is used by the package.
+member of a top-level class) is used by the package, and so is every
+dataclass field: some module reads it as an attribute.
 
 An import inside a function or under `if TYPE_CHECKING` is how a cycle
 between modules gets hidden; the package keeps its imports acyclic instead.
@@ -183,6 +184,49 @@ def test_unreferenced_member_detector():
 def test_every_public_name_is_used():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_names(sources) == sorted(UNREFERENCED_ALLOWED)
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """`module.Class.field` of each public field of a top-level dataclass
+    whose name no module reads as an attribute: a field that is only ever
+    stored is state nothing uses."""
+    trees = [ast.parse(source) for source in sources.values()]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}.{node.name}.{field.target.id}"
+                  for module, tree in zip(sources, trees) for node in tree.body
+                  if isinstance(node, ast.ClassDef) and is_dataclass(node)
+                  for field in node.body
+                  if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+                  and not field.target.id.startswith("_") and field.target.id not in read)
+
+
+def test_unread_field_detector():
+    # a field only stored (by the constructor, or assigned) is unread; a read
+    # through any object counts, and so does a read in another module
+    sources = {
+        "a": "from dataclasses import dataclass\n"
+             "@dataclass(frozen=True)\nclass Box:\n"
+             "    size: int\n    mask: object\n    _cache: int = 0\n    label: str = ''\n"
+             "    def __post_init__(self):\n        self.mask = None\n"
+             "@dataclass\nclass Pair:\n    left: int\n    right: int\n"
+             "class Plain:\n    hidden: int\n",
+        "b": "from .a import Box, Pair\n"
+             "def area(b):\n    return b.size * Pair(1, 2).left\n"
+             "print(area(Box(1, None)).label)\n",
+    }
+    assert unread_fields(sources) == ["a.Box.mask", "a.Pair.right"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_fields(sources) == []
 
 
 # `run_pipeline` reaches these modules only through the subcommands' stage
