@@ -113,6 +113,11 @@ def suppress_non_maxima(
     return CandidateSet(idx[kept], conf[kept], radius)
 
 
+def check_d(d: int) -> None:
+    if d < 1:
+        raise ValueError("d must be >= 1")
+
+
 def detect_candidates(
     stream: FeatureStream, change_model: LinearModel, d: int
 ) -> CandidateSet:
@@ -121,8 +126,7 @@ def detect_candidates(
 
     A model that records its training d must be run with that d.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    check_d(d)
     if not change_model.is_binary:
         raise ValueError("detect_candidates requires a binary change model")
     if change_model.d is not None and change_model.d != d:

@@ -10,23 +10,27 @@ solve (one class under one C) has its own C_k. The shrink factor 1 - 1/t
 does not depend on C, so one solve trains the models of a whole C grid as
 column blocks. A sign of 0 leaves a frame out of that column's problem:
 the mean runs over the column's own frames. So one solve also trains every
-cross-validation fold, each fold's columns signing its held-out frames 0.
-With two classes, class 1's signs negate class 0's, and IEEE negation
-commutes with every solver step, so only class 0's columns are solved and
-class 1 is 0 - w, 0 - b. This needs at least two solved columns: a
-one-column product takes BLAS's matrix-vector path, which rounds
-differently, so a single model (one fold, one C) solves both classes.
+cross-validation fold, each fold signing its held-out frames 0. The signs
+differ only by fold: a solve takes one sign row per fold and class, and
+every C of the grid shares it. With two classes, class 1's signs negate
+class 0's, and IEEE negation commutes with every solver step, so only
+class 0's columns are solved and class 1 is 0 - w, 0 - b. This needs at
+least two solved columns: a one-column product takes BLAS's matrix-vector
+path, which rounds differently, so a single model (one fold, one C)
+solves both classes.
 The iterate with the lowest objective is kept per column, so the returned
 objective never exceeds the value at initialization.
 
-Frames are on BLAS's row side of every product: a solve's signs are
-(columns, n), one contiguous row per column, margins are w @ x.T and
+Frames are on BLAS's row side of every product: margins are w @ x.T and
 scores W @ x.T, so OpenBLAS packs a block of frames at a time instead of
-all of them. The bias gradient sums -1, +0 and +1, integers that add
-exactly in any order, and each column's hinge terms, one contiguous row,
-sum pairwise. Identical inputs and config give bit-identical models at a
-fixed BLAS thread count and build. Confidences are raw margins; the
-decoding weight lambda absorbs their scale, so no calibration is applied.
+all of them. A solve's signs are (folds, 1, classes, n), one contiguous
+row per fold and class, and its (columns, n) work buffer is viewed as
+(folds, |C|, classes, n), so the signs broadcast over C. The bias
+gradient sums -1, +0 and +1, integers that add exactly in any order, and
+each column's hinge terms, one contiguous row, sum pairwise. Identical
+inputs and config give bit-identical models at a fixed BLAS thread count
+and build. Confidences are raw margins; the decoding weight lambda
+absorbs their scale, so no calibration is applied.
 """
 
 from __future__ import annotations
@@ -102,30 +106,38 @@ class LinearModel:
 
 
 def _solve_subgradient(
-    x: np.ndarray, y_signs: np.ndarray, c_regs: np.ndarray, epochs: int
+    x: np.ndarray, signs: np.ndarray, c_regs: np.ndarray, epochs: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best-objective iterate of subgradient descent, per column: y_signs
-    is (k, n), one contiguous row of signs per column, and c_regs holds each
-    column's C. A sign of 0 leaves the frame out of the column's problem:
-    its hinge term is 0 - margin * 0 = +0 (so it is never active) and the
-    mean divides by the column's count of non-zero signs. Without zero signs
-    these are exactly the float steps of a plain mean."""
-    in_problem = y_signs != 0.0  # the 1 of 1 - margin, as a bool
-    n = np.count_nonzero(in_problem, axis=1).astype(np.float64)
+    """Best-objective iterate of subgradient descent, per column. signs is
+    (folds, 1, classes, n), one contiguous row of signs per fold and class,
+    shared by every C; c_regs is (|C|, 1), one C per row, or (|C|, classes).
+    The columns are ordered fold, then C, then class, and the (k, n) work
+    buffer is viewed as (folds, |C|, classes, n) wherever the signs enter.
+    A sign of 0 leaves the frame out of the column's problem: its hinge term
+    is 0 - margin * 0 = +0 (so it is never active) and the mean divides by
+    its fold's count of non-zero signs. Without zero signs these are exactly
+    the float steps of a plain mean."""
+    folds, _, classes, rows = signs.shape
+    grid = (folds, c_regs.shape[0], classes)
+    in_problem = signs != 0.0  # the 1 of 1 - margin, as a bool
+    n = np.count_nonzero(in_problem, axis=-1).astype(np.float64)  # (folds, 1, classes)
     if not np.all(n):
         raise ValueError("every column needs at least one training row")
-    k, d = y_signs.shape[0], x.shape[1]
+    n = np.broadcast_to(n, grid).reshape(-1)
+    c_regs = np.broadcast_to(c_regs, grid).reshape(-1)
+    k, d = n.size, x.shape[1]
     w = np.zeros((k, d))
     b = np.zeros(k)
     best_w, best_b = w.copy(), b.copy()
     best_obj = np.full(k, np.inf)
-    work = np.empty(y_signs.shape)  # margins, then hinge terms, then active signs
-    ones = np.ones(y_signs.shape[1])
+    work = np.empty((k, rows))  # margins, then hinge terms, then active signs
+    grid_work = work.reshape(*grid, rows)  # a view: the signs broadcast over C
+    ones = np.ones(rows)
     for t in range(epochs + 1):
         np.matmul(w, x.T, out=work)  # frames on BLAS's row side: x is not packed whole
         work += b[:, None]
-        work *= y_signs
-        np.subtract(in_problem, work, out=work)
+        grid_work *= signs
+        np.subtract(in_problem, grid_work, out=grid_work)
         np.maximum(0.0, work, out=work)
         obj = 0.5 * c_regs * (w * w).sum(axis=1) + work.sum(axis=1) / n
         better = obj < best_obj
@@ -135,7 +147,7 @@ def _solve_subgradient(
         if t == epochs:
             break
         np.greater(work, 0.0, out=work)  # 1 - margin > 0 exactly where margin < 1
-        work *= y_signs
+        grid_work *= signs
         work += 0.0  # an inactive -1 row gives -0.0; the gradient sums +0.0
         eta = 1.0 / (c_regs * (t + 1))
         w = (1.0 - eta * c_regs)[:, None] * w + (eta / n)[:, None] * (work @ x)
@@ -168,24 +180,26 @@ def _training_input(
 
 
 def _fit(
-    x: np.ndarray, y_signs: np.ndarray, held_out: np.ndarray, space: LabelSpace | None,
-    c_grid: Sequence[float], epochs: int,
+    x: np.ndarray, y: np.ndarray, positives: Sequence[int], held_out: np.ndarray,
+    space: LabelSpace | None, c_grid: Sequence[float], epochs: int,
 ) -> list[list[LinearModel]]:
-    """Models [fold][C] from one solve of the (n, k) sign columns. Its sign
-    rows are those columns tiled fold-major, then C; a fold's rows sign its
-    held-out frames 0. With two classes and two or more of these rows, only
-    class 0 is solved (see the module docstring)."""
+    """Models [fold][C] from one solve. Class j signs +1 the rows labelled
+    positives[j] and -1 the others; each fold has one sign row per class,
+    which every C shares, and signs its held-out rows 0. The signs come
+    straight from the labels, with no (n, classes) one-hot. With two
+    classes and two or more (fold, C) cells, only class 0 is solved (see the
+    module docstring)."""
     configs = [TrainConfig(c, epochs) for c in c_grid]
-    (n, k), folds = y_signs.shape, held_out.shape[1]
-    paired = k == 2 and folds * len(configs) >= 2
-    solved = 1 if paired else k
-    signs = np.empty((folds, len(configs), solved, n))
-    signs[...] = y_signs.T[:solved]
+    folds = held_out.shape[1]
+    paired = len(positives) == 2 and folds * len(configs) >= 2
+    solved = np.asarray(positives[:1] if paired else positives)
+    signs = np.empty((folds, 1, solved.size, y.size))
+    np.equal(y, solved[:, None], out=signs)  # 1.0 on the class's rows, else 0.0
+    signs *= 2.0
+    signs -= 1.0
     np.copyto(signs, 0.0, where=held_out.T[:, None, None, :])
-    w, b, _ = _solve_subgradient(
-        x, signs.reshape(-1, n), np.tile(np.repeat(c_grid, solved), folds), epochs
-    )
-    w, b = w.reshape(folds, len(configs), solved, -1), b.reshape(folds, len(configs), solved)
+    w, b, _ = _solve_subgradient(x, signs, np.asarray(c_grid, dtype=np.float64)[:, None], epochs)
+    w, b = w.reshape(folds, len(configs), solved.size, -1), b.reshape(folds, len(configs), -1)
     if paired:
         # 0 - v, not -v: a zero weight is +0.0 in both columns of the pair
         w, b = np.concatenate([w, 0.0 - w], axis=2), np.concatenate([b, 0.0 - b], axis=2)
@@ -225,9 +239,8 @@ def train_grid(
     model has at least two classes.
     """
     x, y, held_out = _training_input(*_stacked(streams, truths), row_folds, folds)
-    y_signs = np.full((x.shape[0], truths[0].num_states), -1.0)
-    y_signs[np.arange(x.shape[0]), y] = 1.0
-    return _fit(x, y_signs, held_out, truths[0].label_space, c_grid, epochs)
+    classes = range(truths[0].num_states)
+    return _fit(x, y, classes, held_out, truths[0].label_space, c_grid, epochs)
 
 
 def train(
@@ -248,7 +261,7 @@ def train_binary_grid(
     x, y, held_out = _training_input(x, y, row_folds, folds)
     if not set(np.unique(y)) <= {0, 1}:
         raise ValueError("binary labels must be 0 or 1")
-    return _fit(x, (2.0 * y - 1.0)[:, None], held_out, None, c_grid, epochs)
+    return _fit(x, y, (1,), held_out, None, c_grid, epochs)
 
 
 def train_binary(

@@ -15,6 +15,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -184,21 +185,29 @@ _SYNTH_VIDEOS = {
 }
 
 
-def _synth_features(cfg: dict, video_ids: list[str], space: LabelSpace, out: Path,
-                    fps: float = DEFAULT_FPS) -> list[Path]:
-    """Write `<video_id>.feat` and `<video_id>.truth.txt` (label names) of
-    each stream a synth config asks for into out; return the files."""
-    pairs = synth.gen_feature_set(
+def _feature_set(cfg: dict, video_ids: list[str], space: LabelSpace,
+                 fps: float = DEFAULT_FPS) -> Iterator[tuple[FeatureStream, StateSequence]]:
+    """The streams a synth config asks for, one per video id. Every config
+    value is checked here; the streams are drawn as they are iterated."""
+    synth.check_stream_budget(len(video_ids), cfg["frames"], cfg["dim"])
+    return synth.gen_feature_set(
         cfg["seed"], cfg["states"], cfg["dim"], cfg["frames"], cfg["min_dwell"],
         cfg["noise_sigma"], video_ids, transition_ramp=cfg.get("transition_ramp", 0),
         fps=fps, label_space=space,
     )
+
+
+def _write_feature_set(pairs: Iterator[tuple[FeatureStream, StateSequence]],
+                       out: Path) -> list[Path]:
+    """Write `<video_id>.feat` and `<video_id>.truth.txt` (label names) of
+    each stream into out, one stream alive at a time; return the files."""
     out.mkdir(parents=True, exist_ok=True)
     files = []
     for stream, truth in pairs:
         files += [out / f"{stream.video_id}.feat", out / f"{stream.video_id}.truth.txt"]
         features_mod.write_features(stream, files[-2])
         write_labels(truth, files[-1])
+        del stream, truth  # the next stream is drawn without this one alive
     return files
 
 
@@ -209,9 +218,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         cfg = _read_json_object(
             args.config, {"seed": "integer", **_SYNTH_STREAMS, "videos": "integer"}
         )
-        synth.check_stream_budget(cfg["videos"], cfg["frames"], cfg["dim"])
-        _synth_features(cfg, [f"video_{i:02d}" for i in range(cfg["videos"])],
-                        load_label_space(args.label_space), out)
+        pairs = _feature_set(cfg, [f"video_{i:02d}" for i in range(cfg["videos"])],
+                             load_label_space(args.label_space))
+        _write_feature_set(pairs, out)
     else:
         cfg = _read_json_object(args.config, _SYNTH_VIDEOS)
         specs = [synth.VideoSpec(**v) for v in cfg["videos"]]  # keys checked above
@@ -332,9 +341,18 @@ def run_cv(pairs: list, label_space: str | Path, plan: crossval.CrossValPlan, ep
     return [chosen, table]
 
 
+def _check_flag(flag: str, check, value) -> None:
+    """Apply a stage's own check to an option's value; its error names the option."""
+    try:
+        check(value)
+    except ValueError as e:
+        raise ValueError(f"{flag} {value}: {e}") from None
+
+
 def run_detect_changes(features: str | Path, model: str | Path, d: int,
                        out: str | Path | None = None) -> None:
     """Write the candidates to `out`, or to stdout without one."""
+    _check_flag("--d", change.check_d, d)
     cands = change.detect_candidates(features_mod.read_features(features),
                                      classify.load_model(model), d)
     rows = [f"{int(i)}\t{float(c)!r}" for i, c in zip(cands.frame_indices, cands.confidences)]
@@ -355,10 +373,7 @@ def run_infer(features: str | Path, state_model: str | Path, mode: str,
     state = classify.load_model(state_model)
     if state.label_space is None:
         raise ValueError(f"--state-model {state_model}: not a state model with a label space")
-    stream = features_mod.read_features(features)
-    if mode == "unary":
-        seq = classify.predict_frames(state, stream)
-    else:
+    if mode == "full":
         if lam == "auto":
             if not cv_result:
                 raise ValueError("--lambda auto requires --cv-result from a prior cv run")
@@ -368,6 +383,12 @@ def run_infer(features: str | Path, state_model: str | Path, mode: str,
             raise ValueError("--cv-result is read only with --lambda auto")
         if change_model is None or d is None or lam is None:
             raise ValueError("full mode needs --change-model, --d and --lambda")
+        _check_flag("--lambda", lambda v: inference.check_lam(float(v)), lam)
+        _check_flag("--d", change.check_d, d)
+    stream = features_mod.read_features(features)
+    if mode == "unary":
+        seq = classify.predict_frames(state, stream)
+    else:
         cands = change.detect_candidates(stream, classify.load_model(change_model), d)
         unary = classify.score_stream(state, stream)
         seq = inference.decode_stream(stream, unary, cands, [float(lam)], state.label_space)[0]
@@ -517,6 +538,41 @@ def _stage(out_dir: Path, name: str, stage: str):
     (sdir / "INCOMPLETE").unlink()
 
 
+def _pipeline_plan(cfg: dict, space: LabelSpace) -> tuple[crossval.CrossValPlan, int]:
+    """The CV plan and the epochs of a pipeline config, once every value
+    that a later stage would reject has been rejected with the stage's own
+    check. An explicit C, d or lambda is a one-value grid, checked as any
+    grid value is; the synth values are checked by `_feature_set`."""
+    scfg = cfg["synth"]
+    if scfg["states"] > space.num_labels:
+        raise ValueError("synth states exceed the label-space size")
+    if scfg["states"] < 2:
+        raise ValueError("synth states must be >= 2: training needs two distinct labels")
+    n_train, n_test = scfg["train_videos"], scfg["test_videos"]
+    if min(n_train, n_test) < 1:
+        raise ValueError("pipeline needs train_videos and test_videos >= 1")
+    hyper = cfg["hyperparameters"]
+    cvcfg = cfg.get("cv", {})
+    plan = crossval.CrossValPlan(
+        c_grid=tuple(cvcfg.get("c_grid", crossval.CrossValPlan.c_grid))
+        if hyper["C"] == "auto" else (hyper["C"],),
+        d_grid=tuple(cvcfg.get("d_grid", crossval.CrossValPlan.d_grid))
+        if hyper["d"] == "auto" else (hyper["d"],),
+        lambda_grid=tuple(cvcfg.get("lambda_grid", crossval.CrossValPlan.lambda_grid))
+        if hyper["lambda"] == "auto" else (hyper["lambda"],),
+    )
+    if "auto" in hyper.values() and n_train < plan.folds:
+        raise ValueError(f"cross-validation needs train_videos >= {plan.folds}, got "
+                         f"{n_train}; give C, d and lambda instead of \"auto\"")
+    lo, hi = change.valid_band(scfg["frames"], plan.d_grid[-1])
+    if hi < lo:
+        raise ValueError(f"synth frames {scfg['frames']} leave no change features at "
+                         f"d={plan.d_grid[-1]}: they need 2d+1 frames")
+    epochs = cfg.get("training", {}).get("epochs", _TRAIN_DEFAULTS.epochs)
+    classify.TrainConfig(epochs=epochs)
+    return plan, epochs
+
+
 def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
     """Chain synth -> train -> infer -> eval; rerun-identical artifacts.
 
@@ -530,43 +586,23 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
     if not labels.exists():
         raise ValueError(f"label-space file not found: {labels}")
     space = load_label_space(labels)
-    scfg = cfg["synth"]
-    if scfg["states"] > space.num_labels:
-        raise ValueError("synth states exceed the label-space size")
+    plan, epochs = _pipeline_plan(cfg, space)
+    scfg, hyper = cfg["synth"], cfg["hyperparameters"]
     n_train, n_test = scfg["train_videos"], scfg["test_videos"]
-    if min(n_train, n_test) < 1:
-        raise ValueError("pipeline needs train_videos and test_videos >= 1")
-    synth.check_stream_budget(n_train + n_test, scfg["frames"], scfg["dim"])
-    hyper = cfg["hyperparameters"]
-    plan = None
-    if "auto" in hyper.values():
-        cvcfg = cfg.get("cv", {})
-        plan = crossval.CrossValPlan(
-            c_grid=tuple(cvcfg.get("c_grid", crossval.CrossValPlan.c_grid))
-            if hyper["C"] == "auto" else (hyper["C"],),
-            d_grid=tuple(cvcfg.get("d_grid", crossval.CrossValPlan.d_grid))
-            if hyper["d"] == "auto" else (hyper["d"],),
-            lambda_grid=tuple(cvcfg.get("lambda_grid", crossval.CrossValPlan.lambda_grid))
-            if hyper["lambda"] == "auto" else (hyper["lambda"],),
-        )
-        if n_train < plan.folds:
-            raise ValueError(f"cross-validation needs train_videos >= {plan.folds}, got "
-                             f"{n_train}; give C, d and lambda instead of \"auto\"")
-    epochs = cfg.get("training", {}).get("epochs", _TRAIN_DEFAULTS.epochs)
+    vids = [f"{'train' if i < n_train else 'test'}_{i:02d}" for i in range(n_train + n_test)]
+    seeded = {"seed": cfg["seed"], **scfg}
+    pairs = _feature_set(seeded, vids, space, cfg.get("fps", DEFAULT_FPS))
     inputs = {"config": config_path}  # of every manifest after synth
 
     with _stage(out_dir, "00_synth", "synth") as sdir:
-        vids = [f"{'train' if i < n_train else 'test'}_{i:02d}"
-                for i in range(n_train + n_test)]
-        seeded = {"seed": cfg["seed"], **scfg}
-        outputs = _synth_features(seeded, vids, space, sdir, cfg.get("fps", DEFAULT_FPS))
+        outputs = _write_feature_set(pairs, sdir)
         write_manifest(sdir, "synth", seeded,
                        {"config": config_path, "label_space": labels}, outputs)
     feats = {v: sdir / f"{v}.feat" for v in vids}
     truths = {v: sdir / f"{v}.truth.txt" for v in vids}
     train_ids, test_ids = vids[:n_train], vids[n_train:]
 
-    if plan is not None:
+    if "auto" in hyper.values():
         with _stage(out_dir, "01_cv", "cv") as cvdir:
             outputs = run_cv([(feats[v], truths[v]) for v in train_ids], labels, plan,
                              epochs, cvdir)

@@ -95,6 +95,11 @@ class LabelSpace:
         return len(self.labels)
 
 
+def check_fps(fps: float) -> None:
+    if not 0 < fps < np.inf:
+        raise ValueError(f"fps must be positive and finite, got {fps}")
+
+
 @dataclass(frozen=True)
 class FeatureStream:
     """Per-frame feature vectors of one video at a fixed frame rate.
@@ -113,8 +118,7 @@ class FeatureStream:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0 < self.fps < np.inf:
-            raise ValueError(f"fps must be positive and finite, got {self.fps}")
+        check_fps(self.fps)
         vals = np.asarray(self.values)
         if vals.dtype != np.float32:
             vals = np.asarray(vals, dtype=np.float64)

@@ -1,4 +1,4 @@
-"""Per-frame evaluation: accuracy, confusion matrices, report emission."""
+"""Per-frame evaluation: confusion matrices, accuracy, report emission."""
 
 from __future__ import annotations
 
@@ -22,12 +22,6 @@ def _check_pair(pred: StateSequence, truth: StateSequence) -> None:
         and pred.label_space != truth.label_space
     ):
         raise ValueError("sequences use different label spaces")
-
-
-def accuracy(pred: StateSequence, truth: StateSequence) -> float:
-    """Fraction of frames with matching state."""
-    _check_pair(pred, truth)
-    return float(np.mean(pred.states == truth.states))
 
 
 def confusion(pred: StateSequence, truth: StateSequence) -> np.ndarray:
@@ -64,8 +58,8 @@ def build_report(
     for vid in sorted(preds):
         if not len(truths[vid]):
             raise ValueError(f"video {vid!r} has no frames to evaluate")
-        per_video[vid] = accuracy(preds[vid], truths[vid])
         c = confusion(preds[vid], truths[vid])
+        per_video[vid] = float(np.trace(c) / c.sum())  # correct / frames, as one division
         total = c if total is None else total + c
         n += len(truths[vid])
     global_acc = float(np.trace(total) / total.sum())

@@ -112,7 +112,7 @@ class InferenceProblem:
         return self.unary.shape[1]
 
 
-def _check_lam(lam: float) -> None:
+def check_lam(lam: float) -> None:
     if not 0 <= lam < math.inf:  # also false for NaN
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
 
@@ -128,7 +128,7 @@ def decode(problem: InferenceProblem, lams: Sequence[float]) -> list[StateSequen
     first segment on (so ties prefer the lower state index).
     """
     for lam in lams:
-        _check_lam(lam)
+        check_lam(lam)
     weights = np.asarray(lams, dtype=np.float64)
     n, k = problem.n_frames, problem.num_states
     cand = problem.candidates

@@ -12,19 +12,21 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import (
-    DEFAULT_FPS, Camera, FeatureStream, LabelSpace, StateSequence, frozen_array, run_starts,
+    DEFAULT_FPS, Camera, FeatureStream, LabelSpace, StateSequence, check_fps, frozen_array,
+    run_starts,
 )
 from .media import frame_path, remove_frames_from, resize_to, round_u8, save_ppm, scaled_size
 
 
-# Every synthesized stream is float64 and a feature set is held in memory
-# whole, so a config is refused before anything is allocated when its
-# streams, or one rendered video frame, would exceed this many bytes.
+# Every synthesized stream is float64. A config is refused before anything
+# is allocated when its streams together, or one rendered video frame,
+# would exceed this many bytes. A feature set is drawn and written one
+# stream at a time, so this caps what a config writes, not what it holds.
 MAX_STREAM_BYTES = 2**31
 
 
@@ -70,6 +72,11 @@ class SynthConfig:
         object.__setattr__(self, "centers", frozen_array(centers))
 
 
+def _check_label_space(label_space: LabelSpace | None, num_states: int) -> None:
+    if label_space is not None and label_space.num_labels < num_states:
+        raise ValueError("label space too small for the configured state count")
+
+
 def random_centers(num_states: int, dim: int, seed: int) -> np.ndarray:
     """Unit-norm random state centers (deterministic in the seed)."""
     rng = np.random.default_rng(seed)
@@ -109,8 +116,7 @@ def gen_feature_stream(
     old to the new state over the 2w frames straddling each transition
     (ground-truth labels stay crisp).
     """
-    if label_space is not None and label_space.num_labels < config.num_states:
-        raise ValueError("label space too small for the configured state count")
+    _check_label_space(label_space, config.num_states)
     rng = np.random.default_rng(config.seed)
     states = _draw_states(config, rng)
     trajectory = config.centers[states]
@@ -149,31 +155,32 @@ def gen_feature_set(
     transition_ramp: int = 0,
     fps: float = DEFAULT_FPS,
     label_space: LabelSpace | None = None,
-) -> list[tuple[FeatureStream, StateSequence]]:
+) -> Iterator[tuple[FeatureStream, StateSequence]]:
     """One labeled stream per video id around shared random centers.
 
-    Video i is drawn with seed seed*1000+i, so adding videos never changes
-    the earlier ones.
+    Every stream's config, the frame rate and the label space are checked
+    when this is called; the streams are then drawn one at a time, as the
+    returned iterator is advanced. Video i is drawn with seed seed*1000+i,
+    so adding videos never changes the earlier ones.
     """
+    check_fps(fps)
+    _check_label_space(label_space, num_states)
     centers = random_centers(num_states, dim, seed)
-    return [
-        gen_feature_stream(
-            SynthConfig(
-                seed=seed * 1000 + i,
-                num_states=num_states,
-                dim=dim,
-                n_frames=n_frames,
-                min_dwell=min_dwell,
-                centers=centers,
-                noise_sigma=noise_sigma,
-                transition_ramp=transition_ramp,
-            ),
-            video_id=vid,
-            fps=fps,
-            label_space=label_space,
+    configs = [
+        SynthConfig(
+            seed=seed * 1000 + i,
+            num_states=num_states,
+            dim=dim,
+            n_frames=n_frames,
+            min_dwell=min_dwell,
+            centers=centers,
+            noise_sigma=noise_sigma,
+            transition_ramp=transition_ramp,
         )
-        for i, vid in enumerate(video_ids)
+        for i in range(len(video_ids))
     ]
+    return (gen_feature_stream(config, video_id=vid, fps=fps, label_space=label_space)
+            for config, vid in zip(configs, video_ids))
 
 
 # ---------------------------------------------------------------------------

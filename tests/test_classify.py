@@ -248,8 +248,14 @@ def reference_solve(x, y_signs, c_regs, epochs):
 
 
 def rows(signs):
-    """(n, k) sign columns as the (k, n) sign rows the solver takes."""
+    """(n, k) sign columns as (k, n) sign rows, one contiguous row each."""
     return np.ascontiguousarray(signs.T)
+
+
+def solve_columns(x, signs, c_regs, epochs):
+    """The solver on (n, k) sign columns with one C each, taken as the k
+    classes of one fold under one C row."""
+    return classify._solve_subgradient(x, rows(signs)[None, None], c_regs[None], epochs)
 
 
 def parent_fit(x, y_signs, held_out, space, c_grid, epochs):
@@ -271,13 +277,18 @@ def parent_fit(x, y_signs, held_out, space, c_grid, epochs):
 def fold_signs(signs, folds, c_grid):
     """Sign columns tiled fold-major, then C, each fold's rows signed 0
     in its own columns (rows go to folds round robin; one fold holds out
-    none), and their Cs."""
+    none), and their Cs; then the same problem as the solver takes it: one
+    (k, n) block of sign rows per fold, shared by the C grid, and the Cs as
+    a column."""
     n, k = signs.shape
+    held_out = (np.arange(n) % folds)[:, None] == np.arange(folds) if folds > 1 else (
+        np.zeros((n, 1), dtype=bool))
     tiled = np.empty((n, folds, len(c_grid), k))
     tiled[...] = signs[:, None, None, :]
-    if folds > 1:
-        tiled[(np.arange(n) % folds)[:, None] == np.arange(folds)] = 0.0
-    return tiled.reshape(n, -1), np.tile(np.repeat(c_grid, k), folds)
+    tiled[held_out] = 0.0
+    per_fold = np.where(held_out.T[:, None, None, :], 0.0, rows(signs))
+    return (tiled.reshape(n, -1), np.tile(np.repeat(c_grid, k), folds),
+            per_fold, np.array(c_grid)[:, None])
 
 
 def same_bytes(a, b):
@@ -308,9 +319,9 @@ class TestGridSolve:
         widths = []
         solve = classify._solve_subgradient
 
-        def counted(x, y_signs, c_regs, epochs):
-            widths.append(y_signs.shape[0])
-            return solve(x, y_signs, c_regs, epochs)
+        def counted(x, signs, c_regs, epochs):
+            widths.append(signs.shape[0] * c_regs.shape[0] * signs.shape[2])
+            return solve(x, signs, c_regs, epochs)
 
         monkeypatch.setattr(classify, "_solve_subgradient", counted)
         for k, c in product(range(2, 14), (0.01, 1.0, 10.0)):
@@ -375,9 +386,9 @@ class TestSolverExactness:
     def test_fold_grids_match_reference_bytes(self):
         for k, folds, seed in product(range(2, 7), (1, 3, 5), (0, 1)):
             x, y = seeded_states(20 * k + seed, k)
-            signs, c_regs = fold_signs(one_vs_rest(y, k), folds, C_GRID)
+            signs, c_regs, per_fold, c_column = fold_signs(one_vs_rest(y, k), folds, C_GRID)
             expected = reference_solve(x, rows(signs), c_regs, 30)
-            assert same_bytes(classify._solve_subgradient(x, rows(signs), c_regs, 30), expected)
+            assert same_bytes(classify._solve_subgradient(x, per_fold, c_column, 30), expected)
 
     def test_random_zero_signs_match_reference_bytes(self):
         rng = np.random.default_rng(4)
@@ -386,7 +397,7 @@ class TestSolverExactness:
         signs[rng.random((90, 7)) < 0.3] = 0.0
         c_regs = np.array([0.01, 0.1, 1.0, 10.0, 0.5, 3.0, 1e-3])
         expected = reference_solve(x, rows(signs), c_regs, 25)
-        assert same_bytes(classify._solve_subgradient(x, rows(signs), c_regs, 25), expected)
+        assert same_bytes(solve_columns(x, signs, c_regs, 25), expected)
 
     def test_column_with_no_active_rows_matches_reference_bytes(self):
         # separable rows and a small C: after the first step every margin is
@@ -401,7 +412,7 @@ class TestSolverExactness:
         margins = signs * (x @ w1.T + b1)
         assert np.all(margins[signs != 0.0] >= 1.0)
         expected = parent_masked_solve(x, signs, c_regs, 20)
-        assert same_bytes(classify._solve_subgradient(x, rows(signs), c_regs, 20), expected)
+        assert same_bytes(solve_columns(x, signs, c_regs, 20), expected)
 
     def test_k2_grids_match_reference_fit_bytes(self):
         # the halved solve pairs class 0 with its negation, a zero weight
@@ -411,8 +422,8 @@ class TestSolverExactness:
             x[:, 3] = 0.0
             row_folds = np.arange(y.size) % folds if folds > 1 else None
             x, y, held_out = classify._training_input(x, y, row_folds, folds)
-            args = (x, one_vs_rest(y, 2), held_out, free_active(), c_grid, 30)
-            got, expected = classify._fit(*args), parent_fit(*args)
+            got = classify._fit(x, y, range(2), held_out, free_active(), c_grid, 30)
+            expected = parent_fit(x, one_vs_rest(y, 2), held_out, free_active(), c_grid, 30)
             assert [[model_bytes(m) for m in f] for f in got] == [
                 [model_bytes(m) for m in f] for f in expected
             ]
@@ -420,10 +431,10 @@ class TestSolverExactness:
     def test_wide_grid_matches_reference_bytes(self):
         # 120 columns at 400 x 9: BLAS rounds w @ x.T differently from x @ w.T here
         x, y = seeded_states(7, 6, n=400, dim=9)
-        signs, c_regs = fold_signs(one_vs_rest(y, 6), 5, C_GRID)
+        signs, c_regs, per_fold, c_column = fold_signs(one_vs_rest(y, 6), 5, C_GRID)
         assert signs.shape[1] == 120
         expected = reference_solve(x, rows(signs), c_regs, 25)
-        assert same_bytes(classify._solve_subgradient(x, rows(signs), c_regs, 25), expected)
+        assert same_bytes(classify._solve_subgradient(x, per_fold, c_column, 25), expected)
 
     def test_long_solves_match_reference_bytes(self):
         # more rows than numpy's 8,192-element buffer, in one and in three columns
@@ -434,7 +445,7 @@ class TestSolverExactness:
         for cols in (slice(0, 1), slice(0, 3)):
             c_regs = np.array([0.01, 0.3, 5.0])[cols]
             expected = parent_masked_solve(x, signs[:, cols], c_regs, 8)
-            got = classify._solve_subgradient(x, rows(signs[:, cols]), c_regs, 8)
+            got = solve_columns(x, signs[:, cols], c_regs, 8)
             assert same_bytes(got, expected)
 
     def test_one_column_solves_match_reference_bytes(self):
@@ -445,12 +456,12 @@ class TestSolverExactness:
             signs[::5] = 0.0
             c_regs = np.array([c])
             expected = parent_masked_solve(x, signs, c_regs, 30)
-            assert same_bytes(classify._solve_subgradient(x, rows(signs), c_regs, 30), expected)
+            assert same_bytes(solve_columns(x, signs, c_regs, 30), expected)
 
     def test_k24_single_model_matches_reference_fit_bytes(self):
         x, y = seeded_states(24, 24, n=600, dim=12)
         x, y, held_out = classify._training_input(x, y, None, 1)
-        ((got,),) = classify._fit(x, one_vs_rest(y, 24), held_out, None, (0.5,), 30)
+        ((got,),) = classify._fit(x, y, range(24), held_out, None, (0.5,), 30)
         w, b, _ = reference_solve(x, rows(one_vs_rest(y, 24)), np.full(24, 0.5), 30)
         assert model_bytes(got) == model_bytes(LinearModel(w, b, None, TrainConfig(0.5, 30)))
 
@@ -463,13 +474,92 @@ class TestSolverExactness:
             binary = (2.0 * (y % 2) - 1.0)[:, None]
             for k in (1, 2, 20, 24):
                 if k == 20:
-                    signs, c_regs = fold_signs(binary, 5, C_GRID)
+                    signs, c_regs, per_fold, c_column = fold_signs(binary, 5, C_GRID)
+                    got = classify._solve_subgradient(x, per_fold, c_column, 4)
                 else:
                     signs = one_vs_rest(y % k, k) if k > 1 else binary
                     c_regs = np.full(k, 0.5)
+                    got = solve_columns(x, signs, c_regs, 4)
                 expected = parent_masked_solve(x, signs, c_regs, 4)
-                got = classify._solve_subgradient(x, rows(signs), c_regs, 4)
                 assert same_bytes(got[:2], expected[:2]), (n, d, k)
+
+
+def tiled_fit(x, y_signs, held_out, space, c_grid, epochs):
+    """`classify._fit` with its sign rows tiled fold-major, then C, one row
+    per column, verbatim but for the reference solver: the reference for
+    the sign rows that one fold shares across the C grid."""
+    configs = [TrainConfig(c, epochs) for c in c_grid]
+    (n, k), folds = y_signs.shape, held_out.shape[1]
+    paired = k == 2 and folds * len(configs) >= 2
+    solved = 1 if paired else k
+    signs = np.empty((folds, len(configs), solved, n))
+    signs[...] = y_signs.T[:solved]
+    np.copyto(signs, 0.0, where=held_out.T[:, None, None, :])
+    w, b, _ = reference_solve(
+        x, signs.reshape(-1, n), np.tile(np.repeat(c_grid, solved), folds), epochs
+    )
+    w, b = w.reshape(folds, len(configs), solved, -1), b.reshape(folds, len(configs), solved)
+    if paired:
+        w, b = np.concatenate([w, 0.0 - w], axis=2), np.concatenate([b, 0.0 - b], axis=2)
+    return [[LinearModel(wc, bc, space, cfg) for wc, bc, cfg in zip(wf, bf, configs)]
+            for wf, bf in zip(w, b)]
+
+
+def grid_bytes(grid):
+    return [[model_bytes(m) for m in fold] for fold in grid]
+
+
+class TestPerFoldSigns:
+    """One sign row per fold and class, shared by every C of the grid,
+    trains the models of the tiled sign rows (`tiled_fit`) byte for byte."""
+
+    @pytest.mark.parametrize("k, folds, c_grid", [
+        (2, 5, C_GRID),  # a paired grid: class 1 negates class 0
+        (2, 1, (0.5,)),  # a single model solves both columns
+        (3, 5, C_GRID),
+        (13, 5, C_GRID),
+        (24, 5, C_GRID),
+        (3, 1, C_GRID),  # no folds
+        (24, 1, C_GRID),
+    ])
+    def test_state_grids_match_tiled_signs(self, k, folds, c_grid):
+        x, y = seeded_states(100 + k, k, n=40 * k, dim=9)
+        space = free_active() if k == 2 else None
+        truth = StateSequence(space, y) if space else StateSequence(None, y, num_states=k)
+        row_folds = np.arange(y.size) % folds if folds > 1 else None
+        got = train_grid([FeatureStream("v", Camera.HEAD, 6.0, x)], [truth], row_folds, folds,
+                         c_grid, 25)
+        x64, y64, held_out = classify._training_input(x, y, row_folds, folds)
+        expected = tiled_fit(x64, one_vs_rest(y64, k), held_out, space, c_grid, 25)
+        assert grid_bytes(got) == grid_bytes(expected)
+
+    @pytest.mark.parametrize("folds, c_grid", [(5, C_GRID), (1, C_GRID), (1, (0.5,))])
+    def test_binary_grids_match_tiled_signs(self, folds, c_grid):
+        x, y = seeded_states(7, 2, n=300, dim=6)
+        row_folds = np.arange(y.size) % folds if folds > 1 else None
+        x64, y64, held_out = classify._training_input(x, y, row_folds, folds)
+        expected = tiled_fit(x64, (2.0 * y64 - 1.0)[:, None], held_out, None, c_grid, 25)
+        assert grid_bytes(train_binary_grid(x, y, row_folds, folds, c_grid, 25)) == grid_bytes(
+            expected)
+        if len(c_grid) == 1:  # the one-column path
+            model = train_binary(x, y, TrainConfig(c_grid[0], 25))
+            assert model_bytes(model) == model_bytes(expected[0][0])
+
+    def test_memory_holds_the_work_buffer_and_one_sign_row_block_per_fold(self, traced_peak):
+        # K=24, 5 folds x 4 C: 480 columns share 5 blocks of 24 sign rows.
+        # The peak is 19.8-20.8 MiB against a bound of 21.8 MiB; the rest
+        # is the bool in-problem mask, the (columns, D) iterates and first-
+        # call allocations. Tiling the sign rows per column peaked at 33.9
+        # MiB: a second work-sized array, and its bool copy.
+        n, d, k, folds = 4_000, 16, 24, 5
+        x, y = seeded_states(24, k, n=n, dim=d)
+        stream = FeatureStream("v", Camera.HEAD, 6.0, x)
+        truth = StateSequence(None, y, num_states=k)
+        peak, grid = traced_peak(train_grid, [stream], [truth], np.arange(n) % folds, folds,
+                                 C_GRID, 2)
+        assert len(grid) == folds and all(len(models) == len(C_GRID) for models in grid)
+        work, signs = 8 * folds * len(C_GRID) * k * n, 8 * folds * k * n
+        assert peak <= work + x.nbytes + signs + 3 * 2**20, peak / 2**20
 
 
 # The growth of the high-water mark over one product of n x D frames with
@@ -496,13 +586,13 @@ else:
     n, d, k = map(int, sys.argv[2:])
     x = rng.standard_normal((n, d))
     x.setflags(write=False)
-    signs = np.where(rng.random((k, n)) < 0.5, 1.0, -1.0)
+    signs = np.where(rng.random((1, 1, k, n)) < 0.5, 1.0, -1.0)
     stream = FeatureStream("v", Camera.HEAD, 6.0, x)
 model = classify.LinearModel(rng.standard_normal((k, d)), np.ones(k), None, classify.TrainConfig())
 np.ones((4, 4)) @ np.ones((4, 4))  # BLAS sets up before the baseline
 before = high_water()
 if what == "solve":
-    classify._solve_subgradient(x, signs, np.ones(k), 2)
+    classify._solve_subgradient(x, signs, np.ones((1, k)), 2)
 elif what == "read":
     classify.score_stream(model, read_features(path))
 else:
@@ -864,11 +954,12 @@ class TestCrossValidate:
         space = free_active()
         plan = CrossValPlan(c_grid=C_GRID, d_grid=(3, 6), lambda_grid=(0.1, 1.0, 10.0))
         for seed, n_videos in ((0, 5), (1, 6), (2, 7), (3, 5)):
-            pairs = synth.gen_feature_set(seed, 2, 6, 180, 15, 0.9,
-                                          [f"v{i}" for i in range(n_videos)],
-                                          transition_ramp=2, label_space=space)
+            pairs = list(synth.gen_feature_set(seed, 2, 6, 180, 15, 0.9,
+                                               [f"v{i}" for i in range(n_videos)],
+                                               transition_ramp=2, label_space=space))
             with monkeypatch.context() as m:
-                m.setattr(classify, "_fit", parent_fit)
+                m.setattr(classify, "_fit", lambda x, y, positives, *rest: parent_fit(
+                    x, one_vs_rest(y, 2)[:, positives], *rest))
                 expected = cross_validate(pairs, plan, 40)
             assert cross_validate(pairs, plan, 40) == expected
 
@@ -876,9 +967,10 @@ class TestCrossValidate:
         calls = []
         solve = classify._solve_subgradient
 
-        def counted(x, y_signs, c_regs, epochs):
-            calls.append((sorted(set(c_regs)), x.shape[0], y_signs.shape[0]))
-            return solve(x, y_signs, c_regs, epochs)
+        def counted(x, signs, c_regs, epochs):
+            columns = signs.shape[0] * c_regs.shape[0] * signs.shape[2]
+            calls.append((sorted(set(c_regs.ravel())), x.shape[0], columns))
+            return solve(x, signs, c_regs, epochs)
 
         monkeypatch.setattr(classify, "_solve_subgradient", counted)
         plan = CrossValPlan(c_grid=C_GRID, d_grid=(3, 6), lambda_grid=(1.0,))

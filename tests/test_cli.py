@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from handcam import alignment, classify, evaluation, synth
+from handcam import alignment, classify, cli, evaluation, synth
 from handcam.cli import build_parser, main, read_truth, run_pipeline, write_labels
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task
 from handcam.features import read_features, write_features
@@ -333,6 +333,29 @@ class TestTrainInferEval:
             assert main([*full, "--lambda", lam, "--out", str(pred)]) == 2
             assert "lam" in capsys.readouterr().err
             assert not pred.exists()
+
+    def test_unusable_lambda_or_d_exits_2_before_reading_features(self, tmp_path, capsys):
+        # each used to report the missing features file, and with a real file
+        # to score the whole stream before rejecting the value
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        smodel, cmodel = tmp_path / "state.bin", tmp_path / "change.bin"
+        common = ["--features", *feats, "--truth", *truths, "--label-space", str(ges),
+                  "--epochs", "5"]
+        assert main(["train-state", *common, "--out", str(smodel)]) == 0
+        assert main(["train-change", *common, "--d", "3", "--out", str(cmodel)]) == 0
+        missing = str(tmp_path / "missing.feat")
+        full = ["infer", "--features", missing, "--state-model", str(smodel), "--mode", "full",
+                "--change-model", str(cmodel)]
+        for argv, flag in (([*full, "--d", "3", "--lambda", "-1"], "--lambda"),
+                           ([*full, "--d", "3", "--lambda", "nan"], "--lambda"),
+                           ([*full, "--d", "3", "--lambda", "one"], "--lambda"),
+                           ([*full, "--d", "0", "--lambda", "1.0"], "--d"),
+                           (["detect-changes", "--features", missing, "--model", str(cmodel),
+                             "--d", "0"], "--d")):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert flag in capsys.readouterr().err
 
     def test_d_differing_from_change_model_rejected(self, tmp_path, capsys):
         _, ges, _ = write_spaces(tmp_path)
@@ -841,11 +864,14 @@ class TestPipeline:
                 assert path.is_file(), f"{manifest.parent.name} lists missing {name}"
                 assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
-    def test_stage_failure_names_stage_and_marks_incomplete(self, tmp_path, capsys):
+    def test_stage_failure_names_stage_and_marks_incomplete(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # a config is checked before any stage; a full disk fails inside one
+        def disk_full(*args):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli.features_mod, "write_features", disk_full)
         cfg = pipeline_config(tmp_path)
-        doc = json.loads(cfg.read_text())
-        doc["synth"]["min_dwell"] = 0  # rejected inside the synth stage
-        cfg.write_text(json.dumps(doc))
         rc = main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
@@ -886,6 +912,29 @@ class TestPipeline:
         cfg.write_text(json.dumps(doc))
         assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "videos" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section, values, named", [
+        ("training", {"epochs": 0}, "epochs"),
+        (None, {"fps": 0}, "fps"),
+        ("synth", {"min_dwell": 0}, "min_dwell"),
+        ("synth", {"noise_sigma": -1}, "noise_sigma"),
+        ("synth", {"transition_ramp": -1}, "transition_ramp"),
+        ("synth", {"states": 1}, "states"),
+        ("hyperparameters", {"C": -1}, "c_reg"),
+        ("hyperparameters", {"d": 0}, "d grid"),
+        ("hyperparameters", {"lambda": -1}, "lambda"),
+        ("synth", {"frames": 5}, "frames"),  # with d = 3: 2d+1 = 7 frames
+    ])
+    def test_value_a_stage_rejects_exits_2_before_any_stage(self, tmp_path, capsys, section,
+                                                            values, named):
+        # each of these used to fail inside a stage, leaving a run tree
+        cfg = pipeline_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        (doc[section] if section else doc).update(values)
+        cfg.write_text(json.dumps(doc))
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_missing_label_space_named(self, tmp_path, capsys):
@@ -1047,6 +1096,22 @@ class TestSynthCommand:
                          "--label-space", str(ges)]) == 2
             assert error in capsys.readouterr().err
             assert not out.exists()
+
+    def test_memory_holds_one_stream(self, tmp_path, traced_peak):
+        # the streams are drawn and written one at a time: 8 videos of
+        # 2,000 x 64 float64 values, 1 MB each. The peak is 2.1 streams (a
+        # stream, its drawing's trajectory and its float32 payload); holding
+        # the whole set peaked at 9.2
+        _, ges, _ = write_spaces(tmp_path)
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"seed": 3, "states": 3, "dim": 64, "frames": 2_000,
+                                   "min_dwell": 10, "noise_sigma": 0.4, "videos": 8}))
+        argv = ["synth", "features", "--config", str(cfg), "--out", str(tmp_path / "data"),
+                "--label-space", str(ges)]
+        assert main(argv) == 0  # first-call allocations are not what this measures
+        peak, rc = traced_peak(main, argv)
+        assert rc == 0
+        assert peak < 4 * 2_000 * 64 * 8, peak / (2_000 * 64 * 8)
 
     def test_empty_feature_set_exit_2_before_out(self, tmp_path, capsys):
         # frames 0 used to exit 2 after making --out, and videos 0 exited 0

@@ -119,11 +119,13 @@ class TestFoldStackedSolve:
         signs = np.where(rng.random((60, 3)) < 0.5, 1.0, -1.0)
         keep = rng.random((60, 3)) < 0.7
         c_regs = np.array([0.1, 1.0, 10.0])
-        w, b, obj = classify._solve_subgradient(x, np.where(keep, signs, 0.0).T.copy(), c_regs, 30)
+        w, b, obj = classify._solve_subgradient(
+            x, np.where(keep, signs, 0.0).T[None, None].copy(), c_regs[None], 30
+        )
         for j in range(3):
             rows = keep[:, j]
             wj, bj, objj = classify._solve_subgradient(
-                x[rows], signs[None, rows, j], c_regs[j : j + 1], 30
+                x[rows], signs[None, None, None, rows, j], c_regs[None, j : j + 1], 30
             )
             assert np.allclose(w[j], wj[0], rtol=1e-12, atol=1e-13)
             assert np.allclose([b[j], obj[j]], [bj[0], objj[0]], rtol=1e-12, atol=1e-13)
@@ -160,7 +162,7 @@ class TestFoldValidity:
         x = np.arange(12.0).reshape(4, 3)
         signs = np.array([[1.0, -1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0]])
         with np.errstate(all="raise"), pytest.raises(ValueError, match="at least one"):
-            classify._solve_subgradient(x, signs, np.ones(2), 5)
+            classify._solve_subgradient(x, signs[None, None], np.ones((1, 2)), 5)
         y = np.array([0, 1, 0, 1])
         with pytest.raises(ValueError, match="two distinct labels"):
             train_binary_grid(x, y, np.zeros(4, dtype=int), 2, (1.0,), 5)  # fold 0 holds out all
@@ -168,7 +170,7 @@ class TestFoldValidity:
 
 class TestDuplicateVideoIds:
     def test_repeated_video_rejected(self):
-        pairs = synth.gen_feature_set(3, 2, 4, 60, 10, 0.5, ["a", "b", "c", "d", "e"])
+        pairs = list(synth.gen_feature_set(3, 2, 4, 60, 10, 0.5, ["a", "b", "c", "d", "e"]))
         plan = CrossValPlan(folds=5, c_grid=(1.0,), d_grid=(3,), lambda_grid=(1.0,))
         with pytest.raises(ValueError, match="video id 'a'"):
             cross_validate([pairs[0], *pairs], plan, 5)

@@ -1,12 +1,13 @@
 import json
 import re
+from itertools import product
 
 import numpy as np
 import pytest
 
 from handcam.core import StateSequence
 from handcam.evaluation import (
-    accuracy,
+    _check_pair,
     build_report,
     confusion,
     timeline_svg,
@@ -17,6 +18,13 @@ from conftest import free_active
 
 def seq(states, k=3):
     return StateSequence(None, np.asarray(states), num_states=k)
+
+
+def accuracy(pred, truth):
+    """Fraction of frames with matching state: the oracle for a report's
+    per-video accuracy."""
+    _check_pair(pred, truth)
+    return float(np.mean(pred.states == truth.states))
 
 
 class TestAccuracy:
@@ -95,6 +103,17 @@ class TestReport:
         assert csv[0] == "video,accuracy"
         assert csv[-1].startswith("GLOBAL,")
         assert (tmp_path / "timeline_a.svg").read_text().startswith("<svg")
+
+    def test_per_video_accuracy_matches_the_frame_mean_bytes(self):
+        # taken from each video's confusion matrix: the same exact ratio of
+        # integers, so the same float as the mean of the matching frames
+        rng = np.random.default_rng(5)
+        for n, k in product((1, 3, 7, 100, 1_001, 40_000), (2, 3, 24)):
+            truth = seq(rng.integers(0, k, n), k=k)
+            pred = seq(np.where(rng.random(n) < rng.random(), truth.states,
+                                rng.integers(0, k, n)), k=k)
+            report = build_report({"v": pred}, {"v": truth})
+            assert repr(report.per_video_accuracy["v"]) == repr(accuracy(pred, truth))
 
     def test_mismatched_video_sets(self):
         with pytest.raises(ValueError):

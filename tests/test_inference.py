@@ -6,7 +6,7 @@ import pytest
 from handcam.core import Camera, FeatureStream, StateSequence, run_starts
 from handcam.inference import (
     InferenceProblem,
-    _check_lam,
+    check_lam,
     decode,
     decode_stream,
     segment_bounds,
@@ -22,7 +22,7 @@ def score_sequence(problem, seq, lam):
     """Score of one state sequence at boundary weight lam; -inf if it changes
     state off-candidate: the objective `decode` maximizes, for exhaustive
     checks."""
-    _check_lam(lam)
+    check_lam(lam)
     states = seq.states if isinstance(seq, StateSequence) else np.asarray(seq, dtype=np.int64)
     n = problem.n_frames
     if states.shape != (n,):

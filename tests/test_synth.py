@@ -153,6 +153,32 @@ class TestFeatureStreamGen:
             config(centers=np.zeros((3, 4)))  # identical rows
 
 
+class TestFeatureSetGen:
+    def test_each_video_is_its_own_seeded_stream(self):
+        ids = ["a", "b", "c"]
+        streams = synth.gen_feature_set(7, 3, 5, 90, 10, 0.5, ids, transition_ramp=2, fps=12.0)
+        centers = synth.random_centers(3, 5, 7)
+        for i, (stream, truth) in enumerate(streams):
+            alone, alone_truth = synth.gen_feature_stream(synth.SynthConfig(
+                seed=7000 + i, num_states=3, dim=5, n_frames=90, min_dwell=10,
+                centers=centers, noise_sigma=0.5, transition_ramp=2), video_id=ids[i], fps=12.0)
+            assert stream.values.tobytes() == alone.values.tobytes()
+            assert (stream.video_id, stream.fps) == (ids[i], 12.0)
+            assert np.array_equal(truth.states, alone_truth.states)
+
+    def test_every_config_checked_before_the_first_stream(self):
+        # the streams are drawn lazily, so the checks must not wait for them
+        space = LabelSpace(Task.FREE_ACTIVE, ("free", "active"), 0)
+        args = (3, 2, 4, 60, 10, 0.5, ["a", "b"])
+        for change, match in (({"min_dwell": 0}, "min_dwell"), ({"noise_sigma": -1.0}, "noise"),
+                              ({"transition_ramp": -1}, "transition_ramp"),
+                              ({"fps": 0.0}, "fps"), ({"num_states": 3}, "label space")):
+            kwargs = dict(zip(("seed", "num_states", "dim", "n_frames", "min_dwell",
+                               "noise_sigma", "video_ids"), args), label_space=space)
+            with pytest.raises(ValueError, match=match):
+                synth.gen_feature_set(**{**kwargs, **change})
+
+
 class TestVideoGen:
     def test_identity_composite(self, tmp_path):
         hand = smooth_patch(10, 10, seed=1)
