@@ -14,7 +14,7 @@ frame of the new state.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -118,21 +118,12 @@ def check_d(d: int) -> None:
         raise ValueError("d must be >= 1")
 
 
-def detect_candidates(
-    stream: FeatureStream, change_model: LinearModel, d: int
-) -> CandidateSet:
-    """Score all in-band frames with the change model at half-width d and
-    run NMS at radius d, so detection works on one temporal scale.
-
-    A model that records its training d must be run with that d.
-    """
-    check_d(d)
+def detect_candidates(stream: FeatureStream, change_model: LinearModel) -> CandidateSet:
+    """Score all in-band frames with the change model at its half-width d
+    and run NMS at radius d, so detection works on one temporal scale."""
     if not change_model.is_binary:
         raise ValueError("detect_candidates requires a binary change model")
-    if change_model.d is not None and change_model.d != d:
-        raise ValueError(
-            f"d={d} differs from the d={change_model.d} the change model was trained with"
-        )
+    d = change_model.d
     if change_model.dim != stream.dim:
         raise ValueError(
             f"change model dim {change_model.dim} does not match stream dim {stream.dim}"
@@ -151,12 +142,13 @@ def detect_candidates(
 
 def change_training_set(
     streams: Sequence[FeatureStream], truths: Sequence[StateSequence], d: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack in-band change features and labels across labeled videos.
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Stacked in-band change features and labels, and the in-band row count of each video.
 
     The (rows, D) matrix and the labels are allocated once, and each video
     writes its in-band rows into them, so training holds one copy.
     """
+    check_d(d)
     rows = []
     for stream, truth in zip(streams, truths):
         if stream.n_frames != len(truth):
@@ -175,7 +167,7 @@ def change_training_set(
             change_feature_matrix(stream, d, out=x[start : start + m])
             y[start : start + m] = label_change_frames(truth, d)[d : d + m]
             start += m
-    return x, y
+    return x, y, rows
 
 
 def train_change_model(
@@ -185,5 +177,5 @@ def train_change_model(
     config: TrainConfig = TrainConfig(),
 ) -> LinearModel:
     """Train the binary change scorer at half-width d; the model records d."""
-    x, y = change_training_set(streams, truths, d)
-    return replace(train_binary(x, y, config), d=d)
+    x, y, _ = change_training_set(streams, truths, d)
+    return train_binary(x, y, d, config)

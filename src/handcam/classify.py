@@ -66,9 +66,9 @@ class TrainConfig:
 class LinearModel:
     """Linear scorer: one weight row and bias per state.
 
-    The binary change model has a single row and no label space; it records
-    the change-feature half-width d it was trained with (None when unknown).
-    Multiclass models may also run detached from a label space (synthetic
+    The binary change model has a single row, no label space and the
+    change-feature half-width d >= 1 it was trained at; no other kind has a
+    d. Multiclass models may also run detached from a label space (synthetic
     benchmarks); production models carry one so predictions can be named.
     """
 
@@ -89,8 +89,10 @@ class LinearModel:
             raise ValueError("weight rows must match the label count")
         object.__setattr__(self, "weights", frozen_array(w))
         object.__setattr__(self, "bias", frozen_array(b))
-        if self.d is not None and not (self.is_binary and self.d >= 1):
-            raise ValueError("only binary change models carry a d, and it must be >= 1")
+        if self.is_binary != (self.d is not None):
+            raise ValueError("only binary change models carry a d, and each needs one")
+        if self.is_binary and self.d < 1:
+            raise ValueError("d must be >= 1")
 
     @property
     def num_classes(self) -> int:
@@ -181,14 +183,14 @@ def _training_input(
 
 def _fit(
     x: np.ndarray, y: np.ndarray, positives: Sequence[int], held_out: np.ndarray,
-    space: LabelSpace | None, c_grid: Sequence[float], epochs: int,
+    space: LabelSpace | None, c_grid: Sequence[float], epochs: int, d: int | None = None,
 ) -> list[list[LinearModel]]:
     """Models [fold][C] from one solve. Class j signs +1 the rows labelled
     positives[j] and -1 the others; each fold has one sign row per class,
     which every C shares, and signs its held-out rows 0. The signs come
     straight from the labels, with no (n, classes) one-hot. With two
     classes and two or more (fold, C) cells, only class 0 is solved (see the
-    module docstring)."""
+    module docstring). Every model records d (None on state models)."""
     configs = [TrainConfig(c, epochs) for c in c_grid]
     folds = held_out.shape[1]
     paired = len(positives) == 2 and folds * len(configs) >= 2
@@ -203,7 +205,7 @@ def _fit(
     if paired:
         # 0 - v, not -v: a zero weight is +0.0 in both columns of the pair
         w, b = np.concatenate([w, 0.0 - w], axis=2), np.concatenate([b, 0.0 - b], axis=2)
-    return [[LinearModel(wc, bc, space, cfg) for wc, bc, cfg in zip(wf, bf, configs)]
+    return [[LinearModel(wc, bc, space, cfg, d) for wc, bc, cfg in zip(wf, bf, configs)]
             for wf, bf in zip(w, b)]
 
 
@@ -253,22 +255,22 @@ def train(
 
 
 def train_binary_grid(
-    x: np.ndarray, y: np.ndarray, row_folds: np.ndarray | None, folds: int,
+    x: np.ndarray, y: np.ndarray, d: int, row_folds: np.ndarray | None, folds: int,
     c_grid: Sequence[float], epochs: int,
 ) -> list[list[LinearModel]]:
     """`train_binary` for every fold and every C of c_grid, in one solver
-    run, indexed [fold][C] as in `train_grid`."""
+    run, indexed [fold][C] as in `train_grid`; every model records d."""
     x, y, held_out = _training_input(x, y, row_folds, folds)
     if not set(np.unique(y)) <= {0, 1}:
         raise ValueError("binary labels must be 0 or 1")
-    return _fit(x, y, (1,), held_out, None, c_grid, epochs)
+    return _fit(x, y, (1,), held_out, None, c_grid, epochs, d)
 
 
 def train_binary(
-    x: np.ndarray, y: np.ndarray, config: TrainConfig = TrainConfig()
+    x: np.ndarray, y: np.ndarray, d: int, config: TrainConfig = TrainConfig()
 ) -> LinearModel:
-    """Train the binary change scorer; y holds 0/1 labels."""
-    return train_binary_grid(x, y, None, 1, [config.c_reg], config.epochs)[0][0]
+    """Train the binary change scorer at half-width d, which it records; y holds 0/1 labels."""
+    return train_binary_grid(x, y, d, None, 1, [config.c_reg], config.epochs)[0][0]
 
 
 def score_stream(model: LinearModel, stream: FeatureStream) -> np.ndarray:
@@ -308,7 +310,7 @@ def predict_frames(model: LinearModel, stream: FeatureStream) -> StateSequence:
 # serialization
 
 _MODEL_MAGIC = b"HCLM"
-_MODEL_VERSION = 2  # v2 stores a change model's d in the u64 slot v1 left unused
+_MODEL_VERSION = 2  # v1's u64 slot held an unused seed, so its change models had no d
 
 
 class ModelFileError(ValueError):
@@ -348,45 +350,39 @@ def load_model(path: str | Path) -> LinearModel:
     if data[:4] != _MODEL_MAGIC:
         raise ModelFileError(f"magic mismatch: {data[:4]!r}")
     pos = 4
+
+    def read(fmt: str) -> tuple:
+        nonlocal pos
+        values = struct.unpack_from(fmt, data, pos)
+        pos += struct.calcsize(fmt)
+        return values
+
+    def read_str() -> str:
+        return read(f"{read('<H')[0]}s")[0].decode("utf-8")
+
     try:
-        version, kind = struct.unpack_from("<IB", data, pos)
-        pos += 5
-        c_reg, epochs, slot = struct.unpack_from("<dIQ", data, pos)
-        pos += struct.calcsize("<dIQ")
-        if version not in (1, _MODEL_VERSION):
+        version, kind = read("<IB")
+        c_reg, epochs, slot = read("<dIQ")
+        if version != _MODEL_VERSION:
             raise ModelFileError(f"unsupported version {version}")
         if kind not in (0, 1, 2):
             raise ModelFileError(f"unknown model kind {kind}")
-        change_d = slot if version == _MODEL_VERSION and kind == 1 and slot > 0 else None
         space = None
         if kind == 0:
-            (tlen,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            task = Task(data[pos : pos + tlen].decode("utf-8"))
-            pos += tlen
-            (n_labels,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            labels = []
-            for _ in range(n_labels):
-                (slen,) = struct.unpack_from("<H", data, pos)
-                pos += 2
-                labels.append(data[pos : pos + slen].decode("utf-8"))
-                pos += slen
-            (free_idx,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            space = LabelSpace(task, tuple(labels), free_idx)
-        k, d = struct.unpack_from("<II", data, pos)
-        pos += 8
+            task = Task(read_str())
+            labels = tuple(read_str() for _ in range(read("<H")[0]))
+            space = LabelSpace(task, labels, read("<H")[0])
+        k, d = read("<II")
         if (k * d + k) * 8 != len(data) - pos:
             raise ModelFileError(
                 f"weight shape ({k}, {d}) does not fit the {len(data) - pos} bytes after it"
             )
+        # read-only views of the file's bytes, aligned or not: LinearModel keeps them as they are
         w = np.frombuffer(data, dtype="<f8", count=k * d, offset=pos).reshape(k, d)
         b = np.frombuffer(data, dtype="<f8", count=k, offset=pos + k * d * 8)
-        return LinearModel(w.copy(), b.copy(), space, TrainConfig(c_reg, epochs), change_d)
+        # the slot is a change model's d: LinearModel rejects 0 there and any other value elsewhere
+        return LinearModel(w, b, space, TrainConfig(c_reg, epochs), slot or None)
     except struct.error as e:
         raise ModelFileError(f"truncated model file: {e}") from None
-    except ModelFileError:
-        raise
-    except ValueError as e:  # bad UTF-8, task, label space or parameters
+    except ValueError as e:  # version, kind, shape, UTF-8, task, label space or parameters
         raise ModelFileError(f"malformed model file: {e}") from None

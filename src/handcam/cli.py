@@ -288,9 +288,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
     streams = [features_mod.read_features(p) for p in args.inputs]
-    fused = streams[0]
-    for s in streams[1:]:
-        fused = features_mod.fuse_concat(fused, s)
+    fused = features_mod.fuse_concat(streams)
     features_mod.write_features(fused, args.out)
     print(f"fused {len(streams)} streams -> D={fused.dim}")
     return 0
@@ -320,6 +318,7 @@ def run_train_state(features: list, truths: list, label_space: str | Path, c_reg
 
 def run_train_change(features: list, truths: list, label_space: str | Path, c_reg: float,
                      epochs: int, d: int, out: str | Path) -> classify.LinearModel:
+    _check_flag("--d", change.check_d, d)
     streams, seqs = _load_pairs(features, truths, label_space)
     cfg = classify.TrainConfig(c_reg=c_reg, epochs=epochs)
     model = change.train_change_model(streams, seqs, d, cfg)
@@ -349,12 +348,21 @@ def _check_flag(flag: str, check, value) -> None:
         raise ValueError(f"{flag} {value}: {e}") from None
 
 
+def _load_change_model(flag: str, path: str | Path, d: int) -> classify.LinearModel:
+    """The change model at path (the option `flag`), trained with d (--d)."""
+    model = classify.load_model(path)
+    if not model.is_binary:
+        raise ValueError(f"{flag} {path}: not a change model")
+    if model.d != d:
+        raise ValueError(f"{flag} {path}: trained with d={model.d}, not --d {d}")
+    return model
+
+
 def run_detect_changes(features: str | Path, model: str | Path, d: int,
                        out: str | Path | None = None) -> None:
     """Write the candidates to `out`, or to stdout without one."""
-    _check_flag("--d", change.check_d, d)
-    cands = change.detect_candidates(features_mod.read_features(features),
-                                     classify.load_model(model), d)
+    change_model = _load_change_model("--model", model, d)
+    cands = change.detect_candidates(features_mod.read_features(features), change_model)
     rows = [f"{int(i)}\t{float(c)!r}" for i, c in zip(cands.frame_indices, cands.confidences)]
     _write_text("\n".join(["frame_index\tconfidence", *rows]) + "\n", out)
 
@@ -384,12 +392,12 @@ def run_infer(features: str | Path, state_model: str | Path, mode: str,
         if change_model is None or d is None or lam is None:
             raise ValueError("full mode needs --change-model, --d and --lambda")
         _check_flag("--lambda", lambda v: inference.check_lam(float(v)), lam)
-        _check_flag("--d", change.check_d, d)
+        change_model = _load_change_model("--change-model", change_model, d)
     stream = features_mod.read_features(features)
     if mode == "unary":
         seq = classify.predict_frames(state, stream)
     else:
-        cands = change.detect_candidates(stream, classify.load_model(change_model), d)
+        cands = change.detect_candidates(stream, change_model)
         unary = classify.score_stream(state, stream)
         seq = inference.decode_stream(stream, unary, cands, [float(lam)], state.label_space)[0]
     write_labels(seq, out)

@@ -106,11 +106,11 @@ def cross_validate(
     state_models = train_grid(streams, truths, frame_folds, plan.folds, plan.c_grid, epochs)
     change_models = []  # [d][fold][C]
     for d in plan.d_grid:
-        x, y = change_training_set(streams, truths, d)
-        row_folds = np.repeat(video_folds, [max(0, s.n_frames - 2 * d) for s in streams])
+        x, y, rows = change_training_set(streams, truths, d)
+        row_folds = np.repeat(video_folds, rows)
         if any(np.all(row_folds == f) for f in range(plan.folds)):
             raise ValueError("no video is long enough for the requested d")
-        change_models.append(train_binary_grid(x, y, row_folds, plan.folds, plan.c_grid, epochs))
+        change_models.append(train_binary_grid(x, y, d, row_folds, plan.folds, plan.c_grid, epochs))
         del x, y  # the next d's set is built without this one alive
 
     # accumulate per-(c, d, lam) fold accuracies; state models are shared
@@ -125,7 +125,7 @@ def cross_validate(
             for c, change_model, c_unaries in zip(plan.c_grid, d_models[f], unaries):
                 correct = np.zeros(len(plan.lambda_grid), dtype=np.int64)
                 for (stream, truth), unary in zip(fold, c_unaries):
-                    cands = detect_candidates(stream, change_model, d)
+                    cands = detect_candidates(stream, change_model)
                     decoded = decode_stream(
                         stream, unary, cands, plan.lambda_grid, label_space=truth.label_space
                     )

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_FPS, Camera, FeatureStream, all_finite
+from .core import DEFAULT_FPS, Camera, FeatureStream, all_finite, check_fps
 from .media import load_ppm
 
 MAGIC = b"HCFT"
@@ -122,6 +123,7 @@ def histogram_stream(
     """The reference extractor over the frame files of a video, read one at
     a time, each histogram written into its row of one float32 array: the
     payload type, rounded as `write_features` rounds, which copies nothing."""
+    check_fps(fps)
     _check_bins(bins_per_channel)
     values = np.empty((len(paths), bins_per_channel**3), dtype=np.float32)
     for row, path in zip(values, paths):
@@ -130,16 +132,18 @@ def histogram_stream(
     return FeatureStream(video_id, camera, fps, values)
 
 
-def fuse_concat(a: FeatureStream, b: FeatureStream) -> FeatureStream:
-    """Concatenate two streams frame-wise: row i becomes [a_i, b_i].
+def fuse_concat(streams: Sequence[FeatureStream]) -> FeatureStream:
+    """Concatenate streams frame-wise in one copy: row i becomes [a_i, b_i, ...].
 
     The fused stream keeps the identity of the first input. Order matters
-    for the layout; downstream classifiers accept either order.
+    for the layout; downstream classifiers accept any order.
     """
-    if a.n_frames != b.n_frames:
-        raise ValueError(f"length mismatch: {a.n_frames} vs {b.n_frames} frames")
-    if a.fps != b.fps:
-        raise ValueError(f"fps mismatch: {a.fps} vs {b.fps}")
-    values = np.concatenate([a.values, b.values], axis=1)
+    a = streams[0]
+    for b in streams[1:]:
+        if a.n_frames != b.n_frames:
+            raise ValueError(f"length mismatch: {a.n_frames} vs {b.n_frames} frames")
+        if a.fps != b.fps:
+            raise ValueError(f"fps mismatch: {a.fps} vs {b.fps}")
+    values = np.concatenate([s.values for s in streams], axis=1)
     values.setflags(write=False)  # fresh and ours: FeatureStream keeps it without a copy
     return FeatureStream(a.video_id, a.camera, a.fps, values)

@@ -115,7 +115,7 @@ def test_criterion_3_unary_to_full_improvement():
         change_model = change.train_change_model(
             [s for s, _ in pairs[:4]], [t for _, t in pairs[:4]], d, cfg
         )
-        cands = change.detect_candidates(test_stream, change_model, d)
+        cands = change.detect_candidates(test_stream, change_model)
         segf = inference.segment_features(test_stream, cands)
         decoded = inference.decode(inference.InferenceProblem(unary, cands, segf), [lam])[0]
         full_accs.append(float(np.mean(decoded.states == test_truth.states)))
@@ -220,7 +220,7 @@ def test_criterion_5_change_detection():
         model = change.train_change_model(
             [s for s, _ in pairs[:3]], [t for _, t in pairs[:3]], d, cfg
         )
-        cands = change.detect_candidates(pairs[3][0], model, d)
+        cands = change.detect_candidates(pairs[3][0], model)
         for t in run_starts(pairs[3][1].states)[1:]:
             if not np.any(np.abs(cands.frame_indices - t) <= d):
                 misses += 1

@@ -265,7 +265,8 @@ class TestChangeTrainingSet:
                 with pytest.raises(ValueError, match=re.escape(str(e))):
                     change_training_set(streams, truths, d)
                 continue
-            x, y = change_training_set(streams, truths, d)
+            x, y, rows = change_training_set(streams, truths, d)
+            assert rows == [max(0, s.n_frames - 2 * d) for s in streams]
             for got, ref in zip((x, y), want):
                 assert got.dtype == ref.dtype and got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes()
@@ -290,8 +291,9 @@ class TestChangeTrainingSet:
         with pytest.raises(ValueError, match=r"feature dim: \[6, 9\]"):
             change_training_set([s0, wide], [t0, t1], 3)
         short = FeatureStream("w", Camera.HEAD, 6.0, np.zeros((5, 9)))
-        x, y = change_training_set([s0, short], [t0, StateSequence(None, t1.states[:5],
-                                                                   num_states=3)], 3)
+        x, y, rows = change_training_set([s0, short], [t0, StateSequence(None, t1.states[:5],
+                                                                         num_states=3)], 3)
+        assert rows == [s0.n_frames - 6, 0]
         want = parent_change_training_set([s0], [t0], 3)
         assert x.tobytes() == want[0].tobytes() and y.tobytes() == want[1].tobytes()
 
@@ -301,7 +303,7 @@ class TestChangeTrainingSet:
             seed=i, num_states=3, dim=32, n_frames=2_000, min_dwell=20,
             centers=synth.random_centers(3, 32, 7), noise_sigma=0.5,
         ), video_id=f"v{i}") for i in range(8)]
-        peak, (x, _) = traced_peak(
+        peak, (x, _, _) = traced_peak(
             change_training_set, [s for s, _ in pairs], [t for _, t in pairs], 4)
         assert peak <= 1.2 * x.nbytes, peak / x.nbytes
 
@@ -316,7 +318,7 @@ class TestDetectCandidates:
                                                TrainConfig(c_reg=0.1, epochs=30))
                             for i in (0, 1))
         assert model_bytes(model32) == model_bytes(model64)
-        got, want = (detect_candidates(pairs[3][i], model64, 3) for i in (0, 1))
+        got, want = (detect_candidates(pairs[3][i], model64) for i in (0, 1))
         assert got.frame_indices.tobytes() == want.frame_indices.tobytes()
         assert got.confidences.tobytes() == want.confidences.tobytes()
 
@@ -324,28 +326,28 @@ class TestDetectCandidates:
         # |a - b| is taken in place: one (frames, D) float64 array at a time
         rng = np.random.default_rng(5)
         stream, d = stream_from(rng.standard_normal((20_000, 32))), 3
-        model = LinearModel(rng.standard_normal((1, 32)), np.ones(1), None, TrainConfig())
-        peak, _ = traced_peak(detect_candidates, stream, model, d)
+        model = LinearModel(rng.standard_normal((1, 32)), np.ones(1), None, TrainConfig(), d)
+        peak, _ = traced_peak(detect_candidates, stream, model)
         assert peak < 1.5 * (20_000 - 2 * d) * 32 * 8
 
     def test_short_stream_warns_empty(self):
         s = stream_from(np.zeros((5, 2)))
-        model = LinearModel(np.ones((1, 2)), np.zeros(1), None, TrainConfig())
+        model = LinearModel(np.ones((1, 2)), np.zeros(1), None, TrainConfig(), 3)
         with pytest.warns(UserWarning, match="shorter"):
-            cands = detect_candidates(s, model, 3)
+            cands = detect_candidates(s, model)
         assert len(cands) == 0
 
     def test_requires_binary_model(self):
         s = stream_from(np.zeros((20, 2)))
         model = LinearModel(np.ones((2, 2)), np.zeros(2), None, TrainConfig())
         with pytest.raises(ValueError, match="binary"):
-            detect_candidates(s, model, 3)
+            detect_candidates(s, model)
 
     def test_d_below_one_rejected(self):
-        s = stream_from(np.zeros((20, 2)))
-        model = LinearModel(np.ones((1, 2)), np.zeros(1), None, TrainConfig())
+        # a change model's d is checked when the model is made, so no d below
+        # 1 reaches detection
         with pytest.raises(ValueError, match="d must be >= 1"):
-            detect_candidates(s, model, 0)
+            LinearModel(np.ones((1, 2)), np.zeros(1), None, TrainConfig(), 0)
 
     def test_full_recall_on_high_snr(self):
         d = 3
@@ -357,7 +359,7 @@ class TestDetectCandidates:
                 [s for s, _ in train_pairs], [t for _, t in train_pairs], d,
                 TrainConfig(c_reg=0.1, epochs=150),
             )
-            cands = detect_candidates(test_stream, model, d)
+            cands = detect_candidates(test_stream, model)
             for t in run_starts(test_truth.states)[1:]:
                 if not np.any(np.abs(cands.frame_indices - t) <= d):
                     misses += 1

@@ -133,8 +133,9 @@ class TestTrain:
             assert model_bytes(a) == model_bytes(b)
         grids = []
         for s in (s32, s64):
-            x, y = change_training_set(s, truths, 3)
-            grids.append(sum(train_binary_grid(x, y, np.arange(y.size) % 3, 3, [0.1, 1.0], 20), []))
+            x, y, _ = change_training_set(s, truths, 3)
+            grids.append(sum(train_binary_grid(x, y, 3, np.arange(y.size) % 3, 3, [0.1, 1.0], 20),
+                             []))
         for a, b in zip(*grids):
             assert model_bytes(a) == model_bytes(b)
 
@@ -258,9 +259,9 @@ def solve_columns(x, signs, c_regs, epochs):
     return classify._solve_subgradient(x, rows(signs)[None, None], c_regs[None], epochs)
 
 
-def parent_fit(x, y_signs, held_out, space, c_grid, epochs):
+def parent_fit(x, y_signs, held_out, space, c_grid, epochs, d=None):
     """`classify._fit` as it was, solving every class column, verbatim but
-    for the reference solver."""
+    for the reference solver; every model records d."""
     configs = [TrainConfig(c, epochs) for c in c_grid]
     (n, k), folds = y_signs.shape, held_out.shape[1]
     signs = np.empty((n, folds, len(configs), k))
@@ -270,7 +271,7 @@ def parent_fit(x, y_signs, held_out, space, c_grid, epochs):
         x, signs.reshape(n, -1), np.tile(np.repeat(c_grid, k), folds), epochs
     )
     w, b = w.reshape(folds, len(configs), k, -1), b.reshape(folds, len(configs), k)
-    return [[LinearModel(wc, bc, space, cfg) for wc, bc, cfg in zip(wf, bf, configs)]
+    return [[LinearModel(wc, bc, space, cfg, d) for wc, bc, cfg in zip(wf, bf, configs)]
             for wf, bf in zip(w, b)]
 
 
@@ -340,13 +341,14 @@ class TestGridSolve:
             x, y = seeded_states(seed, 2)
             cfg = TrainConfig(c_reg=c, epochs=40)
             w, b, _ = parent_solve(x, (2.0 * y - 1.0)[:, None], c, cfg.epochs)
-            assert model_bytes(train_binary(x, y, cfg)) == model_bytes(LinearModel(w, b, None, cfg))
+            assert model_bytes(train_binary(x, y, 2, cfg)) == model_bytes(
+                LinearModel(w, b, None, cfg, 2))
 
     def test_change_model_matches_scalar_solver_bytes(self):
         pairs = synth_cv_videos(2, ramp=3, sigma=0.4, n_videos=3)
         streams, truths = [s for s, _ in pairs], [t for _, t in pairs]
         cfg = TrainConfig(c_reg=0.1, epochs=30)
-        x, y = change_training_set(streams, truths, 4)
+        x, y, _ = change_training_set(streams, truths, 4)
         w, b, _ = parent_solve(x, (2.0 * y - 1.0)[:, None], cfg.c_reg, cfg.epochs)
         model = train_change_model(streams, truths, 4, cfg)
         assert model_bytes(model) == model_bytes(LinearModel(w, b, None, cfg, d=4))
@@ -367,10 +369,10 @@ class TestGridSolve:
                 assert np.all(training_objective(model, x, one_vs_rest(y, k)) <= 1.0)
         for seed in range(4):
             x, y = seeded_states(seed, 2)
-            (grid,) = train_binary_grid(x, y, None, 1, C_GRID, 40)
+            (grid,) = train_binary_grid(x, y, 5, None, 1, C_GRID, 40)
             for c, model in zip(C_GRID, grid):
-                alone = train_binary(x, y, TrainConfig(c, 40))
-                assert model.is_binary and model.config.c_reg == c
+                alone = train_binary(x, y, 5, TrainConfig(c, 40))
+                assert model.is_binary and model.config.c_reg == c and model.d == 5
                 assert np.allclose(model.weights, alone.weights, rtol=1e-12, atol=1e-13)
                 assert np.allclose(model.bias, alone.bias, rtol=1e-12, atol=1e-13)
                 assert training_objective(model, x, (2.0 * y - 1.0)[:, None])[0] <= 1.0
@@ -484,10 +486,11 @@ class TestSolverExactness:
                 assert same_bytes(got[:2], expected[:2]), (n, d, k)
 
 
-def tiled_fit(x, y_signs, held_out, space, c_grid, epochs):
+def tiled_fit(x, y_signs, held_out, space, c_grid, epochs, d=None):
     """`classify._fit` with its sign rows tiled fold-major, then C, one row
     per column, verbatim but for the reference solver: the reference for
-    the sign rows that one fold shares across the C grid."""
+    the sign rows that one fold shares across the C grid. Every model
+    records d."""
     configs = [TrainConfig(c, epochs) for c in c_grid]
     (n, k), folds = y_signs.shape, held_out.shape[1]
     paired = k == 2 and folds * len(configs) >= 2
@@ -501,7 +504,7 @@ def tiled_fit(x, y_signs, held_out, space, c_grid, epochs):
     w, b = w.reshape(folds, len(configs), solved, -1), b.reshape(folds, len(configs), solved)
     if paired:
         w, b = np.concatenate([w, 0.0 - w], axis=2), np.concatenate([b, 0.0 - b], axis=2)
-    return [[LinearModel(wc, bc, space, cfg) for wc, bc, cfg in zip(wf, bf, configs)]
+    return [[LinearModel(wc, bc, space, cfg, d) for wc, bc, cfg in zip(wf, bf, configs)]
             for wf, bf in zip(w, b)]
 
 
@@ -538,11 +541,11 @@ class TestPerFoldSigns:
         x, y = seeded_states(7, 2, n=300, dim=6)
         row_folds = np.arange(y.size) % folds if folds > 1 else None
         x64, y64, held_out = classify._training_input(x, y, row_folds, folds)
-        expected = tiled_fit(x64, (2.0 * y64 - 1.0)[:, None], held_out, None, c_grid, 25)
-        assert grid_bytes(train_binary_grid(x, y, row_folds, folds, c_grid, 25)) == grid_bytes(
+        expected = tiled_fit(x64, (2.0 * y64 - 1.0)[:, None], held_out, None, c_grid, 25, 4)
+        assert grid_bytes(train_binary_grid(x, y, 4, row_folds, folds, c_grid, 25)) == grid_bytes(
             expected)
         if len(c_grid) == 1:  # the one-column path
-            model = train_binary(x, y, TrainConfig(c_grid[0], 25))
+            model = train_binary(x, y, 4, TrainConfig(c_grid[0], 25))
             assert model_bytes(model) == model_bytes(expected[0][0])
 
     def test_memory_holds_the_work_buffer_and_one_sign_row_block_per_fold(self, traced_peak):
@@ -721,7 +724,7 @@ class TestScore:
 
     def test_one_row_model_rejected(self):
         # a binary change model scores through detect_candidates, not here
-        change_model = train_binary(*two_blobs(seed=7), TrainConfig(epochs=5))
+        change_model = train_binary(*two_blobs(seed=7), 3, TrainConfig(epochs=5))
         for score in (score_stream, predict_frames):
             with pytest.raises(ValueError, match="multiclass state model"):
                 score(change_model, frames(np.zeros(4)))
@@ -784,6 +787,18 @@ class TestLinearModel:
             with pytest.raises(ValueError, match="finite"):
                 LinearModel(np.zeros((2, 3)), b, None, TrainConfig())
 
+    def test_binary_model_needs_a_d_and_other_kinds_take_none(self):
+        w, b = np.ones((1, 3)), np.zeros(1)
+        with pytest.raises(ValueError, match="only binary change models carry a d"):
+            LinearModel(w, b, None, TrainConfig())
+        for d in (0, -1):
+            with pytest.raises(ValueError, match="d must be >= 1"):
+                LinearModel(w, b, None, TrainConfig(), d)
+        assert LinearModel(w, b, None, TrainConfig(), 2).d == 2
+        for space in (None, free_active()):
+            with pytest.raises(ValueError, match="only binary change models carry a d"):
+                LinearModel(np.ones((2, 3)), np.zeros(2), space, TrainConfig(), 2)
+
 
 class TestModelFile:
     def test_round_trip(self, tmp_path):
@@ -802,7 +817,7 @@ class TestModelFile:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((40, 3))
         y = (x[:, 0] > 0).astype(int)
-        model = train_binary(x, y)
+        model = train_binary(x, y, 3)
         path = tmp_path / "c.bin"
         save_model(model, path)
         loaded = load_model(path)
@@ -820,7 +835,7 @@ class TestModelFile:
         assert model_bytes(loaded) == model_bytes(model)
 
     def test_unknown_kind_rejected(self, tmp_path):
-        data = bytearray(model_bytes(train_binary(*two_blobs(seed=7), TrainConfig(epochs=5))))
+        data = bytearray(model_bytes(train_binary(*two_blobs(seed=7), 3, TrainConfig(epochs=5))))
         data[8] = 3  # kind byte: after the 4-byte magic and the u32 version
         path = tmp_path / "bad.bin"
         path.write_bytes(bytes(data))
@@ -828,7 +843,7 @@ class TestModelFile:
             load_model(path)
 
     def test_impossible_shape_rejected(self, tmp_path):
-        model = train_binary(*two_blobs(seed=7), TrainConfig(epochs=5))
+        model = train_binary(*two_blobs(seed=7), 3, TrainConfig(epochs=5))
         data = bytearray(model_bytes(model))
         shape_at = len(data) - 8 * (model.weights.size + model.bias.size) - 8  # the (k, d) u32s
         assert struct.unpack_from("<II", data, shape_at) == model.weights.shape
@@ -850,19 +865,30 @@ class TestModelFile:
         save_model(state, path)
         assert load_model(path).d is None
 
-    def test_version_1_file_still_loads(self, tmp_path):
+    def test_version_1_file_is_rejected(self, tmp_path):
+        # a version-1 file's u64 held an unused seed, so its change models record no d
         rng = np.random.default_rng(9)
         x = rng.standard_normal((30, 3))
-        model = train_binary(x, (x[:, 0] > 0).astype(int), TrainConfig(epochs=10))
+        model = train_binary(x, (x[:, 0] > 0).astype(int), 3, TrainConfig(epochs=10))
         data = bytearray(model_bytes(model))
         data[4:8] = (1).to_bytes(4, "little")  # version
         data[21:29] = (7).to_bytes(8, "little")  # the v1 seed slot, not a d
         path = tmp_path / "v1.bin"
         path.write_bytes(bytes(data))
-        loaded = load_model(path)
-        assert loaded.d is None
-        assert np.array_equal(loaded.weights, model.weights)
+        with pytest.raises(ModelFileError, match="unsupported version 1"):
+            load_model(path)
 
+    def test_parameters_are_read_only_views_of_the_file(self, tmp_path):
+        model = train_arrays(*two_blobs(seed=4), free_active(), TrainConfig(epochs=5))
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        for arr in (loaded.weights, loaded.bias):
+            base = arr
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base, bytes) and not arr.flags.writeable
+        assert model_bytes(loaded) == model_bytes(model)
 
 def synth_cv_videos(seed, ramp, sigma, n_videos=5, k=3):
     centers = orthonormal_centers(k, 6, seed * 13 + 5)
@@ -1009,7 +1035,7 @@ def per_c_cross_validate(videos, plan, epochs):
                 change_model = train_change_model(train_streams, train_truths, d, cfg)
                 correct = np.zeros(len(plan.lambda_grid), dtype=np.int64)
                 for (stream, truth), unary in zip(fold, unaries):
-                    cands = detect_candidates(stream, change_model, d)
+                    cands = detect_candidates(stream, change_model)
                     decoded = decode_stream(
                         stream, unary, cands, plan.lambda_grid, label_space=truth.label_space
                     )

@@ -3,11 +3,13 @@ import hashlib
 import json
 import os
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from handcam import alignment, classify, cli, evaluation, synth
+from handcam import alignment, change, classify, cli, evaluation, synth
+from handcam import features as features_mod
 from handcam.cli import build_parser, main, read_truth, run_pipeline, write_labels
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task
 from handcam.features import read_features, write_features
@@ -125,6 +127,34 @@ class TestExtractFuse:
         fused = tmp_path / "fused.feat"
         assert main(["fuse", "--inputs", str(feat), str(feat), "--out", str(fused)]) == 0
         assert read_features(fused).dim == 128
+
+    def test_unusable_fps_exits_2_before_any_histogram(self, tmp_path, capsys, monkeypatch):
+        # the fps was checked on the finished stream, after every frame's histogram
+        save_frames(np.zeros((5, 2, 3, 3), dtype=np.uint8), tmp_path / "v")
+        calls = []
+        histogram = features_mod.color_histogram
+        monkeypatch.setattr(features_mod, "color_histogram",
+                            lambda *a, **k: calls.append(1) or histogram(*a, **k))
+        for fps in ("0", "-1", "inf", "nan"):
+            capsys.readouterr()
+            assert main(["extract", "--video", str(tmp_path / "v"), "--out",
+                         str(tmp_path / "v.feat"), "--fps", fps]) == 2, fps
+            assert "fps" in capsys.readouterr().err
+            assert calls == [], fps
+            assert not (tmp_path / "v.feat").exists()
+
+    def test_three_input_fuse_matches_pairwise_bytes(self, tmp_path):
+        rng = np.random.default_rng(4)
+        paths = [tmp_path / f"{name}.feat" for name in "abc"]
+        for path, dim in zip(paths, (2, 3, 5)):
+            write_features(FeatureStream(path.stem, Camera.HEAD, 6.0,
+                                         rng.standard_normal((7, dim))), path)
+        pair, pairwise, fused = (tmp_path / f"{n}.feat" for n in ("ab", "ab_c", "abc"))
+        assert main(["fuse", "--inputs", str(paths[0]), str(paths[1]), "--out", str(pair)]) == 0
+        assert main(["fuse", "--inputs", str(pair), str(paths[2]), "--out", str(pairwise)]) == 0
+        assert main(["fuse", "--inputs", *map(str, paths), "--out", str(fused)]) == 0
+        assert fused.read_bytes() == pairwise.read_bytes()
+        assert read_features(fused).video_id == "a"
 
     def test_flip_option_is_gone(self, tmp_path):
         # a whole-frame histogram is mirror-invariant, so --flip wrote the same file
@@ -356,6 +386,68 @@ class TestTrainInferEval:
             capsys.readouterr()
             assert main(argv) == 2
             assert flag in capsys.readouterr().err
+
+    def test_train_change_rejects_d_below_one_before_reading_or_solving(
+            self, tmp_path, capsys, monkeypatch):
+        # --d 0 ran one whole solve before LinearModel refused the d, and
+        # --d -1 exited with a numpy broadcast message
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2, n_frames=100)
+        reads, solves = [], []
+        read, solve = features_mod.read_features, classify._solve_subgradient
+        monkeypatch.setattr(features_mod, "read_features",
+                            lambda *a: reads.append(a) or read(*a))
+        monkeypatch.setattr(classify, "_solve_subgradient",
+                            lambda *a: solves.append(a) or solve(*a))
+        out = tmp_path / "change.bin"
+        for d in ("0", "-1"):
+            capsys.readouterr()
+            assert main(["train-change", "--features", *feats, "--truth", *truths,
+                         "--label-space", str(ges), "--d", d, "--out", str(out)]) == 2
+            assert "--d" in capsys.readouterr().err
+            assert reads == [] and solves == [], d
+            assert not out.exists()
+        pairs = [(read(f), read_truth(Path(t), gesture_space())) for f, t in zip(feats, truths)]
+        for d in (0, -1):
+            with pytest.raises(ValueError, match="d must be >= 1"):
+                change.train_change_model([s for s, _ in pairs], [t for _, t in pairs], d)
+        assert solves == []
+
+    def test_models_checked_before_reading_features(self, tmp_path, capsys, monkeypatch):
+        # detect-changes read the stream before it loaded --model, and
+        # infer --mode full before it loaded --change-model
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        smodel, cmodel = tmp_path / "state.bin", tmp_path / "change.bin"
+        common = ["--features", *feats, "--truth", *truths, "--label-space", str(ges),
+                  "--epochs", "5"]
+        assert main(["train-state", *common, "--out", str(smodel)]) == 0
+        assert main(["train-change", *common, "--d", "3", "--out", str(cmodel)]) == 0
+        damaged, version_1 = tmp_path / "damaged.bin", tmp_path / "v1.bin"
+        damaged.write_bytes(cmodel.read_bytes()[:-3])
+        data = bytearray(cmodel.read_bytes())
+        data[4:8] = (1).to_bytes(4, "little")
+        version_1.write_bytes(bytes(data))
+        reads = []
+        read = features_mod.read_features
+        monkeypatch.setattr(features_mod, "read_features",
+                            lambda *a: reads.append(a) or read(*a))
+        for model, d, message in ((tmp_path / "missing.bin", "3", "missing.bin"),
+                                  (damaged, "3", "does not fit"),
+                                  (version_1, "3", "unsupported version 1"),
+                                  (cmodel, "4", "trained with d=3, not --d 4"),
+                                  (smodel, "3", "not a change model")):
+            for argv in (["detect-changes", "--features", feats[0], "--model", str(model)],
+                         ["infer", "--features", feats[0], "--state-model", str(smodel),
+                          "--mode", "full", "--lambda", "1.0", "--change-model", str(model)]):
+                capsys.readouterr()
+                assert main([*argv, "--d", d, "--out", str(tmp_path / "out.txt")]) == 2
+                assert message in capsys.readouterr().err
+                assert reads == [], (model, d, argv[0])
+                assert not (tmp_path / "out.txt").exists()
+        assert main(["detect-changes", "--features", feats[0], "--model", str(cmodel),
+                     "--d", "3"]) == 0
+        assert len(reads) == 1
 
     def test_d_differing_from_change_model_rejected(self, tmp_path, capsys):
         _, ges, _ = write_spaces(tmp_path)

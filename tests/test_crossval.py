@@ -61,12 +61,12 @@ def per_fold_cross_validate(videos, plan, epochs):
         (state_models,) = train_grid(train_streams, train_truths, None, 1, plan.c_grid, epochs)
         unaries = [[score_stream(m, s) for s, _ in fold] for m in state_models]
         for d in plan.d_grid:
-            x, y = change_training_set(train_streams, train_truths, d)
-            (change_models,) = train_binary_grid(x, y, None, 1, plan.c_grid, epochs)
+            x, y, _ = change_training_set(train_streams, train_truths, d)
+            (change_models,) = train_binary_grid(x, y, d, None, 1, plan.c_grid, epochs)
             for c, change_model, c_unaries in zip(plan.c_grid, change_models, unaries):
                 correct = np.zeros(len(plan.lambda_grid), dtype=np.int64)
                 for (stream, truth), unary in zip(fold, c_unaries):
-                    cands = detect_candidates(stream, change_model, d)
+                    cands = detect_candidates(stream, change_model)
                     decoded = decode_stream(
                         stream, unary, cands, plan.lambda_grid, label_space=truth.label_space
                     )
@@ -95,16 +95,16 @@ class TestFoldStackedSolve:
         video_folds = np.arange(7) % 3
         frame_folds = np.repeat(video_folds, [s.n_frames for s in streams])
         grid = train_grid(streams, truths, frame_folds, 3, C_GRID, 25)
-        x, y = change_training_set(streams, truths, 4)
-        row_folds = np.repeat(video_folds, [s.n_frames - 8 for s in streams])
-        change_grid = train_binary_grid(x, y, row_folds, 3, C_GRID, 25)
+        x, y, rows = change_training_set(streams, truths, 4)
+        row_folds = np.repeat(video_folds, rows)
+        change_grid = train_binary_grid(x, y, 4, row_folds, 3, C_GRID, 25)
         assert [len(models) for models in grid + change_grid] == [len(C_GRID)] * 6
         for f in range(3):
             train_idx = [i for i in range(7) if video_folds[i] != f]
             (alone,) = train_grid([streams[i] for i in train_idx], [truths[i] for i in train_idx],
                                   None, 1, C_GRID, 25)
             keep = row_folds != f
-            (change_alone,) = train_binary_grid(x[keep], y[keep], None, 1, C_GRID, 25)
+            (change_alone,) = train_binary_grid(x[keep], y[keep], 4, None, 1, C_GRID, 25)
             for stacked, single in zip(grid[f] + change_grid[f], alone + change_alone):
                 assert stacked.config == single.config
                 assert np.allclose(stacked.weights, single.weights, rtol=1e-12, atol=1e-13)
@@ -153,7 +153,7 @@ class TestFoldValidity:
         with np.errstate(all="raise"):
             for train_empty in (
                 lambda: train_arrays(np.empty((0, 3)), np.empty(0), 2),
-                lambda: train_binary(np.empty((0, 3)), np.empty(0)),
+                lambda: train_binary(np.empty((0, 3)), np.empty(0), 3),
             ):
                 with pytest.raises(ValueError, match="two distinct labels"):
                     train_empty()
@@ -165,7 +165,7 @@ class TestFoldValidity:
             classify._solve_subgradient(x, signs[None, None], np.ones((1, 2)), 5)
         y = np.array([0, 1, 0, 1])
         with pytest.raises(ValueError, match="two distinct labels"):
-            train_binary_grid(x, y, np.zeros(4, dtype=int), 2, (1.0,), 5)  # fold 0 holds out all
+            train_binary_grid(x, y, 1, np.zeros(4, dtype=int), 2, (1.0,), 5)  # fold 0 holds out all
 
 
 class TestDuplicateVideoIds:
@@ -218,7 +218,7 @@ def test_peak_memory_holds_one_change_set(traced_peak):
     plan = CrossValPlan(folds=5, c_grid=(1.0,), d_grid=(3, 6, 9, 12), lambda_grid=(1.0,))
     warm = CrossValPlan(folds=5, c_grid=(1.0,), d_grid=(3,), lambda_grid=(1.0,))
     cross_validate(videos(8, 5, n_frames=40), warm, 1)  # warm lazy imports
-    x, y = change_training_set([s for s, _ in pairs], [t for _, t in pairs], min(plan.d_grid))
+    x, y, _ = change_training_set([s for s, _ in pairs], [t for _, t in pairs], min(plan.d_grid))
     set_bytes = x.nbytes + y.nbytes
     del x, y
     peak, _ = traced_peak(cross_validate, pairs, plan, 2)

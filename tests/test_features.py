@@ -246,7 +246,7 @@ class TestFuseConcat:
     def test_concatenation_order(self):
         a = stream([[1, 2], [3, 4]])
         b = stream([[5, 6, 7], [8, 9, 10]])
-        fused = fuse_concat(a, b)
+        fused = fuse_concat([a, b])
         assert fused.dim == 5
         assert np.array_equal(fused.values[0], [1, 2, 5, 6, 7])
         assert np.array_equal(fused.values[1], [3, 4, 8, 9, 10])
@@ -254,20 +254,20 @@ class TestFuseConcat:
     def test_empty_dim_identity(self):
         a = stream([[1.0, 2.0]])
         empty = FeatureStream("v", Camera.HEAD, 6.0, np.empty((1, 0)))
-        assert np.array_equal(fuse_concat(a, empty).values, a.values)
+        assert np.array_equal(fuse_concat([a, empty]).values, a.values)
 
     def test_order_sensitivity(self):
         a = stream([[1.0]])
         b = stream([[2.0]])
-        assert fuse_concat(a, b).values.tolist() != fuse_concat(b, a).values.tolist()
+        assert fuse_concat([a, b]).values.tolist() != fuse_concat([b, a]).values.tolist()
 
     def test_memory_holds_the_fused_array_once(self, traced_peak):
         # the stream keeps the concatenation (the parent copied it, 2x)
         rng = np.random.default_rng(2)
         a, b = stream(rng.standard_normal((20_000, 16))), stream(rng.standard_normal((20_000, 8)))
-        peak, fused = traced_peak(fuse_concat, a, b)
+        peak, fused = traced_peak(fuse_concat, [a, b])
         assert peak <= 1.2 * fused.values.nbytes, peak / fused.values.nbytes
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            fuse_concat(stream([[1.0]]), stream([[1.0], [2.0]]))
+            fuse_concat([stream([[1.0]]), stream([[1.0], [2.0]])])
