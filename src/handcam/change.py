@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .classify import LinearModel, TrainConfig, train_binary
-from .core import FeatureStream, StateSequence, frozen_array, run_starts
+from .core import FeatureStream, StateSequence, frozen_array, release_pages, run_starts
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,8 @@ def change_feature_matrix(
     """All in-band change features: (band frame indices, (len(band), D)),
     in float64, written into `out` when it is given. float32 values are
     upcast as they are subtracted, which gives the bits of their float64
-    copy."""
+    copy. A mapped stream's pages are given back once the features are
+    built."""
     n = stream.n_frames
     lo, hi = valid_band(n, d)
     if hi < lo:
@@ -67,6 +68,7 @@ def change_feature_matrix(
     cf = np.subtract(stream.values[: n - 2 * d], stream.values[2 * d :], out=out,
                      dtype=np.float64)
     np.abs(cf, out=cf)
+    release_pages(stream.values)
     return np.arange(lo, hi + 1), cf
 
 

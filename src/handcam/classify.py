@@ -21,6 +21,10 @@ solves both classes.
 The iterate with the lowest objective is kept per column, so the returned
 objective never exceeds the value at initialization.
 
+Training copies its streams one at a time into one float64 matrix, and
+scoring upcasts a block of frames at a time; both give back the pages of a
+mapped stream as they go (`core.release_pages`).
+
 Frames are on BLAS's row side of every product: margins are w @ x.T and
 scores W @ x.T, so OpenBLAS packs a block of frames at a time instead of
 all of them. A solve's signs are (folds, 1, classes, n), one contiguous
@@ -45,6 +49,7 @@ import numpy as np
 
 from .core import (
     UPCAST_ROWS, FeatureStream, LabelSpace, StateSequence, Task, all_finite, frozen_array,
+    release_pages,
 )
 
 
@@ -223,7 +228,13 @@ def _stacked(
             raise ValueError(f"video {s.video_id}: {s.n_frames} frames vs {len(t)} labels")
         if s.dim != streams[0].dim:
             raise ValueError(f"video {s.video_id}: dim {s.dim} != {streams[0].dim}")
-    x = np.concatenate([s.values for s in streams], dtype=np.float64)  # float32 upcasts exactly
+    # one stream at a time, so a mapped stream's pages are given back before the next is read
+    x = np.empty((sum(s.n_frames for s in streams), streams[0].dim))
+    start = 0
+    for s in streams:
+        x[start : start + s.n_frames] = s.values  # float32 upcasts exactly
+        release_pages(s.values)
+        start += s.n_frames
     return x, np.concatenate([t.states for t in truths])
 
 
@@ -279,7 +290,8 @@ def score_stream(model: LinearModel, stream: FeatureStream) -> np.ndarray:
     The frames are taken UPCAST_ROWS at a time, the last block taking the
     remainder, so no block is smaller than UPCAST_ROWS frames unless it
     holds them all. Each block is upcast to float64 on its own and
-    multiplied into one (K, N) margin array. With K >= 2 these blocks give
+    multiplied into one (K, N) margin array, and a mapped stream's pages
+    of the block are given back after it. With K >= 2 these blocks give
     the bits of the whole product; smaller blocks or blocks at other
     offsets may not."""
     if model.num_classes < 2:
@@ -294,6 +306,9 @@ def score_stream(model: LinearModel, stream: FeatureStream) -> np.ndarray:
     for lo, hi in reversed(list(zip(edges, edges[1:]))):
         np.matmul(model.weights, np.asarray(stream.values[lo:hi], dtype=np.float64).T,
                   out=margins[:, lo:hi])  # float32 upcasts exactly
+        # from lo to the end: a page fault also maps the pages after it, so
+        # reading this block maps some of the block released before it again
+        release_pages(stream.values[lo:])
     margins += model.bias[:, None]
     return margins.T
 
@@ -322,10 +337,13 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
+def _kind(model: LinearModel) -> int:
+    """0: multiclass with label space, 1: binary change, 2: detached multiclass."""
+    return 0 if model.label_space is not None else 1 if model.is_binary else 2
+
+
 def model_bytes(model: LinearModel) -> bytes:
-    # kind 0: multiclass with label space, 1: binary change, 2: detached multiclass
-    kind = 0 if model.label_space is not None else 1 if model.is_binary else 2
-    out = [_MODEL_MAGIC, struct.pack("<IB", _MODEL_VERSION, kind)]
+    out = [_MODEL_MAGIC, struct.pack("<IB", _MODEL_VERSION, _kind(model))]
     cfg = model.config
     out.append(struct.pack("<dIQ", cfg.c_reg, cfg.epochs, model.d or 0))
     if model.label_space is not None:
@@ -381,7 +399,10 @@ def load_model(path: str | Path) -> LinearModel:
         w = np.frombuffer(data, dtype="<f8", count=k * d, offset=pos).reshape(k, d)
         b = np.frombuffer(data, dtype="<f8", count=k, offset=pos + k * d * 8)
         # the slot is a change model's d: LinearModel rejects 0 there and any other value elsewhere
-        return LinearModel(w, b, space, TrainConfig(c_reg, epochs), slot or None)
+        model = LinearModel(w, b, space, TrainConfig(c_reg, epochs), slot or None)
+        if _kind(model) != kind:  # one row and a d, or two rows and none, under the other kind
+            raise ModelFileError(f"kind {kind} file holds a kind {_kind(model)} model's weights")
+        return model
     except struct.error as e:
         raise ModelFileError(f"truncated model file: {e}") from None
     except ValueError as e:  # version, kind, shape, UTF-8, task, label space or parameters

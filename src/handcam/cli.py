@@ -348,13 +348,23 @@ def _check_flag(flag: str, check, value) -> None:
         raise ValueError(f"{flag} {value}: {e}") from None
 
 
-def _load_change_model(flag: str, path: str | Path, d: int) -> classify.LinearModel:
-    """The change model at path (the option `flag`), trained with d (--d)."""
-    model = classify.load_model(path)
+def _load_model(flag: str, path: str | Path) -> classify.LinearModel:
+    """The model at path (the option `flag`); a damaged file's error names both."""
+    try:
+        return classify.load_model(path)
+    except classify.ModelFileError as e:
+        raise classify.ModelFileError(f"{flag} {path}: {e}") from None
+
+
+def _load_change_model(flag: str, path: str | Path, d: int,
+                       d_given: str | None = None) -> classify.LinearModel:
+    """The change model at path (the option `flag`), trained with d; a
+    mismatch names d as d_given says where it came from (`--d <d>` if None)."""
+    model = _load_model(flag, path)
     if not model.is_binary:
         raise ValueError(f"{flag} {path}: not a change model")
     if model.d != d:
-        raise ValueError(f"{flag} {path}: trained with d={model.d}, not --d {d}")
+        raise ValueError(f"{flag} {path}: trained with d={model.d}, not {d_given or f'--d {d}'}")
     return model
 
 
@@ -378,21 +388,24 @@ def run_infer(features: str | Path, state_model: str | Path, mode: str,
         given = [flag for flag, value in full_options.items() if value is not None]
         if given:
             raise ValueError(f"--mode unary takes no {', '.join(given)}")
-    state = classify.load_model(state_model)
+    state = _load_model("--state-model", state_model)
     if state.label_space is None:
         raise ValueError(f"--state-model {state_model}: not a state model with a label space")
     if mode == "full":
+        d_given = None  # --d
         if lam == "auto":
             if not cv_result:
                 raise ValueError("--lambda auto requires --cv-result from a prior cv run")
             chosen = read_cv_result(Path(cv_result))
-            lam, d = chosen["lambda"], chosen["d"] if d is None else d
+            lam = chosen["lambda"]
+            if d is None:
+                d, d_given = chosen["d"], f"d={chosen['d']} of --cv-result {cv_result}"
         elif cv_result is not None:
             raise ValueError("--cv-result is read only with --lambda auto")
         if change_model is None or d is None or lam is None:
             raise ValueError("full mode needs --change-model, --d and --lambda")
         _check_flag("--lambda", lambda v: inference.check_lam(float(v)), lam)
-        change_model = _load_change_model("--change-model", change_model, d)
+        change_model = _load_change_model("--change-model", change_model, d, d_given)
     stream = features_mod.read_features(features)
     if mode == "unary":
         seq = classify.predict_frames(state, stream)

@@ -1,11 +1,14 @@
 """Shared domain types: label spaces, feature streams, state sequences.
 
-Everything here is immutable after construction.
+Everything here is immutable after construction. A stream read from a
+`.feat` file holds a read-only view of the file's mapping, and
+`release_pages` gives back the pages of the rows a consumer has used.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -59,6 +62,35 @@ UPCAST_ROWS = 4096
 DEFAULT_FPS = 6.0
 
 
+# madvise's "drop these pages" advice, or None where mmap cannot give it
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None) if hasattr(mmap.mmap, "madvise") else None
+
+
+def release_pages(rows: np.ndarray) -> None:
+    """Give back the resident pages behind `rows`, a C-contiguous view of a
+    read-only file mapping (a block of rows of a stream that
+    `features.read_features` read), rounded out to whole pages.
+
+    The pages stay mapped: reading them again faults them back in from the
+    file, with the same bytes, and a fault on neighbouring rows may map
+    some of them again. The view is walked back to its mapping through
+    `.base` to a memoryview and its `.obj`. An array that is not a view of
+    an `mmap` (an in-memory stream) is left as it is, and so is every array
+    where mmap has no `madvise` or no `MADV_DONTNEED`: there the pages of a
+    read stream stay resident until the stream is dropped.
+    """
+    base = rows
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if (_DONTNEED is None or not rows.nbytes or not rows.flags.c_contiguous
+            or not isinstance(base, memoryview) or not isinstance(base.obj, mmap.mmap)):
+        return
+    mapping = base.obj
+    start = rows.ctypes.data - np.frombuffer(mapping, np.uint8, count=1).ctypes.data
+    first = start - start % mmap.PAGESIZE  # madvise takes a page-aligned start
+    mapping.madvise(_DONTNEED, first, start + rows.nbytes - first)
+
+
 def all_finite(arr: np.ndarray) -> bool:
     """Whether no value of arr is NaN or infinite. NaN propagates through
     min and max, so their two scalars decide it, with no mask of arr."""
@@ -109,7 +141,10 @@ class FeatureStream:
     float32 values, such as a feature file's payload, are kept as float32,
     and float64 values as float64; any other values become float64. Every
     float32 value upcasts exactly, so consumers that compute in float64
-    upcast blocks of rows as they use them, not a copy of the stream.
+    upcast blocks of rows as they use them, not a copy of the stream, and
+    give back a mapped stream's pages with `release_pages` once they are
+    used. The finiteness check, too, reads UPCAST_ROWS rows at a time and
+    gives back each block's pages.
     """
 
     video_id: str
@@ -124,8 +159,11 @@ class FeatureStream:
             vals = np.asarray(vals, dtype=np.float64)
         if vals.ndim != 2:
             raise ValueError("feature values must be a 2-d (frames x dim) array")
-        if not all_finite(vals):
-            raise ValueError("non-finite feature values")
+        for lo in range(0, vals.shape[0], UPCAST_ROWS):
+            block = vals[lo : lo + UPCAST_ROWS]
+            if not all_finite(block):
+                raise ValueError("non-finite feature values")
+            release_pages(block)
         object.__setattr__(self, "values", frozen_array(vals))
 
     @property
@@ -196,7 +234,8 @@ def segment_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     segment is a group of its own), each group upcast to float64 on its own:
     `reduceat` with a dtype would cast all its input first. A segment's sum
     does not depend on its group, so float32 values give the bits of their
-    float64 copy.
+    float64 copy. Each group's pages of a mapped stream are given back after
+    its sums (`release_pages`).
     """
     values = np.asarray(values)
     starts = np.asarray(starts, dtype=np.int64)
@@ -209,6 +248,7 @@ def segment_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
         # the upcast is a temporary, so one float64 group is alive at a time
         np.add.reduceat(np.asarray(group, dtype=np.float64), bounds[j:k] - bounds[j], axis=0,
                         out=sums[j:k])
+        release_pages(group)
         j = k
     return sums / np.diff(bounds)[:, None]
 

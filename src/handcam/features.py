@@ -2,15 +2,21 @@
 
 Per-frame features normally come from files produced by an external
 extractor (deep features etc.); the binary container below is the exchange
-format. Its payload is float32, and a stream read from it keeps the payload
-as a read-only float32 view of the file's bytes: no float64 copy is made,
-and each consumer upcasts the rows it computes on. A joint color histogram
-is provided as a reference extractor so the whole pipeline can run without
-any external dependency.
+format. Its payload is float32. A stream read from it maps the file
+read-only and keeps the payload as a read-only float32 view of the
+mapping: no copy is made, each consumer upcasts the rows it computes on,
+and gives their pages back once used (`core.release_pages`). A file is
+replaced whole when it is written, never rewritten in place, so a stream
+mapped from it keeps its values. A joint color histogram is provided as a
+reference extractor so the whole pipeline can run without any external
+dependency.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import stat
 import struct
 from pathlib import Path
 from typing import Sequence
@@ -36,7 +42,11 @@ def write_features(stream: FeatureStream, path: str | Path) -> None:
     """Serialize a feature stream; payload is float32 little-endian, row-major.
 
     A value beyond float32's range is refused before the file is opened: it
-    would be written as inf, which `read_features` rejects."""
+    would be written as inf, which `read_features` rejects. The file is
+    written beside `path` under a temporary name and then renamed over it,
+    so a process that has `path` mapped keeps its bytes (truncating a mapped
+    file faults its readers) and a failed write leaves the old file; the
+    temporary file is removed on any failure."""
     vid = stream.video_id.encode("utf-8")
     if len(vid) > 0xFFFF:
         raise FeatureFileError("video_id too long")
@@ -51,13 +61,31 @@ def write_features(stream: FeatureStream, path: str | Path) -> None:
         payload = stream.values.astype("<f4", copy=False)
     if not all_finite(payload):
         raise FeatureFileError("values beyond the float32 range of the payload")
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload)  # the array's buffer, not a copy of it
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(header)
+            f.write(payload)  # the array's buffer, not a copy of it
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_features(path: str | Path) -> FeatureStream:
-    data = Path(path).read_bytes()
+    """The stream of a `.feat` file, its values a view of the file mapped
+    read-only. On CPython each live mapping holds a duplicate of the file's
+    descriptor until the stream is dropped. A file that cannot be mapped
+    (missing, empty, a directory or another non-regular file) is a
+    FeatureFileError naming the path."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):  # opening a FIFO would wait for a writer
+            raise ValueError("not a regular file")
+        with open(path, "rb") as f:
+            data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError) as e:  # ValueError: also "cannot mmap an empty file"
+        raise FeatureFileError(f"{path}: cannot map the file: {e}") from None
     if data[:4] != MAGIC:
         raise FeatureFileError(f"magic mismatch: {data[:4]!r}")
     pos = 4
@@ -83,7 +111,8 @@ def read_features(path: str | Path) -> FeatureStream:
         raise FeatureFileError("truncated payload")
     if len(data) - pos > expected:
         raise FeatureFileError("payload length mismatch: trailing bytes")
-    # a read-only view of the file's bytes, aligned or not: FeatureStream keeps it as it is
+    # a read-only view of the mapping, aligned or not: FeatureStream keeps it as it is,
+    # and its finiteness check gives back each block's pages
     values = np.frombuffer(data, dtype="<f4", count=n * d, offset=pos).reshape(n, d)
     try:
         return FeatureStream(vid, _CAMERA_FROM_CODE[camera_code], fps, values)

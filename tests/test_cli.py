@@ -156,6 +156,18 @@ class TestExtractFuse:
         assert fused.read_bytes() == pairwise.read_bytes()
         assert read_features(fused).video_id == "a"
 
+    def test_fuse_out_may_name_an_input(self, tmp_path):
+        # the inputs are mapped while the output is written: the output
+        # replaces the file whole instead of truncating the mapped pages
+        rng = np.random.default_rng(5)
+        a, b, fused = (tmp_path / f"{name}.feat" for name in ("a", "b", "fused"))
+        for path, dim in ((a, 2), (b, 3)):
+            write_features(FeatureStream(path.stem, Camera.HEAD, 6.0,
+                                         rng.standard_normal((9_000, dim))), path)
+        assert main(["fuse", "--inputs", str(a), str(b), "--out", str(fused)]) == 0
+        assert main(["fuse", "--inputs", str(a), str(b), "--out", str(a)]) == 0
+        assert a.read_bytes() == fused.read_bytes()
+
     def test_flip_option_is_gone(self, tmp_path):
         # a whole-frame histogram is mirror-invariant, so --flip wrote the same file
         save_frames(np.zeros((1, 2, 3, 3), dtype=np.uint8), tmp_path / "v")
@@ -466,6 +478,50 @@ class TestTrainInferEval:
                      "--lambda", "1.0"]) == 2
         assert main(["detect-changes", "--features", feats[0], "--model", str(cmodel),
                      "--d", "3"]) == 0
+
+    def test_d_from_cv_result_named_by_its_file(self, tmp_path, capsys):
+        # the mismatch read "not --d 4" though no --d was given
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        smodel, cmodel = tmp_path / "state.bin", tmp_path / "change.bin"
+        common = ["--features", *feats, "--truth", *truths, "--label-space", str(ges),
+                  "--epochs", "5"]
+        assert main(["train-state", *common, "--out", str(smodel)]) == 0
+        assert main(["train-change", *common, "--d", "3", "--out", str(cmodel)]) == 0
+        chosen = tmp_path / "chosen.json"
+        chosen.write_text(json.dumps({"C": 1.0, "d": 4, "lambda": 1.0}))
+        capsys.readouterr()
+        assert main(["infer", "--features", feats[0], "--state-model", str(smodel),
+                     "--mode", "full", "--lambda", "auto", "--cv-result", str(chosen),
+                     "--change-model", str(cmodel)]) == 2
+        err = capsys.readouterr().err
+        assert f"trained with d=3, not d=4 of --cv-result {chosen}" in err
+        assert "--d" not in err
+
+    def test_damaged_model_named_by_its_option_and_path(self, tmp_path, capsys):
+        # a damaged model file printed only "malformed model file: ..." or
+        # "truncated model file: ...", whichever option had named it
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        smodel, cmodel = tmp_path / "state.bin", tmp_path / "change.bin"
+        common = ["--features", *feats, "--truth", *truths, "--label-space", str(ges),
+                  "--epochs", "5"]
+        assert main(["train-state", *common, "--out", str(smodel)]) == 0
+        assert main(["train-change", *common, "--d", "3", "--out", str(cmodel)]) == 0
+        damaged = tmp_path / "damaged.bin"
+        damaged.write_bytes(cmodel.read_bytes()[:-3])
+        full = ["infer", "--features", feats[0], "--mode", "full", "--lambda", "1.0", "--d", "3"]
+        for argv, flag in (
+            ([*full, "--state-model", str(damaged), "--change-model", str(cmodel)],
+             "--state-model"),
+            ([*full, "--state-model", str(smodel), "--change-model", str(damaged)],
+             "--change-model"),
+            (["detect-changes", "--features", feats[0], "--model", str(damaged), "--d", "3"],
+             "--model"),
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert f"error: {flag} {damaged}: malformed model file" in capsys.readouterr().err
 
 
 class TestAlign:

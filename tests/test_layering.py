@@ -271,3 +271,79 @@ def test_stage_module_detector():
 
 def test_pipeline_runs_only_stage_functions():
     assert stage_module_uses((SRC / "cli.py").read_text(), "run_pipeline") == []
+
+
+# A stream read from a `.feat` file is a view of the file's mapping, and a
+# function that reads its `.values` gives the pages back with the release
+# helper, directly or through a function that calls it (`segment_means`).
+# These read `.values` and keep the pages, each for its reason
+RELEASE_HELPER = "release_pages"
+KEEPS_PAGES_ALLOWED = {
+    "core.FeatureStream.n_frames": "reads the shape only",
+    "core.FeatureStream.dim": "reads the shape only",
+    "features.write_features": "the CLI writes only streams it made in memory (extract, fuse, "
+                               "synth)",
+    "features.fuse_concat": "copies every input whole into the fused stream it makes",
+}
+
+
+def functions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Top-level functions and the methods of top-level classes, by
+    `name` or `Class.name`; a nested function or lambda counts as part of
+    the function it is in."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            found.update((f"{node.name}.{member.name}", member) for member in node.body
+                         if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return found
+
+
+def called_names(node: ast.AST) -> set[str]:
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def reads_values(node: ast.AST) -> bool:
+    """Whether node reads a `.values` attribute other than as a `.values()` call."""
+    called = {id(call.func) for call in ast.walk(node) if isinstance(call, ast.Call)}
+    return any(isinstance(sub, ast.Attribute) and sub.attr == "values"
+               and isinstance(sub.ctx, ast.Load) and id(sub) not in called
+               for sub in ast.walk(node))
+
+
+def pages_kept(sources: dict[str, str]) -> list[str]:
+    """`module.function` of each function that reads `.values` and calls
+    neither the release helper nor a function that calls it."""
+    funcs = {f"{module}.{name}": node for module, source in sources.items()
+             for name, node in functions(ast.parse(source)).items()}
+    releasers = {RELEASE_HELPER} | {qualified.rsplit(".", 1)[-1]
+                                    for qualified, node in funcs.items()
+                                    if RELEASE_HELPER in called_names(node)}
+    return sorted(qualified for qualified, node in funcs.items()
+                  if reads_values(node) and not called_names(node) & releasers)
+
+
+def test_pages_kept_detector():
+    # a direct call or a call of a releasing function gives the pages back;
+    # a `.values()` call is a dict's, not a stream's
+    sources = {
+        "core": "def release_pages(rows):\n    pass\n"
+                "def means(values):\n    release_pages(values[:2])\n    return values\n",
+        "a": "from .core import means, release_pages\n"
+             "def kept(s):\n    return s.values.sum()\n"
+             "def given_back(s):\n    x = s.values[0:2]\n    release_pages(x)\n"
+             "def through(s):\n    return means(s.values)\n"
+             "def in_a_lambda(s):\n    return lambda: s.values\n"
+             "def a_dict(d):\n    return list(d.values())\n"
+             "class C:\n    @property\n    def size(self):\n        return self.values.size\n",
+    }
+    assert pages_kept(sources) == ["a.C.size", "a.in_a_lambda", "a.kept"]
+
+
+def test_every_stream_reader_gives_its_pages_back():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert pages_kept(sources) == sorted(KEEPS_PAGES_ALLOWED)

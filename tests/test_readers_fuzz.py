@@ -19,6 +19,7 @@ import json
 import shutil
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,6 +118,53 @@ def test_load_model_damaged(tmp_path_factory):
         assert model.weights.shape[0] == model.bias.shape[0]
 
     check()
+
+
+def test_kind_byte_must_match_the_weights(tmp_path, capsys):
+    # a kind 1 (change) file marked kind 2 loaded as a change model with its
+    # d, and a kind 2 file marked kind 1 as a detached multiclass model
+    rng = np.random.default_rng(3)
+    files = {
+        0: model_file(rng.standard_normal((2, 3)), free_active())[0],
+        1: model_file(rng.standard_normal((1, 4)), d=3)[0],
+        2: model_file(rng.standard_normal((3, 2)))[0],
+    }
+    feat = tmp_path / "v.feat"
+    write_features(FeatureStream("v", Camera.HEAD, 6.0, rng.standard_normal((5, 3))), feat)
+    path = tmp_path / "flipped.bin"
+    for kind, data in files.items():
+        path.write_bytes(data)
+        assert load_model(path).weights.shape[0] == {0: 2, 1: 1, 2: 3}[kind]
+        for other in set(files) - {kind}:
+            flipped = bytearray(data)
+            flipped[8] = other
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(ModelFileError):
+                load_model(path)
+            capsys.readouterr()
+            assert main(["infer", "--features", str(feat), "--state-model", str(path),
+                         "--mode", "unary"]) == 2, (kind, other)
+            assert f"--state-model {path}: " in capsys.readouterr().err
+
+
+def test_unmappable_features_exit_2_naming_the_path(tmp_path, capsys):
+    # an empty file cannot be mapped (Python: "cannot mmap an empty file"),
+    # nor can a directory
+    rng = np.random.default_rng(4)
+    model = tmp_path / "state.bin"
+    save_model(LinearModel(rng.standard_normal((2, 3)), np.zeros(2), free_active(),
+                           TrainConfig()), model)
+    empty = tmp_path / "empty.feat"
+    empty.write_bytes(b"")
+    for path in (empty, tmp_path):
+        for argv in (["infer", "--features", str(path), "--state-model", str(model),
+                      "--mode", "unary"],
+                     ["fuse", "--inputs", str(path), "--out", str(tmp_path / "out.feat")]):
+            capsys.readouterr()
+            assert main(argv) == 2, (path, argv[0])
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: cannot map the file"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.feat", "state.bin"]
 
 
 def ppm_file(tmp_path, pixels):
