@@ -171,7 +171,8 @@ def read_cv_result(path: Path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# stage functions (`run_<stage>`: plain paths and values in, files out) and
+# subcommand handlers (`_cmd_<stage>`: options mapped onto one stage, printed)
 
 _SYNTH_STREAMS = {
     "states": "integer", "dim": "integer", "frames": "integer", "min_dwell": "integer",
@@ -211,49 +212,58 @@ def _write_feature_set(pairs: Iterator[tuple[FeatureStream, StateSequence]],
     return files
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    """Checks the config before --out is created: a rejected one leaves no directory."""
-    out = Path(args.out)
+def run_synth_features(config: str | Path, label_space: str | Path, out: str | Path) -> list[Path]:
+    """Write a `synth features` config's streams into out once it is checked; return the files."""
+    cfg = _read_json_object(config, {"seed": "integer", **_SYNTH_STREAMS, "videos": "integer"})
+    pairs = _feature_set(cfg, [f"video_{i:02d}" for i in range(cfg["videos"])],
+                         load_label_space(label_space))
+    return _write_feature_set(pairs, Path(out))
+
+
+def run_synth_videos(config: str | Path, out: str | Path) -> dict[str, dict]:
+    """Write a `synth videos` config's videos into out once it is checked; return the truth."""
+    cfg = _read_json_object(config, _SYNTH_VIDEOS)
+    specs = [synth.VideoSpec(**v) for v in cfg["videos"]]  # keys checked above
+    video_set = (specs, (cfg["frame_width"], cfg["frame_height"]), cfg["frames"],
+                 cfg["noise_sigma"], cfg["jitter"])
+    # the hand fits in a checked frame before it is allocated
+    synth.check_video_set((cfg["hand_width"], cfg["hand_height"]), *video_set)
+    hand = synth.textured_patch(cfg["hand_width"], cfg["hand_height"], cfg["seed"])
+    truth = synth.gen_video_set(hand, *video_set, cfg["seed"], out_dir=out)
+    write_json(truth, Path(out) / "ground_truth.json")
+    return truth
+
+
+def _cmd_synth(args: argparse.Namespace) -> None:
     if args.kind == "features":
-        cfg = _read_json_object(
-            args.config, {"seed": "integer", **_SYNTH_STREAMS, "videos": "integer"}
-        )
-        pairs = _feature_set(cfg, [f"video_{i:02d}" for i in range(cfg["videos"])],
-                             load_label_space(args.label_space))
-        _write_feature_set(pairs, out)
+        run_synth_features(args.config, args.label_space, args.out)
     else:
-        cfg = _read_json_object(args.config, _SYNTH_VIDEOS)
-        specs = [synth.VideoSpec(**v) for v in cfg["videos"]]  # keys checked above
-        video_set = (specs, (cfg["frame_width"], cfg["frame_height"]), cfg["frames"],
-                     cfg["noise_sigma"], cfg["jitter"])
-        # the hand fits in a checked frame before it is allocated
-        synth.check_video_set((cfg["hand_width"], cfg["hand_height"]), *video_set)
-        hand = synth.textured_patch(cfg["hand_width"], cfg["hand_height"], cfg["seed"])
-        truth = synth.gen_video_set(hand, *video_set, cfg["seed"], out_dir=out)
-        write_json(truth, out / "ground_truth.json")
-    print(f"synthesized into {out}")
-    return 0
+        run_synth_videos(args.config, args.out)
+    print(f"synthesized into {Path(args.out)}")
 
 
-def _cmd_align(args: argparse.Namespace) -> int:
-    """Pass 1 reads one video at a time and keeps only its median, rounded
-    to uint8, and its stable component; pass 2 streams each video through a
-    few frames at a time to align and save it: memory follows one video,
-    not the corpus. Afterwards --out holds the videos of this run only: the
-    frames of any other video directory in it are deleted, and the
-    directory too if that empties it."""
+def run_align(manifest: str | Path, out: str | Path, beta_threshold: float,
+              scales: tuple[float, ...]) -> alignment.AlignmentResult:
+    """Align the videos that manifest lists into out, checking both before a
+    frame is read; return what out/alignment.json records. Pass 1 reads one
+    video at a time and keeps only its median, rounded to uint8, and its
+    stable component; pass 2 streams each video a few frames at a time to
+    align and save it: memory follows one video, not the corpus. Afterwards
+    out holds the videos of this run only: the frames of any other video
+    directory in it are deleted, and the directory too if that empties it."""
     dirs: dict[str, Path] = {}
-    for path, in read_list_file(args.manifest, 1, 1):
+    for path, in read_list_file(manifest, 1, 1):
         vid = Path(path).name
-        if vid in dirs:
-            raise ValueError(f"{args.manifest}: video id {vid!r} (the directory name) "
-                             f"is used twice: {dirs[vid]} and {path}")
+        if vid in dirs or vid == "alignment.json":
+            why = f"is used twice: {dirs[vid]} and {path}" if vid in dirs else "names the report"
+            raise ValueError(f"{manifest}: video id {vid!r} (the directory name) {why}")
         dirs[vid] = Path(path)
     if len(dirs) < 2:
         raise ValueError("alignment needs at least two videos")
-    params = alignment.AlignmentParams(
-        beta_threshold=args.beta_threshold, scales=tuple(args.scales)
-    )
+    params = alignment.AlignmentParams(beta_threshold=beta_threshold, scales=scales)
+    out = Path(out)
+    if out.exists() and not out.is_dir():
+        raise ValueError(f"--out {out}: not a directory")
     medians, components = {}, {}
     for vid, d in dirs.items():
         median, diversity = alignment.pixel_stats(media.load_video_dir(d))
@@ -261,7 +271,6 @@ def _cmd_align(args: argparse.Namespace) -> int:
         medians[vid] = media.round_u8(median)
         del median, diversity  # the next video is read without them
     result = alignment.align_videos(medians, components, params.scales)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for vid, entry in sorted(result.per_video.items()):
         alignment.align_video_dir(dirs[vid], out / vid, entry, result, medians[vid].shape)
@@ -271,27 +280,40 @@ def _cmd_align(args: argparse.Namespace) -> int:
             if not any(stale.iterdir()):
                 stale.rmdir()
     alignment.write_alignment_report(result, out / "alignment.json")
+    return result
+
+
+def _cmd_align(args: argparse.Namespace) -> None:
+    result = run_align(args.manifest, args.out, args.beta_threshold, tuple(args.scales))
     print(f"reference: {result.reference_video_id}")
     for vid, entry in sorted(result.per_video.items()):
         print(f"{vid}\tscale={entry.scale}\tdx={entry.dx}\tdy={entry.dy}\tpeak={entry.peak:.4f}")
-    return 0
 
 
-def _cmd_extract(args: argparse.Namespace) -> int:
-    stream = features_mod.histogram_stream(
-        media.frame_paths(args.video), Path(args.video).name, _CAMERAS[args.camera],
-        fps=args.fps, bins_per_channel=args.bins)
-    features_mod.write_features(stream, args.out)
+def run_extract(video: str | Path, out: str | Path, camera: Camera, fps: float,
+                bins: int) -> FeatureStream:
+    """Write the histogram stream of the frames in video to out; return it."""
+    stream = features_mod.histogram_stream(media.frame_paths(video), Path(video).name, camera,
+                                           fps=fps, bins_per_channel=bins)
+    features_mod.write_features(stream, out)
+    return stream
+
+
+def _cmd_extract(args: argparse.Namespace) -> None:
+    stream = run_extract(args.video, args.out, _CAMERAS[args.camera], args.fps, args.bins)
     print(f"{stream.n_frames} frames x {stream.dim} dims -> {args.out}")
-    return 0
 
 
-def _cmd_fuse(args: argparse.Namespace) -> int:
-    streams = [features_mod.read_features(p) for p in args.inputs]
-    fused = features_mod.fuse_concat(streams)
-    features_mod.write_features(fused, args.out)
-    print(f"fused {len(streams)} streams -> D={fused.dim}")
-    return 0
+def run_fuse(inputs: list, out: str | Path) -> FeatureStream:
+    """Write the frame-wise concatenation of the streams at inputs to out; return it."""
+    fused = features_mod.fuse_concat([features_mod.read_features(p) for p in inputs])
+    features_mod.write_features(fused, out)
+    return fused
+
+
+def _cmd_fuse(args: argparse.Namespace) -> None:
+    fused = run_fuse(args.inputs, args.out)
+    print(f"fused {len(args.inputs)} streams -> D={fused.dim}")
 
 
 def _load_pairs(
@@ -304,9 +326,6 @@ def _load_pairs(
     truths = [read_truth(Path(p), space) for p in truth_paths]
     return streams, truths
 
-
-# Each stage function reads its inputs from paths and writes its outputs;
-# the subcommand of that name and the pipeline's stage both call it.
 
 def run_train_state(features: list, truths: list, label_space: str | Path, c_reg: float,
                     epochs: int, out: str | Path) -> classify.LinearModel:
@@ -442,21 +461,19 @@ def run_eval(preds: list, truths: list, label_space: str | Path,
     return report
 
 
-def _cmd_train_state(args: argparse.Namespace) -> int:
+def _cmd_train_state(args: argparse.Namespace) -> None:
     model = run_train_state(args.features, args.truth, args.label_space, args.c_reg,
                             args.epochs, args.out)
     print(f"state model: K={model.num_classes} D={model.dim} -> {args.out}")
-    return 0
 
 
-def _cmd_train_change(args: argparse.Namespace) -> int:
+def _cmd_train_change(args: argparse.Namespace) -> None:
     model = run_train_change(args.features, args.truth, args.label_space, args.c_reg,
                              args.epochs, args.d, args.out)
     print(f"change model: d={args.d} D={model.dim} -> {args.out}")
-    return 0
 
 
-def _cmd_cv(args: argparse.Namespace) -> int:
+def _cmd_cv(args: argparse.Namespace) -> None:
     plan = crossval.CrossValPlan(
         c_grid=tuple(args.c_grid), d_grid=tuple(args.d_grid), lambda_grid=tuple(args.lambda_grid)
     )
@@ -464,72 +481,80 @@ def _cmd_cv(args: argparse.Namespace) -> int:
                     Path(args.out))[0]
     result = read_cv_result(chosen)
     print(f"chosen: C={result['C']} d={result['d']} lambda={result['lambda']}")
-    return 0
 
 
-def _cmd_detect_changes(args: argparse.Namespace) -> int:
+def _cmd_detect_changes(args: argparse.Namespace) -> None:
     run_detect_changes(args.features, args.model, args.d, args.out)
-    return 0
 
 
-def _cmd_infer(args: argparse.Namespace) -> int:
+def _cmd_infer(args: argparse.Namespace) -> None:
     run_infer(args.features, args.state_model, args.mode, args.lam, args.d,
               args.change_model, args.cv_result, args.out)
-    return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> None:
     report = run_eval(args.pred, args.truth, args.label_space, args.report)
     print(f"accuracy: {report.global_accuracy:.4f}")
-    return 0
 
 
-def _cmd_discover(args: argparse.Namespace) -> int:
-    lo, _, hi = args.k_range.partition(":")
-    if not (lo.isdecimal() and hi.isdecimal() and 1 <= int(lo) <= int(hi)):
-        raise ValueError(f"--k-range {args.k_range!r}: expected A:B with 1 <= A <= B")
-    fa_space = load_label_space(args.fa_space)
-    obj_space = load_label_space(args.object_space) if args.object_space else None
+def run_discover(manifest: str | Path, fa_space: str | Path, object_space: str | Path | None,
+                 k_lo: int, k_hi: int, out: str | Path) -> dict[int, float | None]:
+    """Cluster the active segments that manifest lists into clusters_k<k>.csv
+    for each k in k_lo..k_hi up to the segment count, and with object_space
+    purity.csv; return each k's purity (or None). Checks all before out."""
+    if not 1 <= k_lo <= k_hi:
+        raise ValueError(f"--k-range '{k_lo}:{k_hi}': expected A:B with 1 <= A <= B")
+    fa = load_label_space(fa_space)
+    obj_space = load_label_space(object_space) if object_space else None
     segments: list[discovery.Segment] = []
     truths: dict[str, StateSequence] = {}
-    seen: set[str] = set()
-    for parts in read_list_file(args.manifest, 2, 3):
+    seen: dict[str, tuple[str, int]] = {}  # video id -> its features' path and dim
+    for parts in read_list_file(manifest, 2, 3):
         if (len(parts) > 2) != (obj_space is not None):
-            raise ValueError(f"{args.manifest}: give --object-space exactly when every "
+            raise ValueError(f"{manifest}: give --object-space exactly when every "
                              "line has an object-truth column")
         stream = features_mod.read_features(parts[0])
         if stream.video_id in seen:
-            raise ValueError(f"{args.manifest}: video id {stream.video_id!r} is given twice")
-        seen.add(stream.video_id)
-        decoded = read_truth(Path(parts[1]), fa_space)
-        segments.extend(discovery.active_segments(decoded, stream))
-        if obj_space is not None:
-            truth = truths[stream.video_id] = read_truth(Path(parts[2]), obj_space)
-            if len(truth) != stream.n_frames:
-                raise ValueError(f"{parts[2]}: {len(truth)} frames of object truth for the "
+            raise ValueError(f"{manifest}: video id {stream.video_id!r} is given twice")
+        seen[stream.video_id] = parts[0], stream.dim
+        path0, dim0 = next(iter(seen.values()))  # the first stream's
+        if stream.dim != dim0:
+            raise ValueError(f"{parts[0]}: {stream.dim} feature dims, not the {dim0} of {path0}")
+        labels = [read_truth(Path(p), space) for p, space in zip(parts[1:], (fa, obj_space))]
+        for path, seq, what in zip(parts[1:], labels, ("predictions", "object truth")):
+            if len(seq) != stream.n_frames:
+                raise ValueError(f"{path}: {len(seq)} frames of {what} for the "
                                  f"{stream.n_frames} frames of {parts[0]}")
-    ks = range(int(lo), min(int(hi), len(segments)) + 1)
+        segments.extend(discovery.active_segments(labels[0], stream))
+        if obj_space is not None:
+            truths[stream.video_id] = labels[1]
+    ks = range(k_lo, min(k_hi, len(segments)) + 1)
     if not ks:
-        raise ValueError(f"--k-range {args.k_range}: every k exceeds {len(segments)} segments")
-    out = Path(args.out)
+        raise ValueError(f"--k-range {k_lo}:{k_hi}: every k exceeds {len(segments)} segments")
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     history = discovery.average_linkage(discovery.segment_similarity_matrix(segments))
-    rows = ["k,purity"]
+    purities = {}
     for k in ks:
         clustering = discovery.cut_history(history, k)
         lines = ["segment,video_id,start,end,cluster"]
         for i, (seg, cluster) in enumerate(zip(segments, clustering.assignment)):
             lines.append(f"{i},{seg.video_id},{seg.start},{seg.end},{cluster}")
         (out / f"clusters_k{k}.csv").write_text("\n".join(lines) + "\n")
-        if truths:
-            purity = discovery.modified_purity(clustering, segments, truths)
-            rows.append(f"{k},{purity!r}")
-            print(f"k={k}\tpurity={purity:.4f}")
-        else:
-            print(f"k={k}\tclusters written")
+        purities[k] = discovery.modified_purity(clustering, segments, truths) if truths else None
     if truths:
+        rows = ["k,purity", *(f"{k},{purity!r}" for k, purity in purities.items())]
         (out / "purity.csv").write_text("\n".join(rows) + "\n")
-    return 0
+    return purities
+
+
+def _cmd_discover(args: argparse.Namespace) -> None:
+    lo, _, hi = args.k_range.partition(":")
+    if not (lo.isdecimal() and hi.isdecimal()):
+        raise ValueError(f"--k-range {args.k_range!r}: expected A:B with 1 <= A <= B")
+    for k, purity in run_discover(args.manifest, args.fa_space, args.object_space, int(lo),
+                                  int(hi), args.out).items():
+        print(f"k={k}\tclusters written" if purity is None else f"k={k}\tpurity={purity:.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +703,10 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
     return accuracies
 
 
-def _cmd_pipeline(args: argparse.Namespace) -> int:
+def _cmd_pipeline(args: argparse.Namespace) -> None:
     accuracies = run_pipeline(args.config, args.out)
     print(f"unary accuracy: {accuracies['unary']:.4f}")
     print(f"full accuracy:  {accuracies['full']:.4f}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +834,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        return args.func(args)
+        args.func(args)
+        return 0
     except Exception as e:
         cause = e.__cause__ if isinstance(e, StageError) else e
         if isinstance(cause, (ValueError, OSError)):  # a data error

@@ -747,6 +747,41 @@ class TestAlign:
         assert four <= 1.3 * two
         assert four - two < video_bytes
 
+    def test_video_named_like_the_report_exits_2_before_a_frame_is_read(
+            self, tmp_path, capsys, monkeypatch):
+        # a video directory named alignment.json aligned the corpus into
+        # --out/alignment.json/, then failed to write the report there
+        hand = smooth_patch(8, 8, seed=5)
+        specs = [synth.VideoSpec("va", 1.0, 4, 4), synth.VideoSpec("alignment.json", 1.0, 10, 6)]
+        synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
+                            out_dir=tmp_path / "videos")
+        manifest = tmp_path / "videos.txt"
+        manifest.write_text("".join(f"{tmp_path / 'videos' / s.video_id}\n" for s in specs))
+        monkeypatch.setattr(cli.media, "load_video_dir", None)  # any frame read exits 3
+        out = tmp_path / "aligned"
+        assert main(["align", "--manifest", str(manifest), "--out", str(out),
+                     "--scales", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: video id 'alignment.json'" in err
+        assert not out.exists()
+
+    def test_out_that_is_a_file_exits_2_before_a_frame_is_read(
+            self, tmp_path, capsys, monkeypatch):
+        # an --out that is a file failed only after pass 1 and the template search
+        hand = smooth_patch(8, 8, seed=5)
+        specs = [synth.VideoSpec("va", 1.0, 4, 4), synth.VideoSpec("vb", 1.0, 10, 6)]
+        synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
+                            out_dir=tmp_path / "videos")
+        manifest = tmp_path / "videos.txt"
+        manifest.write_text(f"{tmp_path / 'videos' / 'va'}\n{tmp_path / 'videos' / 'vb'}\n")
+        monkeypatch.setattr(cli.media, "load_video_dir", None)  # any frame read exits 3
+        out = tmp_path / "aligned"
+        out.write_text("not a directory\n")
+        assert main(["align", "--manifest", str(manifest), "--out", str(out),
+                     "--scales", "1.0"]) == 2
+        assert f"--out {out}: not a directory" in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
+
 
 def write_discover_inputs(tmp_path):
     """Two videos with alternating active runs over two object categories:
@@ -888,6 +923,62 @@ class TestDiscover:
         assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
                      "--k-range", "1:1", "--out", str(tmp_path / "disc")]) == 2
         assert f"{manifest}:3:" in capsys.readouterr().err
+
+    def test_prediction_length_differs_from_stream_exits_2_naming_the_file(
+            self, tmp_path, capsys):
+        # the error was only "sequence and stream lengths differ"
+        fa, obj, manifest = write_discover_inputs(tmp_path)
+        pred = tmp_path / "v1.fa.txt"
+        pred.write_text("".join(pred.read_text().splitlines(keepends=True)[:50]))
+        out = tmp_path / "disc"
+        assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                     "--object-space", str(obj), "--k-range", "2:3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{pred}: 50 frames" in err and f"60 frames of {tmp_path / 'v1.feat'}" in err
+        assert not out.exists()
+
+    def test_streams_of_different_dims_exit_2_before_out(self, tmp_path, capsys):
+        # numpy's "inhomogeneous shape" error, with an empty --out left behind
+        fa, obj, manifest = write_discover_inputs(tmp_path)
+        fpath = tmp_path / "v1.feat"
+        stream = read_features(fpath)
+        write_features(FeatureStream("v1", Camera.RIGHT_HAND, 6.0,
+                                     np.hstack([stream.values, stream.values[:, :1]])), fpath)
+        out = tmp_path / "disc"
+        assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                     "--object-space", str(obj), "--k-range", "2:3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{fpath}: 5 feature dims" in err and f"4 of {tmp_path / 'v0.feat'}" in err
+        assert not out.exists()
+
+
+class TestStageFunctions:
+    """The stage functions called with plain values, as a program chaining
+    stages in one process calls them, do what their subcommands do."""
+
+    def test_run_discover_writes_what_discover_writes(self, tmp_path, capsys):
+        fa, obj, manifest = write_discover_inputs(tmp_path)
+        assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                     "--object-space", str(obj), "--k-range", "2:3",
+                     "--out", str(tmp_path / "cli")]) == 0
+        purities = cli.run_discover(manifest, fa, obj, k_lo=2, k_hi=3, out=tmp_path / "run")
+        assert sorted(purities) == [2, 3]
+        written = {p.name: p.read_bytes() for p in (tmp_path / "cli").iterdir()}
+        assert sorted(written) == ["clusters_k2.csv", "clusters_k3.csv", "purity.csv"]
+        assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == written
+
+    def test_run_align_returns_the_result_its_report_records(self, tmp_path):
+        hand = smooth_patch(8, 8, seed=5)
+        specs = [synth.VideoSpec("va", 1.0, 4, 4), synth.VideoSpec("vb", 1.1, 10, 6)]
+        synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
+                            out_dir=tmp_path / "videos")
+        manifest = tmp_path / "videos.txt"
+        manifest.write_text(f"{tmp_path / 'videos' / 'va'}\n{tmp_path / 'videos' / 'vb'}\n")
+        out = tmp_path / "aligned"
+        result = cli.run_align(manifest, out, beta_threshold=40.0, scales=(1.0, 1.1))
+        assert isinstance(result, alignment.AlignmentResult)
+        alignment.write_alignment_report(result, tmp_path / "returned.json")
+        assert (tmp_path / "returned.json").read_bytes() == (out / "alignment.json").read_bytes()
 
 
 class TestCv:

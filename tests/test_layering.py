@@ -229,15 +229,23 @@ def test_every_dataclass_field_is_read():
     assert unread_fields(sources) == []
 
 
-# `run_pipeline` reaches these modules only through the subcommands' stage
-# functions, so each stage has one code path; CrossValPlan names the grids
-STAGE_MODULES = ("classify", "change", "inference", "evaluation", "crossval")
+# `run_pipeline` and every subcommand handler (`_cmd_*`) reach these modules
+# only through the subcommands' stage functions, so each stage has one code
+# path; CrossValPlan and AlignmentParams are parameter types they may build
+STAGE_MODULES = ("classify", "change", "inference", "evaluation", "crossval",
+                 "alignment", "discovery", "features", "media", "synth")
+PARAMETER_TYPES = ("CrossValPlan", "AlignmentParams")
 
 
 def stage_module_uses(source: str, function: str) -> list[str]:
-    """Each name of a stage module (other than CrossValPlan) that the body of
-    the top-level `function` references, as `module.name` or as imported."""
+    """Each name of a stage module (other than a parameter type) that the
+    body of the top-level `function` references, as `module.name` (through
+    the module's own name or the alias it is imported as) or as imported."""
     tree = ast.parse(source)
+    modules = dict(zip(STAGE_MODULES, STAGE_MODULES))
+    modules.update((alias.asname, alias.name) for node in tree.body
+                   if isinstance(node, ast.ImportFrom) for alias in node.names
+                   if alias.name in STAGE_MODULES and alias.asname)
     imported = {alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) and node.module in STAGE_MODULES
                 for alias in node.names}
@@ -246,8 +254,8 @@ def stage_module_uses(source: str, function: str) -> list[str]:
     found = []
     for node in ast.walk(body):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in STAGE_MODULES and node.attr != "CrossValPlan"):
-            found.append(f"{node.value.id}.{node.attr}")
+                and node.value.id in modules and node.attr not in PARAMETER_TYPES):
+            found.append(f"{modules[node.value.id]}.{node.attr}")
         elif isinstance(node, ast.Name) and node.id in imported:
             found.append(node.id)
     return sorted(found)
@@ -269,8 +277,31 @@ def test_stage_module_detector():
         "classify.train", "crossval.cross_validate", "report"]
 
 
+def test_stage_module_detector_in_a_handler():
+    # a module imported under another name counts; a parameter type does not
+    source = (
+        "from . import alignment, discovery\n"
+        "from . import features as features_mod\n"
+        "def _cmd_discover(args):\n"
+        "    params = alignment.AlignmentParams(scales=args.scales)\n"
+        "    history = discovery.average_linkage(features_mod.read_features(args.path))\n"
+        "    return run_discover(args.manifest)\n"
+    )
+    assert stage_module_uses(source, "_cmd_discover") == [
+        "discovery.average_linkage", "features.read_features"]
+
+
 def test_pipeline_runs_only_stage_functions():
     assert stage_module_uses((SRC / "cli.py").read_text(), "run_pipeline") == []
+
+
+HANDLERS = sorted(node.name for node in ast.parse((SRC / "cli.py").read_text()).body
+                  if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_"))
+
+
+@pytest.mark.parametrize("handler", HANDLERS)
+def test_handler_runs_only_stage_functions(handler):
+    assert stage_module_uses((SRC / "cli.py").read_text(), handler) == []
 
 
 # A stream read from a `.feat` file is a view of the file's mapping, and a
