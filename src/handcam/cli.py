@@ -47,14 +47,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_manifest(
-    out_dir: Path, stage: str, parameters: dict, inputs: dict[str, Path], outputs: list[Path]
-) -> None:
-    """Record input digests, parameters and tool version next to the outputs.
+def write_manifest(out_dir: Path, stage: str, parameters: dict, inputs: dict[str, Path]) -> None:
+    """Record input digests, parameters and tool version, and the digest of
+    each file out_dir holds (its manifest and INCOMPLETE marker aside).
 
     Paths are stored relative (inputs by their given name) so reruns into a
     different directory produce identical bytes.
     """
+    outputs = [p for p in out_dir.iterdir()
+               if p.is_file() and p.name not in ("manifest.json", "INCOMPLETE")]
     doc = {
         "tool": f"handcam {__version__}",
         "stage": stage,
@@ -63,6 +64,15 @@ def write_manifest(
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
     }
     write_json(doc, out_dir / "manifest.json")
+
+
+def _out_dir(option: str, path: str | Path) -> Path:
+    """path, the directory `option` names, unless it exists and is not a
+    directory: checked before a command reads any input."""
+    path = Path(path)
+    if path.exists() and not path.is_dir():
+        raise ValueError(f"{option} {path}: not a directory")
+    return path
 
 
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
@@ -198,39 +208,39 @@ def _feature_set(cfg: dict, video_ids: list[str], space: LabelSpace,
     )
 
 
-def _write_feature_set(pairs: Iterator[tuple[FeatureStream, StateSequence]],
-                       out: Path) -> list[Path]:
+def _write_feature_set(pairs: Iterator[tuple[FeatureStream, StateSequence]], out: Path) -> None:
     """Write `<video_id>.feat` and `<video_id>.truth.txt` (label names) of
-    each stream into out, one stream alive at a time; return the files."""
+    each stream into out, one stream alive at a time."""
     out.mkdir(parents=True, exist_ok=True)
-    files = []
     for stream, truth in pairs:
-        files += [out / f"{stream.video_id}.feat", out / f"{stream.video_id}.truth.txt"]
-        features_mod.write_features(stream, files[-2])
-        write_labels(truth, files[-1])
+        features_mod.write_features(stream, out / f"{stream.video_id}.feat")
+        write_labels(truth, out / f"{stream.video_id}.truth.txt")
         del stream, truth  # the next stream is drawn without this one alive
-    return files
 
 
-def run_synth_features(config: str | Path, label_space: str | Path, out: str | Path) -> list[Path]:
-    """Write a `synth features` config's streams into out once it is checked; return the files."""
+def run_synth_features(config: str | Path, label_space: str | Path, out: str | Path) -> None:
+    """Write a `synth features` config's streams into out once it is checked."""
+    out = _out_dir("--out", out)
     cfg = _read_json_object(config, {"seed": "integer", **_SYNTH_STREAMS, "videos": "integer"})
     pairs = _feature_set(cfg, [f"video_{i:02d}" for i in range(cfg["videos"])],
                          load_label_space(label_space))
-    return _write_feature_set(pairs, Path(out))
+    _write_feature_set(pairs, out)
 
 
 def run_synth_videos(config: str | Path, out: str | Path) -> dict[str, dict]:
     """Write a `synth videos` config's videos into out once it is checked; return the truth."""
+    out = _out_dir("--out", out)
     cfg = _read_json_object(config, _SYNTH_VIDEOS)
     specs = [synth.VideoSpec(**v) for v in cfg["videos"]]  # keys checked above
+    for spec in specs:
+        _out_dir(f"video {spec.video_id!r}: --out", out / spec.video_id)
     video_set = (specs, (cfg["frame_width"], cfg["frame_height"]), cfg["frames"],
                  cfg["noise_sigma"], cfg["jitter"])
     # the hand fits in a checked frame before it is allocated
     synth.check_video_set((cfg["hand_width"], cfg["hand_height"]), *video_set)
     hand = synth.textured_patch(cfg["hand_width"], cfg["hand_height"], cfg["seed"])
     truth = synth.gen_video_set(hand, *video_set, cfg["seed"], out_dir=out)
-    write_json(truth, Path(out) / "ground_truth.json")
+    write_json(truth, out / "ground_truth.json")
     return truth
 
 
@@ -251,6 +261,7 @@ def run_align(manifest: str | Path, out: str | Path, beta_threshold: float,
     align and save it: memory follows one video, not the corpus. Afterwards
     out holds the videos of this run only: the frames of any other video
     directory in it are deleted, and the directory too if that empties it."""
+    out = _out_dir("--out", out)
     dirs: dict[str, Path] = {}
     for path, in read_list_file(manifest, 1, 1):
         vid = Path(path).name
@@ -258,12 +269,10 @@ def run_align(manifest: str | Path, out: str | Path, beta_threshold: float,
             why = f"is used twice: {dirs[vid]} and {path}" if vid in dirs else "names the report"
             raise ValueError(f"{manifest}: video id {vid!r} (the directory name) {why}")
         dirs[vid] = Path(path)
+        _out_dir(f"video {vid!r}: --out", out / vid)
     if len(dirs) < 2:
         raise ValueError("alignment needs at least two videos")
     params = alignment.AlignmentParams(beta_threshold=beta_threshold, scales=scales)
-    out = Path(out)
-    if out.exists() and not out.is_dir():
-        raise ValueError(f"--out {out}: not a directory")
     medians, components = {}, {}
     for vid, d in dirs.items():
         median, diversity = alignment.pixel_stats(media.load_video_dir(d))
@@ -346,17 +355,18 @@ def run_train_change(features: list, truths: list, label_space: str | Path, c_re
 
 
 def run_cv(pairs: list, label_space: str | Path, plan: crossval.CrossValPlan, epochs: int,
-           out: Path) -> list[Path]:
+           out: str | Path) -> dict:
     """Cross-validate over (features, truth) path pairs. Write the chosen
-    cell as chosen.json and the full grid as table.csv; return both."""
+    cell as chosen.json and the full grid as table.csv; return the cell."""
+    out = _out_dir("--out", out)
     streams, truths = _load_pairs([f for f, _ in pairs], [t for _, t in pairs], label_space)
     result = crossval.cross_validate(list(zip(streams, truths)), plan, epochs)
     out.mkdir(parents=True, exist_ok=True)
-    chosen, table = out / "chosen.json", out / "table.csv"
-    write_json({"C": result.c_reg, "d": result.d, "lambda": result.lam}, chosen)
+    chosen = {"C": result.c_reg, "d": result.d, "lambda": result.lam}
+    write_json(chosen, out / "chosen.json")
     rows = [f"{c.c_reg},{c.d},{c.lam},{c.mean_accuracy!r}" for c in result.table]
-    table.write_text("\n".join(["C,d,lambda,mean_accuracy", *rows]) + "\n")
-    return [chosen, table]
+    (out / "table.csv").write_text("\n".join(["C,d,lambda,mean_accuracy", *rows]) + "\n")
+    return chosen
 
 
 def _check_flag(flag: str, check, value) -> None:
@@ -442,6 +452,7 @@ def run_eval(preds: list, truths: list, label_space: str | Path,
     A video's id is its prediction file's name up to the first '.'
     (`test_04.full.txt` is `test_04`); two pairs may not share one.
     """
+    report_dir = _out_dir("--report", report_dir)
     if len(preds) != len(truths):
         raise ValueError("--pred and --truth need the same count")
     space = load_label_space(label_space)
@@ -478,9 +489,8 @@ def _cmd_cv(args: argparse.Namespace) -> None:
         c_grid=tuple(args.c_grid), d_grid=tuple(args.d_grid), lambda_grid=tuple(args.lambda_grid)
     )
     chosen = run_cv(read_list_file(args.manifest, 2, 2), args.label_space, plan, args.epochs,
-                    Path(args.out))[0]
-    result = read_cv_result(chosen)
-    print(f"chosen: C={result['C']} d={result['d']} lambda={result['lambda']}")
+                    args.out)
+    print(f"chosen: C={chosen['C']} d={chosen['d']} lambda={chosen['lambda']}")
 
 
 def _cmd_detect_changes(args: argparse.Namespace) -> None:
@@ -502,6 +512,7 @@ def run_discover(manifest: str | Path, fa_space: str | Path, object_space: str |
     """Cluster the active segments that manifest lists into clusters_k<k>.csv
     for each k in k_lo..k_hi up to the segment count, and with object_space
     purity.csv; return each k's purity (or None). Checks all before out."""
+    out = _out_dir("--out", out)
     if not 1 <= k_lo <= k_hi:
         raise ValueError(f"--k-range '{k_lo}:{k_hi}': expected A:B with 1 <= A <= B")
     fa = load_label_space(fa_space)
@@ -531,7 +542,6 @@ def run_discover(manifest: str | Path, fa_space: str | Path, object_space: str |
     ks = range(k_lo, min(k_hi, len(segments)) + 1)
     if not ks:
         raise ValueError(f"--k-range {k_lo}:{k_hi}: every k exceeds {len(segments)} segments")
-    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     history = discovery.average_linkage(discovery.segment_similarity_matrix(segments))
     purities = {}
@@ -571,14 +581,17 @@ _PIPELINE = {
 
 
 @contextmanager
-def _stage(out_dir: Path, name: str, stage: str):
-    """The stage directory out_dir/name, marked INCOMPLETE until the stage
-    finishes; a failure inside is raised as a StageError naming the stage."""
+def _stage(out_dir: Path, name: str, stage: str, parameters: dict, inputs: dict[str, Path]):
+    """The stage directory out_dir/name, marked INCOMPLETE while the stage
+    runs and given its manifest once the stage has written its files; a
+    failure to make it, inside it or in its manifest is raised as a
+    StageError naming the stage."""
     sdir = out_dir / name
-    sdir.mkdir(parents=True, exist_ok=True)
-    (sdir / "INCOMPLETE").write_text("stage did not finish\n")
     try:
+        sdir.mkdir(parents=True, exist_ok=True)
+        (sdir / "INCOMPLETE").write_text("stage did not finish\n")
         yield sdir
+        write_manifest(sdir, stage, parameters, inputs)
     except Exception as e:
         raise StageError(f"stage '{stage}' failed: {e}") from e
     (sdir / "INCOMPLETE").unlink()
@@ -626,7 +639,7 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
     files of the stages before it, so every stage can be rebuilt by hand.
     """
     config_path = Path(config_path)
-    out_dir = Path(out_dir)
+    out_dir = _out_dir("--out", out_dir)
     cfg = _read_json_object(config_path, _PIPELINE)
     labels = config_path.parent / cfg["label_space"]  # an absolute path replaces the parent
     if not labels.exists():
@@ -640,60 +653,46 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
     pairs = _feature_set(seeded, vids, space, cfg.get("fps", DEFAULT_FPS))
     inputs = {"config": config_path}  # of every manifest after synth
 
-    with _stage(out_dir, "00_synth", "synth") as sdir:
-        outputs = _write_feature_set(pairs, sdir)
-        write_manifest(sdir, "synth", seeded,
-                       {"config": config_path, "label_space": labels}, outputs)
+    with _stage(out_dir, "00_synth", "synth", seeded, {**inputs, "label_space": labels}) as sdir:
+        _write_feature_set(pairs, sdir)
     feats = {v: sdir / f"{v}.feat" for v in vids}
     truths = {v: sdir / f"{v}.truth.txt" for v in vids}
     train_ids, test_ids = vids[:n_train], vids[n_train:]
 
     if "auto" in hyper.values():
-        with _stage(out_dir, "01_cv", "cv") as cvdir:
-            outputs = run_cv([(feats[v], truths[v]) for v in train_ids], labels, plan,
-                             epochs, cvdir)
-            write_manifest(cvdir, "cv", {"plan": str(plan)}, inputs, outputs)
-            chosen = read_cv_result(outputs[0])
+        with _stage(out_dir, "01_cv", "cv", {"plan": str(plan)}, inputs) as cvdir:
+            chosen = run_cv([(feats[v], truths[v]) for v in train_ids], labels, plan, epochs,
+                            cvdir)
         c_reg, d, lam = chosen["C"], chosen["d"], chosen["lambda"]
     else:
         c_reg, d, lam = float(hyper["C"]), int(hyper["d"]), float(hyper["lambda"])
     train_feats, train_truths = [feats[v] for v in train_ids], [truths[v] for v in train_ids]
 
-    with _stage(out_dir, "02_state_model", "train-state") as mdir:
+    with _stage(out_dir, "02_state_model", "train-state", {"C": c_reg, "epochs": epochs},
+                inputs) as mdir:
         state_model = mdir / "state.bin"
         run_train_state(train_feats, train_truths, labels, c_reg, epochs, state_model)
-        write_manifest(mdir, "train-state", {"C": c_reg, "epochs": epochs}, inputs,
-                       [state_model])
 
-    with _stage(out_dir, "03_change_model", "train-change") as mdir:
+    with _stage(out_dir, "03_change_model", "train-change", {"C": c_reg, "d": d, "epochs": epochs},
+                inputs) as mdir:
         change_model = mdir / "change.bin"
         run_train_change(train_feats, train_truths, labels, c_reg, epochs, d, change_model)
-        write_manifest(mdir, "train-change", {"C": c_reg, "d": d, "epochs": epochs},
-                       inputs, [change_model])
 
-    with _stage(out_dir, "04_candidates", "detect-changes") as cdir:
-        outputs = [cdir / f"{v}.txt" for v in test_ids]
-        for v, path in zip(test_ids, outputs):
-            run_detect_changes(feats[v], change_model, d, path)
-        write_manifest(cdir, "detect-changes", {"d": d}, inputs, outputs)
+    with _stage(out_dir, "04_candidates", "detect-changes", {"d": d}, inputs) as cdir:
+        for v in test_ids:
+            run_detect_changes(feats[v], change_model, d, cdir / f"{v}.txt")
 
-    with _stage(out_dir, "05_predictions", "infer") as pdir:
+    with _stage(out_dir, "05_predictions", "infer", {"lambda": lam, "d": d}, inputs) as pdir:
         preds = {tag: [pdir / f"{v}.{tag}.txt" for v in test_ids] for tag in ("full", "unary")}
         for v, full, unary in zip(test_ids, preds["full"], preds["unary"]):
             run_infer(feats[v], state_model, "full", lam, d, change_model, out=full)
             run_infer(feats[v], state_model, "unary", out=unary)
-        write_manifest(pdir, "infer", {"lambda": lam, "d": d}, inputs,
-                       preds["full"] + preds["unary"])
 
     accuracies = {}
     for tag, tag_preds in preds.items():
-        with _stage(out_dir, f"06_eval_{tag}", f"eval-{tag}") as edir:
+        with _stage(out_dir, f"06_eval_{tag}", f"eval-{tag}", {}, inputs) as edir:
             report = run_eval(tag_preds, [truths[v] for v in test_ids], labels, edir)
-            write_manifest(
-                edir, f"eval-{tag}", {}, inputs,
-                [p for p in edir.iterdir() if p.name not in ("manifest.json", "INCOMPLETE")],
-            )
-            accuracies[tag] = report.global_accuracy
+        accuracies[tag] = report.global_accuracy
 
     write_json(
         {"accuracy_full": accuracies["full"], "accuracy_unary": accuracies["unary"],

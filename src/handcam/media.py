@@ -153,8 +153,13 @@ def round_u8(values: np.ndarray) -> np.ndarray:
 
 
 def scaled_size(scale: float, width: int, height: int) -> tuple[int, int]:
-    """The size of a width x height frame rescaled by `scale`, rounded half up."""
-    return int(np.floor(scale * width + 0.5)), int(np.floor(scale * height + 0.5))
+    """The size of a width x height frame rescaled by `scale`, rounded half
+    up; a ValueError naming the scale if a side is not finite."""
+    sides = np.floor(scale * width + 0.5), np.floor(scale * height + 0.5)
+    if not np.isfinite(sides).all():
+        raise ValueError(f"scale {scale!r}: a {width} x {height} frame rescaled by it has "
+                         f"no finite size")
+    return int(sides[0]), int(sides[1])
 
 
 def _source_coords(idx: np.ndarray, n_dst: int, n_src: int):

@@ -52,6 +52,15 @@ def make_labeled_videos(tmp_path, space, n_videos=2, seed=0, sigma=0.5, n_frames
     return feature_paths, truth_paths
 
 
+def check_out_file_rejected(capsys, argv, out, flag="--out"):
+    """argv, whose option `flag` names out, an existing file, exits 2
+    naming the option and the path, and leaves the file as it was."""
+    out.write_text("not a directory\n")
+    assert main(argv) == 2
+    assert f"{flag} {out}: not a directory" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self):
         assert main(["no-such-command"]) == 1
@@ -281,6 +290,17 @@ class TestTrainInferEval:
                      "--report", str(report_dir)]) == 2
         assert "'v'" in capsys.readouterr().err
         assert not report_dir.exists()
+
+    def test_eval_report_that_is_a_file_exits_2_before_reading(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # this used to fail only after every file was read and scored
+        _, ges, _ = write_spaces(tmp_path)
+        monkeypatch.setattr(cli, "read_truth", None)  # any prediction or truth read exits 3
+        report = tmp_path / "report"
+        check_out_file_rejected(capsys, ["eval", "--pred", str(tmp_path / "v.full.txt"),
+                                         "--truth", str(tmp_path / "v.truth.txt"),
+                                         "--label-space", str(ges), "--report", str(report)],
+                                report, "--report")
 
     def test_full_mode_needs_change_model(self, tmp_path, capsys):
         _, ges, _ = write_spaces(tmp_path)
@@ -783,6 +803,40 @@ class TestAlign:
         assert out.read_text() == "not a directory\n"
 
 
+    def test_out_holding_a_file_named_like_a_video_exits_2_before_a_frame_is_read(
+            self, tmp_path, capsys, monkeypatch):
+        # this used to fail after pass 1, naming neither the video nor --out,
+        # with the other video's aligned frames already written
+        hand = smooth_patch(8, 8, seed=5)
+        specs = [synth.VideoSpec("va", 1.0, 4, 4), synth.VideoSpec("vb", 1.0, 10, 6)]
+        synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
+                            out_dir=tmp_path / "videos")
+        manifest = tmp_path / "videos.txt"
+        manifest.write_text(f"{tmp_path / 'videos' / 'va'}\n{tmp_path / 'videos' / 'vb'}\n")
+        monkeypatch.setattr(cli.media, "load_video_dir", None)  # any frame read exits 3
+        out = tmp_path / "aligned"
+        out.mkdir()
+        (out / "vb").write_text("not a video\n")
+        assert main(["align", "--manifest", str(manifest), "--out", str(out),
+                     "--scales", "1.0"]) == 2
+        assert f"video 'vb': --out {out / 'vb'}: not a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["vb"]
+
+    def test_scale_beyond_any_frame_size_exits_2_before_out(self, tmp_path, capsys):
+        # the frame size of such a scale used to overflow: exit 3 (OverflowError)
+        hand = smooth_patch(8, 8, seed=5)
+        specs = [synth.VideoSpec("va", 1.0, 4, 4), synth.VideoSpec("vb", 1.0, 10, 6)]
+        synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
+                            out_dir=tmp_path / "videos")
+        manifest = tmp_path / "videos.txt"
+        manifest.write_text(f"{tmp_path / 'videos' / 'va'}\n{tmp_path / 'videos' / 'vb'}\n")
+        out = tmp_path / "aligned"
+        assert main(["align", "--manifest", str(manifest), "--out", str(out),
+                     "--scales", "1", "1e308"]) == 2
+        assert "scale 1e+308" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def write_discover_inputs(tmp_path):
     """Two videos with alternating active runs over two object categories:
     four active segments. Returns (fa space, object space, manifest)."""
@@ -952,6 +1006,17 @@ class TestDiscover:
         assert not out.exists()
 
 
+    def test_out_that_is_a_file_exits_2_before_reading_features(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # this used to fail only after every segment was clustered
+        fa, obj, manifest = write_discover_inputs(tmp_path)
+        monkeypatch.setattr(cli.features_mod, "read_features", None)  # any read exits 3
+        out = tmp_path / "disc"
+        check_out_file_rejected(capsys, ["discover", "--manifest", str(manifest),
+                                         "--fa-space", str(fa), "--object-space", str(obj),
+                                         "--k-range", "2:2", "--out", str(out)], out)
+
+
 class TestStageFunctions:
     """The stage functions called with plain values, as a program chaining
     stages in one process calls them, do what their subcommands do."""
@@ -1035,6 +1100,17 @@ class TestCv:
             assert main([*cv, *grid]) == 2
             assert name in capsys.readouterr().err
 
+    def test_out_that_is_a_file_exits_2_before_reading_features(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # this used to fail only after the whole grid search
+        _, ges, _ = write_spaces(tmp_path)
+        manifest = tmp_path / "cv.txt"
+        manifest.write_text("a.feat\ta.truth.txt\n" * 5)
+        monkeypatch.setattr(cli.features_mod, "read_features", None)  # any read exits 3
+        out = tmp_path / "cv_out"
+        check_out_file_rejected(capsys, ["cv", "--manifest", str(manifest), "--label-space",
+                                         str(ges), "--out", str(out)], out)
+
     def test_lambda_auto_without_cv_result_fails(self, tmp_path):
         _, ges, _ = write_spaces(tmp_path)
         feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
@@ -1090,6 +1166,9 @@ class TestPipeline:
         cfg = pipeline_config(tmp_path)
         run = tmp_path / "run"
         run_pipeline(cfg, run)
+        # a rerun into the same --out lists what the earlier run left
+        (run / "02_state_model" / "notes.txt").write_text("left by hand\n")
+        run_pipeline(cfg, run)
         manifests = sorted(run.glob("*/manifest.json"))
         assert [m.parent.name for m in manifests] == [
             "00_synth", "02_state_model", "03_change_model", "04_candidates",
@@ -1097,11 +1176,32 @@ class TestPipeline:
         ]
         for manifest in manifests:
             outputs = json.loads(manifest.read_text())["outputs"]
-            assert outputs
+            assert sorted(outputs) == sorted(p.name for p in manifest.parent.iterdir()
+                                             if p.name != "manifest.json")
             for name, digest in outputs.items():
                 path = manifest.parent / name
                 assert path.is_file(), f"{manifest.parent.name} lists missing {name}"
                 assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert sorted(json.loads((run / "02_state_model" / "manifest.json").read_text())[
+            "outputs"]) == ["notes.txt", "state.bin"]
+
+    def test_out_that_is_a_file_exits_2_before_any_stage(self, tmp_path, capsys, monkeypatch):
+        # this used to fail making 00_synth/ with "[Errno 20] Not a directory"
+        monkeypatch.setattr(cli.features_mod, "write_features", None)  # any write exits 3
+        out = tmp_path / "run"
+        check_out_file_rejected(capsys, ["pipeline", "--config", str(pipeline_config(tmp_path)),
+                                         "--out", str(out)], out)
+
+    def test_file_where_a_stage_directory_goes_names_the_stage(self, tmp_path, capsys):
+        # this used to exit 2 with an unnamed "[Errno 17] File exists"
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "03_change_model").write_text("not a directory\n")
+        cfg = pipeline_config(tmp_path)
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "stage 'train-change' failed" in capsys.readouterr().err
+        assert (out / "03_change_model").read_text() == "not a directory\n"
+        assert not (out / "02_state_model" / "INCOMPLETE").exists()
 
     def test_stage_failure_names_stage_and_marks_incomplete(self, tmp_path, capsys,
                                                             monkeypatch):
@@ -1336,6 +1436,18 @@ class TestSynthCommand:
             assert error in capsys.readouterr().err
             assert not out.exists()
 
+    def test_out_that_is_a_file_exits_2_before_any_stream(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # this used to fail with "[Errno 17] File exists", naming no option
+        _, ges, _ = write_spaces(tmp_path)
+        monkeypatch.setattr(synth, "gen_feature_set", None)  # any stream drawn exits 3
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"seed": 3, "states": 3, "dim": 4, "frames": 80,
+                                   "min_dwell": 10, "noise_sigma": 0.4, "videos": 2}))
+        out = tmp_path / "data"
+        check_out_file_rejected(capsys, ["synth", "features", "--config", str(cfg), "--out",
+                                         str(out), "--label-space", str(ges)], out)
+
     def test_memory_holds_one_stream(self, tmp_path, traced_peak):
         # the streams are drawn and written one at a time: 8 videos of
         # 2,000 x 64 float64 values, 1 MB each. The peak is 2.1 streams (a
@@ -1459,6 +1571,32 @@ class TestSynthVideos:
         # so did a hand too large to allocate, in a frame that is too small for it
         self.check_rejected(tmp_path, capsys, "out of frame", hand_width=10**6,
                             hand_height=10**6)
+
+    def test_scale_beyond_any_frame_size_exit_2_before_out(self, tmp_path, capsys):
+        # the frame size of such a scale used to overflow: exit 3 (OverflowError)
+        videos = [self.DOC["videos"][0], {**self.DOC["videos"][1], "scale": 1e308}]
+        self.check_rejected(tmp_path, capsys, "scale 1e+308", videos=videos)
+
+    def test_out_that_is_a_file_exits_2_before_any_frame(self, tmp_path, capsys, monkeypatch):
+        # this used to fail with "[Errno 20] Not a directory", naming no option
+        monkeypatch.setattr(synth, "gen_video_set", None)  # any video rendered exits 3
+        cfg = tmp_path / "videos.json"
+        cfg.write_text(json.dumps(self.DOC))
+        out = tmp_path / "out"
+        check_out_file_rejected(capsys, ["synth", "videos", "--config", str(cfg), "--out",
+                                         str(out)], out)
+
+    def test_out_holding_a_file_named_like_a_video_exits_2_before_any_frame(self, tmp_path,
+                                                                            capsys):
+        # this used to exit 2 with an unnamed "[Errno 17] File exists", after
+        # the other video's frames were written
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "vb").write_text("not a video\n")
+        capsys.readouterr()
+        assert self.run(tmp_path) == 2
+        assert f"video 'vb': --out {out / 'vb'}: not a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["vb"]
 
     def test_rewrite_with_fewer_frames_leaves_no_stale_frames(self, tmp_path):
         # writing 3 frames over 5 used to read back 5

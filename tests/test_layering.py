@@ -378,3 +378,59 @@ def test_pages_kept_detector():
 def test_every_stream_reader_gives_its_pages_back():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert pages_kept(sources) == sorted(KEEPS_PAGES_ALLOWED)
+
+
+# A pipeline stage directory is made, marked INCOMPLETE while its stage runs
+# and given its manifest by one context manager, so each stage added to the
+# chain goes through that protocol
+STAGE_PROTOCOL = "_stage"
+MARKER = "INCOMPLETE"
+WRITES = ("write_text", "write_bytes", "touch", "open")
+
+
+def stage_protocol_users(source: str) -> list[str]:
+    """Each top-level function that calls `write_manifest`, or writes a
+    path built from the INCOMPLETE marker (through a Path method or `open`)."""
+    def marker_in(node: ast.AST) -> bool:
+        return any(isinstance(sub, ast.Constant) and sub.value == MARKER
+                   for sub in ast.walk(node))
+
+    found = []
+    for name, node in functions(ast.parse(source)).items():
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if (callee == "write_manifest"
+                    or isinstance(func, ast.Attribute) and func.attr in WRITES
+                    and marker_in(func.value)
+                    or callee == "open" and call.args and marker_in(call.args[0])):
+                found.append(name)
+                break
+    return sorted(found)
+
+
+def test_stage_protocol_detector():
+    # reading the marker's name (to leave it out of a listing) is not writing it
+    source = (
+        "def write_manifest(out_dir):\n"
+        "    return [p for p in out_dir.iterdir() if p.name != 'INCOMPLETE']\n"
+        "def _stage(d):\n"
+        "    (d / 'INCOMPLETE').write_text('x')\n"
+        "    write_manifest(d)\n"
+        "def by_hand(d):\n"
+        "    cli.write_manifest(d)\n"
+        "def marker_touched(d):\n"
+        "    (d / 'INCOMPLETE').touch()\n"
+        "def marker_opened(d):\n"
+        "    open(os.path.join(d, 'INCOMPLETE'), 'w')\n"
+        "def unrelated(d):\n"
+        "    (d / 'report.json').write_text('{}')\n"
+    )
+    assert stage_protocol_users(source) == ["_stage", "by_hand", "marker_opened",
+                                            "marker_touched"]
+
+
+def test_only_the_stage_protocol_writes_manifests_and_markers():
+    assert stage_protocol_users((SRC / "cli.py").read_text()) == [STAGE_PROTOCOL]
