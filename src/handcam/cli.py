@@ -276,6 +276,9 @@ def run_align(manifest: str | Path, out: str | Path, beta_threshold: float,
     medians, components = {}, {}
     for vid, d in dirs.items():
         median, diversity = alignment.pixel_stats(media.load_video_dir(d))
+        for scale in params.scales:  # before any frame is rescaled
+            synth.check_frame_budget(f"video {vid!r}: scale {scale!r}", scale,
+                                     median.shape[1], median.shape[0])
         components[vid] = alignment.stable_component(diversity, params.beta_threshold)
         medians[vid] = media.round_u8(median)
         del median, diversity  # the next video is read without them
@@ -385,21 +388,21 @@ def _load_model(flag: str, path: str | Path) -> classify.LinearModel:
         raise classify.ModelFileError(f"{flag} {path}: {e}") from None
 
 
-def _load_change_model(flag: str, path: str | Path, d: int,
+def _load_change_model(flag: str, path: str | Path, d: int | None,
                        d_given: str | None = None) -> classify.LinearModel:
-    """The change model at path (the option `flag`), trained with d; a
+    """The change model at path (the option `flag`), trained with d if given; a
     mismatch names d as d_given says where it came from (`--d <d>` if None)."""
     model = _load_model(flag, path)
     if not model.is_binary:
         raise ValueError(f"{flag} {path}: not a change model")
-    if model.d != d:
+    if d is not None and model.d != d:
         raise ValueError(f"{flag} {path}: trained with d={model.d}, not {d_given or f'--d {d}'}")
     return model
 
 
-def run_detect_changes(features: str | Path, model: str | Path, d: int,
+def run_detect_changes(features: str | Path, model: str | Path, d: int | None = None,
                        out: str | Path | None = None) -> None:
-    """Write the candidates to `out`, or to stdout without one."""
+    """Write the candidates, at the model's d, to `out` or to stdout without one."""
     change_model = _load_change_model("--model", model, d)
     cands = change.detect_candidates(features_mod.read_features(features), change_model)
     rows = [f"{int(i)}\t{float(c)!r}" for i, c in zip(cands.frame_indices, cands.confidences)]
@@ -410,7 +413,8 @@ def run_infer(features: str | Path, state_model: str | Path, mode: str,
               lam: float | str | None = None, d: int | None = None,
               change_model: str | Path | None = None, cv_result: str | Path | None = None,
               out: str | Path | None = None) -> None:
-    """Write the predicted label names to `out`, or to stdout without one."""
+    """Write the predicted label names to `out`, or to stdout without one. Full
+    mode decodes at the change model's d and at lam or else cv_result's lambda."""
     if mode == "unary":
         full_options = {"--change-model": change_model, "--d": d,
                         "--lambda": lam, "--cv-result": cv_result}
@@ -421,18 +425,15 @@ def run_infer(features: str | Path, state_model: str | Path, mode: str,
     if state.label_space is None:
         raise ValueError(f"--state-model {state_model}: not a state model with a label space")
     if mode == "full":
+        if change_model is None or (lam is None) == (cv_result is None):
+            raise ValueError("full mode needs --change-model and exactly one of --lambda "
+                             "and --cv-result")
         d_given = None  # --d
-        if lam == "auto":
-            if not cv_result:
-                raise ValueError("--lambda auto requires --cv-result from a prior cv run")
+        if cv_result is not None:
             chosen = read_cv_result(Path(cv_result))
             lam = chosen["lambda"]
             if d is None:
                 d, d_given = chosen["d"], f"d={chosen['d']} of --cv-result {cv_result}"
-        elif cv_result is not None:
-            raise ValueError("--cv-result is read only with --lambda auto")
-        if change_model is None or d is None or lam is None:
-            raise ValueError("full mode needs --change-model, --d and --lambda")
         _check_flag("--lambda", lambda v: inference.check_lam(float(v)), lam)
         change_model = _load_change_model("--change-model", change_model, d, d_given)
     stream = features_mod.read_features(features)
@@ -511,7 +512,8 @@ def run_discover(manifest: str | Path, fa_space: str | Path, object_space: str |
                  k_lo: int, k_hi: int, out: str | Path) -> dict[int, float | None]:
     """Cluster the active segments that manifest lists into clusters_k<k>.csv
     for each k in k_lo..k_hi up to the segment count, and with object_space
-    purity.csv; return each k's purity (or None). Checks all before out."""
+    purity.csv; return each k's purity (or None). Checks all before out, and
+    deletes the files of those names that an earlier run left in it."""
     out = _out_dir("--out", out)
     if not 1 <= k_lo <= k_hi:
         raise ValueError(f"--k-range '{k_lo}:{k_hi}': expected A:B with 1 <= A <= B")
@@ -542,8 +544,12 @@ def run_discover(manifest: str | Path, fa_space: str | Path, object_space: str |
     ks = range(k_lo, min(k_hi, len(segments)) + 1)
     if not ks:
         raise ValueError(f"--k-range {k_lo}:{k_hi}: every k exceeds {len(segments)} segments")
-    out.mkdir(parents=True, exist_ok=True)
     history = discovery.average_linkage(discovery.segment_similarity_matrix(segments))
+    out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob("clusters_k*.csv"):
+        if stale.stem.removeprefix("clusters_k").isdecimal():
+            stale.unlink()
+    (out / "purity.csv").unlink(missing_ok=True)
     purities = {}
     for k in ks:
         clustering = discovery.cut_history(history, k)
@@ -680,12 +686,12 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
 
     with _stage(out_dir, "04_candidates", "detect-changes", {"d": d}, inputs) as cdir:
         for v in test_ids:
-            run_detect_changes(feats[v], change_model, d, cdir / f"{v}.txt")
+            run_detect_changes(feats[v], change_model, out=cdir / f"{v}.txt")
 
     with _stage(out_dir, "05_predictions", "infer", {"lambda": lam, "d": d}, inputs) as pdir:
         preds = {tag: [pdir / f"{v}.{tag}.txt" for v in test_ids] for tag in ("full", "unary")}
         for v, full, unary in zip(test_ids, preds["full"], preds["unary"]):
-            run_infer(feats[v], state_model, "full", lam, d, change_model, out=full)
+            run_infer(feats[v], state_model, "full", lam, change_model=change_model, out=full)
             run_infer(feats[v], state_model, "unary", out=unary)
 
     accuracies = {}
@@ -784,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("detect-changes", help="change candidates of one stream")
     sp.add_argument("--features", required=True)
     sp.add_argument("--model", required=True)
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=int, help="checked against the model's d")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_detect_changes)
 
@@ -792,11 +798,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--features", required=True)
     sp.add_argument("--state-model", required=True)
     sp.add_argument("--mode", choices=["unary", "full"], required=True)
-    sp.add_argument("--lambda", dest="lam", default=None,
-                    help="boundary weight, or 'auto' with --cv-result")
-    sp.add_argument("--cv-result", help="chosen.json from a cv run")
+    sp.add_argument("--lambda", dest="lam", help="boundary weight")
+    sp.add_argument("--cv-result", help="chosen.json from a cv run: its lambda")
     sp.add_argument("--change-model")
-    sp.add_argument("--d", type=int)
+    sp.add_argument("--d", type=int, help="checked against the change model's d")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_infer)
 

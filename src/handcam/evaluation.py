@@ -119,9 +119,12 @@ def write_report(
     label_names: list[str] | None = None,
     timelines: Mapping[str, Mapping[str, StateSequence]] | None = None,
 ) -> None:
-    """Emit report.json, report.csv and per-video timeline SVGs."""
+    """Emit report.json, report.csv and per-video timeline SVGs, replacing
+    the timelines of an earlier report in out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in out_dir.glob("timeline_*.svg"):
+        stale.unlink()
     doc = report_dict(report, label_names)
     write_json(doc, out_dir / "report.json")
     lines = ["video,accuracy"]

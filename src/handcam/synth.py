@@ -211,6 +211,18 @@ def textured_patch(width: int, height: int, seed: int) -> np.ndarray:
     return rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
 
 
+def check_frame_budget(where: str, scale: float, width: int, height: int) -> tuple[int, int]:
+    """The size of a width x height frame rescaled by scale, once neither it
+    nor the native frame is over MAX_STREAM_BYTES as float64; the error names
+    `where`."""
+    sw, sh = scaled_size(scale, width, height)
+    nbytes = 3 * 8 * max(sw * sh, width * height)
+    if nbytes > MAX_STREAM_BYTES:
+        raise ValueError(f"{where}: a float64 frame is {nbytes} bytes, over the "
+                         f"synth budget of {MAX_STREAM_BYTES} bytes")
+    return sw, sh
+
+
 def check_video_set(hand_size: tuple[int, int], specs: list[VideoSpec],
                     frame_size: tuple[int, int], n_frames: int, noise_sigma: float,
                     jitter: int) -> None:
@@ -225,11 +237,7 @@ def check_video_set(hand_size: tuple[int, int], specs: list[VideoSpec],
     if len({spec.video_id for spec in specs}) < len(specs):
         raise ValueError("synth videos needs a different id for each video")
     for spec in specs:
-        sw, sh = scaled_size(spec.scale, w, h)
-        nbytes = 3 * 8 * max(sw * sh, w * h)
-        if nbytes > MAX_STREAM_BYTES:
-            raise ValueError(f"{spec.video_id}: a float64 frame is {nbytes} bytes, over the "
-                             f"synth budget of {MAX_STREAM_BYTES} bytes")
+        sw, sh = check_frame_budget(spec.video_id, spec.scale, w, h)
         if not (jitter <= spec.dx <= sw - hand_size[0] - jitter
                 and jitter <= spec.dy <= sh - hand_size[1] - jitter):
             raise ValueError(f"{spec.video_id}: hand out of frame")

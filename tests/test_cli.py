@@ -101,11 +101,11 @@ class TestAbbreviatedOptions:
         chosen.write_text(json.dumps({"C": 1.0, "d": 3, "lambda": 2.0}))
         infer = ["infer", "--features", feats[0], "--state-model", str(smodel),
                  "--mode", "full", "--out", str(tmp_path / "pred.txt")]
-        assert main([*infer, "--lam", "auto", "--cv", str(chosen),
-                     "--change", str(cmodel)]) == 1
+        assert main([*infer, "--lam", "2.0", "--change", str(cmodel)]) == 1
         assert "unrecognized arguments: --lam" in capsys.readouterr().err
-        assert main([*infer, "--lambda", "auto", "--cv-result", str(chosen),
-                     "--change-model", str(cmodel)]) == 0
+        assert main([*infer, "--cv", str(chosen), "--change", str(cmodel)]) == 1
+        assert "unrecognized arguments: --cv" in capsys.readouterr().err
+        assert main([*infer, "--cv-result", str(chosen), "--change-model", str(cmodel)]) == 0
 
     def test_no_parser_allows_abbreviations(self):
         parsers, seen = [build_parser()], []
@@ -261,6 +261,22 @@ class TestTrainInferEval:
         assert sorted(p.name for p in report_dir.glob("timeline_*.svg")) == [
             "timeline_a.svg", "timeline_b.svg"]
 
+    def test_eval_rerun_leaves_no_stale_timelines(self, tmp_path):
+        # a report of fewer videos kept the timelines of the earlier ones
+        _, ges, _ = write_spaces(tmp_path)
+        seq = StateSequence(gesture_space(), np.array([0, 1, 1, 2]))
+        for name in ("a.full.txt", "b.full.txt", "v.truth.txt"):
+            write_labels(seq, tmp_path / name)
+        report_dir, truth = tmp_path / "report", str(tmp_path / "v.truth.txt")
+        common = ["--label-space", str(ges), "--report", str(report_dir)]
+        assert main(["eval", "--pred", str(tmp_path / "a.full.txt"), str(tmp_path / "b.full.txt"),
+                     "--truth", truth, truth, *common]) == 0
+        (report_dir / "notes.svg").write_text("not a timeline\n")
+        assert main(["eval", "--pred", str(tmp_path / "a.full.txt"), "--truth", truth,
+                     *common]) == 0
+        assert sorted(p.name for p in report_dir.iterdir()) == [
+            "notes.svg", "report.csv", "report.json", "timeline_a.svg"]
+
     def test_eval_video_ids_must_differ(self, tmp_path, capsys):
         # the video id is the prediction file's name up to its first '.'
         _, ges, _ = write_spaces(tmp_path)
@@ -365,6 +381,56 @@ class TestTrainInferEval:
         err = capsys.readouterr().err
         assert "--cv-result" in err and "--lambda" in err
         assert main([*full, "--out", str(tmp_path / "pred.txt")]) == 0
+
+    def test_cv_result_alone_gives_lambda_and_the_model_gives_d(self, tmp_path):
+        # lambda from a cv run was spelled --lambda auto --cv-result, and
+        # full mode needed --d, whose only accepted value is the model's
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        smodel, cmodel = tmp_path / "state.bin", tmp_path / "change.bin"
+        common = ["--features", *feats, "--truth", *truths, "--label-space", str(ges),
+                  "--epochs", "20"]
+        assert main(["train-state", *common, "--out", str(smodel)]) == 0
+        assert main(["train-change", *common, "--d", "3", "--out", str(cmodel)]) == 0
+        chosen = tmp_path / "chosen.json"
+        chosen.write_text(json.dumps({"C": 1.0, "d": 3, "lambda": 20.0}))
+        full = ["infer", "--features", feats[0], "--state-model", str(smodel), "--mode", "full",
+                "--change-model", str(cmodel)]
+        preds = {name: tmp_path / f"{name}.txt" for name in ("cv", "20", "0")}
+        assert main([*full, "--cv-result", str(chosen), "--out", str(preds["cv"])]) == 0
+        for lam in ("20", "0"):
+            assert main([*full, "--lambda", lam, "--out", str(preds[lam])]) == 0
+        assert preds["cv"].read_bytes() == preds["20"].read_bytes()
+        assert preds["cv"].read_bytes() != preds["0"].read_bytes()
+
+    def test_lambda_from_exactly_one_option_before_reading_features(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        smodel, cmodel = tmp_path / "state.bin", tmp_path / "change.bin"
+        common = ["--features", *feats, "--truth", *truths, "--label-space", str(ges),
+                  "--epochs", "5"]
+        assert main(["train-state", *common, "--out", str(smodel)]) == 0
+        assert main(["train-change", *common, "--d", "3", "--out", str(cmodel)]) == 0
+        chosen = tmp_path / "chosen.json"
+        chosen.write_text(json.dumps({"C": 1.0, "d": 3, "lambda": 1.0}))
+        reads = []
+        read = features_mod.read_features
+        monkeypatch.setattr(features_mod, "read_features",
+                            lambda *a: reads.append(a) or read(*a))
+        full = ["infer", "--features", feats[0], "--state-model", str(smodel), "--mode", "full",
+                "--change-model", str(cmodel), "--out", str(tmp_path / "pred.txt")]
+        both = ("--lambda", "--cv-result")
+        for extra, named in ((["--lambda", "1.0", "--cv-result", str(chosen)], both),
+                             (["--lambda", "auto", "--cv-result", str(chosen)], both),
+                             ([], both),
+                             (["--lambda", "auto"], ("--lambda",))):
+            capsys.readouterr()
+            assert main([*full, *extra]) == 2, extra
+            err = capsys.readouterr().err
+            assert all(flag in err for flag in named), (extra, err)
+            assert reads == [], extra
+            assert not (tmp_path / "pred.txt").exists()
 
     def test_unusable_c_reg_exits_2(self, tmp_path, capsys):
         _, ges, _ = write_spaces(tmp_path)
@@ -512,7 +578,7 @@ class TestTrainInferEval:
         chosen.write_text(json.dumps({"C": 1.0, "d": 4, "lambda": 1.0}))
         capsys.readouterr()
         assert main(["infer", "--features", feats[0], "--state-model", str(smodel),
-                     "--mode", "full", "--lambda", "auto", "--cv-result", str(chosen),
+                     "--mode", "full", "--cv-result", str(chosen),
                      "--change-model", str(cmodel)]) == 2
         err = capsys.readouterr().err
         assert f"trained with d=3, not d=4 of --cv-result {chosen}" in err
@@ -822,19 +888,34 @@ class TestAlign:
         assert f"video 'vb': --out {out / 'vb'}: not a directory" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["vb"]
 
-    def test_scale_beyond_any_frame_size_exits_2_before_out(self, tmp_path, capsys):
-        # the frame size of such a scale used to overflow: exit 3 (OverflowError)
+    def test_scale_beyond_any_frame_size_exits_2_before_out(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the frame size of 1e308 used to overflow: exit 3 (OverflowError);
+        # 1000 asked resize_to for a 24,000 x 18,000 frame, which the wrapper
+        # below refuses instead of allocating
         hand = smooth_patch(8, 8, seed=5)
         specs = [synth.VideoSpec("va", 1.0, 4, 4), synth.VideoSpec("vb", 1.0, 10, 6)]
         synth.gen_video_set(hand, specs, (24, 18), 3, 20.0, 0, seed=11,
                             out_dir=tmp_path / "videos")
         manifest = tmp_path / "videos.txt"
         manifest.write_text(f"{tmp_path / 'videos' / 'va'}\n{tmp_path / 'videos' / 'vb'}\n")
+        resize = alignment.resize_to
+
+        def resize_within_budget(pixels, width, height):
+            if 3 * 8 * width * height > synth.MAX_STREAM_BYTES:
+                pytest.fail(f"resize_to asked for a {width} x {height} frame")
+            return resize(pixels, width, height)
+
+        monkeypatch.setattr(alignment, "resize_to", resize_within_budget)
         out = tmp_path / "aligned"
+        for scale, named in (("1e308", "scale 1e+308"), ("1000", "scale 1000.0")):
+            capsys.readouterr()
+            assert main(["align", "--manifest", str(manifest), "--out", str(out),
+                         "--scales", "1", scale]) == 2
+            assert named in capsys.readouterr().err
+            assert not out.exists()
         assert main(["align", "--manifest", str(manifest), "--out", str(out),
-                     "--scales", "1", "1e308"]) == 2
-        assert "scale 1e+308" in capsys.readouterr().err
-        assert not out.exists()
+                     "--scales", "1", "1.5"]) == 0
 
 
 def write_discover_inputs(tmp_path):
@@ -892,6 +973,22 @@ class TestDiscover:
         assert sorted(p.name for p in (tmp_path / "disc").iterdir()) == [
             "clusters_k3.csv", "clusters_k4.csv", "purity.csv",
         ]
+
+    def test_rerun_leaves_no_stale_clusters_or_purity(self, tmp_path, capsys):
+        # a rerun with a smaller k range and no object truth kept
+        # clusters_k3.csv, clusters_k4.csv and the old purity.csv
+        fa, obj, manifest = write_discover_inputs(tmp_path)
+        out = tmp_path / "disc"
+        assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                     "--object-space", str(obj), "--k-range", "2:4", "--out", str(out)]) == 0
+        for name in ("notes.txt", "clusters_kx.csv", "purity.csv.bak"):
+            (out / name).write_text("not an output\n")
+        manifest.write_text("".join(line.rsplit("\t", 1)[0] + "\n"
+                                    for line in manifest.read_text().splitlines()))
+        assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                     "--k-range", "2:2", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "clusters_k2.csv", "clusters_kx.csv", "notes.txt", "purity.csv.bak"]
 
     def test_empty_or_invalid_k_range_rejected(self, tmp_path, capsys):
         fa, obj, manifest = write_discover_inputs(tmp_path)
@@ -1063,7 +1160,7 @@ class TestCv:
         assert chosen["C"] == 0.1 and chosen["d"] == 3
         assert len((out / "table.csv").read_text().splitlines()) == 3
 
-        # infer with --lambda auto picks values from the cv result
+        # infer with --cv-result decodes at the cv result's lambda
         smodel = tmp_path / "state.bin"
         cmodel = tmp_path / "change.bin"
         assert main(["train-state", "--features", *feats, "--truth", *truths,
@@ -1075,8 +1172,7 @@ class TestCv:
         pred = tmp_path / "pred_auto.txt"
         assert main(["infer", "--features", feats[0], "--state-model", str(smodel),
                      "--mode", "full", "--change-model", str(cmodel),
-                     "--lambda", "auto", "--cv-result", str(out / "chosen.json"),
-                     "--out", str(pred)]) == 0
+                     "--cv-result", str(out / "chosen.json"), "--out", str(pred)]) == 0
         assert len(pred.read_text().splitlines()) == 100
 
     def test_unusable_grid_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
@@ -1111,15 +1207,18 @@ class TestCv:
         check_out_file_rejected(capsys, ["cv", "--manifest", str(manifest), "--label-space",
                                          str(ges), "--out", str(out)], out)
 
-    def test_lambda_auto_without_cv_result_fails(self, tmp_path):
+    def test_lambda_auto_without_cv_result_fails(self, tmp_path, capsys):
+        # lambda from a cv run is --cv-result alone; a missing file is an error
         _, ges, _ = write_spaces(tmp_path)
         feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
         smodel = tmp_path / "state.bin"
         main(["train-state", "--features", *feats, "--truth", *truths,
               "--label-space", str(ges), "--epochs", "50", "--out", str(smodel)])
         rc = main(["infer", "--features", feats[0], "--state-model", str(smodel),
-                   "--mode", "full", "--lambda", "auto"])
+                   "--mode", "full", "--change-model", str(smodel),
+                   "--cv-result", str(tmp_path / "chosen.json")])
         assert rc == 2
+        assert "chosen.json" in capsys.readouterr().err
 
 
 def pipeline_config(tmp_path, **hyper):
@@ -1298,9 +1397,12 @@ class TestPipeline:
         assert "unknown keys" in capsys.readouterr().err
 
     @staticmethod
-    def rebuild_with_subcommands(run, labels, out, c_reg, d, lam, epochs):
+    def rebuild_with_subcommands(run, labels, out, c_reg, d, lam, epochs, give_d=True):
         """Run the subcommands by hand over the pipeline run's 00_synth/
-        files, writing each file where the pipeline's stage writes it."""
+        files, writing each file where the pipeline's stage writes it.
+        lam is a value or the path of a chosen.json; detect-changes and
+        infer --mode full take d from the change model, and with give_d
+        from --d as well."""
         synth_dir = run / "00_synth"
         train = sorted(p.name.split(".")[0] for p in synth_dir.glob("train_*.feat"))
         test = sorted(p.name.split(".")[0] for p in synth_dir.glob("test_*.feat"))
@@ -1311,16 +1413,18 @@ class TestPipeline:
                   "--c-reg", repr(c_reg), "--epochs", str(epochs)]
         state = out / "02_state_model" / "state.bin"
         change_model = out / "03_change_model" / "change.bin"
+        d_args = ["--d", str(d)] if give_d else []
+        lam_args = ["--cv-result", str(lam)] if isinstance(lam, Path) else ["--lambda", repr(lam)]
         for sub in ("02_state_model", "03_change_model", "04_candidates", "05_predictions"):
             (out / sub).mkdir(parents=True)
         assert main(["train-state", *common, "--out", str(state)]) == 0
         assert main(["train-change", *common, "--d", str(d), "--out", str(change_model)]) == 0
         for v in test:
             assert main(["detect-changes", "--features", feats[v], "--model", str(change_model),
-                         "--d", str(d), "--out", str(out / "04_candidates" / f"{v}.txt")]) == 0
+                         *d_args, "--out", str(out / "04_candidates" / f"{v}.txt")]) == 0
             model = ["--features", feats[v], "--state-model", str(state)]
             assert main(["infer", *model, "--mode", "full", "--change-model", str(change_model),
-                         "--d", str(d), "--lambda", repr(lam),
+                         *d_args, *lam_args,
                          "--out", str(out / "05_predictions" / f"{v}.full.txt")]) == 0
             assert main(["infer", *model, "--mode", "unary",
                          "--out", str(out / "05_predictions" / f"{v}.unary.txt")]) == 0
@@ -1340,13 +1444,15 @@ class TestPipeline:
         # the pipeline once trained and decoded on float64 streams no file
         # holds, so its models and candidates could not be rebuilt from 00_synth/
         cfg = pipeline_config(tmp_path)
-        run, rebuilt = tmp_path / "run", tmp_path / "rebuilt"
+        run = tmp_path / "run"
         run_pipeline(cfg, run)
-        self.rebuild_with_subcommands(run, tmp_path / "labels.txt", rebuilt,
-                                      c_reg=0.1, d=3, lam=1.0, epochs=120)
-        got = self.stage_files(rebuilt)
-        assert len(got) == 16  # 2 models, 2 candidate files, 4 predictions, 2 x 4 report files
-        assert got == self.stage_files(run)
+        for give_d in (True, False):
+            rebuilt = tmp_path / f"rebuilt_{give_d}"
+            self.rebuild_with_subcommands(run, tmp_path / "labels.txt", rebuilt,
+                                          c_reg=0.1, d=3, lam=1.0, epochs=120, give_d=give_d)
+            got = self.stage_files(rebuilt)
+            assert len(got) == 16  # 2 models, 2 candidate files, 4 predictions, 2 x 4 reports
+            assert got == self.stage_files(run), give_d
 
     def test_cv_rebuilds_the_auto_stage(self, tmp_path):
         cfg = pipeline_config(tmp_path, C="auto", d="auto", **{"lambda": "auto"})
@@ -1371,7 +1477,8 @@ class TestPipeline:
         chosen = json.loads((cv / "chosen.json").read_text())
         rebuilt = tmp_path / "rebuilt"
         self.rebuild_with_subcommands(run, tmp_path / "labels.txt", rebuilt, c_reg=chosen["C"],
-                                      d=chosen["d"], lam=chosen["lambda"], epochs=40)
+                                      d=chosen["d"], lam=cv / "chosen.json", epochs=40,
+                                      give_d=False)
         assert self.stage_files(rebuilt) == self.stage_files(run)
 
     def test_auto_lambda_via_cv(self, tmp_path):
@@ -1721,6 +1828,6 @@ class TestJsonInputs:
             capsys.readouterr()
             assert main(["infer", "--features", feats[0], "--state-model", str(smodel),
                          "--mode", "full", "--change-model", str(smodel),
-                         "--lambda", "auto", "--cv-result", str(chosen)]) == 2
+                         "--cv-result", str(chosen)]) == 2
             err = capsys.readouterr().err
             assert "chosen.json" in err and expect in err

@@ -439,5 +439,5 @@ def test_chosen_json_damaged(tmp_path_factory):
     fuzz_command(tmp, "chosen", {"C": 1.0, "d": 2, "lambda": 0.5},
                  ["infer", "--features", str(tmp / "v.feat"), "--state-model",
                   str(tmp / "state.bin"), "--change-model", str(tmp / "change.bin"),
-                  "--mode", "full", "--lambda", "auto", "--cv-result", "{config}",
+                  "--mode", "full", "--cv-result", "{config}",
                   "--out", "{out}"])

@@ -1,6 +1,8 @@
-"""README's examples stay runnable: its CLI block parses and its minimal
+"""README's examples stay runnable: its CLI block parses, its `pipeline`
+rebuild chain names only options its subcommands have, and its minimal
 pipeline config passes every check `pipeline` makes before a stage runs."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -27,6 +29,25 @@ def test_cli_block_commands_parse():
         args = parser.parse_args(argv[1:])
         parsed.append(args.command)
     assert len(parsed) == 12 and "fuse" in parsed and "detect-changes" in parsed
+
+
+def test_pipeline_rebuild_chain_names_only_real_options():
+    # its values are placeholders (C, E, ...), so each line is checked
+    # option by option instead of parsed
+    commands = fenced_block("After `00_synth/`, each stage is the subcommand of that name run "
+                            "over the", "sh").replace("\\\n", " ").splitlines()
+    subparsers = next(action.choices for action in cli.build_parser()._actions
+                      if action.nargs == argparse.PARSER)
+    named = []
+    for line in commands:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "handcam" and argv[1] in subparsers, line
+        options = subparsers[argv[1]]._option_string_actions
+        for token in argv[2:]:
+            if token.startswith("--"):
+                assert token in options, (argv[1], token)
+        named.append(argv[1])
+    assert named == ["cv", "train-state", "train-change", "detect-changes", "infer", "eval"]
 
 
 def test_minimal_pipeline_config_passes_the_up_front_checks(tmp_path):
