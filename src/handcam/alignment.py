@@ -25,10 +25,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import write_json
+from .core import remove_stale, write_json
 from .media import (
-    frame_path, frame_paths, load_frames, remove_frames_from, resample, resize_to, save_ppm,
-    scaled_size, to_gray,
+    FRAME_NAME, frame_path, frame_paths, load_frames, resample, resize_to, save_ppm, scaled_size,
+    to_gray,
 )
 
 _BAND_ROWS = 8  # frame rows whose time series are sorted together
@@ -320,7 +320,7 @@ def align_video_dir(
         chunk = load_frames(paths[s : s + _CHUNK_FRAMES], frame_shape)
         for i, px in enumerate(align_video(chunk, entry, result), start=s):
             save_ppm(px, frame_path(out_dir, i))
-    remove_frames_from(out_dir, len(paths))
+    remove_stale(out_dir, FRAME_NAME, {p.name for p in paths})  # the names written
 
 
 def write_alignment_report(result: AlignmentResult, path: str | Path) -> None:

@@ -29,6 +29,7 @@ from .core import (
     LabelSpace,
     StateSequence,
     load_label_space,
+    remove_stale,
     write_json,
 )
 
@@ -188,6 +189,7 @@ _SYNTH_STREAMS = {
     "states": "integer", "dim": "integer", "frames": "integer", "min_dwell": "integer",
     "noise_sigma": "number", "transition_ramp?": "integer",
 }
+_INDEX = r"([0-9]{2}|[1-9][0-9]{2,})"  # every f"{i:02d}" of a video id
 _SYNTH_VIDEOS = {
     "seed": "integer", "frames": "integer", "frame_width": "integer",
     "frame_height": "integer", "hand_width": "integer", "hand_height": "integer",
@@ -208,10 +210,12 @@ def _feature_set(cfg: dict, video_ids: list[str], space: LabelSpace,
     )
 
 
-def _write_feature_set(pairs: Iterator[tuple[FeatureStream, StateSequence]], out: Path) -> None:
-    """Write `<video_id>.feat` and `<video_id>.truth.txt` (label names) of
-    each stream into out, one stream alive at a time."""
+def _write_feature_set(pairs: Iterator[tuple[FeatureStream, StateSequence]], out: Path,
+                       ids: str) -> None:
+    """Write `<video_id>.feat` and `<video_id>.truth.txt` (label names) of each
+    stream into out, one alive at a time, in place of those ids (a regex) matches."""
     out.mkdir(parents=True, exist_ok=True)
+    remove_stale(out, rf"{ids}\.(feat|truth\.txt)")
     for stream, truth in pairs:
         features_mod.write_features(stream, out / f"{stream.video_id}.feat")
         write_labels(truth, out / f"{stream.video_id}.truth.txt")
@@ -224,7 +228,7 @@ def run_synth_features(config: str | Path, label_space: str | Path, out: str | P
     cfg = _read_json_object(config, {"seed": "integer", **_SYNTH_STREAMS, "videos": "integer"})
     pairs = _feature_set(cfg, [f"video_{i:02d}" for i in range(cfg["videos"])],
                          load_label_space(label_space))
-    _write_feature_set(pairs, out)
+    _write_feature_set(pairs, out, rf"video_{_INDEX}")
 
 
 def run_synth_videos(config: str | Path, out: str | Path) -> dict[str, dict]:
@@ -240,8 +244,17 @@ def run_synth_videos(config: str | Path, out: str | Path) -> dict[str, dict]:
     synth.check_video_set((cfg["hand_width"], cfg["hand_height"]), *video_set)
     hand = synth.textured_patch(cfg["hand_width"], cfg["hand_height"], cfg["seed"])
     truth = synth.gen_video_set(hand, *video_set, cfg["seed"], out_dir=out)
+    _remove_stale_videos(out, truth)
     write_json(truth, out / "ground_truth.json")
     return truth
+
+
+def _remove_stale_videos(out: Path, video_ids) -> None:
+    """Delete the frames of each directory in out but video_ids (a symlink
+    aside), and the directory too if that empties it."""
+    for stale in out.iterdir():
+        if stale.name not in video_ids and stale.is_dir() and not stale.is_symlink():
+            remove_stale(stale, media.FRAME_NAME, rmdir=True)
 
 
 def _cmd_synth(args: argparse.Namespace) -> None:
@@ -259,8 +272,7 @@ def run_align(manifest: str | Path, out: str | Path, beta_threshold: float,
     video at a time and keeps only its median, rounded to uint8, and its
     stable component; pass 2 streams each video a few frames at a time to
     align and save it: memory follows one video, not the corpus. Afterwards
-    out holds the videos of this run only: the frames of any other video
-    directory in it are deleted, and the directory too if that empties it."""
+    out holds the videos of this run only (`_remove_stale_videos`)."""
     out = _out_dir("--out", out)
     dirs: dict[str, Path] = {}
     for path, in read_list_file(manifest, 1, 1):
@@ -286,11 +298,7 @@ def run_align(manifest: str | Path, out: str | Path, beta_threshold: float,
     out.mkdir(parents=True, exist_ok=True)
     for vid, entry in sorted(result.per_video.items()):
         alignment.align_video_dir(dirs[vid], out / vid, entry, result, medians[vid].shape)
-    for stale in sorted(out.iterdir()):
-        if stale.name not in result.per_video and stale.is_dir() and not stale.is_symlink():
-            media.remove_frames_from(stale, 0)
-            if not any(stale.iterdir()):
-                stale.rmdir()
+    _remove_stale_videos(out, result.per_video)
     alignment.write_alignment_report(result, out / "alignment.json")
     return result
 
@@ -349,7 +357,7 @@ def run_train_state(features: list, truths: list, label_space: str | Path, c_reg
 
 def run_train_change(features: list, truths: list, label_space: str | Path, c_reg: float,
                      epochs: int, d: int, out: str | Path) -> classify.LinearModel:
-    _check_flag("--d", change.check_d, d)
+    _check_flag(f"--d {d}", change.check_d, d)
     streams, seqs = _load_pairs(features, truths, label_space)
     cfg = classify.TrainConfig(c_reg=c_reg, epochs=epochs)
     model = change.train_change_model(streams, seqs, d, cfg)
@@ -372,12 +380,12 @@ def run_cv(pairs: list, label_space: str | Path, plan: crossval.CrossValPlan, ep
     return chosen
 
 
-def _check_flag(flag: str, check, value) -> None:
-    """Apply a stage's own check to an option's value; its error names the option."""
+def _check_flag(given: str, check, value) -> None:
+    """Apply a stage's own check to a value; its error names the value as given."""
     try:
         check(value)
     except ValueError as e:
-        raise ValueError(f"{flag} {value}: {e}") from None
+        raise ValueError(f"{given}: {e}") from None
 
 
 def _load_model(flag: str, path: str | Path) -> classify.LinearModel:
@@ -428,13 +436,14 @@ def run_infer(features: str | Path, state_model: str | Path, mode: str,
         if change_model is None or (lam is None) == (cv_result is None):
             raise ValueError("full mode needs --change-model and exactly one of --lambda "
                              "and --cv-result")
-        d_given = None  # --d
+        d_given, lam_given = None, f"--lambda {lam}"
         if cv_result is not None:
             chosen = read_cv_result(Path(cv_result))
             lam = chosen["lambda"]
+            lam_given = f"lambda={lam} of --cv-result {cv_result}"
             if d is None:
                 d, d_given = chosen["d"], f"d={chosen['d']} of --cv-result {cv_result}"
-        _check_flag("--lambda", lambda v: inference.check_lam(float(v)), lam)
+        _check_flag(lam_given, lambda v: inference.check_lam(float(v)), lam)
         change_model = _load_change_model("--change-model", change_model, d, d_given)
     stream = features_mod.read_features(features)
     if mode == "unary":
@@ -546,10 +555,7 @@ def run_discover(manifest: str | Path, fa_space: str | Path, object_space: str |
         raise ValueError(f"--k-range {k_lo}:{k_hi}: every k exceeds {len(segments)} segments")
     history = discovery.average_linkage(discovery.segment_similarity_matrix(segments))
     out.mkdir(parents=True, exist_ok=True)
-    for stale in out.glob("clusters_k*.csv"):
-        if stale.stem.removeprefix("clusters_k").isdecimal():
-            stale.unlink()
-    (out / "purity.csv").unlink(missing_ok=True)
+    remove_stale(out, r"clusters_k[1-9][0-9]*\.csv|purity\.csv")
     purities = {}
     for k in ks:
         clustering = discovery.cut_history(history, k)
@@ -660,7 +666,7 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
     inputs = {"config": config_path}  # of every manifest after synth
 
     with _stage(out_dir, "00_synth", "synth", seeded, {**inputs, "label_space": labels}) as sdir:
-        _write_feature_set(pairs, sdir)
+        _write_feature_set(pairs, sdir, rf"(train|test)_{_INDEX}")
     feats = {v: sdir / f"{v}.feat" for v in vids}
     truths = {v: sdir / f"{v}.truth.txt" for v in vids}
     train_ids, test_ids = vids[:n_train], vids[n_train:]
@@ -672,6 +678,9 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
         c_reg, d, lam = chosen["C"], chosen["d"], chosen["lambda"]
     else:
         c_reg, d, lam = float(hyper["C"]), int(hyper["d"]), float(hyper["lambda"])
+        if (out_dir / "01_cv").is_dir():  # an earlier run's
+            remove_stale(out_dir / "01_cv", r"chosen\.json|table\.csv|manifest\.json|INCOMPLETE",
+                         rmdir=True)
     train_feats, train_truths = [feats[v] for v in train_ids], [truths[v] for v in train_ids]
 
     with _stage(out_dir, "02_state_model", "train-state", {"C": c_reg, "epochs": epochs},
@@ -685,10 +694,12 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
         run_train_change(train_feats, train_truths, labels, c_reg, epochs, d, change_model)
 
     with _stage(out_dir, "04_candidates", "detect-changes", {"d": d}, inputs) as cdir:
+        remove_stale(cdir, rf"test_{_INDEX}\.txt")
         for v in test_ids:
             run_detect_changes(feats[v], change_model, out=cdir / f"{v}.txt")
 
     with _stage(out_dir, "05_predictions", "infer", {"lambda": lam, "d": d}, inputs) as pdir:
+        remove_stale(pdir, rf"test_{_INDEX}\.(full|unary)\.txt")
         preds = {tag: [pdir / f"{v}.{tag}.txt" for v in test_ids] for tag in ("full", "unary")}
         for v, full, unary in zip(test_ids, preds["full"], preds["unary"]):
             run_infer(feats[v], state_model, "full", lam, change_model=change_model, out=full)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import mmap
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -311,3 +312,14 @@ def write_json(doc: dict, path: str | Path) -> None:
     """The one layout of every JSON file the package writes: indented, keys
     sorted, with a final newline."""
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def remove_stale(directory: Path, kind: str, keep: set | tuple = (), rmdir: bool = False) -> None:
+    """Delete the regular files in directory whose names match kind (the
+    names one writer could write) in full, except the names in keep, which
+    this run writes; with rmdir, the directory too if that empties it."""
+    for path in directory.iterdir():
+        if path.name not in keep and re.fullmatch(kind, path.name) and path.is_file():
+            path.unlink()
+    if rmdir and not any(directory.iterdir()):
+        directory.rmdir()

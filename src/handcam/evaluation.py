@@ -8,7 +8,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import StateSequence, run_starts, write_json
+from .core import StateSequence, remove_stale, run_starts, write_json
 
 
 def _check_pair(pred: StateSequence, truth: StateSequence) -> None:
@@ -123,8 +123,7 @@ def write_report(
     the timelines of an earlier report in out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for stale in out_dir.glob("timeline_*.svg"):
-        stale.unlink()
+    remove_stale(out_dir, r"timeline_.*\.svg")
     doc = report_dict(report, label_names)
     write_json(doc, out_dir / "report.json")
     lines = ["video,accuracy"]

@@ -86,24 +86,19 @@ def save_ppm(pixels: np.ndarray, path: str | Path) -> None:
 
 
 # every name `frame_path` writes: six digits, or more without a leading zero
-_FRAME_RE = re.compile(r"^frame_(\d{6}|[1-9]\d{6,})\.ppm$")
+FRAME_NAME = r"frame_(\d{6}|[1-9]\d{6,})\.ppm"
 
 
 def frame_path(video_dir: str | Path, index: int) -> Path:
     return Path(video_dir) / f"frame_{index:06d}.ppm"
 
 
-def _numbered_frames(video_dir: Path) -> list[tuple[int, Path]]:
-    return sorted(
-        (int(m.group(1)), p) for p in video_dir.iterdir() if (m := _FRAME_RE.match(p.name))
-    )
-
-
 def frame_paths(video_dir: str | Path) -> list[Path]:
     """The frame files of a video directory, ordered by frame number, which
     must run from 0 without a gap."""
     video_dir = Path(video_dir)
-    numbered = _numbered_frames(video_dir)
+    numbered = sorted((int(m.group(1)), p) for p in video_dir.iterdir()
+                      if (m := re.fullmatch(FRAME_NAME, p.name)))
     if not numbered:
         raise ValueError(f"no frame_*.ppm files in {video_dir}")
     if [i for i, _ in numbered] != list(range(len(numbered))):
@@ -130,14 +125,6 @@ def load_video_dir(video_dir: str | Path) -> np.ndarray:
     """All frames of a video directory, ordered by frame number: one uint8
     (T, height, width, 3) stack."""
     return load_frames(frame_paths(video_dir))
-
-
-def remove_frames_from(video_dir: str | Path, count: int) -> None:
-    """Delete the frame files numbered `count` and above, so that a video
-    written over a longer one holds exactly the frames written."""
-    for i, p in _numbered_frames(Path(video_dir)):
-        if i >= count:
-            p.unlink()
 
 
 def to_gray(pixels: np.ndarray) -> np.ndarray:

@@ -18,9 +18,9 @@ import numpy as np
 
 from .core import (
     DEFAULT_FPS, Camera, FeatureStream, LabelSpace, StateSequence, check_fps, frozen_array,
-    run_starts,
+    remove_stale, run_starts,
 )
-from .media import frame_path, remove_frames_from, resize_to, round_u8, save_ppm, scaled_size
+from .media import FRAME_NAME, frame_path, resize_to, round_u8, save_ppm, scaled_size
 
 
 # Every synthesized stream is float64. A config is refused before anything
@@ -270,6 +270,7 @@ def gen_video_set(
         base = rng.integers(80, 176, size=(sh, sw, 3)).astype(np.float64)
         video_dir = Path(out_dir) / spec.video_id
         video_dir.mkdir(parents=True, exist_ok=True)
+        remove_stale(video_dir, FRAME_NAME)
         for i in range(n_frames):
             canvas = base.copy()
             if noise_sigma > 0:
@@ -282,6 +283,5 @@ def gen_video_set(
             if (sw, sh) != (w, h):
                 px = resize_to(px, w, h)
             save_ppm(px, frame_path(video_dir, i))
-        remove_frames_from(video_dir, n_frames)
         truth[spec.video_id] = {"scale": spec.scale, "dx": spec.dx, "dy": spec.dy}
     return truth

@@ -584,6 +584,25 @@ class TestTrainInferEval:
         assert f"trained with d=3, not d=4 of --cv-result {chosen}" in err
         assert "--d" not in err
 
+    def test_lambda_from_cv_result_named_by_its_file(self, tmp_path, capsys):
+        # an unusable lambda read "--lambda -1.0" though no --lambda was given
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        smodel, cmodel = tmp_path / "state.bin", tmp_path / "change.bin"
+        common = ["--features", *feats, "--truth", *truths, "--label-space", str(ges),
+                  "--epochs", "5"]
+        assert main(["train-state", *common, "--out", str(smodel)]) == 0
+        assert main(["train-change", *common, "--d", "3", "--out", str(cmodel)]) == 0
+        chosen = tmp_path / "chosen.json"
+        chosen.write_text(json.dumps({"C": 1.0, "d": 3, "lambda": -1.0}))
+        capsys.readouterr()
+        assert main(["infer", "--features", feats[0], "--state-model", str(smodel),
+                     "--mode", "full", "--cv-result", str(chosen),
+                     "--change-model", str(cmodel)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: lambda=-1.0 of --cv-result {chosen}: lam must be" in err
+        assert "--lambda" not in err
+
     def test_damaged_model_named_by_its_option_and_path(self, tmp_path, capsys):
         # a damaged model file printed only "malformed model file: ..." or
         # "truncated model file: ...", whichever option had named it
@@ -1831,3 +1850,126 @@ class TestJsonInputs:
                          "--cv-result", str(chosen)]) == 2
             err = capsys.readouterr().err
             assert "chosen.json" in err and expect in err
+
+
+def digest_tree(root):
+    """`path under root -> sha256` of every file under root."""
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+# Writers run twice into one --out: `writer(tmp_path, out, step)` is the
+# earlier, larger run at step 0 and the rerun at step 1.
+
+def pipeline_writer(lam, test_videos):
+    """`pipeline_config` on 5 train videos with lambda lam[step] and
+    test_videos[step] test videos; "auto" cross-validates two lambdas."""
+    def run(tmp_path, out, step):
+        cfg = pipeline_config(tmp_path, **{"lambda": lam[step]})
+        doc = json.loads(cfg.read_text())
+        doc["synth"].update(train_videos=5, test_videos=test_videos[step])
+        doc["cv"] = {"lambda_grid": [0.5, 1.0]}
+        cfg.write_text(json.dumps(doc))
+        run_pipeline(cfg, out)
+    return run
+
+
+def synth_features_writer(tmp_path, out, step):  # 3 videos, then 1
+    _, ges, _ = write_spaces(tmp_path)
+    cfg = tmp_path / "features.json"
+    cfg.write_text(json.dumps({"seed": 3, "states": 3, "dim": 6, "frames": 50, "min_dwell": 10,
+                               "noise_sigma": 0.5, "videos": (3, 1)[step]}))
+    assert main(["synth", "features", "--config", str(cfg), "--out", str(out),
+                 "--label-space", str(ges)]) == 0
+
+
+VIDEOS = [{"video_id": v, "scale": 1.0, "dx": 4 + 3 * i, "dy": 4 + i}
+          for i, v in enumerate(("va", "vb", "vc"))]
+
+
+def synth_videos_writer(tmp_path, out, step):  # va vb vc, then va
+    cfg = tmp_path / "videos.json"
+    cfg.write_text(json.dumps({**TestSynthVideos.DOC, "videos": VIDEOS[: (3, 1)[step]]}))
+    assert main(["synth", "videos", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def align_writer(tmp_path, out, step):  # va vb vc, then va vb
+    videos = tmp_path / "videos"
+    synth_videos_writer(tmp_path, videos, 0)
+    manifest = tmp_path / "videos.txt"
+    manifest.write_text("".join(f"{videos / v['video_id']}\n" for v in VIDEOS[: 3 - step]))
+    assert main(["align", "--manifest", str(manifest), "--out", str(out),
+                 "--scales", "1.0"]) == 0
+
+
+def discover_writer(tmp_path, out, step):  # k 2..4 with purity, then k 2 without
+    fa, obj, manifest = write_discover_inputs(tmp_path)
+    purity = ["--object-space", str(obj)]
+    if step:
+        manifest.write_text("".join(line.rsplit("\t", 1)[0] + "\n"
+                                    for line in manifest.read_text().splitlines()))
+        purity = []
+    assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa), *purity,
+                 "--k-range", ("2:4", "2:2")[step], "--out", str(out)]) == 0
+
+
+def eval_writer(tmp_path, out, step):  # videos a b, then a
+    _, ges, _ = write_spaces(tmp_path)
+    seq = StateSequence(gesture_space(), np.array([0, 1, 1, 2]))
+    preds, truth = [tmp_path / f"{v}.full.txt" for v in ("a", "b")[: 2 - step]], tmp_path / "v.txt"
+    for path in (*preds, truth):
+        write_labels(seq, path)
+    assert main(["eval", "--pred", *map(str, preds), "--truth", *[str(truth)] * len(preds),
+                 "--label-space", str(ges), "--report", str(out)]) == 0
+
+
+class TestReruns:
+    """A rerun into a used --out leaves the tree that a fresh run leaves,
+    plus the files of other names that were put there."""
+
+    # each kept stale files at the parent
+    STALE = {
+        "pipeline-test-videos-2-then-1": pipeline_writer((1.0, 1.0), (2, 1)),
+        "pipeline-lambda-auto-then-0.3": pipeline_writer(("auto", 0.3), (2, 2)),
+        "synth-features-3-then-1": synth_features_writer,
+        "synth-videos-3-then-1": synth_videos_writer,
+    }
+
+    @pytest.mark.parametrize("writer", sorted(STALE))
+    def test_rerun_equals_a_fresh_run(self, tmp_path, writer):
+        for step, out in ((0, "used"), (1, "used"), (1, "fresh")):
+            self.STALE[writer](tmp_path, tmp_path / out, step)
+        assert digest_tree(tmp_path / "used") == digest_tree(tmp_path / "fresh")
+
+    # writer -> {directory in --out: names the writer could not have written}
+    FOREIGN = {
+        "pipeline": (pipeline_writer(("auto", "auto"), (2, 1)), {
+            "00_synth": ["notes.txt", "video_00.feat"], "01_cv": ["notes.txt"],
+            "04_candidates": ["notes.txt"], "05_predictions": ["notes.txt"],
+            "06_eval_full": ["notes.svg"]}),
+        "pipeline-without-auto": (pipeline_writer(("auto", 0.3), (2, 2)),
+                                  {"01_cv": ["notes.txt"]}),
+        "synth-features": (synth_features_writer,
+                           {".": ["notes.txt", "train_00.feat", "video_1.feat"]}),
+        "synth-videos": (synth_videos_writer, {v: ["frame_1.ppm", "notes.txt"]
+                                               for v in ("va", "vc")}),
+        "align": (align_writer, {v: ["frame_1.ppm", "notes.txt"] for v in ("va", "vc")}),
+        "discover": (discover_writer, {".": ["clusters_kx.csv", "notes.txt"]}),
+        "eval": (eval_writer, {".": ["notes.svg", "timeline.svg"]}),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(FOREIGN))
+    def test_foreign_files_stay_and_manifests_list_them(self, tmp_path, writer):
+        run, foreign = self.FOREIGN[writer]
+        out = tmp_path / "out"
+        run(tmp_path, out, 0)
+        for sub, names in foreign.items():
+            for name in names:
+                (out / sub / name).write_text(f"left in {sub}\n")
+        run(tmp_path, out, 1)
+        for sub, names in foreign.items():
+            for name in names:
+                assert (out / sub / name).read_text() == f"left in {sub}\n", (sub, name)
+            manifest = out / sub / "manifest.json"
+            if manifest.exists():
+                assert set(names) <= set(json.loads(manifest.read_text())["outputs"]), sub

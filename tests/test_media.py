@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from handcam.core import remove_stale
 from handcam.media import (
+    FRAME_NAME,
     PpmError,
     frame_path,
     load_ppm,
     load_video_dir,
-    remove_frames_from,
     resample,
     resize_to,
     save_ppm,
@@ -139,7 +140,7 @@ class TestVideoDir:
                      "frame_000001.ppm.bak"):
             save_ppm(img, tmp_path / name)
         assert len(load_video_dir(tmp_path)) == 1
-        remove_frames_from(tmp_path, 0)
+        remove_stale(tmp_path, FRAME_NAME)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
             "frame_0000001.ppm", "frame_00001.ppm", "frame_000001.ppm.bak"])
 
