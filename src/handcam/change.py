@@ -55,64 +55,57 @@ def valid_band(n_frames: int, d: int) -> tuple[int, int]:
 
 def change_feature_matrix(
     stream: FeatureStream, d: int, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """All in-band change features: (band frame indices, (len(band), D)),
-    in float64, written into `out` when it is given. float32 values are
-    upcast as they are subtracted, which gives the bits of their float64
-    copy. A mapped stream's pages are given back once the features are
-    built."""
+) -> np.ndarray:
+    """The change features of the in-band frames `valid_band(n, d)`, one
+    (n - 2d, D) float64 row each, written into `out` when it is given.
+    float32 values are upcast as they are subtracted, which gives the bits
+    of their float64 copy. A mapped stream's pages are given back once the
+    features are built."""
     n = stream.n_frames
     lo, hi = valid_band(n, d)
     if hi < lo:
-        return np.empty(0, dtype=np.int64), np.empty((0, stream.dim))
+        return np.empty((0, stream.dim))
     cf = np.subtract(stream.values[: n - 2 * d], stream.values[2 * d :], out=out,
                      dtype=np.float64)
     np.abs(cf, out=cf)
     release_pages(stream.values)
-    return np.arange(lo, hi + 1), cf
+    return cf
 
 
 def label_change_frames(truth: StateSequence, d: int) -> np.ndarray:
-    """Per-frame binary change labels: 1 within d frames of a transition,
-    0 otherwise, -1 outside the valid band (excluded from training)."""
-    n = len(truth)
-    labels = np.zeros(n, dtype=np.int8)
-    for t in run_starts(truth.states)[1:]:
-        labels[max(0, t - d) : min(n, t + d + 1)] = 1
-    lo, hi = valid_band(n, d)
-    labels[: max(0, lo)] = -1
-    labels[max(0, hi + 1) :] = -1
+    """Binary change labels of the in-band frames `valid_band(n, d)`: 1
+    within d frames of a transition, 0 otherwise."""
+    lo, hi = valid_band(len(truth), d)
+    labels = np.zeros(max(0, hi + 1 - lo), dtype=np.int8)
+    for t in run_starts(truth.states)[1:]:  # frames t-d..t+d are in-band rows t-2d..t
+        labels[max(0, t - 2 * d) : t + 1] = 1
     return labels
 
 
-def suppress_non_maxima(
-    frame_indices: np.ndarray, confidences: np.ndarray, radius: int
-) -> CandidateSet:
-    """Keep local confidence maxima, separated by more than the radius.
+def suppress_non_maxima(confidences: np.ndarray, radius: int) -> np.ndarray:
+    """The positions in a confidence track of its local maxima, separated by
+    more than the radius, as int64.
 
-    A frame qualifies only if its raw confidence dominates every frame
+    A position qualifies only if its raw confidence dominates every one
     within the radius (a windowed maximum over the track padded with -inf).
-    Two qualifying frames within the radius dominate each other, so they are
-    equal: conflicts only arise on plateaus, and a left-to-right scan breaks
-    them, keeping the earliest frame and then the next qualifying frame more
-    than the radius after the last kept one. Every retained confidence is
-    therefore >= all raw confidences within its radius. Cost O(n r) for n
-    frames; the frame indices must be consecutive, as in-band frames are.
+    Two qualifying positions within the radius dominate each other, so they
+    are equal: conflicts only arise on plateaus, and a left-to-right scan
+    breaks them, keeping the earliest position and then the next qualifying
+    one more than the radius after the last kept one. Every retained
+    confidence is therefore >= all raw confidences within its radius. Cost
+    O(n r) for a track of n frames.
     """
-    idx = np.asarray(frame_indices, dtype=np.int64)
     conf = np.asarray(confidences, dtype=np.float64)
-    if np.any(np.diff(idx) != 1):
-        raise ValueError("frame indices must be consecutive")
-    if idx.size == 0:
-        return CandidateSet(idx, conf, radius)
-    pad = np.full(idx.size + 2 * radius, -np.inf)
-    pad[radius : radius + idx.size] = conf
+    if conf.size == 0:
+        return np.empty(0, dtype=np.int64)
+    pad = np.full(conf.size + 2 * radius, -np.inf)
+    pad[radius : radius + conf.size] = conf
     window_max = np.lib.stride_tricks.sliding_window_view(pad, 2 * radius + 1).max(axis=1)
     kept: list[int] = []
     for j in np.flatnonzero(conf >= window_max).tolist():
         if not kept or j - kept[-1] > radius:
             kept.append(j)
-    return CandidateSet(idx[kept], conf[kept], radius)
+    return np.array(kept, dtype=np.int64)
 
 
 def check_d(d: int) -> None:
@@ -136,10 +129,9 @@ def detect_candidates(stream: FeatureStream, change_model: LinearModel) -> Candi
             f"2d+1 = {2 * d + 1}; no change candidates",
             stacklevel=2,
         )
-        return CandidateSet(np.empty(0, dtype=np.int64), np.empty(0), d)
-    band, cf = change_feature_matrix(stream, d)
-    conf = cf @ change_model.weights[0] + change_model.bias[0]
-    return suppress_non_maxima(band, conf, d)
+    conf = change_feature_matrix(stream, d) @ change_model.weights[0] + change_model.bias[0]
+    kept = suppress_non_maxima(conf, d)
+    return CandidateSet(kept + d, conf[kept], d)
 
 
 def change_training_set(
@@ -167,7 +159,7 @@ def change_training_set(
     for stream, truth, m in zip(streams, truths, rows):
         if m:
             change_feature_matrix(stream, d, out=x[start : start + m])
-            y[start : start + m] = label_change_frames(truth, d)[d : d + m]
+            y[start : start + m] = label_change_frames(truth, d)
             start += m
     return x, y, rows
 

@@ -154,13 +154,16 @@ def read_list_file(path: Path, min_cols: int, max_cols: int) -> list[list[str]]:
 
 
 def read_truth(path: Path, space: LabelSpace) -> StateSequence:
+    """A truth or prediction file: one label name of space per frame. Its
+    errors name the path."""
     index = {name: i for i, name in enumerate(space.labels)}
-    names = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
     try:
-        states = np.array([index[n] for n in names], dtype=np.int64)
+        names = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
+        return StateSequence(space, np.array([index[n] for n in names], dtype=np.int64))
     except KeyError as e:
-        raise ValueError(f"unknown label {e.args[0]!r}") from None
-    return StateSequence(space, states)
+        raise ValueError(f"{path}: unknown label {e.args[0]!r}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _write_text(text: str, path: str | Path | None) -> None:
@@ -449,7 +452,7 @@ def run_infer(features: str | Path, state_model: str | Path, mode: str,
     if mode == "unary":
         seq = classify.predict_frames(state, stream)
     else:
-        cands = change.detect_candidates(stream, change_model)
+        cands = change.detect_candidates(stream, change_model).frame_indices
         unary = classify.score_stream(state, stream)
         seq = inference.decode_stream(stream, unary, cands, [float(lam)], state.label_space)[0]
     write_labels(seq, out)
@@ -474,6 +477,9 @@ def run_eval(preds: list, truths: list, label_space: str | Path,
                              f"'.') is given twice")
         pred_seqs[vid] = read_truth(Path(pred_path), space)
         truth_seqs[vid] = read_truth(Path(truth_path), space)
+        if len(pred_seqs[vid]) != len(truth_seqs[vid]):
+            raise ValueError(f"{pred_path}: {len(pred_seqs[vid])} frames of predictions for "
+                             f"the {len(truth_seqs[vid])} frames of {truth_path}")
     report = evaluation.build_report(pred_seqs, truth_seqs, task=space.task.value)
     evaluation.write_report(
         report, report_dir, label_names=list(space.labels),
@@ -609,14 +615,12 @@ def _stage(out_dir: Path, name: str, stage: str, parameters: dict, inputs: dict[
     (sdir / "INCOMPLETE").unlink()
 
 
-def _pipeline_plan(cfg: dict, space: LabelSpace) -> tuple[crossval.CrossValPlan, int]:
+def _pipeline_plan(cfg: dict) -> tuple[crossval.CrossValPlan, int]:
     """The CV plan and the epochs of a pipeline config, once every value
     that a later stage would reject has been rejected with the stage's own
     check. An explicit C, d or lambda is a one-value grid, checked as any
     grid value is; the synth values are checked by `_feature_set`."""
     scfg = cfg["synth"]
-    if scfg["states"] > space.num_labels:
-        raise ValueError("synth states exceed the label-space size")
     if scfg["states"] < 2:
         raise ValueError("synth states must be >= 2: training needs two distinct labels")
     n_train, n_test = scfg["train_videos"], scfg["test_videos"]
@@ -657,7 +661,7 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
     if not labels.exists():
         raise ValueError(f"label-space file not found: {labels}")
     space = load_label_space(labels)
-    plan, epochs = _pipeline_plan(cfg, space)
+    plan, epochs = _pipeline_plan(cfg)
     scfg, hyper = cfg["synth"], cfg["hyperparameters"]
     n_train, n_test = scfg["train_videos"], scfg["test_videos"]
     vids = [f"{'train' if i < n_train else 'test'}_{i:02d}" for i in range(n_train + n_test)]

@@ -10,17 +10,16 @@ videos a sign of 0, which leaves them out of its problem.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .change import change_training_set, detect_candidates
+from .change import change_training_set, check_d, detect_candidates
 from .classify import TrainConfig, score_stream, train_binary_grid, train_grid
 from .core import FeatureStream, StateSequence
-from .inference import decode_stream
+from .inference import check_lam, decode_stream
 
 
 @dataclass(frozen=True)
@@ -37,12 +36,15 @@ class CrossValPlan:
             raise ValueError("folds must be >= 2")
         if not (self.c_grid and self.d_grid and self.lambda_grid):
             raise ValueError("grids must be non-empty")
-        for c in self.c_grid:
-            TrainConfig(c_reg=c)  # rejects a C the solver cannot use
-        if min(self.d_grid) < 1:
-            raise ValueError("d grid values must be >= 1")
-        if not all(0 <= lam < math.inf for lam in self.lambda_grid):
-            raise ValueError(f"lambda grid values must be finite and >= 0, got {self.lambda_grid}")
+        # each value by the check of the stage that uses it
+        for name, grid, check in (("C", self.c_grid, lambda c: TrainConfig(c_reg=c)),
+                                  ("d", self.d_grid, check_d),
+                                  ("lambda", self.lambda_grid, check_lam)):
+            for value in grid:
+                try:
+                    check(value)
+                except ValueError as e:
+                    raise ValueError(f"{name} grid value {value!r}: {e}") from None
         # sorted grids make the tie-break numeric: smaller C, then d, then lambda;
         # float C and lambda write the same chosen.json for 1 (a JSON config) and 1.0
         object.__setattr__(self, "c_grid", tuple(sorted(set(map(float, self.c_grid)))))
@@ -125,7 +127,7 @@ def cross_validate(
             for c, change_model, c_unaries in zip(plan.c_grid, d_models[f], unaries):
                 correct = np.zeros(len(plan.lambda_grid), dtype=np.int64)
                 for (stream, truth), unary in zip(fold, c_unaries):
-                    cands = detect_candidates(stream, change_model)
+                    cands = detect_candidates(stream, change_model).frame_indices
                     decoded = decode_stream(
                         stream, unary, cands, plan.lambda_grid, label_space=truth.label_space
                     )

@@ -77,8 +77,8 @@ def read_features(path: str | Path) -> FeatureStream:
     """The stream of a `.feat` file, its values a view of the file mapped
     read-only. On CPython each live mapping holds a duplicate of the file's
     descriptor until the stream is dropped. A file that cannot be mapped
-    (missing, empty, a directory or another non-regular file) is a
-    FeatureFileError naming the path."""
+    (missing, empty, a directory or another non-regular file), or whose
+    bytes are not a feature container, is a FeatureFileError naming the path."""
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):  # opening a FIFO would wait for a writer
             raise ValueError("not a regular file")
@@ -86,38 +86,37 @@ def read_features(path: str | Path) -> FeatureStream:
             data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError) as e:  # ValueError: also "cannot mmap an empty file"
         raise FeatureFileError(f"{path}: cannot map the file: {e}") from None
-    if data[:4] != MAGIC:
-        raise FeatureFileError(f"magic mismatch: {data[:4]!r}")
-    pos = 4
     try:
+        if data[:4] != MAGIC:
+            raise FeatureFileError(f"magic mismatch: {data[:4]!r}")
+        pos = 4
         version, vid_len = struct.unpack_from("<IH", data, pos)
         pos += 6
         vid = data[pos : pos + vid_len].decode("utf-8")
         pos += vid_len
         camera_code, fps, n, d = struct.unpack_from("<BdII", data, pos)
         pos += struct.calcsize("<BdII")
-    except struct.error as e:
-        raise FeatureFileError(f"truncated header: {e}") from None
-    except UnicodeDecodeError as e:
-        raise FeatureFileError(f"video id is not UTF-8: {e}") from None
-    if version != VERSION:
-        raise FeatureFileError(f"unsupported version {version}")
-    if camera_code not in _CAMERA_FROM_CODE:
-        raise FeatureFileError(f"unknown camera code {camera_code}")
-    if n < 1 or d < 1:
-        raise FeatureFileError("header requires N >= 1 and D >= 1")
-    expected = n * d * 4
-    if len(data) - pos < expected:
-        raise FeatureFileError("truncated payload")
-    if len(data) - pos > expected:
-        raise FeatureFileError("payload length mismatch: trailing bytes")
-    # a read-only view of the mapping, aligned or not: FeatureStream keeps it as it is,
-    # and its finiteness check gives back each block's pages
-    values = np.frombuffer(data, dtype="<f4", count=n * d, offset=pos).reshape(n, d)
-    try:
+        if version != VERSION:
+            raise FeatureFileError(f"unsupported version {version}")
+        if camera_code not in _CAMERA_FROM_CODE:
+            raise FeatureFileError(f"unknown camera code {camera_code}")
+        if n < 1 or d < 1:
+            raise FeatureFileError("header requires N >= 1 and D >= 1")
+        expected = n * d * 4
+        if len(data) - pos < expected:
+            raise FeatureFileError("truncated payload")
+        if len(data) - pos > expected:
+            raise FeatureFileError("payload length mismatch: trailing bytes")
+        # a read-only view of the mapping, aligned or not: FeatureStream keeps it as it is,
+        # and its finiteness check gives back each block's pages
+        values = np.frombuffer(data, dtype="<f4", count=n * d, offset=pos).reshape(n, d)
         return FeatureStream(vid, _CAMERA_FROM_CODE[camera_code], fps, values)
-    except ValueError as e:  # fps or values not finite
-        raise FeatureFileError(str(e)) from None
+    except struct.error as e:
+        raise FeatureFileError(f"{path}: truncated header: {e}") from None
+    except UnicodeDecodeError as e:
+        raise FeatureFileError(f"{path}: video id is not UTF-8: {e}") from None
+    except ValueError as e:  # a FeatureFileError, or fps or values not finite
+        raise FeatureFileError(f"{path}: {e}") from None
 
 
 def _check_bins(bins_per_channel: int) -> None:

@@ -21,13 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import FeatureStream, LabelSpace, StateSequence, all_finite, segment_means, unit_rows
-from .change import CandidateSet
-
-
-def _candidate_indices(candidates: "CandidateSet | Sequence[int] | np.ndarray") -> np.ndarray:
-    if isinstance(candidates, CandidateSet):
-        return candidates.frame_indices.astype(np.int64)
-    return np.asarray(candidates, dtype=np.int64)
 
 
 def segment_bounds(n_frames: int, cand: np.ndarray) -> np.ndarray:
@@ -35,16 +28,12 @@ def segment_bounds(n_frames: int, cand: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], cand, [n_frames]])
 
 
-def segment_features(
-    stream: "FeatureStream | np.ndarray",
-    candidates: "CandidateSet | Sequence[int] | np.ndarray",
-) -> np.ndarray:
+def segment_features(stream: FeatureStream, candidates: np.ndarray) -> np.ndarray:
     """Mean feature vector of every inter-candidate segment, one row for
     each of the |C|+1 segments."""
-    values = stream.values if isinstance(stream, FeatureStream) else np.asarray(stream)
-    cand = _candidate_indices(candidates)
-    _check_candidates(cand, values.shape[0])
-    return segment_means(values, segment_bounds(values.shape[0], cand)[:-1])
+    cand = np.asarray(candidates, dtype=np.int64)
+    _check_candidates(cand, stream.n_frames)
+    return segment_means(stream.values, segment_bounds(stream.n_frames, cand)[:-1])
 
 
 def _check_candidates(cand: np.ndarray, n: int) -> None:
@@ -64,7 +53,7 @@ class InferenceProblem:
     """Inputs of one decoding run.
 
     unary: (N, K) per-frame state confidences.
-    candidates: frames where a state change is permitted.
+    candidates: the frame indices where a state change is permitted.
     segment_features: (|C|+1, D) mean features of the inter-candidate
         segments, one row per segment.
     label_space: attached to decoded sequences when available.
@@ -73,7 +62,7 @@ class InferenceProblem:
     """
 
     unary: np.ndarray
-    candidates: "CandidateSet | Sequence[int] | np.ndarray"
+    candidates: np.ndarray
     segment_features: "np.ndarray | Sequence[np.ndarray]"
     label_space: LabelSpace | None = None
     boundary_similarities: np.ndarray = field(init=False)
@@ -86,7 +75,7 @@ class InferenceProblem:
             raise ValueError("unary scores must be finite")
         if self.label_space is not None and self.label_space.num_labels != unary.shape[1]:
             raise ValueError("unary width does not match the label space")
-        cand = _candidate_indices(self.candidates)
+        cand = np.asarray(self.candidates, dtype=np.int64)
         _check_candidates(cand, unary.shape[0])
         feats = np.asarray(self.segment_features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != cand.size + 1:
@@ -170,7 +159,7 @@ def decode(problem: InferenceProblem, lams: Sequence[float]) -> list[StateSequen
 def decode_stream(
     stream: FeatureStream,
     unary: np.ndarray,
-    candidates: "CandidateSet | Sequence[int] | np.ndarray",
+    candidates: np.ndarray,
     lams: Sequence[float],
     label_space: LabelSpace | None = None,
 ) -> list[StateSequence]:

@@ -42,30 +42,35 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 def load_ppm(path: str | Path) -> np.ndarray:
     """Decode a binary NetPBM P6 file with maxval 255: a read-only uint8
-    (height, width, 3) view of the file's bytes, not a copy."""
+    (height, width, 3) view of the file's bytes, not a copy. A malformed
+    file is a PpmError naming the path."""
     data = Path(path).read_bytes()
-    if data[:2] != b"P6":
-        raise PpmError(f"bad magic {data[:2]!r}, expected P6")
-    pos = 2
-    fields = []
-    for _ in range(3):
-        tok, pos = _read_header_token(data, pos)
-        if not tok.isdigit():
-            raise PpmError(f"malformed header token {tok!r}")
-        fields.append(int(tok))
-    width, height, maxval = fields
-    if width < 1 or height < 1:
-        raise PpmError("image dimensions must be positive")
-    if maxval != 255:
-        raise PpmError(f"unsupported maxval {maxval}, expected 255")
-    if pos < len(data) and not data[pos : pos + 1].isspace():
-        raise PpmError(f"expected one whitespace byte after maxval, got {data[pos : pos + 1]!r}")
-    pos += 1
-    expected = width * height * 3
-    if len(data) - pos < expected:
-        raise PpmError("unexpected end of pixel data")
-    if len(data) - pos > expected:
-        raise PpmError("trailing bytes after pixel data")
+    try:
+        if data[:2] != b"P6":
+            raise PpmError(f"bad magic {data[:2]!r}, expected P6")
+        pos = 2
+        fields = []
+        for _ in range(3):
+            tok, pos = _read_header_token(data, pos)
+            if not tok.isdigit():
+                raise PpmError(f"malformed header token {tok!r}")
+            fields.append(int(tok))
+        width, height, maxval = fields
+        if width < 1 or height < 1:
+            raise PpmError("image dimensions must be positive")
+        if maxval != 255:
+            raise PpmError(f"unsupported maxval {maxval}, expected 255")
+        if pos < len(data) and not data[pos : pos + 1].isspace():
+            raise PpmError("expected one whitespace byte after maxval, got "
+                           f"{data[pos : pos + 1]!r}")
+        pos += 1
+        expected = width * height * 3
+        if len(data) - pos < expected:
+            raise PpmError("unexpected end of pixel data")
+        if len(data) - pos > expected:
+            raise PpmError("trailing bytes after pixel data")
+    except PpmError as e:
+        raise PpmError(f"{path}: {e}") from None
     px = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)
     return px.reshape(height, width, 3)
 

@@ -115,7 +115,7 @@ def test_criterion_3_unary_to_full_improvement():
         change_model = change.train_change_model(
             [s for s, _ in pairs[:4]], [t for _, t in pairs[:4]], d, cfg
         )
-        cands = change.detect_candidates(test_stream, change_model)
+        cands = change.detect_candidates(test_stream, change_model).frame_indices
         segf = inference.segment_features(test_stream, cands)
         decoded = inference.decode(inference.InferenceProblem(unary, cands, segf), [lam])[0]
         full_accs.append(float(np.mean(decoded.states == test_truth.states)))
@@ -181,14 +181,12 @@ def test_criterion_5_change_detection():
     for _ in range(50):
         n, dim, d = int(rng.integers(9, 60)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
         vals = rng.standard_normal((n, dim))
-        band, cf = change.change_feature_matrix(
-            FeatureStream("v", Camera.RIGHT_HAND, 6.0, vals), d
-        )
-        band_rev, cf_rev = change.change_feature_matrix(
+        cf = change.change_feature_matrix(FeatureStream("v", Camera.RIGHT_HAND, 6.0, vals), d)
+        cf_rev = change.change_feature_matrix(
             FeatureStream("v", Camera.RIGHT_HAND, 6.0, vals[::-1]), d
         )
-        # frame i of the stream is frame n - 1 - i of the reversed stream
-        assert np.array_equal(n - 1 - band[::-1], band_rev)
+        # in-band row j is frame d + j, frame n - 1 - d - j of the reversed stream
+        assert cf.shape == (n - 2 * d, dim)
         assert np.array_equal(cf[::-1], cf_rev)
 
     # NMS separation and local-maximality on 10^3 random confidence tracks
@@ -197,12 +195,11 @@ def test_criterion_5_change_detection():
         n = int(rng.integers(5, 80))
         radius = int(rng.integers(1, 8))
         conf = rng.standard_normal(n)
-        cands = change.suppress_non_maxima(np.arange(n), conf, radius)
-        kept = cands.frame_indices
+        kept = change.suppress_non_maxima(conf, radius)
         if kept.size > 1:
             assert np.all(np.diff(kept) > radius)
-        for i, c in zip(kept, cands.confidences):
-            assert c >= conf[max(0, i - radius) : i + radius + 1].max()
+        for i in kept:
+            assert conf[i] >= conf[max(0, i - radius) : i + radius + 1].max()
 
     # 100% recall of true transitions on high-SNR streams over 50 seeds
     d = 3

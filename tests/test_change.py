@@ -1,4 +1,5 @@
 import re
+import warnings
 from itertools import product
 
 import numpy as np
@@ -13,9 +14,10 @@ from handcam.change import (
     label_change_frames,
     suppress_non_maxima,
     train_change_model,
+    valid_band,
 )
 from handcam.classify import LinearModel, TrainConfig, model_bytes
-from handcam.core import Camera, FeatureStream, StateSequence, run_starts
+from handcam.core import Camera, FeatureStream, StateSequence, release_pages, run_starts
 from test_features import float32_pair
 from test_synth import orthonormal_centers
 
@@ -41,6 +43,70 @@ def suppress_non_maxima_greedy(frame_indices, confidences, radius):
     return idx[kept], conf[kept]
 
 
+# The change stage as it was when every in-band array went with the frame
+# indices of the band and labels were -1 outside it: the reference, bit for
+# bit, for the stage that works on the in-band track and adds d once.
+
+def parent_change_feature_matrix(stream, d, out=None):
+    n = stream.n_frames
+    lo, hi = valid_band(n, d)
+    if hi < lo:
+        return np.empty(0, dtype=np.int64), np.empty((0, stream.dim))
+    cf = np.subtract(stream.values[: n - 2 * d], stream.values[2 * d :], out=out,
+                     dtype=np.float64)
+    np.abs(cf, out=cf)
+    release_pages(stream.values)
+    return np.arange(lo, hi + 1), cf
+
+
+def parent_label_change_frames(truth, d):
+    n = len(truth)
+    labels = np.zeros(n, dtype=np.int8)
+    for t in run_starts(truth.states)[1:]:
+        labels[max(0, t - d) : min(n, t + d + 1)] = 1
+    lo, hi = valid_band(n, d)
+    labels[: max(0, lo)] = -1
+    labels[max(0, hi + 1) :] = -1
+    return labels
+
+
+def parent_suppress_non_maxima(frame_indices, confidences, radius):
+    idx = np.asarray(frame_indices, dtype=np.int64)
+    conf = np.asarray(confidences, dtype=np.float64)
+    if np.any(np.diff(idx) != 1):
+        raise ValueError("frame indices must be consecutive")
+    if idx.size == 0:
+        return CandidateSet(idx, conf, radius)
+    pad = np.full(idx.size + 2 * radius, -np.inf)
+    pad[radius : radius + idx.size] = conf
+    window_max = np.lib.stride_tricks.sliding_window_view(pad, 2 * radius + 1).max(axis=1)
+    kept = []
+    for j in np.flatnonzero(conf >= window_max).tolist():
+        if not kept or j - kept[-1] > radius:
+            kept.append(j)
+    return CandidateSet(idx[kept], conf[kept], radius)
+
+
+def parent_detect_candidates(stream, change_model):
+    if not change_model.is_binary:
+        raise ValueError("detect_candidates requires a binary change model")
+    d = change_model.d
+    if change_model.dim != stream.dim:
+        raise ValueError(
+            f"change model dim {change_model.dim} does not match stream dim {stream.dim}"
+        )
+    if stream.n_frames < 2 * d + 1:
+        warnings.warn(
+            f"stream {stream.video_id}: {stream.n_frames} frames is shorter than "
+            f"2d+1 = {2 * d + 1}; no change candidates",
+            stacklevel=2,
+        )
+        return CandidateSet(np.empty(0, dtype=np.int64), np.empty(0), d)
+    band, cf = parent_change_feature_matrix(stream, d)
+    conf = cf @ change_model.weights[0] + change_model.bias[0]
+    return parent_suppress_non_maxima(band, conf, d)
+
+
 def parent_change_training_set(streams, truths, d):
     """change_training_set as it was before it wrote into one preallocated
     matrix: per-video arrays, then their concatenation (the reference, bit
@@ -54,7 +120,7 @@ def parent_change_training_set(streams, truths, d):
         n = stream.n_frames
         cf = stream.values[: n - 2 * d] - stream.values[2 * d :]
         np.abs(cf, out=cf)
-        labels = label_change_frames(truth, d)[np.arange(d, n - d)]
+        labels = parent_label_change_frames(truth, d)[np.arange(d, n - d)]
         xs.append(cf)
         ys.append(labels)
     if not xs:
@@ -68,9 +134,9 @@ def stream_from(values):
 
 def change_row(stream, i, d):
     """Row of the change-feature matrix for frame i."""
-    band, cf = change_feature_matrix(stream, d)
-    (row,) = np.nonzero(band == i)[0]
-    return cf[row]
+    lo, hi = valid_band(stream.n_frames, d)
+    assert lo <= i <= hi
+    return change_feature_matrix(stream, d)[i - lo]
 
 
 class TestChangeFeature:
@@ -87,20 +153,20 @@ class TestChangeFeature:
         assert np.array_equal(change_row(s, 2, 1), [2.0, 3.0])
 
     def test_time_reversal_symmetry_exact(self):
+        # in-band row j is frame d + j, which mirrors to row n - 2d - 1 - j
         rng = np.random.default_rng(0)
         vals = rng.standard_normal((40, 5))
         d = 4
-        band, cf = change_feature_matrix(stream_from(vals), d)
-        band_rev, cf_rev = change_feature_matrix(stream_from(vals[::-1]), d)
-        assert np.array_equal(40 - 1 - band[::-1], band_rev)  # frame i mirrors to 39 - i
+        cf = change_feature_matrix(stream_from(vals), d)
+        cf_rev = change_feature_matrix(stream_from(vals[::-1]), d)
         assert np.array_equal(cf[::-1], cf_rev)
 
     def test_matrix_matches_single(self):
         rng = np.random.default_rng(1)
         s = stream_from(rng.standard_normal((20, 3)))
-        band, cf = change_feature_matrix(s, 2)
-        assert band.tolist() == list(range(2, 18))
-        for row, i in zip(cf, band):
+        cf = change_feature_matrix(s, 2)
+        assert cf.shape == (16, 3)
+        for row, i in zip(cf, range(2, 18)):
             assert np.array_equal(row, np.abs(s.values[i - 2] - s.values[i + 2]))
 
     def test_float32_stream_matches_its_float64_upcast_bytes(self):
@@ -110,11 +176,11 @@ class TestChangeFeature:
                                             (True, False), (1, 4)):
             s32, s64 = float32_pair(rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3, dim),
                                     aligned)
-            band, want = change_feature_matrix(s64, d)
-            got = change_feature_matrix(s32, d)[1]
+            want = change_feature_matrix(s64, d)
+            got = change_feature_matrix(s32, d)
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
             out = np.empty((n - 2 * d, dim))
-            assert change_feature_matrix(s32, d, out=out)[1] is out
+            assert change_feature_matrix(s32, d, out=out) is out
             assert out.tobytes() == want.tobytes()
 
 
@@ -122,23 +188,22 @@ class TestLabelChangeFrames:
     def test_constant_sequence_all_negative(self):
         truth = StateSequence(None, np.zeros(30, dtype=int), num_states=2)
         labels = label_change_frames(truth, 3)
-        assert not np.any(labels == 1)
-        assert np.all(labels[3:27] == 0)
-        assert np.all(labels[:3] == -1) and np.all(labels[27:] == -1)
+        assert labels.shape == (24,)  # frames 3..26
+        assert np.all(labels == 0)
 
     def test_single_transition_band(self):
         states = np.zeros(100, dtype=int)
         states[50:] = 1
         truth = StateSequence(None, states, num_states=2)
         labels = label_change_frames(truth, 3)
-        assert np.nonzero(labels == 1)[0].tolist() == list(range(47, 54))
+        assert (np.nonzero(labels == 1)[0] + 3).tolist() == list(range(47, 54))
 
     def test_close_transitions_merge(self):
         states = np.zeros(60, dtype=int)
         states[20:24] = 1  # transitions at 20 and 24, closer than 2d for d = 3
         truth = StateSequence(None, states, num_states=2)
         labels = label_change_frames(truth, 3)
-        assert np.nonzero(labels == 1)[0].tolist() == list(range(17, 28))
+        assert (np.nonzero(labels == 1)[0] + 3).tolist() == list(range(17, 28))
 
     def test_transition_convention_first_new_frame(self):
         states = np.array([0, 0, 1, 1, 0])
@@ -148,27 +213,23 @@ class TestLabelChangeFrames:
 
 class TestNms:
     def test_hand_example(self):
-        cands = suppress_non_maxima(
-            np.arange(7), np.array([0.0, 5.0, 0.0, 0.0, 0.0, 7.0, 0.0]), radius=2
-        )
-        assert cands.frame_indices.tolist() == [1, 5]
-        assert cands.confidences.tolist() == [5.0, 7.0]
+        conf = np.array([0.0, 5.0, 0.0, 0.0, 0.0, 7.0, 0.0])
+        kept = suppress_non_maxima(conf, radius=2)
+        assert kept.dtype == np.int64 and kept.tolist() == [1, 5]
+        assert conf[kept].tolist() == [5.0, 7.0]
 
     def test_monotone_track_single_candidate(self):
         # strictly increasing track: only the last frame is a local maximum
         conf = np.arange(10.0)
-        cands = suppress_non_maxima(np.arange(10), conf, radius=2)
-        assert cands.frame_indices.tolist() == [9]
+        assert suppress_non_maxima(conf, radius=2).tolist() == [9]
 
     def test_equal_maxima_both_kept_earlier_first(self):
         conf = np.array([0.0, 9.0, 0.0, 0.0, 0.0, 0.0, 9.0, 0.0])
-        cands = suppress_non_maxima(np.arange(8), conf, radius=2)
-        assert cands.frame_indices.tolist() == [1, 6]
+        assert suppress_non_maxima(conf, radius=2).tolist() == [1, 6]
 
     def test_tie_breaks_toward_earlier_frame(self):
         conf = np.array([3.0, 3.0, 3.0])
-        cands = suppress_non_maxima(np.arange(3), conf, radius=1)
-        assert cands.frame_indices.tolist() == [0, 2]
+        assert suppress_non_maxima(conf, radius=1).tolist() == [0, 2]
 
     def test_invariants_on_random_tracks(self):
         rng = np.random.default_rng(2)
@@ -176,23 +237,21 @@ class TestNms:
             n = int(rng.integers(5, 80))
             radius = int(rng.integers(1, 8))
             conf = rng.standard_normal(n)
-            idx = np.arange(n)
-            cands = suppress_non_maxima(idx, conf, radius)
-            kept = cands.frame_indices
+            kept = suppress_non_maxima(conf, radius)
             # separation
             if kept.size > 1:
                 assert np.all(np.diff(kept) > radius)
             # local maximality: every retained confidence dominates its window
-            for i, c in zip(kept, cands.confidences):
+            for i in kept:
                 window = conf[max(0, i - radius) : i + radius + 1]
-                assert c >= window.max()
+                assert conf[i] >= window.max()
 
     def test_index_set_invariant_to_confidence_shift(self):
         rng = np.random.default_rng(3)
         conf = rng.standard_normal(50)
-        a = suppress_non_maxima(np.arange(50), conf, 4)
-        b = suppress_non_maxima(np.arange(50), conf + 123.0, 4)
-        assert np.array_equal(a.frame_indices, b.frame_indices)
+        a = suppress_non_maxima(conf, 4)
+        b = suppress_non_maxima(conf + 123.0, 4)
+        assert np.array_equal(a, b)
 
     def test_equals_greedy_reference(self):
         rng = np.random.default_rng(4)
@@ -204,22 +263,15 @@ class TestNms:
                 conf = rng.integers(0, int(rng.integers(1, 5)), n).astype(np.float64)
             else:
                 conf = rng.standard_normal(n)
-            idx = np.arange(start, start + n)
-            got = suppress_non_maxima(idx, conf, radius)
-            want_idx, want_conf = suppress_non_maxima_greedy(idx, conf, radius)
-            assert np.array_equal(got.frame_indices, want_idx)
-            assert np.array_equal(got.confidences, want_conf)
-            assert got.suppression_radius == radius
+            kept = suppress_non_maxima(conf, radius)
+            want_idx, want_conf = suppress_non_maxima_greedy(np.arange(start, start + n), conf,
+                                                             radius)
+            assert np.array_equal(kept + start, want_idx)
+            assert np.array_equal(conf[kept], want_conf)
 
     def test_empty_track(self):
-        cands = suppress_non_maxima(np.arange(0), np.empty(0), 3)
-        assert len(cands) == 0
-
-    def test_non_consecutive_indices_rejected(self):
-        with pytest.raises(ValueError, match="consecutive"):
-            suppress_non_maxima(np.array([2, 3, 5]), np.array([1.0, 2.0, 3.0]), 1)
-        with pytest.raises(ValueError, match="consecutive"):
-            suppress_non_maxima(np.array([3, 2, 1]), np.array([1.0, 2.0, 3.0]), 1)
+        kept = suppress_non_maxima(np.empty(0), 3)
+        assert kept.dtype == np.int64 and kept.size == 0
 
     def test_candidate_set_validation(self):
         with pytest.raises(ValueError, match="separated"):
@@ -238,13 +290,14 @@ def high_snr_videos(seed, sigma=0.1, n_videos=4):
     return out
 
 
-def random_labeled_videos(rng, d):
-    """1-5 videos of 2-40 dims, some shorter than 2d+1, with ramps on or off."""
+def random_labeled_videos(rng, d, frames=None):
+    """1-5 videos of 2-40 dims, with ramps on or off, each of `frames`
+    frames or, by default, of a random count, some shorter than 2d+1."""
     n_videos, dim = int(rng.integers(1, 6)), int(rng.integers(2, 41))
     centers = synth.random_centers(3, dim, int(rng.integers(1 << 30)))
     return [synth.gen_feature_stream(synth.SynthConfig(
         seed=int(rng.integers(1 << 30)), num_states=3, dim=dim,
-        n_frames=int(rng.integers(1, 6 * d + 40)), min_dwell=int(rng.integers(1, 12)),
+        n_frames=frames or int(rng.integers(1, 6 * d + 40)), min_dwell=int(rng.integers(1, 12)),
         centers=centers, noise_sigma=float(rng.uniform(0, 2)),
         transition_ramp=int(rng.integers(0, 2)) * int(rng.integers(1, 5)),
     ), video_id=f"v{i}") for i in range(n_videos)]
@@ -306,6 +359,80 @@ class TestChangeTrainingSet:
         peak, (x, _, _) = traced_peak(
             change_training_set, [s for s, _ in pairs], [t for _, t in pairs], 4)
         assert peak <= 1.2 * x.nbytes, peak / x.nbytes
+
+
+CASES = ("random", "plateaus", "zero-model", "2d+1 frames", "shorter")
+
+
+def change_case(rng, d, kind):
+    """A stream and a change model at half-width d of one kind: random
+    values and weights; small integers, whose confidences have plateaus; an
+    all-zero model, whose confidences are constant (a C small enough to zero
+    the model gives that in cross-validation); and random streams of
+    exactly 2d+1 frames (one in-band frame) or shorter."""
+    dim = int(rng.integers(1, 9))
+    n = {"2d+1 frames": 2 * d + 1, "shorter": int(rng.integers(1, 2 * d + 1))}.get(
+        kind, int(rng.integers(2 * d + 1, 2 * d + 200)))
+    if kind == "plateaus":
+        values = rng.integers(0, 3, (n, dim)).astype(np.float64)
+        weights, bias = rng.integers(-1, 2, (1, dim)).astype(np.float64), np.zeros(1)
+    else:
+        values = rng.standard_normal((n, dim))
+        weights, bias = rng.standard_normal((1, dim)), rng.standard_normal(1)
+    if kind == "zero-model":
+        weights, bias = np.zeros((1, dim)), np.zeros(1)
+    return stream_from(values), LinearModel(weights, bias, None, TrainConfig(), d)
+
+
+def warned(fn, *args):
+    """fn(*args) and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
+
+
+class TestInBandTrackMatchesParent:
+    """The stage works on the in-band track and adds the band start once;
+    what it returns equals the parent's band-index path byte for byte."""
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_detect_candidates(self, d):
+        rng = np.random.default_rng(100 + d)
+        found = dict.fromkeys(CASES, 0)
+        for kind, _ in product(CASES, range(8)):
+            stream, model = change_case(rng, d, kind)
+            (got, got_warnings), (want, want_warnings) = (
+                warned(detect, stream, model) for detect in (detect_candidates,
+                                                             parent_detect_candidates))
+            assert got_warnings == want_warnings
+            for a, b in ((got.frame_indices, want.frame_indices),
+                         (got.confidences, want.confidences)):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert got.suppression_radius == want.suppression_radius
+            found[kind] += len(got)
+        assert found["shorter"] == 0 and all(found[kind] > 0 for kind in CASES[:4]), found
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_change_training_set(self, d):
+        rng = np.random.default_rng(200 + d)
+        for frames in (None, 2 * d + 1) * 4:
+            pairs = random_labeled_videos(rng, d, frames)
+            streams, truths = [s for s, _ in pairs], [t for _, t in pairs]
+            for truth in truths:
+                got = label_change_frames(truth, d)
+                want = parent_label_change_frames(truth, d)[d : d + max(0, len(truth) - 2 * d)]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            try:
+                want = parent_change_training_set(streams, truths, d)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=re.escape(str(e))):
+                    change_training_set(streams, truths, d)
+                continue
+            x, y, _ = change_training_set(streams, truths, d)
+            for got, ref in zip((x, y), want):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
 
 
 class TestDetectCandidates:

@@ -1059,7 +1059,7 @@ def per_c_cross_validate(videos, plan, epochs):
                 change_model = train_change_model(train_streams, train_truths, d, cfg)
                 correct = np.zeros(len(plan.lambda_grid), dtype=np.int64)
                 for (stream, truth), unary in zip(fold, unaries):
-                    cands = detect_candidates(stream, change_model)
+                    cands = detect_candidates(stream, change_model).frame_indices
                     decoded = decode_stream(
                         stream, unary, cands, plan.lambda_grid, label_space=truth.label_space
                     )

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 from itertools import product
 from pathlib import Path
 
@@ -86,6 +87,54 @@ class TestExitCodes:
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+
+class TestReaderErrorsNameTheirFile:
+    """A damaged input among several is named in the error, whichever
+    command reads it; each of these exited 2 without naming a file."""
+
+    def test_eval_length_mismatch_names_both_files(self, tmp_path, capsys):
+        _, ges, _ = write_spaces(tmp_path)
+        pred, truth = tmp_path / "v.full.txt", tmp_path / "v.truth.txt"
+        pred.write_text("free\ng01\ng01\n")
+        truth.write_text("free\ng01\n")
+        assert main(["eval", "--pred", str(pred), "--truth", str(truth), "--label-space",
+                     str(ges), "--report", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert f"{pred}: 3 frames of predictions for the 2 frames of {truth}" in err
+        assert not (tmp_path / "report").exists()
+
+    def test_unknown_label_names_the_file(self, tmp_path, capsys):
+        _, ges, _ = write_spaces(tmp_path)
+        pred, truth = tmp_path / "v.full.txt", tmp_path / "v.truth.txt"
+        pred.write_text("free\nbogus\n")
+        truth.write_text("free\ng01\n")
+        assert main(["eval", "--pred", str(pred), "--truth", str(truth), "--label-space",
+                     str(ges), "--report", str(tmp_path / "report")]) == 2
+        assert f"{pred}: unknown label 'bogus'" in capsys.readouterr().err
+        pred.write_bytes(b"free\n\xff\n")
+        assert read_truth(truth, gesture_space()).states.tolist() == [0, 1]
+        with pytest.raises(ValueError, match=re.escape(f"{pred}: 'utf-8' codec")):
+            read_truth(pred, gesture_space())
+
+    def test_damaged_feature_file_among_several_named(self, tmp_path, capsys):
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        bad = Path(feats[1])
+        bad.write_bytes(b"XXXX" + bad.read_bytes()[4:])
+        assert main(["train-state", "--features", *feats, "--truth", *truths, "--label-space",
+                     str(ges), "--epochs", "5", "--out", str(tmp_path / "state.bin")]) == 2
+        assert f"{bad}: magic mismatch: b'XXXX'" in capsys.readouterr().err
+        assert not (tmp_path / "state.bin").exists()
+
+    def test_extract_names_the_damaged_frame(self, tmp_path, capsys):
+        save_frames([np.zeros((4, 5, 3), dtype=np.uint8)] * 3, tmp_path / "vid")
+        frame = frame_path(tmp_path / "vid", 1)
+        frame.write_bytes(b"P5" + frame.read_bytes()[2:])
+        assert main(["extract", "--video", str(tmp_path / "vid"), "--out",
+                     str(tmp_path / "vid.feat")]) == 2
+        assert f"{frame}: bad magic b'P5', expected P6" in capsys.readouterr().err
+        assert not (tmp_path / "vid.feat").exists()
 
 
 class TestAbbreviatedOptions:
@@ -1393,6 +1442,18 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_more_synth_states_than_labels_exit_2_before_00_synth(self, tmp_path, capsys):
+        # synth's own check of the label space rejects it before any stage directory
+        cfg = pipeline_config(tmp_path)
+        save_label_space(free_active(), tmp_path / "fa.txt")
+        doc = json.loads(cfg.read_text())
+        doc["label_space"] = "fa.txt"  # 2 labels for the config's 3 states
+        cfg.write_text(json.dumps(doc))
+        (tmp_path / "run").mkdir()
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "label space too small for the configured state count" in capsys.readouterr().err
+        assert list((tmp_path / "run").iterdir()) == []
 
     def test_missing_label_space_named(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

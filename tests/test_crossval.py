@@ -1,14 +1,16 @@
 """Cross-validation as fold-stacked solves: one state solve and one change
 solve per d for every fold and C, checked against one solve per fold."""
 
+import re
 from itertools import product
 
 import numpy as np
 import pytest
 
 from handcam import classify, synth
-from handcam.change import change_training_set, detect_candidates
+from handcam.change import change_training_set, check_d, detect_candidates
 from handcam.classify import (
+    TrainConfig,
     score_stream,
     train_binary,
     train_binary_grid,
@@ -18,7 +20,7 @@ from handcam.cli import main
 from handcam.core import Camera, FeatureStream, StateSequence
 from handcam.crossval import CrossValPlan, CVCell, CVResult, cross_validate
 from handcam.features import write_features
-from handcam.inference import decode_stream
+from handcam.inference import check_lam, decode_stream
 from conftest import free_active, train_arrays
 from test_core import save_label_space
 from test_synth import orthonormal_centers
@@ -66,7 +68,7 @@ def per_fold_cross_validate(videos, plan, epochs):
             for c, change_model, c_unaries in zip(plan.c_grid, change_models, unaries):
                 correct = np.zeros(len(plan.lambda_grid), dtype=np.int64)
                 for (stream, truth), unary in zip(fold, c_unaries):
-                    cands = detect_candidates(stream, change_model)
+                    cands = detect_candidates(stream, change_model).frame_indices
                     decoded = decode_stream(
                         stream, unary, cands, plan.lambda_grid, label_space=truth.label_space
                     )
@@ -223,3 +225,21 @@ def test_peak_memory_holds_one_change_set(traced_peak):
     del x, y
     peak, _ = traced_peak(cross_validate, pairs, plan, 2)
     assert peak <= 1.6 * set_bytes, peak / set_bytes
+
+
+class TestPlanChecks:
+    @pytest.mark.parametrize("grid, value, check", [
+        ("c_grid", -1.0, lambda c: TrainConfig(c_reg=c)),
+        ("d_grid", 0, check_d),
+        ("lambda_grid", -0.5, check_lam),
+        ("lambda_grid", float("nan"), check_lam),
+        ("lambda_grid", float("inf"), check_lam),
+    ], ids=["C", "d", "lambda-negative", "lambda-nan", "lambda-inf"])
+    def test_each_value_by_the_check_of_its_stage(self, grid, value, check):
+        # the stage's own error, named by its grid, not a copy of the check
+        with pytest.raises(ValueError) as stage_error:
+            check(value)
+        name = {"c_grid": "C", "d_grid": "d", "lambda_grid": "lambda"}[grid]
+        with pytest.raises(ValueError, match=re.escape(f"{name} grid value {value!r}: "
+                                                       f"{stage_error.value}")):
+            CrossValPlan(**{grid: (1, value)})

@@ -138,7 +138,7 @@ class TestFeatureFile:
         truth = [StateSequence(None, rng.integers(0, 3, 9_000), num_states=3)]
         for as_bytes in (lambda s: score_stream(model, s).tobytes(),
                          lambda s: segment_features(s, cand).tobytes(),
-                         lambda s: change_feature_matrix(s, 3)[1].tobytes(),
+                         lambda s: change_feature_matrix(s, 3).tobytes(),
                          lambda s: model_bytes(train([s], truth, TrainConfig(epochs=3)))):
             assert as_bytes(s32) == as_bytes(s64)
 
@@ -223,6 +223,31 @@ class TestFeatureFile:
         write_features(stream([[1.0, 2.0]]), path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FeatureFileError, match="truncated payload"):
+            read_features(path)
+
+    # each error of a damaged file, by a damage of the file of [[1.0, 2.0]] with
+    # video id "v": magic 0:4, version 4:8, id length 8:10, id 10, camera 11,
+    # fps 12:20, N 20:24, D 24:28, payload 28:36
+    DAMAGES = {
+        "magic mismatch": lambda b: b"NOPE" + b[4:],
+        "truncated header": lambda b: b[:12],
+        "video id is not UTF-8": lambda b: b[:10] + b"\xff" + b[11:],
+        "unsupported version 2": lambda b: b[:4] + struct.pack("<I", 2) + b[8:],
+        "unknown camera code 9": lambda b: b[:11] + b"\x09" + b[12:],
+        "fps": lambda b: b[:12] + struct.pack("<d", np.nan) + b[20:],
+        "N >= 1 and D >= 1": lambda b: b[:20] + struct.pack("<I", 0) + b[24:],
+        "truncated payload": lambda b: b[:-4],
+        "trailing bytes": lambda b: b + b"\x00",
+        "non-finite": lambda b: b[:-4] + np.array([np.inf], dtype="<f4").tobytes(),
+    }
+
+    @pytest.mark.parametrize("message", DAMAGES)
+    def test_every_error_names_the_file(self, tmp_path, message):
+        # only the mapping errors named it; a bad file among several was not told apart
+        path = tmp_path / "bad.feat"
+        write_features(stream([[1.0, 2.0]]), path)
+        path.write_bytes(self.DAMAGES[message](path.read_bytes()))
+        with pytest.raises(FeatureFileError, match=re.escape(f"{path}: ") + ".*" + message):
             read_features(path)
 
     def test_non_finite_payload(self, tmp_path):

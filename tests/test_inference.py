@@ -95,23 +95,27 @@ def score_by_hand(problem, states, lam):
     return unary_total + lam * binary_total
 
 
+def stream_of(values):
+    return FeatureStream("v", Camera.HEAD, 6.0, np.asarray(values, dtype=np.float64))
+
+
 class TestSegmentFeatures:
     def test_no_candidates_whole_mean(self):
         vals = np.arange(8.0).reshape(4, 2)
-        feats = segment_features(vals, np.array([], dtype=int))
+        feats = segment_features(stream_of(vals), np.array([], dtype=int))
         assert len(feats) == 1
         assert np.array_equal(feats[0], vals.mean(axis=0))
 
     def test_constant_stream(self):
         vals = np.tile([2.0, 3.0], (6, 1))
-        feats = segment_features(vals, np.array([2, 4]))
+        feats = segment_features(stream_of(vals), np.array([2, 4]))
         for f in feats:
             assert np.array_equal(f, [2.0, 3.0])
 
     def test_hand_example(self):
         v, w = [1.0, 0.0], [0.0, 1.0]
         vals = np.array([v, v, w, w])
-        feats = segment_features(vals, np.array([2]))
+        feats = segment_features(stream_of(vals), np.array([2]))
         assert np.array_equal(feats[0], v)
         assert np.array_equal(feats[1], w)
 
@@ -121,7 +125,7 @@ class TestSegmentFeatures:
 
     def test_candidate_zero_rejected(self):
         with pytest.raises(ValueError, match=r"\[1, N-1\]"):
-            segment_features(np.ones((4, 2)), np.array([0]))
+            segment_features(stream_of(np.ones((4, 2))), np.array([0]))
 
     def test_float32_stream_matches_its_float64_upcast_bytes(self):
         rng = np.random.default_rng(13)

@@ -104,6 +104,69 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+# The in-package imports of every module: the import graph, declared. A module
+# imports exactly what its row names, so a new edge between stages (or a
+# module added) is a change to this table. The segment DP takes plain frame
+# indices, so inference needs no stage but core.
+IMPORTS = {
+    "__init__": {"core"},
+    "core": set(),
+    "media": set(),
+    "features": {"core", "media"},
+    "synth": {"core", "media"},
+    "alignment": {"core", "media"},
+    "classify": {"core"},
+    "change": {"classify", "core"},
+    "inference": {"core"},
+    "evaluation": {"core"},
+    "discovery": {"core"},
+    "crossval": {"change", "classify", "core", "inference"},
+    "cli": {"__init__", "alignment", "change", "classify", "core", "crossval", "discovery",
+            "evaluation", "features", "inference", "media", "synth"},
+}
+
+
+def package_imports(source: str, modules: set[str]) -> set[str]:
+    """The modules of the package (named in `modules`; `__init__` for the
+    package itself) that source imports, relatively or as `handcam`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".") for alias in node.names]
+            found.update(parts[1] if len(parts) > 1 else "__init__"
+                         for parts in names if parts[0] == "handcam")
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "handcam"
+                                                   or node.module.startswith("handcam.")):
+            module = (node.module or "").removeprefix("handcam").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:  # `from . import x`: a module, or a name of the package itself
+                found.update(a.name if a.name in modules else "__init__" for a in node.names)
+    return found
+
+
+def test_package_imports_detector():
+    source = (
+        "import numpy as np\n"
+        "from . import __version__, change\n"
+        "from .core import FeatureStream\n"
+        "from handcam.media import load_ppm\n"
+        "import handcam.features\n"
+        "def f():\n"
+        "    from .classify import train\n"
+        "from handcamx import y\n"
+    )
+    assert package_imports(source, {"change", "classify", "core", "features", "media"}) == {
+        "__init__", "change", "classify", "core", "features", "media"}
+
+
+def test_imports_follow_the_declared_graph():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sorted(sources) == sorted(IMPORTS)
+    got = {module: package_imports(source, set(sources)) for module, source in sources.items()}
+    assert got == IMPORTS
+
+
 # public names nothing in the package references, each kept for a reason: none
 UNREFERENCED_ALLOWED = {}
 

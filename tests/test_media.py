@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,25 @@ class TestPpm:
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P6\n1 1\n65535\n\x00\x00\x00")
         with pytest.raises(PpmError, match="maxval"):
+            load_ppm(path)
+
+    DAMAGED = {  # each error, by a file that gives it
+        "bad magic b'P5', expected P6": b"P5\n1 1\n255\n\x00",
+        "malformed header token": b"P6\n1 x\n255\n\x00\x00\x00",
+        "unexpected end of header": b"P6\n1 1",
+        "image dimensions must be positive": b"P6\n0 1\n255\n",
+        "unsupported maxval": b"P6\n1 1\n65535\n\x00\x00\x00",
+        "expected one whitespace byte": b"P6\n1 1\n255#\x01\x02\x03",
+        "unexpected end of pixel data": b"P6\n2 2\n255\n" + b"\x00" * 5,
+        "trailing bytes": b"P6\n1 1\n255\n\x00\x00\x00\x00",
+    }
+
+    @pytest.mark.parametrize("message", DAMAGED)
+    def test_every_error_names_the_file(self, tmp_path, message):
+        # a damaged frame among a video's hundreds was not named
+        path = tmp_path / "frame_000007.ppm"
+        path.write_bytes(self.DAMAGED[message])
+        with pytest.raises(PpmError, match=re.escape(f"{path}: {message}")):
             load_ppm(path)
 
     def test_load_is_a_read_only_view_of_the_file(self, tmp_path):

@@ -54,6 +54,7 @@ def test_minimal_pipeline_config_passes_the_up_front_checks(tmp_path):
     config = tmp_path / "pipeline.json"
     config.write_text(fenced_block("A minimal pipeline config:", "json"))
     cfg = cli._read_json_object(config, cli._PIPELINE)
-    plan, epochs = cli._pipeline_plan(cfg, gesture_space())
+    plan, epochs = cli._pipeline_plan(cfg)
+    cli._feature_set({"seed": cfg["seed"], **cfg["synth"]}, ["train_00"], gesture_space())
     assert epochs == cfg["training"]["epochs"]
     assert plan.d_grid == (cfg["hyperparameters"]["d"],)
