@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import LinearModel, TrainConfig, train_binary
+from .classify import LinearModel, TrainConfig, check_videos, train_binary
 from .core import FeatureStream, StateSequence, frozen_array, release_pages, run_starts
 
 
@@ -143,17 +143,11 @@ def change_training_set(
     writes its in-band rows into them, so training holds one copy.
     """
     check_d(d)
-    rows = []
-    for stream, truth in zip(streams, truths):
-        if stream.n_frames != len(truth):
-            raise ValueError(f"video {stream.video_id}: frame/label count mismatch")
-        rows.append(max(0, stream.n_frames - 2 * d))  # 0 below 2d+1 frames
-    dims = {stream.dim for stream, m in zip(streams, rows) if m}
-    if not dims:
+    check_videos(streams, truths)
+    rows = [max(0, stream.n_frames - 2 * d) for stream in streams]  # 0 below 2d+1 frames
+    if not sum(rows):
         raise ValueError("no video is long enough for the requested d")
-    if len(dims) > 1:
-        raise ValueError(f"videos differ in feature dim: {sorted(dims)}")
-    x = np.empty((sum(rows), dims.pop()))
+    x = np.empty((sum(rows), streams[0].dim))
     y = np.empty(sum(rows), dtype=np.int64)
     start = 0
     for stream, truth, m in zip(streams, truths, rows):

@@ -29,12 +29,13 @@ Frames are on BLAS's row side of every product: margins are w @ x.T and
 scores W @ x.T, so OpenBLAS packs a block of frames at a time instead of
 all of them. A solve's signs are (folds, 1, classes, n), one contiguous
 row per fold and class, and its (columns, n) work buffer is viewed as
-(folds, |C|, classes, n), so the signs broadcast over C. The bias
-gradient sums -1, +0 and +1, integers that add exactly in any order, and
-each column's hinge terms, one contiguous row, sum pairwise. Identical
-inputs and config give bit-identical models at a fixed BLAS thread count
-and build. Confidences are raw margins; the decoding weight lambda
-absorbs their scale, so no calibration is applied.
+(folds, |C|, classes, n), so the signs broadcast over C. The hinge term
+of sign s is s * (s - margin), 1 - s * margin for s = +-1. The bias
+gradient is a row sum of -1, +-0 and +1, integers that add exactly in any
+order, and each column's hinge terms, one contiguous row, sum pairwise.
+Identical inputs and config give bit-identical models at a fixed BLAS
+thread count and build. Confidences are raw margins; the decoding weight
+lambda absorbs their scale, so no calibration is applied.
 """
 
 from __future__ import annotations
@@ -117,17 +118,18 @@ def _solve_subgradient(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best-objective iterate of subgradient descent, per column. signs is
     (folds, 1, classes, n), one contiguous row of signs per fold and class,
-    shared by every C; c_regs is (|C|, 1), one C per row, or (|C|, classes).
-    The columns are ordered fold, then C, then class, and the (k, n) work
-    buffer is viewed as (folds, |C|, classes, n) wherever the signs enter.
-    A sign of 0 leaves the frame out of the column's problem: its hinge term
-    is 0 - margin * 0 = +0 (so it is never active) and the mean divides by
-    its fold's count of non-zero signs. Without zero signs these are exactly
-    the float steps of a plain mean."""
+    shared by every C; c_regs is (|C|, 1), one C per row. The columns are
+    ordered fold, then C, then class, and the (k, n) work buffer is viewed
+    as (folds, |C|, classes, n) wherever the signs enter. The hinge term
+    s * (s - margin) is exactly 1 - s * margin for a sign s of +-1; a sign
+    of 0 gives +-0, never active, and the mean divides by its fold's count
+    of non-zero signs. A -0 term (np.maximum(0.0, -0.0) is -0.0) or active
+    sign changes no bit: `greater` reads it as inactive, the product and
+    the integer row sums add it like +0, and w and b start at +0 with
+    1 - eta * C >= 0, while a sum is -0 only when both addends are."""
     folds, _, classes, rows = signs.shape
     grid = (folds, c_regs.shape[0], classes)
-    in_problem = signs != 0.0  # the 1 of 1 - margin, as a bool
-    n = np.count_nonzero(in_problem, axis=-1).astype(np.float64)  # (folds, 1, classes)
+    n = np.count_nonzero(signs, axis=-1).astype(np.float64)  # (folds, 1, classes)
     if not np.all(n):
         raise ValueError("every column needs at least one training row")
     n = np.broadcast_to(n, grid).reshape(-1)
@@ -139,12 +141,11 @@ def _solve_subgradient(
     best_obj = np.full(k, np.inf)
     work = np.empty((k, rows))  # margins, then hinge terms, then active signs
     grid_work = work.reshape(*grid, rows)  # a view: the signs broadcast over C
-    ones = np.ones(rows)
     for t in range(epochs + 1):
         np.matmul(w, x.T, out=work)  # frames on BLAS's row side: x is not packed whole
         work += b[:, None]
-        grid_work *= signs
-        np.subtract(in_problem, grid_work, out=grid_work)
+        np.subtract(signs, grid_work, out=grid_work)  # s - margin
+        grid_work *= signs  # s * (s - margin)
         np.maximum(0.0, work, out=work)
         obj = 0.5 * c_regs * (w * w).sum(axis=1) + work.sum(axis=1) / n
         better = obj < best_obj
@@ -153,12 +154,11 @@ def _solve_subgradient(
         best_obj[better] = obj[better]
         if t == epochs:
             break
-        np.greater(work, 0.0, out=work)  # 1 - margin > 0 exactly where margin < 1
+        np.greater(work, 0.0, out=work)  # s * (s - margin) > 0 exactly where s * margin < 1
         grid_work *= signs
-        work += 0.0  # an inactive -1 row gives -0.0; the gradient sums +0.0
         eta = 1.0 / (c_regs * (t + 1))
         w = (1.0 - eta * c_regs)[:, None] * w + (eta / n)[:, None] * (work @ x)
-        b = b + (eta / n) * (work @ ones)  # integer sums of -1, +0, +1: exact in any order
+        b = b + (eta / n) * work.sum(axis=1)  # integer sums of -1, +-0, +1: exact in any order
     return best_w, best_b, best_obj
 
 
@@ -214,9 +214,8 @@ def _fit(
             for wf, bf in zip(w, b)]
 
 
-def _stacked(
-    streams: Sequence[FeatureStream], truths: Sequence[StateSequence]
-) -> tuple[np.ndarray, np.ndarray]:
+def check_videos(streams: Sequence[FeatureStream], truths: Sequence[StateSequence]) -> None:
+    """One truth per stream and as long as it, one label space, one width."""
     if len(streams) != len(truths) or not streams:
         raise ValueError("need matching, non-empty streams and truths")
     if any(t.label_space != truths[0].label_space for t in truths) or any(
@@ -228,6 +227,12 @@ def _stacked(
             raise ValueError(f"video {s.video_id}: {s.n_frames} frames vs {len(t)} labels")
         if s.dim != streams[0].dim:
             raise ValueError(f"video {s.video_id}: dim {s.dim} != {streams[0].dim}")
+
+
+def _stacked(
+    streams: Sequence[FeatureStream], truths: Sequence[StateSequence]
+) -> tuple[np.ndarray, np.ndarray]:
+    check_videos(streams, truths)
     # one stream at a time, so a mapped stream's pages are given back before the next is read
     x = np.empty((sum(s.n_frames for s in streams), streams[0].dim))
     start = 0

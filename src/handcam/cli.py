@@ -564,12 +564,12 @@ def run_discover(manifest: str | Path, fa_space: str | Path, object_space: str |
     remove_stale(out, r"clusters_k[1-9][0-9]*\.csv|purity\.csv")
     purities = {}
     for k in ks:
-        clustering = discovery.cut_history(history, k)
+        labels = discovery.cut_history(history, k)
         lines = ["segment,video_id,start,end,cluster"]
-        for i, (seg, cluster) in enumerate(zip(segments, clustering.assignment)):
+        for i, (seg, cluster) in enumerate(zip(segments, labels)):
             lines.append(f"{i},{seg.video_id},{seg.start},{seg.end},{cluster}")
         (out / f"clusters_k{k}.csv").write_text("\n".join(lines) + "\n")
-        purities[k] = discovery.modified_purity(clustering, segments, truths) if truths else None
+        purities[k] = discovery.modified_purity(labels, segments, truths) if truths else None
     if truths:
         rows = ["k,purity", *(f"{k},{purity!r}" for k, purity in purities.items())]
         (out / "purity.csv").write_text("\n".join(rows) + "\n")

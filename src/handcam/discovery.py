@@ -53,20 +53,6 @@ def active_segments(decoded: StateSequence, stream: FeatureStream) -> list[Segme
     ]
 
 
-@dataclass(frozen=True)
-class Clustering:
-    """Flat clustering of segments."""
-
-    k: int
-    assignment: np.ndarray  # cluster id in [0, k) per segment
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.assignment, dtype=np.int64)
-        if not np.array_equal(np.unique(a), np.arange(self.k)):
-            raise ValueError("assignment must use every cluster id 0..k-1")
-        object.__setattr__(self, "assignment", frozen_array(a))
-
-
 def average_linkage(similarity: np.ndarray) -> np.ndarray:
     """Merge history of agglomerative average-linkage clustering: the n-1
     merges in order, as rows (a, b) with a < b.
@@ -99,16 +85,16 @@ def average_linkage(similarity: np.ndarray) -> np.ndarray:
     return merges
 
 
-def cut_history(merges: np.ndarray, k: int) -> Clustering:
-    """The clustering after the first n-k merges of an `average_linkage`
-    history; cluster ids are compacted to 0..k-1 in id order."""
+def cut_history(merges: np.ndarray, k: int) -> np.ndarray:
+    """The int64 cluster label of each item after the first n-k merges of an
+    `average_linkage` history; cluster ids are compacted to 0..k-1 in id order."""
     n = len(merges) + 1
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
     parent = np.arange(n)
     for a, b in merges[: n - k]:
         parent[parent == b] = a
-    return Clustering(k, np.unique(parent, return_inverse=True)[1])
+    return np.unique(parent, return_inverse=True)[1]
 
 
 def segment_similarity_matrix(segments: Sequence[Segment]) -> np.ndarray:
@@ -119,20 +105,21 @@ def segment_similarity_matrix(segments: Sequence[Segment]) -> np.ndarray:
 
 
 def modified_purity(
-    clustering: Clustering,
+    labels: np.ndarray,
     segments: Sequence[Segment],
     truths: Mapping[str, StateSequence],
 ) -> float:
     """Purity over truly active frames, crediting only object-dominated clusters.
 
+    labels holds each segment's cluster, 0..k-1, as `cut_history` gives it.
     Per cluster, the dominant ground-truth label over member frames is
     found (ties to the lower label index); if it is not the free label, the
     member frames carrying that label count as discovered. The total is
     divided by the number of ground-truth active frames in the evaluated
     videos, so active frames missed by segmentation still count against it.
     """
-    if len(segments) != clustering.assignment.shape[0]:
-        raise ValueError("clustering does not match the segment list")
+    if len(segments) != labels.shape[0]:
+        raise ValueError("labels do not match the segment list")
     if not truths:
         raise ValueError("ground truth is empty")
     if len({t.label_space for t in truths.values()}) != 1:
@@ -146,8 +133,8 @@ def modified_purity(
     if true_active == 0:
         raise ValueError("metric undefined: no true active frames")
 
-    counts = np.zeros((clustering.k, space.num_labels), dtype=np.int64)
-    for seg, cluster in zip(segments, clustering.assignment):
+    counts = np.zeros((labels.max() + 1, space.num_labels), dtype=np.int64)
+    for seg, cluster in zip(segments, labels):
         truth = truths.get(seg.video_id)
         if truth is None or seg.end > len(truth):
             raise ValueError(f"ground truth does not cover segment of {seg.video_id}")
@@ -155,5 +142,4 @@ def modified_purity(
             truth.states[seg.start : seg.end], minlength=space.num_labels
         )
     dominant = np.argmax(counts, axis=1)  # ties: lower label index
-    discovered = counts[np.arange(clustering.k), dominant]
-    return int(discovered[dominant != free].sum()) / true_active
+    return int(counts.max(axis=1)[dominant != free].sum()) / true_active

@@ -269,8 +269,8 @@ def test_criterion_7_purity():
     segs = [
         discovery.Segment("v", i, i + 1, np.array([1.0, 0.0])) for i in range(6)
     ]
-    clustering = discovery.Clustering(2, np.array([0, 0, 0, 1, 1, 1]))
-    purity = discovery.modified_purity(clustering, segs, {"v": truth})
+    labels = np.array([0, 0, 0, 1, 1, 1])
+    purity = discovery.modified_purity(labels, segs, {"v": truth})
     assert abs(purity - 2.0 / 3.0) < 1e-12
 
     # purity in [0, 1] on 10^3 random clusterings
@@ -289,8 +289,7 @@ def test_criterion_7_purity():
         raw = rng.integers(0, len(rsegs), len(rsegs))
         used = np.unique(raw)
         assignment = np.array([int(np.nonzero(used == c)[0][0]) for c in raw])
-        rc = discovery.Clustering(len(used), assignment)
-        p = discovery.modified_purity(rc, rsegs, {"v": t})
+        p = discovery.modified_purity(assignment, rsegs, {"v": t})
         assert 0.0 <= p <= 1.0
 
     # perfect clustering of pure per-category segments scores 1
@@ -299,8 +298,7 @@ def test_criterion_7_purity():
         discovery.Segment("v", 0, 2, np.array([1.0, 0.0])),
         discovery.Segment("v", 2, 4, np.array([0.0, 1.0])),
     ]
-    c2 = discovery.Clustering(2, np.array([0, 1]))
-    assert discovery.modified_purity(c2, segs2, {"v": truth2}) == 1.0
+    assert discovery.modified_purity(np.array([0, 1]), segs2, {"v": truth2}) == 1.0
     _report("7 purity (hand example 2/3, bounded on random, perfect = 1): PASS")
 
 

@@ -16,7 +16,7 @@ from handcam.change import (
     train_change_model,
     valid_band,
 )
-from handcam.classify import LinearModel, TrainConfig, model_bytes
+from handcam.classify import LinearModel, TrainConfig, model_bytes, train
 from handcam.core import Camera, FeatureStream, StateSequence, release_pages, run_starts
 from test_features import float32_pair
 from test_synth import orthonormal_centers
@@ -326,29 +326,50 @@ class TestChangeTrainingSet:
         assert short > 10
 
     def test_errors_match_parent(self):
+        # the parent raised on the same sets; a length mismatch is now
+        # reported as `train` reports it, by the check the two share
         (s0, t0), (s1, t1) = high_snr_videos(3, n_videos=2)
         cut = StateSequence(None, t1.states[:-1], num_states=3)
-        for streams, truths, d in (([s0, s1], [t0, cut], 3), ([s0], [t0], 100)):
-            with pytest.raises(ValueError) as want:
+        for streams, truths, d, message in (
+            ([s0, s1], [t0, cut], 3, "video v1: 200 frames vs 199 labels"),
+            ([s0], [t0], 100, "no video is long enough for the requested d"),
+        ):
+            with pytest.raises(ValueError):
                 parent_change_training_set(streams, truths, d)
-            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 change_training_set(streams, truths, d)
+        with pytest.raises(ValueError, match=re.escape("video v1: 200 frames vs 199 labels")):
+            train([s0, s1], [t0, cut])
 
     def test_videos_of_different_dims(self):
         # rows of two widths cannot stack (the parent's concatenate raised);
-        # a video too short to give rows is skipped whatever its width
+        # a video too short to give rows is checked too, where the parent
+        # skipped it whatever its width
         (s0, t0), (s1, t1) = high_snr_videos(3, n_videos=2)
         wide = FeatureStream("w", Camera.HEAD, 6.0, np.zeros((s1.n_frames, 9)))
         with pytest.raises(ValueError):
             parent_change_training_set([s0, wide], [t0, t1], 3)
-        with pytest.raises(ValueError, match=r"feature dim: \[6, 9\]"):
+        with pytest.raises(ValueError, match=re.escape("video w: dim 9 != 6")):
             change_training_set([s0, wide], [t0, t1], 3)
         short = FeatureStream("w", Camera.HEAD, 6.0, np.zeros((5, 9)))
-        x, y, rows = change_training_set([s0, short], [t0, StateSequence(None, t1.states[:5],
-                                                                         num_states=3)], 3)
-        assert rows == [s0.n_frames - 6, 0]
-        want = parent_change_training_set([s0], [t0], 3)
-        assert x.tobytes() == want[0].tobytes() and y.tobytes() == want[1].tobytes()
+        short_truth = StateSequence(None, t1.states[:5], num_states=3)
+        assert parent_change_training_set([s0, short], [t0, short_truth], 3)[1].size == 194
+        with pytest.raises(ValueError, match=re.escape("video w: dim 9 != 6")):
+            change_training_set([s0, short], [t0, short_truth], 3)
+
+    def test_every_stream_needs_its_truth(self):
+        # the parent zipped the two lists and trained on the first video alone
+        (s0, t0), (s1, _) = high_snr_videos(3, n_videos=2)
+        for fn in (change_training_set, train_change_model):
+            with pytest.raises(ValueError, match="need matching, non-empty streams and truths"):
+                fn([s0, s1], [t0], 3)
+
+    def test_truths_share_one_label_space(self):
+        (s0, t0), (s1, t1) = high_snr_videos(3, n_videos=2)
+        four = StateSequence(None, t1.states, num_states=4)
+        for fn in (change_training_set, train_change_model):
+            with pytest.raises(ValueError, match="all truths must share one label space"):
+                fn([s0, s1], [t0, four], 3)
 
     def test_memory_holds_one_matrix(self, traced_peak):
         # the parent held every video's rows beside their concatenation (2x)

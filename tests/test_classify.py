@@ -486,6 +486,126 @@ class TestSolverExactness:
                 assert same_bytes(got[:2], expected[:2]), (n, d, k)
 
 
+# `classify._solve_subgradient` as it was with an `in_problem` mask, a
+# `+= 0.0` pass and a matrix-vector bias gradient, verbatim: the reference
+# for the epoch that marks rows outside a column's problem by zero signs alone
+def parent_solve_subgradient(
+    x: np.ndarray, signs: np.ndarray, c_regs: np.ndarray, epochs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best-objective iterate of subgradient descent, per column. signs is
+    (folds, 1, classes, n), one contiguous row of signs per fold and class,
+    shared by every C; c_regs is (|C|, 1), one C per row, or (|C|, classes).
+    The columns are ordered fold, then C, then class, and the (k, n) work
+    buffer is viewed as (folds, |C|, classes, n) wherever the signs enter.
+    A sign of 0 leaves the frame out of the column's problem: its hinge term
+    is 0 - margin * 0 = +0 (so it is never active) and the mean divides by
+    its fold's count of non-zero signs. Without zero signs these are exactly
+    the float steps of a plain mean."""
+    folds, _, classes, rows = signs.shape
+    grid = (folds, c_regs.shape[0], classes)
+    in_problem = signs != 0.0  # the 1 of 1 - margin, as a bool
+    n = np.count_nonzero(in_problem, axis=-1).astype(np.float64)  # (folds, 1, classes)
+    if not np.all(n):
+        raise ValueError("every column needs at least one training row")
+    n = np.broadcast_to(n, grid).reshape(-1)
+    c_regs = np.broadcast_to(c_regs, grid).reshape(-1)
+    k, d = n.size, x.shape[1]
+    w = np.zeros((k, d))
+    b = np.zeros(k)
+    best_w, best_b = w.copy(), b.copy()
+    best_obj = np.full(k, np.inf)
+    work = np.empty((k, rows))  # margins, then hinge terms, then active signs
+    grid_work = work.reshape(*grid, rows)  # a view: the signs broadcast over C
+    ones = np.ones(rows)
+    for t in range(epochs + 1):
+        np.matmul(w, x.T, out=work)  # frames on BLAS's row side: x is not packed whole
+        work += b[:, None]
+        grid_work *= signs
+        np.subtract(in_problem, grid_work, out=grid_work)
+        np.maximum(0.0, work, out=work)
+        obj = 0.5 * c_regs * (w * w).sum(axis=1) + work.sum(axis=1) / n
+        better = obj < best_obj
+        best_w[better] = w[better]
+        best_b[better] = b[better]
+        best_obj[better] = obj[better]
+        if t == epochs:
+            break
+        np.greater(work, 0.0, out=work)  # 1 - margin > 0 exactly where margin < 1
+        grid_work *= signs
+        work += 0.0  # an inactive -1 row gives -0.0; the gradient sums +0.0
+        eta = 1.0 / (c_regs * (t + 1))
+        w = (1.0 - eta * c_regs)[:, None] * w + (eta / n)[:, None] * (work @ x)
+        b = b + (eta / n) * (work @ ones)  # integer sums of -1, +0, +1: exact in any order
+    return best_w, best_b, best_obj
+
+
+def fold_sign_rows(y, positives, folds):
+    """(folds, 1, classes, n) sign rows as `_fit` builds them: +1 on the
+    rows of each positive label, -1 elsewhere, and +0 on the rows a fold
+    holds out (round robin; one fold holds out none)."""
+    held_out = ((np.arange(y.size) % folds)[:, None] == np.arange(folds) if folds > 1
+                else np.zeros((y.size, 1), dtype=bool))
+    signs = np.where(y == np.asarray(positives)[:, None], 1.0, -1.0)
+    return np.where(held_out.T[:, None, None, :], 0.0, signs[None, None])
+
+
+class TestEpochMatchesParent:
+    """The epoch takes the hinge as s * (s - margin), and zero signs alone
+    mark the rows outside a column's problem. Every best (w, b) keeps the
+    parent's bytes, and the objectives compare equal (a zero objective may
+    differ only in the sign of zero, and `_fit` discards it)."""
+
+    @staticmethod
+    def check(x, signs, c_regs, epochs):
+        got = classify._solve_subgradient(x, signs, c_regs, epochs)
+        want = parent_solve_subgradient(x, signs, c_regs, epochs)
+        assert same_bytes(got[:2], want[:2])
+        assert np.array_equal(got[2], want[2])
+        return got
+
+    def test_one_column(self):
+        # k = 1: BLAS's matrix-vector path
+        for seed, n in product(range(3), (9, 130, 1_200)):
+            x, y = seeded_states(seed, 2, n=n)
+            self.check(x, fold_sign_rows(y, (1,), 1), np.array([[0.1]]), 30)
+
+    def test_two_unpaired_columns(self):
+        # a single two-state model solves both of its columns
+        for seed, c in product(range(4), (0.1, 1.0)):
+            x, y = seeded_states(seed, 2)
+            self.check(x, fold_sign_rows(y, (0, 1), 1), np.array([[c]]), 30)
+
+    def test_paired_fold_grid(self):
+        # cv-auto's shape: class 0 of 5 folds x 4 C, each fold's rows signed 0
+        for seed in range(3):
+            x, y = seeded_states(seed, 2, n=1_200, dim=16)
+            self.check(x, fold_sign_rows(y, (0,), 5), np.array(C_GRID)[:, None], 30)
+
+    def test_k24_one_vs_rest(self):
+        # long-video's state model
+        x, y = seeded_states(24, 24, n=1_200, dim=16)
+        self.check(x, fold_sign_rows(y, range(24), 1), np.array([[0.1]]), 20)
+
+    def test_zero_start_stays_best_at_small_c(self):
+        # at C = 0.01 the first step overshoots and no later iterate beats
+        # the zero start, as for cv-auto's chosen change model
+        x, y = seeded_states(3, 2, n=300, dim=16)
+        w, b, _ = self.check(x, fold_sign_rows(y, (1,), 5), np.array([[0.01], [1.0]]), 30)
+        w, b = w.reshape(5, 2, -1), b.reshape(5, 2)
+        assert not np.any(w[:, 0]) and not np.any(b[:, 0])
+        assert np.all(np.any(w[:, 1], axis=-1))
+
+    def test_integer_features_with_ties(self):
+        # values in {-1, 0, 1} and dyadic steps put margins at exactly 1,
+        # so the hinge terms of -1 rows there are -0
+        rng = np.random.default_rng(11)
+        for _, folds in product(range(6), (1, 4)):
+            x = rng.integers(-1, 2, (64, 3)).astype(np.float64)
+            y = rng.integers(0, 3, 64)
+            self.check(x, fold_sign_rows(y, range(3), folds),
+                       np.array([[1 / 64], [0.125], [0.5], [1.0]]), 12)
+
+
 def tiled_fit(x, y_signs, held_out, space, c_grid, epochs, d=None):
     """`classify._fit` with its sign rows tiled fold-major, then C, one row
     per column, verbatim but for the reference solver: the reference for

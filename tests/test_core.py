@@ -24,7 +24,7 @@ from handcam.core import (
 from handcam.change import CandidateSet, change_feature_matrix
 from handcam.classify import LinearModel, TrainConfig
 from handcam.features import read_features, write_features
-from handcam.discovery import Clustering, Segment, segment_similarity_matrix
+from handcam.discovery import Segment, segment_similarity_matrix
 from handcam.inference import InferenceProblem
 from handcam.synth import SynthConfig
 from conftest import free_active
@@ -355,7 +355,6 @@ FROZEN_FIELDS = {
                       lambda: np.arange(6.0).reshape(3, 2)),
     "StateSequence": ("states", lambda a: StateSequence(free_active(), a),
                       lambda: np.array([0, 1, 1])),
-    "Clustering": ("assignment", lambda a: Clustering(2, a), lambda: np.array([0, 1, 1])),
     "Segment": ("mean_feature", lambda a: Segment("v", 0, 2, a), lambda: np.ones(3)),
     "CandidateSet": ("frame_indices", lambda a: CandidateSet(a, np.ones(2), 3),
                      lambda: np.array([2, 9])),

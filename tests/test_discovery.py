@@ -3,7 +3,6 @@ import pytest
 
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task
 from handcam.discovery import (
-    Clustering,
     Segment,
     active_segments,
     average_linkage,
@@ -120,8 +119,9 @@ def per_k_average_linkage(sim, k):
 class TestAverageLinkage:
     def test_k_equals_n_singletons(self):
         segs = [seg("v", i, i + 1, [np.cos(i), np.sin(i)]) for i in range(4)]
-        clustering = cluster_segments(segs, 4)
-        assert clustering.assignment.tolist() == [0, 1, 2, 3]
+        labels = cluster_segments(segs, 4)
+        assert isinstance(labels, np.ndarray) and labels.dtype == np.int64
+        assert labels.tolist() == [0, 1, 2, 3]
         assert average_linkage(segment_similarity_matrix(segs)).shape == (3, 2)
 
     def test_identical_features_merge_first(self):
@@ -131,13 +131,13 @@ class TestAverageLinkage:
             seg("v", 2, 3, [1.0, 0.0]),  # same direction as segment 0
         ]
         assert average_linkage(segment_similarity_matrix(segs))[0].tolist() == [0, 2]
-        a = cluster_segments(segs, 2).assignment
+        a = cluster_segments(segs, 2)
         assert a[0] == a[2] and a[0] != a[1]
 
     def test_hand_run_three_segments(self):
         # pairwise similarities (a,b)=0.9 (a,c)=0.1 (b,c)=0.2 -> merge (a,b)
         sim = np.array([[1.0, 0.9, 0.1], [0.9, 1.0, 0.2], [0.1, 0.2, 1.0]])
-        a = cut_history(average_linkage(sim), 2).assignment
+        a = cut_history(average_linkage(sim), 2)
         assert a[0] == a[1] and a[2] != a[0]
 
     def test_average_linkage_update_by_hand(self):
@@ -162,7 +162,7 @@ class TestAverageLinkage:
         segs = [seg("v", i, i + 1, rng.standard_normal(3)) for i in range(8)]
         assert average_linkage(segment_similarity_matrix(segs)).shape == (7, 2)
         for k in (1, 3, 8):
-            assert len(set(cluster_segments(segs, k).assignment.tolist())) == k
+            assert len(set(cluster_segments(segs, k).tolist())) == k
 
     def test_k_out_of_range(self):
         segs = [seg("v", 0, 1, [1.0, 0.0])]
@@ -184,7 +184,7 @@ class TestAverageLinkage:
             history = average_linkage(sim)
             for k in range(1, n + 1):
                 assignment, merges = per_k_average_linkage(sim, k)
-                assert cut_history(history, k).assignment.tolist() == assignment
+                assert cut_history(history, k).tolist() == assignment
                 assert [tuple(m) for m in history[: n - k].tolist()] == merges
 
 
@@ -271,14 +271,6 @@ class TestLinkageMatchesMaskedReference:
             average_linkage(sim)
 
 
-class TestClustering:
-    def test_assignment_uses_ids_0_to_k_minus_1(self):
-        assert Clustering(2, [1, 0, 1]).assignment.tolist() == [1, 0, 1]
-        for k, assignment in ((2, [0, 0]), (2, [0, 5]), (1, [-1, -1])):
-            with pytest.raises(ValueError):
-                Clustering(k, assignment)
-
-
 def purity_fixture():
     """Six 1-frame segments over one video; truth spells the hand example:
     cluster 0 frames {cup, cup, free}, cluster 1 frames {free, free, kettle}."""
@@ -286,14 +278,14 @@ def purity_fixture():
     cup, kettle = space.labels.index("cup"), space.labels.index("kettle")
     truth = StateSequence(space, np.array([cup, cup, 0, 0, 0, kettle]))
     segs = [seg("v", i, i + 1, [1.0, 0.0]) for i in range(6)]
-    clustering = Clustering(2, np.array([0, 0, 0, 1, 1, 1]))
-    return clustering, segs, {"v": truth}, space
+    labels = np.array([0, 0, 0, 1, 1, 1])
+    return labels, segs, {"v": truth}, space
 
 
 class TestModifiedPurity:
     def test_hand_example_two_thirds(self):
-        clustering, segs, truths, _ = purity_fixture()
-        purity = modified_purity(clustering, segs, truths)
+        labels, segs, truths, _ = purity_fixture()
+        purity = modified_purity(labels, segs, truths)
         assert abs(purity - 2.0 / 3.0) < 1e-12
 
     def test_perfect_clustering(self):
@@ -301,16 +293,16 @@ class TestModifiedPurity:
         cup, kettle = space.labels.index("cup"), space.labels.index("kettle")
         truth = StateSequence(space, np.array([cup, cup, kettle, kettle]))
         segs = [seg("v", i, i + 1, [1.0, 0.0]) for i in range(4)]
-        clustering = Clustering(2, np.array([0, 0, 1, 1]))
-        assert modified_purity(clustering, segs, {"v": truth}) == 1.0
+        labels = np.array([0, 0, 1, 1])
+        assert modified_purity(labels, segs, {"v": truth}) == 1.0
 
     def test_free_dominated_cluster_scores_zero(self):
         space = object_space()
         cup = space.labels.index("cup")
         truth = StateSequence(space, np.array([0, 0, cup]))
         segs = [seg("v", i, i + 1, [1.0, 0.0]) for i in range(3)]
-        clustering = Clustering(1, np.array([0, 0, 0]))
-        assert modified_purity(clustering, segs, {"v": truth}) == 0.0
+        labels = np.array([0, 0, 0])
+        assert modified_purity(labels, segs, {"v": truth}) == 0.0
 
     def test_missed_active_frames_penalized(self):
         # one active frame not covered by any segment still counts in the denominator
@@ -318,16 +310,16 @@ class TestModifiedPurity:
         cup = space.labels.index("cup")
         truth = StateSequence(space, np.array([cup, cup, cup, 0]))
         segs = [seg("v", 0, 2, [1.0, 0.0])]
-        clustering = Clustering(1, np.array([0]))
-        assert abs(modified_purity(clustering, segs, {"v": truth}) - 2.0 / 3.0) < 1e-12
+        labels = np.array([0])
+        assert abs(modified_purity(labels, segs, {"v": truth}) - 2.0 / 3.0) < 1e-12
 
     def test_no_active_frames_undefined(self):
         space = object_space()
         truth = StateSequence(space, np.zeros(4, dtype=int))
         segs = [seg("v", 0, 1, [1.0, 0.0])]
-        clustering = Clustering(1, np.array([0]))
+        labels = np.array([0])
         with pytest.raises(ValueError, match="metric undefined"):
-            modified_purity(clustering, segs, {"v": truth})
+            modified_purity(labels, segs, {"v": truth})
 
     def test_in_unit_interval_on_random_clusterings(self):
         rng = np.random.default_rng(2)
@@ -349,20 +341,19 @@ class TestModifiedPurity:
             used = np.unique(labels)
             remap = {c: i for i, c in enumerate(used)}
             assignment = np.array([remap[c] for c in labels])
-            clustering = Clustering(len(used), assignment)
-            p = modified_purity(clustering, segs, {"v": truth})
+            p = modified_purity(assignment, segs, {"v": truth})
             assert 0.0 <= p <= 1.0
 
     def test_matches_per_cluster_loop(self):
-        def per_cluster_purity(clustering, segments, truths):
+        def per_cluster_purity(labels, segments, truths):
             # the per-cluster member scan modified_purity replaced
             space = next(iter(truths.values())).label_space
             free = space.free_label_index
             true_active = sum(int(np.sum(t.states != free)) for t in truths.values())
             discovered = 0
-            for cluster in range(clustering.k):
+            for cluster in np.unique(labels):
                 counts = np.zeros(space.num_labels, dtype=np.int64)
-                for si in np.nonzero(clustering.assignment == cluster)[0]:
+                for si in np.nonzero(labels == cluster)[0]:
                     seg = segments[si]
                     states = truths[seg.video_id].states[seg.start : seg.end]
                     counts += np.bincount(states, minlength=space.num_labels)
@@ -386,15 +377,15 @@ class TestModifiedPurity:
                 segs += [seg(vid, a, b, [1.0]) for a, b in zip([0, *cuts], [*cuts, 20])]
             k = int(rng.integers(1, len(segs) + 1))
             assignment = np.concatenate([np.arange(k), rng.integers(0, k, len(segs) - k)])
-            clustering = Clustering(k, rng.permutation(assignment))
-            assert modified_purity(clustering, segs, truths) == per_cluster_purity(
-                clustering, segs, truths
+            labels = rng.permutation(assignment)
+            assert modified_purity(labels, segs, truths) == per_cluster_purity(
+                labels, segs, truths
             )
 
     def test_relabeling_invariance(self):
-        clustering, segs, truths, _ = purity_fixture()
-        swapped = Clustering(2, 1 - clustering.assignment)
-        assert modified_purity(clustering, segs, truths) == modified_purity(
+        labels, segs, truths, _ = purity_fixture()
+        swapped = 1 - labels
+        assert modified_purity(labels, segs, truths) == modified_purity(
             swapped, segs, truths
         )
 
@@ -421,7 +412,7 @@ class TestPurityCurve:
         for k in (2, 5, 9):
             shared = cut_history(history, k)
             fresh = cluster_segments(segs, k)
-            assert np.array_equal(shared.assignment, fresh.assignment)
+            assert np.array_equal(shared, fresh)
             assert modified_purity(shared, segs, {"v": truth}) == modified_purity(
                 fresh, segs, {"v": truth}
             )
