@@ -321,9 +321,7 @@ def score_stream(model: LinearModel, stream: FeatureStream) -> np.ndarray:
 def predict_frames(model: LinearModel, stream: FeatureStream) -> StateSequence:
     """Per-frame argmax of the margins; ties go to the lower label index."""
     states = np.argmax(score_stream(model, stream), axis=1)
-    if model.label_space is None:
-        return StateSequence(None, states, num_states=model.num_classes)
-    return StateSequence(model.label_space, states)
+    return StateSequence(model.label_space, states, num_states=model.num_classes)
 
 
 # ---------------------------------------------------------------------------

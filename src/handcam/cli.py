@@ -29,7 +29,9 @@ from .core import (
     LabelSpace,
     StateSequence,
     load_label_space,
+    read_text,
     remove_stale,
+    write_csv,
     write_json,
 )
 
@@ -45,7 +47,12 @@ class StageError(RuntimeError):
 # small file helpers
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's digest, read 1 MiB at a time: a manifest never holds a whole file."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_manifest(out_dir: Path, stage: str, parameters: dict, inputs: dict[str, Path]) -> None:
@@ -136,10 +143,11 @@ def read_list_file(path: Path, min_cols: int, max_cols: int) -> list[list[str]]:
     """Rows of a list file (`align`, `cv` and `discover` manifests).
 
     Each line is stripped; blank lines and lines starting with '#' are
-    skipped; the rest split on tabs into min_cols..max_cols columns.
+    skipped; the rest split on tabs into min_cols..max_cols columns. Its
+    errors name the path.
     """
     rows = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -157,13 +165,11 @@ def read_truth(path: Path, space: LabelSpace) -> StateSequence:
     """A truth or prediction file: one label name of space per frame. Its
     errors name the path."""
     index = {name: i for i, name in enumerate(space.labels)}
+    names = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     try:
-        names = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
         return StateSequence(space, np.array([index[n] for n in names], dtype=np.int64))
     except KeyError as e:
         raise ValueError(f"{path}: unknown label {e.args[0]!r}") from None
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: {e}") from None
 
 
 def _write_text(text: str, path: str | Path | None) -> None:
@@ -378,8 +384,8 @@ def run_cv(pairs: list, label_space: str | Path, plan: crossval.CrossValPlan, ep
     out.mkdir(parents=True, exist_ok=True)
     chosen = {"C": result.c_reg, "d": result.d, "lambda": result.lam}
     write_json(chosen, out / "chosen.json")
-    rows = [f"{c.c_reg},{c.d},{c.lam},{c.mean_accuracy!r}" for c in result.table]
-    (out / "table.csv").write_text("\n".join(["C,d,lambda,mean_accuracy", *rows]) + "\n")
+    rows = [(c.c_reg, c.d, c.lam, c.mean_accuracy) for c in result.table]
+    write_csv([("C", "d", "lambda", "mean_accuracy"), *rows], out / "table.csv")
     return chosen
 
 
@@ -399,22 +405,22 @@ def _load_model(flag: str, path: str | Path) -> classify.LinearModel:
         raise classify.ModelFileError(f"{flag} {path}: {e}") from None
 
 
-def _load_change_model(flag: str, path: str | Path, d: int | None,
-                       d_given: str | None = None) -> classify.LinearModel:
-    """The change model at path (the option `flag`), trained with d if given; a
-    mismatch names d as d_given says where it came from (`--d <d>` if None)."""
+def _load_change_model(flag: str, path: str | Path, ds: dict) -> classify.LinearModel:
+    """The change model at path (the option `flag`), trained with each d in ds, which
+    maps how a d was given to its value (None: not given); a mismatch names the first."""
     model = _load_model(flag, path)
     if not model.is_binary:
         raise ValueError(f"{flag} {path}: not a change model")
-    if d is not None and model.d != d:
-        raise ValueError(f"{flag} {path}: trained with d={model.d}, not {d_given or f'--d {d}'}")
+    for given, d in ds.items():
+        if d is not None and d != model.d:
+            raise ValueError(f"{flag} {path}: trained with d={model.d}, not {given}")
     return model
 
 
 def run_detect_changes(features: str | Path, model: str | Path, d: int | None = None,
                        out: str | Path | None = None) -> None:
     """Write the candidates, at the model's d, to `out` or to stdout without one."""
-    change_model = _load_change_model("--model", model, d)
+    change_model = _load_change_model("--model", model, {f"--d {d}": d})
     cands = change.detect_candidates(features_mod.read_features(features), change_model)
     rows = [f"{int(i)}\t{float(c)!r}" for i, c in zip(cands.frame_indices, cands.confidences)]
     _write_text("\n".join(["frame_index\tconfidence", *rows]) + "\n", out)
@@ -425,7 +431,8 @@ def run_infer(features: str | Path, state_model: str | Path, mode: str,
               change_model: str | Path | None = None, cv_result: str | Path | None = None,
               out: str | Path | None = None) -> None:
     """Write the predicted label names to `out`, or to stdout without one. Full
-    mode decodes at the change model's d and at lam or else cv_result's lambda."""
+    mode decodes at the change model's d, which d and cv_result's d must equal
+    where given, and at lam or else cv_result's lambda."""
     if mode == "unary":
         full_options = {"--change-model": change_model, "--d": d,
                         "--lambda": lam, "--cv-result": cv_result}
@@ -439,23 +446,22 @@ def run_infer(features: str | Path, state_model: str | Path, mode: str,
         if change_model is None or (lam is None) == (cv_result is None):
             raise ValueError("full mode needs --change-model and exactly one of --lambda "
                              "and --cv-result")
-        d_given, lam_given = None, f"--lambda {lam}"
+        ds, lam_given = {f"--d {d}": d}, f"--lambda {lam}"
         if cv_result is not None:
             chosen = read_cv_result(Path(cv_result))
             lam = chosen["lambda"]
             lam_given = f"lambda={lam} of --cv-result {cv_result}"
-            if d is None:
-                d, d_given = chosen["d"], f"d={chosen['d']} of --cv-result {cv_result}"
+            ds[f"d={chosen['d']} of --cv-result {cv_result}"] = chosen["d"]
         _check_flag(lam_given, lambda v: inference.check_lam(float(v)), lam)
-        change_model = _load_change_model("--change-model", change_model, d, d_given)
+        change_model = _load_change_model("--change-model", change_model, ds)
     stream = features_mod.read_features(features)
     if mode == "unary":
         seq = classify.predict_frames(state, stream)
     else:
         cands = change.detect_candidates(stream, change_model).frame_indices
         unary = classify.score_stream(state, stream)
-        seq = inference.decode_stream(stream, unary, cands, [float(lam)], state.label_space)[0]
-    write_labels(seq, out)
+        seq = inference.decode_stream(stream, unary, cands, [float(lam)])[0]
+    write_labels(StateSequence(state.label_space, seq.states), out)
 
 
 def run_eval(preds: list, truths: list, label_space: str | Path,
@@ -480,11 +486,9 @@ def run_eval(preds: list, truths: list, label_space: str | Path,
         if len(pred_seqs[vid]) != len(truth_seqs[vid]):
             raise ValueError(f"{pred_path}: {len(pred_seqs[vid])} frames of predictions for "
                              f"the {len(truth_seqs[vid])} frames of {truth_path}")
-    report = evaluation.build_report(pred_seqs, truth_seqs, task=space.task.value)
-    evaluation.write_report(
-        report, report_dir, label_names=list(space.labels),
-        timelines={v: {"truth": truth_seqs[v], "pred": pred_seqs[v]} for v in pred_seqs},
-    )
+    report = evaluation.build_report(pred_seqs, truth_seqs)
+    timelines = {v: {"truth": truth_seqs[v], "pred": pred_seqs[v]} for v in pred_seqs}
+    evaluation.write_report(report, report_dir, timelines=timelines)
     return report
 
 
@@ -565,14 +569,13 @@ def run_discover(manifest: str | Path, fa_space: str | Path, object_space: str |
     purities = {}
     for k in ks:
         labels = discovery.cut_history(history, k)
-        lines = ["segment,video_id,start,end,cluster"]
-        for i, (seg, cluster) in enumerate(zip(segments, labels)):
-            lines.append(f"{i},{seg.video_id},{seg.start},{seg.end},{cluster}")
-        (out / f"clusters_k{k}.csv").write_text("\n".join(lines) + "\n")
+        rows = [(i, seg.video_id, seg.start, seg.end, cluster)
+                for i, (seg, cluster) in enumerate(zip(segments, labels))]
+        write_csv([("segment", "video_id", "start", "end", "cluster"), *rows],
+                  out / f"clusters_k{k}.csv")
         purities[k] = discovery.modified_purity(labels, segments, truths) if truths else None
     if truths:
-        rows = ["k,purity", *(f"{k},{purity!r}" for k, purity in purities.items())]
-        (out / "purity.csv").write_text("\n".join(rows) + "\n")
+        write_csv([("k", "purity"), *purities.items()], out / "purity.csv")
     return purities
 
 

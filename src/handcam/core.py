@@ -7,12 +7,15 @@ Everything here is immutable after construction. A stream read from a
 
 from __future__ import annotations
 
+import csv
 import json
 import mmap
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Sequence
+
 import numpy as np
 
 
@@ -270,8 +273,16 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
 _TASK_BY_VALUE = {t.value: t for t in Task}
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file at path; other bytes raise a ValueError that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def load_label_space(path: str | Path) -> LabelSpace:
-    """Parse a label-space declaration file.
+    """Parse a label-space declaration file; every error names it.
 
     Format: '#' comments, blank lines, and three 'key = value' entries::
 
@@ -281,7 +292,7 @@ def load_label_space(path: str | Path) -> LabelSpace:
     """
     path = Path(path)
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -305,13 +316,24 @@ def load_label_space(path: str | Path) -> LabelSpace:
         raise ValueError(f"{path}: empty label name")
     if entries["free_label"] not in labels:
         raise ValueError(f"{path}: free_label {entries['free_label']!r} not in labels")
-    return LabelSpace(task, labels, labels.index(entries["free_label"]))
+    try:
+        return LabelSpace(task, labels, labels.index(entries["free_label"]))
+    except ValueError as e:  # a label count the task does not allow, or a repeated label
+        raise ValueError(f"{path}: {e}") from None
 
 
 def write_json(doc: dict, path: str | Path) -> None:
     """The one layout of every JSON file the package writes: indented, keys
     sorted, with a final newline."""
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(rows: Iterable[Sequence], path: str | Path) -> None:
+    """The one layout of every CSV file the package writes: comma-separated
+    rows, each ending in a newline, with a field quoted when it holds a
+    comma, a quote or a newline (a video id can)."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def remove_stale(directory: Path, kind: str, keep: set | tuple = (), rmdir: bool = False) -> None:

@@ -128,9 +128,7 @@ def cross_validate(
                 correct = np.zeros(len(plan.lambda_grid), dtype=np.int64)
                 for (stream, truth), unary in zip(fold, c_unaries):
                     cands = detect_candidates(stream, change_model).frame_indices
-                    decoded = decode_stream(
-                        stream, unary, cands, plan.lambda_grid, label_space=truth.label_space
-                    )
+                    decoded = decode_stream(stream, unary, cands, plan.lambda_grid)
                     correct += [int(np.sum(seq.states == truth.states)) for seq in decoded]
                 for lam, n_correct in zip(plan.lambda_grid, correct):
                     cells[(c, d, lam)].append(int(n_correct) / total)

@@ -1,4 +1,9 @@
-"""Per-frame evaluation: confusion matrices, accuracy, report emission."""
+"""Per-frame evaluation: confusion matrices, accuracy, report emission.
+
+A report takes its task and label names from the label space its truths
+share, so a caller passes sequences only; truths detached from a label
+space (solver-level benchmarks) give a report with task "" and no labels.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import StateSequence, remove_stale, run_starts, write_json
+from .core import LabelSpace, StateSequence, remove_stale, run_starts, write_csv, write_json
 
 
 def _check_pair(pred: StateSequence, truth: StateSequence) -> None:
@@ -34,9 +39,10 @@ def confusion(pred: StateSequence, truth: StateSequence) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-video and pooled per-frame accuracy, and the truth x prediction confusion."""
+    """Per-video and pooled per-frame accuracy, and the truth x prediction
+    confusion, in the truths' label space (None: detached)."""
 
-    task: str
+    label_space: LabelSpace | None
     per_video_accuracy: dict[str, float]
     global_accuracy: float
     confusion: np.ndarray
@@ -46,12 +52,14 @@ class EvalReport:
 def build_report(
     preds: Mapping[str, StateSequence],
     truths: Mapping[str, StateSequence],
-    task: str = "",
 ) -> EvalReport:
     if set(preds) != set(truths):
         raise ValueError("prediction and truth video sets differ")
     if not preds:
         raise ValueError("nothing to evaluate")
+    spaces = {t.label_space for t in truths.values()}
+    if len(spaces) != 1:
+        raise ValueError("truths use different label spaces")
     per_video = {}
     total = None
     n = 0
@@ -63,16 +71,17 @@ def build_report(
         total = c if total is None else total + c
         n += len(truths[vid])
     global_acc = float(np.trace(total) / total.sum())
-    return EvalReport(task, per_video, global_acc, total, n)
+    return EvalReport(spaces.pop(), per_video, global_acc, total, n)
 
 
-def report_dict(report: EvalReport, label_names: list[str] | None = None) -> dict:
+def report_dict(report: EvalReport) -> dict:
+    space = report.label_space
     return {
-        "task": report.task,
+        "task": space.task.value if space else "",
         "global_accuracy": report.global_accuracy,
         "per_video_accuracy": report.per_video_accuracy,
         "n_frames": report.n_frames,
-        "labels": label_names,
+        "labels": list(space.labels) if space else None,
         "confusion": report.confusion.tolist(),
     }
 
@@ -116,7 +125,6 @@ def timeline_svg(sequences: Mapping[str, StateSequence], width: int = 720) -> st
 def write_report(
     report: EvalReport,
     out_dir: str | Path,
-    label_names: list[str] | None = None,
     timelines: Mapping[str, Mapping[str, StateSequence]] | None = None,
 ) -> None:
     """Emit report.json, report.csv and per-video timeline SVGs, replacing
@@ -124,13 +132,10 @@ def write_report(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     remove_stale(out_dir, r"timeline_.*\.svg")
-    doc = report_dict(report, label_names)
-    write_json(doc, out_dir / "report.json")
-    lines = ["video,accuracy"]
-    for vid in sorted(report.per_video_accuracy):
-        lines.append(f"{vid},{report.per_video_accuracy[vid]!r}")
-    lines.append(f"GLOBAL,{report.global_accuracy!r}")
-    (out_dir / "report.csv").write_text("\n".join(lines) + "\n")
+    write_json(report_dict(report), out_dir / "report.json")
+    rows = sorted(report.per_video_accuracy.items())
+    write_csv([("video", "accuracy"), *rows, ("GLOBAL", report.global_accuracy)],
+              out_dir / "report.csv")
     if timelines:
         for vid in sorted(timelines):
             (out_dir / f"timeline_{vid}.svg").write_text(timeline_svg(timelines[vid]))

@@ -10,6 +10,10 @@ A candidate at frame c marks the boundary between frames c-1 and c (the
 new state starts at c), so candidates split the stream into segments
 [0, c_1), [c_1, c_2), ..., [c_m, N). States are constant inside segments,
 which makes an exact dynamic program over segments x states possible.
+
+The DP works on state indices 0..K-1 alone: a decoded sequence carries no
+label space, only num_states = K, and a caller that names states (the
+CLI's `infer`) attaches its state model's space where it writes them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureStream, LabelSpace, StateSequence, all_finite, segment_means, unit_rows
+from .core import FeatureStream, StateSequence, all_finite, segment_means, unit_rows
 
 
 def segment_bounds(n_frames: int, cand: np.ndarray) -> np.ndarray:
@@ -56,7 +60,6 @@ class InferenceProblem:
     candidates: the frame indices where a state change is permitted.
     segment_features: (|C|+1, D) mean features of the inter-candidate
         segments, one row per segment.
-    label_space: attached to decoded sequences when available.
     boundary_similarities: cosine similarity of the segment features on
         either side of each candidate.
     """
@@ -64,7 +67,6 @@ class InferenceProblem:
     unary: np.ndarray
     candidates: np.ndarray
     segment_features: "np.ndarray | Sequence[np.ndarray]"
-    label_space: LabelSpace | None = None
     boundary_similarities: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -73,8 +75,6 @@ class InferenceProblem:
             raise ValueError("unary must be a (N, K) matrix with K >= 1")
         if not all_finite(unary):
             raise ValueError("unary scores must be finite")
-        if self.label_space is not None and self.label_space.num_labels != unary.shape[1]:
-            raise ValueError("unary width does not match the label space")
         cand = np.asarray(self.candidates, dtype=np.int64)
         _check_candidates(cand, unary.shape[0])
         feats = np.asarray(self.segment_features, dtype=np.float64)
@@ -152,8 +152,7 @@ def decode(problem: InferenceProblem, lams: Sequence[float]) -> list[StateSequen
             state = path[g + 1] = nxt[g, row, state]
 
     lengths = np.diff(bounds)
-    return [StateSequence(problem.label_space, np.repeat(s, lengths), num_states=k)
-            for s in seg_states]
+    return [StateSequence(None, np.repeat(s, lengths), num_states=k) for s in seg_states]
 
 
 def decode_stream(
@@ -161,12 +160,9 @@ def decode_stream(
     unary: np.ndarray,
     candidates: np.ndarray,
     lams: Sequence[float],
-    label_space: LabelSpace | None = None,
 ) -> list[StateSequence]:
     """Decode one stream at every boundary weight in lams: the segment
     features and the problem are built once, and one DP pass serves every
     lambda."""
-    problem = InferenceProblem(
-        unary, candidates, segment_features(stream, candidates), label_space=label_space
-    )
+    problem = InferenceProblem(unary, candidates, segment_features(stream, candidates))
     return decode(problem, lams)

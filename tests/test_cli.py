@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -116,6 +117,48 @@ class TestReaderErrorsNameTheirFile:
         assert read_truth(truth, gesture_space()).states.tolist() == [0, 1]
         with pytest.raises(ValueError, match=re.escape(f"{pred}: 'utf-8' codec")):
             read_truth(pred, gesture_space())
+
+    @pytest.mark.parametrize("labels, message", [
+        (b"free, \xff", "'utf-8' codec can't decode byte 0xff"),
+        (b"free, active, idle", "task free_active requires exactly 2 labels, got 3"),
+        (b"free, free", "label names must be unique"),
+    ], ids=["not-utf8", "label-count", "repeated-label"])
+    def test_label_space_errors_name_the_file(self, tmp_path, capsys, labels, message):
+        # these three printed the message with no path, from every command
+        bad = tmp_path / "bad_labels.txt"
+        bad.write_bytes(b"task = free_active\nlabels = " + labels + b"\nfree_label = free\n")
+        manifest = tmp_path / "cv.txt"
+        manifest.write_text("v0.feat\tv0.truth.txt\n")
+        config = json.loads(pipeline_config(tmp_path).read_text())
+        (tmp_path / "pipeline.json").write_text(json.dumps({**config, "label_space": bad.name}))
+        pairs = ["--features", "v0.feat", "--truth", "v0.truth.txt", "--label-space", str(bad)]
+        for argv in (
+            ["eval", "--pred", "v0.full.txt", "--truth", "v0.truth.txt", "--label-space",
+             str(bad), "--report", str(tmp_path / "report")],
+            ["train-state", *pairs, "--out", str(tmp_path / "m.bin")],
+            ["train-change", *pairs, "--d", "3", "--out", str(tmp_path / "m.bin")],
+            ["cv", "--manifest", str(manifest), "--label-space", str(bad),
+             "--out", str(tmp_path / "cv")],
+            ["discover", "--manifest", str(manifest), "--fa-space", str(bad),
+             "--k-range", "1:2", "--out", str(tmp_path / "disc")],
+            ["pipeline", "--config", str(tmp_path / "pipeline.json"),
+             "--out", str(tmp_path / "run")],
+        ):
+            assert main(argv) == 2, argv[0]
+            assert f"error: {bad}: {message}" in capsys.readouterr().err, argv[0]
+
+    def test_list_file_not_utf8_named(self, tmp_path, capsys):
+        fa, ges, _ = write_spaces(tmp_path)
+        bad = tmp_path / "list.txt"
+        bad.write_bytes(b"v0.feat\t\xff\n")
+        for argv in (["align", "--manifest", str(bad), "--out", str(tmp_path / "aligned")],
+                     ["cv", "--manifest", str(bad), "--label-space", str(ges),
+                      "--out", str(tmp_path / "cv")],
+                     ["discover", "--manifest", str(bad), "--fa-space", str(fa),
+                      "--k-range", "1:2", "--out", str(tmp_path / "disc")]):
+            assert main(argv) == 2, argv[0]
+            assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" \
+                in capsys.readouterr().err, argv[0]
 
     def test_damaged_feature_file_among_several_named(self, tmp_path, capsys):
         _, ges, _ = write_spaces(tmp_path)
@@ -304,9 +347,10 @@ class TestTrainInferEval:
         assert main(["eval", "--pred", str(tmp_path / "b.full.txt"), str(tmp_path / "a.full.txt"),
                      "--truth", str(tmp_path / "b.truth.txt"), str(tmp_path / "a.truth.txt"),
                      "--label-space", str(ges), "--report", str(report_dir)]) == 0
-        expected = evaluation.build_report(preds, truths, task=space.task.value)
+        expected = evaluation.build_report(preds, truths)
         doc = json.loads((report_dir / "report.json").read_text())
-        assert doc == json.loads(json.dumps(evaluation.report_dict(expected, list(space.labels))))
+        assert doc == json.loads(json.dumps(evaluation.report_dict(expected)))
+        assert (doc["task"], doc["labels"]) == (space.task.value, list(space.labels))
         assert sorted(p.name for p in report_dir.glob("timeline_*.svg")) == [
             "timeline_a.svg", "timeline_b.svg"]
 
@@ -632,6 +676,41 @@ class TestTrainInferEval:
         err = capsys.readouterr().err
         assert f"trained with d=3, not d=4 of --cv-result {chosen}" in err
         assert "--d" not in err
+
+    def test_every_d_given_checked_against_the_change_model(self, tmp_path, capsys):
+        # with --d given, the --cv-result's d was ignored: a d=3 cv result
+        # decoded with a d=6 change model and exited 0
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        smodel, cmodel = tmp_path / "state.bin", tmp_path / "change.bin"
+        common = ["--features", *feats, "--truth", *truths, "--label-space", str(ges),
+                  "--epochs", "5"]
+        assert main(["train-state", *common, "--out", str(smodel)]) == 0
+        assert main(["train-change", *common, "--d", "6", "--out", str(cmodel)]) == 0
+        chosen, consistent = tmp_path / "chosen.json", tmp_path / "consistent.json"
+        chosen.write_text(json.dumps({"C": 1.0, "d": 3, "lambda": 1.0}))
+        consistent.write_text(json.dumps({"C": 1.0, "d": 6, "lambda": 1.0}))
+        full = ["infer", "--features", feats[0], "--state-model", str(smodel),
+                "--mode", "full", "--change-model", str(cmodel)]
+        out = tmp_path / "out.txt"
+        for argv, message in (
+            ([*full, "--d", "6", "--cv-result", str(chosen)],
+             f"trained with d=6, not d=3 of --cv-result {chosen}"),
+            ([*full, "--d", "3", "--cv-result", str(chosen)], "trained with d=6, not --d 3"),
+            ([*full, "--d", "3", "--lambda", "1.0"], "trained with d=6, not --d 3"),
+            (["detect-changes", "--features", feats[0], "--model", str(cmodel), "--d", "3"],
+             "trained with d=6, not --d 3"),
+        ):
+            capsys.readouterr()
+            assert main([*argv, "--out", str(out)]) == 2
+            assert f"error: --{'change-' if argv[0] == 'infer' else ''}model {cmodel}: " \
+                f"{message}\n" == capsys.readouterr().err
+            assert not out.exists()
+        # a consistent --cv-result decodes as its lambda given by --lambda does
+        assert main([*full, "--lambda", "1.0", "--out", str(out)]) == 0
+        expected = out.read_text()
+        assert main([*full, "--d", "6", "--cv-result", str(consistent), "--out", str(out)]) == 0
+        assert out.read_text() == expected
 
     def test_lambda_from_cv_result_named_by_its_file(self, tmp_path, capsys):
         # an unusable lambda read "--lambda -1.0" though no --lambda was given
@@ -1021,6 +1100,24 @@ def write_discover_inputs(tmp_path):
 
 
 class TestDiscover:
+    def test_cluster_rows_quote_video_ids(self, tmp_path):
+        # an id with a comma split its row: "0,objects,00,10,20,0" read as end 10 and cluster 20
+        fa, obj, manifest = write_discover_inputs(tmp_path)
+        ids = {"v0": "objects,00", "v1": 'say "hi"\nthere'}
+        for old, new in ids.items():
+            stream = read_features(tmp_path / f"{old}.feat")
+            write_features(FeatureStream(new, stream.camera, stream.fps, stream.values),
+                           tmp_path / f"{old}.feat")
+        out = tmp_path / "disc"
+        assert main(["discover", "--manifest", str(manifest), "--fa-space", str(fa),
+                     "--object-space", str(obj), "--k-range", "2:2", "--out", str(out)]) == 0
+        with open(out / "clusters_k2.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["segment", "video_id", "start", "end", "cluster"]
+        assert [row[1] for row in rows[1:]] == [ids["v0"]] * 2 + [ids["v1"]] * 2
+        assert [row[2:4] for row in rows[1:]] == [["10", "20"], ["30", "40"]] * 2
+        assert {row[4] for row in rows[1:]} == {"0", "1"}
+
     def test_discover_with_purity(self, tmp_path, capsys):
         fa, obj, manifest = write_discover_inputs(tmp_path)
         out = tmp_path / "disc"
@@ -1196,6 +1293,17 @@ class TestStageFunctions:
         written = {p.name: p.read_bytes() for p in (tmp_path / "cli").iterdir()}
         assert sorted(written) == ["clusters_k2.csv", "clusters_k3.csv", "purity.csv"]
         assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == written
+
+    def test_write_manifest_hashes_a_large_file_in_blocks(self, tmp_path, traced_peak):
+        # each file was read whole to be hashed: a manifest held its largest output
+        data = np.random.default_rng(0).bytes(16 << 20)
+        (tmp_path / "big.feat").write_bytes(data)
+        peak, _ = traced_peak(cli.write_manifest, tmp_path, "extract", {},
+                              {"features": tmp_path / "big.feat"})
+        assert peak < 4 << 20
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        digest = hashlib.sha256(data).hexdigest()
+        assert doc["inputs"] == {"features": digest} and doc["outputs"] == {"big.feat": digest}
 
     def test_run_align_returns_the_result_its_report_records(self, tmp_path):
         hand = smooth_patch(8, 8, seed=5)

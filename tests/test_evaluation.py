@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from itertools import product
@@ -91,18 +92,50 @@ class TestReport:
     def test_build_and_write(self, tmp_path):
         preds = {"a": seq([0, 1, 1]), "b": seq([2, 2, 2])}
         truths = {"a": seq([0, 1, 2]), "b": seq([2, 2, 0])}
-        report = build_report(preds, truths, task="demo")
+        report = build_report(preds, truths)
+        assert report.label_space is None
         assert report.per_video_accuracy == {"a": 2 / 3, "b": 2 / 3}
         assert report.global_accuracy == 4 / 6
         assert report.n_frames == 6
-        write_report(report, tmp_path, label_names=["x", "y", "z"],
+        write_report(report, tmp_path,
                      timelines={v: {"truth": truths[v], "pred": preds[v]} for v in preds})
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["global_accuracy"] == 4 / 6
-        csv = (tmp_path / "report.csv").read_text().splitlines()
-        assert csv[0] == "video,accuracy"
-        assert csv[-1].startswith("GLOBAL,")
+        assert (doc["task"], doc["labels"]) == ("", None)  # detached truths name nothing
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert lines[0] == "video,accuracy"
+        assert lines[-1].startswith("GLOBAL,")
         assert (tmp_path / "timeline_a.svg").read_text().startswith("<svg")
+
+    def test_task_and_labels_come_from_the_truths(self, tmp_path):
+        space = free_active()
+        truth = StateSequence(space, np.array([0, 1, 1]))
+        report = build_report({"v": seq([0, 1, 0], k=2)}, {"v": truth})
+        assert report.label_space == space
+        write_report(report, tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert (doc["task"], doc["labels"]) == ("free_active", ["free", "active"])
+
+    def test_truths_in_two_label_spaces_rejected(self):
+        # the report's task and labels would name only one of them
+        truths = {"a": StateSequence(free_active(), np.array([0, 1])),
+                  "b": StateSequence(free_active("idle", "busy"), np.array([0, 1]))}
+        preds = {v: seq([0, 1], k=2) for v in truths}
+        with pytest.raises(ValueError, match="truths use different label spaces"):
+            build_report(preds, truths)
+        truths["b"] = seq([0, 1], k=2)  # detached beside attached
+        with pytest.raises(ValueError, match="truths use different label spaces"):
+            build_report(preds, truths)
+
+    def test_csv_quotes_video_ids(self, tmp_path):
+        # ids were joined with commas unquoted, so "a,b" read back as two fields
+        ids = ["a,b", 'q"x', "n\nl", "plain"]
+        report = build_report({v: seq([0, 1]) for v in ids}, {v: seq([0, 0]) for v in ids})
+        write_report(report, tmp_path)
+        with open(tmp_path / "report.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["video", "accuracy"], *([v, "0.5"] for v in sorted(ids)),
+                        ["GLOBAL", "0.5"]]
 
     def test_per_video_accuracy_matches_the_frame_mean_bytes(self):
         # taken from each video's confusion matrix: the same exact ratio of

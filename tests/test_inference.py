@@ -12,7 +12,6 @@ from handcam.inference import (
     segment_bounds,
     segment_features,
 )
-from conftest import free_active
 from test_features import float32_pair
 
 NEG_INF = float("-inf")
@@ -41,14 +40,13 @@ def score_sequence(problem, seq, lam):
     return unary_total + lam * binary_total
 
 
-def make_problem(unary, cand, sims, label_space=None):
+def make_problem(unary, cand, sims):
     """Build a problem whose adjacent-segment cosine similarities equal
     `sims` exactly, via 2-d unit features at accumulated angles."""
     sims = np.asarray(sims, dtype=np.float64)
     angles = np.concatenate([[0.0], np.cumsum(np.arccos(sims))])
     feats = [np.array([np.cos(a), np.sin(a)]) for a in angles]
-    return InferenceProblem(np.asarray(unary, dtype=np.float64), cand, feats,
-                            label_space=label_space)
+    return InferenceProblem(np.asarray(unary, dtype=np.float64), cand, feats)
 
 
 def random_problem(rng, max_n=10, max_k=4, max_c=4):
@@ -263,10 +261,12 @@ class TestDecode:
             with pytest.raises(ValueError, match="lam"):
                 score_sequence(p, np.zeros(3, dtype=int), lam)
 
-    def test_label_space_attached(self):
-        space = free_active()
-        p = make_problem(np.zeros((4, 2)), np.array([2]), [0.5], label_space=space)
-        assert decode(p, [1.0])[0].label_space == space
+    def test_decoded_states_are_detached_with_k_states(self):
+        # the DP decodes state indices; `infer` names them with its state model's space
+        p = make_problem(np.zeros((4, 3)), np.array([2]), [0.5])
+        for decoded in decode(p, [0.0, 1.0]):
+            assert decoded.label_space is None
+            assert decoded.num_states == 3
 
     def test_tie_prefers_lower_state_lexicographically(self):
         # all-zero unaries, zero similarity: every sequence ties; expect all-0

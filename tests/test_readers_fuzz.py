@@ -237,7 +237,8 @@ def test_load_label_space_damaged(tmp_path_factory):
         path.write_bytes(data)
         try:
             space = load_label_space(path)
-        except ValueError:
+        except ValueError as e:
+            assert str(e).startswith(f"{path}:"), e
             return
         assert 0 <= space.free_label_index < space.num_labels
 
@@ -271,7 +272,10 @@ def test_read_truth_arbitrary(tmp_path_factory):
         path.write_bytes(data)
         try:
             seq = read_truth(path, space)
-        except (ValueError, OSError):
+        except ValueError as e:
+            assert str(e).startswith(f"{path}:"), e
+            return
+        except OSError:
             return
         assert set(seq.label_names()) <= set(space.labels)
 
@@ -287,7 +291,10 @@ def test_read_list_file_arbitrary(tmp_path_factory):
         path.write_bytes(data)
         try:
             rows = read_list_file(path, *cols)
-        except (ValueError, OSError):
+        except ValueError as e:
+            assert str(e).startswith(f"{path}:"), e
+            return
+        except OSError:
             return
         assert all(cols[0] <= len(row) <= cols[1] for row in rows)
         assert all(row[0] and not row[0].startswith("#") for row in rows)
