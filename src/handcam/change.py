@@ -135,19 +135,22 @@ def detect_candidates(stream: FeatureStream, change_model: LinearModel) -> Candi
 
 
 def change_training_set(
-    streams: Sequence[FeatureStream], truths: Sequence[StateSequence], d: int
+    streams: Sequence[FeatureStream], truths: Sequence[StateSequence], d: int,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Stacked in-band change features and labels, and the in-band row count of each video.
 
     The (rows, D) matrix and the labels are allocated once, and each video
-    writes its in-band rows into them, so training holds one copy.
+    writes its in-band rows into them, so training holds one copy. The
+    matrix is the leading rows of `out`, a float64 matrix of the streams'
+    width, when it is given.
     """
     check_d(d)
     check_videos(streams, truths)
     rows = [max(0, stream.n_frames - 2 * d) for stream in streams]  # 0 below 2d+1 frames
     if not sum(rows):
         raise ValueError("no video is long enough for the requested d")
-    x = np.empty((sum(rows), streams[0].dim))
+    x = np.empty((sum(rows), streams[0].dim)) if out is None else out[: sum(rows)]
     y = np.empty(sum(rows), dtype=np.int64)
     start = 0
     for stream, truth, m in zip(streams, truths, rows):

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -331,9 +332,12 @@ def write_json(doc: dict, path: str | Path) -> None:
 def write_csv(rows: Iterable[Sequence], path: str | Path) -> None:
     """The one layout of every CSV file the package writes: comma-separated
     rows, each ending in a newline, with a field quoted when it holds a
-    comma, a quote or a newline (a video id can)."""
+    comma, a quote, a carriage return or a newline (a video id can)."""
     with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        # the writer quotes the characters of its line terminator, so "\r\n"
+        # quotes a field holding a lone "\r" too; each row ends in "\n" alone
+        rows_out = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        csv.writer(rows_out, lineterminator="\r\n").writerows(rows)
 
 
 def remove_stale(directory: Path, kind: str, keep: set | tuple = (), rmdir: bool = False) -> None:

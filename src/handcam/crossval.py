@@ -5,7 +5,10 @@ accuracy of the full model (state classifier, change candidates, segment
 DP) on held-out videos, averaged over folds. The classifiers of every fold
 are trained together: in the one solve for the state models, and the one
 per d for the change models, a fold's columns give the rows of its own
-videos a sign of 0, which leaves them out of its problem.
+videos a sign of 0, which leaves them out of its problem. These solves
+take turns in one float64 matrix, one row per training frame: the state
+stack fills it, and each d's change set, which is shorter, its leading
+rows. It is dropped before the first fold is evaluated.
 """
 
 from __future__ import annotations
@@ -87,8 +90,9 @@ def cross_validate(
 
     The rows of every video are stacked once, and each row is keyed by its
     video's fold. The state models of every fold and C come from one solver
-    run, and the change models of every fold and C from one run per d; one
-    d's change set is alive at a time.
+    run, and the change models of every fold and C from one run per d; each
+    d's change set is written over the leading rows of the state stack, so
+    training allocates one matrix.
     """
     if len(videos) < plan.folds:
         raise ValueError(
@@ -105,15 +109,19 @@ def cross_validate(
     folds = [videos[i :: plan.folds] for i in range(plan.folds)]
 
     frame_folds = np.repeat(video_folds, [s.n_frames for s in streams])
-    state_models = train_grid(streams, truths, frame_folds, plan.folds, plan.c_grid, epochs)
+    # every training set fits in the leading rows of the state stack's matrix
+    matrix = np.empty((frame_folds.size, streams[0].dim))
+    state_models = train_grid(streams, truths, frame_folds, plan.folds, plan.c_grid, epochs,
+                              out=matrix)
     change_models = []  # [d][fold][C]
     for d in plan.d_grid:
-        x, y, rows = change_training_set(streams, truths, d)
+        x, y, rows = change_training_set(streams, truths, d, out=matrix)
         row_folds = np.repeat(video_folds, rows)
         if any(np.all(row_folds == f) for f in range(plan.folds)):
             raise ValueError("no video is long enough for the requested d")
         change_models.append(train_binary_grid(x, y, d, row_folds, plan.folds, plan.c_grid, epochs))
-        del x, y  # the next d's set is built without this one alive
+        del x, y  # the next d's labels are built without these alive
+    del matrix  # the folds are evaluated without it
 
     # accumulate per-(c, d, lam) fold accuracies; state models are shared
     # across d and lam, change models and decoding problems across lam

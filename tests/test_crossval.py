@@ -7,10 +7,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from handcam import classify, synth
-from handcam.change import change_training_set, check_d, detect_candidates
+from handcam import classify, crossval, synth
+from handcam.change import change_training_set, check_d, detect_candidates, train_change_model
 from handcam.classify import (
     TrainConfig,
+    model_bytes,
     score_stream,
     train_binary,
     train_binary_grid,
@@ -89,6 +90,46 @@ class TestFoldStackedSolve:
             expected = per_fold_cross_validate(pairs, plan, 30)
             assert cross_validate(pairs, plan, 30) == expected
 
+    def test_one_matrix_matches_fresh_matrices(self, monkeypatch):
+        # unequal videos: each d's change set overwrites a different number of
+        # the state stack's leading rows and leaves the rows after it stale
+        pairs = videos(6, 7, k=3)
+        plan = CrossValPlan(folds=5, c_grid=(0.1, 1.0), d_grid=(2, 5, 9), lambda_grid=(0.3, 3.0))
+
+        def run(fresh):
+            """cross_validate with every training matrix fresh, or as it runs:
+            its result, the models it trained, the (address, shape) of its one
+            matrix and the (address, shape, bytes) of each d's change set."""
+            models, matrix, change_sets = [], [], []
+
+            def state_grid(*args, out):
+                matrix.append((out.ctypes.data, out.shape))
+                models.extend(train_grid(*args, out=None if fresh else out))
+                return models[-plan.folds:]
+
+            def change_set(*args, out):
+                x, y, rows = change_training_set(*args, out=None if fresh else out)
+                change_sets.append((x.ctypes.data, x.shape, x.tobytes()))  # the next d overwrites x
+                return x, y, rows
+
+            def change_grid(*args):
+                models.extend(train_binary_grid(*args))
+                return models[-plan.folds:]
+
+            monkeypatch.setattr(crossval, "train_grid", state_grid)
+            monkeypatch.setattr(crossval, "change_training_set", change_set)
+            monkeypatch.setattr(crossval, "train_binary_grid", change_grid)
+            return cross_validate(pairs, plan, 20), models, matrix, change_sets
+
+        fresh, fresh_models, _, fresh_sets = run(True)
+        shared, shared_models, [(address, shape)], shared_sets = run(False)
+        assert shared == fresh
+        assert ([[model_bytes(m) for m in fold] for fold in shared_models]
+                == [[model_bytes(m) for m in fold] for fold in fresh_models])
+        assert shape == (sum(s.n_frames for s, _ in pairs), 6)
+        assert [x[1:] for x in shared_sets] == [x[1:] for x in fresh_sets]
+        assert [x[0] for x in shared_sets] == [address] * len(plan.d_grid)  # its leading rows
+
     def test_each_fold_block_matches_its_subset_solve(self):
         pairs = videos(5, 7, k=4)
         streams, truths = [s for s, _ in pairs], [t for _, t in pairs]
@@ -131,6 +172,26 @@ class TestFoldStackedSolve:
             assert np.allclose([b[j], obj[j]], [bj[0], objj[0]], rtol=1e-12, atol=1e-13)
 
 
+@pytest.fixture
+def unique_raises(monkeypatch):
+    """numpy.unique raising: the hash table behind it stays resident after
+    it returns, so training checks its labels by their extremes."""
+    def unique(*args, **kwargs):
+        raise AssertionError("numpy.unique called")
+    monkeypatch.setattr(np, "unique", unique)
+
+
+def test_training_calls_no_unique(unique_raises):
+    pairs = videos(9, 5, k=3, n_frames=60)
+    streams, truths = [s for s, _ in pairs], [t for _, t in pairs]
+    train_grid(streams, truths, np.arange(len(pairs)).repeat([len(t) for t in truths]), 5,
+               (1.0,), 3)
+    train_change_model(streams, truths, 3, TrainConfig(epochs=3))
+    plan = CrossValPlan(folds=5, c_grid=(1.0,), d_grid=(3,), lambda_grid=(1.0,))
+    cross_validate(pairs, plan, 3)
+
+
+@pytest.mark.usefixtures("unique_raises")
 class TestFoldValidity:
     """Degenerate folds fail with the errors a per-fold solve gives."""
 
@@ -166,6 +227,13 @@ class TestFoldValidity:
         y = np.array([0, 1, 0, 1])
         with pytest.raises(ValueError, match="two distinct labels"):
             train_binary_grid(x, y, 1, np.zeros(4, dtype=int), 2, (1.0,), 5)  # fold 0 holds out all
+
+    @pytest.mark.parametrize("y", [[0, 2, 2, 0], [-1, 0, 0, -1], [1, 2, 2, 1]])
+    def test_binary_labels_outside_0_and_1(self, y):
+        # every fold keeps two distinct labels, so only the binary check fails
+        x = np.arange(12.0).reshape(4, 3)
+        with pytest.raises(ValueError, match="binary labels must be 0 or 1"):
+            train_binary_grid(x, np.array(y), 1, np.array([0, 0, 1, 1]), 2, (1.0,), 5)
 
 
 class TestDuplicateVideoIds:
@@ -211,9 +279,10 @@ def test_peak_memory_follows_the_stacked_problem(traced_peak):
 
 def test_peak_memory_holds_one_change_set(traced_peak):
     """With several d, cross_validate holds one change set at a time. At one
-    C the state solve is small, so the peak is one change set and its solve
-    (1.27x the set). The parent built each d's set beside the previous one
-    and its per-video parts (3.0x); two whole sets alive read 2.0x."""
+    C the state solve is small, so the peak is one training matrix (the
+    state stack, whose leading rows every change set reuses) and a solve
+    (1.21x the d = 3 set). Each d's set built beside the previous one and
+    its per-video parts read 3.0x; two whole sets alive read 2.0x."""
     pairs = videos(7, 10, k=2, dim=64, n_frames=600)
     plan = CrossValPlan(folds=5, c_grid=(1.0,), d_grid=(3, 6, 9, 12), lambda_grid=(1.0,))
     warm = CrossValPlan(folds=5, c_grid=(1.0,), d_grid=(3,), lambda_grid=(1.0,))

@@ -128,8 +128,9 @@ class TestReport:
             build_report(preds, truths)
 
     def test_csv_quotes_video_ids(self, tmp_path):
-        # ids were joined with commas unquoted, so "a,b" read back as two fields
-        ids = ["a,b", 'q"x', "n\nl", "plain"]
+        # ids were joined with commas unquoted, so "a,b" read back as two fields,
+        # and a lone carriage return was left unquoted, so "a\rb" as two rows
+        ids = ["a,b", 'q"x', "n\nl", "a\rb", "plain"]
         report = build_report({v: seq([0, 1]) for v in ids}, {v: seq([0, 0]) for v in ids})
         write_report(report, tmp_path)
         with open(tmp_path / "report.csv", newline="") as fh:
