@@ -2,10 +2,11 @@
 
 The change feature of frame i is the elementwise absolute difference of the
 frame features d frames before and after it. A binary classifier scores
-these, and non-maximum suppression keeps local peaks as the change candidate
-set, in time linear in the number of frames. No confidence floor is applied:
-recall matters more than precision here, since the decoder prunes false
-candidates.
+these, and non-maximum suppression keeps local peaks as the change
+candidates, in time linear in the number of frames: two plain arrays, the
+int64 frame indices (increasing, more than d apart, inside [d, n-1-d]) and
+their float64 confidences. No confidence floor is applied: recall matters
+more than precision here, since the decoder prunes false candidates.
 
 Convention used throughout the pipeline: a transition index is the first
 frame of the new state.
@@ -14,38 +15,12 @@ frame of the new state.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .classify import LinearModel, TrainConfig, check_videos, train_binary
-from .core import FeatureStream, StateSequence, frozen_array, release_pages, run_starts
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """NMS-retained change candidates, ordered by frame index."""
-
-    frame_indices: np.ndarray
-    confidences: np.ndarray
-    suppression_radius: int
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.frame_indices, dtype=np.int64)
-        conf = np.asarray(self.confidences, dtype=np.float64)
-        if idx.ndim != 1 or conf.shape != idx.shape:
-            raise ValueError("indices and confidences must be matching 1-d arrays")
-        if idx.size and np.any(np.diff(idx) <= self.suppression_radius):
-            raise ValueError(
-                "candidate indices must be strictly increasing and separated "
-                "by more than the suppression radius"
-            )
-        object.__setattr__(self, "frame_indices", frozen_array(idx))
-        object.__setattr__(self, "confidences", frozen_array(conf))
-
-    def __len__(self) -> int:
-        return self.frame_indices.shape[0]
+from .core import FeatureStream, StateSequence, release_pages, run_starts
 
 
 def valid_band(n_frames: int, d: int) -> tuple[int, int]:
@@ -113,9 +88,12 @@ def check_d(d: int) -> None:
         raise ValueError("d must be >= 1")
 
 
-def detect_candidates(stream: FeatureStream, change_model: LinearModel) -> CandidateSet:
-    """Score all in-band frames with the change model at its half-width d
-    and run NMS at radius d, so detection works on one temporal scale."""
+def detect_candidates(
+    stream: FeatureStream, change_model: LinearModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frame indices (int64) and confidences (float64) of the candidates: NMS
+    at radius d over the in-band frames' scores under the change model at its
+    half-width d, so detection works on one temporal scale."""
     if not change_model.is_binary:
         raise ValueError("detect_candidates requires a binary change model")
     d = change_model.d
@@ -131,7 +109,7 @@ def detect_candidates(stream: FeatureStream, change_model: LinearModel) -> Candi
         )
     conf = change_feature_matrix(stream, d) @ change_model.weights[0] + change_model.bias[0]
     kept = suppress_non_maxima(conf, d)
-    return CandidateSet(kept + d, conf[kept], d)
+    return kept + d, conf[kept]
 
 
 def change_training_set(

@@ -326,10 +326,10 @@ def score_stream(model: LinearModel, stream: FeatureStream) -> np.ndarray:
     return margins.T
 
 
-def predict_frames(model: LinearModel, stream: FeatureStream) -> StateSequence:
-    """Per-frame argmax of the margins; ties go to the lower label index."""
-    states = np.argmax(score_stream(model, stream), axis=1)
-    return StateSequence(model.label_space, states, num_states=model.num_classes)
+def predict_frames(model: LinearModel, stream: FeatureStream) -> np.ndarray:
+    """Per-frame argmax of the margins, as int64 state indices; ties go to
+    the lower label index."""
+    return np.argmax(score_stream(model, stream), axis=1)
 
 
 # ---------------------------------------------------------------------------

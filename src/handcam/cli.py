@@ -181,8 +181,10 @@ def _write_text(text: str, path: str | Path | None) -> None:
 
 
 def write_labels(seq: StateSequence, path: str | Path | None) -> None:
-    """One label name per frame, to the file at path or to stdout without one."""
-    _write_text("\n".join(seq.label_names()) + "\n", path)
+    """The label file `read_truth` reads: each frame's state named in seq's
+    label space, one a line, to the file at path or to stdout without one."""
+    names = seq.label_space.labels
+    _write_text("\n".join([names[s] for s in seq.states.tolist()]) + "\n", path)
 
 
 def read_cv_result(path: Path) -> dict:
@@ -421,8 +423,9 @@ def run_detect_changes(features: str | Path, model: str | Path, d: int | None = 
                        out: str | Path | None = None) -> None:
     """Write the candidates, at the model's d, to `out` or to stdout without one."""
     change_model = _load_change_model("--model", model, {f"--d {d}": d})
-    cands = change.detect_candidates(features_mod.read_features(features), change_model)
-    rows = [f"{int(i)}\t{float(c)!r}" for i, c in zip(cands.frame_indices, cands.confidences)]
+    stream = features_mod.read_features(features)
+    frames, confidences = change.detect_candidates(stream, change_model)
+    rows = [f"{i}\t{c!r}" for i, c in zip(frames.tolist(), confidences.tolist())]
     _write_text("\n".join(["frame_index\tconfidence", *rows]) + "\n", out)
 
 
@@ -456,12 +459,12 @@ def run_infer(features: str | Path, state_model: str | Path, mode: str,
         change_model = _load_change_model("--change-model", change_model, ds)
     stream = features_mod.read_features(features)
     if mode == "unary":
-        seq = classify.predict_frames(state, stream)
+        states = classify.predict_frames(state, stream)
     else:
-        cands = change.detect_candidates(stream, change_model).frame_indices
+        cands, _ = change.detect_candidates(stream, change_model)
         unary = classify.score_stream(state, stream)
-        seq = inference.decode_stream(stream, unary, cands, [float(lam)])[0]
-    write_labels(StateSequence(state.label_space, seq.states), out)
+        states = inference.decode_stream(stream, unary, cands, [float(lam)])[0]
+    write_labels(StateSequence(state.label_space, states), out)
 
 
 def run_eval(preds: list, truths: list, label_space: str | Path,

@@ -182,11 +182,12 @@ class FeatureStream:
 
 @dataclass(frozen=True)
 class StateSequence:
-    """Per-frame state indices, optionally tied to a LabelSpace.
+    """Per-frame state indices of one video, optionally tied to a LabelSpace.
 
-    Solver-level code (decoding, synthetic benchmarks) may run with a bare
-    state count instead of a declared label space; pass label_space=None
-    and num_states explicitly for that.
+    Truths and label files are sequences; synthetic benchmarks may pass
+    label_space=None and num_states instead. Decoded paths and predictions
+    are plain int64 arrays, and `infer` attaches the state model's label
+    space to the one it writes (`cli.write_labels` names the states).
     """
 
     label_space: LabelSpace | None
@@ -210,11 +211,6 @@ class StateSequence:
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    def label_names(self) -> list[str]:
-        if self.label_space is None:
-            raise ValueError("sequence has no label space attached")
-        return [self.label_space.labels[s] for s in self.states]
 
 
 def run_starts(states: np.ndarray) -> np.ndarray:

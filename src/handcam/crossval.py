@@ -135,9 +135,9 @@ def cross_validate(
             for c, change_model, c_unaries in zip(plan.c_grid, d_models[f], unaries):
                 correct = np.zeros(len(plan.lambda_grid), dtype=np.int64)
                 for (stream, truth), unary in zip(fold, c_unaries):
-                    cands = detect_candidates(stream, change_model).frame_indices
+                    cands, _ = detect_candidates(stream, change_model)
                     decoded = decode_stream(stream, unary, cands, plan.lambda_grid)
-                    correct += [int(np.sum(seq.states == truth.states)) for seq in decoded]
+                    correct += [int(np.sum(states == truth.states)) for states in decoded]
                 for lam, n_correct in zip(plan.lambda_grid, correct):
                     cells[(c, d, lam)].append(int(n_correct) / total)
 

@@ -11,9 +11,10 @@ new state starts at c), so candidates split the stream into segments
 [0, c_1), [c_1, c_2), ..., [c_m, N). States are constant inside segments,
 which makes an exact dynamic program over segments x states possible.
 
-The DP works on state indices 0..K-1 alone: a decoded sequence carries no
-label space, only num_states = K, and a caller that names states (the
-CLI's `infer`) attaches its state model's space where it writes them.
+Candidates come in as one int64 array of frame indices, checked here, and
+each decoded path goes out as one int64 array of state indices 0..K-1. The
+DP knows no label names: the CLI's `infer` attaches its state model's label
+space where it writes a path.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureStream, StateSequence, all_finite, segment_means, unit_rows
+from .core import FeatureStream, all_finite, segment_means, unit_rows
 
 
 def segment_bounds(n_frames: int, cand: np.ndarray) -> np.ndarray:
@@ -106,9 +107,10 @@ def check_lam(lam: float) -> None:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
 
 
-def decode(problem: InferenceProblem, lams: Sequence[float]) -> list[StateSequence]:
+def decode(problem: InferenceProblem, lams: Sequence[float]) -> list[np.ndarray]:
     """Exact maximization of the sequence score at every boundary weight in
-    lams, by one segment-level DP pass over all of them.
+    lams, by one segment-level DP pass over all of them: one int64 array of
+    per-frame state indices for each weight.
 
     The suffix values of all L weights form one (L, K) array, so the DP loop
     over the |C|+1 segments runs once: O(|C| L K^2). Back-tracking then
@@ -151,8 +153,7 @@ def decode(problem: InferenceProblem, lams: Sequence[float]) -> list[StateSequen
         for g in range(m):
             state = path[g + 1] = nxt[g, row, state]
 
-    lengths = np.diff(bounds)
-    return [StateSequence(None, np.repeat(s, lengths), num_states=k) for s in seg_states]
+    return [np.repeat(s, np.diff(bounds)) for s in seg_states]
 
 
 def decode_stream(
@@ -160,7 +161,7 @@ def decode_stream(
     unary: np.ndarray,
     candidates: np.ndarray,
     lams: Sequence[float],
-) -> list[StateSequence]:
+) -> list[np.ndarray]:
     """Decode one stream at every boundary weight in lams: the segment
     features and the problem are built once, and one DP pass serves every
     lambda."""

@@ -7,7 +7,6 @@ import pytest
 
 from handcam import synth
 from handcam.change import (
-    CandidateSet,
     change_feature_matrix,
     change_training_set,
     detect_candidates,
@@ -76,7 +75,7 @@ def parent_suppress_non_maxima(frame_indices, confidences, radius):
     if np.any(np.diff(idx) != 1):
         raise ValueError("frame indices must be consecutive")
     if idx.size == 0:
-        return CandidateSet(idx, conf, radius)
+        return idx, conf
     pad = np.full(idx.size + 2 * radius, -np.inf)
     pad[radius : radius + idx.size] = conf
     window_max = np.lib.stride_tricks.sliding_window_view(pad, 2 * radius + 1).max(axis=1)
@@ -84,7 +83,7 @@ def parent_suppress_non_maxima(frame_indices, confidences, radius):
     for j in np.flatnonzero(conf >= window_max).tolist():
         if not kept or j - kept[-1] > radius:
             kept.append(j)
-    return CandidateSet(idx[kept], conf[kept], radius)
+    return idx[kept], conf[kept]
 
 
 def parent_detect_candidates(stream, change_model):
@@ -101,7 +100,7 @@ def parent_detect_candidates(stream, change_model):
             f"2d+1 = {2 * d + 1}; no change candidates",
             stacklevel=2,
         )
-        return CandidateSet(np.empty(0, dtype=np.int64), np.empty(0), d)
+        return np.empty(0, dtype=np.int64), np.empty(0)
     band, cf = parent_change_feature_matrix(stream, d)
     conf = cf @ change_model.weights[0] + change_model.bias[0]
     return parent_suppress_non_maxima(band, conf, d)
@@ -273,10 +272,6 @@ class TestNms:
         kept = suppress_non_maxima(np.empty(0), 3)
         assert kept.dtype == np.int64 and kept.size == 0
 
-    def test_candidate_set_validation(self):
-        with pytest.raises(ValueError, match="separated"):
-            CandidateSet(np.array([3, 5]), np.array([1.0, 2.0]), suppression_radius=2)
-
 
 def high_snr_videos(seed, sigma=0.1, n_videos=4):
     centers = orthonormal_centers(3, 6, seed + 900)  # separation sqrt(2) > 10 sigma
@@ -415,7 +410,9 @@ def warned(fn, *args):
 
 class TestInBandTrackMatchesParent:
     """The stage works on the in-band track and adds the band start once;
-    what it returns equals the parent's band-index path byte for byte."""
+    what it returns equals the parent's band-index path byte for byte.
+    Candidates are two plain arrays: int64 frame indices, increasing, more
+    than d apart and in band, and the float64 in-band scores at them."""
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_detect_candidates(self, d):
@@ -427,11 +424,15 @@ class TestInBandTrackMatchesParent:
                 warned(detect, stream, model) for detect in (detect_candidates,
                                                              parent_detect_candidates))
             assert got_warnings == want_warnings
-            for a, b in ((got.frame_indices, want.frame_indices),
-                         (got.confidences, want.confidences)):
+            for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-            assert got.suppression_radius == want.suppression_radius
-            found[kind] += len(got)
+            frames, confidences = got
+            assert frames.dtype == np.int64 and confidences.dtype == np.float64
+            lo, hi = valid_band(stream.n_frames, d)
+            assert np.all(np.diff(frames) > d) and np.all((lo <= frames) & (frames <= hi))
+            scores = change_feature_matrix(stream, d) @ model.weights[0] + model.bias[0]
+            assert confidences.tobytes() == scores[frames - lo].tobytes()
+            found[kind] += frames.size
         assert found["shorter"] == 0 and all(found[kind] > 0 for kind in CASES[:4]), found
 
     @pytest.mark.parametrize("d", range(1, 13))
@@ -467,8 +468,8 @@ class TestDetectCandidates:
                             for i in (0, 1))
         assert model_bytes(model32) == model_bytes(model64)
         got, want = (detect_candidates(pairs[3][i], model64) for i in (0, 1))
-        assert got.frame_indices.tobytes() == want.frame_indices.tobytes()
-        assert got.confidences.tobytes() == want.confidences.tobytes()
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     def test_memory_holds_one_change_feature_matrix(self, traced_peak):
         # |a - b| is taken in place: one (frames, D) float64 array at a time
@@ -482,8 +483,8 @@ class TestDetectCandidates:
         s = stream_from(np.zeros((5, 2)))
         model = LinearModel(np.ones((1, 2)), np.zeros(1), None, TrainConfig(), 3)
         with pytest.warns(UserWarning, match="shorter"):
-            cands = detect_candidates(s, model)
-        assert len(cands) == 0
+            frames, confidences = detect_candidates(s, model)
+        assert frames.size == confidences.size == 0
 
     def test_requires_binary_model(self):
         s = stream_from(np.zeros((20, 2)))
@@ -507,8 +508,8 @@ class TestDetectCandidates:
                 [s for s, _ in train_pairs], [t for _, t in train_pairs], d,
                 TrainConfig(c_reg=0.1, epochs=150),
             )
-            cands = detect_candidates(test_stream, model)
+            cands, _ = detect_candidates(test_stream, model)
             for t in run_starts(test_truth.states)[1:]:
-                if not np.any(np.abs(cands.frame_indices - t) <= d):
+                if not np.any(np.abs(cands - t) <= d):
                     misses += 1
         assert misses == 0

@@ -146,7 +146,7 @@ class TestTrain:
         truths = [StateSequence(space, y)]
         model = train(streams, truths)
         assert model.label_space == space
-        assert predict_frames(model, streams[0]).states.tolist() == y.tolist()
+        assert predict_frames(model, streams[0]).tolist() == y.tolist()
 
 
 def parent_solve(x, y_signs, c_reg, epochs):
@@ -903,13 +903,13 @@ class TestPredictFrames:
     def test_all_equal_scores_pick_zero(self):
         model = LinearModel(np.zeros((3, 2)), np.zeros(3), None, TrainConfig())
         stream = FeatureStream("v", Camera.HEAD, 6.0, np.ones((4, 2)))
-        assert predict_frames(model, stream).states.tolist() == [0, 0, 0, 0]
+        assert predict_frames(model, stream).tolist() == [0, 0, 0, 0]
 
     def test_single_frame(self):
         model = LinearModel(np.eye(2), np.zeros(2), free_active(), TrainConfig())
         stream = FeatureStream("v", Camera.HEAD, 6.0, np.array([[0.0, 1.0]]))
-        seq = predict_frames(model, stream)
-        assert len(seq) == 1 and seq.states[0] == 1
+        states = predict_frames(model, stream)
+        assert states.dtype == np.int64 and states.tolist() == [1]
 
     def test_argmax_shift_invariance(self):
         rng = np.random.default_rng(3)
@@ -917,7 +917,7 @@ class TestPredictFrames:
         stream = FeatureStream("v", Camera.HEAD, 6.0, rng.standard_normal((20, 4)))
         a = predict_frames(LinearModel(w, np.zeros(3), None, TrainConfig()), stream)
         b = predict_frames(LinearModel(w, np.full(3, 11.5), None, TrainConfig()), stream)
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a, b)
 
 
 class TestLinearModel:
@@ -1179,9 +1179,9 @@ def per_c_cross_validate(videos, plan, epochs):
                 change_model = train_change_model(train_streams, train_truths, d, cfg)
                 correct = np.zeros(len(plan.lambda_grid), dtype=np.int64)
                 for (stream, truth), unary in zip(fold, unaries):
-                    cands = detect_candidates(stream, change_model).frame_indices
+                    cands, _ = detect_candidates(stream, change_model)
                     decoded = decode_stream(stream, unary, cands, plan.lambda_grid)
-                    correct += [int(np.sum(seq.states == truth.states)) for seq in decoded]
+                    correct += [int(np.sum(states == truth.states)) for states in decoded]
                 for lam, n_correct in zip(plan.lambda_grid, correct):
                     cells[(c, d, lam)].append(int(n_correct) / total)
     table = []

@@ -48,7 +48,7 @@ def make_labeled_videos(tmp_path, space, n_videos=2, seed=0, sigma=0.5, n_frames
         fpath = tmp_path / f"v{i}.feat"
         tpath = tmp_path / f"v{i}.truth.txt"
         write_features(stream, fpath)
-        tpath.write_text("\n".join(truth.label_names()) + "\n")
+        write_labels(truth, tpath)
         feature_paths.append(str(fpath))
         truth_paths.append(str(tpath))
     return feature_paths, truth_paths
@@ -78,7 +78,7 @@ class TestExitCodes:
         seq = StateSequence(gesture_space(), np.arange(40_000) % 13)
         good, bad = tmp_path / "v.truth.txt", tmp_path / "v.full.txt"
         write_labels(seq, good)
-        names = seq.label_names()
+        names = good.read_text().splitlines()
         assert read_truth(good, gesture_space()).states.tolist() == seq.states.tolist()
         names[39_000] = "g13"
         bad.write_text("\n".join(names) + "\n")
@@ -88,6 +88,17 @@ class TestExitCodes:
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+
+class TestWriteLabels:
+    def test_names_each_frame_in_its_label_space(self, tmp_path, capsys):
+        # the one writer of label files, to a file or to stdout; read_truth reads it back
+        seq = StateSequence(free_active(), np.array([0, 1, 1]))
+        write_labels(seq, tmp_path / "v.txt")
+        write_labels(seq, None)
+        text = "free\nactive\nactive\n"
+        assert (tmp_path / "v.txt").read_text() == capsys.readouterr().out == text
+        assert read_truth(tmp_path / "v.txt", free_active()).states.tolist() == [0, 1, 1]
 
 
 class TestReaderErrorsNameTheirFile:
@@ -119,12 +130,16 @@ class TestReaderErrorsNameTheirFile:
             read_truth(pred, gesture_space())
 
     @pytest.mark.parametrize("labels, message", [
-        (b"free, \xff", "'utf-8' codec can't decode byte 0xff"),
-        (b"free, active, idle", "task free_active requires exactly 2 labels, got 3"),
-        (b"free, free", "label names must be unique"),
-    ], ids=["not-utf8", "label-count", "repeated-label"])
+        (b"free, \xff", ": 'utf-8' codec can't decode byte 0xff"),
+        (b"free, active, idle", ": task free_active requires exactly 2 labels, got 3"),
+        (b"free, free", ": label names must be unique"),
+        (b"free, active\nlabels = free, active", ":3: duplicate key 'labels'"),
+        (b"free, ", ": empty label name"),
+        (b"idle, active", ": free_label 'free' not in labels"),
+    ], ids=["not-utf8", "label-count", "repeated-label", "repeated-key", "empty-label",
+            "free-label-not-a-label"])
     def test_label_space_errors_name_the_file(self, tmp_path, capsys, labels, message):
-        # these three printed the message with no path, from every command
+        # the first three printed the message with no path, from every command
         bad = tmp_path / "bad_labels.txt"
         bad.write_bytes(b"task = free_active\nlabels = " + labels + b"\nfree_label = free\n")
         manifest = tmp_path / "cv.txt"
@@ -145,7 +160,7 @@ class TestReaderErrorsNameTheirFile:
              "--out", str(tmp_path / "run")],
         ):
             assert main(argv) == 2, argv[0]
-            assert f"error: {bad}: {message}" in capsys.readouterr().err, argv[0]
+            assert f"error: {bad}{message}" in capsys.readouterr().err, argv[0]
 
     def test_list_file_not_utf8_named(self, tmp_path, capsys):
         fa, ges, _ = write_spaces(tmp_path)
@@ -269,6 +284,22 @@ class TestExtractFuse:
         assert main(["fuse", "--inputs", str(a), str(b), "--out", str(a)]) == 0
         assert a.read_bytes() == fused.read_bytes()
 
+    def test_fuse_of_streams_at_different_fps_exits_2(self, tmp_path, capsys):
+        a, b, fused = (tmp_path / f"{name}.feat" for name in ("a", "b", "fused"))
+        for path, fps in ((a, 6.0), (b, 12.0)):
+            write_features(FeatureStream(path.stem, Camera.HEAD, fps, np.zeros((4, 2))), path)
+        assert main(["fuse", "--inputs", str(a), str(b), "--out", str(fused)]) == 2
+        assert "error: fps mismatch: 6.0 vs 12.0" in capsys.readouterr().err
+        assert not fused.exists()
+
+    def test_extract_of_a_directory_without_frames_exits_2(self, tmp_path, capsys):
+        video, feat = tmp_path / "v", tmp_path / "v.feat"
+        video.mkdir()
+        (video / "notes.txt").write_text("no frames here\n")
+        assert main(["extract", "--video", str(video), "--out", str(feat)]) == 2
+        assert f"error: no frame_*.ppm files in {video}" in capsys.readouterr().err
+        assert not feat.exists()
+
     def test_flip_option_is_gone(self, tmp_path):
         # a whole-frame histogram is mirror-invariant, so --flip wrote the same file
         save_frames(np.zeros((1, 2, 3, 3), dtype=np.uint8), tmp_path / "v")
@@ -369,6 +400,17 @@ class TestTrainInferEval:
                      *common]) == 0
         assert sorted(p.name for p in report_dir.iterdir()) == [
             "notes.svg", "report.csv", "report.json", "timeline_a.svg"]
+
+    def test_training_needs_one_truth_per_feature_file(self, tmp_path, capsys):
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
+        out = tmp_path / "m.bin"
+        for command in (["train-state"], ["train-change", "--d", "3"]):
+            assert main([*command, "--features", *feats, "--truth", truths[0],
+                         "--label-space", str(ges), "--out", str(out)]) == 2, command
+            assert "error: --features and --truth need the same count" \
+                in capsys.readouterr().err, command
+            assert not out.exists()
 
     def test_eval_video_ids_must_differ(self, tmp_path, capsys):
         # the video id is the prediction file's name up to its first '.'
@@ -804,12 +846,24 @@ class TestAlign:
             assert "video id 'cam'" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_one_video_exits_2(self, tmp_path, capsys):
+        synth.gen_video_set(smooth_patch(8, 8, seed=5), [synth.VideoSpec("va", 1.0, 4, 4)],
+                            (24, 18), 3, 20.0, 0, seed=11, out_dir=tmp_path / "videos")
+        manifest, out = tmp_path / "videos.txt", tmp_path / "aligned"
+        manifest.write_text(f"{tmp_path / 'videos' / 'va'}\n")
+        assert main(["align", "--manifest", str(manifest), "--out", str(out),
+                     "--scales", "1.0"]) == 2
+        assert "error: alignment needs at least two videos" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_memory_keeps_one_small_frame_per_video(self, tmp_path, traced_peak):
         # pass 1 kept two float64 images of every video until align ended:
-        # the peak grew by about 16 uint8 frames per video. v00's smaller
-        # hand makes it the reference of every run, so each run matches the
-        # same template at the one scale, and only what is kept per video
-        # can differ between the peaks.
+        # the peak grew by about 16 uint8 frames per video. It now grows by
+        # 1.1 (the uint8 median and the stable component), and the bound
+        # leaves 0.4 of margin: one more uint8 frame kept per video reads
+        # 2.1. v00's smaller hand makes it the reference of every run, so
+        # each run matches the same template at the one scale, and only what
+        # is kept per video can differ between the peaks.
         synth.gen_video_set(smooth_patch(8, 8, seed=5), [synth.VideoSpec("v00", 1.0, 20, 20)],
                             (64, 48), 6, 60.0, 1, seed=11, out_dir=tmp_path / "videos")
         rng = np.random.default_rng(8)
@@ -827,7 +881,7 @@ class TestAlign:
                                                 "--out", str(out), "--scales", "1.0"])
             assert code == 0
             assert json.loads((out / "alignment.json").read_text())["reference_video_id"] == "v00"
-        assert peaks[12] - peaks[2] <= 2 * 64 * 48 * 3 * (12 - 2)
+        assert peaks[12] - peaks[2] <= 1.5 * 64 * 48 * 3 * (12 - 2)
 
     def test_rerun_with_shorter_videos_leaves_no_stale_frames(self, tmp_path):
         # aligning 3-frame videos into an --out that holds 5-frame ones used
@@ -1089,10 +1143,10 @@ def write_discover_inputs(tmp_path):
         write_features(stream, fpath)
         pred = StateSequence(free_active(), states)
         ppath = tmp_path / f"v{vi}.fa.txt"
-        ppath.write_text("\n".join(pred.label_names()) + "\n")
+        write_labels(pred, ppath)
         truth = StateSequence(obj_space, obj_truth)
         tpath = tmp_path / f"v{vi}.obj.txt"
-        tpath.write_text("\n".join(truth.label_names()) + "\n")
+        write_labels(truth, tpath)
         manifest_lines.append(f"{fpath}\t{ppath}\t{tpath}")
     manifest = tmp_path / "discover.txt"
     manifest.write_text("\n".join(manifest_lines) + "\n")
@@ -1745,9 +1799,10 @@ class TestSynthCommand:
 
     def test_memory_holds_one_stream(self, tmp_path, traced_peak):
         # the streams are drawn and written one at a time: 8 videos of
-        # 2,000 x 64 float64 values, 1 MB each. The peak is 2.1 streams (a
-        # stream, its drawing's trajectory and its float32 payload); holding
-        # the whole set peaked at 9.2
+        # 2,000 x 64 float64 values, 1 MB each. The peak is 2.11 streams (a
+        # stream, its drawing's trajectory and its float32 payload), and the
+        # bound leaves 0.39 of margin: the previous stream still alive while
+        # the next is drawn reads 3.1, and holding the whole set peaked at 9.2
         _, ges, _ = write_spaces(tmp_path)
         cfg = tmp_path / "synth.json"
         cfg.write_text(json.dumps({"seed": 3, "states": 3, "dim": 64, "frames": 2_000,
@@ -1757,7 +1812,7 @@ class TestSynthCommand:
         assert main(argv) == 0  # first-call allocations are not what this measures
         peak, rc = traced_peak(main, argv)
         assert rc == 0
-        assert peak < 4 * 2_000 * 64 * 8, peak / (2_000 * 64 * 8)
+        assert peak < 2.5 * 2_000 * 64 * 8, peak / (2_000 * 64 * 8)
 
     def test_empty_feature_set_exit_2_before_out(self, tmp_path, capsys):
         # frames 0 used to exit 2 after making --out, and videos 0 exited 0

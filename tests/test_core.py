@@ -21,7 +21,7 @@ from handcam.core import (
     unit_rows,
     write_json,
 )
-from handcam.change import CandidateSet, change_feature_matrix
+from handcam.change import change_feature_matrix
 from handcam.classify import LinearModel, TrainConfig
 from handcam.features import read_features, write_features
 from handcam.discovery import Segment, segment_similarity_matrix
@@ -356,8 +356,6 @@ FROZEN_FIELDS = {
     "StateSequence": ("states", lambda a: StateSequence(free_active(), a),
                       lambda: np.array([0, 1, 1])),
     "Segment": ("mean_feature", lambda a: Segment("v", 0, 2, a), lambda: np.ones(3)),
-    "CandidateSet": ("frame_indices", lambda a: CandidateSet(a, np.ones(2), 3),
-                     lambda: np.array([2, 9])),
     "LinearModel": ("weights", lambda a: LinearModel(a, np.zeros(2), None, TrainConfig()),
                     lambda: np.ones((2, 3))),
     "SynthConfig": ("centers", lambda a: SynthConfig(0, 2, 2, 10, 1, a, 0.0),
@@ -388,13 +386,10 @@ class TestStateSequence:
     def test_with_label_space(self):
         seq = StateSequence(free_active(), np.array([0, 1, 1]))
         assert seq.num_states == 2
-        assert seq.label_names() == ["free", "active", "active"]
 
     def test_detached(self):
         seq = StateSequence(None, np.array([0, 3]), num_states=4)
         assert seq.num_states == 4
-        with pytest.raises(ValueError):
-            seq.label_names()
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from handcam.core import Camera, FeatureStream, StateSequence, run_starts
+from handcam.core import Camera, FeatureStream, run_starts
 from handcam.inference import (
     InferenceProblem,
     check_lam,
@@ -22,7 +22,7 @@ def score_sequence(problem, seq, lam):
     state off-candidate: the objective `decode` maximizes, for exhaustive
     checks."""
     check_lam(lam)
-    states = seq.states if isinstance(seq, StateSequence) else np.asarray(seq, dtype=np.int64)
+    states = np.asarray(seq, dtype=np.int64)
     n = problem.n_frames
     if states.shape != (n,):
         raise ValueError(f"sequence length {states.shape} does not match N={n}")
@@ -190,15 +190,15 @@ class TestDecode:
         rng = np.random.default_rng(1)
         unary = rng.uniform(-1, 1, (12, 3))
         p = make_problem(unary, np.arange(1, 12), rng.uniform(-1, 1, 11))
-        assert np.array_equal(decode(p, [0.0])[0].states, np.argmax(unary, axis=1))
+        assert np.array_equal(decode(p, [0.0])[0], np.argmax(unary, axis=1))
 
     def test_no_candidates_best_constant(self):
         rng = np.random.default_rng(2)
         unary = rng.uniform(-1, 1, (9, 4))
         p = InferenceProblem(unary, np.array([], dtype=int), [np.ones(2)])
         dec = decode(p, [1.0])[0]
-        assert len(set(dec.states.tolist())) == 1
-        assert dec.states[0] == int(np.argmax(unary.sum(axis=0)))
+        assert len(set(dec.tolist())) == 1
+        assert dec[0] == int(np.argmax(unary.sum(axis=0)))
 
     def test_oracle_equivalence_200_instances(self):
         rng = np.random.default_rng(3)
@@ -213,7 +213,7 @@ class TestDecode:
         rng = np.random.default_rng(4)
         for _ in range(50):
             p, lam = random_problem(rng)
-            states = decode(p, [lam])[0].states
+            states = decode(p, [lam])[0]
             changes = np.nonzero(states[1:] != states[:-1])[0] + 1
             assert np.isin(changes, p.candidates).all()
 
@@ -224,14 +224,14 @@ class TestDecode:
         sims = rng.uniform(-1, 1, 2)
         a = decode(make_problem(unary, cand, sims), [1.0])[0]
         b = decode(make_problem(unary + 7.25, cand, sims), [1.0])[0]
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a, b)
 
     def test_large_lambda_positive_sims_forces_constant(self):
         rng = np.random.default_rng(6)
         unary = rng.uniform(-1, 1, (20, 3))
         cand = np.array([5, 10, 15])
         p = make_problem(unary, cand, [0.9, 0.8, 0.95])
-        assert len(set(decode(p, [1e6])[0].states.tolist())) == 1
+        assert len(set(decode(p, [1e6])[0].tolist())) == 1
 
     def test_decode_beats_random_legal_sequences(self):
         rng = np.random.default_rng(7)
@@ -262,16 +262,18 @@ class TestDecode:
                 score_sequence(p, np.zeros(3, dtype=int), lam)
 
     def test_decoded_states_are_detached_with_k_states(self):
-        # the DP decodes state indices; `infer` names them with its state model's space
-        p = make_problem(np.zeros((4, 3)), np.array([2]), [0.5])
-        for decoded in decode(p, [0.0, 1.0]):
-            assert decoded.label_space is None
-            assert decoded.num_states == 3
+        # the DP decodes plain int64 state indices in 0..K-1; `infer` names
+        # them with its state model's space where it writes them
+        unary = np.array([[0.0, 0.0, 1.0]] * 2 + [[0.0, 1.0, 0.0]] * 2)
+        p = make_problem(unary, np.array([2]), [0.5])
+        for decoded, want in zip(decode(p, [0.0, 10.0]), ([2, 2, 1, 1], [1, 1, 1, 1])):
+            assert type(decoded) is np.ndarray and decoded.dtype == np.int64
+            assert decoded.tolist() == want
 
     def test_tie_prefers_lower_state_lexicographically(self):
         # all-zero unaries, zero similarity: every sequence ties; expect all-0
         p = make_problem(np.zeros((6, 3)), np.array([3]), [0.0])
-        assert decode(p, [1.0])[0].states.tolist() == [0] * 6
+        assert decode(p, [1.0])[0].tolist() == [0] * 6
 
 
 def decode_rebuilding_boundaries(problem, lam):
@@ -311,7 +313,7 @@ class TestDecodeBackPointers:
             problem = InferenceProblem(unary, cand, feats)
             lam = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
             assert np.array_equal(
-                decode(problem, [lam])[0].states, decode_rebuilding_boundaries(problem, lam)
+                decode(problem, [lam])[0], decode_rebuilding_boundaries(problem, lam)
             )
 
 
@@ -326,7 +328,7 @@ class TestDecodeStream:
         decoded = decode_stream(stream, unary, cand, lams)
         assert len(decoded) == len(lams)
         for lam, seq in zip(lams, decoded):
-            assert np.array_equal(seq.states, decode(problem, [lam])[0].states)
+            assert np.array_equal(seq, decode(problem, [lam])[0])
 
 
 def decode_per_lambda(problem, lam):
@@ -374,7 +376,7 @@ class TestDecodeAllLambdas:
             decoded = decode(problem, self.LAMS)
             assert len(decoded) == len(self.LAMS)
             for lam, seq in zip(self.LAMS, decoded):
-                assert np.array_equal(seq.states, decode_per_lambda(problem, lam))
+                assert np.array_equal(seq, decode_per_lambda(problem, lam))
 
     def test_equals_per_lambda_dp_on_random_scores(self):
         rng = np.random.default_rng(11)
@@ -387,7 +389,7 @@ class TestDecodeAllLambdas:
             )
             lams = [0.0, *rng.uniform(0.0, 5.0, 3)]
             for lam, seq in zip(lams, decode(problem, lams)):
-                assert np.array_equal(seq.states, decode_per_lambda(problem, lam))
+                assert np.array_equal(seq, decode_per_lambda(problem, lam))
 
     def test_no_lambdas_no_sequences(self):
         p = make_problem(np.zeros((4, 2)), np.array([2]), [0.5])

@@ -277,7 +277,7 @@ def test_read_truth_arbitrary(tmp_path_factory):
             return
         except OSError:
             return
-        assert set(seq.label_names()) <= set(space.labels)
+        assert {space.labels[s] for s in seq.states} <= set(space.labels)
 
     check()
 
