@@ -1,0 +1,104 @@
+"""Recorded digests of two small run trees, checked against a fresh run.
+
+Each chain runs in a child `python -m handcam.cli`, with OpenBLAS, OpenMP
+and MKL held to one thread, so its bytes cannot depend on the caller's
+thread count:
+- `pipeline` on the criterion-8 config of `test_acceptance.py`; its
+  `06_eval_*` stages write `report.json` and `report.csv`;
+- `synth videos` of three tiny videos at planted scales, then `align` of
+  them, which writes `alignment.json`.
+
+`golden/digests.json` maps every file of both trees to its sha256, beside
+the numpy version and BLAS build it was recorded with. A change that moves
+artifact bytes on purpose re-records it with `python tests/golden/record.py`
+and names each moved file and its reason; the test never writes the record.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+RECORD = Path(__file__).resolve().parent / "golden" / "digests.json"
+
+LABELS = ("task = gesture\n"
+          "labels = free, g01, g02, g03, g04, g05, g06, g07, g08, g09, g10, g11, g12\n"
+          "free_label = free\n")
+PIPELINE = {
+    "seed": 11,
+    "label_space": "labels.txt",
+    "synth": {"train_videos": 4, "test_videos": 2, "frames": 200, "states": 3,
+              "dim": 6, "min_dwell": 20, "noise_sigma": 0.6},
+    "hyperparameters": {"C": 0.1, "d": 3, "lambda": 1.0},
+    "training": {"epochs": 120},
+}
+VIDEOS = {
+    "seed": 5, "frames": 6, "frame_width": 48, "frame_height": 36,
+    "hand_width": 12, "hand_height": 12, "noise_sigma": 60.0, "jitter": 0,
+    "videos": [{"video_id": "va", "scale": 1.0, "dx": 5, "dy": 4},
+               {"video_id": "vb", "scale": 1.1, "dx": 12, "dy": 6},
+               {"video_id": "vc", "scale": 1.2, "dx": 8, "dy": 10}],
+}
+# the run trees whose files are recorded, each a directory of the chains' root
+TREES = ("pipeline", "videos", "aligned")
+
+
+def host() -> dict[str, str]:
+    """What the recorded bytes may depend on besides the code: numpy's
+    version and the BLAS it was built with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def handcam(root: Path, *argv: str) -> None:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(SRC), *sys.path]))
+    done = subprocess.run([sys.executable, "-m", "handcam.cli", *argv], cwd=root, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, f"handcam {' '.join(argv)}: {done.stderr}"
+
+
+def run_chains(root: Path) -> dict[str, str]:
+    """Run both chains under root: the sha256 of each file of their run
+    trees, by its path relative to root."""
+    inputs = root / "inputs"
+    inputs.mkdir(parents=True)
+    (inputs / "labels.txt").write_text(LABELS)
+    (inputs / "pipeline.json").write_text(json.dumps(PIPELINE))
+    (inputs / "videos.json").write_text(json.dumps(VIDEOS))
+    (inputs / "videos.txt").write_text("".join(f"videos/{v['video_id']}\n"
+                                               for v in VIDEOS["videos"]))
+    handcam(root, "pipeline", "--config", "inputs/pipeline.json", "--out", "pipeline")
+    handcam(root, "synth", "videos", "--config", "inputs/videos.json", "--out", "videos")
+    handcam(root, "align", "--manifest", "inputs/videos.txt", "--out", "aligned",
+            "--scales", "1.0", "1.1", "1.2")
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for tree in TREES for p in sorted((root / tree).rglob("*")) if p.is_file()}
+
+
+def differences(recorded: dict[str, str], fresh: dict[str, str]) -> list[str]:
+    """One line per path whose digest moved, or that appeared or vanished."""
+    return ([f"moved: {p}" for p in sorted(recorded.keys() & fresh.keys())
+             if recorded[p] != fresh[p]]
+            + [f"appeared: {p}" for p in sorted(fresh.keys() - recorded.keys())]
+            + [f"vanished: {p}" for p in sorted(recorded.keys() - fresh.keys())])
+
+
+def test_differences_detector():
+    recorded = {"a": "1", "b": "2", "c": "3"}
+    fresh = {"a": "1", "b": "9", "d": "4"}
+    assert differences(recorded, fresh) == ["moved: b", "appeared: d", "vanished: c"]
+    assert differences(recorded, dict(recorded)) == []
+
+
+def test_run_trees_match_the_record(tmp_path):
+    record = json.loads(RECORD.read_text())
+    lines = differences(record["files"], run_chains(tmp_path))
+    if lines and record["host"] != host():
+        lines.insert(0, f"recorded on {record['host']}, run on {host()}")
+    assert not lines, "\n".join(lines)
