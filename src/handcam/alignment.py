@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import remove_stale, write_json
+from .core import remove_stale
 from .media import (
     FRAME_NAME, frame_path, frame_paths, load_frames, resample, resize_to, save_ppm, scaled_size,
     to_gray,
@@ -229,46 +229,27 @@ def ncc_match(
     return best
 
 
-@dataclass(frozen=True)
-class VideoAlignment:
-    """How one video's frames are rescaled and cropped onto the template."""
-
-    scale: float
-    dx: int
-    dy: int
-    peak: float
-    crop_window: tuple[int, int, int, int]  # (x0, y0, x1, y1) in scaled coords
-
-
-@dataclass(frozen=True)
-class AlignmentResult:
-    """The reference video, frame size and template box, and each video's alignment."""
-
-    reference_video_id: str
-    reference_size: tuple[int, int]  # (width, height)
-    template_box: tuple[int, int, int, int]
-    per_video: dict[str, VideoAlignment]
-
-    def __post_init__(self) -> None:
-        for va in self.per_video.values():
-            if not -1.0 <= va.peak <= 1.0:
-                raise ValueError("peak NCC must lie in [-1, 1]")
-
-
 def align_videos(
     medians: Mapping[str, np.ndarray],
     components: Mapping[str, Component | None],
     scales: Sequence[float],
-) -> AlignmentResult:
+) -> dict:
     """Place every video on the template: the uint8 median image of the
     `select_reference` video, cropped to its stable component's box, found
-    by `ncc_match` in each other video's uint8 median image."""
+    by `ncc_match` in each other video's uint8 median image.
+
+    The result is the document `align` writes as `alignment.json`:
+    `reference_video_id`, its frame's `reference_size` [width, height], the
+    `template_box` [x0, y0, x1, y1] in that frame, and under `videos`, by
+    video id in sorted order, the `ncc_match` `scale`, `dx`, `dy` and
+    `peak` and the `crop_window` [x0, y0, x1, y1] that the reference frame
+    covers of the scaled video."""
     ref = select_reference(components)
     box = components[ref][0]
     x0, y0, x1, y1 = box
     template = medians[ref][y0:y1, x0:x1]
     ref_h, ref_w = medians[ref].shape[:2]
-    per_video = {}
+    videos = {}
     for vid in sorted(medians):
         if vid == ref:
             scale, dx, dy, peak = 1.0, x0, y0, 1.0
@@ -276,68 +257,43 @@ def align_videos(
             scale, dx, dy, peak = ncc_match(template, medians[vid], scales)
         sw, sh = scaled_size(scale, medians[vid].shape[1], medians[vid].shape[0])
         left, top = dx - x0, dy - y0  # the reference frame's corner in the scaled video
-        window = (max(0, left), max(0, top), min(sw, left + ref_w), min(sh, top + ref_h))
-        per_video[vid] = VideoAlignment(scale, dx, dy, peak, window)
-    return AlignmentResult(ref, (ref_w, ref_h), box, per_video)
+        window = [max(0, left), max(0, top), min(sw, left + ref_w), min(sh, top + ref_h)]
+        videos[vid] = {"scale": scale, "dx": dx, "dy": dy, "peak": peak, "crop_window": window}
+    return {"reference_video_id": ref, "reference_size": [ref_w, ref_h],
+            "template_box": list(box), "videos": videos}
 
 
-def align_video(
-    stack: np.ndarray,
-    entry: VideoAlignment,
-    result: AlignmentResult,
-) -> np.ndarray:
+def align_video(stack: np.ndarray, alignment: dict, vid: str) -> np.ndarray:
     """Rescale, register to the template position, crop, replicate-pad a
-    uint8 (T, h, w, C) stack of frames: uint8 (T, height, width, C) at the
+    uint8 (T, h, w, C) stack of frames of video `vid` as the `align_videos`
+    document `alignment` places it: uint8 (T, height, width, C) at the
     reference resolution.
 
     Pixels that fall outside the rescaled source replicate the nearest
     edge. Only the crop window is resampled, all frames at once, so
     `align_video_dir` passes a few at a time.
     """
-    out_w, out_h = result.reference_size
-    bx0, by0 = result.template_box[0], result.template_box[1]
-    sw, sh = scaled_size(entry.scale, stack.shape[2], stack.shape[1])
-    ys = np.clip(np.arange(out_h) - by0 + entry.dy, 0, sh - 1)
-    xs = np.clip(np.arange(out_w) - bx0 + entry.dx, 0, sw - 1)
+    out_w, out_h = alignment["reference_size"]
+    bx0, by0 = alignment["template_box"][:2]
+    placed = alignment["videos"][vid]
+    sw, sh = scaled_size(placed["scale"], stack.shape[2], stack.shape[1])
+    ys = np.clip(np.arange(out_h) - by0 + placed["dy"], 0, sh - 1)
+    xs = np.clip(np.arange(out_w) - bx0 + placed["dx"], 0, sw - 1)
     return resample(stack, sw, sh, ys, xs)
 
 
-def align_video_dir(
-    video_dir: str | Path,
-    out_dir: str | Path,
-    entry: VideoAlignment,
-    result: AlignmentResult,
-    frame_shape: tuple[int, int, int],
-) -> None:
-    """`align_video` from the frame files of `video_dir` to those of `out_dir`,
-    `_CHUNK_FRAMES` frames at a time, so memory follows one chunk, not the
-    video. Every frame must have `frame_shape`, the shape of the frames
-    whose statistics placed the video."""
+def align_video_dir(video_dir: str | Path, out_dir: str | Path, alignment: dict, vid: str,
+                    frame_shape: tuple[int, int, int]) -> None:
+    """`align_video` of video `vid` from the frame files of `video_dir` to
+    those of `out_dir`, `_CHUNK_FRAMES` frames at a time, so memory follows
+    one chunk, not the video. Every frame must have `frame_shape`, the shape
+    of the frames whose statistics placed the video."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = frame_paths(video_dir)
     for s in range(0, len(paths), _CHUNK_FRAMES):
         chunk = load_frames(paths[s : s + _CHUNK_FRAMES], frame_shape)
-        for i, px in enumerate(align_video(chunk, entry, result), start=s):
+        for i, px in enumerate(align_video(chunk, alignment, vid), start=s):
             save_ppm(px, frame_path(out_dir, i))
     remove_stale(out_dir, FRAME_NAME, {p.name for p in paths})  # the names written
-
-
-def write_alignment_report(result: AlignmentResult, path: str | Path) -> None:
-    doc = {
-        "reference_video_id": result.reference_video_id,
-        "reference_size": list(result.reference_size),
-        "template_box": list(result.template_box),
-        "videos": {
-            vid: {
-                "scale": va.scale,
-                "dx": va.dx,
-                "dy": va.dy,
-                "peak": va.peak,
-                "crop_window": list(va.crop_window),
-            }
-            for vid, va in sorted(result.per_video.items())
-        },
-    }
-    write_json(doc, path)
 

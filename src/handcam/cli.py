@@ -277,13 +277,14 @@ def _cmd_synth(args: argparse.Namespace) -> None:
 
 
 def run_align(manifest: str | Path, out: str | Path, beta_threshold: float,
-              scales: tuple[float, ...]) -> alignment.AlignmentResult:
+              scales: tuple[float, ...]) -> dict:
     """Align the videos that manifest lists into out, checking both before a
-    frame is read; return what out/alignment.json records. Pass 1 reads one
-    video at a time and keeps only its median, rounded to uint8, and its
-    stable component; pass 2 streams each video a few frames at a time to
-    align and save it: memory follows one video, not the corpus. Afterwards
-    out holds the videos of this run only (`_remove_stale_videos`)."""
+    frame is read; return the `alignment.align_videos` document, which
+    out/alignment.json holds. Pass 1 reads one video at a time and keeps
+    only its median, rounded to uint8, and its stable component; pass 2
+    streams each video a few frames at a time to align and save it: memory
+    follows one video, not the corpus. Afterwards out holds the videos of
+    this run only (`_remove_stale_videos`)."""
     out = _out_dir("--out", out)
     dirs: dict[str, Path] = {}
     for path, in read_list_file(manifest, 1, 1):
@@ -305,20 +306,20 @@ def run_align(manifest: str | Path, out: str | Path, beta_threshold: float,
         components[vid] = alignment.stable_component(diversity, params.beta_threshold)
         medians[vid] = media.round_u8(median)
         del median, diversity  # the next video is read without them
-    result = alignment.align_videos(medians, components, params.scales)
+    doc = alignment.align_videos(medians, components, params.scales)
     out.mkdir(parents=True, exist_ok=True)
-    for vid, entry in sorted(result.per_video.items()):
-        alignment.align_video_dir(dirs[vid], out / vid, entry, result, medians[vid].shape)
-    _remove_stale_videos(out, result.per_video)
-    alignment.write_alignment_report(result, out / "alignment.json")
-    return result
+    for vid in doc["videos"]:
+        alignment.align_video_dir(dirs[vid], out / vid, doc, vid, medians[vid].shape)
+    _remove_stale_videos(out, doc["videos"])
+    write_json(doc, out / "alignment.json")
+    return doc
 
 
 def _cmd_align(args: argparse.Namespace) -> None:
-    result = run_align(args.manifest, args.out, args.beta_threshold, tuple(args.scales))
-    print(f"reference: {result.reference_video_id}")
-    for vid, entry in sorted(result.per_video.items()):
-        print(f"{vid}\tscale={entry.scale}\tdx={entry.dx}\tdy={entry.dy}\tpeak={entry.peak:.4f}")
+    doc = run_align(args.manifest, args.out, args.beta_threshold, tuple(args.scales))
+    print(f"reference: {doc['reference_video_id']}")
+    for vid, v in doc["videos"].items():
+        print(f"{vid}\tscale={v['scale']}\tdx={v['dx']}\tdy={v['dy']}\tpeak={v['peak']:.4f}")
 
 
 def run_extract(video: str | Path, out: str | Path, camera: Camera, fps: float,
@@ -468,8 +469,9 @@ def run_infer(features: str | Path, state_model: str | Path, mode: str,
 
 
 def run_eval(preds: list, truths: list, label_space: str | Path,
-             report_dir: str | Path) -> evaluation.EvalReport:
-    """Score prediction files against truth files, pooled over the videos.
+             report_dir: str | Path) -> dict:
+    """Score prediction files against truth files, pooled over the videos;
+    return the `evaluation.build_report` document, which report.json holds.
 
     A video's id is its prediction file's name up to the first '.'
     (`test_04.full.txt` is `test_04`); two pairs may not share one.
@@ -527,7 +529,7 @@ def _cmd_infer(args: argparse.Namespace) -> None:
 
 def _cmd_eval(args: argparse.Namespace) -> None:
     report = run_eval(args.pred, args.truth, args.label_space, args.report)
-    print(f"accuracy: {report.global_accuracy:.4f}")
+    print(f"accuracy: {report['global_accuracy']:.4f}")
 
 
 def run_discover(manifest: str | Path, fa_space: str | Path, object_space: str | Path | None,
@@ -667,12 +669,15 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
     if not labels.exists():
         raise ValueError(f"label-space file not found: {labels}")
     space = load_label_space(labels)
-    plan, epochs = _pipeline_plan(cfg)
     scfg, hyper = cfg["synth"], cfg["hyperparameters"]
     n_train, n_test = scfg["train_videos"], scfg["test_videos"]
     vids = [f"{'train' if i < n_train else 'test'}_{i:02d}" for i in range(n_train + n_test)]
     seeded = {"seed": cfg["seed"], **scfg}
-    pairs = _feature_set(seeded, vids, space, cfg.get("fps", DEFAULT_FPS))
+    try:  # every value of the config, before any stage
+        plan, epochs = _pipeline_plan(cfg)
+        pairs = _feature_set(seeded, vids, space, cfg.get("fps", DEFAULT_FPS))
+    except ValueError as e:
+        raise ValueError(f"{config_path}: {e}") from None
     inputs = {"config": config_path}  # of every manifest after synth
 
     with _stage(out_dir, "00_synth", "synth", seeded, {**inputs, "label_space": labels}) as sdir:
@@ -719,7 +724,7 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> dict:
     for tag, tag_preds in preds.items():
         with _stage(out_dir, f"06_eval_{tag}", f"eval-{tag}", {}, inputs) as edir:
             report = run_eval(tag_preds, [truths[v] for v in test_ids], labels, edir)
-        accuracies[tag] = report.global_accuracy
+        accuracies[tag] = report["global_accuracy"]
 
     write_json(
         {"accuracy_full": accuracies["full"], "accuracy_unary": accuracies["unary"],

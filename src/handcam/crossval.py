@@ -37,12 +37,12 @@ class CrossValPlan:
     def __post_init__(self) -> None:
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
-        if not (self.c_grid and self.d_grid and self.lambda_grid):
-            raise ValueError("grids must be non-empty")
         # each value by the check of the stage that uses it
         for name, grid, check in (("C", self.c_grid, lambda c: TrainConfig(c_reg=c)),
                                   ("d", self.d_grid, check_d),
                                   ("lambda", self.lambda_grid, check_lam)):
+            if not grid:
+                raise ValueError(f"{name} grid is empty")
             for value in grid:
                 try:
                     check(value)

@@ -7,13 +7,12 @@ space (solver-level benchmarks) give a report with task "" and no labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .core import LabelSpace, StateSequence, remove_stale, run_starts, write_csv, write_json
+from .core import StateSequence, remove_stale, run_starts, write_csv, write_json
 
 
 def _check_pair(pred: StateSequence, truth: StateSequence) -> None:
@@ -37,22 +36,15 @@ def confusion(pred: StateSequence, truth: StateSequence) -> np.ndarray:
     return np.bincount(flat, minlength=k * k).reshape(k, k)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Per-video and pooled per-frame accuracy, and the truth x prediction
-    confusion, in the truths' label space (None: detached)."""
-
-    label_space: LabelSpace | None
-    per_video_accuracy: dict[str, float]
-    global_accuracy: float
-    confusion: np.ndarray
-    n_frames: int
-
-
 def build_report(
     preds: Mapping[str, StateSequence],
     truths: Mapping[str, StateSequence],
-) -> EvalReport:
+) -> dict:
+    """Per-video and pooled per-frame accuracy, as the document `write_report`
+    writes as `report.json`: the `task` and `labels` of the label space the
+    truths share ("" and null when detached), `global_accuracy`,
+    `per_video_accuracy` by video id in sorted order, the pooled `n_frames`
+    and the pooled `confusion` (row truth, column prediction)."""
     if set(preds) != set(truths):
         raise ValueError("prediction and truth video sets differ")
     if not preds:
@@ -60,29 +52,22 @@ def build_report(
     spaces = {t.label_space for t in truths.values()}
     if len(spaces) != 1:
         raise ValueError("truths use different label spaces")
+    space = spaces.pop()
     per_video = {}
     total = None
-    n = 0
     for vid in sorted(preds):
         if not len(truths[vid]):
             raise ValueError(f"video {vid!r} has no frames to evaluate")
         c = confusion(preds[vid], truths[vid])
         per_video[vid] = float(np.trace(c) / c.sum())  # correct / frames, as one division
         total = c if total is None else total + c
-        n += len(truths[vid])
-    global_acc = float(np.trace(total) / total.sum())
-    return EvalReport(spaces.pop(), per_video, global_acc, total, n)
-
-
-def report_dict(report: EvalReport) -> dict:
-    space = report.label_space
     return {
         "task": space.task.value if space else "",
-        "global_accuracy": report.global_accuracy,
-        "per_video_accuracy": report.per_video_accuracy,
-        "n_frames": report.n_frames,
+        "global_accuracy": float(np.trace(total) / total.sum()),
+        "per_video_accuracy": per_video,
+        "n_frames": int(total.sum()),
         "labels": list(space.labels) if space else None,
-        "confusion": report.confusion.tolist(),
+        "confusion": total.tolist(),
     }
 
 
@@ -123,18 +108,19 @@ def timeline_svg(sequences: Mapping[str, StateSequence], width: int = 720) -> st
 
 
 def write_report(
-    report: EvalReport,
+    report: dict,
     out_dir: str | Path,
     timelines: Mapping[str, Mapping[str, StateSequence]] | None = None,
 ) -> None:
-    """Emit report.json, report.csv and per-video timeline SVGs, replacing
-    the timelines of an earlier report in out_dir."""
+    """Emit the `build_report` document as report.json, its accuracies as
+    report.csv, and per-video timeline SVGs, replacing the timelines of an
+    earlier report in out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     remove_stale(out_dir, r"timeline_.*\.svg")
-    write_json(report_dict(report), out_dir / "report.json")
-    rows = sorted(report.per_video_accuracy.items())
-    write_csv([("video", "accuracy"), *rows, ("GLOBAL", report.global_accuracy)],
+    write_json(report, out_dir / "report.json")
+    rows = sorted(report["per_video_accuracy"].items())
+    write_csv([("video", "accuracy"), *rows, ("GLOBAL", report["global_accuracy"])],
               out_dir / "report.csv")
     if timelines:
         for vid in sorted(timelines):

@@ -8,8 +8,6 @@ from scipy.signal import fftconvolve
 from handcam import synth
 from handcam.alignment import (
     AlignmentParams,
-    AlignmentResult,
-    VideoAlignment,
     _valid_correlation,
     align_video,
     align_video_dir,
@@ -18,9 +16,9 @@ from handcam.alignment import (
     pixel_stats,
     select_reference,
     stable_component,
-    write_alignment_report,
     zncc_map,
 )
+from handcam.core import write_json
 from handcam.media import frame_path, load_video_dir, round_u8, save_ppm
 from conftest import save_frames
 from test_media import KINDS, random_stack, reference_resize_to
@@ -393,26 +391,27 @@ def scale_one_set(out_dir, seed=11):
 class TestAlignVideos:
     def test_offsets_recovered(self, tmp_path):
         videos, truth, medians, components = scale_one_set(tmp_path)
-        result = align_videos(medians, components, SCALES)
-        ref = result.reference_video_id
-        for vid, entry in result.per_video.items():
+        doc = align_videos(medians, components, SCALES)
+        ref = doc["reference_video_id"]
+        for vid, placed in doc["videos"].items():
             # planted relative offset between this video and the reference
             want_dx = truth[vid]["dx"] - truth[ref]["dx"]
-            got_dx = entry.dx - result.per_video[ref].dx
+            got_dx = placed["dx"] - doc["videos"][ref]["dx"]
             want_dy = truth[vid]["dy"] - truth[ref]["dy"]
-            got_dy = entry.dy - result.per_video[ref].dy
+            got_dy = placed["dy"] - doc["videos"][ref]["dy"]
             assert abs(got_dx - want_dx) <= 2
             assert abs(got_dy - want_dy) <= 2
 
     def test_reference_self_alignment_identity(self, tmp_path):
         videos, _, medians, components = scale_one_set(tmp_path)
-        result = align_videos(medians, components, SCALES)
-        ref = result.reference_video_id
+        doc = align_videos(medians, components, SCALES)
+        ref = doc["reference_video_id"]
         assert ref == select_reference(components)
-        assert result.template_box == components[ref][0]
-        assert result.per_video[ref] == VideoAlignment(
-            1.0, *components[ref][0][:2], 1.0, (0, 0, *result.reference_size))
-        aligned = align_video(videos[ref], result.per_video[ref], result)
+        assert doc["template_box"] == list(components[ref][0])
+        x0, y0 = components[ref][0][:2]
+        assert doc["videos"][ref] == {"scale": 1.0, "dx": x0, "dy": y0, "peak": 1.0,
+                                      "crop_window": [0, 0, *doc["reference_size"]]}
+        aligned = align_video(videos[ref], doc, ref)
         assert np.array_equal(aligned, videos[ref])
 
     def test_pure_translation_alignment(self):
@@ -422,52 +421,62 @@ class TestAlignVideos:
         base = rng.integers(0, 256, (60, 80, 3), dtype=np.uint8)
         sx, sy = 9, 6
         shifted = np.roll(np.roll(base, sy, axis=0), sx, axis=1)
-        from handcam.alignment import AlignmentResult, VideoAlignment
-
-        tpl_box = (20, 20, 44, 44)
         template = base[20:44, 20:44].copy()
         scale, dx, dy, peak = ncc_match(template, shifted, [1.0])
         assert (dx, dy) == (20 + sx, 20 + sy)
-        result = AlignmentResult(
-            "ref",
-            (80, 60),
-            tpl_box,
-            {
-                "ref": VideoAlignment(1.0, 20, 20, 1.0, (0, 0, 80, 60)),
-                "tgt": VideoAlignment(scale, dx, dy, peak, (9, 6, 80, 60)),
+        doc = {
+            "reference_video_id": "ref",
+            "reference_size": [80, 60],
+            "template_box": [20, 20, 44, 44],
+            "videos": {
+                "ref": {"scale": 1.0, "dx": 20, "dy": 20, "peak": 1.0,
+                        "crop_window": [0, 0, 80, 60]},
+                "tgt": {"scale": scale, "dx": dx, "dy": dy, "peak": peak,
+                        "crop_window": [9, 6, 80, 60]},
             },
-        )
-        aligned = align_video(shifted[None], result.per_video["tgt"], result)[0]
+        }
+        aligned = align_video(shifted[None], doc, "tgt")[0]
         # interior equality (replicate padding only affects the first sx cols / sy rows)
         assert np.array_equal(aligned[:-sy or None, :-sx or None], base[: 60 - sy, : 80 - sx])
 
     def test_constant_video_stays_constant(self):
         frames = np.full((1, 30, 40, 3), 99, dtype=np.uint8)
-        from handcam.alignment import AlignmentResult, VideoAlignment
-
-        result = AlignmentResult(
-            "r", (20, 20), (5, 5, 15, 15),
-            {"v": VideoAlignment(1.3, 8, 9, 0.5, (3, 4, 23, 24))},
-        )
-        aligned = align_video(frames, result.per_video["v"], result)[0]
+        doc = {"reference_video_id": "r", "reference_size": [20, 20],
+               "template_box": [5, 5, 15, 15],
+               "videos": {"v": {"scale": 1.3, "dx": 8, "dy": 9, "peak": 0.5,
+                                "crop_window": [3, 4, 23, 24]}}}
+        aligned = align_video(frames, doc, "v")[0]
         assert np.all(aligned == 99)
         assert aligned.shape == (20, 20, 3)
 
     def test_report_round_trip(self, tmp_path):
         _, _, medians, components = scale_one_set(tmp_path / "videos")
-        result = align_videos(medians, components, SCALES)
+        doc = align_videos(medians, components, SCALES)
         path = tmp_path / "alignment.json"
-        write_alignment_report(result, path)
-        doc = json.loads(path.read_text())
-        assert doc["reference_video_id"] == result.reference_video_id
-        assert doc["reference_size"] == list(result.reference_size)
-        assert doc["template_box"] == list(result.template_box)
-        assert sorted(doc["videos"]) == sorted(result.per_video)
-        for vid, va in result.per_video.items():
-            assert doc["videos"][vid] == {
-                "scale": va.scale, "dx": va.dx, "dy": va.dy, "peak": va.peak,
-                "crop_window": list(va.crop_window),
-            }
+        write_json(doc, path)
+        assert json.loads(path.read_text()) == doc
+        assert sorted(doc) == ["reference_size", "reference_video_id", "template_box", "videos"]
+        assert list(doc["videos"]) == sorted(medians)
+        for placed in doc["videos"].values():
+            assert sorted(placed) == ["crop_window", "dx", "dy", "peak", "scale"]
+            assert len(placed["crop_window"]) == 4
+
+    def test_peaks_lie_in_unit_range(self):
+        # zncc_map clips every score, so no placement leaves [-1, 1]: on
+        # random, constant and tie-heavy (0/255) medians, any template box
+        rng = np.random.default_rng(13)
+        for case in range(90):
+            h, w = (int(v) for v in rng.integers(2, 16, 2))
+            medians = {f"v{i}": random_stack(rng, 1, h, w, 3, KINDS[case % 3])[0]
+                       for i in range(3)}
+            components = {}
+            for vid in medians:
+                x0, y0 = int(rng.integers(0, w)), int(rng.integers(0, h))
+                x1, y1 = int(rng.integers(x0 + 1, w + 1)), int(rng.integers(y0 + 1, h + 1))
+                components[vid] = ((x0, y0, x1, y1), (x1 - x0) * (y1 - y0))
+            doc = align_videos(medians, components, (0.9, 1.0, 1.3))
+            peaks = [placed["peak"] for placed in doc["videos"].values()]
+            assert all(-1.0 <= p <= 1.0 for p in peaks), (case, peaks)
 
 
 def reference_pixel_stats(frames):
@@ -478,19 +487,20 @@ def reference_pixel_stats(frames):
     return median, np.mean(np.abs(stack - median), axis=0)
 
 
-def reference_align_video(frames, entry, result):
+def reference_align_video(frames, alignment, vid):
     """`align_video` as it was before `resample`: resize every whole frame,
     then crop it."""
-    out_w, out_h = result.reference_size
-    bx0, by0 = result.template_box[0], result.template_box[1]
+    out_w, out_h = alignment["reference_size"]
+    bx0, by0 = alignment["template_box"][:2]
+    placed = alignment["videos"][vid]
     aligned = []
     for img in frames:
         h, w = img.shape[:2]
-        sw = int(np.floor(entry.scale * w + 0.5))
-        sh = int(np.floor(entry.scale * h + 0.5))
+        sw = int(np.floor(placed["scale"] * w + 0.5))
+        sh = int(np.floor(placed["scale"] * h + 0.5))
         scaled = img if (sw, sh) == (w, h) else reference_resize_to(img, sw, sh)
-        ys = np.clip(np.arange(out_h) - by0 + entry.dy, 0, sh - 1)
-        xs = np.clip(np.arange(out_w) - bx0 + entry.dx, 0, sw - 1)
+        ys = np.clip(np.arange(out_h) - by0 + placed["dy"], 0, sh - 1)
+        xs = np.clip(np.arange(out_w) - bx0 + placed["dx"], 0, sw - 1)
         aligned.append(scaled[np.ix_(ys, xs)])
     return aligned
 
@@ -534,20 +544,24 @@ class TestExactAgainstReference:
             out_w, out_h = (int(v) for v in rng.integers(1, 13, 2))
             bx0, by0 = int(rng.integers(0, out_w)), int(rng.integers(0, out_h))
             dx, dy = int(rng.integers(-3, 2 * w + 3)), int(rng.integers(-3, 2 * h + 3))
-            entry = VideoAlignment(scale, dx, dy, 1.0, (0, 0, 1, 1))
-            result = AlignmentResult("v", (out_w, out_h), (bx0, by0, bx0 + 1, by0 + 1),
-                                     {"v": entry})
+            doc = one_video_alignment(scale, out_w, out_h, dx, dy, (bx0, by0))
             frames = random_stack(rng, t, h, w, c, KINDS[case % 3])
-            got = align_video(frames, entry, result)
-            want = reference_align_video(frames, entry, result)
+            got = align_video(frames, doc, "v")
+            want = reference_align_video(frames, doc, "v")
             assert len(got) == t
             for a, b in zip(got, want):
                 assert same_bits(a, b), (t, h, w, c, scale, out_w, out_h)
 
 
-def scaled_entry(scale, out_w, out_h, dx, dy):
-    entry = VideoAlignment(scale, dx, dy, 1.0, (0, 0, 1, 1))
-    return entry, AlignmentResult("v", (out_w, out_h), (0, 0, 1, 1), {"v": entry})
+def one_video_alignment(scale, out_w, out_h, dx, dy, corner=(0, 0)):
+    """An `align_videos` document that places video "v" by scale and
+    (dx, dy) on an out_w x out_h reference frame whose 1 x 1 template box
+    has its top-left corner at `corner`."""
+    bx0, by0 = corner
+    return {"reference_video_id": "v", "reference_size": [out_w, out_h],
+            "template_box": [bx0, by0, bx0 + 1, by0 + 1],
+            "videos": {"v": {"scale": scale, "dx": dx, "dy": dy, "peak": 1.0,
+                             "crop_window": [0, 0, 1, 1]}}}
 
 
 class TestAlignVideoDir:
@@ -558,9 +572,9 @@ class TestAlignVideoDir:
         for case, t in enumerate((1, 3, 4, 5, 9)):
             frames = random_stack(rng, t, 18, 24, 3, KINDS[case % 3])
             save_frames(frames, tmp_path / f"in{case}")
-            entry, result = scaled_entry((0.9, 1.0, 1.1, 1.2, 1.3)[case], 20, 16, -2, 3)
-            align_video_dir(tmp_path / f"in{case}", tmp_path / "out", entry, result, (18, 24, 3))
-            save_frames(align_video(frames, entry, result), tmp_path / "want")
+            doc = one_video_alignment((0.9, 1.0, 1.1, 1.2, 1.3)[case], 20, 16, -2, 3)
+            align_video_dir(tmp_path / f"in{case}", tmp_path / "out", doc, "v", (18, 24, 3))
+            save_frames(align_video(frames, doc, "v"), tmp_path / "want")
             got = sorted((tmp_path / "out").iterdir())
             want = sorted((tmp_path / "want").iterdir())
             assert [p.name for p in got] == [p.name for p in want]
@@ -569,23 +583,23 @@ class TestAlignVideoDir:
     def test_frame_shape_checked(self, tmp_path):
         save_frames(np.zeros((6, 6, 8, 3), dtype=np.uint8), tmp_path / "in")
         save_ppm(np.zeros((6, 9, 3), dtype=np.uint8), frame_path(tmp_path / "in", 5))
-        entry, result = scaled_entry(1.0, 8, 6, 0, 0)
+        doc = one_video_alignment(1.0, 8, 6, 0, 0)
         with pytest.raises(ValueError, match=r"frame_000000\.ppm has shape \(6, 8, 3\), "
                                              r"expected \(7, 8, 3\)"):
-            align_video_dir(tmp_path / "in", tmp_path / "out", entry, result, (7, 8, 3))
+            align_video_dir(tmp_path / "in", tmp_path / "out", doc, "v", (7, 8, 3))
         with pytest.raises(ValueError, match=r"frame_000005\.ppm has shape \(6, 9, 3\)"):
-            align_video_dir(tmp_path / "in", tmp_path / "out", entry, result, (6, 8, 3))
+            align_video_dir(tmp_path / "in", tmp_path / "out", doc, "v", (6, 8, 3))
 
     def test_memory_follows_one_chunk(self, tmp_path, traced_peak):
         # the parent held the whole video and its aligned copy: 4x the
         # frames for 4x the video
         rng = np.random.default_rng(42)
-        entry, result = scaled_entry(1.2, 64, 48, 3, 2)
+        doc = one_video_alignment(1.2, 64, 48, 3, 2)
         peaks = []
         for t in (32, 128):
             video = tmp_path / f"v{t}"
             save_frames(rng.integers(0, 256, (t, 48, 64, 3), dtype=np.uint8), video)
-            peaks.append(traced_peak(align_video_dir, video, tmp_path / f"out{t}", entry,
-                                     result, (48, 64, 3))[0])
+            peaks.append(traced_peak(align_video_dir, video, tmp_path / f"out{t}", doc, "v",
+                                     (48, 64, 3))[0])
             assert len(load_video_dir(tmp_path / f"out{t}")) == t
         assert peaks[1] < 1.2 * peaks[0]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 from itertools import product
 from pathlib import Path
 
@@ -13,10 +14,10 @@ import pytest
 from handcam import alignment, change, classify, cli, evaluation, synth
 from handcam import features as features_mod
 from handcam.cli import build_parser, main, read_truth, run_pipeline, write_labels
-from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task
+from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task, write_json
 from handcam.features import read_features, write_features
 from handcam.media import frame_path, load_video_dir, save_ppm
-from conftest import free_active, save_frames
+from conftest import free_active, save_frames, train_arrays
 from test_core import save_label_space
 from test_synth import orthonormal_centers, smooth_patch
 
@@ -88,6 +89,16 @@ class TestExitCodes:
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+    def test_internal_error_is_3(self, capsys, monkeypatch):
+        # a defect, not a data error: neither a ValueError nor an OSError
+        def defect(*args):
+            raise RuntimeError("a defect")
+
+        monkeypatch.setattr(cli, "run_eval", defect)
+        assert main(["eval", "--pred", "p.txt", "--truth", "t.txt", "--label-space", "l.txt",
+                     "--report", "report"]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: a defect\n"
 
 
 class TestWriteLabels:
@@ -380,7 +391,7 @@ class TestTrainInferEval:
                      "--label-space", str(ges), "--report", str(report_dir)]) == 0
         expected = evaluation.build_report(preds, truths)
         doc = json.loads((report_dir / "report.json").read_text())
-        assert doc == json.loads(json.dumps(evaluation.report_dict(expected)))
+        assert doc == expected
         assert (doc["task"], doc["labels"]) == (space.task.value, list(space.labels))
         assert sorted(p.name for p in report_dir.glob("timeline_*.svg")) == [
             "timeline_a.svg", "timeline_b.svg"]
@@ -785,18 +796,53 @@ class TestTrainInferEval:
         assert main(["train-change", *common, "--d", "3", "--out", str(cmodel)]) == 0
         damaged = tmp_path / "damaged.bin"
         damaged.write_bytes(cmodel.read_bytes()[:-3])
+        # a state model's header saying K=3, D=5 under a 2-label space
+        rows = tmp_path / "rows.bin"
+        x, y = np.random.default_rng(3).standard_normal((6, 5)), np.arange(6) % 2
+        two = classify.model_bytes(train_arrays(x, y, free_active(), classify.TrainConfig(1.0, 1)))
+        rows.write_bytes(two[: -(2 * 5 + 2) * 8 - 8] + struct.pack("<II", 3, 5)
+                         + bytes((3 * 5 + 3) * 8))
         full = ["infer", "--features", feats[0], "--mode", "full", "--lambda", "1.0", "--d", "3"]
-        for argv, flag in (
+        for argv, flag, bad, message in (
             ([*full, "--state-model", str(damaged), "--change-model", str(cmodel)],
-             "--state-model"),
+             "--state-model", damaged, ""),
             ([*full, "--state-model", str(smodel), "--change-model", str(damaged)],
-             "--change-model"),
+             "--change-model", damaged, ""),
             (["detect-changes", "--features", feats[0], "--model", str(damaged), "--d", "3"],
-             "--model"),
+             "--model", damaged, ""),
+            ([*full, "--state-model", str(rows), "--change-model", str(cmodel)],
+             "--state-model", rows, ": weight rows must match the label count\n"),
         ):
             capsys.readouterr()
             assert main(argv) == 2
-            assert f"error: {flag} {damaged}: malformed model file" in capsys.readouterr().err
+            assert f"error: {flag} {bad}: malformed model file{message}" \
+                in capsys.readouterr().err
+
+    def test_change_model_of_another_width_exits_2(self, tmp_path, capsys):
+        _, ges, _ = write_spaces(tmp_path)
+        rng = np.random.default_rng(6)
+        truth = tmp_path / "v.truth.txt"
+        write_labels(StateSequence(gesture_space(), np.arange(40) // 10 % 3), truth)
+        streams = {}
+        for dim in (8, 16):
+            streams[dim] = tmp_path / f"v{dim}.feat"
+            write_features(FeatureStream("v", Camera.HEAD, 6.0, rng.standard_normal((40, dim))),
+                           streams[dim])
+        common = ["--truth", str(truth), "--label-space", str(ges), "--epochs", "2"]
+        smodel, cmodel = tmp_path / "state.bin", tmp_path / "change.bin"
+        assert main(["train-state", "--features", str(streams[16]), *common,
+                     "--out", str(smodel)]) == 0
+        assert main(["train-change", "--features", str(streams[8]), *common, "--d", "3",
+                     "--out", str(cmodel)]) == 0
+        out = tmp_path / "out.txt"
+        for argv in (["detect-changes", "--features", str(streams[16]), "--model", str(cmodel)],
+                     ["infer", "--features", str(streams[16]), "--state-model", str(smodel),
+                      "--mode", "full", "--lambda", "1.0", "--change-model", str(cmodel)]):
+            capsys.readouterr()
+            assert main([*argv, "--out", str(out)]) == 2, argv[0]
+            assert capsys.readouterr().err == \
+                "error: change model dim 8 does not match stream dim 16\n", argv[0]
+            assert not out.exists()
 
 
 class TestAlign:
@@ -1367,9 +1413,9 @@ class TestStageFunctions:
         manifest = tmp_path / "videos.txt"
         manifest.write_text(f"{tmp_path / 'videos' / 'va'}\n{tmp_path / 'videos' / 'vb'}\n")
         out = tmp_path / "aligned"
-        result = cli.run_align(manifest, out, beta_threshold=40.0, scales=(1.0, 1.1))
-        assert isinstance(result, alignment.AlignmentResult)
-        alignment.write_alignment_report(result, tmp_path / "returned.json")
+        doc = cli.run_align(manifest, out, beta_threshold=40.0, scales=(1.0, 1.1))
+        assert json.loads((out / "alignment.json").read_text()) == doc
+        write_json(doc, tmp_path / "returned.json")
         assert (tmp_path / "returned.json").read_bytes() == (out / "alignment.json").read_bytes()
 
 
@@ -1616,6 +1662,17 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "label space too small for the configured state count" in capsys.readouterr().err
         assert list((tmp_path / "run").iterdir()) == []
+
+    def test_empty_cv_grid_named_before_any_stage(self, tmp_path, capsys):
+        # printed only "grids must be non-empty", naming neither grid nor config
+        cfg = pipeline_config(tmp_path, C="auto")
+        doc = json.loads(cfg.read_text())
+        doc["synth"]["train_videos"] = 5
+        doc["cv"] = {"c_grid": []}
+        cfg.write_text(json.dumps(doc))
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: C grid is empty\n"
+        assert not (tmp_path / "run").exists()
 
     def test_missing_label_space_named(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

@@ -296,6 +296,12 @@ def test_peak_memory_holds_one_change_set(traced_peak):
 
 
 class TestPlanChecks:
+    @pytest.mark.parametrize("grid, name", [("c_grid", "C"), ("d_grid", "d"),
+                                            ("lambda_grid", "lambda")])
+    def test_empty_grid_named(self, grid, name):
+        with pytest.raises(ValueError, match=f"^{name} grid is empty$"):
+            CrossValPlan(**{grid: ()})
+
     @pytest.mark.parametrize("grid, value, check", [
         ("c_grid", -1.0, lambda c: TrainConfig(c_reg=c)),
         ("d_grid", 0, check_d),

@@ -93,15 +93,14 @@ class TestReport:
         preds = {"a": seq([0, 1, 1]), "b": seq([2, 2, 2])}
         truths = {"a": seq([0, 1, 2]), "b": seq([2, 2, 0])}
         report = build_report(preds, truths)
-        assert report.label_space is None
-        assert report.per_video_accuracy == {"a": 2 / 3, "b": 2 / 3}
-        assert report.global_accuracy == 4 / 6
-        assert report.n_frames == 6
+        assert (report["task"], report["labels"]) == ("", None)  # detached truths name nothing
+        assert report["per_video_accuracy"] == {"a": 2 / 3, "b": 2 / 3}
+        assert report["global_accuracy"] == 4 / 6
+        assert report["n_frames"] == 6
+        assert report["confusion"] == [[1, 0, 1], [0, 1, 0], [0, 1, 2]]  # row: truth
         write_report(report, tmp_path,
                      timelines={v: {"truth": truths[v], "pred": preds[v]} for v in preds})
-        doc = json.loads((tmp_path / "report.json").read_text())
-        assert doc["global_accuracy"] == 4 / 6
-        assert (doc["task"], doc["labels"]) == ("", None)  # detached truths name nothing
+        assert json.loads((tmp_path / "report.json").read_text()) == report
         lines = (tmp_path / "report.csv").read_text().splitlines()
         assert lines[0] == "video,accuracy"
         assert lines[-1].startswith("GLOBAL,")
@@ -111,9 +110,10 @@ class TestReport:
         space = free_active()
         truth = StateSequence(space, np.array([0, 1, 1]))
         report = build_report({"v": seq([0, 1, 0], k=2)}, {"v": truth})
-        assert report.label_space == space
+        assert (report["task"], report["labels"]) == (space.task.value, list(space.labels))
         write_report(report, tmp_path)
         doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc == report
         assert (doc["task"], doc["labels"]) == ("free_active", ["free", "active"])
 
     def test_truths_in_two_label_spaces_rejected(self):
@@ -147,7 +147,7 @@ class TestReport:
             pred = seq(np.where(rng.random(n) < rng.random(), truth.states,
                                 rng.integers(0, k, n)), k=k)
             report = build_report({"v": pred}, {"v": truth})
-            assert repr(report.per_video_accuracy["v"]) == repr(accuracy(pred, truth))
+            assert repr(report["per_video_accuracy"]["v"]) == repr(accuracy(pred, truth))
 
     def test_mismatched_video_sets(self):
         with pytest.raises(ValueError):
