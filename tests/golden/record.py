@@ -11,7 +11,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+TESTS = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(TESTS), str(TESTS.parent / "src")]
 
 from test_golden import RECORD, host, run_chains  # noqa: E402
 

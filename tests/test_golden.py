@@ -1,4 +1,4 @@
-"""Recorded digests of two small run trees, checked against a fresh run.
+"""Recorded digests of four small run trees, checked against a fresh run.
 
 Each chain runs in a child `python -m handcam.cli`, with OpenBLAS, OpenMP
 and MKL held to one thread, so its bytes cannot depend on the caller's
@@ -6,9 +6,15 @@ thread count:
 - `pipeline` on the criterion-8 config of `test_acceptance.py`; its
   `06_eval_*` stages write `report.json` and `report.csv`;
 - `synth videos` of three tiny videos at planted scales, then `align` of
-  them, which writes `alignment.json`.
+  them, which writes `alignment.json`;
+- `pipeline` with C, d and lambda all "auto" (cv-auto, shrunk); its
+  `01_cv` stage writes `chosen.json`, `table.csv` and `manifest.json`;
+- on three K = 24 object streams, which this process synthesizes as
+  inputs: `train-state` and `train-change` on two, then `detect-changes`,
+  `infer --mode full` and `--mode unary` and `eval` of each mode on the
+  third, as on long-video.
 
-`golden/digests.json` maps every file of both trees to its sha256, beside
+`golden/digests.json` maps every file of the trees to its sha256, beside
 the numpy version and BLAS build it was recorded with. A change that moves
 artifact bytes on purpose re-records it with `python tests/golden/record.py`
 and names each moved file and its reason; the test never writes the record.
@@ -22,6 +28,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from handcam.cli import run_synth_features
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 RECORD = Path(__file__).resolve().parent / "golden" / "digests.json"
@@ -44,8 +52,23 @@ VIDEOS = {
                {"video_id": "vb", "scale": 1.1, "dx": 12, "dy": 6},
                {"video_id": "vc", "scale": 1.2, "dx": 8, "dy": 10}],
 }
+FREE_ACTIVE = "task = free_active\nlabels = free, active\nfree_label = free\n"
+CV_PIPELINE = {
+    "seed": 3,
+    "label_space": "free_active.txt",
+    "synth": {"train_videos": 5, "test_videos": 1, "frames": 120, "states": 2,
+              "dim": 8, "min_dwell": 12, "noise_sigma": 1.0},
+    "hyperparameters": {"C": "auto", "d": "auto", "lambda": "auto"},
+    "training": {"epochs": 60},
+    "cv": {"c_grid": [0.1, 1.0], "d_grid": [3, 6], "lambda_grid": [0.3, 1.0, 3.0]},
+}
+OBJECTS = [f"o{i:02d}" for i in range(24)]
+OBJECT_SPACE = (f"task = object_category\nlabels = {', '.join(OBJECTS)}\n"
+                f"free_label = {OBJECTS[0]}\n")
+STREAMS = {"seed": 7, "videos": 3, "states": 24, "dim": 16, "frames": 400, "min_dwell": 8,
+           "noise_sigma": 0.3}
 # the run trees whose files are recorded, each a directory of the chains' root
-TREES = ("pipeline", "videos", "aligned")
+TREES = ("pipeline", "videos", "aligned", "cv_pipeline", "k24")
 
 
 def host() -> dict[str, str]:
@@ -64,7 +87,7 @@ def handcam(root: Path, *argv: str) -> None:
 
 
 def run_chains(root: Path) -> dict[str, str]:
-    """Run both chains under root: the sha256 of each file of their run
+    """Run every chain under root: the sha256 of each file of their run
     trees, by its path relative to root."""
     inputs = root / "inputs"
     inputs.mkdir(parents=True)
@@ -77,8 +100,37 @@ def run_chains(root: Path) -> dict[str, str]:
     handcam(root, "synth", "videos", "--config", "inputs/videos.json", "--out", "videos")
     handcam(root, "align", "--manifest", "inputs/videos.txt", "--out", "aligned",
             "--scales", "1.0", "1.1", "1.2")
+    (inputs / "free_active.txt").write_text(FREE_ACTIVE)
+    (inputs / "cv_pipeline.json").write_text(json.dumps(CV_PIPELINE))
+    handcam(root, "pipeline", "--config", "inputs/cv_pipeline.json", "--out", "cv_pipeline")
+    run_k24_chain(root)
     return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for tree in TREES for p in sorted((root / tree).rglob("*")) if p.is_file()}
+
+
+def run_k24_chain(root: Path) -> None:
+    """Train on two K = 24 streams; detect, decode both ways and score the
+    third. The streams are inputs, written in this process."""
+    inputs = root / "inputs"
+    (inputs / "objects.txt").write_text(OBJECT_SPACE)
+    (inputs / "streams.json").write_text(json.dumps(STREAMS))
+    run_synth_features(inputs / "streams.json", inputs / "objects.txt", inputs / "streams")
+    (root / "k24").mkdir()
+    space = ["--label-space", "inputs/objects.txt"]
+    train = ["--features", "inputs/streams/video_00.feat", "inputs/streams/video_01.feat",
+             "--truth", "inputs/streams/video_00.truth.txt", "inputs/streams/video_01.truth.txt",
+             *space, "--epochs", "80"]
+    handcam(root, "train-state", *train, "--out", "k24/state.bin")
+    handcam(root, "train-change", *train, "--d", "3", "--out", "k24/change.bin")
+    test = ["--features", "inputs/streams/video_02.feat"]
+    handcam(root, "detect-changes", *test, "--model", "k24/change.bin", "--out", "k24/cands.txt")
+    model = [*test, "--state-model", "k24/state.bin"]
+    handcam(root, "infer", *model, "--mode", "full", "--lambda", "1.0",
+            "--change-model", "k24/change.bin", "--out", "k24/video_02.full.txt")
+    handcam(root, "infer", *model, "--mode", "unary", "--out", "k24/video_02.unary.txt")
+    for mode in ("full", "unary"):
+        handcam(root, "eval", "--pred", f"k24/video_02.{mode}.txt", "--truth",
+                "inputs/streams/video_02.truth.txt", *space, "--report", f"k24/eval_{mode}")
 
 
 def differences(recorded: dict[str, str], fresh: dict[str, str]) -> list[str]:
