@@ -14,12 +14,13 @@ video can be dropped before the next is read. Frames are finally rescaled
 resolution, and replicate-padded; `align_video_dir` streams this last pass
 from file to file a few frames at a time. `resample` rounds half up by a
 bare cast to uint8, with no `floor` or `clip`: a bilinear mix of uint8
-values, plus 0.5, lies in [0.5, 256), where truncation is the floor.
+values, plus 0.5, lies in [0.5, 256), where truncation is the floor. The
+stable-mask threshold and the search scales default to `BETA_THRESHOLD`
+and `SCALES`; `check_params` rejects values the search cannot use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -33,24 +34,20 @@ from .media import (
 
 _BAND_ROWS = 8  # frame rows whose time series are sorted together
 _CHUNK_FRAMES = 4  # frames aligned together: small float64 temporaries stay in cache
+BETA_THRESHOLD = 40.0  # the stable mask's default diversity threshold
+SCALES = (0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5)  # the scales the template search tries by default
 
 # a stable component: its half-open bounding box (x0, y0, x1, y1) and pixel count
 Component = tuple[tuple[int, int, int, int], int]
 
 
-@dataclass(frozen=True)
-class AlignmentParams:
-    """Stable-mask diversity threshold and the scales the template search tries."""
-
-    beta_threshold: float = 40.0
-    scales: tuple[float, ...] = (0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scales", tuple(self.scales))
-        if not 0 < self.beta_threshold < np.inf:
-            raise ValueError(f"beta_threshold must be finite and positive: {self.beta_threshold}")
-        if not self.scales or not all(0 < s < np.inf for s in self.scales):
-            raise ValueError(f"scales must be non-empty, finite and positive: {self.scales}")
+def check_params(beta_threshold: float, scales: Sequence[float]) -> None:
+    """Reject a stable-mask threshold or template-search scales that are not
+    finite and positive, or no scales at all."""
+    if not 0 < beta_threshold < np.inf:
+        raise ValueError(f"beta_threshold must be finite and positive: {beta_threshold}")
+    if not scales or not all(0 < s < np.inf for s in scales):
+        raise ValueError(f"scales must be non-empty, finite and positive: {tuple(scales)}")
 
 
 def pixel_stats(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -296,17 +296,17 @@ def run_align(manifest: str | Path, out: str | Path, beta_threshold: float,
         _out_dir(f"video {vid!r}: --out", out / vid)
     if len(dirs) < 2:
         raise ValueError("alignment needs at least two videos")
-    params = alignment.AlignmentParams(beta_threshold=beta_threshold, scales=scales)
+    alignment.check_params(beta_threshold, scales)
     medians, components = {}, {}
     for vid, d in dirs.items():
         median, diversity = alignment.pixel_stats(media.load_video_dir(d))
-        for scale in params.scales:  # before any frame is rescaled
+        for scale in scales:  # before any frame is rescaled
             synth.check_frame_budget(f"video {vid!r}: scale {scale!r}", scale,
                                      median.shape[1], median.shape[0])
-        components[vid] = alignment.stable_component(diversity, params.beta_threshold)
+        components[vid] = alignment.stable_component(diversity, beta_threshold)
         medians[vid] = media.round_u8(median)
         del median, diversity  # the next video is read without them
-    doc = alignment.align_videos(medians, components, params.scales)
+    doc = alignment.align_videos(medians, components, scales)
     out.mkdir(parents=True, exist_ok=True)
     for vid in doc["videos"]:
         alignment.align_video_dir(dirs[vid], out / vid, doc, vid, medians[vid].shape)
@@ -383,12 +383,10 @@ def run_cv(pairs: list, label_space: str | Path, plan: crossval.CrossValPlan, ep
     cell as chosen.json and the full grid as table.csv; return the cell."""
     out = _out_dir("--out", out)
     streams, truths = _load_pairs([f for f, _ in pairs], [t for _, t in pairs], label_space)
-    result = crossval.cross_validate(list(zip(streams, truths)), plan, epochs)
+    chosen, table = crossval.cross_validate(list(zip(streams, truths)), plan, epochs)
     out.mkdir(parents=True, exist_ok=True)
-    chosen = {"C": result.c_reg, "d": result.d, "lambda": result.lam}
     write_json(chosen, out / "chosen.json")
-    rows = [(c.c_reg, c.d, c.lam, c.mean_accuracy) for c in result.table]
-    write_csv([("C", "d", "lambda", "mean_accuracy"), *rows], out / "table.csv")
+    write_csv([("C", "d", "lambda", "mean_accuracy"), *table], out / "table.csv")
     return chosen
 
 
@@ -770,9 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("align", help="align videos to a common hand template")
     sp.add_argument("--manifest", required=True, help="file listing video directories")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--beta-threshold", type=float,
-                    default=alignment.AlignmentParams.beta_threshold)
-    sp.add_argument("--scales", type=float, nargs="+", default=alignment.AlignmentParams.scales)
+    sp.add_argument("--beta-threshold", type=float, default=alignment.BETA_THRESHOLD)
+    sp.add_argument("--scales", type=float, nargs="+", default=alignment.SCALES)
     sp.set_defaults(func=_cmd_align)
 
     sp = sub.add_parser("extract", help="color-histogram features from frames")

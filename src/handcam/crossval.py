@@ -8,14 +8,15 @@ per d for the change models, a fold's columns give the rows of its own
 videos a sign of 0, which leaves them out of its problem. These solves
 take turns in one float64 matrix, one row per training frame: the state
 stack fills it, and each d's change set, which is shorter, its leading
-rows. It is dropped before the first fold is evaluated.
+rows. It is dropped before the first fold is evaluated. `cross_validate`
+returns the documents `cv` writes: chosen.json's dict and table.csv's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,24 +56,12 @@ class CrossValPlan:
         object.__setattr__(self, "lambda_grid", tuple(sorted(set(map(float, self.lambda_grid)))))
 
 
-@dataclass(frozen=True)
-class CVCell:
-    """One grid cell and its accuracy, averaged over the folds."""
+class CVResult(NamedTuple):
+    """The documents `cv` writes: the chosen.json dict (C, d, lambda) and
+    table.csv's (C, d, lambda, mean_accuracy) rows, one per cell in grid order."""
 
-    c_reg: float
-    d: int
-    lam: float
-    mean_accuracy: float
-
-
-@dataclass(frozen=True)
-class CVResult:
-    """The chosen (C, d, lambda) and the table of every cell."""
-
-    c_reg: float
-    d: int
-    lam: float
-    table: tuple[CVCell, ...]
+    chosen: dict
+    table: tuple[tuple[float, int, float, float], ...]
 
 
 def cross_validate(
@@ -141,6 +130,6 @@ def cross_validate(
                 for lam, n_correct in zip(plan.lambda_grid, correct):
                     cells[(c, d, lam)].append(int(n_correct) / total)
 
-    table = tuple(CVCell(*key, float(np.mean(accs))) for key, accs in cells.items())
-    best = max(table, key=lambda cell: cell.mean_accuracy)  # the first, so the smallest cell
-    return CVResult(best.c_reg, best.d, best.lam, table)
+    table = tuple((*key, float(np.mean(accs))) for key, accs in cells.items())
+    c_reg, d, lam, _ = max(table, key=lambda row: row[3])  # the first, so the smallest cell
+    return CVResult({"C": c_reg, "d": d, "lambda": lam}, table)

@@ -7,11 +7,13 @@ from scipy.signal import fftconvolve
 
 from handcam import synth
 from handcam.alignment import (
-    AlignmentParams,
+    BETA_THRESHOLD,
+    SCALES,
     _valid_correlation,
     align_video,
     align_video_dir,
     align_videos,
+    check_params,
     ncc_match,
     pixel_stats,
     select_reference,
@@ -25,10 +27,6 @@ from test_media import KINDS, random_stack, reference_resize_to
 from test_synth import smooth_patch
 
 
-BETA = AlignmentParams().beta_threshold
-SCALES = AlignmentParams().scales
-
-
 def gray_video(series):
     """A stack of 2 x 2 frames where every pixel follows the same scalar time series."""
     return np.broadcast_to(np.asarray(series, dtype=np.uint8)[:, None, None, None],
@@ -37,18 +35,19 @@ def gray_video(series):
 
 class TestAlignmentParams:
     def test_defaults_accepted(self):
-        assert AlignmentParams().scales == (0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
+        assert SCALES == (0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
+        check_params(BETA_THRESHOLD, SCALES)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
     def test_beta_threshold_finite_positive(self, bad):
         with pytest.raises(ValueError, match="beta_threshold"):
-            AlignmentParams(beta_threshold=bad)
+            check_params(bad, SCALES)
 
     @pytest.mark.parametrize("bad", [(), (0.0,), (1.0, -0.5), (1.0, float("nan")),
                                      (float("inf"),), (1.0, -float("inf"))])
     def test_scales_finite_positive(self, bad):
         with pytest.raises(ValueError, match="scales"):
-            AlignmentParams(scales=bad)
+            check_params(BETA_THRESHOLD, bad)
 
 
 class TestPixelStats:
@@ -106,11 +105,11 @@ class TestPixelStats:
 class TestStableMask:
     def test_constant_video_full_mask(self):
         _, diversity = pixel_stats(gray_video([7, 7, 7]))
-        assert stable_component(diversity, BETA) == ((0, 0, 2, 2), 4)
+        assert stable_component(diversity, BETA_THRESHOLD) == ((0, 0, 2, 2), 4)
 
     def test_everything_unstable(self):
         _, diversity = pixel_stats(gray_video([0, 255, 0, 255]))
-        assert stable_component(diversity, BETA) is None
+        assert stable_component(diversity, BETA_THRESHOLD) is None
 
     def test_largest_component_box(self):
         # two stable rectangles: 10x10 = 100 px and 6x5 = 30 px
@@ -125,12 +124,12 @@ class TestStableMask:
             px[14:19, 20:26] = base[14:19, 20:26]  # 30 px component
             frames.append(px.astype(np.uint8))
         _, diversity = pixel_stats(np.stack(frames))
-        assert stable_component(diversity, BETA) == ((2, 2, 12, 12), 100)
+        assert stable_component(diversity, BETA_THRESHOLD) == ((2, 2, 12, 12), 100)
 
     def test_requires_three_channels(self):
         frames = np.zeros((2, 2, 2, 1), dtype=np.uint8)
         with pytest.raises(ValueError, match="3-channel"):
-            stable_component(pixel_stats(frames)[1], BETA)
+            stable_component(pixel_stats(frames)[1], BETA_THRESHOLD)
 
 
 def diversity_with_mask(mask):
@@ -182,7 +181,7 @@ class TestStableMaskOracle:
     """The union-find components pick the same box and size as scipy's labels."""
 
     def check(self, mask):
-        got = stable_component(diversity_with_mask(mask), BETA)
+        got = stable_component(diversity_with_mask(mask), BETA_THRESHOLD)
         assert got == (scipy_largest_component(mask) if mask.any() else None)
 
     def test_random_masks(self):
@@ -206,7 +205,7 @@ class TestStableMaskOracle:
         yy, xx = np.mgrid[:9, :11]
         mask = (yy + xx) % 2 == 1  # single pixels; the first is (x=1, y=0)
         self.check(mask)
-        assert stable_component(diversity_with_mask(mask), BETA) == ((1, 0, 2, 1), 1)
+        assert stable_component(diversity_with_mask(mask), BETA_THRESHOLD) == ((1, 0, 2, 1), 1)
 
     def test_full_mask(self):
         for h, w in ((1, 1), (1, 17), (13, 1), (48, 64)):
@@ -271,7 +270,7 @@ def build_components(sizes, seed=0):
             px = np.clip(base + rng.standard_normal((40, 40, 3)) * 80, 0, 255)
             px[5 : 5 + side, 5 : 5 + side] = base[5 : 5 + side, 5 : 5 + side]
             frames.append(px.astype(np.uint8))
-        components[vid] = stable_component(pixel_stats(np.stack(frames))[1], BETA)
+        components[vid] = stable_component(pixel_stats(np.stack(frames))[1], BETA_THRESHOLD)
     return components
 
 
@@ -283,7 +282,8 @@ class TestSelectReference:
 
     def test_single_eligible(self):
         components = build_components({"va": 289})
-        components["vz"] = stable_component(pixel_stats(gray_video([0, 255, 0, 255]))[1], BETA)
+        components["vz"] = stable_component(pixel_stats(gray_video([0, 255, 0, 255]))[1],
+                                            BETA_THRESHOLD)
         assert components["vz"] is None
         assert select_reference(components) == "va"
 
@@ -384,7 +384,7 @@ def scale_one_set(out_dir, seed=11):
     medians, components = {}, {}
     for v, frames in videos.items():
         median, diversity = pixel_stats(frames)
-        medians[v], components[v] = round_u8(median), stable_component(diversity, BETA)
+        medians[v], components[v] = round_u8(median), stable_component(diversity, BETA_THRESHOLD)
     return videos, truth, medians, components
 
 

@@ -25,7 +25,7 @@ from handcam.classify import (
     train_grid,
 )
 from handcam.core import Camera, FeatureStream, StateSequence
-from handcam.crossval import CrossValPlan, CVCell, CVResult, cross_validate
+from handcam.crossval import CrossValPlan, CVResult, cross_validate
 from handcam.features import write_features
 from handcam.inference import decode_stream
 from conftest import free_active, train_arrays
@@ -1051,7 +1051,7 @@ class TestCrossValidate:
         pairs = synth_cv_videos(0, ramp=0, sigma=0.5)
         plan = CrossValPlan(c_grid=(0.1,), d_grid=(3,), lambda_grid=(1.0,))
         res = cross_validate(pairs, plan, 60)
-        assert (res.c_reg, res.d, res.lam) == (0.1, 3, 1.0)
+        assert res.chosen == {"C": 0.1, "d": 3, "lambda": 1.0}
         assert len(res.table) == 1
 
     def test_unusable_grid_rejected(self):
@@ -1063,6 +1063,7 @@ class TestCrossValidate:
             ({"c_grid": (0.1, nan)}, "c_reg"),
             ({"c_grid": (1e-320,)}, "c_reg"),
             ({"d_grid": (0, 3)}, "d grid"),
+            ({"folds": 1}, "^folds must be >= 2$"),
         ):
             with pytest.raises(ValueError, match=match):
                 CrossValPlan(**grids)
@@ -1089,9 +1090,9 @@ class TestCrossValidate:
             fixed.append((stream, StateSequence(None, states, num_states=3)))
         plan = CrossValPlan(c_grid=(0.01, 0.1), d_grid=(3, 6), lambda_grid=(0.1, 0.3))
         res = cross_validate(fixed, plan, 20)
-        accs = {cell.mean_accuracy for cell in res.table}
+        accs = {mean_accuracy for *_, mean_accuracy in res.table}
         assert len(accs) == 1  # identical scores everywhere
-        assert (res.c_reg, res.d, res.lam) == (0.01, 3, 0.1)
+        assert res.chosen == {"C": 0.01, "d": 3, "lambda": 0.1}
 
     def test_planted_half_width_selected(self):
         # the feature ramp spans +-6 frames; CV should find d = 6 in most seeds
@@ -1100,16 +1101,16 @@ class TestCrossValidate:
         for seed in range(20):
             pairs = synth_cv_videos(seed, ramp=6, sigma=0.15)
             res = cross_validate(pairs, plan, 150)
-            hits += res.d == 6
+            hits += res.chosen["d"] == 6
         assert hits >= 16  # >= 80% of 20 seeds
 
     def test_full_table_emitted(self):
         pairs = synth_cv_videos(1, ramp=0, sigma=0.5)
         plan = CrossValPlan(c_grid=(0.1, 1.0), d_grid=(3, 6), lambda_grid=(0.5, 1.0))
         res = cross_validate(pairs, plan, 40)
-        assert [(cell.c_reg, cell.d, cell.lam) for cell in res.table] == list(
+        assert [row[:3] for row in res.table] == list(
             product(plan.c_grid, plan.d_grid, plan.lambda_grid))
-        assert all(0.0 <= cell.mean_accuracy <= 1.0 for cell in res.table)
+        assert all(0.0 <= mean_accuracy <= 1.0 for *_, mean_accuracy in res.table)
 
     def test_grid_solves_match_per_c_cross_validation(self):
         plan = CrossValPlan(c_grid=C_GRID, d_grid=(3, 6), lambda_grid=(0.1, 1.0, 10.0))
@@ -1190,8 +1191,8 @@ def per_c_cross_validate(videos, plan, epochs):
     for key in product(plan.c_grid, plan.d_grid, plan.lambda_grid):
         accs = cells[key]
         mean_acc = float(np.mean(accs))
-        table.append(CVCell(key[0], key[1], key[2], mean_acc))
+        table.append((*key, mean_acc))
         if mean_acc > best_acc:
             best_acc = mean_acc
             best_key = key
-    return CVResult(best_key[0], best_key[1], best_key[2], tuple(table))
+    return CVResult({"C": best_key[0], "d": best_key[1], "lambda": best_key[2]}, tuple(table))

@@ -19,7 +19,7 @@ from handcam.classify import (
 )
 from handcam.cli import main, write_labels
 from handcam.core import Camera, FeatureStream, StateSequence
-from handcam.crossval import CrossValPlan, CVCell, CVResult, cross_validate
+from handcam.crossval import CrossValPlan, CVResult, cross_validate
 from handcam.features import write_features
 from handcam.inference import check_lam, decode_stream
 from conftest import free_active, train_arrays
@@ -74,9 +74,9 @@ def per_fold_cross_validate(videos, plan, epochs):
                     correct += [int(np.sum(states == truth.states)) for states in decoded]
                 for lam, n_correct in zip(plan.lambda_grid, correct):
                     cells[(c, d, lam)].append(int(n_correct) / total)
-    table = tuple(CVCell(*key, float(np.mean(accs))) for key, accs in cells.items())
-    best = max(table, key=lambda cell: cell.mean_accuracy)
-    return CVResult(best.c_reg, best.d, best.lam, table)
+    table = tuple((*key, float(np.mean(accs))) for key, accs in cells.items())
+    c_reg, d, lam, _ = max(table, key=lambda row: row[3])
+    return CVResult({"C": c_reg, "d": d, "lambda": lam}, table)
 
 
 class TestFoldStackedSolve:

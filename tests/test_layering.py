@@ -296,10 +296,10 @@ def test_every_dataclass_field_is_read():
 
 # `run_pipeline` and every subcommand handler (`_cmd_*`) reach these modules
 # only through the subcommands' stage functions, so each stage has one code
-# path; CrossValPlan and AlignmentParams are parameter types they may build
+# path; CrossValPlan is a parameter type they may build
 STAGE_MODULES = ("classify", "change", "inference", "evaluation", "crossval",
                  "alignment", "discovery", "features", "media", "synth")
-PARAMETER_TYPES = ("CrossValPlan", "AlignmentParams")
+PARAMETER_TYPES = ("CrossValPlan",)
 
 
 def stage_module_uses(source: str, function: str) -> list[str]:
@@ -345,10 +345,10 @@ def test_stage_module_detector():
 def test_stage_module_detector_in_a_handler():
     # a module imported under another name counts; a parameter type does not
     source = (
-        "from . import alignment, discovery\n"
+        "from . import crossval, discovery\n"
         "from . import features as features_mod\n"
         "def _cmd_discover(args):\n"
-        "    params = alignment.AlignmentParams(scales=args.scales)\n"
+        "    plan = crossval.CrossValPlan(folds=args.folds)\n"
         "    history = discovery.average_linkage(features_mod.read_features(args.path))\n"
         "    return run_discover(args.manifest)\n"
     )
