@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from handcam import alignment, change, classify, cli, evaluation, synth
+from handcam import alignment, change, classify, cli, crossval, evaluation, synth
 from handcam import features as features_mod
 from handcam.cli import build_parser, main, read_truth, run_pipeline, write_labels
 from handcam.core import Camera, FeatureStream, LabelSpace, StateSequence, Task, write_json
@@ -246,14 +246,20 @@ class TestExtractFuse:
         assert main(["extract", "--video", str(tmp_path / "vid0"),
                      "--out", str(feat), "--bins", "4"]) == 0
         stream = read_features(feat)
-        assert stream.n_frames == 3 and stream.dim == 64
+        assert stream.n_frames == 3 and stream.dim == 64 and stream.camera == Camera.RIGHT_HAND
         # a NaN fps is rejected, not written to a file that would not read back
         assert main(["extract", "--video", str(tmp_path / "vid0"), "--out",
                      str(tmp_path / "nan.feat"), "--fps", "nan"]) == 2
         assert not (tmp_path / "nan.feat").exists()
+        head = tmp_path / "head.feat"
+        assert main(["extract", "--video", str(tmp_path / "vid0"), "--out", str(head),
+                     "--bins", "4", "--camera", "head"]) == 0
+        assert read_features(head).camera == Camera.HEAD
         fused = tmp_path / "fused.feat"
-        assert main(["fuse", "--inputs", str(feat), str(feat), "--out", str(fused)]) == 0
-        assert read_features(fused).dim == 128
+        assert main(["fuse", "--inputs", str(feat), str(head), "--out", str(fused)]) == 0
+        fused_stream = read_features(fused)
+        assert fused_stream.dim == 128
+        assert fused_stream.camera == Camera.RIGHT_HAND  # the first input's
 
     def test_unusable_fps_exits_2_before_any_histogram(self, tmp_path, capsys, monkeypatch):
         # the fps was checked on the finished stream, after every frame's histogram
@@ -1050,8 +1056,10 @@ class TestAlign:
         out = tmp_path / "aligned"
         for extra, name in ((["--scales", "inf"], "scales"), (["--scales", "1", "nan"], "scales"),
                             (["--scales", "1", "-1"], "scales"),
+                            (["--scales", "1", "0"], "scales"),
                             (["--beta-threshold", "nan"], "beta_threshold"),
-                            (["--beta-threshold", "inf"], "beta_threshold")):
+                            (["--beta-threshold", "inf"], "beta_threshold"),
+                            (["--beta-threshold", "0"], "beta_threshold")):
             capsys.readouterr()
             assert main(["align", "--manifest", str(manifest), "--out", str(out), *extra]) == 2
             assert name in capsys.readouterr().err
@@ -1417,6 +1425,22 @@ class TestStageFunctions:
         assert json.loads((out / "alignment.json").read_text()) == doc
         write_json(doc, tmp_path / "returned.json")
         assert (tmp_path / "returned.json").read_bytes() == (out / "alignment.json").read_bytes()
+
+    def test_run_cv_writes_the_documents_cross_validate_returns(self, tmp_path):
+        _, ges, _ = write_spaces(tmp_path)
+        feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=5, n_frames=80)
+        plan = crossval.CrossValPlan(c_grid=(0.1, 1.0), d_grid=(3, 6), lambda_grid=(0.3, 3.0))
+        out = tmp_path / "cv"
+        chosen = cli.run_cv(list(zip(feats, truths)), ges, plan, 30, out)
+        videos = [(read_features(f), read_truth(Path(t), gesture_space()))
+                  for f, t in zip(feats, truths)]
+        result = crossval.cross_validate(videos, plan, 30)
+        assert result.chosen == chosen == json.loads((out / "chosen.json").read_text())
+        with (out / "table.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["C", "d", "lambda", "mean_accuracy"]
+        assert [(float(c), int(d), float(lam), float(acc)) for c, d, lam, acc in rows] == list(
+            result.table)
 
 
 class TestCv:
