@@ -213,7 +213,6 @@ def _feature_set(cfg: dict, video_ids: list[str], space: LabelSpace,
                  fps: float = DEFAULT_FPS) -> Iterator[tuple[FeatureStream, StateSequence]]:
     """The streams a synth config asks for, one per video id. Every config
     value is checked here; the streams are drawn as they are iterated."""
-    synth.check_stream_budget(len(video_ids), cfg["frames"], cfg["dim"])
     return synth.gen_feature_set(
         cfg["seed"], cfg["states"], cfg["dim"], cfg["frames"], cfg["min_dwell"],
         cfg["noise_sigma"], video_ids, transition_ramp=cfg.get("transition_ramp", 0),

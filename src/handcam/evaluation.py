@@ -72,33 +72,32 @@ def build_report(
 
 
 # state timelines drawn as colored per-frame bars, one lane per sequence
+_SVG_BAR_W = 720  # every lane's frames share this width, right of the labels
 _SVG_LANE_H = 24
 _SVG_GAP = 10
 _SVG_LABEL_W = 90
 
 
-def timeline_svg(sequences: Mapping[str, StateSequence], width: int = 720) -> str:
+def timeline_svg(sequences: Mapping[str, StateSequence]) -> str:
     names = list(sequences)
     n = max(len(s) for s in sequences.values())
     height = _SVG_GAP + len(names) * (_SVG_LANE_H + _SVG_GAP)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width + _SVG_LABEL_W}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_BAR_W + _SVG_LABEL_W}" '
         f'height="{height}" font-family="monospace" font-size="11">'
     ]
     for lane, name in enumerate(names):
         seq = sequences[name]
         y = _SVG_GAP + lane * (_SVG_LANE_H + _SVG_GAP)
-        parts.append(
-            f'<text x="4" y="{y + _SVG_LANE_H - 8}">{name}</text>'
-        )
+        parts.append(f'<text x="4" y="{y + _SVG_LANE_H - 8}">{name}</text>')
         # one rect per equal-state run, one hue per state
         k = seq.num_states
         colors = [f"hsl({int(360 * state / k)},70%,55%)" for state in range(k)]
         starts = run_starts(seq.states)
         ends = np.append(starts[1:], len(seq))
         for a, b, state in zip(starts.tolist(), ends.tolist(), seq.states[starts].tolist()):
-            x0 = _SVG_LABEL_W + a * width / n
-            x1 = _SVG_LABEL_W + b * width / n
+            x0 = _SVG_LABEL_W + a * _SVG_BAR_W / n
+            x1 = _SVG_LABEL_W + b * _SVG_BAR_W / n
             parts.append(
                 f'<rect x="{x0:.2f}" y="{y}" width="{x1 - x0:.2f}" '
                 f'height="{_SVG_LANE_H}" fill="{colors[state]}"/>'

@@ -1,10 +1,12 @@
 """Seeded synthetic data: feature streams with planted state dynamics and
 frame image sets with planted hand placements.
 
-Everything is a pure function of its config and seed, so expected values in
-tests can be frozen once and reruns are reproducible. The feature generator
-uses Gaussian state centers with minimum-dwell Markov dynamics, the regime
-where per-frame classification is imperfect and temporal decoding helps.
+Everything is a pure function of its arguments and seed, so expected values
+in tests can be frozen once and reruns are reproducible. The feature
+generator uses Gaussian state centers with minimum-dwell Markov dynamics,
+the regime where per-frame classification is imperfect and temporal
+decoding helps; the centers' (K, D) shape is the one record of the state
+count and width.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_FPS, Camera, FeatureStream, LabelSpace, StateSequence, check_fps, frozen_array,
-    remove_stale, run_starts,
+    DEFAULT_FPS, Camera, FeatureStream, LabelSpace, StateSequence, check_fps, remove_stale,
+    run_starts,
 )
 from .media import FRAME_NAME, frame_path, resize_to, round_u8, save_ppm, scaled_size
 
@@ -42,39 +44,25 @@ def check_stream_budget(n_videos: int, n_frames: int, dim: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """One synthetic stream: state runs, and Gaussian features around their centers."""
-
-    seed: int
-    num_states: int
-    dim: int
-    n_frames: int
-    min_dwell: int
-    centers: np.ndarray  # (K, D) per-state feature centers
-    noise_sigma: float
-    transition_ramp: int = 0  # half-width of linear feature blend at transitions
-
-    def __post_init__(self) -> None:
-        centers = np.asarray(self.centers, dtype=np.float64)
-        if centers.shape != (self.num_states, self.dim):
-            raise ValueError("centers must be (num_states, dim)")
-        for a in range(self.num_states):
-            for b in range(a + 1, self.num_states):
-                if np.array_equal(centers[a], centers[b]):
-                    raise ValueError("state centers must be pairwise distinct")
-        if self.min_dwell < 1:
-            raise ValueError("min_dwell must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.transition_ramp < 0:
-            raise ValueError("transition_ramp must be >= 0")
-        object.__setattr__(self, "centers", frozen_array(centers))
-
-
-def _check_label_space(label_space: LabelSpace | None, num_states: int) -> None:
-    if label_space is not None and label_space.num_labels < num_states:
+def _check_stream(centers: np.ndarray, min_dwell: int, noise_sigma: float,
+                  transition_ramp: int, label_space: LabelSpace | None) -> np.ndarray:
+    """The centers as float64, once they and the values of a stream drawn
+    around them are usable: one distinct row per state."""
+    centers = np.asarray(centers, dtype=np.float64)
+    if centers.ndim != 2:
+        raise ValueError("centers must be 2-d")
+    if label_space is not None and label_space.num_labels < len(centers):
         raise ValueError("label space too small for the configured state count")
+    for a in range(len(centers)):  # each row against the rows after it
+        if (centers[a + 1 :] == centers[a]).all(axis=1).any():
+            raise ValueError("state centers must be pairwise distinct")
+    if min_dwell < 1:
+        raise ValueError("min_dwell must be >= 1")
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be >= 0")
+    if transition_ramp < 0:
+        raise ValueError("transition_ramp must be >= 0")
+    return centers
 
 
 def random_centers(num_states: int, dim: int, seed: int) -> np.ndarray:
@@ -84,10 +72,9 @@ def random_centers(num_states: int, dim: int, seed: int) -> np.ndarray:
     return centers / np.linalg.norm(centers, axis=1, keepdims=True)
 
 
-def _draw_states(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
+def _draw_states(num_states: int, n: int, dwell: int, rng: np.random.Generator) -> np.ndarray:
     """Runs of length uniform in [dwell, 2*dwell]; a too-short tail is
     absorbed into the final run so every run keeps the minimum dwell."""
-    n, dwell = config.n_frames, config.min_dwell
     states = np.empty(n, dtype=np.int64)
     pos = 0
     prev = -1
@@ -95,7 +82,7 @@ def _draw_states(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
         length = int(rng.integers(dwell, 2 * dwell + 1))
         if n - pos - length < dwell:
             length = n - pos
-        choices = [s for s in range(config.num_states) if s != prev]
+        choices = [s for s in range(num_states) if s != prev]
         state = int(choices[rng.integers(0, len(choices))]) if choices else prev
         states[pos : pos + length] = state
         prev = state
@@ -104,42 +91,48 @@ def _draw_states(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def gen_feature_stream(
-    config: SynthConfig,
+    centers: np.ndarray,
+    seed: int,
+    n_frames: int,
+    min_dwell: int,
+    noise_sigma: float,
+    transition_ramp: int = 0,
     video_id: str = "synth",
-    camera: Camera = Camera.RIGHT_HAND,
     fps: float = DEFAULT_FPS,
     label_space: LabelSpace | None = None,
 ) -> tuple[FeatureStream, StateSequence]:
-    """Feature stream plus ground-truth states, reproducible from the seed.
+    """A right-hand feature stream plus its ground-truth states, reproducible
+    from the seed: runs of the states that index the (K, D) centers, each
+    at least min_dwell frames, and Gaussian noise of noise_sigma around the
+    centers.
 
     With transition_ramp w > 0 the feature centers blend linearly from the
     old to the new state over the 2w frames straddling each transition
     (ground-truth labels stay crisp).
     """
-    _check_label_space(label_space, config.num_states)
-    rng = np.random.default_rng(config.seed)
-    states = _draw_states(config, rng)
-    trajectory = config.centers[states]
-    w = config.transition_ramp
+    centers = _check_stream(centers, min_dwell, noise_sigma, transition_ramp, label_space)
+    num_states, dim = centers.shape
+    rng = np.random.default_rng(seed)
+    states = _draw_states(num_states, n_frames, min_dwell, rng)
+    trajectory = centers[states]
+    w = transition_ramp
     if w > 0:
         for t in run_starts(states)[1:]:
-            frames = np.arange(max(0, t - w), min(config.n_frames, t + w))
+            frames = np.arange(max(0, t - w), min(n_frames, t + w))
             alpha = ((frames - (t - w)) / (2.0 * w))[:, None]
-            trajectory[frames] = (
-                (1.0 - alpha) * config.centers[states[t - 1]] + alpha * config.centers[states[t]]
-            )
+            trajectory[frames] = (1.0 - alpha) * centers[states[t - 1]] + alpha * centers[states[t]]
     # the values are built inside the noise array: noise + trajectory has
     # the bits of trajectory + noise, as IEEE addition commutes
-    values = rng.standard_normal((config.n_frames, config.dim))
-    values *= config.noise_sigma
+    values = rng.standard_normal((n_frames, dim))
+    values *= noise_sigma
     values += trajectory
     del trajectory
     values.setflags(write=False)  # fresh and ours: FeatureStream keeps it without a copy
-    stream = FeatureStream(video_id, camera, fps, values)
+    stream = FeatureStream(video_id, Camera.RIGHT_HAND, fps, values)
     truth = (
         StateSequence(label_space, states)
         if label_space is not None
-        else StateSequence(None, states, num_states=config.num_states)
+        else StateSequence(None, states, num_states=num_states)
     )
     return stream, truth
 
@@ -158,29 +151,20 @@ def gen_feature_set(
 ) -> Iterator[tuple[FeatureStream, StateSequence]]:
     """One labeled stream per video id around shared random centers.
 
-    Every stream's config, the frame rate and the label space are checked
-    when this is called; the streams are then drawn one at a time, as the
-    returned iterator is advanced. Video i is drawn with seed seed*1000+i,
-    so adding videos never changes the earlier ones.
+    The set's size (against MAX_STREAM_BYTES), fps, state count and stream
+    values are checked when this is called; the streams are then drawn one
+    at a time, as the returned iterator is advanced. Video i is drawn with
+    seed seed*1000+i, so adding videos never changes the earlier ones.
     """
+    check_stream_budget(len(video_ids), n_frames, dim)
     check_fps(fps)
-    _check_label_space(label_space, num_states)
-    centers = random_centers(num_states, dim, seed)
-    configs = [
-        SynthConfig(
-            seed=seed * 1000 + i,
-            num_states=num_states,
-            dim=dim,
-            n_frames=n_frames,
-            min_dwell=min_dwell,
-            centers=centers,
-            noise_sigma=noise_sigma,
-            transition_ramp=transition_ramp,
-        )
-        for i in range(len(video_ids))
-    ]
-    return (gen_feature_stream(config, video_id=vid, fps=fps, label_space=label_space)
-            for config, vid in zip(configs, video_ids))
+    if num_states < 1:  # random_centers would draw no rows, or fail unnamed
+        raise ValueError("synth needs states >= 1")
+    centers = _check_stream(random_centers(num_states, dim, seed), min_dwell, noise_sigma,
+                            transition_ramp, label_space)
+    return (gen_feature_stream(centers, seed * 1000 + i, n_frames, min_dwell, noise_sigma,
+                               transition_ramp, vid, fps, label_space)
+            for i, vid in enumerate(video_ids))
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,9 @@ def test_criterion_3_unary_to_full_improvement():
         centers = orthonormal_centers(3, 6, seed * 7 + 1)
         pairs = []
         for i in range(5):
-            scfg = synth.SynthConfig(
-                seed=seed * 100 + i, num_states=3, dim=6, n_frames=240,
-                min_dwell=20, centers=centers, noise_sigma=0.6,
-            )
-            pairs.append(synth.gen_feature_stream(scfg, video_id=f"v{i}"))
+            pairs.append(synth.gen_feature_stream(
+                centers, seed=seed * 100 + i, n_frames=240, min_dwell=20, noise_sigma=0.6,
+                video_id=f"v{i}"))
         state_model = classify.train([s for s, _ in pairs[:4]], [t for _, t in pairs[:4]], cfg)
         test_stream, test_truth = pairs[4]
         unary = classify.score_stream(state_model, test_stream)
@@ -209,11 +207,9 @@ def test_criterion_5_change_detection():
         centers = orthonormal_centers(3, 6, seed + 900)  # separation 10x sigma
         pairs = []
         for i in range(4):
-            scfg = synth.SynthConfig(
-                seed=seed * 37 + i, num_states=3, dim=6, n_frames=200,
-                min_dwell=20, centers=centers, noise_sigma=0.14,
-            )
-            pairs.append(synth.gen_feature_stream(scfg, video_id=f"v{i}"))
+            pairs.append(synth.gen_feature_stream(
+                centers, seed=seed * 37 + i, n_frames=200, min_dwell=20, noise_sigma=0.14,
+                video_id=f"v{i}"))
         model = change.train_change_model(
             [s for s, _ in pairs[:3]], [t for _, t in pairs[:3]], d, cfg
         )

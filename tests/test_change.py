@@ -277,11 +277,8 @@ def high_snr_videos(seed, sigma=0.1, n_videos=4):
     centers = orthonormal_centers(3, 6, seed + 900)  # separation sqrt(2) > 10 sigma
     out = []
     for i in range(n_videos):
-        cfg = synth.SynthConfig(
-            seed=seed * 37 + i, num_states=3, dim=6, n_frames=200,
-            min_dwell=20, centers=centers, noise_sigma=sigma,
-        )
-        out.append(synth.gen_feature_stream(cfg, video_id=f"v{i}"))
+        out.append(synth.gen_feature_stream(centers, seed=seed * 37 + i, n_frames=200,
+                                            min_dwell=20, noise_sigma=sigma, video_id=f"v{i}"))
     return out
 
 
@@ -290,12 +287,12 @@ def random_labeled_videos(rng, d, frames=None):
     frames or, by default, of a random count, some shorter than 2d+1."""
     n_videos, dim = int(rng.integers(1, 6)), int(rng.integers(2, 41))
     centers = synth.random_centers(3, dim, int(rng.integers(1 << 30)))
-    return [synth.gen_feature_stream(synth.SynthConfig(
-        seed=int(rng.integers(1 << 30)), num_states=3, dim=dim,
+    return [synth.gen_feature_stream(
+        centers, seed=int(rng.integers(1 << 30)),
         n_frames=frames or int(rng.integers(1, 6 * d + 40)), min_dwell=int(rng.integers(1, 12)),
-        centers=centers, noise_sigma=float(rng.uniform(0, 2)),
-        transition_ramp=int(rng.integers(0, 2)) * int(rng.integers(1, 5)),
-    ), video_id=f"v{i}") for i in range(n_videos)]
+        noise_sigma=float(rng.uniform(0, 2)),
+        transition_ramp=int(rng.integers(0, 2)) * int(rng.integers(1, 5)), video_id=f"v{i}",
+    ) for i in range(n_videos)]
 
 
 class TestChangeTrainingSet:
@@ -368,10 +365,9 @@ class TestChangeTrainingSet:
 
     def test_memory_holds_one_matrix(self, traced_peak):
         # the parent held every video's rows beside their concatenation (2x)
-        pairs = [synth.gen_feature_stream(synth.SynthConfig(
-            seed=i, num_states=3, dim=32, n_frames=2_000, min_dwell=20,
-            centers=synth.random_centers(3, 32, 7), noise_sigma=0.5,
-        ), video_id=f"v{i}") for i in range(8)]
+        pairs = [synth.gen_feature_stream(synth.random_centers(3, 32, 7), seed=i,
+                                          n_frames=2_000, min_dwell=20, noise_sigma=0.5,
+                                          video_id=f"v{i}") for i in range(8)]
         peak, (x, _, _) = traced_peak(
             change_training_set, [s for s, _ in pairs], [t for _, t in pairs], 4)
         assert peak <= 1.2 * x.nbytes, peak / x.nbytes

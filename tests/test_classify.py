@@ -119,9 +119,8 @@ class TestTrain:
         # streams as read from feature files (float32, aligned or not)
         # against their float64 upcast: train, train_grid and the change grid
         centers = synth.random_centers(3, 24, 5)
-        videos = [synth.gen_feature_stream(synth.SynthConfig(
-            seed=i, num_states=3, dim=24, n_frames=300, min_dwell=10, centers=centers,
-            noise_sigma=1.5), video_id=f"v{i}") for i in range(4)]
+        videos = [synth.gen_feature_stream(centers, seed=i, n_frames=300, min_dwell=10,
+                                           noise_sigma=1.5, video_id=f"v{i}") for i in range(4)]
         pairs = [float32_pair(s.values, aligned=i % 2 == 0) for i, (s, _) in enumerate(videos)]
         truths = [t for _, t in videos]
         s32, s64 = [p[0] for p in pairs], [p[1] for p in pairs]
@@ -1038,11 +1037,9 @@ def synth_cv_videos(seed, ramp, sigma, n_videos=5, k=3):
     centers = orthonormal_centers(k, 6, seed * 13 + 5)
     pairs = []
     for i in range(n_videos):
-        cfg = synth.SynthConfig(
-            seed=seed * 100 + i, num_states=k, dim=6, n_frames=240,
-            min_dwell=24, centers=centers, noise_sigma=sigma, transition_ramp=ramp,
-        )
-        pairs.append(synth.gen_feature_stream(cfg, video_id=f"v{i}"))
+        pairs.append(synth.gen_feature_stream(
+            centers, seed=seed * 100 + i, n_frames=240, min_dwell=24, noise_sigma=sigma,
+            transition_ramp=ramp, video_id=f"v{i}"))
     return pairs
 
 

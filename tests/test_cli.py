@@ -42,10 +42,9 @@ def make_labeled_videos(tmp_path, space, n_videos=2, seed=0, sigma=0.5, n_frames
     centers = orthonormal_centers(3, 6, seed + 50)
     feature_paths, truth_paths = [], []
     for i in range(n_videos):
-        cfg = synth.SynthConfig(seed=seed * 10 + i, num_states=3, dim=6,
-                                n_frames=n_frames, min_dwell=20, centers=centers,
-                                noise_sigma=sigma)
-        stream, truth = synth.gen_feature_stream(cfg, video_id=f"v{i}", label_space=space)
+        stream, truth = synth.gen_feature_stream(
+            centers, seed=seed * 10 + i, n_frames=n_frames, min_dwell=20, noise_sigma=sigma,
+            video_id=f"v{i}", label_space=space)
         fpath = tmp_path / f"v{i}.feat"
         tpath = tmp_path / f"v{i}.truth.txt"
         write_features(stream, fpath)
@@ -1620,7 +1619,7 @@ class TestPipeline:
         def no_generation(*args, **kwargs):
             raise AssertionError("the budget must be checked before generating")
 
-        monkeypatch.setattr(synth, "gen_feature_set", no_generation)
+        monkeypatch.setattr(synth, "random_centers", no_generation)
         cfg = pipeline_config(tmp_path)
         doc = json.loads(cfg.read_text())
         doc["synth"].update(train_videos=6, test_videos=4, frames=10**6, dim=10**5)
@@ -1845,14 +1844,14 @@ class TestSynthCommand:
                      "--epochs", "20", "--out", str(tmp_path / "state.bin")]) == 0
 
     def test_streams_over_the_budget_exit_2_before_out(self, tmp_path, capsys, monkeypatch):
-        # 10^12 values used to be allocated without a bound; the generator
-        # raises here, so a missing check fails fast instead of allocating
+        # 10^12 values used to be allocated without a bound; the set's first
+        # allocation raises here, so a missing check fails fast instead
         _, ges, _ = write_spaces(tmp_path)
 
         def no_generation(*args, **kwargs):
             raise ValueError("the generator ran")
 
-        monkeypatch.setattr(synth, "gen_feature_set", no_generation)
+        monkeypatch.setattr(synth, "random_centers", no_generation)
         cfg = tmp_path / "synth.json"
         out = tmp_path / "data"
         doc = {"seed": 3, "states": 3, "min_dwell": 10, "noise_sigma": 0.4}
@@ -1896,15 +1895,15 @@ class TestSynthCommand:
         assert peak < 2.5 * 2_000 * 64 * 8, peak / (2_000 * 64 * 8)
 
     def test_empty_feature_set_exit_2_before_out(self, tmp_path, capsys):
-        # frames 0 used to exit 2 after making --out, and videos 0 exited 0
-        # with an empty directory
+        # frames 0 used to exit 2 after making --out, videos 0 exited 0
+        # with an empty directory, states 0 exited 3 and states -1 named no key
         _, ges, _ = write_spaces(tmp_path)
         cfg = tmp_path / "synth.json"
         out = tmp_path / "data"
         doc = {"seed": 3, "states": 3, "dim": 4, "frames": 80, "min_dwell": 10,
                "noise_sigma": 0.4, "videos": 2}
         for key, value in (("frames", 0), ("frames", -3), ("videos", 0), ("videos", -1),
-                           ("dim", 0)):
+                           ("dim", 0), ("states", 0), ("states", -1)):
             cfg.write_text(json.dumps({**doc, key: value}))
             capsys.readouterr()
             assert main(["synth", "features", "--config", str(cfg), "--out", str(out),

@@ -26,7 +26,6 @@ from handcam.classify import LinearModel, TrainConfig
 from handcam.features import read_features, write_features
 from handcam.discovery import Segment, segment_similarity_matrix
 from handcam.inference import InferenceProblem
-from handcam.synth import SynthConfig
 from conftest import free_active
 from test_features import as_read
 
@@ -358,8 +357,6 @@ FROZEN_FIELDS = {
     "Segment": ("mean_feature", lambda a: Segment("v", 0, 2, a), lambda: np.ones(3)),
     "LinearModel": ("weights", lambda a: LinearModel(a, np.zeros(2), None, TrainConfig()),
                     lambda: np.ones((2, 3))),
-    "SynthConfig": ("centers", lambda a: SynthConfig(0, 2, 2, 10, 1, a, 0.0),
-                    lambda: np.eye(2)),
 }
 
 

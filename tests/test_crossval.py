@@ -33,11 +33,9 @@ def videos(seed, n_videos, k=3, dim=6, n_frames=120, ramp=2, sigma=0.6):
     centers = orthonormal_centers(k, dim, seed * 13 + 5)
     pairs = []
     for i in range(n_videos):
-        cfg = synth.SynthConfig(
-            seed=seed * 100 + i, num_states=k, dim=dim, n_frames=n_frames + 7 * i,
-            min_dwell=12, centers=centers, noise_sigma=sigma, transition_ramp=ramp,
-        )
-        pairs.append(synth.gen_feature_stream(cfg, video_id=f"v{i}"))
+        pairs.append(synth.gen_feature_stream(
+            centers, seed=seed * 100 + i, n_frames=n_frames + 7 * i, min_dwell=12,
+            noise_sigma=sigma, transition_ramp=ramp, video_id=f"v{i}"))
     return pairs
 
 

@@ -55,6 +55,19 @@ class TestActiveSegments:
         with pytest.raises(ValueError):
             active_segments(seq, stream)
 
+    def test_decoded_needs_label_space(self):
+        # free is named only by a label space; `discover` always reads one
+        stream, _ = fa_stream([0, 1])
+        seq = StateSequence(None, np.array([0, 1]), num_states=2)
+        with pytest.raises(ValueError, match="needs a label space to identify 'free'"):
+            active_segments(seq, stream)
+
+    @pytest.mark.parametrize("start, end", [(2, 2), (3, 2), (-1, 1)])
+    def test_empty_span_rejected(self, start, end):
+        # active_segments builds runs, which are never empty
+        with pytest.raises(ValueError, match="segment span must be non-empty"):
+            seg("v", start, end, [1.0, 0.0])
+
     def test_matches_per_frame_loop(self):
         def per_frame_segments(decoded, stream):
             # the per-frame scan active_segments replaced
@@ -261,6 +274,12 @@ class TestLinkageMatchesMaskedReference:
         with pytest.raises(ValueError, match="finite"):
             average_linkage(sim)
 
+    @pytest.mark.parametrize("sim", [np.zeros((0, 0)), np.ones((2, 3)), np.ones(3)])
+    def test_rejects_empty_or_not_square(self, sim):
+        # `discover` rejects a k range above zero segments before it links
+        with pytest.raises(ValueError, match="non-empty square matrix"):
+            average_linkage(sim)
+
     def test_rejects_asymmetric(self):
         sim = np.eye(3)
         sim[0, 1] = 0.5
@@ -320,6 +339,24 @@ class TestModifiedPurity:
         labels = np.array([0])
         with pytest.raises(ValueError, match="metric undefined"):
             modified_purity(labels, segs, {"v": truth})
+
+    def test_unusable_inputs_rejected(self):
+        # none of these reaches `discover`: it reads one object space, and a
+        # truth of the length of each stream that has segments
+        labels, segs, truths, space = purity_fixture()
+        with pytest.raises(ValueError, match="labels do not match the segment list"):
+            modified_purity(labels[:-1], segs, truths)
+        with pytest.raises(ValueError, match="ground truth is empty"):
+            modified_purity(labels, segs, {})
+        other = StateSequence(free_active(), np.array([0, 1]))
+        with pytest.raises(ValueError, match="share one label space"):
+            modified_purity(labels, segs, {**truths, "w": other})
+        bare = StateSequence(None, truths["v"].states, num_states=space.num_labels)
+        with pytest.raises(ValueError, match="ground truth needs a label space"):
+            modified_purity(labels, segs, {"v": bare})
+        for uncovered in ({"w": truths["v"]}, {"v": StateSequence(space, truths["v"].states[:5])}):
+            with pytest.raises(ValueError, match="ground truth does not cover segment of v"):
+                modified_purity(labels, segs, uncovered)
 
     def test_in_unit_interval_on_random_clusterings(self):
         rng = np.random.default_rng(2)

@@ -6,7 +6,11 @@ thread count:
 - `pipeline` on the criterion-8 config of `test_acceptance.py`; its
   `06_eval_*` stages write `report.json` and `report.csv`;
 - `synth videos` of three tiny videos at planted scales, then `align` of
-  them, which writes `alignment.json`;
+  them, which writes `alignment.json`; then `extract` of each aligned
+  video (one as the head camera), `fuse` of two of the streams, and
+  `discover --object-space` over the three streams, with free/active
+  predictions and object truths this process writes, at every k from 1 to
+  the segment count;
 - `pipeline` with C, d and lambda all "auto" (cv-auto, shrunk); its
   `01_cv` stage writes `chosen.json`, `table.csv` and `manifest.json`;
 - on three K = 24 object streams, which this process synthesizes as
@@ -67,8 +71,16 @@ OBJECT_SPACE = (f"task = object_category\nlabels = {', '.join(OBJECTS)}\n"
                 f"free_label = {OBJECTS[0]}\n")
 STREAMS = {"seed": 7, "videos": 3, "states": 24, "dim": 16, "frames": 400, "min_dwell": 8,
            "noise_sigma": 0.3}
+# per aligned video: its extract options, then its free/active predictions
+# and object truths, one label a frame (8 active segments in all)
+DISCOVER = {
+    "va": ([], "active active free active free active", "o01 o01 o00 o02 o00 o02"),
+    "vb": (["--camera", "head"], "free active active active free active",
+           "o00 o02 o02 o01 o00 o01"),
+    "vc": ([], "active free active active free active", "o01 o00 o02 o02 o00 o01"),
+}
 # the run trees whose files are recorded, each a directory of the chains' root
-TREES = ("pipeline", "videos", "aligned", "cv_pipeline", "k24")
+TREES = ("pipeline", "videos", "aligned", "cv_pipeline", "k24", "features", "discover")
 
 
 def host() -> dict[str, str]:
@@ -103,7 +115,9 @@ def run_chains(root: Path) -> dict[str, str]:
     (inputs / "free_active.txt").write_text(FREE_ACTIVE)
     (inputs / "cv_pipeline.json").write_text(json.dumps(CV_PIPELINE))
     handcam(root, "pipeline", "--config", "inputs/cv_pipeline.json", "--out", "cv_pipeline")
+    (inputs / "objects.txt").write_text(OBJECT_SPACE)
     run_k24_chain(root)
+    run_discover_chain(root)
     return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for tree in TREES for p in sorted((root / tree).rglob("*")) if p.is_file()}
 
@@ -112,7 +126,6 @@ def run_k24_chain(root: Path) -> None:
     """Train on two K = 24 streams; detect, decode both ways and score the
     third. The streams are inputs, written in this process."""
     inputs = root / "inputs"
-    (inputs / "objects.txt").write_text(OBJECT_SPACE)
     (inputs / "streams.json").write_text(json.dumps(STREAMS))
     run_synth_features(inputs / "streams.json", inputs / "objects.txt", inputs / "streams")
     (root / "k24").mkdir()
@@ -131,6 +144,27 @@ def run_k24_chain(root: Path) -> None:
     for mode in ("full", "unary"):
         handcam(root, "eval", "--pred", f"k24/video_02.{mode}.txt", "--truth",
                 "inputs/streams/video_02.truth.txt", *space, "--report", f"k24/eval_{mode}")
+
+
+def run_discover_chain(root: Path) -> None:
+    """Extract each aligned video, fuse the first two streams, and cluster
+    the three streams' active segments at every k. The predictions and
+    object truths are inputs, written in this process."""
+    inputs = root / "inputs"
+    (root / "features").mkdir()
+    lines = []
+    for vid, (options, predicted, objects) in DISCOVER.items():
+        handcam(root, "extract", "--video", f"aligned/{vid}", "--out", f"features/{vid}.feat",
+                *options)
+        for kind, labels in (("pred", predicted), ("objects", objects)):
+            (inputs / f"{vid}.{kind}.txt").write_text("\n".join(labels.split()) + "\n")
+        lines.append(f"features/{vid}.feat\tinputs/{vid}.pred.txt\tinputs/{vid}.objects.txt\n")
+    (inputs / "discover.txt").write_text("".join(lines))
+    handcam(root, "fuse", "--inputs", "features/va.feat", "features/vb.feat", "--out",
+            "features/fused.feat")
+    handcam(root, "discover", "--manifest", "inputs/discover.txt", "--fa-space",
+            "inputs/free_active.txt", "--object-space", "inputs/objects.txt", "--k-range", "1:8",
+            "--out", "discover")
 
 
 def differences(recorded: dict[str, str], fresh: dict[str, str]) -> list[str]:

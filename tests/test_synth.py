@@ -28,42 +28,42 @@ def smooth_patch(width, height, seed, cells=6):
 
 
 def config(**overrides):
+    """gen_feature_stream's values for a 3-state, 4-dim stream, as keywords."""
     base = dict(
+        centers=orthonormal_centers(3, 4, 99),
         seed=0,
-        num_states=3,
-        dim=4,
         n_frames=200,
         min_dwell=20,
-        centers=orthonormal_centers(3, 4, 99),
         noise_sigma=0.5,
     )
     base.update(overrides)
-    return synth.SynthConfig(**base)
+    return base
 
 
-def parent_gen_feature_stream(config, video_id="synth", camera=synth.Camera.RIGHT_HAND,
-                              fps=6.0, label_space=None):
+def parent_gen_feature_stream(centers, seed, n_frames, min_dwell, noise_sigma,
+                              transition_ramp=0, video_id="synth", fps=6.0, label_space=None):
     """gen_feature_stream as it was before it built the values inside the
     noise array (the reference, bit for bit)."""
-    if label_space is not None and label_space.num_labels < config.num_states:
+    num_states, dim = centers.shape
+    if label_space is not None and label_space.num_labels < num_states:
         raise ValueError("label space too small for the configured state count")
-    rng = np.random.default_rng(config.seed)
-    states = synth._draw_states(config, rng)
-    trajectory = config.centers[states].copy()
-    w = config.transition_ramp
+    rng = np.random.default_rng(seed)
+    states = synth._draw_states(num_states, n_frames, min_dwell, rng)
+    trajectory = centers[states].copy()
+    w = transition_ramp
     if w > 0:
         for t in run_starts(states)[1:]:
-            frames = np.arange(max(0, t - w), min(config.n_frames, t + w))
+            frames = np.arange(max(0, t - w), min(n_frames, t + w))
             alpha = ((frames - (t - w)) / (2.0 * w))[:, None]
             trajectory[frames] = (
-                (1.0 - alpha) * config.centers[states[t - 1]] + alpha * config.centers[states[t]]
+                (1.0 - alpha) * centers[states[t - 1]] + alpha * centers[states[t]]
             )
-    noise = rng.standard_normal((config.n_frames, config.dim)) * config.noise_sigma
-    stream = FeatureStream(video_id, camera, fps, trajectory + noise)
+    noise = rng.standard_normal((n_frames, dim)) * noise_sigma
+    stream = FeatureStream(video_id, synth.Camera.RIGHT_HAND, fps, trajectory + noise)
     truth = (
         StateSequence(label_space, states)
         if label_space is not None
-        else StateSequence(None, states, num_states=config.num_states)
+        else StateSequence(None, states, num_states=num_states)
     )
     return stream, truth
 
@@ -73,14 +73,14 @@ class TestFeatureStreamGen:
         rng = np.random.default_rng(8)
         for i in range(60):
             k, dim = int(rng.integers(2, 6)), int(rng.integers(2, 40))
-            cfg = synth.SynthConfig(
-                seed=int(rng.integers(1 << 30)), num_states=k, dim=dim,
+            cfg = dict(
+                seed=int(rng.integers(1 << 30)),
                 n_frames=int(rng.integers(1, 400)), min_dwell=int(rng.integers(1, 30)),
                 centers=synth.random_centers(k, dim, i), noise_sigma=float(rng.uniform(0, 3)),
-                transition_ramp=(i % 2) * int(rng.integers(1, 8)),
+                transition_ramp=(i % 2) * int(rng.integers(1, 8)), video_id=f"v{i}",
             )
             (stream, truth), (ref, ref_truth) = (
-                synth.gen_feature_stream(cfg, f"v{i}"), parent_gen_feature_stream(cfg, f"v{i}"))
+                synth.gen_feature_stream(**cfg), parent_gen_feature_stream(**cfg))
             assert stream.values.tobytes() == ref.values.tobytes()
             assert stream.values.shape == ref.values.shape
             assert truth.states.tobytes() == ref_truth.states.tobytes()
@@ -89,36 +89,36 @@ class TestFeatureStreamGen:
     def test_memory_trajectory_and_noise_only(self, traced_peak):
         # the parent held the trajectory, the noise, their sum and the
         # stream's copy of it (4x)
-        cfg = config(dim=32, n_frames=20_000, centers=synth.random_centers(3, 32, 4),
+        cfg = config(n_frames=20_000, centers=synth.random_centers(3, 32, 4),
                      transition_ramp=3)
-        peak, (stream, _) = traced_peak(synth.gen_feature_stream, cfg)
+        peak, (stream, _) = traced_peak(partial(synth.gen_feature_stream, **cfg))
         assert peak <= 2.5 * stream.values.nbytes, peak / stream.values.nbytes
 
     def test_noiseless_frames_equal_centers(self):
         cfg = config(noise_sigma=0.0)
-        stream, truth = synth.gen_feature_stream(cfg)
-        assert np.array_equal(stream.values, cfg.centers[truth.states])
+        stream, truth = synth.gen_feature_stream(**cfg)
+        assert np.array_equal(stream.values, cfg["centers"][truth.states])
 
     def test_same_seed_identical(self):
-        a_s, a_t = synth.gen_feature_stream(config())
-        b_s, b_t = synth.gen_feature_stream(config())
+        a_s, a_t = synth.gen_feature_stream(**config())
+        b_s, b_t = synth.gen_feature_stream(**config())
         assert np.array_equal(a_s.values, b_s.values)
         assert np.array_equal(a_t.states, b_t.states)
 
     def test_different_seed_differs(self):
-        a_s, _ = synth.gen_feature_stream(config(seed=1))
-        b_s, _ = synth.gen_feature_stream(config(seed=2))
+        a_s, _ = synth.gen_feature_stream(**config(seed=1))
+        b_s, _ = synth.gen_feature_stream(**config(seed=2))
         assert not np.array_equal(a_s.values, b_s.values)
 
     def test_min_dwell_respected(self):
         for seed in range(10):
-            _, truth = synth.gen_feature_stream(config(seed=seed, min_dwell=20, n_frames=200))
+            _, truth = synth.gen_feature_stream(**config(seed=seed, min_dwell=20, n_frames=200))
             s = truth.states
             runs = np.diff(np.concatenate([[0], np.nonzero(np.diff(s))[0] + 1, [len(s)]]))
             assert runs.min() >= 20
 
     def test_consecutive_states_differ(self):
-        _, truth = synth.gen_feature_stream(config(seed=3))
+        _, truth = synth.gen_feature_stream(**config(seed=3))
         s = truth.states
         changes = np.nonzero(np.diff(s))[0]
         assert len(changes) > 0
@@ -127,10 +127,10 @@ class TestFeatureStreamGen:
 
     def test_ramp_blends_centers(self):
         cfg = config(noise_sigma=0.0, transition_ramp=4)
-        stream, truth = synth.gen_feature_stream(cfg)
+        stream, truth = synth.gen_feature_stream(**cfg)
         t = int(np.nonzero(np.diff(truth.states))[0][0] + 1)
-        old_c = cfg.centers[truth.states[t - 1]]
-        new_c = cfg.centers[truth.states[t]]
+        old_c = cfg["centers"][truth.states[t - 1]]
+        new_c = cfg["centers"][truth.states[t]]
         # halfway through the ramp the feature is the midpoint blend
         mid = stream.values[t]
         assert np.allclose(mid, 0.5 * old_c + 0.5 * new_c)
@@ -141,16 +141,22 @@ class TestFeatureStreamGen:
         space = LabelSpace(
             Task.GESTURE, ("free",) + tuple(f"g{i}" for i in range(12)), 0
         )
-        _, truth = synth.gen_feature_stream(config(), label_space=space)
+        _, truth = synth.gen_feature_stream(**config(), label_space=space)
         assert truth.label_space == space
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
-            config(min_dwell=0)
+            synth.gen_feature_stream(**config(min_dwell=0))
         with pytest.raises(ValueError):
-            config(noise_sigma=-1.0)
+            synth.gen_feature_stream(**config(noise_sigma=-1.0))
         with pytest.raises(ValueError):
-            config(centers=np.zeros((3, 4)))  # identical rows
+            synth.gen_feature_stream(**config(centers=np.zeros((3, 4))))  # identical rows
+
+    @pytest.mark.parametrize("centers", [np.ones(4), np.ones((2, 2, 2)), np.float64(1.0)])
+    def test_centers_must_be_2d(self, centers):
+        # one row per state: the state count and width are read from the shape
+        with pytest.raises(ValueError, match="centers must be 2-d"):
+            synth.gen_feature_stream(**config(centers=centers))
 
 
 class TestFeatureSetGen:
@@ -159,9 +165,9 @@ class TestFeatureSetGen:
         streams = synth.gen_feature_set(7, 3, 5, 90, 10, 0.5, ids, transition_ramp=2, fps=12.0)
         centers = synth.random_centers(3, 5, 7)
         for i, (stream, truth) in enumerate(streams):
-            alone, alone_truth = synth.gen_feature_stream(synth.SynthConfig(
-                seed=7000 + i, num_states=3, dim=5, n_frames=90, min_dwell=10,
-                centers=centers, noise_sigma=0.5, transition_ramp=2), video_id=ids[i], fps=12.0)
+            alone, alone_truth = synth.gen_feature_stream(
+                centers, seed=7000 + i, n_frames=90, min_dwell=10, noise_sigma=0.5,
+                transition_ramp=2, video_id=ids[i], fps=12.0)
             assert stream.values.tobytes() == alone.values.tobytes()
             assert (stream.video_id, stream.fps) == (ids[i], 12.0)
             assert np.array_equal(truth.states, alone_truth.states)
@@ -172,7 +178,9 @@ class TestFeatureSetGen:
         args = (3, 2, 4, 60, 10, 0.5, ["a", "b"])
         for change, match in (({"min_dwell": 0}, "min_dwell"), ({"noise_sigma": -1.0}, "noise"),
                               ({"transition_ramp": -1}, "transition_ramp"),
-                              ({"fps": 0.0}, "fps"), ({"num_states": 3}, "label space")):
+                              ({"fps": 0.0}, "fps"), ({"num_states": 3}, "label space"),
+                              ({"video_ids": []}, "videos"), ({"n_frames": 2**27}, "budget"),
+                              ({"num_states": 0}, "states >= 1")):
             kwargs = dict(zip(("seed", "num_states", "dim", "n_frames", "min_dwell",
                                "noise_sigma", "video_ids"), args), label_space=space)
             with pytest.raises(ValueError, match=match):
