@@ -74,10 +74,10 @@ class TrainConfig:
 class LinearModel:
     """Linear scorer: one weight row and bias per state.
 
-    The binary change model has a single row, no label space and the
-    change-feature half-width d >= 1 it was trained at; no other kind has a
-    d. Multiclass models may also run detached from a label space (synthetic
-    benchmarks); production models carry one so predictions can be named.
+    A state model has one row per label of its label space. The binary
+    change model has a single row, no label space and the change-feature
+    half-width d >= 1 it was trained at. So a model has no label space
+    exactly when it has one row and a d.
     """
 
     weights: np.ndarray  # (K, D)
@@ -95,6 +95,8 @@ class LinearModel:
             raise ValueError("model parameters must be finite")
         if self.label_space is not None and w.shape[0] != self.label_space.num_labels:
             raise ValueError("weight rows must match the label count")
+        if self.label_space is None and w.shape[0] != 1:
+            raise ValueError("a model without a label space is a change model, with one row")
         object.__setattr__(self, "weights", frozen_array(w))
         object.__setattr__(self, "bias", frozen_array(b))
         if self.is_binary != (self.d is not None):
@@ -112,7 +114,7 @@ class LinearModel:
 
     @property
     def is_binary(self) -> bool:
-        return self.label_space is None and self.weights.shape[0] == 1
+        return self.label_space is None
 
 
 def _solve_subgradient(
@@ -221,9 +223,7 @@ def check_videos(streams: Sequence[FeatureStream], truths: Sequence[StateSequenc
     """One truth per stream and as long as it, one label space, one width."""
     if len(streams) != len(truths) or not streams:
         raise ValueError("need matching, non-empty streams and truths")
-    if any(t.label_space != truths[0].label_space for t in truths) or any(
-        t.num_states != truths[0].num_states for t in truths
-    ):
+    if any(t.label_space != truths[0].label_space for t in truths):
         raise ValueError("all truths must share one label space")
     for s, t in zip(streams, truths):
         if s.n_frames != len(t):
@@ -265,8 +265,8 @@ def train_grid(
     is given, and into a new matrix otherwise.
     """
     x, y, held_out = _training_input(*_stacked(streams, truths, out), row_folds, folds)
-    classes = range(truths[0].num_states)
-    return _fit(x, y, classes, held_out, truths[0].label_space, c_grid, epochs)
+    space = truths[0].label_space
+    return _fit(x, y, range(space.num_labels), held_out, space, c_grid, epochs)
 
 
 def train(
@@ -349,8 +349,8 @@ def _pack_str(s: str) -> bytes:
 
 
 def _kind(model: LinearModel) -> int:
-    """0: multiclass with label space, 1: binary change, 2: detached multiclass."""
-    return 0 if model.label_space is not None else 1 if model.is_binary else 2
+    """0: state model with its label space, 1: binary change model."""
+    return int(model.is_binary)
 
 
 def model_bytes(model: LinearModel) -> bytes:
@@ -394,7 +394,7 @@ def load_model(path: str | Path) -> LinearModel:
         c_reg, epochs, slot = read("<dIQ")
         if version != _MODEL_VERSION:
             raise ModelFileError(f"unsupported version {version}")
-        if kind not in (0, 1, 2):
+        if kind not in (0, 1):
             raise ModelFileError(f"unknown model kind {kind}")
         space = None
         if kind == 0:
@@ -410,10 +410,7 @@ def load_model(path: str | Path) -> LinearModel:
         w = np.frombuffer(data, dtype="<f8", count=k * d, offset=pos).reshape(k, d)
         b = np.frombuffer(data, dtype="<f8", count=k, offset=pos + k * d * 8)
         # the slot is a change model's d: LinearModel rejects 0 there and any other value elsewhere
-        model = LinearModel(w, b, space, TrainConfig(c_reg, epochs), slot or None)
-        if _kind(model) != kind:  # one row and a d, or two rows and none, under the other kind
-            raise ModelFileError(f"kind {kind} file holds a kind {_kind(model)} model's weights")
-        return model
+        return LinearModel(w, b, space, TrainConfig(c_reg, epochs), slot or None)
     except struct.error as e:
         raise ModelFileError(f"truncated model file: {e}") from None
     except ValueError as e:  # version, kind, shape, UTF-8, task, label space or parameters

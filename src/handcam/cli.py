@@ -215,8 +215,7 @@ def _feature_set(cfg: dict, video_ids: list[str], space: LabelSpace,
     value is checked here; the streams are drawn as they are iterated."""
     return synth.gen_feature_set(
         cfg["seed"], cfg["states"], cfg["dim"], cfg["frames"], cfg["min_dwell"],
-        cfg["noise_sigma"], video_ids, transition_ramp=cfg.get("transition_ramp", 0),
-        fps=fps, label_space=space,
+        cfg["noise_sigma"], video_ids, space, cfg.get("transition_ramp", 0), fps,
     )
 
 
@@ -441,8 +440,8 @@ def run_infer(features: str | Path, state_model: str | Path, mode: str,
         if given:
             raise ValueError(f"--mode unary takes no {', '.join(given)}")
     state = _load_model("--state-model", state_model)
-    if state.label_space is None:
-        raise ValueError(f"--state-model {state_model}: not a state model with a label space")
+    if state.is_binary:
+        raise ValueError(f"--state-model {state_model}: a change model, not a state model")
     if mode == "full":
         if change_model is None or (lam is None) == (cv_result is None):
             raise ValueError("full mode needs --change-model and exactly one of --lambda "

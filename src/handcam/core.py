@@ -11,7 +11,7 @@ import csv
 import json
 import mmap
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,13 +26,9 @@ class Task(Enum):
     OBJECT_CATEGORY = "object_category"
 
 
-# Fixed label cardinality per task: free/active, 12 gestures + free,
-# 23 object categories + free.
-TASK_LABEL_COUNTS = {
-    Task.FREE_ACTIVE: 2,
-    Task.GESTURE: 13,
-    Task.OBJECT_CATEGORY: 24,
-}
+# The most labels a label space holds: a model file stores the label count
+# and the free index as u16, and `eval` builds a K x K int64 confusion.
+MAX_LABELS = 256
 
 
 class Camera(Enum):
@@ -104,7 +100,9 @@ def all_finite(arr: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class LabelSpace:
-    """Ordered set of state names for one recognition task.
+    """Ordered set of state names for one recognition task: 2 to MAX_LABELS
+    distinct names, the free label among them. The task says what the
+    labels mean, not how many there are.
 
     Label order is fixed by the declaration (file or constructor), never
     sorted, so state indices are stable across runs.
@@ -116,12 +114,9 @@ class LabelSpace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
-        expected = TASK_LABEL_COUNTS[self.task]
-        if len(self.labels) != expected:
-            raise ValueError(
-                f"task {self.task.value} requires exactly {expected} labels, "
-                f"got {len(self.labels)}"
-            )
+        if not 2 <= len(self.labels) <= MAX_LABELS:
+            raise ValueError(f"a label space needs at least 2 and at most {MAX_LABELS} labels, "
+                             f"got {len(self.labels)}")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("label names must be unique")
         if not 0 <= self.free_label_index < len(self.labels):
@@ -182,30 +177,21 @@ class FeatureStream:
 
 @dataclass(frozen=True)
 class StateSequence:
-    """Per-frame state indices of one video, optionally tied to a LabelSpace.
+    """Per-frame state indices of one video into its LabelSpace.
 
-    Truths and label files are sequences; synthetic benchmarks may pass
-    label_space=None and num_states instead. Decoded paths and predictions
-    are plain int64 arrays, and `infer` attaches the state model's label
-    space to the one it writes (`cli.write_labels` names the states).
+    Truths and label files are sequences. Decoded paths and predictions are
+    plain int64 arrays, and `infer` attaches the state model's label space
+    to the one it writes (`cli.write_labels` names the states).
     """
 
-    label_space: LabelSpace | None
+    label_space: LabelSpace
     states: np.ndarray
-    num_states: int = field(default=-1)
 
     def __post_init__(self) -> None:
         states = np.asarray(self.states, dtype=np.int64)
         if states.ndim != 1:
             raise ValueError("states must be a 1-d index array")
-        if self.label_space is not None:
-            k = self.label_space.num_labels
-            if self.num_states not in (-1, k):
-                raise ValueError("num_states disagrees with label_space")
-            object.__setattr__(self, "num_states", k)
-        elif self.num_states < 1:
-            raise ValueError("num_states required when label_space is None")
-        if states.size and (states.min() < 0 or states.max() >= self.num_states):
+        if states.size and (states.min() < 0 or states.max() >= self.label_space.num_labels):
             raise ValueError("state index out of range for the label space")
         object.__setattr__(self, "states", frozen_array(states))
 
@@ -315,7 +301,7 @@ def load_label_space(path: str | Path) -> LabelSpace:
         raise ValueError(f"{path}: free_label {entries['free_label']!r} not in labels")
     try:
         return LabelSpace(task, labels, labels.index(entries["free_label"]))
-    except ValueError as e:  # a label count the task does not allow, or a repeated label
+    except ValueError as e:  # too few or too many labels, or a repeated label
         raise ValueError(f"{path}: {e}") from None
 
 

@@ -38,8 +38,6 @@ class Segment:
 
 def active_segments(decoded: StateSequence, stream: FeatureStream) -> list[Segment]:
     """Maximal runs of the active (non-free) state with their mean features."""
-    if decoded.label_space is None:
-        raise ValueError("decoded sequence needs a label space to identify 'free'")
     if len(decoded) != stream.n_frames:
         raise ValueError("sequence and stream lengths differ")
     s = decoded.states
@@ -125,8 +123,6 @@ def modified_purity(
     if len({t.label_space for t in truths.values()}) != 1:
         raise ValueError("all ground-truth sequences must share one label space")
     space = next(iter(truths.values())).label_space
-    if space is None:
-        raise ValueError("ground truth needs a label space")
     free = space.free_label_index
 
     true_active = sum(int(np.sum(t.states != free)) for t in truths.values())

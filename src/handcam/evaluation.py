@@ -1,8 +1,7 @@
 """Per-frame evaluation: confusion matrices, accuracy, report emission.
 
 A report takes its task and label names from the label space its truths
-share, so a caller passes sequences only; truths detached from a label
-space (solver-level benchmarks) give a report with task "" and no labels.
+share, so a caller passes sequences only.
 """
 
 from __future__ import annotations
@@ -18,20 +17,14 @@ from .core import StateSequence, remove_stale, run_starts, write_csv, write_json
 def _check_pair(pred: StateSequence, truth: StateSequence) -> None:
     if len(pred) != len(truth):
         raise ValueError(f"length mismatch: {len(pred)} vs {len(truth)} frames")
-    if pred.num_states != truth.num_states:
-        raise ValueError("sequences use different state counts")
-    if (
-        pred.label_space is not None
-        and truth.label_space is not None
-        and pred.label_space != truth.label_space
-    ):
+    if pred.label_space != truth.label_space:
         raise ValueError("sequences use different label spaces")
 
 
 def confusion(pred: StateSequence, truth: StateSequence) -> np.ndarray:
     """K x K matrix; entry (t, p) counts frames of truth t predicted p."""
     _check_pair(pred, truth)
-    k = truth.num_states
+    k = truth.label_space.num_labels
     flat = truth.states * k + pred.states
     return np.bincount(flat, minlength=k * k).reshape(k, k)
 
@@ -42,7 +35,7 @@ def build_report(
 ) -> dict:
     """Per-video and pooled per-frame accuracy, as the document `write_report`
     writes as `report.json`: the `task` and `labels` of the label space the
-    truths share ("" and null when detached), `global_accuracy`,
+    truths share, `global_accuracy`,
     `per_video_accuracy` by video id in sorted order, the pooled `n_frames`
     and the pooled `confusion` (row truth, column prediction)."""
     if set(preds) != set(truths):
@@ -62,11 +55,11 @@ def build_report(
         per_video[vid] = float(np.trace(c) / c.sum())  # correct / frames, as one division
         total = c if total is None else total + c
     return {
-        "task": space.task.value if space else "",
+        "task": space.task.value,
         "global_accuracy": float(np.trace(total) / total.sum()),
         "per_video_accuracy": per_video,
         "n_frames": int(total.sum()),
-        "labels": list(space.labels) if space else None,
+        "labels": list(space.labels),
         "confusion": total.tolist(),
     }
 
@@ -91,7 +84,7 @@ def timeline_svg(sequences: Mapping[str, StateSequence]) -> str:
         y = _SVG_GAP + lane * (_SVG_LANE_H + _SVG_GAP)
         parts.append(f'<text x="4" y="{y + _SVG_LANE_H - 8}">{name}</text>')
         # one rect per equal-state run, one hue per state
-        k = seq.num_states
+        k = seq.label_space.num_labels
         colors = [f"hsl({int(360 * state / k)},70%,55%)" for state in range(k)]
         starts = run_starts(seq.states)
         ends = np.append(starts[1:], len(seq))

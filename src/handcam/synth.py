@@ -45,13 +45,13 @@ def check_stream_budget(n_videos: int, n_frames: int, dim: int) -> None:
 
 
 def _check_stream(centers: np.ndarray, min_dwell: int, noise_sigma: float,
-                  transition_ramp: int, label_space: LabelSpace | None) -> np.ndarray:
+                  transition_ramp: int, label_space: LabelSpace) -> np.ndarray:
     """The centers as float64, once they and the values of a stream drawn
     around them are usable: one distinct row per state."""
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2:
         raise ValueError("centers must be 2-d")
-    if label_space is not None and label_space.num_labels < len(centers):
+    if label_space.num_labels < len(centers):
         raise ValueError("label space too small for the configured state count")
     for a in range(len(centers)):  # each row against the rows after it
         if (centers[a + 1 :] == centers[a]).all(axis=1).any():
@@ -96,15 +96,15 @@ def gen_feature_stream(
     n_frames: int,
     min_dwell: int,
     noise_sigma: float,
+    label_space: LabelSpace,
     transition_ramp: int = 0,
     video_id: str = "synth",
     fps: float = DEFAULT_FPS,
-    label_space: LabelSpace | None = None,
 ) -> tuple[FeatureStream, StateSequence]:
-    """A right-hand feature stream plus its ground-truth states, reproducible
-    from the seed: runs of the states that index the (K, D) centers, each
-    at least min_dwell frames, and Gaussian noise of noise_sigma around the
-    centers.
+    """A right-hand feature stream plus its ground-truth states in
+    label_space, reproducible from the seed: runs of the states that index
+    the (K, D) centers, each at least min_dwell frames, and Gaussian noise
+    of noise_sigma around the centers.
 
     With transition_ramp w > 0 the feature centers blend linearly from the
     old to the new state over the 2w frames straddling each transition
@@ -129,12 +129,7 @@ def gen_feature_stream(
     del trajectory
     values.setflags(write=False)  # fresh and ours: FeatureStream keeps it without a copy
     stream = FeatureStream(video_id, Camera.RIGHT_HAND, fps, values)
-    truth = (
-        StateSequence(label_space, states)
-        if label_space is not None
-        else StateSequence(None, states, num_states=num_states)
-    )
-    return stream, truth
+    return stream, StateSequence(label_space, states)
 
 
 def gen_feature_set(
@@ -145,9 +140,9 @@ def gen_feature_set(
     min_dwell: int,
     noise_sigma: float,
     video_ids: Sequence[str],
+    label_space: LabelSpace,
     transition_ramp: int = 0,
     fps: float = DEFAULT_FPS,
-    label_space: LabelSpace | None = None,
 ) -> Iterator[tuple[FeatureStream, StateSequence]]:
     """One labeled stream per video id around shared random centers.
 
@@ -163,7 +158,7 @@ def gen_feature_set(
     centers = _check_stream(random_centers(num_states, dim, seed), min_dwell, noise_sigma,
                             transition_ramp, label_space)
     return (gen_feature_stream(centers, seed * 1000 + i, n_frames, min_dwell, noise_sigma,
-                               transition_ramp, vid, fps, label_space)
+                               label_space, transition_ramp, vid, fps)
             for i, vid in enumerate(video_ids))
 
 

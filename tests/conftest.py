@@ -15,12 +15,14 @@ def free_active(free="free", active="active"):
     return LabelSpace(Task.FREE_ACTIVE, (free, active), 0)
 
 
+def space_of(k, task=Task.GESTURE):
+    """A label space of the k names s0, s1, ..., s0 the free one."""
+    return LabelSpace(task, tuple(f"s{i}" for i in range(k)), 0)
+
+
 def train_arrays(x, y, space, config=TrainConfig()):
-    """`train` on the rows of x labeled y, as one stream; space is a label
-    space, or a state count for a model detached from one."""
-    truth = (StateSequence(space, y) if isinstance(space, LabelSpace)
-             else StateSequence(None, y, num_states=space))
-    return train([FeatureStream("v", Camera.HEAD, 6.0, x)], [truth], config)
+    """`train` on the rows of x labeled y in the label space space, as one stream."""
+    return train([FeatureStream("v", Camera.HEAD, 6.0, x)], [StateSequence(space, y)], config)
 
 
 def save_frames(frames, video_dir):

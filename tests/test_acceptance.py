@@ -19,7 +19,7 @@ from handcam.core import (
 )
 from handcam.features import read_features, write_features
 from handcam.media import load_ppm, load_video_dir, save_ppm
-from conftest import free_active, train_arrays
+from conftest import free_active, space_of, train_arrays
 from test_core import save_label_space
 from test_inference import score_sequence
 from test_synth import orthonormal_centers
@@ -105,7 +105,7 @@ def test_criterion_3_unary_to_full_improvement():
         for i in range(5):
             pairs.append(synth.gen_feature_stream(
                 centers, seed=seed * 100 + i, n_frames=240, min_dwell=20, noise_sigma=0.6,
-                video_id=f"v{i}"))
+                label_space=space_of(3), video_id=f"v{i}"))
         state_model = classify.train([s for s, _ in pairs[:4]], [t for _, t in pairs[:4]], cfg)
         test_stream, test_truth = pairs[4]
         unary = classify.score_stream(state_model, test_stream)
@@ -209,7 +209,7 @@ def test_criterion_5_change_detection():
         for i in range(4):
             pairs.append(synth.gen_feature_stream(
                 centers, seed=seed * 37 + i, n_frames=200, min_dwell=20, noise_sigma=0.14,
-                video_id=f"v{i}"))
+                label_space=space_of(3), video_id=f"v{i}"))
         model = change.train_change_model(
             [s for s, _ in pairs[:3]], [t for _, t in pairs[:3]], d, cfg
         )

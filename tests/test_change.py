@@ -17,6 +17,7 @@ from handcam.change import (
 )
 from handcam.classify import LinearModel, TrainConfig, model_bytes, train
 from handcam.core import Camera, FeatureStream, StateSequence, release_pages, run_starts
+from conftest import space_of
 from test_features import float32_pair
 from test_synth import orthonormal_centers
 
@@ -185,7 +186,7 @@ class TestChangeFeature:
 
 class TestLabelChangeFrames:
     def test_constant_sequence_all_negative(self):
-        truth = StateSequence(None, np.zeros(30, dtype=int), num_states=2)
+        truth = StateSequence(space_of(2), np.zeros(30, dtype=int))
         labels = label_change_frames(truth, 3)
         assert labels.shape == (24,)  # frames 3..26
         assert np.all(labels == 0)
@@ -193,20 +194,20 @@ class TestLabelChangeFrames:
     def test_single_transition_band(self):
         states = np.zeros(100, dtype=int)
         states[50:] = 1
-        truth = StateSequence(None, states, num_states=2)
+        truth = StateSequence(space_of(2), states)
         labels = label_change_frames(truth, 3)
         assert (np.nonzero(labels == 1)[0] + 3).tolist() == list(range(47, 54))
 
     def test_close_transitions_merge(self):
         states = np.zeros(60, dtype=int)
         states[20:24] = 1  # transitions at 20 and 24, closer than 2d for d = 3
-        truth = StateSequence(None, states, num_states=2)
+        truth = StateSequence(space_of(2), states)
         labels = label_change_frames(truth, 3)
         assert (np.nonzero(labels == 1)[0] + 3).tolist() == list(range(17, 28))
 
     def test_transition_convention_first_new_frame(self):
         states = np.array([0, 0, 1, 1, 0])
-        truth = StateSequence(None, states, num_states=2)
+        truth = StateSequence(space_of(2), states)
         assert run_starts(truth.states)[1:].tolist() == [2, 4]
 
 
@@ -278,7 +279,8 @@ def high_snr_videos(seed, sigma=0.1, n_videos=4):
     out = []
     for i in range(n_videos):
         out.append(synth.gen_feature_stream(centers, seed=seed * 37 + i, n_frames=200,
-                                            min_dwell=20, noise_sigma=sigma, video_id=f"v{i}"))
+                                            min_dwell=20, noise_sigma=sigma,
+                                            label_space=space_of(3), video_id=f"v{i}"))
     return out
 
 
@@ -290,7 +292,7 @@ def random_labeled_videos(rng, d, frames=None):
     return [synth.gen_feature_stream(
         centers, seed=int(rng.integers(1 << 30)),
         n_frames=frames or int(rng.integers(1, 6 * d + 40)), min_dwell=int(rng.integers(1, 12)),
-        noise_sigma=float(rng.uniform(0, 2)),
+        noise_sigma=float(rng.uniform(0, 2)), label_space=space_of(3),
         transition_ramp=int(rng.integers(0, 2)) * int(rng.integers(1, 5)), video_id=f"v{i}",
     ) for i in range(n_videos)]
 
@@ -321,7 +323,7 @@ class TestChangeTrainingSet:
         # the parent raised on the same sets; a length mismatch is now
         # reported as `train` reports it, by the check the two share
         (s0, t0), (s1, t1) = high_snr_videos(3, n_videos=2)
-        cut = StateSequence(None, t1.states[:-1], num_states=3)
+        cut = StateSequence(t1.label_space, t1.states[:-1])
         for streams, truths, d, message in (
             ([s0, s1], [t0, cut], 3, "video v1: 200 frames vs 199 labels"),
             ([s0], [t0], 100, "no video is long enough for the requested d"),
@@ -344,7 +346,7 @@ class TestChangeTrainingSet:
         with pytest.raises(ValueError, match=re.escape("video w: dim 9 != 6")):
             change_training_set([s0, wide], [t0, t1], 3)
         short = FeatureStream("w", Camera.HEAD, 6.0, np.zeros((5, 9)))
-        short_truth = StateSequence(None, t1.states[:5], num_states=3)
+        short_truth = StateSequence(t1.label_space, t1.states[:5])
         assert parent_change_training_set([s0, short], [t0, short_truth], 3)[1].size == 194
         with pytest.raises(ValueError, match=re.escape("video w: dim 9 != 6")):
             change_training_set([s0, short], [t0, short_truth], 3)
@@ -358,7 +360,7 @@ class TestChangeTrainingSet:
 
     def test_truths_share_one_label_space(self):
         (s0, t0), (s1, t1) = high_snr_videos(3, n_videos=2)
-        four = StateSequence(None, t1.states, num_states=4)
+        four = StateSequence(space_of(4), t1.states)
         for fn in (change_training_set, train_change_model):
             with pytest.raises(ValueError, match="all truths must share one label space"):
                 fn([s0, s1], [t0, four], 3)
@@ -367,7 +369,8 @@ class TestChangeTrainingSet:
         # the parent held every video's rows beside their concatenation (2x)
         pairs = [synth.gen_feature_stream(synth.random_centers(3, 32, 7), seed=i,
                                           n_frames=2_000, min_dwell=20, noise_sigma=0.5,
-                                          video_id=f"v{i}") for i in range(8)]
+                                          label_space=space_of(3), video_id=f"v{i}")
+                 for i in range(8)]
         peak, (x, _, _) = traced_peak(
             change_training_set, [s for s, _ in pairs], [t for _, t in pairs], 4)
         assert peak <= 1.2 * x.nbytes, peak / x.nbytes
@@ -484,7 +487,7 @@ class TestDetectCandidates:
 
     def test_requires_binary_model(self):
         s = stream_from(np.zeros((20, 2)))
-        model = LinearModel(np.ones((2, 2)), np.zeros(2), None, TrainConfig())
+        model = LinearModel(np.ones((2, 2)), np.zeros(2), space_of(2), TrainConfig())
         with pytest.raises(ValueError, match="binary"):
             detect_candidates(s, model)
 

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from handcam.core import Camera, FeatureStream, StateSequence
 from handcam.crossval import CrossValPlan, CVResult, cross_validate
 from handcam.features import write_features
 from handcam.inference import decode_stream
-from conftest import free_active, train_arrays
+from conftest import free_active, space_of, train_arrays
 from test_features import float32_pair
 from test_synth import orthonormal_centers
 
@@ -101,7 +102,7 @@ class TestTrain:
             y = rng.integers(0, 3, 80)
             if np.unique(y).size < 2:
                 continue
-            model = train_arrays(x, y, 3, TrainConfig(c_reg=0.5, epochs=60))
+            model = train_arrays(x, y, space_of(3), TrainConfig(c_reg=0.5, epochs=60))
             signs = np.full((80, 3), -1.0)
             signs[np.arange(80), y] = 1.0
             obj = training_objective(model, x, signs)
@@ -115,12 +116,28 @@ class TestTrain:
                 TrainConfig(c_reg=c)
         assert TrainConfig(c_reg=1e-300).c_reg == 1e-300
 
+    def test_training_arrays_checked(self):
+        x, y = np.arange(12.0).reshape(4, 3), np.array([0, 1, 0, 1])
+        for bad_x, bad_y in ((x[:, 0], y), (x, y[:3]), (x, y[:, None])):
+            with pytest.raises(ValueError,
+                               match=re.escape("expected (n, D) features and (n,) labels")):
+                train_binary(bad_x, bad_y, 1)
+        for bad in (np.nan, np.inf):
+            x_bad = x.copy()
+            x_bad[2, 1] = bad
+            with pytest.raises(ValueError, match="training features must be finite"):
+                train_binary(x_bad, y, 1)
+        for row_folds in (np.zeros(3, dtype=int), np.zeros((4, 1), dtype=int)):
+            with pytest.raises(ValueError, match="expected one fold index per training row"):
+                train_binary_grid(x, y, 1, row_folds, 2, (1.0,), 5)
+
     def test_float32_streams_train_their_float64_upcast_models(self):
         # streams as read from feature files (float32, aligned or not)
         # against their float64 upcast: train, train_grid and the change grid
         centers = synth.random_centers(3, 24, 5)
         videos = [synth.gen_feature_stream(centers, seed=i, n_frames=300, min_dwell=10,
-                                           noise_sigma=1.5, video_id=f"v{i}") for i in range(4)]
+                                           noise_sigma=1.5, label_space=space_of(3),
+                                           video_id=f"v{i}") for i in range(4)]
         pairs = [float32_pair(s.values, aligned=i % 2 == 0) for i, (s, _) in enumerate(videos)]
         truths = [t for _, t in videos]
         s32, s64 = [p[0] for p in pairs], [p[1] for p in pairs]
@@ -328,7 +345,8 @@ class TestGridSolve:
             x, y = seeded_states(k, k)
             cfg = TrainConfig(c_reg=c, epochs=40)
             w, b, _ = parent_solve(x, one_vs_rest(y, k), c, cfg.epochs)
-            assert model_bytes(train_arrays(x, y, k, cfg)) == model_bytes(LinearModel(w, b, None, cfg))
+            assert model_bytes(train_arrays(x, y, space_of(k), cfg)) == model_bytes(
+                LinearModel(w, b, space_of(k), cfg))
             assert widths[-1] == k  # a single K=2 model solves both columns
             space = free_active() if k == 2 else None
             if space is not None:
@@ -355,8 +373,8 @@ class TestGridSolve:
     def test_each_c_block_matches_its_own_solve(self):
         for k in range(2, 8):
             x, y = seeded_states(10 + k, k)
-            space = free_active() if k == 2 else None
-            truth = StateSequence(space, y) if space else StateSequence(None, y, num_states=k)
+            space = free_active() if k == 2 else space_of(k)
+            truth = StateSequence(space, y)
             stream = FeatureStream("v", Camera.HEAD, 6.0, x)
             (grid,) = train_grid([stream], [truth], None, 1, C_GRID, 40)
             assert [m.config for m in grid] == [TrainConfig(c, 40) for c in C_GRID]
@@ -462,9 +480,10 @@ class TestSolverExactness:
     def test_k24_single_model_matches_reference_fit_bytes(self):
         x, y = seeded_states(24, 24, n=600, dim=12)
         x, y, held_out = classify._training_input(x, y, None, 1)
-        ((got,),) = classify._fit(x, y, range(24), held_out, None, (0.5,), 30)
+        ((got,),) = classify._fit(x, y, range(24), held_out, space_of(24), (0.5,), 30)
         w, b, _ = reference_solve(x, rows(one_vs_rest(y, 24)), np.full(24, 0.5), 30)
-        assert model_bytes(got) == model_bytes(LinearModel(w, b, None, TrainConfig(0.5, 30)))
+        assert model_bytes(got) == model_bytes(
+            LinearModel(w, b, space_of(24), TrainConfig(0.5, 30)))
 
     def test_workload_shapes_match_column_reference_weights(self):
         # with the frames as BLAS's rows, weights and biases keep the (n, k)
@@ -646,8 +665,8 @@ class TestPerFoldSigns:
     ])
     def test_state_grids_match_tiled_signs(self, k, folds, c_grid):
         x, y = seeded_states(100 + k, k, n=40 * k, dim=9)
-        space = free_active() if k == 2 else None
-        truth = StateSequence(space, y) if space else StateSequence(None, y, num_states=k)
+        space = free_active() if k == 2 else space_of(k)
+        truth = StateSequence(space, y)
         row_folds = np.arange(y.size) % folds if folds > 1 else None
         got = train_grid([FeatureStream("v", Camera.HEAD, 6.0, x)], [truth], row_folds, folds,
                          c_grid, 25)
@@ -676,7 +695,7 @@ class TestPerFoldSigns:
         n, d, k, folds = 4_000, 16, 24, 5
         x, y = seeded_states(24, k, n=n, dim=d)
         stream = FeatureStream("v", Camera.HEAD, 6.0, x)
-        truth = StateSequence(None, y, num_states=k)
+        truth = StateSequence(space_of(k), y)
         peak, grid = traced_peak(train_grid, [stream], [truth], np.arange(n) % folds, folds,
                                  C_GRID, 2)
         assert len(grid) == folds and all(len(models) == len(C_GRID) for models in grid)
@@ -693,7 +712,7 @@ HIGH_WATER_GROWTH = """
 import sys
 import numpy as np
 from handcam import classify
-from handcam.core import Camera, FeatureStream
+from handcam.core import Camera, FeatureStream, LabelSpace, Task
 from handcam.features import read_features
 
 def high_water():
@@ -710,7 +729,8 @@ else:
     x.setflags(write=False)
     signs = np.where(rng.random((1, 1, k, n)) < 0.5, 1.0, -1.0)
     stream = FeatureStream("v", Camera.HEAD, 6.0, x)
-model = classify.LinearModel(rng.standard_normal((k, d)), np.ones(k), None, classify.TrainConfig())
+space = LabelSpace(Task.GESTURE, tuple(f"s{i}" for i in range(k)), 0)
+model = classify.LinearModel(rng.standard_normal((k, d)), np.ones(k), space, classify.TrainConfig())
 np.ones((4, 4)) @ np.ones((4, 4))  # BLAS sets up before the baseline
 before = high_water()
 if what == "solve":
@@ -819,7 +839,7 @@ BLOCKED_SCORES = """
 from itertools import product
 import numpy as np
 from handcam.classify import LinearModel, TrainConfig, score_stream
-from handcam.core import Camera, FeatureStream
+from handcam.core import Camera, FeatureStream, LabelSpace, Task
 
 rng = np.random.default_rng(0)
 for n, d in product((4_095, 4_096, 8_191, 8_192, 8_193, 40_000), (7, 64, 512)):
@@ -831,7 +851,8 @@ for n, d in product((4_095, 4_096, 8_191, 8_192, 8_193, 40_000), (7, 64, 512)):
     stream = FeatureStream("v", Camera.HEAD, 6.0, v32.reshape(n, d))
     for k in (2, 24):
         w, b = rng.standard_normal((k, d)), rng.standard_normal(k)
-        got = score_stream(LinearModel(w, b, None, TrainConfig()), stream)
+        space = LabelSpace(Task.GESTURE, tuple(f"s{i}" for i in range(k)), 0)
+        got = score_stream(LinearModel(w, b, space, TrainConfig()), stream)
         want = w @ stream.values.astype(np.float64).T
         want += b[:, None]
         if got.tobytes() != want.T.tobytes():
@@ -875,7 +896,8 @@ class TestScore:
     def test_memory_holds_one_margin_matrix(self, traced_peak):
         # the bias is added in place into the product
         rng = np.random.default_rng(6)
-        model = LinearModel(rng.standard_normal((24, 32)), rng.standard_normal(24), None, TrainConfig())
+        model = LinearModel(rng.standard_normal((24, 32)), rng.standard_normal(24), space_of(24),
+                            TrainConfig())
         stream = frames(rng.standard_normal((20_000, 32)))
         peak, margins = traced_peak(score_stream, model, stream)
         assert np.array_equal(margins, stream.values @ model.weights.T + model.bias)
@@ -885,7 +907,7 @@ class TestScore:
         # long-video's 40,000 x 64 x 24 scoring and a 1,200-frame K=2 video
         rng = np.random.default_rng(12)
         for n, d, k in ((40_000, 64, 24), (1_200, 64, 2)):
-            model = LinearModel(rng.standard_normal((k, d)), rng.standard_normal(k), None,
+            model = LinearModel(rng.standard_normal((k, d)), rng.standard_normal(k), space_of(k),
                                 TrainConfig())
             stream = frames(rng.standard_normal((n, d)))
             margins = score_stream(model, stream)
@@ -900,7 +922,7 @@ class TestScore:
 
 class TestPredictFrames:
     def test_all_equal_scores_pick_zero(self):
-        model = LinearModel(np.zeros((3, 2)), np.zeros(3), None, TrainConfig())
+        model = LinearModel(np.zeros((3, 2)), np.zeros(3), space_of(3), TrainConfig())
         stream = FeatureStream("v", Camera.HEAD, 6.0, np.ones((4, 2)))
         assert predict_frames(model, stream).tolist() == [0, 0, 0, 0]
 
@@ -914,21 +936,28 @@ class TestPredictFrames:
         rng = np.random.default_rng(3)
         w = rng.standard_normal((3, 4))
         stream = FeatureStream("v", Camera.HEAD, 6.0, rng.standard_normal((20, 4)))
-        a = predict_frames(LinearModel(w, np.zeros(3), None, TrainConfig()), stream)
-        b = predict_frames(LinearModel(w, np.full(3, 11.5), None, TrainConfig()), stream)
+        a = predict_frames(LinearModel(w, np.zeros(3), space_of(3), TrainConfig()), stream)
+        b = predict_frames(LinearModel(w, np.full(3, 11.5), space_of(3), TrainConfig()), stream)
         assert np.array_equal(a, b)
 
 
 class TestLinearModel:
+    def test_weights_and_bias_shapes_checked(self):
+        for w, b in ((np.ones(3), np.zeros(1)), (np.ones((2, 3)), np.zeros(3)),
+                     (np.ones((2, 3)), np.zeros((2, 1))), (np.ones((1, 2, 3)), np.zeros(1))):
+            with pytest.raises(ValueError,
+                               match=re.escape("weights must be (K, D) with matching bias")):
+                LinearModel(w, b, free_active(), TrainConfig())
+
     def test_non_finite_parameters_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             w, b = np.zeros((2, 3)), np.zeros(2)
             w[1, 2] = bad
             with pytest.raises(ValueError, match="finite"):
-                LinearModel(w, np.zeros(2), None, TrainConfig())
+                LinearModel(w, np.zeros(2), free_active(), TrainConfig())
             b[1] = bad
             with pytest.raises(ValueError, match="finite"):
-                LinearModel(np.zeros((2, 3)), b, None, TrainConfig())
+                LinearModel(np.zeros((2, 3)), b, free_active(), TrainConfig())
 
     def test_binary_model_needs_a_d_and_other_kinds_take_none(self):
         w, b = np.ones((1, 3)), np.zeros(1)
@@ -938,9 +967,12 @@ class TestLinearModel:
             with pytest.raises(ValueError, match="d must be >= 1"):
                 LinearModel(w, b, None, TrainConfig(), d)
         assert LinearModel(w, b, None, TrainConfig(), 2).d == 2
-        for space in (None, free_active()):
-            with pytest.raises(ValueError, match="only binary change models carry a d"):
-                LinearModel(np.ones((2, 3)), np.zeros(2), space, TrainConfig(), 2)
+        with pytest.raises(ValueError, match="only binary change models carry a d"):
+            LinearModel(np.ones((2, 3)), np.zeros(2), free_active(), TrainConfig(), 2)
+        # without a label space, a model of two rows is no change model, with a d or without
+        for d in (2, None):
+            with pytest.raises(ValueError, match="without a label space is a change model"):
+                LinearModel(np.ones((2, 3)), np.zeros(2), None, TrainConfig(), d)
 
 
 class TestModelFile:
@@ -967,23 +999,15 @@ class TestModelFile:
         assert loaded.is_binary
         assert np.array_equal(loaded.weights, model.weights)
 
-    def test_detached_multiclass_round_trip(self, tmp_path):
-        x, y = two_blobs(seed=6)
-        model = train_arrays(x, y, 3, TrainConfig(epochs=20))
-        path = tmp_path / "detached.bin"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.label_space is None and loaded.num_classes == 3
-        assert np.array_equal(loaded.weights, model.weights)
-        assert model_bytes(loaded) == model_bytes(model)
-
     def test_unknown_kind_rejected(self, tmp_path):
+        # kind 2 was a multiclass model with no label space
         data = bytearray(model_bytes(train_binary(*two_blobs(seed=7), 3, TrainConfig(epochs=5))))
-        data[8] = 3  # kind byte: after the 4-byte magic and the u32 version
         path = tmp_path / "bad.bin"
-        path.write_bytes(bytes(data))
-        with pytest.raises(ModelFileError, match="kind"):
-            load_model(path)
+        for kind in (2, 3):
+            data[8] = kind  # kind byte: after the 4-byte magic and the u32 version
+            path.write_bytes(bytes(data))
+            with pytest.raises(ModelFileError, match=f"unknown model kind {kind}"):
+                load_model(path)
 
     def test_impossible_shape_rejected(self, tmp_path):
         model = train_binary(*two_blobs(seed=7), 3, TrainConfig(epochs=5))
@@ -1039,7 +1063,7 @@ def synth_cv_videos(seed, ramp, sigma, n_videos=5, k=3):
     for i in range(n_videos):
         pairs.append(synth.gen_feature_stream(
             centers, seed=seed * 100 + i, n_frames=240, min_dwell=24, noise_sigma=sigma,
-            transition_ramp=ramp, video_id=f"v{i}"))
+            label_space=space_of(k), transition_ramp=ramp, video_id=f"v{i}"))
     return pairs
 
 
@@ -1072,19 +1096,19 @@ class TestCrossValidate:
 
     def test_tie_break_smallest_cell(self):
         # constant features everywhere: every cell scores identically
-        space3 = 3
+        space3 = space_of(3)
         pairs = []
         for i in range(5):
             vals = np.ones((60, 4))
             stream = FeatureStream(f"v{i}", Camera.HEAD, 6.0, vals)
-            truth = StateSequence(None, np.zeros(60, dtype=int), num_states=space3)
+            truth = StateSequence(space3, np.zeros(60, dtype=int))
             pairs.append((stream, truth))
         # constant labels would break training, so alternate one frame label
         fixed = []
         for stream, truth in pairs:
             states = truth.states.copy()
             states[:20] = 1
-            fixed.append((stream, StateSequence(None, states, num_states=3)))
+            fixed.append((stream, StateSequence(space3, states)))
         plan = CrossValPlan(c_grid=(0.01, 0.1), d_grid=(3, 6), lambda_grid=(0.1, 0.3))
         res = cross_validate(fixed, plan, 20)
         accs = {mean_accuracy for *_, mean_accuracy in res.table}

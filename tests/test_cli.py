@@ -141,13 +141,15 @@ class TestReaderErrorsNameTheirFile:
 
     @pytest.mark.parametrize("labels, message", [
         (b"free, \xff", ": 'utf-8' codec can't decode byte 0xff"),
-        (b"free, active, idle", ": task free_active requires exactly 2 labels, got 3"),
+        (b"free", ": a label space needs at least 2 and at most 256 labels, got 1"),
+        (b", ".join([b"free", *(b"l%d" % i for i in range(256))]),
+         ": a label space needs at least 2 and at most 256 labels, got 257"),
         (b"free, free", ": label names must be unique"),
         (b"free, active\nlabels = free, active", ":3: duplicate key 'labels'"),
         (b"free, ", ": empty label name"),
         (b"idle, active", ": free_label 'free' not in labels"),
-    ], ids=["not-utf8", "label-count", "repeated-label", "repeated-key", "empty-label",
-            "free-label-not-a-label"])
+    ], ids=["not-utf8", "label-count", "over-the-cap", "repeated-label", "repeated-key",
+            "empty-label", "free-label-not-a-label"])
     def test_label_space_errors_name_the_file(self, tmp_path, capsys, labels, message):
         # the first three printed the message with no path, from every command
         bad = tmp_path / "bad_labels.txt"
@@ -171,6 +173,28 @@ class TestReaderErrorsNameTheirFile:
         ):
             assert main(argv) == 2, argv[0]
             assert f"error: {bad}{message}" in capsys.readouterr().err, argv[0]
+        assert not [name for name in ("report", "m.bin", "cv", "disc", "run")
+                    if (tmp_path / name).exists()]
+
+    def test_label_spaces_of_any_count_load(self, tmp_path):
+        # each task once required its paper count (2, 13 or 24 labels), so
+        # these two files exited 2
+        for task, labels in (("object_category", ["free", "cup", "pan", "jar", "mug"]),
+                             ("free_active", ["free", "reach", "hold"])):
+            space_file = tmp_path / f"{task}.txt"
+            space_file.write_text(f"task = {task}\nlabels = {', '.join(labels)}\n"
+                                  "free_label = free\n")
+            space = cli.load_label_space(space_file)
+            assert (space.task.value, list(space.labels)) == (task, labels)
+            truth, pred = tmp_path / "v.truth.txt", tmp_path / "v.full.txt"
+            truth.write_text("\n".join(labels) + "\n")
+            pred.write_text("\n".join(labels[:1] * len(labels)) + "\n")
+            report = tmp_path / task
+            assert main(["eval", "--pred", str(pred), "--truth", str(truth), "--label-space",
+                         str(space_file), "--report", str(report)]) == 0
+            doc = json.loads((report / "report.json").read_text())
+            assert (doc["task"], doc["labels"]) == (task, labels)
+            assert doc["global_accuracy"] == 1 / len(labels)
 
     def test_list_file_not_utf8_named(self, tmp_path, capsys):
         fa, ges, _ = write_spaces(tmp_path)
@@ -484,23 +508,27 @@ class TestTrainInferEval:
 
     def test_state_model_without_label_space_exits_2_before_reading_features(self, tmp_path,
                                                                               capsys):
-        # a change model, or a state model detached from a label space, names no
-        # predicted state; infer scored and decoded the stream before failing
+        # a change model names no predicted state; infer scored and decoded
+        # the stream before failing. A kind 2 file (a multiclass model with
+        # no label space, a kind that is gone) fails as it is read.
         _, ges, _ = write_spaces(tmp_path)
         feats, truths = make_labeled_videos(tmp_path, gesture_space(), n_videos=2)
         cmodel, detached = tmp_path / "change.bin", tmp_path / "detached.bin"
         assert main(["train-change", "--features", *feats, "--truth", *truths,
                      "--label-space", str(ges), "--epochs", "5", "--d", "3",
                      "--out", str(cmodel)]) == 0
-        classify.save_model(classify.LinearModel(np.ones((3, 6)), np.zeros(3), None,
-                                                 classify.TrainConfig()), detached)
+        detached.write_bytes(b"HCLM" + struct.pack("<IBdIQII", 2, 2, 1.0, 200, 0, 3, 6)
+                             + bytes((3 * 6 + 3) * 8))
         full = ["--mode", "full", "--change-model", str(cmodel), "--d", "3", "--lambda", "1.0"]
+        messages = {cmodel: f"--state-model {cmodel}: a change model, not a state model",
+                    detached: f"--state-model {detached}: malformed model file: "
+                              "unknown model kind 2"}
         for model, features in product((cmodel, detached), (feats[0], tmp_path / "none.feat")):
             for mode in (full, ["--mode", "unary"]):
                 capsys.readouterr()
                 assert main(["infer", "--features", str(features), "--state-model", str(model),
                              *mode, "--out", str(tmp_path / "pred.txt")]) == 2
-                assert "--state-model" in capsys.readouterr().err
+                assert messages[model] in capsys.readouterr().err
         assert not (tmp_path / "pred.txt").exists()
 
     def test_unary_mode_rejects_full_mode_options(self, tmp_path, capsys):

@@ -26,7 +26,7 @@ from handcam.classify import LinearModel, TrainConfig
 from handcam.features import read_features, write_features
 from handcam.discovery import Segment, segment_similarity_matrix
 from handcam.inference import InferenceProblem
-from conftest import free_active
+from conftest import free_active, space_of
 from test_features import as_read
 
 
@@ -210,8 +210,15 @@ class TestLabelSpace:
         assert LabelSpace(Task.OBJECT_CATEGORY, objects, 0).num_labels == 24
 
     def test_wrong_count_rejected(self):
-        with pytest.raises(ValueError):
-            LabelSpace(Task.GESTURE, ("free", "fist"), 0)
+        for k in (1, core.MAX_LABELS + 1):
+            with pytest.raises(ValueError, match=f"at least 2 and at most 256 labels, got {k}"):
+                space_of(k)
+
+    def test_any_count_from_2_to_max_labels_for_every_task(self):
+        # the task says what the labels mean, not how many there are
+        assert core.MAX_LABELS == 256
+        for task, k in product(Task, (2, 3, 5, 13, 24, core.MAX_LABELS)):
+            assert space_of(k, task).num_labels == k
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -253,6 +260,11 @@ class TestLabelSpace:
 
 
 class TestFeatureStream:
+    @pytest.mark.parametrize("values", [np.ones(3), np.ones((2, 3, 1)), np.float64(1.0)])
+    def test_values_must_be_2d(self, values):
+        with pytest.raises(ValueError, match=re.escape("must be a 2-d (frames x dim) array")):
+            FeatureStream("v", Camera.HEAD, 6.0, values)
+
     def test_frame_access(self):
         values = np.arange(6.0).reshape(3, 2)
         s = FeatureStream("v", Camera.RIGHT_HAND, 6.0, values)
@@ -323,8 +335,8 @@ class TestReleasePages:
     def test_every_consumer_gives_back_the_pages_it_read(self, tmp_path):
         path, values, s = self.read(tmp_path)
         assert mapped_rss(path) <= values.nbytes / 4  # the finiteness check's blocks
-        model = LinearModel(np.ones((3, self.D)), np.zeros(3), None, TrainConfig())
-        truth = StateSequence(None, np.arange(self.N) % 2, num_states=2)
+        model = LinearModel(np.ones((3, self.D)), np.zeros(3), space_of(3), TrainConfig())
+        truth = StateSequence(space_of(2), np.arange(self.N) % 2)
         for consume in (lambda: classify.score_stream(model, s),
                         lambda: segment_means(s.values, np.arange(0, self.N, 7)),
                         lambda: change_feature_matrix(s, 3),
@@ -355,7 +367,7 @@ FROZEN_FIELDS = {
     "StateSequence": ("states", lambda a: StateSequence(free_active(), a),
                       lambda: np.array([0, 1, 1])),
     "Segment": ("mean_feature", lambda a: Segment("v", 0, 2, a), lambda: np.ones(3)),
-    "LinearModel": ("weights", lambda a: LinearModel(a, np.zeros(2), None, TrainConfig()),
+    "LinearModel": ("weights", lambda a: LinearModel(a, np.zeros(2), free_active(), TrainConfig()),
                     lambda: np.ones((2, 3))),
 }
 
@@ -382,16 +394,13 @@ class TestFrozenArrays:
 class TestStateSequence:
     def test_with_label_space(self):
         seq = StateSequence(free_active(), np.array([0, 1, 1]))
-        assert seq.num_states == 2
-
-    def test_detached(self):
-        seq = StateSequence(None, np.array([0, 3]), num_states=4)
-        assert seq.num_states == 4
+        assert seq.label_space.num_labels == 2
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             StateSequence(free_active(), np.array([0, 2]))
 
-    def test_detached_needs_num_states(self):
-        with pytest.raises(ValueError):
-            StateSequence(None, np.array([0, 1]))
+    @pytest.mark.parametrize("states", [np.zeros((2, 2), dtype=int), np.int64(0)])
+    def test_states_must_be_1d(self, states):
+        with pytest.raises(ValueError, match="states must be a 1-d index array"):
+            StateSequence(free_active(), states)

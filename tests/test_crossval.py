@@ -22,7 +22,7 @@ from handcam.core import Camera, FeatureStream, StateSequence
 from handcam.crossval import CrossValPlan, CVResult, cross_validate
 from handcam.features import write_features
 from handcam.inference import check_lam, decode_stream
-from conftest import free_active, train_arrays
+from conftest import free_active, space_of, train_arrays
 from test_core import save_label_space
 from test_synth import orthonormal_centers
 
@@ -35,7 +35,7 @@ def videos(seed, n_videos, k=3, dim=6, n_frames=120, ramp=2, sigma=0.6):
     for i in range(n_videos):
         pairs.append(synth.gen_feature_stream(
             centers, seed=seed * 100 + i, n_frames=n_frames + 7 * i, min_dwell=12,
-            noise_sigma=sigma, transition_ramp=ramp, video_id=f"v{i}"))
+            noise_sigma=sigma, label_space=space_of(k), transition_ramp=ramp, video_id=f"v{i}"))
     return pairs
 
 
@@ -44,7 +44,7 @@ def labeled(video_id, states, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((states.size, dim)) + np.eye(dim)[states % dim]
     return (FeatureStream(video_id, Camera.HEAD, 6.0, values),
-            StateSequence(None, states, num_states=3))
+            StateSequence(space_of(3), states))
 
 
 def per_fold_cross_validate(videos, plan, epochs):
@@ -211,7 +211,7 @@ class TestFoldValidity:
     def test_no_training_rows(self):
         with np.errstate(all="raise"):
             for train_empty in (
-                lambda: train_arrays(np.empty((0, 3)), np.empty(0), 2),
+                lambda: train_arrays(np.empty((0, 3)), np.empty(0), space_of(2)),
                 lambda: train_binary(np.empty((0, 3)), np.empty(0), 3),
             ):
                 with pytest.raises(ValueError, match="two distinct labels"):
@@ -236,7 +236,8 @@ class TestFoldValidity:
 
 class TestDuplicateVideoIds:
     def test_repeated_video_rejected(self):
-        pairs = list(synth.gen_feature_set(3, 2, 4, 60, 10, 0.5, ["a", "b", "c", "d", "e"]))
+        pairs = list(synth.gen_feature_set(3, 2, 4, 60, 10, 0.5, ["a", "b", "c", "d", "e"],
+                                           space_of(2)))
         plan = CrossValPlan(folds=5, c_grid=(1.0,), d_grid=(3,), lambda_grid=(1.0,))
         with pytest.raises(ValueError, match="video id 'a'"):
             cross_validate([pairs[0], *pairs], plan, 5)

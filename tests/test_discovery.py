@@ -56,11 +56,11 @@ class TestActiveSegments:
             active_segments(seq, stream)
 
     def test_decoded_needs_label_space(self):
-        # free is named only by a label space; `discover` always reads one
-        stream, _ = fa_stream([0, 1])
-        seq = StateSequence(None, np.array([0, 1]), num_states=2)
-        with pytest.raises(ValueError, match="needs a label space to identify 'free'"):
-            active_segments(seq, stream)
+        # free is named only by the sequence's label space, at any index
+        stream, _ = fa_stream([0, 1, 1, 0])
+        seq = StateSequence(LabelSpace(Task.FREE_ACTIVE, ("active", "free"), 1),
+                            np.array([0, 1, 1, 0]))
+        assert [(s.start, s.end) for s in active_segments(seq, stream)] == [(0, 1), (3, 4)]
 
     @pytest.mark.parametrize("start, end", [(2, 2), (3, 2), (-1, 1)])
     def test_empty_span_rejected(self, start, end):
@@ -351,9 +351,6 @@ class TestModifiedPurity:
         other = StateSequence(free_active(), np.array([0, 1]))
         with pytest.raises(ValueError, match="share one label space"):
             modified_purity(labels, segs, {**truths, "w": other})
-        bare = StateSequence(None, truths["v"].states, num_states=space.num_labels)
-        with pytest.raises(ValueError, match="ground truth needs a label space"):
-            modified_purity(labels, segs, {"v": bare})
         for uncovered in ({"w": truths["v"]}, {"v": StateSequence(space, truths["v"].states[:5])}):
             with pytest.raises(ValueError, match="ground truth does not cover segment of v"):
                 modified_purity(labels, segs, uncovered)

@@ -14,11 +14,11 @@ from handcam.evaluation import (
     timeline_svg,
     write_report,
 )
-from conftest import free_active
+from conftest import free_active, space_of
 
 
 def seq(states, k=3):
-    return StateSequence(None, np.asarray(states), num_states=k)
+    return StateSequence(space_of(k), np.asarray(states))
 
 
 def accuracy(pred, truth):
@@ -93,7 +93,7 @@ class TestReport:
         preds = {"a": seq([0, 1, 1]), "b": seq([2, 2, 2])}
         truths = {"a": seq([0, 1, 2]), "b": seq([2, 2, 0])}
         report = build_report(preds, truths)
-        assert (report["task"], report["labels"]) == ("", None)  # detached truths name nothing
+        assert (report["task"], report["labels"]) == ("gesture", ["s0", "s1", "s2"])
         assert report["per_video_accuracy"] == {"a": 2 / 3, "b": 2 / 3}
         assert report["global_accuracy"] == 4 / 6
         assert report["n_frames"] == 6
@@ -109,7 +109,7 @@ class TestReport:
     def test_task_and_labels_come_from_the_truths(self, tmp_path):
         space = free_active()
         truth = StateSequence(space, np.array([0, 1, 1]))
-        report = build_report({"v": seq([0, 1, 0], k=2)}, {"v": truth})
+        report = build_report({"v": StateSequence(space, np.array([0, 1, 0]))}, {"v": truth})
         assert (report["task"], report["labels"]) == (space.task.value, list(space.labels))
         write_report(report, tmp_path)
         doc = json.loads((tmp_path / "report.json").read_text())
@@ -123,7 +123,7 @@ class TestReport:
         preds = {v: seq([0, 1], k=2) for v in truths}
         with pytest.raises(ValueError, match="truths use different label spaces"):
             build_report(preds, truths)
-        truths["b"] = seq([0, 1], k=2)  # detached beside attached
+        truths["b"] = seq([0, 1], k=2)  # another task's space of the same size
         with pytest.raises(ValueError, match="truths use different label spaces"):
             build_report(preds, truths)
 
@@ -148,6 +148,10 @@ class TestReport:
                                 rng.integers(0, k, n)), k=k)
             report = build_report({"v": pred}, {"v": truth})
             assert repr(report["per_video_accuracy"]["v"]) == repr(accuracy(pred, truth))
+
+    def test_nothing_to_evaluate(self):
+        with pytest.raises(ValueError, match="nothing to evaluate"):
+            build_report({}, {})
 
     def test_mismatched_video_sets(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from handcam.features import (
 )
 from handcam.inference import segment_features
 from handcam.media import frame_paths
-from conftest import save_frames
+from conftest import save_frames, space_of
 
 
 def stream(values, vid="v", camera=Camera.RIGHT_HAND, fps=6.0):
@@ -59,6 +59,18 @@ def float32_pair(values, aligned=True):
 
 
 class TestFeatureFile:
+    def test_streams_no_file_can_hold_refused(self, tmp_path):
+        # a video id longer than its u16 length field, or no frames or dims
+        path = tmp_path / "s.feat"
+        for s, message in ((stream(np.ones((2, 3)), vid="v" * 0x10000), "video_id too long"),
+                           (stream(np.ones((0, 3))), "require N >= 1 and D >= 1"),
+                           (stream(np.ones((2, 0))), "require N >= 1 and D >= 1")):
+            with pytest.raises(FeatureFileError, match=message):
+                write_features(s, path)
+        assert list(tmp_path.iterdir()) == []
+        write_features(stream(np.ones((2, 3)), vid="v" * 0xFFFF), path)
+        assert read_features(path).video_id == "v" * 0xFFFF
+
     def test_bytes_match_parent(self, tmp_path):
         rng = np.random.default_rng(9)
         path = tmp_path / "s.feat"
@@ -132,10 +144,10 @@ class TestFeatureFile:
         write_features(stream(rng.standard_normal((9_000, 16)), vid=vid), path)
         s32 = read_features(path)
         s64 = FeatureStream(vid, s32.camera, s32.fps, s32.values.astype(np.float64))
-        model = LinearModel(rng.standard_normal((24, 16)), rng.standard_normal(24), None,
+        model = LinearModel(rng.standard_normal((24, 16)), rng.standard_normal(24), space_of(24),
                             TrainConfig())
         cand = np.flatnonzero(rng.random(8_999) < 0.05) + 1
-        truth = [StateSequence(None, rng.integers(0, 3, 9_000), num_states=3)]
+        truth = [StateSequence(space_of(3), rng.integers(0, 3, 9_000))]
         for as_bytes in (lambda s: score_stream(model, s).tobytes(),
                          lambda s: segment_features(s, cand).tobytes(),
                          lambda s: change_feature_matrix(s, 3).tobytes(),
@@ -261,6 +273,11 @@ class TestFeatureFile:
 
 
 class TestColorHistogram:
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 3, 1), (3, 3, 4), (3, 3, 3, 1)])
+    def test_frame_needs_three_channels(self, shape):
+        with pytest.raises(ValueError, match="requires a 3-channel frame"):
+            color_histogram(np.zeros(shape, dtype=np.uint8))
+
     def test_all_black(self):
         img = np.zeros((3, 3, 3), dtype=np.uint8)
         h = color_histogram(img)

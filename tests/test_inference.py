@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -136,6 +137,21 @@ class TestSegmentFeatures:
 
 
 class TestInferenceProblem:
+    def test_shapes_and_candidate_order_checked(self):
+        unary, feats = np.zeros((6, 2)), np.ones((3, 4))
+        for bad in (np.zeros(6), np.zeros((6, 0)), np.zeros((6, 2, 1))):
+            with pytest.raises(ValueError, match=re.escape("unary must be a (N, K) matrix")):
+                InferenceProblem(bad, [2, 4], feats)
+        for cand in ([4, 2], [2, 2]):
+            with pytest.raises(ValueError, match="candidates must be strictly increasing"):
+                InferenceProblem(unary, cand, feats)
+            with pytest.raises(ValueError, match="candidates must be strictly increasing"):
+                segment_features(stream_of(np.ones((6, 4))), np.array(cand))
+        for bad in (np.ones((2, 4)), np.ones((4, 4)), np.ones(3), np.ones((3, 4, 1))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"expected 3 segment features as rows of a matrix, got shape {bad.shape}")):
+                InferenceProblem(unary, [2, 4], bad)
+
     def test_non_finite_rejected(self):
         unary, feats = np.zeros((6, 2)), np.ones((3, 4))
         InferenceProblem(unary, [2, 4], feats)
@@ -261,7 +277,7 @@ class TestDecode:
             with pytest.raises(ValueError, match="lam"):
                 score_sequence(p, np.zeros(3, dtype=int), lam)
 
-    def test_decoded_states_are_detached_with_k_states(self):
+    def test_decoded_states_are_int64_indices_below_k(self):
         # the DP decodes plain int64 state indices in 0..K-1; `infer` names
         # them with its state model's space where it writes them
         unary = np.array([[0.0, 0.0, 1.0]] * 2 + [[0.0, 1.0, 0.0]] * 2)

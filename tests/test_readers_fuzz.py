@@ -17,6 +17,7 @@ stay small, so that a document that is still valid asks for little work.
 
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from handcam.core import (
 )
 from handcam.features import FeatureFileError, read_features, write_features
 from handcam.media import PpmError, load_ppm, save_ppm
-from conftest import free_active
+from conftest import free_active, space_of
 from test_core import save_label_space
 
 FUZZ = settings(
@@ -103,7 +104,7 @@ def test_load_model_damaged(tmp_path_factory):
     files = [
         model_file(rng.standard_normal((2, 3)), free_active()),
         model_file(rng.standard_normal((1, 4)), d=3),
-        model_file(rng.standard_normal((3, 2))),
+        model_file(rng.standard_normal((3, 2)), space_of(3)),
     ]
 
     @FUZZ
@@ -122,19 +123,25 @@ def test_load_model_damaged(tmp_path_factory):
 
 def test_kind_byte_must_match_the_weights(tmp_path, capsys):
     # a kind 1 (change) file marked kind 2 loaded as a change model with its
-    # d, and a kind 2 file marked kind 1 as a detached multiclass model
+    # d. Kind 2 was a multiclass model with no label space: the layout of
+    # kind 1 with three rows and no d. It is no kind now.
     rng = np.random.default_rng(3)
     files = {
         0: model_file(rng.standard_normal((2, 3)), free_active())[0],
         1: model_file(rng.standard_normal((1, 4)), d=3)[0],
-        2: model_file(rng.standard_normal((3, 2)))[0],
+        2: (b"HCLM" + struct.pack("<IBdIQII", 2, 2, 0.5, 7, 0, 3, 2)
+            + rng.standard_normal((3, 2)).tobytes() + np.arange(3.0).tobytes()),
     }
     feat = tmp_path / "v.feat"
     write_features(FeatureStream("v", Camera.HEAD, 6.0, rng.standard_normal((5, 3))), feat)
     path = tmp_path / "flipped.bin"
     for kind, data in files.items():
         path.write_bytes(data)
-        assert load_model(path).weights.shape[0] == {0: 2, 1: 1, 2: 3}[kind]
+        if kind == 2:
+            with pytest.raises(ModelFileError, match="unknown model kind 2"):
+                load_model(path)
+        else:
+            assert load_model(path).weights.shape[0] == {0: 2, 1: 1}[kind]
         for other in set(files) - {kind}:
             flipped = bytearray(data)
             flipped[8] = other

@@ -6,6 +6,7 @@ import pytest
 from handcam import synth
 from handcam.core import FeatureStream, LabelSpace, StateSequence, Task, run_starts
 from handcam.media import load_video_dir, resize_to
+from conftest import space_of
 
 
 def orthonormal_centers(num_states, dim, seed):
@@ -35,17 +36,18 @@ def config(**overrides):
         n_frames=200,
         min_dwell=20,
         noise_sigma=0.5,
+        label_space=space_of(3),
     )
     base.update(overrides)
     return base
 
 
-def parent_gen_feature_stream(centers, seed, n_frames, min_dwell, noise_sigma,
-                              transition_ramp=0, video_id="synth", fps=6.0, label_space=None):
+def parent_gen_feature_stream(centers, seed, n_frames, min_dwell, noise_sigma, label_space,
+                              transition_ramp=0, video_id="synth", fps=6.0):
     """gen_feature_stream as it was before it built the values inside the
     noise array (the reference, bit for bit)."""
     num_states, dim = centers.shape
-    if label_space is not None and label_space.num_labels < num_states:
+    if label_space.num_labels < num_states:
         raise ValueError("label space too small for the configured state count")
     rng = np.random.default_rng(seed)
     states = synth._draw_states(num_states, n_frames, min_dwell, rng)
@@ -60,12 +62,7 @@ def parent_gen_feature_stream(centers, seed, n_frames, min_dwell, noise_sigma,
             )
     noise = rng.standard_normal((n_frames, dim)) * noise_sigma
     stream = FeatureStream(video_id, synth.Camera.RIGHT_HAND, fps, trajectory + noise)
-    truth = (
-        StateSequence(label_space, states)
-        if label_space is not None
-        else StateSequence(None, states, num_states=num_states)
-    )
-    return stream, truth
+    return stream, StateSequence(label_space, states)
 
 
 class TestFeatureStreamGen:
@@ -78,6 +75,7 @@ class TestFeatureStreamGen:
                 n_frames=int(rng.integers(1, 400)), min_dwell=int(rng.integers(1, 30)),
                 centers=synth.random_centers(k, dim, i), noise_sigma=float(rng.uniform(0, 3)),
                 transition_ramp=(i % 2) * int(rng.integers(1, 8)), video_id=f"v{i}",
+                label_space=space_of(k),
             )
             (stream, truth), (ref, ref_truth) = (
                 synth.gen_feature_stream(**cfg), parent_gen_feature_stream(**cfg))
@@ -141,7 +139,7 @@ class TestFeatureStreamGen:
         space = LabelSpace(
             Task.GESTURE, ("free",) + tuple(f"g{i}" for i in range(12)), 0
         )
-        _, truth = synth.gen_feature_stream(**config(), label_space=space)
+        _, truth = synth.gen_feature_stream(**config(label_space=space))
         assert truth.label_space == space
 
     def test_invalid_configs(self):
@@ -162,12 +160,13 @@ class TestFeatureStreamGen:
 class TestFeatureSetGen:
     def test_each_video_is_its_own_seeded_stream(self):
         ids = ["a", "b", "c"]
-        streams = synth.gen_feature_set(7, 3, 5, 90, 10, 0.5, ids, transition_ramp=2, fps=12.0)
+        streams = synth.gen_feature_set(7, 3, 5, 90, 10, 0.5, ids, space_of(3),
+                                        transition_ramp=2, fps=12.0)
         centers = synth.random_centers(3, 5, 7)
         for i, (stream, truth) in enumerate(streams):
             alone, alone_truth = synth.gen_feature_stream(
                 centers, seed=7000 + i, n_frames=90, min_dwell=10, noise_sigma=0.5,
-                transition_ramp=2, video_id=ids[i], fps=12.0)
+                label_space=space_of(3), transition_ramp=2, video_id=ids[i], fps=12.0)
             assert stream.values.tobytes() == alone.values.tobytes()
             assert (stream.video_id, stream.fps) == (ids[i], 12.0)
             assert np.array_equal(truth.states, alone_truth.states)
